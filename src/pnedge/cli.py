@@ -17,9 +17,11 @@ from .config import RunConfig, box_radii, parse_config, snapshot_times
 from .dynamics import DynamicsState, RunOptions, run_dynamics
 from .energy import (
     BoxQuadrature,
+    HalfPlaneTables,
+    _log_fit,
     elastic_energy_box,
     energy_breakdown,
-    log_divergence_fit,
+    misfit_energy,
     seeded_perturbations,
 )
 from .errors import TimeStepUnderflowError
@@ -176,9 +178,13 @@ def cmd_energy(cfg: RunConfig) -> int:
     perts = seeded_perturbations(grid, params, cfg.energy_n_perturbations,
                                  seed=cfg.energy_pert_seed)
     radii = box_radii(cfg)
-    breakdowns = [energy_breakdown(ph, profile, spec, quad, box_radius=radii[-1])
+    E_box = [elastic_energy_box(profile, R) for R in radii]
+    tables = HalfPlaneTables.build(profile, quad)
+    E_mis = misfit_energy(profile, spec)
+    breakdowns = [energy_breakdown(ph, profile, spec, box_radius=radii[-1], tables=tables,
+                                   E_mis=E_mis, E_els_box=E_box[-1])
                   for ph in perts]
-    slope, intercept, r2 = log_divergence_fit(profile, radii)
+    slope, intercept, r2 = _log_fit(radii, E_box)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
     from dataclasses import asdict
 
@@ -189,7 +195,7 @@ def cmd_energy(cfg: RunConfig) -> int:
     (out / "energy.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     write_csv(out / "energy_box.csv", {
         "R": np.asarray(radii),
-        "E": np.array([elastic_energy_box(profile, R) for R in radii]),
+        "E": np.array(E_box),
     })
     write_manifest(out / "manifest.json", cfg.echo(), "energy",
                    {"total": time.perf_counter() - t0})

@@ -7,6 +7,7 @@ is what the output manifests hash.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
@@ -81,16 +82,15 @@ class RunConfig:
     static_init: str = "tanh"  # tanh | analytic | background:<width_over_zeta>
 
     def validate(self) -> None:
-        if self.G <= 0:
-            raise ValueError("config key 'G' must be positive")
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"config key '{f.name}' must be finite, got {value}")
+        for key in _POSITIVE_KEYS:
+            if getattr(self, key) <= 0:
+                raise ValueError(f"config key '{key}' must be positive, got {getattr(self, key)}")
         if not 0.0 < self.nu < 0.5:
             raise ValueError(f"config key 'nu' must lie in (0, 1/2), got {self.nu}")
-        if self.b <= 0:
-            raise ValueError("config key 'b' must be positive")
-        if self.d <= 0:
-            raise ValueError("config key 'd' must be positive")
-        if self.L_over_zeta <= 0:
-            raise ValueError("config key 'L_over_zeta' must be positive")
         if self.N % 2 != 0 or self.N < 4:
             raise ValueError(f"config key 'N' must be even and >= 4, got {self.N}")
         if self.dynamics_method not in ("semi_implicit", "etd"):
@@ -116,6 +116,10 @@ class RunConfig:
 
 
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
+
+#: keys whose value must be > 0 (floats are also checked for finiteness)
+_POSITIVE_KEYS = ("G", "b", "d", "L_over_zeta", "dynamics_dt", "static_max_iters",
+                  "energy_quad_levels", "energy_n_perturbations")
 
 
 def _coerce(key: str, text: str):

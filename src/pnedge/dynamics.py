@@ -196,15 +196,10 @@ def run_dynamics(
     dt = opts.dt
     while s.t < T_end - 1e-12:
         step_dt = min(dt, T_end - s.t)
-        accepted = None
         for _ in range(opts.max_halvings + 1):
             cand = stepper(s, step_dt)
-            if not monitor or not opts.adapt:
-                accepted = cand
-                break
-            F_new = free_energy(cand)
-            if F_new <= F + f_tol:
-                accepted = cand
+            F_new = free_energy(cand) if monitor else np.nan
+            if not (monitor and opts.adapt) or F_new <= F + f_tol:
                 break
             step_dt *= 0.5
         else:
@@ -212,9 +207,8 @@ def run_dynamics(
                 f"time step underflow at t={s.t:.6g} after {opts.max_halvings} halvings",
                 trace=trace,
             )
-        s = accepted
+        s, F = cand, F_new  # the accepted candidate's F is the new state's
         dt = min(opts.dt, 2.0 * step_dt)  # regrow gently after any halving
-        F = free_energy(s) if monitor else np.nan
         Q, res_linf = norms(s)
         trace.record(s.t, F, Q, res_linf, step_dt)
     return s, trace

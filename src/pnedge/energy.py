@@ -13,6 +13,16 @@ replaced by 2-d quadrature of the strain-energy densities
 ``(1/2) sigma_phi : eps_phi`` and ``eps_phi : sigma_u`` of the elastic
 extension.  The coefficient ``c0 = 2G/(1-nu)`` is carried explicitly so
 the identity holds for physical constants.
+
+The half-plane integrals are a y-quadrature (trapezoid weights on the
+nodes of :class:`BoxQuadrature`) of x-integrals on the periodic grid.
+The x-integrals are done by discrete Parseval: at height y the x-sum of
+a strain-energy density is a per-mode kernel in (k, y) against the
+trace's spectrum, so the kernels are summed over the y-nodes once per
+profile into length N/2+1 vectors (:class:`HalfPlaneTables`) and each
+perturbation then costs one ``rfft`` and a dot product.  The
+y-quadrature is the discrete node/weight sum, independent of the
+closed-form y-integrals of the slip-plane route.
 """
 
 from __future__ import annotations
@@ -26,6 +36,7 @@ import numpy as np
 from .errors import DivergenceError
 from .extension import (
     _analytic_stress,
+    _strain_multipliers,
     extend_trace_strains,
     strains_to_stresses,
 )
@@ -46,8 +57,8 @@ class BoxQuadrature:
     """Tensor quadrature for y-integrals over the half-planes.
 
     Trapezoid weights on a node set {0} + geometric(y_min, y_max, n);
-    x-integration rides on the periodic grid (h * sum), which is exact
-    for the spectral fields.
+    x-integration rides on the periodic grid (h * sum, evaluated by
+    discrete Parseval), which is exact for the spectral fields.
     """
 
     y_min: float
@@ -160,6 +171,14 @@ def misfit_energy(p: Profile, spec: PotentialSpec) -> float:
     return float(p.grid.h * np.sum(w) + tail)
 
 
+def _misfit_difference(p: Profile, spec: PotentialSpec, phi1: np.ndarray) -> float:
+    """Misfit energy change ``h sum [W(u1 + phi1) - W(u1)]`` of a perturbation."""
+    u1 = p.u1
+    return float(p.grid.h * np.sum(
+        eval_potential(spec, u1 + phi1, 0) - eval_potential(spec, u1, 0)
+    ))
+
+
 def cross_term_gamma(p: Profile, phi: Perturbation) -> float:
     """Slip-plane cross term ``c0 int phi1 (-d_xx)^{1/2} u1 dx``."""
     lam_u1 = half_laplacian_profile(p)
@@ -174,19 +193,129 @@ def reduced_perturbed_energy(phi: Perturbation, p: Profile, spec: PotentialSpec)
     """
     quad = 0.5 * p.params.c0 * hs_seminorm_grid(p.grid, phi.phi1, 0.5)
     cross = cross_term_gamma(p, phi)
-    u1 = p.u1
-    mis = float(p.grid.h * np.sum(
-        eval_potential(spec, u1 + phi.phi1, 0) - eval_potential(spec, u1, 0)
-    ))
-    return quad + cross + mis
+    return quad + cross + _misfit_difference(p, spec, phi.phi1)
 
 
 # ---------------------------------------------------------------------------
 # half-plane (2-d quadrature) route
 # ---------------------------------------------------------------------------
 
-def _phi_strains(grid: Grid1D, phi1: np.ndarray, nu: float, y: float):
-    return extend_trace_strains(grid, phi1, nu, y)
+def _mode_weights(grid: Grid1D) -> np.ndarray:
+    """Weights ``w_k`` with ``h sum_j a_j b_j = sum_k w_k Re(A_k conj(B_k))``
+    for real samples a, b and their ``rfft`` spectra A, B (k = 0..N/2).
+
+    The interior modes stand for themselves and their mirrors -k
+    (``w_k = 2h/N``); the zero and Nyquist modes are unpaired (``h/N``).
+    """
+    w = np.full(grid.N // 2 + 1, 2.0 * grid.h / grid.N)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
+
+
+def _abs2(m: np.ndarray) -> np.ndarray:
+    return m.real**2 + m.imag**2
+
+
+def _extension_multipliers(nu: float):
+    """Strain multipliers ``(xi, q, y) -> (m11, m22, m12)`` of the elastic
+    extension, on the ``rfft`` modes (the Nyquist mode is the last)."""
+    beta = 1.0 / (2.0 - 2.0 * nu)
+    return lambda xi, q, y: _strain_multipliers(xi, q, nu, beta, y, len(xi) - 1)
+
+
+def _energy_table(
+    grid: Grid1D, params: PhysParams, quad: Optional[BoxQuadrature], multipliers,
+) -> np.ndarray:
+    """Per-mode weights ``T_k`` with ``(1/2) int sigma : eps = sum_k T_k
+    |rfft(trace)_k|^2`` over both half-planes.
+
+    ``multipliers(xi, q, y)`` returns the upper-half strain multipliers
+    ``(m11, m22, m12)`` on the ``rfft`` modes.  By Parseval the x-sum at
+    height y of the isotropic density
+    ``G (e11^2 + e22^2 + 2 e12^2) + (lambda/2) (e11 + e22)^2`` is a
+    per-mode kernel times ``|rfft(trace)_k|^2``; the kernels are summed
+    over the quadrature nodes and the mirror half-plane doubles the sum.
+    """
+    quad = quad or BoxQuadrature.for_params(params)
+    ys, wy = quad.nodes_weights()
+    G, nu = params.G, params.nu
+    lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
+    n = grid.N // 2 + 1
+    xi, q = grid.xi[:n], grid.q[:n]
+    acc = np.zeros(n)
+    for y, wt in zip(ys, wy):
+        m11, m22, m12 = multipliers(xi, q, y)
+        acc += wt * (G * (_abs2(m11) + _abs2(m22) + 2.0 * _abs2(m12))
+                     + 0.5 * lame * _abs2(m11 + m22))
+    return 2.0 * _mode_weights(grid) * acc
+
+
+def _cross_table(p: Profile, quad: Optional[BoxQuadrature]) -> np.ndarray:
+    """Per-mode vector ``P_k`` with ``C_els(u, phi) = Re sum_k P_k
+    rfft(phi1)_k``.
+
+    The stress spectrum of u at each level is the ``rfft`` of the
+    closed-form background stress plus the correction stress taken
+    directly from the strain multipliers times ``rfft(v)``; the
+    integrand is even under the mirror map, so twice the upper sum.
+    """
+    quad = quad or BoxQuadrature.for_params(p.params)
+    ys, wy = quad.nodes_weights()
+    grid, prm = p.grid, p.params
+    G, nu = prm.G, prm.nu
+    n = grid.N // 2 + 1
+    xi, q = grid.xi[:n], grid.q[:n]
+    xs = grid.x - p.x0
+    multipliers = _extension_multipliers(nu)
+    v_hat = np.fft.rfft(p.v) if np.any(p.v) else None
+    acc = np.zeros(n, dtype=complex)
+    for y, wt in zip(ys, wy):
+        m11, m22, m12 = multipliers(xi, q, y)
+        s11, s12, s22, _ = _analytic_stress(xs, y, G, prm.b, nu, p.zeta_bg, +1.0)
+        S11, S22, S12 = np.fft.rfft(np.stack([s11, s22, s12]))
+        if v_hat is not None:
+            c11, c12, c22, _ = strains_to_stresses(m11 * v_hat, m22 * v_hat, m12 * v_hat,
+                                                   G, nu)
+            S11, S12, S22 = S11 + c11, S12 + c12, S22 + c22
+        acc += wt * (m11 * np.conj(S11) + m22 * np.conj(S22) + 2.0 * m12 * np.conj(S12))
+    return 2.0 * _mode_weights(grid) * acc
+
+
+def _quadratic(table: np.ndarray, phi1) -> float:
+    th = np.fft.rfft(np.asarray(phi1, dtype=float))
+    return float(np.dot(table, _abs2(th)))
+
+
+def _bilinear(table: np.ndarray, phi1) -> float:
+    return float(np.dot(table, np.fft.rfft(np.asarray(phi1, dtype=float))).real)
+
+
+@dataclass(frozen=True)
+class HalfPlaneTables:
+    """The half-plane quadrature of one profile as two per-mode vectors.
+
+    Built once per (profile, quadrature) and applied to any number of
+    perturbation traces, one ``rfft`` each:
+    ``E_els(phi) = sum_k elastic_k |rfft(phi1)_k|^2`` and
+    ``C_els(u, phi) = Re sum_k cross_k rfft(phi1)_k``.
+    """
+
+    elastic: np.ndarray = field(repr=False)
+    cross: np.ndarray = field(repr=False)
+
+    @classmethod
+    def build(cls, p: Profile, quad: Optional[BoxQuadrature] = None) -> "HalfPlaneTables":
+        return cls(
+            elastic=_energy_table(p.grid, p.params, quad, _extension_multipliers(p.params.nu)),
+            cross=_cross_table(p, quad),
+        )
+
+    def elastic_energy(self, phi1) -> float:
+        return _quadratic(self.elastic, phi1)
+
+    def cross_term(self, phi1) -> float:
+        return _bilinear(self.cross, phi1)
 
 
 def elastic_energy_of_trace(
@@ -194,18 +323,9 @@ def elastic_energy_of_trace(
     quad: Optional[BoxQuadrature] = None,
 ) -> float:
     """``E_els(phi) = (1/2) int sigma_phi : eps_phi`` of the elastic
-    extension of a decaying trace, by level-wise quadrature over both
-    half-planes."""
-    quad = quad or BoxQuadrature.for_params(params)
-    ys, wy = quad.nodes_weights()
-    G, nu = params.G, params.nu
-    lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
-    total = 0.0
-    for y, wt in zip(ys, wy):
-        e11, e22, e12 = _phi_strains(grid, phi1, nu, y)
-        dens = G * (e11**2 + e22**2 + 2.0 * e12**2) + 0.5 * lame * (e11 + e22) ** 2
-        total += wt * grid.h * float(np.sum(dens))
-    return 2.0 * total  # mirror half-plane contributes equally
+    extension of a decaying trace, by quadrature over both half-planes."""
+    return _quadratic(_energy_table(grid, params, quad, _extension_multipliers(params.nu)),
+                      phi1)
 
 
 def cross_term_elastic(
@@ -213,56 +333,42 @@ def cross_term_elastic(
 ) -> float:
     """``C_els(u, phi) = int eps_phi : sigma_u`` over both half-planes.
 
-    Background stress of u in closed form, correction spectrally; the
-    integrand is even under the mirror map, so twice the upper integral.
+    Background stress of u in closed form, correction spectrally.
     """
-    quad = quad or BoxQuadrature.for_params(p.params)
-    ys, wy = quad.nodes_weights()
-    grid, prm = p.grid, p.params
-    xs = grid.x - p.x0
-    has_v = bool(np.any(p.v))
-    total = 0.0
-    for y, wt in zip(ys, wy):
-        e11, e22, e12 = _phi_strains(grid, phi.phi1, prm.nu, y)
-        s11, s12, s22, _ = _analytic_stress(xs, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
-        if has_v:
-            ev = extend_trace_strains(grid, p.v, prm.nu, y)
-            c11, c12, c22, _ = strains_to_stresses(*ev, prm.G, prm.nu)
-            s11, s12, s22 = s11 + c11, s12 + c12, s22 + c22
-        dens = e11 * s11 + e22 * s22 + 2.0 * e12 * s12
-        total += wt * grid.h * float(np.sum(dens))
-    return 2.0 * total
+    return _bilinear(_cross_table(p, quad), phi.phi1)
 
 
 def cross_terms(
-    p: Profile, phi: Perturbation, quad: Optional[BoxQuadrature] = None
+    p: Profile, phi: Perturbation, quad: Optional[BoxQuadrature] = None,
+    tables: Optional[HalfPlaneTables] = None,
 ) -> tuple[float, float]:
     """Both routes to the cross term: (C_els by 2-d quadrature,
-    C_Gamma by slip-plane quadrature).  Equality is the key identity."""
-    return cross_term_elastic(p, phi, quad), cross_term_gamma(p, phi)
+    C_Gamma by slip-plane quadrature).  Equality is the key identity.
+    ``tables`` (the profile's, if already built) replaces ``quad``."""
+    c_els = (cross_term_elastic(p, phi, quad) if tables is None
+             else tables.cross_term(phi.phi1))
+    return c_els, cross_term_gamma(p, phi)
 
 
 def perturbed_total_energy(
     phi: Perturbation, p: Profile, spec: PotentialSpec,
-    quad: Optional[BoxQuadrature] = None,
+    quad: Optional[BoxQuadrature] = None, tables: Optional[HalfPlaneTables] = None,
 ) -> float:
     """Perturbed total energy through the half-plane route.
 
     ``E_els(phi) + C_els(u, phi)`` by 2-d quadrature plus the misfit
-    difference on the slip plane.  Warns when the perturbation's field
-    has not decayed at the quadrature boundary.
+    difference on the slip plane.  ``tables`` (the profile's, if already
+    built) replaces ``quad``.  Warns when the perturbation's field has
+    not decayed at the quadrature boundary.
     """
-    quad = quad or BoxQuadrature.for_params(p.params)
+    if tables is None:
+        tables = HalfPlaneTables.build(p, quad)
     if not phi.check_decay(p.params.b):
         warnings.warn("perturbation trace above decay threshold outside the "
                       "central half of the grid", stacklevel=2)
-    e_els = elastic_energy_of_trace(p.grid, phi.phi1, p.params, quad)
-    c_els = cross_term_elastic(p, phi, quad)
-    u1 = p.u1
-    mis = float(p.grid.h * np.sum(
-        eval_potential(spec, u1 + phi.phi1, 0) - eval_potential(spec, u1, 0)
-    ))
-    return e_els + c_els + mis
+    e_els = tables.elastic_energy(phi.phi1)
+    c_els = tables.cross_term(phi.phi1)
+    return e_els + c_els + _misfit_difference(p, spec, phi.phi1)
 
 
 # ---------------------------------------------------------------------------
@@ -321,16 +427,22 @@ def elastic_energy_box(
     return 2.0 * total
 
 
-def log_divergence_fit(p: Profile, radii) -> tuple[float, float, float]:
-    """Affine fit ``E(R) ~ slope ln R + intercept``; returns
-    (slope, intercept, R^2 of the regression)."""
+def _log_fit(radii, E) -> tuple[float, float, float]:
+    """Least-squares fit ``E ~ slope ln R + intercept`` of box energies
+    already computed; returns (slope, intercept, R^2 of the regression)."""
     radii = np.asarray(radii, dtype=float)
-    E = np.array([elastic_energy_box(p, R) for R in radii])
+    E = np.asarray(E, dtype=float)
     A = np.vstack([np.log(radii), np.ones_like(radii)]).T
     coef, *_ = np.linalg.lstsq(A, E, rcond=None)
     resid = E - A @ coef
     r2 = 1.0 - float(np.sum(resid**2) / np.sum((E - E.mean()) ** 2))
     return float(coef[0]), float(coef[1]), r2
+
+
+def log_divergence_fit(p: Profile, radii) -> tuple[float, float, float]:
+    """Affine fit ``E(R) ~ slope ln R + intercept``; returns
+    (slope, intercept, R^2 of the regression)."""
+    return _log_fit(radii, [elastic_energy_box(p, R) for R in radii])
 
 
 # ---------------------------------------------------------------------------
@@ -361,20 +473,29 @@ class EnergyBreakdown:
 def energy_breakdown(
     phi: Perturbation, p: Profile, spec: PotentialSpec,
     quad: Optional[BoxQuadrature] = None, box_radius: Optional[float] = None,
+    *, tables: Optional[HalfPlaneTables] = None, E_mis: Optional[float] = None,
+    E_els_box: Optional[float] = None,
 ) -> EnergyBreakdown:
-    """Compute every energy piece for one perturbation of a profile."""
-    quad = quad or BoxQuadrature.for_params(p.params)
+    """Compute every energy piece for one perturbation of a profile.
+
+    The per-profile pieces (``tables`` in place of ``quad``, ``E_mis``
+    and ``E_els_box`` at ``box_radius``) are computed here unless a
+    caller looping over perturbations passes them in.
+    """
     box_radius = box_radius if box_radius is not None else 20.0 * p.params.zeta
-    u1 = p.u1
+    if tables is None:
+        tables = HalfPlaneTables.build(p, quad)
+    if E_mis is None:
+        E_mis = misfit_energy(p, spec)
+    if E_els_box is None:
+        E_els_box = elastic_energy_box(p, box_radius)
     quad_part = 0.5 * p.params.c0 * hs_seminorm_grid(p.grid, phi.phi1, 0.5)
     cross_g = cross_term_gamma(p, phi)
-    mis_diff = float(p.grid.h * np.sum(
-        eval_potential(spec, u1 + phi.phi1, 0) - eval_potential(spec, u1, 0)
-    ))
-    e_els = elastic_energy_of_trace(p.grid, phi.phi1, p.params, quad)
-    c_els = cross_term_elastic(p, phi, quad)
+    mis_diff = _misfit_difference(p, spec, phi.phi1)
+    e_els = tables.elastic_energy(phi.phi1)
+    c_els = tables.cross_term(phi.phi1)
     return EnergyBreakdown(
-        E_mis=misfit_energy(p, spec),
+        E_mis=E_mis,
         E_gamma_e_pert=quad_part,
         cross_gamma=cross_g,
         misfit_difference=mis_diff,
@@ -382,7 +503,7 @@ def energy_breakdown(
         E_els_pert=e_els,
         cross_els=c_els,
         E_hat_total=e_els + c_els + mis_diff,
-        E_els_box=elastic_energy_box(p, box_radius),
+        E_els_box=E_els_box,
         box_radius=box_radius,
     )
 
@@ -400,29 +521,20 @@ def competitor_energy(
     The competitor is prescribed per mode as ``uhat1 = phihat1 f(q y)``
     and ``uhat2 = i sgn(xi) phihat1 g(q y)`` with ``f(0) = 1``;
     ``f_pair = (f, f')`` and ``g_pair = (g, g')`` supply the profiles
-    and their derivatives.  Strains are assembled analytically per mode,
-    then integrated like the elastic-extension energy.
+    and their derivatives.  Strains are assembled analytically per mode
+    and integrated through the same density table as the elastic
+    extension.
     """
-    quad = quad or BoxQuadrature.for_params(params)
-    ys, wy = quad.nodes_weights()
-    G, nu = params.G, params.nu
-    lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
     f, fp = f_pair
     g, gp = g_pair
-    th = np.fft.fft(np.asarray(phi1, float))
-    xi, q = grid.xi, grid.q
-    nyq = grid.nyquist_index
-    total = 0.0
-    for y, wt in zip(ys, wy):
+
+    def multipliers(xi, q, y):
         t = q * y
         m11 = 1j * xi * f(t)
         m22 = 1j * np.sign(xi) * q * gp(t)
         m12 = 0.5 * (q * fp(t) - q * g(t))
-        m11[nyq] = 0.0
-        m22[nyq] = 0.0
-        e11 = np.fft.ifft(m11 * th).real
-        e22 = np.fft.ifft(m22 * th).real
-        e12 = np.fft.ifft(m12 * th).real
-        dens = G * (e11**2 + e22**2 + 2.0 * e12**2) + 0.5 * lame * (e11 + e22) ** 2
-        total += wt * grid.h * float(np.sum(dens))
-    return 2.0 * total
+        m11[-1] = 0.0  # Nyquist mode
+        m22[-1] = 0.0
+        return m11, m22, m12
+
+    return _quadratic(_energy_table(grid, params, quad, multipliers), phi1)

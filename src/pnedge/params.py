@@ -12,6 +12,7 @@ Two derived constants appear throughout:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 
@@ -25,14 +26,13 @@ class PhysParams:
     d: float = 1.0
 
     def __post_init__(self):
-        if self.G <= 0:
-            raise ValueError(f"shear modulus G must be positive, got {self.G}")
+        for key, what in (("G", "shear modulus"), ("b", "Burgers vector magnitude"),
+                          ("d", "interplanar distance")):
+            value = getattr(self, key)
+            if not (math.isfinite(value) and value > 0):
+                raise ValueError(f"{what} {key} must be positive and finite, got {value}")
         if not 0.0 < self.nu < 0.5:
             raise ValueError(f"Poisson ratio nu must lie in (0, 1/2), got {self.nu}")
-        if self.b <= 0:
-            raise ValueError(f"Burgers vector magnitude b must be positive, got {self.b}")
-        if self.d <= 0:
-            raise ValueError(f"interplanar distance d must be positive, got {self.d}")
 
     @property
     def zeta(self) -> float:

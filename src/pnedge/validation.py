@@ -31,10 +31,12 @@ from .dynamics import (
 )
 from .energy import (
     BoxQuadrature,
+    HalfPlaneTables,
+    _log_fit,
     competitor_energy,
     cross_terms,
+    elastic_energy_box,
     elastic_energy_of_trace,
-    log_divergence_fit,
     misfit_energy,
     perturbed_total_energy,
     reduced_perturbed_energy,
@@ -325,11 +327,12 @@ def check_energy_relation(ctx: SuiteContext) -> list[CheckResult]:
     floor = 1e-3 * ctx.energy_scale
     worst_rel = 0.0
     worst_cross = 0.0
+    tables = HalfPlaneTables.build(p, quad)
     for ph in perts:
         eg = reduced_perturbed_energy(ph, p, ctx.spec)
-        et = perturbed_total_energy(ph, p, ctx.spec, quad)
+        et = perturbed_total_energy(ph, p, ctx.spec, tables=tables)
         worst_rel = max(worst_rel, abs(et - eg) / max(abs(eg), floor))
-        ce, cg = cross_terms(p, ph, quad)
+        ce, cg = cross_terms(p, ph, tables=tables)
         worst_cross = max(worst_cross, abs(ce - cg) / max(abs(cg), floor))
     return [
         _leq("07.energy_relation.total", worst_rel, 1e-2,
@@ -394,20 +397,13 @@ def check_minimizer(ctx: SuiteContext) -> list[CheckResult]:
 def check_log_divergence(ctx: SuiteContext) -> list[CheckResult]:
     radii = box_radii(ctx.cfg)
     p = ctx.solved
-    slope, _, r2 = log_divergence_fit(p, radii)
+    slope, _, r2 = _log_fit(radii, [elastic_energy_box(p, R) for R in radii])
 
-    # self-convergence of the quadrature for the slope
-    from .energy import elastic_energy_box
-
-    def slope_at(nx, ny):
-        E = np.array([elastic_energy_box(p, R, n_x=nx, n_levels=ny) for R in radii])
-        A = np.vstack([np.log(radii), np.ones(len(radii))]).T
-        coef, *_ = np.linalg.lstsq(A, E, rcond=None)
-        return float(coef[0])
-
-    s_coarse = slope_at(512, 96)
-    s_fine = slope_at(1024, 192)
-    conv = abs(s_fine - s_coarse) / abs(s_fine)
+    # self-convergence of the quadrature for the slope: the fit above is
+    # the fine resolution (1024, 192)
+    s_coarse, _, _ = _log_fit(
+        radii, [elastic_energy_box(p, R, n_x=512, n_levels=96) for R in radii])
+    conv = abs(slope - s_coarse) / abs(slope)
     return [
         _geq("09.log_divergence.affine_fit", r2, 0.999,
              "E(R) affine in ln R over R = {5,10,20,40} zeta"),

@@ -42,6 +42,20 @@ def test_nu_out_of_range_names_key():
         parse_config_text("nu = 0.6\n")
 
 
+@pytest.mark.parametrize("key, value", [
+    ("G", "nan"),
+    ("L_over_zeta", "inf"),
+    ("dynamics_dt", "-1"),
+    ("dynamics_dt", "nan"),
+    ("static_max_iters", "0"),
+    ("energy_quad_levels", "0"),
+    ("energy_n_perturbations", "-1"),
+])
+def test_bad_value_rejected_names_key(key, value):
+    with pytest.raises(ValueError, match=f"config key '{key}'"):
+        parse_config(None, {key: value})
+
+
 def test_inconsistent_zeta_rejected():
     with pytest.raises(ValueError, match="zeta"):
         parse_config_text("zeta = 0.9\n")

@@ -114,6 +114,39 @@ def test_run_trace_constant_for_static_start(analytic, spec, params):
     assert np.max(arr["Q_values"]) < 1e-25
 
 
+def test_trace_records_free_energy_of_each_accepted_state(bump_state, monkeypatch):
+    from pnedge import dynamics
+
+    accepted = []
+
+    def recording(s, dt):
+        accepted.append(step_semi_implicit(s, dt))
+        return accepted[-1]
+
+    monkeypatch.setitem(dynamics._STEPPERS, "semi_implicit", recording)
+    _, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=0.1))
+    assert len(accepted) == 10  # no halvings: every candidate was accepted
+    assert trace.F_values[0] == free_energy(bump_state)
+    for F, s in zip(trace.F_values[1:], accepted):
+        assert F == free_energy(s)
+
+
+def test_one_free_energy_per_accepted_step(bump_state, monkeypatch):
+    from pnedge import dynamics
+
+    calls = []
+
+    def counting(s):
+        calls.append(s.t)
+        return free_energy(s)
+
+    monkeypatch.setattr(dynamics, "free_energy", counting)
+    _, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=0.1))
+    assert len(trace.times) == 11
+    assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
+    assert len(calls) == 11  # initial state plus one per accepted step
+
+
 def test_bump_relaxes_to_core(bump_state, analytic, grid, params):
     send, trace = run_dynamics(bump_state, 50.0, RunOptions(dt=0.1, adapt=True))
     arr = trace.as_arrays()

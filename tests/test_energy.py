@@ -8,6 +8,7 @@ from scipy.integrate import quad
 
 from pnedge.energy import (
     BoxQuadrature,
+    HalfPlaneTables,
     Perturbation,
     competitor_energy,
     cross_term_elastic,
@@ -22,6 +23,7 @@ from pnedge.energy import (
     seeded_perturbations,
 )
 from pnedge.errors import DivergenceError, TailWarning
+from pnedge.extension import _analytic_stress, extend_trace_strains, strains_to_stresses
 from pnedge.operators import hs_seminorm_grid
 from pnedge.potential import eval_potential
 from pnedge.profile import Profile, background
@@ -165,6 +167,90 @@ def test_energy_breakdown_consistency(grid, solved, spec, params, quadq):
     assert bd.E_hat_total == pytest.approx(bd.E_hat_gamma,
                                            rel=1e-2, abs=1e-5)
     assert bd.E_mis == pytest.approx(1.0 / (3.0 * np.pi), rel=1e-2)
+
+
+# ---------------------------------------------------------------------------
+# Parseval tables against the level-wise quadrature
+# ---------------------------------------------------------------------------
+
+def _level_quadrature(grid, params, quad, strains, stress=None):
+    """Reference route: strains (and the profile's stress) sampled on the
+    grid at every quadrature level by inverse FFTs, then summed in x."""
+    G, nu = params.G, params.nu
+    lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
+    total = 0.0
+    for y, wt in zip(*quad.nodes_weights()):
+        e11, e22, e12 = strains(y)
+        if stress is None:
+            dens = G * (e11**2 + e22**2 + 2.0 * e12**2) + 0.5 * lame * (e11 + e22) ** 2
+        else:
+            s11, s12, s22 = stress(y)
+            dens = e11 * s11 + e22 * s22 + 2.0 * e12 * s12
+        total += wt * grid.h * float(np.sum(dens))
+    return 2.0 * total
+
+
+def _profile_stress(p):
+    def stress(y):
+        prm = p.params
+        s11, s12, s22, _ = _analytic_stress(p.grid.x - p.x0, y, prm.G, prm.b, prm.nu,
+                                            p.zeta_bg, +1.0)
+        if np.any(p.v):
+            c11, c12, c22, _ = strains_to_stresses(
+                *extend_trace_strains(p.grid, p.v, prm.nu, y), prm.G, prm.nu)
+            s11, s12, s22 = s11 + c11, s12 + c12, s22 + c22
+        return s11, s12, s22
+    return stress
+
+
+def _competitor_strains(grid, phi1, f_pair, g_pair):
+    (f, fp), (g, gp) = f_pair, g_pair
+    th = np.fft.fft(phi1)
+
+    def strains(y):
+        t = grid.q * y
+        m11 = 1j * grid.xi * f(t)
+        m22 = 1j * np.sign(grid.xi) * grid.q * gp(t)
+        m12 = 0.5 * (grid.q * fp(t) - grid.q * g(t))
+        m11[grid.nyquist_index] = 0.0
+        m22[grid.nyquist_index] = 0.0
+        return tuple(np.fft.ifft(m * th).real for m in (m11, m22, m12))
+    return strains
+
+
+@pytest.mark.parametrize("which", ["solved", "background2"])
+def test_tables_match_level_quadrature(which, grid, solved, params, quadq):
+    p = solved if which == "solved" else Profile(grid=grid, params=params,
+                                                 zeta_bg=2.0 * params.zeta)
+    assert bool(np.any(p.v)) == (which == "solved")
+    tables = HalfPlaneTables.build(p, quadq)
+    beta = 1 / (2 - 2 * params.nu)
+    competitor = ((lambda t: (1 - beta * t) * np.exp(-t),
+                   lambda t: (-1 - beta + beta * t) * np.exp(-t)),
+                  (lambda t: -0.5 * t * np.exp(-t), lambda t: (0.5 * t - 0.5) * np.exp(-t)))
+    for ph in seeded_perturbations(grid, params, 3, seed=5):
+        def ext_strains(y):
+            return extend_trace_strains(grid, ph.phi1, params.nu, y)
+
+        e_ref = _level_quadrature(grid, params, quadq, ext_strains)
+        c_ref = _level_quadrature(grid, params, quadq, ext_strains, _profile_stress(p))
+        k_ref = _level_quadrature(grid, params, quadq,
+                                  _competitor_strains(grid, ph.phi1, *competitor))
+        assert tables.elastic_energy(ph.phi1) == pytest.approx(e_ref, rel=1e-12, abs=0)
+        assert tables.cross_term(ph.phi1) == pytest.approx(c_ref, rel=1e-12, abs=0)
+        assert elastic_energy_of_trace(grid, ph.phi1, params, quadq) == pytest.approx(
+            e_ref, rel=1e-12, abs=0)
+        assert cross_term_elastic(p, ph, quadq) == pytest.approx(c_ref, rel=1e-12, abs=0)
+        assert competitor_energy(grid, ph.phi1, params, *competitor, quadq) == pytest.approx(
+            k_ref, rel=1e-12, abs=0)
+
+
+def test_tables_reused_across_calls_match_fresh_builds(grid, solved, spec, params, quadq):
+    tables = HalfPlaneTables.build(solved, quadq)
+    phi = gaussian_pert(grid, params, center=-0.7)
+    assert perturbed_total_energy(phi, solved, spec, tables=tables) == \
+        perturbed_total_energy(phi, solved, spec, quadq)
+    assert cross_terms(solved, phi, tables=tables) == cross_terms(solved, phi, quadq)
 
 
 # ---------------------------------------------------------------------------

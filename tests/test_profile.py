@@ -70,6 +70,16 @@ def test_params_validation():
     assert p.c0 == pytest.approx(8.0 / 3.0)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("G", float("nan")),
+    ("b", float("inf")),
+    ("d", float("nan")),
+])
+def test_params_reject_nonfinite(key, value):
+    with pytest.raises(ValueError, match=f" {key} must be positive and finite"):
+        PhysParams(**{key: value})
+
+
 def test_normalized_preset():
     from pnedge.params import NORMALIZED_PARAMS
 
