@@ -202,6 +202,11 @@ def cmd_energy(cfg: RunConfig) -> int:
     return 0
 
 
+def _write_trace_csv(path, arr: dict) -> None:
+    write_csv(path, {"t": arr["times"], "F": arr["F_values"], "Q": arr["Q_values"],
+                     "residual": arr["residual_norms"], "dt": arr["dt_history"]})
+
+
 def cmd_dynamics(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     params, grid, spec = _setup(cfg)
@@ -237,18 +242,12 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     except TimeStepUnderflowError as exc:
         arr = exc.trace.as_arrays() if exc.trace is not None else {}
         if arr:
-            write_csv(out / "trace.csv", {"t": arr["times"], "F": arr["F_values"],
-                                          "Q": arr["Q_values"],
-                                          "residual": arr["residual_norms"],
-                                          "dt": arr["dt_history"]})
+            _write_trace_csv(out / "trace.csv", arr)
         write_manifest(out / "manifest.json", cfg.echo(), "dynamics",
                        {"total": time.perf_counter() - t0},
                        extra={"aborted": str(exc)})
         raise
-    write_csv(out / "trace.csv", {"t": arr["times"], "F": arr["F_values"],
-                                  "Q": arr["Q_values"],
-                                  "residual": arr["residual_norms"],
-                                  "dt": arr["dt_history"]})
+    _write_trace_csv(out / "trace.csv", arr)
     for t_snap, u1 in snapshots.items():
         write_csv(out / f"snapshot_t{t_snap:g}.csv", {"x": grid.x, "u1": u1})
     write_manifest(out / "manifest.json", cfg.echo(), "dynamics",

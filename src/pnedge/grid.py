@@ -10,6 +10,7 @@ convention ``uhat(xi) = int u(x) exp(-i xi x) dx``, discretized as
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
@@ -51,8 +52,8 @@ def build_grid(L: float, N: int) -> Grid1D:
     for didactic examples but trigger a warning since they cannot
     resolve a dislocation core.
     """
-    if L <= 0:
-        raise ValueError(f"domain half-length L must be positive, got {L}")
+    if not math.isfinite(L) or L <= 0:
+        raise ValueError(f"domain half-length L must be finite and positive, got {L}")
     if N % 2 != 0:
         raise ValueError(f"sample count N must be even, got {N}")
     if N < 4:

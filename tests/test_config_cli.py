@@ -9,7 +9,7 @@ import pytest
 
 from pnedge.cli import main
 from pnedge.config import RunConfig, box_radii, parse_config, parse_config_text
-from pnedge.io import config_hash, write_csv
+from pnedge.io import _BLOCK_ROWS, config_hash, write_csv, write_field_csv
 
 
 # ---------------------------------------------------------------------------
@@ -141,6 +141,12 @@ def test_cli_extend(tmp_path):
     assert header == "x,y,value"
     manifest = json.loads((out / "manifest.json").read_text())
     assert "gauges" in manifest
+    rc = main(_fast_overrides(tmp_path / "b", ylevels_count=4) + ["extend"])
+    assert rc == 0
+    names = sorted(p.name for p in out.glob("*.csv"))
+    assert len(names) == 7
+    for name in names:
+        assert (tmp_path / "b" / "out" / name).read_bytes() == (out / name).read_bytes()
 
 
 def test_cli_energy(tmp_path):
@@ -252,3 +258,54 @@ def test_write_samples_csv_roundtrip(tmp_path):
     back = np.array([[float(t) for t in row.split(",")] for row in rows[1:]])
     np.testing.assert_array_equal(back[:, 0], x)
     np.testing.assert_array_equal(back[:, 1], vals)
+
+
+def _reference_csv(columns: dict) -> bytes:
+    """The per-cell CSV contract: 17 significant digits for floating cells."""
+    arrays = [np.atleast_1d(np.asarray(a)) for a in columns.values()]
+    lines = [",".join(columns)]
+    for i in range(len(arrays[0])):
+        lines.append(",".join(format(float(a[i]), ".17g")
+                              if isinstance(a[i], np.floating) else str(a[i])
+                              for a in arrays))
+    return ("\n".join(lines) + "\n").encode()
+
+
+@pytest.mark.parametrize("columns", [
+    {"v": np.array([np.nan, np.inf, -np.inf, 0.0, -0.0]), "i": np.arange(5)},
+    {"v": np.array([5e-324, -5e-324, 1.7976931348623157e308, 1.0 / 3.0])},
+    {"f32": np.array([0.1, 1.0 / 3.0, -2.5e-30], dtype=np.float32),
+     "i64": np.array([-(2**62), 0, 7], dtype=np.int64)},
+    {"x": np.random.default_rng(3).standard_normal(_BLOCK_ROWS + 1000) * 1e3,
+     "n": np.arange(_BLOCK_ROWS + 1000)},
+], ids=["nonfinite_and_signed_zero", "extremes", "float32_int64", "multi_block"])
+def test_write_csv_matches_reference(tmp_path, columns):
+    path = tmp_path / "t.csv"
+    write_csv(path, columns)
+    assert path.read_bytes() == _reference_csv(columns)
+
+
+def test_write_field_csv_matches_reference(tmp_path):
+    rng = np.random.default_rng(5)
+    x = np.linspace(-30.0, 30.0, 64, endpoint=False)
+    ys = np.geomspace(0.1, 10.0, 5)
+    levels = np.concatenate([-ys[::-1], ys])
+    values = rng.standard_normal((levels.size, x.size))
+    values[0, :3] = [np.nan, -0.0, np.inf]
+    path = tmp_path / "f.csv"
+    write_field_csv(path, x, levels, values)
+    expected = _reference_csv({"x": np.tile(x, levels.size),
+                               "y": np.repeat(levels, x.size),
+                               "value": values.reshape(-1)})
+    assert path.read_bytes() == expected
+
+
+def test_write_csv_rejects_no_columns(tmp_path):
+    with pytest.raises(ValueError, match="at least one column"):
+        write_csv(tmp_path / "t.csv", {})
+
+
+def test_write_field_csv_rejects_shape_mismatch(tmp_path):
+    with pytest.raises(ValueError, match=r"\(3, 5\).*\(2, 5\)"):
+        write_field_csv(tmp_path / "f.csv", np.arange(5.0), np.array([1.0, 2.0]),
+                        np.zeros((3, 5)))

@@ -58,6 +58,12 @@ def test_build_grid_rejects_bad_input():
         build_grid(1.0, 2)
 
 
+@pytest.mark.parametrize("L", [float("nan"), float("inf"), float("-inf")])
+def test_build_grid_rejects_non_finite_length(L):
+    with pytest.raises(ValueError, match="half-length L must be finite"):
+        build_grid(L, 64)
+
+
 def test_spectral_field_conjugate_symmetry(rng):
     g = build_grid(10.0, 64)
     u = rng.normal(size=64)
