@@ -13,7 +13,7 @@ import time
 
 import numpy as np
 
-from .config import RunConfig, box_radii, parse_config, snapshot_times
+from .config import RunConfig, box_radii, parse_config, run_setup, snapshot_times, solve_options
 from .dynamics import DynamicsState, RunOptions, run_dynamics
 from .energy import (
     BoxQuadrature,
@@ -26,12 +26,9 @@ from .energy import (
 )
 from .errors import TimeStepUnderflowError
 from .extension import YLevels, dtn_traction, extend_to_half_planes, stress_field
-from .grid import build_grid
 from .io import prepare_output_dir, write_csv, write_field_csv, write_manifest
-from .potential import frenkel, from_csv
-from .profile import Profile, analytic_profile, background, tanh_profile
+from .profile import Profile, analytic_profile, tanh_profile
 from .static import (
-    SolveOptions,
     burgers_density,
     center_profile,
     decay_coefficients,
@@ -81,16 +78,6 @@ def _config_from_args(args) -> RunConfig:
     return parse_config(args.config, overrides)
 
 
-def _setup(cfg: RunConfig):
-    params = cfg.params
-    grid = build_grid(cfg.L_over_zeta * params.zeta, cfg.N)
-    if cfg.potential == "frenkel":
-        spec = frenkel(params)
-    else:
-        spec = from_csv(params, cfg.potential.split(":", 1)[1])
-    return params, grid, spec
-
-
 def _initial_profile(cfg: RunConfig, grid, params) -> Profile:
     choice = cfg.static_init
     if choice == "tanh":
@@ -104,14 +91,12 @@ def _initial_profile(cfg: RunConfig, grid, params) -> Profile:
 
 
 def _solve(cfg: RunConfig, grid, params, spec):
-    opts = SolveOptions(dt0=cfg.static_dt0, res_tol=cfg.static_res_tol,
-                        max_iters=cfg.static_max_iters, newton=cfg.static_newton)
-    return solve_static(_initial_profile(cfg, grid, params), spec, opts)
+    return solve_static(_initial_profile(cfg, grid, params), spec, solve_options(cfg))
 
 
 def cmd_solve_static(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    params, grid, spec = _setup(cfg)
+    params, grid, spec = run_setup(cfg)
     result = _solve(cfg, grid, params, spec)
     shift, centered = center_profile(result.profile)
     cp, cm = decay_coefficients(centered)
@@ -136,7 +121,7 @@ def cmd_solve_static(cfg: RunConfig) -> int:
 
 def cmd_extend(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    params, grid, spec = _setup(cfg)
+    params, grid, spec = run_setup(cfg)
     profile = _solve(cfg, grid, params, spec).profile
     z = params.zeta
     yl = YLevels.geometric(cfg.ylevels_y_min_over_zeta * z,
@@ -171,7 +156,7 @@ def cmd_extend(cfg: RunConfig) -> int:
 
 def cmd_energy(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    params, grid, spec = _setup(cfg)
+    params, grid, spec = run_setup(cfg)
     profile = _solve(cfg, grid, params, spec).profile
     quad = BoxQuadrature.for_params(params, y_max_factor=cfg.energy_y_max_over_zeta,
                                     n_levels=cfg.energy_quad_levels)
@@ -209,7 +194,7 @@ def _write_trace_csv(path, arr: dict) -> None:
 
 def cmd_dynamics(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    params, grid, spec = _setup(cfg)
+    params, grid, spec = run_setup(cfg)
     ref = analytic_profile(grid, params)
     z = params.zeta
     v0 = cfg.dynamics_bump_amp * params.b * np.exp(

@@ -12,7 +12,10 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
+from .grid import Grid1D, build_grid
 from .params import PhysParams
+from .potential import PotentialSpec, frenkel, from_csv
+from .static import SolveOptions
 
 FORMAT_VERSION = "1"
 
@@ -89,6 +92,13 @@ class RunConfig:
         for key in _POSITIVE_KEYS:
             if getattr(self, key) <= 0:
                 raise ValueError(f"config key '{key}' must be positive, got {getattr(self, key)}")
+        if self.static_res_tol is not None and self.static_res_tol <= 0:
+            raise ValueError(
+                f"config key 'static_res_tol' must be positive, got {self.static_res_tol}")
+        if self.ylevels_y_max_over_zeta <= self.ylevels_y_min_over_zeta:
+            raise ValueError(
+                "config key 'ylevels_y_max_over_zeta' must exceed ylevels_y_min_over_zeta, "
+                f"got {self.ylevels_y_max_over_zeta} <= {self.ylevels_y_min_over_zeta}")
         if not 0.0 < self.nu < 0.5:
             raise ValueError(f"config key 'nu' must lie in (0, 1/2), got {self.nu}")
         if self.N % 2 != 0 or self.N < 4:
@@ -118,8 +128,10 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 #: keys whose value must be > 0 (floats are also checked for finiteness)
-_POSITIVE_KEYS = ("G", "b", "d", "L_over_zeta", "dynamics_dt", "static_max_iters",
-                  "energy_quad_levels", "energy_n_perturbations")
+_POSITIVE_KEYS = ("G", "b", "d", "L_over_zeta", "dynamics_dt", "dynamics_T_end",
+                  "static_dt0", "static_max_iters", "energy_quad_levels",
+                  "energy_n_perturbations", "energy_y_max_over_zeta", "ylevels_count",
+                  "ylevels_y_min_over_zeta", "ylevels_y_max_over_zeta")
 
 
 def _coerce(key: str, text: str):
@@ -188,3 +200,20 @@ def snapshot_times(cfg: RunConfig) -> list[float]:
     if not cfg.dynamics_snapshot_times.strip():
         return []
     return [float(tok) for tok in cfg.dynamics_snapshot_times.split(",") if tok.strip()]
+
+
+def run_setup(cfg: RunConfig) -> tuple[PhysParams, Grid1D, PotentialSpec]:
+    """Physical parameters, grid and misfit potential of a run."""
+    params = cfg.params
+    grid = build_grid(cfg.L_over_zeta * params.zeta, cfg.N)
+    if cfg.potential == "frenkel":
+        spec = frenkel(params)
+    else:
+        spec = from_csv(params, cfg.potential.split(":", 1)[1])
+    return params, grid, spec
+
+
+def solve_options(cfg: RunConfig) -> SolveOptions:
+    """Static solver controls of a run."""
+    return SolveOptions(dt0=cfg.static_dt0, res_tol=cfg.static_res_tol,
+                        max_iters=cfg.static_max_iters, newton=cfg.static_newton)

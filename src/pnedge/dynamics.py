@@ -30,10 +30,10 @@ from typing import Optional
 import numpy as np
 
 from .errors import TimeStepUnderflowError
-from .operators import hs_seminorm_grid
+from .operators import apply_symbol, hs_seminorm_grid
 from .potential import PotentialSpec, eval_potential
 from .profile import Profile
-from .static import residual
+from .static import residual, semi_implicit_step, semi_implicit_update  # noqa: F401
 
 
 @dataclass(frozen=True)
@@ -112,11 +112,6 @@ def dissipation_rate(s: DynamicsState) -> float:
 # single steps
 # ---------------------------------------------------------------------------
 
-def semi_implicit_update(v_hat, g_hat, dt, c0, q):
-    """Kernel: ``v+ = (v - dt g) / (1 + dt c0 |xi|)`` in Fourier space."""
-    return (v_hat - dt * g_hat) / (1.0 + dt * c0 * q)
-
-
 def etd_update(v_hat, T_hat, dt, c0, q):
     """Kernel: exact integrating factor with T frozen over the step.
 
@@ -134,10 +129,8 @@ def step_semi_implicit(s: DynamicsState, dt: float) -> DynamicsState:
         raise ValueError(f"time step must be positive, got {dt}")
     p, prm = s.p, s.p.params
     g = eval_potential(s.spec, p.u1, 1) + prm.c0 * p.half_laplacian_background()
-    v_hat = semi_implicit_update(
-        np.fft.fft(p.v), np.fft.fft(g), dt, prm.c0, p.grid.q
-    )
-    return replace(s, t=s.t + dt, p=p.with_correction(np.fft.ifft(v_hat).real))
+    v_new = semi_implicit_step(p.grid, p.v, g, dt, prm.c0)
+    return replace(s, t=s.t + dt, p=p.with_correction(v_new))
 
 
 def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
@@ -154,8 +147,11 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     v = s.deviation()
     u_star = s.reference.u1
     T = v - eval_potential(s.spec, v + u_star, 1) + eval_potential(s.spec, u_star, 1)
-    v_hat = etd_update(np.fft.fft(v), np.fft.fft(T), dt, prm.c0, p.grid.q)
-    v_new = np.fft.ifft(v_hat).real + s.reference.v
+    # the kernel is linear: its values at unit v_hat and at unit T_hat are
+    # the symbols of v and T
+    q = p.grid.xi_r
+    symbols = np.stack([etd_update(1.0, 0.0, dt, prm.c0, q), etd_update(0.0, 1.0, dt, prm.c0, q)])
+    v_new = apply_symbol(p.grid, np.stack([v, T]), symbols).sum(axis=0) + s.reference.v
     return replace(s, t=s.t + dt, p=p.with_correction(v_new))
 
 

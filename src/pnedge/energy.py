@@ -29,6 +29,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Optional
 
 import numpy as np
@@ -41,7 +42,7 @@ from .extension import (
     strains_to_stresses,
 )
 from .grid import Grid1D
-from .operators import hs_seminorm_grid, inner_h
+from .operators import hs_seminorm_grid, inner_h, mode_weights
 from .params import PhysParams
 from .potential import PotentialSpec, eval_potential
 from .profile import Profile
@@ -72,6 +73,7 @@ class BoxQuadrature:
         return cls(y_min=z / 50.0, y_max=y_max_factor * z, n_levels=n_levels)
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """Nodes ``{0} + geometric(y_min, y_max, n_levels)`` and their trapezoid weights."""
         ys = np.concatenate([[0.0], np.geomspace(self.y_min, self.y_max, self.n_levels)])
         w = np.zeros_like(ys)
         dy = np.diff(ys)
@@ -200,38 +202,31 @@ def reduced_perturbed_energy(phi: Perturbation, p: Profile, spec: PotentialSpec)
 # half-plane (2-d quadrature) route
 # ---------------------------------------------------------------------------
 
-def _mode_weights(grid: Grid1D) -> np.ndarray:
-    """Weights ``w_k`` with ``h sum_j a_j b_j = sum_k w_k Re(A_k conj(B_k))``
-    for real samples a, b and their ``rfft`` spectra A, B (k = 0..N/2).
-
-    The interior modes stand for themselves and their mirrors -k
-    (``w_k = 2h/N``); the zero and Nyquist modes are unpaired (``h/N``).
-    """
-    w = np.full(grid.N // 2 + 1, 2.0 * grid.h / grid.N)
-    w[0] *= 0.5
-    w[-1] *= 0.5
-    return w
-
-
 def _abs2(m: np.ndarray) -> np.ndarray:
     return m.real**2 + m.imag**2
 
 
-def _extension_multipliers(nu: float):
-    """Strain multipliers ``(xi, q, y) -> (m11, m22, m12)`` of the elastic
-    extension, on the ``rfft`` modes (the Nyquist mode is the last)."""
-    beta = 1.0 / (2.0 - 2.0 * nu)
-    return lambda xi, q, y: _strain_multipliers(xi, q, nu, beta, y, len(xi) - 1)
+def _parseval_multipliers(ms) -> np.ndarray:
+    """Strain multipliers ``(m11, m22, m12)`` stacked for a Parseval table.
+
+    The tables never pass through ``irfft``, so they apply its rule for
+    the unpaired Nyquist mode (the last) themselves: only the real part
+    of each multiplier is kept there.
+    """
+    m = np.array(ms, dtype=complex)
+    m[:, -1] = m[:, -1].real
+    return m
 
 
 def _energy_table(
-    grid: Grid1D, params: PhysParams, quad: Optional[BoxQuadrature], multipliers,
+    grid: Grid1D, params: PhysParams, quad: Optional[BoxQuadrature], multipliers=None,
 ) -> np.ndarray:
     """Per-mode weights ``T_k`` with ``(1/2) int sigma : eps = sum_k T_k
     |rfft(trace)_k|^2`` over both half-planes.
 
-    ``multipliers(xi, q, y)`` returns the upper-half strain multipliers
-    ``(m11, m22, m12)`` on the ``rfft`` modes.  By Parseval the x-sum at
+    ``multipliers(q, y)`` returns the upper-half strain multipliers
+    ``(m11, m22, m12)`` on the ``rfft`` modes ``q = grid.xi_r``; the
+    default is the elastic extension.  By Parseval the x-sum at
     height y of the isotropic density
     ``G (e11^2 + e22^2 + 2 e12^2) + (lambda/2) (e11 + e22)^2`` is a
     per-mode kernel times ``|rfft(trace)_k|^2``; the kernels are summed
@@ -241,14 +236,15 @@ def _energy_table(
     ys, wy = quad.nodes_weights()
     G, nu = params.G, params.nu
     lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
-    n = grid.N // 2 + 1
-    xi, q = grid.xi[:n], grid.q[:n]
-    acc = np.zeros(n)
+    if multipliers is None:
+        multipliers = partial(_strain_multipliers, nu=nu)
+    q = grid.xi_r
+    acc = np.zeros(len(q))
     for y, wt in zip(ys, wy):
-        m11, m22, m12 = multipliers(xi, q, y)
+        m11, m22, m12 = _parseval_multipliers(multipliers(q, y))
         acc += wt * (G * (_abs2(m11) + _abs2(m22) + 2.0 * _abs2(m12))
                      + 0.5 * lame * _abs2(m11 + m22))
-    return 2.0 * _mode_weights(grid) * acc
+    return 2.0 * mode_weights(grid) * acc
 
 
 def _cross_table(p: Profile, quad: Optional[BoxQuadrature]) -> np.ndarray:
@@ -264,14 +260,12 @@ def _cross_table(p: Profile, quad: Optional[BoxQuadrature]) -> np.ndarray:
     ys, wy = quad.nodes_weights()
     grid, prm = p.grid, p.params
     G, nu = prm.G, prm.nu
-    n = grid.N // 2 + 1
-    xi, q = grid.xi[:n], grid.q[:n]
+    q = grid.xi_r
     xs = grid.x - p.x0
-    multipliers = _extension_multipliers(nu)
     v_hat = np.fft.rfft(p.v) if np.any(p.v) else None
-    acc = np.zeros(n, dtype=complex)
+    acc = np.zeros(len(q), dtype=complex)
     for y, wt in zip(ys, wy):
-        m11, m22, m12 = multipliers(xi, q, y)
+        m11, m22, m12 = _parseval_multipliers(_strain_multipliers(q, y, nu))
         s11, s12, s22, _ = _analytic_stress(xs, y, G, prm.b, nu, p.zeta_bg, +1.0)
         S11, S22, S12 = np.fft.rfft(np.stack([s11, s22, s12]))
         if v_hat is not None:
@@ -279,7 +273,7 @@ def _cross_table(p: Profile, quad: Optional[BoxQuadrature]) -> np.ndarray:
                                                    G, nu)
             S11, S12, S22 = S11 + c11, S12 + c12, S22 + c22
         acc += wt * (m11 * np.conj(S11) + m22 * np.conj(S22) + 2.0 * m12 * np.conj(S12))
-    return 2.0 * _mode_weights(grid) * acc
+    return 2.0 * mode_weights(grid) * acc
 
 
 def _quadratic(table: np.ndarray, phi1) -> float:
@@ -307,7 +301,7 @@ class HalfPlaneTables:
     @classmethod
     def build(cls, p: Profile, quad: Optional[BoxQuadrature] = None) -> "HalfPlaneTables":
         return cls(
-            elastic=_energy_table(p.grid, p.params, quad, _extension_multipliers(p.params.nu)),
+            elastic=_energy_table(p.grid, p.params, quad),
             cross=_cross_table(p, quad),
         )
 
@@ -324,8 +318,7 @@ def elastic_energy_of_trace(
 ) -> float:
     """``E_els(phi) = (1/2) int sigma_phi : eps_phi`` of the elastic
     extension of a decaying trace, by quadrature over both half-planes."""
-    return _quadratic(_energy_table(grid, params, quad, _extension_multipliers(params.nu)),
-                      phi1)
+    return _quadratic(_energy_table(grid, params, quad), phi1)
 
 
 def cross_term_elastic(
@@ -394,11 +387,7 @@ def elastic_energy_box(
     def density(s11, s12, s22):
         return (s11**2 + s22**2 - nu * (s11 + s22) ** 2 + 2.0 * s12**2) / (4.0 * G)
 
-    ys = np.concatenate([[0.0], np.geomspace(prm.zeta / 50.0, R, n_levels)])
-    wy = np.zeros_like(ys)
-    dy = np.diff(ys)
-    wy[:-1] += 0.5 * dy
-    wy[1:] += 0.5 * dy
+    ys, wy = BoxQuadrature(prm.zeta / 50.0, R, n_levels).nodes_weights()
 
     xw = np.linspace(-R, R, n_x)
     wx = np.full(n_x, xw[1] - xw[0])
@@ -528,13 +517,9 @@ def competitor_energy(
     f, fp = f_pair
     g, gp = g_pair
 
-    def multipliers(xi, q, y):
+    def multipliers(q, y):
+        # on the rfft modes xi = q >= 0, so i sgn(xi) q = i q
         t = q * y
-        m11 = 1j * xi * f(t)
-        m22 = 1j * np.sign(xi) * q * gp(t)
-        m12 = 0.5 * (q * fp(t) - q * g(t))
-        m11[-1] = 0.0  # Nyquist mode
-        m22[-1] = 0.0
-        return m11, m22, m12
+        return 1j * q * f(t), 1j * q * gp(t), 0.5 * (q * fp(t) - q * g(t))
 
     return _quadratic(_energy_table(grid, params, quad, multipliers), phi1)

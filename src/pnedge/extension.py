@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .grid import Grid1D, SpectralField
-from .operators import apply_half_laplacian, hs_seminorm_grid
+from .operators import apply_half_laplacian, apply_symbol, hs_seminorm_grid
 from .params import PhysParams
 from .profile import Profile
 
@@ -130,43 +130,36 @@ def _u1_factor(q, beta, y):
     return (1.0 - beta * q * y) * np.exp(-q * y)
 
 
-def _u2_multiplier(xi, q, nu, beta, y, nyquist_index):
-    mult = -beta * ((1.0 - 2.0 * nu) * 1j * np.sign(xi) + 1j * xi * y) * np.exp(-q * y)
-    mult[nyquist_index] = 0.0  # unpaired odd mode; keeps the field real
-    return mult
+def _u2_multiplier(q, nu, beta, y):
+    # on the rfft modes xi = q >= 0, so i sgn(xi) = i sgn(q)
+    return -beta * ((1.0 - 2.0 * nu) * 1j * np.sign(q) + 1j * q * y) * np.exp(-q * y)
 
 
-def _strain_multipliers(xi, q, nu, beta, y, nyquist_index):
-    """Fourier multipliers taking uhat1(xi,0+) to the upper-half strains."""
+def _strain_multipliers(q, y, nu):
+    """Fourier multipliers taking uhat1(xi,0+) to the upper-half strains,
+    on the rfft modes (``xi = q >= 0``)."""
+    beta = 1.0 / (2.0 - 2.0 * nu)
     decay = np.exp(-q * y)
-    e11 = 1j * xi * (1.0 - beta * q * y) * decay
-    e22 = -1j * xi * beta * (2.0 * nu - q * y) * decay
+    e11 = 1j * q * (1.0 - beta * q * y) * decay
+    e22 = -1j * q * beta * (2.0 * nu - q * y) * decay
     e12 = q * beta * (q * y - 1.0) * decay
-    e11[nyquist_index] = 0.0
-    e22[nyquist_index] = 0.0
     return e11, e22, e12
 
 
 def extend_trace_displacement(grid: Grid1D, trace: np.ndarray, nu: float, y: float):
     """Upper-half displacement (u1, u2) at height y >= 0 of a decaying trace."""
     beta = 1.0 / (2.0 - 2.0 * nu)
-    th = np.fft.fft(np.asarray(trace, float))
-    q = grid.q
-    u1 = np.fft.ifft(_u1_factor(q, beta, y) * th).real
-    u2 = np.fft.ifft(_u2_multiplier(grid.xi, q, nu, beta, y, grid.nyquist_index) * th).real
+    q = grid.xi_r
+    symbols = np.stack([_u1_factor(q, beta, y), _u2_multiplier(q, nu, beta, y)])
+    u1, u2 = apply_symbol(grid, np.asarray(trace, float), symbols)
     return u1, u2
 
 
 def extend_trace_strains(grid: Grid1D, trace: np.ndarray, nu: float, y: float):
     """Upper-half strains (e11, e22, e12) at height y >= 0 of a decaying trace."""
-    beta = 1.0 / (2.0 - 2.0 * nu)
-    th = np.fft.fft(np.asarray(trace, float))
-    m11, m22, m12 = _strain_multipliers(grid.xi, grid.q, nu, beta, y, grid.nyquist_index)
-    return (
-        np.fft.ifft(m11 * th).real,
-        np.fft.ifft(m22 * th).real,
-        np.fft.ifft(m12 * th).real,
-    )
+    symbols = np.stack(_strain_multipliers(grid.xi_r, y, nu))
+    e11, e22, e12 = apply_symbol(grid, np.asarray(trace, float), symbols)
+    return e11, e22, e12
 
 
 def strains_to_stresses(e11, e22, e12, G: float, nu: float):

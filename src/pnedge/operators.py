@@ -7,11 +7,16 @@ and are diagonal in Fourier space:
 * Hilbert transform  ``H``: symbol ``-i sgn(xi)``,
 * derivative ``d_x``: symbol ``i xi``.
 
-Conventions: the zero mode of ``|xi|`` and ``sgn(xi)`` is 0 (the mean is
-annihilated), and the unpaired Nyquist mode of the odd symbols
-(``sgn``, ``i xi``) is set to 0 so real input maps to real output.  With
-these choices ``H(d_x f) == (-d_xx)^{1/2} f`` holds to roundoff for any
-f with no Nyquist content.
+Conventions: every multiplier is applied by :func:`apply_symbol`, i.e.
+``irfft(symbol * rfft(f))`` with the symbol given on the N/2 + 1 rfft
+modes ``grid.xi_r = pi k / L``, ``k = 0 .. N/2``.  The zero mode of
+``|xi|`` and ``sgn(xi)`` is 0 (the mean is annihilated).  The Nyquist
+mode ``k = N/2`` is unpaired: ``irfft`` drops the imaginary part of its
+bin, so the odd symbols (``sgn``, ``i xi``) map it to 0, a shift
+``e^{i xi a}`` keeps its cosine, and real input maps to real output by
+construction.  With these choices ``H(d_x f) == (-d_xx)^{1/2} f`` holds
+to roundoff for any f with no Nyquist content.  Sums over the rfft
+modes use the Parseval weights of :func:`mode_weights`.
 """
 
 from __future__ import annotations
@@ -22,9 +27,7 @@ import numpy as np
 from scipy.integrate import quad
 
 from .errors import DivergenceError
-from .grid import Grid1D, SpectralField
-
-_IMAG_RESIDUE_TOL = 1e-12
+from .grid import Grid1D
 
 
 def _check_samples(grid: Grid1D, f: np.ndarray) -> np.ndarray:
@@ -34,18 +37,32 @@ def _check_samples(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def _apply_multiplier(grid: Grid1D, f: np.ndarray, mult: np.ndarray) -> np.ndarray:
-    out = np.fft.ifft(mult * np.fft.fft(f))
-    norm = np.linalg.norm(out)
-    if norm > 0 and np.linalg.norm(out.imag) > _IMAG_RESIDUE_TOL * norm:
-        raise FloatingPointError("imaginary residue above tolerance; input not real?")
-    return out.real
+def apply_symbol(grid: Grid1D, f: np.ndarray, symbol) -> np.ndarray:
+    """``irfft(symbol * rfft(f))``: the Fourier multiplier ``symbol`` on real samples.
+
+    ``symbol`` is given on the rfft modes ``grid.xi_r`` (last axis N/2 + 1);
+    stacked symbols or stacked samples broadcast to stacked outputs, one
+    batched transform each way.
+    """
+    return np.fft.irfft(symbol * np.fft.rfft(f), grid.N)
+
+
+def mode_weights(grid: Grid1D) -> np.ndarray:
+    """Weights ``w_k`` with ``h sum_j a_j b_j = sum_k w_k Re(A_k conj(B_k))``
+    for real samples a, b and their ``rfft`` spectra A, B (k = 0..N/2).
+
+    The interior modes stand for themselves and their mirrors -k
+    (``w_k = 2h/N``); the zero and Nyquist modes are unpaired (``h/N``).
+    """
+    w = np.full(grid.N // 2 + 1, 2.0 * grid.h / grid.N)
+    w[0] *= 0.5
+    w[-1] *= 0.5
+    return w
 
 
 def apply_half_laplacian(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     """Apply ``(-d_xx)^{1/2}`` (symbol ``|xi_k|``; zero mode -> 0)."""
-    f = _check_samples(grid, f)
-    return _apply_multiplier(grid, f, grid.q)
+    return apply_symbol(grid, _check_samples(grid, f), grid.xi_r)
 
 
 def apply_hilbert(grid: Grid1D, f: np.ndarray) -> np.ndarray:
@@ -54,18 +71,12 @@ def apply_hilbert(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     The principal-value kernel is ``H(f)(x) = (1/pi) PV int f(s)/(x-s) ds``.
     Zero and Nyquist modes map to 0.
     """
-    f = _check_samples(grid, f)
-    mult = -1j * np.sign(grid.xi)
-    mult[grid.nyquist_index] = 0.0
-    return _apply_multiplier(grid, f, mult)
+    return apply_symbol(grid, _check_samples(grid, f), -1j * np.sign(grid.xi_r))
 
 
 def spectral_derivative(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     """Apply ``d_x`` (symbol ``i xi_k``; Nyquist mode -> 0)."""
-    f = _check_samples(grid, f)
-    mult = 1j * grid.xi.astype(complex)
-    mult[grid.nyquist_index] = 0.0
-    return _apply_multiplier(grid, f, mult)
+    return apply_symbol(grid, _check_samples(grid, f), 1j * grid.xi_r)
 
 
 def inner_h(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:
@@ -74,11 +85,8 @@ def inner_h(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:
 
 
 def fourier_shift(grid: Grid1D, f: np.ndarray, a: float) -> np.ndarray:
-    """Band-limited resampling ``f(x + a)``; Nyquist handled by cos factor."""
-    f = _check_samples(grid, f)
-    mult = np.exp(1j * grid.xi * a)
-    mult[grid.nyquist_index] = np.cos(grid.xi[grid.nyquist_index] * a)
-    return np.fft.ifft(mult * np.fft.fft(f)).real
+    """Band-limited resampling ``f(x + a)``; the Nyquist mode keeps ``cos(xi a)``."""
+    return apply_symbol(grid, _check_samples(grid, f), np.exp(1j * grid.xi_r * a))
 
 
 def fourier_interpolate(grid: Grid1D, f: np.ndarray, xq):
@@ -89,11 +97,8 @@ def fourier_interpolate(grid: Grid1D, f: np.ndarray, xq):
     f = _check_samples(grid, f)
     scalar = np.isscalar(xq)
     dx = np.atleast_1d(np.asarray(xq, dtype=float)) - grid.x[0]
-    F = np.fft.fft(f) / grid.N
-    nyq = grid.nyquist_index
-    phase = np.exp(1j * np.outer(dx, grid.xi))
-    phase[:, nyq] = np.cos(grid.xi[nyq] * dx)  # symmetrize unpaired mode
-    vals = (phase @ F).real
+    coeffs = mode_weights(grid) / grid.h * np.fft.rfft(f)
+    vals = (np.exp(1j * np.outer(dx, grid.xi_r)) @ coeffs).real
     return float(vals[0]) if scalar else vals
 
 
@@ -104,14 +109,15 @@ def fourier_interpolate(grid: Grid1D, f: np.ndarray, xq):
 def hs_seminorm_grid(grid: Grid1D, f: np.ndarray, s: float) -> float:
     """Squared seminorm ``(1/2pi) sum |xi_k|^{2s} |c_k|^2 * (pi/L)``.
 
-    Valid for decaying samples; equals ``<f, (-d_xx)^{1/2} f>_h`` exactly
-    at ``s = 1/2``.
+    Summed over the rfft modes with the Parseval weights.  Valid for
+    decaying samples; equals ``<f, (-d_xx)^{1/2} f>_h`` exactly at
+    ``s = 1/2``.
     """
-    field = SpectralField.from_samples(grid, _check_samples(grid, f))
-    q = grid.q
+    spec = np.fft.rfft(_check_samples(grid, f))
+    q = grid.xi_r
     with np.errstate(divide="ignore"):
         weights = np.where(q > 0, q ** (2.0 * s), 0.0)
-    return float(np.sum(weights * np.abs(field.coeffs) ** 2) / (2.0 * grid.L))
+    return float(np.sum(mode_weights(grid) * weights * (spec.real**2 + spec.imag**2)))
 
 
 def background_transform(b: float, zeta: float, xi: np.ndarray) -> np.ndarray:

@@ -23,7 +23,7 @@ from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import ConvergenceError, MonotonicityWarning
 from .grid import Grid1D
-from .operators import apply_half_laplacian, fourier_interpolate, fourier_shift
+from .operators import apply_half_laplacian, apply_symbol, fourier_interpolate, fourier_shift
 from .params import PhysParams
 from .potential import PotentialSpec, eval_potential, validate_potential
 from .profile import Profile
@@ -106,9 +106,24 @@ def is_monotone_decreasing(p: Profile, slack: float | None = None) -> bool:
     return monotonicity_violation(p) <= slack
 
 
+def semi_implicit_update(v_hat, g_hat, dt, c0, q):
+    """Kernel: ``v+ = (v - dt g) / (1 + dt c0 |xi|)`` in Fourier space."""
+    return (v_hat - dt * g_hat) / (1.0 + dt * c0 * q)
+
+
+def semi_implicit_step(grid: Grid1D, v: np.ndarray, g: np.ndarray, dt: float,
+                       c0: float) -> np.ndarray:
+    """Samples of :func:`semi_implicit_update` for samples ``v`` and ``g``.
+
+    The kernel is linear and diagonal, so its value at ``v_hat = 1``,
+    ``g_hat = 0`` is the symbol that takes ``v - dt g`` to ``v+``.
+    """
+    return apply_symbol(grid, v - dt * g, semi_implicit_update(1.0, 0.0, dt, c0, grid.xi_r))
+
+
 def _semi_implicit_sweep(p, spec, opts, tol):
     grid, params = p.grid, p.params
-    c0, q = params.c0, grid.q
+    c0 = params.c0
     lam_bg = p.half_laplacian_background()
     v = p.v.copy()
     monotone_ok = True
@@ -141,11 +156,6 @@ def _semi_implicit_sweep(p, spec, opts, tol):
         g = eval_potential(spec, p.background_on_grid() + v, 1) + c0 * lam_bg
         res_linf = float(np.max(np.abs(r)))
 
-        def step_at(step):
-            return np.fft.ifft(
-                (np.fft.fft(v) - step * np.fft.fft(g)) / (1.0 + step * c0 * q)
-            ).real
-
         # a step may not degrade monotonicity beyond the current iterate plus
         # the transient scale; violations trigger halving.  When halving does
         # not cure the violation it is structural (coarse-grid wiggles): take
@@ -153,7 +163,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
         mono_accept = False
         trial_dt = dt
         for _ in range(opts.max_halvings + 1):
-            v_new = step_at(trial_dt)
+            v_new = semi_implicit_step(grid, v, g, trial_dt, c0)
             viol_new = monotonicity_violation(p.with_correction(v_new))
             if viol_new <= max(viol, slack(res_linf)):
                 mono_accept = True
@@ -168,7 +178,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
                     stacklevel=2,
                 )
             monotone_ok = False
-            v_new = step_at(dt)
+            v_new = semi_implicit_step(grid, v, g, dt, c0)
             viol_new = monotonicity_violation(p.with_correction(v_new))
         r_new = res_of(v_new)
         if float(np.max(np.abs(r_new))) > 2.0 * res_linf:
@@ -188,12 +198,10 @@ def _semi_implicit_sweep(p, spec, opts, tol):
 
 def _newton_polish(p, spec, opts, tol):
     grid, params = p.grid, p.params
-    c0, q = params.c0, grid.q
-    N = grid.N
+    c0, N = params.c0, grid.N
     w0 = max(eval_potential(spec, params.b / 4.0, 2), 0.1 * params.G / params.d)
-    precon = LinearOperator(
-        (N, N), matvec=lambda z: np.fft.ifft(np.fft.fft(z) / (c0 * q + w0)).real
-    )
+    precon_symbol = 1.0 / (c0 * grid.xi_r + w0)
+    precon = LinearOperator((N, N), matvec=lambda z: apply_symbol(grid, z, precon_symbol))
     v = p.v.copy()
     steps = 0
     r = residual(p.with_correction(v), spec).samples

@@ -20,7 +20,7 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 from scipy.special import gamma as gamma_fn
 
-from .config import RunConfig, box_radii
+from .config import RunConfig, box_radii, run_setup, solve_options
 from .dynamics import (
     DynamicsState,
     RunOptions,
@@ -62,10 +62,9 @@ from .operators import (
     hs_seminorm_grid,
 )
 from .params import PhysParams
-from .potential import PotentialSpec, eval_potential, frenkel, from_csv
+from .potential import PotentialSpec, eval_potential
 from .profile import Profile, analytic_profile, background, tanh_profile
 from .static import (
-    SolveOptions,
     burgers_density,
     center_profile,
     decay_coefficients,
@@ -112,18 +111,10 @@ class SuiteContext:
     solved_centered: Profile = field(init=False)
 
     def __post_init__(self):
-        cfg = self.cfg
-        self.params = cfg.params
-        self.grid = build_grid(cfg.L_over_zeta * self.params.zeta, cfg.N)
-        if cfg.potential == "frenkel":
-            self.spec = frenkel(self.params)
-        else:
-            self.spec = from_csv(self.params, cfg.potential.split(":", 1)[1])
+        self.params, self.grid, self.spec = run_setup(self.cfg)
         self.analytic = analytic_profile(self.grid, self.params)
         init = tanh_profile(self.grid, self.params)
-        opts = SolveOptions(dt0=cfg.static_dt0, res_tol=cfg.static_res_tol,
-                            max_iters=cfg.static_max_iters, newton=cfg.static_newton)
-        self.solved = solve_static(init, self.spec, opts).profile
+        self.solved = solve_static(init, self.spec, solve_options(self.cfg)).profile
         _, self.solved_centered = center_profile(self.solved)
 
     @property
@@ -179,23 +170,23 @@ def check_sobolev(ctx: SuiteContext) -> list[CheckResult]:
     prm = ctx.params
     b, z = prm.b, prm.zeta
     out = []
-    worst = 0.0
+    errs = []
     for s in (0.75, 1.0, 1.5):
         closed = b * b * gamma_fn(2 * s - 1) / (4.0 * np.pi * (2.0 * z) ** (2 * s - 1))
         got = hs_seminorm_analytic(b, z, s)
-        worst = max(worst, abs(got - closed) / closed)
-    out.append(_leq("03.sobolev.analytic_vs_gamma", worst, 1e-3,
+        errs.append(abs(got - closed) / closed)
+    out.append(_leq("03.sobolev.analytic_vs_gamma", np.max(errs), 1e-3,
                     "quadrature matches b^2 Gamma(2s-1)/(4 pi (2 zeta)^(2s-1))"))
 
     z1, z2 = z / 2.0, 2.0 * z
     fine = build_grid(400.0 * z, 8192)
     diff = background(fine.x, b, z1) - background(fine.x, b, z2)
-    worst_g = 0.0
+    errs = []
     for s in (0.75, 1.0, 1.5):
         ana = hs_seminorm_background_difference(b, z1, z2, s)
         got = hs_seminorm_grid(fine, diff, s)
-        worst_g = max(worst_g, abs(got - ana) / ana)
-    out.append(_leq("03.sobolev.grid_vs_analytic", worst_g, 1e-2,
+        errs.append(abs(got - ana) / ana)
+    out.append(_leq("03.sobolev.grid_vs_analytic", np.max(errs), 1e-2,
                     "grid seminorm of the decaying core difference, L=400 zeta"))
 
     try:
@@ -216,7 +207,7 @@ def check_decay_rate(ctx: SuiteContext) -> list[CheckResult]:
     prm = ctx.params
     target = prm.b * prm.zeta / (2.0 * np.pi)
     cp, cm = decay_coefficients(ctx.solved_centered)
-    worst = max(abs(cp - target), abs(cm - target)) / target
+    worst = np.max([abs(cp - target), abs(cm - target)]) / target
     return [_leq("04.decay_rate", worst, 0.05,
                  f"both tail amplitudes near b zeta/(2 pi) = {target:.6f}")]
 
@@ -244,10 +235,9 @@ def check_extension_oracle(ctx: SuiteContext) -> list[CheckResult]:
         du2 = a1[0][1] - a1[1][1]
         # u2 carries an additive gauge constant; compare modulo a fitted constant
         gauge = float(np.mean(c2[mask] - du2))
-        err_u[0] = max(err_u[0], np.max(np.abs(c1[mask] - du1)))
-        ref_u[0] = max(ref_u[0], np.max(np.abs(du1)))
-        err_u[1] = max(err_u[1], np.max(np.abs(c2[mask] - du2 - gauge)))
-        ref_u[1] = max(ref_u[1], np.max(np.abs(du2 - np.mean(du2))))
+        err_u = np.maximum(err_u, [np.max(np.abs(c1[mask] - du1)),
+                                   np.max(np.abs(c2[mask] - du2 - gauge))])
+        ref_u = np.maximum(ref_u, [np.max(np.abs(du1)), np.max(np.abs(du2 - np.mean(du2)))])
 
         strains = extend_trace_strains(grid, trace, nu, y)
         sc = strains_to_stresses(*strains, G, nu)
@@ -255,8 +245,8 @@ def check_extension_oracle(ctx: SuiteContext) -> list[CheckResult]:
         sa2 = _analytic_stress(grid.x[mask], y, G, b, nu, z2, +1.0)
         for i in range(4):
             da = sa1[i] - sa2[i]
-            err_s[i] = max(err_s[i], np.max(np.abs(sc[i][mask] - da)))
-            ref_s[i] = max(ref_s[i], np.max(np.abs(da)))
+            err_s[i] = np.maximum(err_s[i], np.max(np.abs(sc[i][mask] - da)))
+            ref_s[i] = np.maximum(ref_s[i], np.max(np.abs(da)))
 
     rel_u = float(np.max(err_u / ref_u))
     rel_s = float(np.max(err_s / ref_s))
@@ -272,7 +262,7 @@ def check_extension_oracle(ctx: SuiteContext) -> list[CheckResult]:
     _, s22_gamma = dtn_traction(ctx.solved)
     sc0 = strains_to_stresses(*extend_trace_strains(grid, trace, nu, 0.0), G, nu)
     s22_spectral = float(np.max(np.abs(sc0[2])) / np.max(np.abs(sc0[1])))
-    s22_on_plane = max(float(np.max(np.abs(s22_gamma))), s22_spectral)
+    s22_on_plane = np.max([np.max(np.abs(s22_gamma)), s22_spectral])
     hp = extend_to_half_planes(ctx.solved, yl)
     return [
         _leq("05.extension.displacement", rel_u, 1e-3,
@@ -325,20 +315,19 @@ def check_energy_relation(ctx: SuiteContext) -> list[CheckResult]:
     perts = seeded_perturbations(ctx.grid, prm, cfg.energy_n_perturbations,
                                  seed=cfg.energy_pert_seed)
     floor = 1e-3 * ctx.energy_scale
-    worst_rel = 0.0
-    worst_cross = 0.0
+    rel, cross = [], []
     tables = HalfPlaneTables.build(p, quad)
     for ph in perts:
         eg = reduced_perturbed_energy(ph, p, ctx.spec)
         et = perturbed_total_energy(ph, p, ctx.spec, tables=tables)
-        worst_rel = max(worst_rel, abs(et - eg) / max(abs(eg), floor))
+        rel.append(abs(et - eg) / max(abs(eg), floor))
         ce, cg = cross_terms(p, ph, tables=tables)
-        worst_cross = max(worst_cross, abs(ce - cg) / max(abs(cg), floor))
+        cross.append(abs(ce - cg) / max(abs(cg), floor))
     return [
-        _leq("07.energy_relation.total", worst_rel, 1e-2,
+        _leq("07.energy_relation.total", np.max(rel), 1e-2,
              f"slip-plane and half-plane energies agree ({len(perts)} seeded "
              "perturbations)"),
-        _leq("07.energy_relation.cross_terms", worst_cross, 1e-2,
+        _leq("07.energy_relation.cross_terms", np.max(cross), 1e-2,
              "2-d and slip-plane cross terms agree"),
     ]
 
@@ -381,10 +370,10 @@ def check_minimizer(ctx: SuiteContext) -> list[CheckResult]:
         for f_pair, g_pair in competitors
     ]
     return [
-        _geq("08.minimizer.energy_nonnegative", min(values), floor,
+        _geq("08.minimizer.energy_nonnegative", np.min(values), floor,
              "perturbed energy of the static solution is nonnegative "
              "(20 seeded perturbations incl. out-of-range)"),
-        _geq("08.minimizer.extension_optimal", min(margins), 0.0,
+        _geq("08.minimizer.extension_optimal", np.min(margins), 0.0,
              "elastic extension minimizes the elastic energy among "
              "same-trace competitors"),
     ]

@@ -50,6 +50,15 @@ def test_nu_out_of_range_names_key():
     ("static_max_iters", "0"),
     ("energy_quad_levels", "0"),
     ("energy_n_perturbations", "-1"),
+    ("energy_y_max_over_zeta", "-1"),
+    ("static_dt0", "0"),
+    ("static_res_tol", "0"),
+    ("static_res_tol", "-1e-12"),
+    ("dynamics_T_end", "0"),
+    ("ylevels_count", "0"),
+    ("ylevels_y_min_over_zeta", "0"),
+    ("ylevels_y_max_over_zeta", "-1"),
+    ("ylevels_y_max_over_zeta", "0.1"),
 ])
 def test_bad_value_rejected_names_key(key, value):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
@@ -222,6 +231,16 @@ def test_cli_validate_success_exit_code(tmp_path, monkeypatch):
     monkeypatch.setattr(climod, "run_validation", lambda cfg: fake)
     rc = main(["--output", str(tmp_path / "v"), "validate"])
     assert rc == 0
+
+
+def test_nan_energy_fails_check_07(monkeypatch):
+    import pnedge.validation as valmod
+
+    cfg = RunConfig(energy_n_perturbations=2, energy_quad_levels=16)
+    monkeypatch.setattr(valmod, "perturbed_total_energy", lambda *a, **k: float("nan"))
+    results = {r.name: r for r in valmod.check_energy_relation(valmod.SuiteContext(cfg))}
+    total = results["07.energy_relation.total"]
+    assert np.isnan(total.actual) and not total.passed
 
 
 def test_cli_bad_config_exit_code(tmp_path):
