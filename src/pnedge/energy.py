@@ -398,7 +398,7 @@ def elastic_energy_box(
     if has_v:
         # correction stresses live on the periodic grid; restrict to the window
         mask = np.abs(p.grid.x) <= R
-        xg = p.grid.x[mask]
+        xg = p.grid.x[mask] - p.x0
         wxg = np.full(xg.shape, p.grid.h)
 
     total = 0.0
@@ -407,12 +407,11 @@ def elastic_energy_box(
         total += wt * float(np.sum(wx * density(s11, s12, s22)))
         if has_v:
             ev = extend_trace_strains(p.grid, p.v, nu, y)
-            c11, c12, c22, _ = strains_to_stresses(*ev, G, nu)
-            b11, b12, b22, _ = _analytic_stress(
-                p.grid.x - p.x0, y, G, prm.b, nu, p.zeta_bg, +1.0)
+            c11, c12, c22, _ = strains_to_stresses(*(e[mask] for e in ev), G, nu)
+            b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
             corr = (density(b11 + c11, b12 + c12, b22 + c22)
                     - density(b11, b12, b22))
-            total += wt * float(np.sum(wxg * corr[mask]))
+            total += wt * float(np.sum(wxg * corr))
     return 2.0 * total
 
 

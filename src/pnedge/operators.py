@@ -133,6 +133,13 @@ def background_transform(b: float, zeta: float, xi: np.ndarray) -> np.ndarray:
     return np.where(q > 0, out, 0.0 + 0.0j)
 
 
+def _half_line_quad(integrand) -> float:
+    """Adaptive ``quad`` over (0, inf) as the sum over (0, 1) and (1, inf)."""
+    inner, _ = quad(integrand, 0.0, 1.0, limit=200)
+    outer, _ = quad(integrand, 1.0, np.inf, limit=200)
+    return inner + outer
+
+
 def hs_seminorm_analytic(b: float, zeta: float, s: float) -> float:
     """Squared H^s seminorm of the arctan core by adaptive quadrature.
 
@@ -148,9 +155,7 @@ def hs_seminorm_analytic(b: float, zeta: float, s: float) -> float:
     def integrand(q):
         return q ** (2.0 * s - 2.0) * np.exp(-2.0 * zeta * q)
 
-    inner, _ = quad(integrand, 0.0, 1.0, limit=200)
-    outer, _ = quad(integrand, 1.0, np.inf, limit=200)
-    return b * b / (4.0 * np.pi) * (inner + outer)
+    return b * b / (4.0 * np.pi) * _half_line_quad(integrand)
 
 
 def hs_seminorm_background_difference(
@@ -166,9 +171,7 @@ def hs_seminorm_background_difference(
     def integrand(q):
         return q ** (2.0 * s - 2.0) * (np.exp(-zeta1 * q) - np.exp(-zeta2 * q)) ** 2
 
-    inner, _ = quad(integrand, 0.0, 1.0, limit=200)
-    outer, _ = quad(integrand, 1.0, np.inf, limit=200)
-    return b * b / (4.0 * np.pi) * (inner + outer)
+    return b * b / (4.0 * np.pi) * _half_line_quad(integrand)
 
 
 def hs_seminorm(

@@ -227,3 +227,88 @@ def test_underflow_carries_trace(bump_state):
 def test_unknown_method_rejected(bump_state):
     with pytest.raises(ValueError):
         run_dynamics(bump_state, 1.0, RunOptions(method="leapfrog"))
+
+
+# ---------------------------------------------------------------------------
+# per-run and per-state caches
+# ---------------------------------------------------------------------------
+
+def _fresh(s):
+    """The same state built anew, with no cached invariants."""
+    return DynamicsState(t=s.t, p=s.p, spec=s.spec, reference=s.reference)
+
+
+def _assert_same_as_fresh(s, steppers=(step_etd,)):
+    fresh = _fresh(s)
+    if s.reference is not None:
+        assert free_energy(s) == free_energy(fresh)
+    for step in steppers:
+        assert np.array_equal(step(s, 0.1).p.v, step(fresh, 0.1).p.v)
+    assert dissipation_rate(s) == dissipation_rate(fresh)
+
+
+def _warm(s):
+    """Fill the run record and the state's W'(u1) cache."""
+    if s.reference is not None:
+        free_energy(s)
+        step_etd(s, 0.1)
+    step_semi_implicit(s, 0.1)
+    dissipation_rate(s)
+    return s
+
+
+def test_cache_rebuilt_for_another_reference(bump_state, grid, params):
+    from dataclasses import replace
+
+    other = bump_state.reference.with_correction(
+        0.02 * params.b * np.exp(-grid.x**2 / params.zeta**2))
+    s = replace(_warm(bump_state), reference=other)
+    _assert_same_as_fresh(s)
+    assert free_energy(replace(s, p=other)) == 0.0
+
+
+def test_cache_rebuilt_for_another_background_or_params(bump_state, params):
+    from dataclasses import replace
+
+    from pnedge.params import PhysParams
+
+    s = _warm(bump_state)
+    # with no reference only the profile's own settings can make the record stale
+    plain = _warm(replace(s, reference=None))
+    for change in ({"zeta_bg": 1.5 * params.zeta}, {"x0": 0.3}, {"params": PhysParams(G=2.0)}):
+        moved = replace(s, p=replace(s.p, **change),
+                        reference=replace(s.reference, **change))
+        _assert_same_as_fresh(moved)
+        _assert_same_as_fresh(replace(plain, p=replace(plain.p, **change)),
+                              steppers=(step_semi_implicit,))
+
+
+def test_cache_rebuilt_for_another_potential(bump_state, params):
+    from dataclasses import replace
+
+    from pnedge.potential import eval_potential, from_table, frenkel
+
+    u = np.linspace(0.0, params.b / 2.0, 64, endpoint=False)
+    table = from_table(params, np.column_stack([u, 2.0 * eval_potential(frenkel(params), u, 0)]))
+    s = replace(_warm(bump_state), spec=table)
+    _assert_same_as_fresh(s, steppers=(step_etd, step_semi_implicit))
+    assert free_energy(replace(s, p=s.reference)) == 0.0
+
+
+@pytest.mark.parametrize("method", ["semi_implicit", "etd"])
+def test_two_potential_evaluations_per_accepted_step(bump_state, monkeypatch, method):
+    from pnedge import dynamics
+
+    calls = []
+    original = dynamics.eval_potential
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(dynamics, "eval_potential", counting)
+    _, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=0.1, method=method))
+    assert len(trace.times) == 11
+    assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
+    # W'(u1) and W(u1) per step; W(u1*), W'(u1*), and W'(u1) and W(u1) of the start
+    assert len(calls) <= 2 * 10 + 4

@@ -130,8 +130,9 @@ def test_monotone_path_from_monotone_init(grid, params, spec):
 
 def test_solve_with_mismatched_background_width(grid, params, spec):
     # with zeta_bg != zeta the correction carries 1/x tails whose periodic
-    # wrap rings at the boundary; the solve still converges and the core
-    # stays monotone (boundary ringing stays below 1e-6 b)
+    # wrap rings at the boundary; the solve still converges and u1 is
+    # monotone on |x| <= 0.9 L, which is all this test asserts (at x = -L
+    # the ringing is an uphill step of about 5e-5 b; see ROADMAP item 4)
     init = Profile(grid=grid, params=params, zeta_bg=1.5 * params.zeta)
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
