@@ -23,36 +23,52 @@ of the force balance).
 
 Only v changes along a trajectory, so the rest is evaluated once:
 
+* per state, the samples v (on the profile), their spectrum
+  ``v_hat = rfft(v)`` and ``W'(u1)`` are each made once.  A step builds
+  its successor's ``v_hat`` on the modes and hands it on with the new
+  state; the monitor's residual of an accepted state and the next step's
+  force read the same ``W'(u1)``.
 * per run, a private record on :class:`DynamicsState` holds the
-  background u_bg on the grid, ``(-d_xx)^{1/2} u_bg`` and
-  ``c0 (-d_xx)^{1/2} u_bg``, the reference ``u1*`` with ``W(u1*)`` and
-  ``W'(u1*)``, and the ETD symbols of each step size used.  Steps pass it
-  on to the states they make.  A state whose grid, parameters, ``zeta_bg``,
-  ``x0``, reference or potential is not the record's (the grid, the
-  reference and the potential compared by identity, the rest by value)
-  builds a new one.
-* per state, ``W'(u1)`` is evaluated once; the monitor's residual of an
-  accepted state and the next step's force read the same array.
+  background u_bg on the grid and ``(-d_xx)^{1/2} u_bg``, the reference
+  ``u1*`` with ``W(u1*)``, ``W'(u1*)`` and ``v_hat*``, the seminorm
+  weights of F, the update symbols of each (method, step size) used, and
+  two work buffers, one of samples and one of spectrum.  Steps pass it on
+  to the states they make.
+  A state whose grid, parameters, ``zeta_bg``, ``x0``, reference or
+  potential is not the record's (the grid, the reference and the
+  potential compared by identity, the rest by value) builds a new one.
 
-An accepted step thus evaluates the potential twice: ``W'(u1)`` and, in
-F, ``W(u1)``.
+An accepted step thus makes 3 N-point transforms, for either method: the
+rfft of the force (g, or T for ETD), the irfft of ``v_hat+``, and the
+irfft of ``|xi| v_hat`` for the monitor's residual.  F's seminorm is a
+Parseval sum over ``v_hat - v_hat*`` and needs none.  The step evaluates
+the potential twice: ``W'(u1)`` and, in F, ``W(u1)``.
+
+The work buffers hold what one call needs only until it returns: the
+force and its spectrum, F's deviation and difference spectrum, and the
+residual's ``(-d_xx)^{1/2} u1``.  Besides the arrays the new state keeps
+(v, ``v_hat`` and ``W'(u1)``), an accepted step allocates only W(u1) in
+F, the argument ``u_bg + v`` of ``W'(u1)`` and the residual's samples,
+each freed within the step.  The buffers make one run record unfit for
+use from two threads at once.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
+from numbers import Integral
 from typing import Optional
 
 import numpy as np
 
 from .errors import TimeStepUnderflowError
 from .grid import Grid1D
-from .operators import apply_symbol, hs_seminorm_grid
+from .operators import irfft, rfft, seminorm_weights
 from .params import PhysParams
 from .potential import PotentialSpec, eval_potential
 from .profile import Profile
-from .static import residual, semi_implicit_step, semi_implicit_update  # noqa: F401
+from .static import ResidualField, residual, semi_implicit_update
 
 
 @dataclass(frozen=True)
@@ -65,14 +81,14 @@ class DynamicsState:
     reference: Optional[Profile] = None  # static profile u1* for F, Q and ETD
     _run: Optional[_RunInvariants] = field(default=None, compare=False, repr=False)
 
-    def deviation(self) -> np.ndarray:
-        """v = u1 - u1* on the grid (requires matching backgrounds)."""
+    def deviation(self, out: Optional[np.ndarray] = None) -> np.ndarray:
+        """v = u1 - u1* on the grid (requires matching backgrounds), into ``out`` if given."""
         if self.reference is None:
             raise ValueError("no reference static profile set")
         ref = self.reference
         if ref.zeta_bg != self.p.zeta_bg or ref.x0 != self.p.x0:
             raise ValueError("reference background differs from the state background")
-        return self.p.v - ref.v
+        return np.subtract(self.p.v, ref.v, out=out)
 
     def _invariants(self) -> _RunInvariants:
         """The run record, rebuilt if it was made for another run."""
@@ -88,10 +104,16 @@ class DynamicsState:
         """W'(u1) on the grid."""
         return eval_potential(self.spec, self._invariants().bg + self.p.v, 1)
 
+    @cached_property
+    def _v_hat(self) -> np.ndarray:
+        """``rfft`` of the correction v; a step sets its successor's."""
+        return rfft(self.p.v)
+
 
 @dataclass(frozen=True)
 class _RunInvariants:
-    """What stays fixed along a trajectory; see the module docstring."""
+    """What stays fixed along a trajectory, and its work buffers; see the
+    module docstring."""
 
     grid: Grid1D
     params: PhysParams
@@ -101,24 +123,29 @@ class _RunInvariants:
     spec: PotentialSpec
     bg: np.ndarray
     lam_bg: np.ndarray
-    c0_lam_bg: np.ndarray
     u_star: Optional[np.ndarray]  # the reference arrays are None without one
     w_star: Optional[np.ndarray]
     wp_star: Optional[np.ndarray]
-    _etd: dict = field(default_factory=dict)  # dt -> stacked ETD symbols
+    v_hat_star: Optional[np.ndarray]
+    hs_weights: np.ndarray  # seminorm weights of F
+    work: np.ndarray
+    work_hat: np.ndarray
+    _symbols: dict = field(default_factory=dict)  # (kernel, dt) -> stacked symbols
 
     @classmethod
     def of(cls, s: DynamicsState) -> _RunInvariants:
-        p, ref = s.p, s.reference
-        lam_bg = p.half_laplacian_background()
-        u_star = w_star = wp_star = None
+        p, ref, grid = s.p, s.reference, s.p.grid
+        u_star = w_star = wp_star = v_hat_star = None
         if ref is not None:
             u_star = ref.u1
             w_star = eval_potential(s.spec, u_star, 0)
             wp_star = eval_potential(s.spec, u_star, 1)
-        return cls(p.grid, p.params, p.zeta_bg, p.x0, ref, s.spec,
-                   p.background_on_grid(), lam_bg, p.params.c0 * lam_bg,
-                   u_star, w_star, wp_star)
+            v_hat_star = rfft(ref.v)
+        return cls(grid, p.params, p.zeta_bg, p.x0, ref, s.spec,
+                   p.background_on_grid(), p.half_laplacian_background(),
+                   u_star, w_star, wp_star, v_hat_star,
+                   seminorm_weights(grid, 0.5),
+                   np.empty(grid.N), np.empty(grid.N // 2 + 1, dtype=complex))
 
     def fits(self, s: DynamicsState) -> bool:
         p = s.p
@@ -126,15 +153,15 @@ class _RunInvariants:
                 and p.zeta_bg == self.zeta_bg and p.x0 == self.x0
                 and s.reference is self.reference and s.spec is self.spec)
 
-    def etd_symbols(self, dt: float) -> np.ndarray:
-        """Symbols of v and T in the ETD1 update; the kernel is linear, so
-        they are its values at unit ``v_hat`` and at unit ``T_hat``."""
-        symbols = self._etd.get(dt)
+    def symbols(self, kernel, dt: float) -> np.ndarray:
+        """Symbols of v and of the force in the update ``kernel`` at step dt;
+        the kernels are linear, so they are its values at unit ``v_hat`` and
+        at unit force."""
+        symbols = self._symbols.get((kernel, dt))
         if symbols is None:
             q, c0 = self.grid.xi_r, self.params.c0
-            symbols = np.stack([etd_update(1.0, 0.0, dt, c0, q),
-                                etd_update(0.0, 1.0, dt, c0, q)])
-            self._etd[dt] = symbols
+            symbols = np.stack([kernel(1.0, 0.0, dt, c0, q), kernel(0.0, 1.0, dt, c0, q)])
+            self._symbols[(kernel, dt)] = symbols
         return symbols
 
 
@@ -168,29 +195,49 @@ class RunOptions:
     f_increase_tol: Optional[float] = None  # default 1e-10 * G b^2 / d
     max_halvings: int = 20
 
+    def __post_init__(self):
+        if not 0.0 < self.dt < np.inf:
+            raise ValueError(f"RunOptions.dt must be positive and finite, got {self.dt}")
+        if self.f_increase_tol is not None and not np.isfinite(self.f_increase_tol):
+            raise ValueError(
+                f"RunOptions.f_increase_tol must be finite, got {self.f_increase_tol}")
+        if not (isinstance(self.max_halvings, Integral) and self.max_halvings >= 0):
+            raise ValueError("RunOptions.max_halvings must be a nonnegative integer, "
+                             f"got {self.max_halvings!r}")
+
 
 def free_energy(s: DynamicsState) -> float:
     """F relative to the reference static profile; F(u1*) = 0."""
     if s.reference is None:
         raise ValueError("free energy needs a reference static profile")
-    v = s.deviation()
-    grid, prm = s.p.grid, s.p.params
     inv = s._invariants()
-    quad = 0.5 * prm.c0 * hs_seminorm_grid(grid, v, 0.5)
-    lin = -grid.h * float(np.sum(v * inv.wp_star))
-    mis = grid.h * float(np.sum(eval_potential(s.spec, inv.u_star + v, 0) - inv.w_star))
+    h = s.p.grid.h
+    v = s.deviation(out=inv.work)
+    lin = -h * float(np.dot(v, inv.wp_star))
+    w = eval_potential(s.spec, np.add(inv.u_star, v, out=v), 0)  # W(u1* + v)
+    w -= inv.w_star
+    mis = h * float(np.sum(w))
+    # |v_hat - v_hat*|^2 per mode: the squares of its (re, im) pairs, summed
+    d = np.subtract(s._v_hat, inv.v_hat_star, out=inv.work_hat).view(float).reshape(-1, 2)
+    quad = 0.5 * s.p.params.c0 * float(np.sum(inv.hs_weights @ np.square(d, out=d)))
     return quad + lin + mis
 
 
-def _residual(s: DynamicsState):
-    """:func:`pnedge.static.residual` of the state from its cached W'(u1)."""
-    return residual(s.p, s.spec, wp=s._wp_u1, lam_bg=s._invariants().lam_bg)
+def _residual(s: DynamicsState) -> ResidualField:
+    """:func:`pnedge.static.residual` of the state from its W'(u1) and v_hat."""
+    inv, grid = s._invariants(), s.p.grid
+    lam = irfft(grid, np.multiply(grid.xi_r, s._v_hat, out=inv.work_hat), out=inv.work)
+    lam += inv.lam_bg
+    return residual(s.p, s.spec, wp=s._wp_u1, lam=lam)
+
+
+def _squared_l2(r: ResidualField) -> float:
+    return float(r.grid.h * np.dot(r.samples, r.samples))
 
 
 def dissipation_rate(s: DynamicsState) -> float:
     """Q = squared L2 norm of the force-balance residual; nonnegative."""
-    r = _residual(s).samples
-    return float(s.p.grid.h * np.sum(r * r))
+    return _squared_l2(_residual(s))
 
 
 # ---------------------------------------------------------------------------
@@ -207,15 +254,42 @@ def etd_update(v_hat, T_hat, dt, c0, q):
     return decay * v_hat + (1.0 - decay) / a * T_hat
 
 
+def _check_dt(dt: float) -> None:
+    if not 0.0 < dt < np.inf:
+        raise ValueError(f"time step must be positive and finite, got {dt}")
+
+
+def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
+             v_hat_star: Optional[np.ndarray] = None) -> DynamicsState:
+    """One step of the linear update ``kernel``: ``v_hat+ = S_v (v_hat - v_hat*)
+    + S_f rfft(force) + v_hat*`` with the kernel's symbols at dt, summed on
+    the modes (``v_hat* = 0`` unless given); one rfft and one irfft."""
+    inv = s._invariants()
+    s_v, s_f = inv.symbols(kernel, dt)
+    f_hat = rfft(force, out=inv.work_hat)
+    f_hat *= s_f
+    if v_hat_star is None:
+        v_hat = s_v * s._v_hat
+    else:
+        v_hat = np.subtract(s._v_hat, v_hat_star)
+        v_hat *= s_v
+    v_hat += f_hat
+    if v_hat_star is not None:
+        v_hat += v_hat_star
+    new = replace(s, t=s.t + dt, p=s.p.with_correction(irfft(s.p.grid, v_hat)))
+    new.__dict__["_v_hat"] = v_hat  # the cache slot of the property
+    return new
+
+
 def step_semi_implicit(s: DynamicsState, dt: float) -> DynamicsState:
-    """One semi-implicit step; first order, unconditionally stable in the
-    linear part, static profile exactly stationary."""
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
-    p, prm = s.p, s.p.params
-    g = s._wp_u1 + s._invariants().c0_lam_bg
-    v_new = semi_implicit_step(p.grid, p.v, g, dt, prm.c0)
-    return replace(s, t=s.t + dt, p=p.with_correction(v_new))
+    """One semi-implicit step (:func:`pnedge.static.semi_implicit_update`);
+    first order, unconditionally stable in the linear part, static profile
+    exactly stationary."""
+    _check_dt(dt)
+    inv = s._invariants()
+    g = np.multiply(s.p.params.c0, inv.lam_bg, out=inv.work)
+    g += s._wp_u1
+    return _advance(s, dt, semi_implicit_update, g)
 
 
 def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
@@ -226,16 +300,14 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     T reads W'(u1) at ``u1 = u_bg + v_state``, which equals ``u1* + v``
     up to rounding (exactly when the reference correction is zero).
     """
-    if dt <= 0:
-        raise ValueError(f"time step must be positive, got {dt}")
+    _check_dt(dt)
     if s.reference is None:
         raise ValueError("ETD stepping requires a reference static profile")
-    p = s.p
-    v = s.deviation()
     inv = s._invariants()
-    T = v - s._wp_u1 + inv.wp_star
-    v_new = apply_symbol(p.grid, np.stack([v, T]), inv.etd_symbols(dt)).sum(axis=0) + s.reference.v
-    return replace(s, t=s.t + dt, p=p.with_correction(v_new))
+    T = s.deviation(out=inv.work)
+    T -= s._wp_u1
+    T += inv.wp_star
+    return _advance(s, dt, etd_update, T, inv.v_hat_star)
 
 
 _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}
@@ -250,8 +322,8 @@ def run_dynamics(
     halved and retried (at most ``max_halvings`` times; underflow raises
     :class:`TimeStepUnderflowError` carrying the partial trace).
     """
-    if T_end <= 0:
-        raise ValueError(f"T_end must be positive, got {T_end}")
+    if not 0.0 < T_end < np.inf:
+        raise ValueError(f"T_end must be positive and finite, got {T_end}")
     opts = opts or RunOptions()
     stepper = _STEPPERS.get(opts.method)
     if stepper is None:
@@ -263,8 +335,7 @@ def run_dynamics(
 
     def norms(state):
         r = _residual(state)
-        q = float(state.p.grid.h * np.sum(r.samples**2))
-        return q, r.linf
+        return _squared_l2(r), r.linf
 
     trace = DynamicsTrace()
     s = s0

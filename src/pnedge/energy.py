@@ -38,11 +38,11 @@ from .errors import DivergenceError
 from .extension import (
     _analytic_stress,
     _strain_multipliers,
-    extend_trace_strains,
+    _strains_of_spectrum,
     strains_to_stresses,
 )
 from .grid import Grid1D
-from .operators import hs_seminorm_grid, inner_h, mode_weights
+from .operators import hs_seminorm_grid, inner_h, mode_weights, rfft
 from .params import PhysParams
 from .potential import PotentialSpec, eval_potential
 from .profile import Profile
@@ -262,12 +262,12 @@ def _cross_table(p: Profile, quad: Optional[BoxQuadrature]) -> np.ndarray:
     G, nu = prm.G, prm.nu
     q = grid.xi_r
     xs = grid.x - p.x0
-    v_hat = np.fft.rfft(p.v) if np.any(p.v) else None
+    v_hat = rfft(p.v) if np.any(p.v) else None
     acc = np.zeros(len(q), dtype=complex)
     for y, wt in zip(ys, wy):
         m11, m22, m12 = _parseval_multipliers(_strain_multipliers(q, y, nu))
         s11, s12, s22, _ = _analytic_stress(xs, y, G, prm.b, nu, p.zeta_bg, +1.0)
-        S11, S22, S12 = np.fft.rfft(np.stack([s11, s22, s12]))
+        S11, S22, S12 = rfft(np.stack([s11, s22, s12]))
         if v_hat is not None:
             c11, c12, c22, _ = strains_to_stresses(m11 * v_hat, m22 * v_hat, m12 * v_hat,
                                                    G, nu)
@@ -277,12 +277,12 @@ def _cross_table(p: Profile, quad: Optional[BoxQuadrature]) -> np.ndarray:
 
 
 def _quadratic(table: np.ndarray, phi1) -> float:
-    th = np.fft.rfft(np.asarray(phi1, dtype=float))
+    th = rfft(np.asarray(phi1, dtype=float))
     return float(np.dot(table, _abs2(th)))
 
 
 def _bilinear(table: np.ndarray, phi1) -> float:
-    return float(np.dot(table, np.fft.rfft(np.asarray(phi1, dtype=float))).real)
+    return float(np.dot(table, rfft(np.asarray(phi1, dtype=float))).real)
 
 
 @dataclass(frozen=True)
@@ -397,6 +397,7 @@ def elastic_energy_box(
     has_v = bool(np.any(p.v))
     if has_v:
         # correction stresses live on the periodic grid; restrict to the window
+        v_hat = rfft(p.v)
         mask = np.abs(p.grid.x) <= R
         xg = p.grid.x[mask] - p.x0
         wxg = np.full(xg.shape, p.grid.h)
@@ -406,7 +407,7 @@ def elastic_energy_box(
         s11, s12, s22, _ = _analytic_stress(xw - p.x0, y, G, prm.b, nu, p.zeta_bg, +1.0)
         total += wt * float(np.sum(wx * density(s11, s12, s22)))
         if has_v:
-            ev = extend_trace_strains(p.grid, p.v, nu, y)
+            ev = _strains_of_spectrum(p.grid, v_hat, nu, y)
             c11, c12, c22, _ = strains_to_stresses(*(e[mask] for e in ev), G, nu)
             b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
             corr = (density(b11 + c11, b12 + c12, b22 + c22)

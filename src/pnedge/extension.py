@@ -27,7 +27,7 @@ import numpy as np
 
 from .errors import DivergenceError
 from .grid import Grid1D, SpectralField
-from .operators import apply_half_laplacian, apply_symbol, hs_seminorm_grid
+from .operators import apply_half_laplacian, hs_seminorm_grid, irfft, rfft
 from .params import PhysParams
 from .profile import Profile
 
@@ -146,20 +146,30 @@ def _strain_multipliers(q, y, nu):
     return e11, e22, e12
 
 
-def extend_trace_displacement(grid: Grid1D, trace: np.ndarray, nu: float, y: float):
-    """Upper-half displacement (u1, u2) at height y >= 0 of a decaying trace."""
+def _displacement_of_spectrum(grid: Grid1D, trace_hat: np.ndarray, nu: float, y: float):
+    """:func:`extend_trace_displacement` from the trace's ``rfft``, so that a
+    caller sampling many levels transforms the trace once."""
     beta = 1.0 / (2.0 - 2.0 * nu)
     q = grid.xi_r
     symbols = np.stack([_u1_factor(q, beta, y), _u2_multiplier(q, nu, beta, y)])
-    u1, u2 = apply_symbol(grid, np.asarray(trace, float), symbols)
+    u1, u2 = irfft(grid, symbols * trace_hat)
     return u1, u2
+
+
+def _strains_of_spectrum(grid: Grid1D, trace_hat: np.ndarray, nu: float, y: float):
+    """:func:`extend_trace_strains` from the trace's ``rfft``."""
+    e11, e22, e12 = irfft(grid, np.stack(_strain_multipliers(grid.xi_r, y, nu)) * trace_hat)
+    return e11, e22, e12
+
+
+def extend_trace_displacement(grid: Grid1D, trace: np.ndarray, nu: float, y: float):
+    """Upper-half displacement (u1, u2) at height y >= 0 of a decaying trace."""
+    return _displacement_of_spectrum(grid, rfft(np.asarray(trace, float)), nu, y)
 
 
 def extend_trace_strains(grid: Grid1D, trace: np.ndarray, nu: float, y: float):
     """Upper-half strains (e11, e22, e12) at height y >= 0 of a decaying trace."""
-    symbols = np.stack(_strain_multipliers(grid.xi_r, y, nu))
-    e11, e22, e12 = apply_symbol(grid, np.asarray(trace, float), symbols)
-    return e11, e22, e12
+    return _strains_of_spectrum(grid, rfft(np.asarray(trace, float)), nu, y)
 
 
 def strains_to_stresses(e11, e22, e12, G: float, nu: float):
@@ -242,11 +252,11 @@ def extend_to_half_planes(p: Profile, yl: YLevels) -> HalfPlaneField:
     n_lev = len(yl.values)
     u1p = np.empty((n_lev, grid.N))
     u2p = np.empty((n_lev, grid.N))
-    has_v = bool(np.any(p.v))
+    v_hat = rfft(p.v) if np.any(p.v) else None
     for i, y in enumerate(yl.values):
         b1, b2 = _analytic_displacement(xs, y, prm.b, prm.nu, p.zeta_bg, +1.0)
-        if has_v:
-            c1, c2 = extend_trace_displacement(grid, p.v, prm.nu, y)
+        if v_hat is not None:
+            c1, c2 = _displacement_of_spectrum(grid, v_hat, prm.nu, y)
             b1 = b1 + c1
             b2 = b2 + c2
         u1p[i] = b1
@@ -280,11 +290,11 @@ def stress_field(p: Profile, yl: YLevels) -> StressField:
     xs = grid.x - p.x0
     n_lev = len(yl.values)
     comps = {k: np.empty((n_lev, grid.N)) for k in ("s11", "s12", "s22", "s33")}
-    has_v = bool(np.any(p.v))
+    v_hat = rfft(p.v) if np.any(p.v) else None
     for i, y in enumerate(yl.values):
         s11, s12, s22, s33 = _analytic_stress(xs, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
-        if has_v:
-            e11, e22, e12 = extend_trace_strains(grid, p.v, prm.nu, y)
+        if v_hat is not None:
+            e11, e22, e12 = _strains_of_spectrum(grid, v_hat, prm.nu, y)
             c11, c12, c22, c33 = strains_to_stresses(e11, e22, e12, prm.G, prm.nu)
             s11, s12, s22, s33 = s11 + c11, s12 + c12, s22 + c22, s33 + c33
         comps["s11"][i], comps["s12"][i] = s11, s12

@@ -7,7 +7,10 @@ and are diagonal in Fourier space:
 * Hilbert transform  ``H``: symbol ``-i sgn(xi)``,
 * derivative ``d_x``: symbol ``i xi``.
 
-Conventions: every multiplier is applied by :func:`apply_symbol`, i.e.
+Conventions: every transform goes through the pair :func:`rfft` /
+:func:`irfft` (thin wrappers of ``numpy.fft`` that accept ``out=``, so a
+caller that keeps a spectrum, or reuses work buffers, stays on the one
+layer), and every multiplier is applied by :func:`apply_symbol`, i.e.
 ``irfft(symbol * rfft(f))`` with the symbol given on the N/2 + 1 rfft
 modes ``grid.xi_r = pi k / L``, ``k = 0 .. N/2``.  The zero mode of
 ``|xi|`` and ``sgn(xi)`` is 0 (the mean is annihilated).  The Nyquist
@@ -16,7 +19,8 @@ bin, so the odd symbols (``sgn``, ``i xi``) map it to 0, a shift
 ``e^{i xi a}`` keeps its cosine, and real input maps to real output by
 construction.  With these choices ``H(d_x f) == (-d_xx)^{1/2} f`` holds
 to roundoff for any f with no Nyquist content.  Sums over the rfft
-modes use the Parseval weights of :func:`mode_weights`.
+modes use the Parseval weights of :func:`mode_weights`, and a squared
+``H^s`` seminorm those of :func:`seminorm_weights`.
 """
 
 from __future__ import annotations
@@ -37,6 +41,22 @@ def _check_samples(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     return f
 
 
+def rfft(f: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Spectrum of real samples on the rfft modes ``grid.xi_r`` (last axis).
+
+    ``out``, a complex array of the spectrum's shape, receives it in place.
+    """
+    return np.fft.rfft(f, out=out)
+
+
+def irfft(grid: Grid1D, f_hat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
+    """Real samples on ``grid`` of a spectrum on the rfft modes (last axis N/2 + 1).
+
+    ``out``, a real array of the samples' shape, receives them in place.
+    """
+    return np.fft.irfft(f_hat, grid.N, out=out)
+
+
 def apply_symbol(grid: Grid1D, f: np.ndarray, symbol) -> np.ndarray:
     """``irfft(symbol * rfft(f))``: the Fourier multiplier ``symbol`` on real samples.
 
@@ -44,7 +64,7 @@ def apply_symbol(grid: Grid1D, f: np.ndarray, symbol) -> np.ndarray:
     stacked symbols or stacked samples broadcast to stacked outputs, one
     batched transform each way.
     """
-    return np.fft.irfft(symbol * np.fft.rfft(f), grid.N)
+    return irfft(grid, symbol * rfft(f))
 
 
 def mode_weights(grid: Grid1D) -> np.ndarray:
@@ -97,7 +117,7 @@ def fourier_interpolate(grid: Grid1D, f: np.ndarray, xq):
     f = _check_samples(grid, f)
     scalar = np.isscalar(xq)
     dx = np.atleast_1d(np.asarray(xq, dtype=float)) - grid.x[0]
-    coeffs = mode_weights(grid) / grid.h * np.fft.rfft(f)
+    coeffs = mode_weights(grid) / grid.h * rfft(f)
     vals = (np.exp(1j * np.outer(dx, grid.xi_r)) @ coeffs).real
     return float(vals[0]) if scalar else vals
 
@@ -106,18 +126,24 @@ def fourier_interpolate(grid: Grid1D, f: np.ndarray, xq):
 # Homogeneous Sobolev seminorms
 # ---------------------------------------------------------------------------
 
+def seminorm_weights(grid: Grid1D, s: float) -> np.ndarray:
+    """Weights ``w_k |xi_k|^{2s}`` (zero mode 0) of :func:`mode_weights`:
+    the squared ``H^s`` seminorm of real samples is their sum against
+    ``|rfft(f)_k|^2``."""
+    q = grid.xi_r
+    with np.errstate(divide="ignore"):
+        return mode_weights(grid) * np.where(q > 0, q ** (2.0 * s), 0.0)
+
+
 def hs_seminorm_grid(grid: Grid1D, f: np.ndarray, s: float) -> float:
     """Squared seminorm ``(1/2pi) sum |xi_k|^{2s} |c_k|^2 * (pi/L)``.
 
-    Summed over the rfft modes with the Parseval weights.  Valid for
+    Summed over the rfft modes with :func:`seminorm_weights`.  Valid for
     decaying samples; equals ``<f, (-d_xx)^{1/2} f>_h`` exactly at
     ``s = 1/2``.
     """
-    spec = np.fft.rfft(_check_samples(grid, f))
-    q = grid.xi_r
-    with np.errstate(divide="ignore"):
-        weights = np.where(q > 0, q ** (2.0 * s), 0.0)
-    return float(np.sum(mode_weights(grid) * weights * (spec.real**2 + spec.imag**2)))
+    spec = rfft(_check_samples(grid, f))
+    return float(np.sum(seminorm_weights(grid, s) * (spec.real**2 + spec.imag**2)))
 
 
 def background_transform(b: float, zeta: float, xi: np.ndarray) -> np.ndarray:

@@ -99,12 +99,21 @@ def eval_potential(spec: PotentialSpec, u, order: int = 0):
     u = np.asarray(u, dtype=float)
     p = spec.params
     if spec.kind == "frenkel":
-        arg = 4.0 * np.pi * u / p.b
+        # one array transformed in place: the values of the closed forms
+        # without their N-sized temporaries
+        w = np.multiply(4.0 * np.pi, u, out=np.empty(u.shape))
+        w /= p.b
         if order == 0:
-            return p.G * p.b**2 / (4.0 * np.pi**2 * p.d) * (1.0 + np.cos(arg))
-        if order == 1:
-            return -p.G * p.b / (np.pi * p.d) * np.sin(arg)
-        return -4.0 * p.G / p.d * np.cos(arg)
+            np.cos(w, out=w)
+            w += 1.0
+            w *= p.G * p.b**2 / (4.0 * np.pi**2 * p.d)
+        elif order == 1:
+            np.sin(w, out=w)
+            w *= -p.G * p.b / (np.pi * p.d)
+        else:
+            np.cos(w, out=w)
+            w *= -4.0 * p.G / p.d
+        return w[()]  # a scalar for a scalar u
     spline = spec._spline
     uq = np.mod(u, spec.period)
     return spline(uq, nu=order)

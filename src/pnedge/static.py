@@ -76,27 +76,27 @@ class SolveResult:
     monotone: bool
 
 
-def half_laplacian_profile(p: Profile, lam_bg: np.ndarray | None = None) -> np.ndarray:
-    """``(-d_xx)^{1/2} u1``: closed-form background plus spectral correction.
-
-    ``lam_bg`` is the background part, for a caller that holds it already.
-    """
-    out = p.half_laplacian_background() if lam_bg is None else lam_bg
+def half_laplacian_profile(p: Profile) -> np.ndarray:
+    """``(-d_xx)^{1/2} u1``: closed-form background plus spectral correction."""
+    out = p.half_laplacian_background()
     if np.any(p.v):
         out = out + apply_half_laplacian(p.grid, p.v)
     return out
 
 
 def residual(p: Profile, spec: PotentialSpec, wp: np.ndarray | None = None,
-             lam_bg: np.ndarray | None = None) -> ResidualField:
+             lam: np.ndarray | None = None) -> ResidualField:
     """Force-balance residual of a profile under a misfit potential.
 
-    ``wp = W'(u1)`` and ``lam_bg = (-d_xx)^{1/2} u_bg`` are computed
-    unless the caller passes them (the dynamics caches both).
+    ``wp = W'(u1)`` and ``lam = (-d_xx)^{1/2} u1`` are computed unless
+    the caller passes them (the dynamics holds both); neither is kept.
     """
     if wp is None:
         wp = eval_potential(spec, p.u1, 1)
-    r = p.params.c0 * half_laplacian_profile(p, lam_bg) + wp
+    if lam is None:
+        lam = half_laplacian_profile(p)
+    r = p.params.c0 * lam
+    r += wp
     return ResidualField(grid=p.grid, samples=r)
 
 

@@ -312,3 +312,98 @@ def test_two_potential_evaluations_per_accepted_step(bump_state, monkeypatch, me
     assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
     # W'(u1) and W(u1) per step; W(u1*), W'(u1*), and W'(u1) and W(u1) of the start
     assert len(calls) <= 2 * 10 + 4
+
+
+# ---------------------------------------------------------------------------
+# spectral state and work buffers
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("method", ["semi_implicit", "etd"])
+def test_three_transforms_per_accepted_step(bump_state, monkeypatch, method):
+    calls = []
+
+    def counting(transform):
+        def counted(*args, **kwargs):
+            calls.append(transform.__name__)
+            return transform(*args, **kwargs)
+        return counted
+
+    for name in ("rfft", "irfft", "fft", "ifft"):
+        monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
+    _, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=0.1, method=method))
+    assert len(trace.times) == 11
+    assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
+    # per step: rfft of the force, irfft of v_hat+, irfft of |xi| v_hat for the
+    # residual; c = 3: rfft(v) of the start, rfft(v*) of the run record, and
+    # the start's residual
+    assert len(calls) <= 3 * 10 + 3
+    assert set(calls) <= {"rfft", "irfft"}
+
+
+@pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
+def test_carried_spectrum_matches_transform_of_samples(bump_state, step):
+    s = bump_state
+    for _ in range(20):
+        s = step(s, 0.1)
+    v_hat = np.fft.rfft(s.p.v)
+    assert np.max(np.abs(s._v_hat - v_hat)) <= 1e-12 * np.max(np.abs(v_hat))
+
+
+def test_replace_never_carries_a_stale_spectrum(bump_state, grid, params):
+    from dataclasses import replace
+
+    s = step_etd(step_semi_implicit(bump_state, 0.1), 0.1)  # spectrum built by steps
+    other = 0.05 * params.b * np.exp(-(grid.x - 2.0 * params.zeta) ** 2 / params.zeta**2)
+    for moved in (replace(s, p=s.p.with_correction(other)), replace(s, p=s.p),
+                  replace(s, t=3.0)):
+        _assert_same_as_fresh(moved, steppers=(step_etd, step_semi_implicit))
+        assert np.array_equal(moved._v_hat, np.fft.rfft(moved.p.v))
+
+
+@pytest.mark.parametrize("method, dt", [("semi_implicit", 0.1), ("etd", 0.1),
+                                        ("semi_implicit", 2.0), ("etd", 3.0)])
+def test_buffers_never_alias_an_accepted_state(bump_state, monkeypatch, method, dt):
+    from pnedge import dynamics
+
+    made = []  # every candidate, with copies of its values when it was made
+    step = dynamics._STEPPERS[method]
+
+    def recording(s, step_dt):
+        cand = step(s, step_dt)
+        made.append((cand, cand.p.v.copy(), cand._v_hat.copy()))
+        return cand
+
+    monkeypatch.setitem(dynamics._STEPPERS, method, recording)
+    _, trace = run_dynamics(bump_state, 6.0, RunOptions(dt=dt, method=method))
+    if dt > 1.0:
+        assert len(made) > len(trace.times) - 1  # the run halved some steps
+    for t, F, Q in zip(trace.times[1:], trace.F_values[1:], trace.Q_values[1:]):
+        s, v, v_hat = [m for m in made if m[0].t == t][-1]  # the accepted candidate
+        assert np.array_equal(s.p.v, v)
+        assert np.array_equal(s._v_hat, v_hat)
+        assert free_energy(s) == F
+        assert dissipation_rate(s) == Q
+
+
+@pytest.mark.parametrize("T_end", [float("inf"), float("nan"), 0.0, -1.0])
+def test_run_rejects_bad_end_time(bump_state, T_end):
+    with pytest.raises(ValueError, match="T_end"):
+        run_dynamics(bump_state, T_end)
+
+
+@pytest.mark.parametrize("field, value", [
+    ("dt", float("nan")), ("dt", float("inf")), ("dt", 0.0), ("dt", -0.1),
+    ("max_halvings", -1), ("max_halvings", 2.5), ("max_halvings", float("nan")),
+    ("f_increase_tol", float("nan")), ("f_increase_tol", float("inf")),
+    ("f_increase_tol", -float("inf")),
+])
+def test_run_options_reject_bad_values(field, value):
+    with pytest.raises(ValueError, match=field):
+        RunOptions(**{field: value})
+
+
+@pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
+@pytest.mark.parametrize("dt", [float("nan"), float("inf")])
+def test_step_rejects_nonfinite_dt(bump_state, step, dt):
+    with pytest.raises(ValueError, match="time step"):
+        step(bump_state, dt)

@@ -114,3 +114,22 @@ def test_table_csv_roundtrip(tmp_path):
     path.write_text("\n".join(lines) + "\n")
     spec = from_csv(prm, path)
     assert validate_potential(spec).passed
+
+
+def test_frenkel_in_place_evaluation_matches_closed_forms():
+    # the closed forms written out, term for term; the evaluation works on
+    # one array in place and must give the same bits and types
+    p = PhysParams(G=0.8, nu=0.3, b=1.3, d=0.9)
+    fr = frenkel(p)
+    u = np.random.default_rng(3).uniform(-p.b, p.b, 257)
+    arg = 4.0 * np.pi * u / p.b
+    closed = [p.G * p.b**2 / (4.0 * np.pi**2 * p.d) * (1.0 + np.cos(arg)),
+              -p.G * p.b / (np.pi * p.d) * np.sin(arg),
+              -4.0 * p.G / p.d * np.cos(arg)]
+    for order, expected in enumerate(closed):
+        np.testing.assert_array_equal(eval_potential(fr, u, order), expected)
+        scalar = eval_potential(fr, float(u[7]), order)
+        assert isinstance(scalar, np.float64) and scalar == expected[7]
+    u_before = u.copy()
+    eval_potential(fr, u, 1)
+    np.testing.assert_array_equal(u, u_before)  # the input is left alone

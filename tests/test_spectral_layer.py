@@ -74,7 +74,7 @@ def _fft_uses(path):
 
 
 def test_fft_transforms_stay_in_the_spectral_layer():
-    spectral = {"operators.py", "grid.py", "energy.py"}
+    spectral = {"operators.py", "grid.py"}
     outside = [(path.name, lineno, name)
                for path in sorted(SRC.glob("*.py")) if path.name not in spectral
                for lineno, name in _fft_uses(path) if name != "fftfreq"]
