@@ -31,7 +31,7 @@ Only v changes along a trajectory, so the rest is evaluated once:
 * per run, a private record on :class:`DynamicsState` holds the
   background u_bg on the grid and ``(-d_xx)^{1/2} u_bg``, the reference
   ``u1*`` with ``W(u1*)``, ``W'(u1*)`` and ``v_hat*``, the seminorm
-  weights of F, the update symbols of each (method, step size) used, and
+  weights of F, the update symbols of the latest (method, step size), and
   two work buffers, one of samples and one of spectrum.  Steps pass it on
   to the states they make.
   A state whose grid, parameters, ``zeta_bg``, ``x0``, reference or
@@ -81,14 +81,17 @@ class DynamicsState:
     reference: Optional[Profile] = None  # static profile u1* for F, Q and ETD
     _run: Optional[_RunInvariants] = field(default=None, compare=False, repr=False)
 
-    def deviation(self, out: Optional[np.ndarray] = None) -> np.ndarray:
-        """v = u1 - u1* on the grid (requires matching backgrounds), into ``out`` if given."""
+    def __post_init__(self):
+        """Reject a reference whose background is not the state's."""
+        ref = self.reference
+        if ref is not None and (ref.zeta_bg != self.p.zeta_bg or ref.x0 != self.p.x0):
+            raise ValueError("reference background differs from the state background")
+
+    def deviation(self) -> np.ndarray:
+        """v = u1 - u1* on the grid."""
         if self.reference is None:
             raise ValueError("no reference static profile set")
-        ref = self.reference
-        if ref.zeta_bg != self.p.zeta_bg or ref.x0 != self.p.x0:
-            raise ValueError("reference background differs from the state background")
-        return np.subtract(self.p.v, ref.v, out=out)
+        return self.p.v - self.reference.v
 
     def _invariants(self) -> _RunInvariants:
         """The run record, rebuilt if it was made for another run."""
@@ -130,7 +133,7 @@ class _RunInvariants:
     hs_weights: np.ndarray  # seminorm weights of F
     work: np.ndarray
     work_hat: np.ndarray
-    _symbols: dict = field(default_factory=dict)  # (kernel, dt) -> stacked symbols
+    _symbols: dict = field(default_factory=dict)  # latest (kernel, dt) -> stacked symbols
 
     @classmethod
     def of(cls, s: DynamicsState) -> _RunInvariants:
@@ -161,6 +164,7 @@ class _RunInvariants:
         if symbols is None:
             q, c0 = self.grid.xi_r, self.params.c0
             symbols = np.stack([kernel(1.0, 0.0, dt, c0, q), kernel(0.0, 1.0, dt, c0, q)])
+            self._symbols.clear()  # keep the latest step size only
             self._symbols[(kernel, dt)] = symbols
         return symbols
 
@@ -212,7 +216,7 @@ def free_energy(s: DynamicsState) -> float:
         raise ValueError("free energy needs a reference static profile")
     inv = s._invariants()
     h = s.p.grid.h
-    v = s.deviation(out=inv.work)
+    v = np.subtract(s.p.v, s.reference.v, out=inv.work)  # s.deviation(), in the buffer
     lin = -h * float(np.dot(v, inv.wp_star))
     w = eval_potential(s.spec, np.add(inv.u_star, v, out=v), 0)  # W(u1* + v)
     w -= inv.w_star
@@ -260,22 +264,18 @@ def _check_dt(dt: float) -> None:
 
 
 def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
-             v_hat_star: Optional[np.ndarray] = None) -> DynamicsState:
+             v_hat_star=0.0) -> DynamicsState:
     """One step of the linear update ``kernel``: ``v_hat+ = S_v (v_hat - v_hat*)
     + S_f rfft(force) + v_hat*`` with the kernel's symbols at dt, summed on
     the modes (``v_hat* = 0`` unless given); one rfft and one irfft."""
     inv = s._invariants()
     s_v, s_f = inv.symbols(kernel, dt)
+    v_hat = s._v_hat - v_hat_star
+    v_hat *= s_v
     f_hat = rfft(force, out=inv.work_hat)
     f_hat *= s_f
-    if v_hat_star is None:
-        v_hat = s_v * s._v_hat
-    else:
-        v_hat = np.subtract(s._v_hat, v_hat_star)
-        v_hat *= s_v
     v_hat += f_hat
-    if v_hat_star is not None:
-        v_hat += v_hat_star
+    v_hat += v_hat_star
     new = replace(s, t=s.t + dt, p=s.p.with_correction(irfft(s.p.grid, v_hat)))
     new.__dict__["_v_hat"] = v_hat  # the cache slot of the property
     return new
@@ -304,7 +304,7 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     if s.reference is None:
         raise ValueError("ETD stepping requires a reference static profile")
     inv = s._invariants()
-    T = s.deviation(out=inv.work)
+    T = np.subtract(s.p.v, s.reference.v, out=inv.work)  # s.deviation(), in the buffer
     T -= s._wp_u1
     T += inv.wp_star
     return _advance(s, dt, etd_update, T, inv.v_hat_star)

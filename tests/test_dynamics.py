@@ -407,3 +407,16 @@ def test_run_options_reject_bad_values(field, value):
 def test_step_rejects_nonfinite_dt(bump_state, step, dt):
     with pytest.raises(ValueError, match="time step"):
         step(bump_state, dt)
+
+
+@pytest.mark.parametrize("change", [{"zeta_bg": 1.5}, {"x0": 0.3}])
+def test_state_rejects_reference_with_another_background(bump_state, change):
+    from dataclasses import replace
+
+    moved = replace(bump_state.p, **change)
+    assert moved.zeta_bg != bump_state.p.zeta_bg or moved.x0 != bump_state.p.x0
+    with pytest.raises(ValueError, match="background"):
+        DynamicsState(t=0.0, p=moved, spec=bump_state.spec, reference=bump_state.reference)
+    with pytest.raises(ValueError, match="background"):
+        replace(bump_state, p=moved)
+    assert replace(bump_state, p=moved, reference=None).reference is None
