@@ -28,7 +28,6 @@ from __future__ import annotations
 from typing import Literal, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .errors import DivergenceError
 from .grid import Grid1D
@@ -161,6 +160,8 @@ def background_transform(b: float, zeta: float, xi: np.ndarray) -> np.ndarray:
 
 def _half_line_quad(integrand) -> float:
     """Adaptive ``quad`` over (0, inf) as the sum over (0, 1) and (1, inf)."""
+    from scipy.integrate import quad  # kept off the solve path's imports
+
     inner, _ = quad(integrand, 0.0, 1.0, limit=200)
     outer, _ = quad(integrand, 1.0, np.inf, limit=200)
     return inner + outer

@@ -15,12 +15,14 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Optional
+from typing import TYPE_CHECKING, Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
 
 from .params import PhysParams
+
+if TYPE_CHECKING:
+    from scipy.interpolate import CubicSpline
 
 #: number of dense samples used by the structural validation checks
 _SCAN_POINTS = 10_000
@@ -73,6 +75,8 @@ def from_csv(params: PhysParams, path) -> PotentialSpec:
 
 
 def _build_periodic_spline(table: np.ndarray, period: float) -> CubicSpline:
+    from scipy.interpolate import CubicSpline  # only tables need scipy
+
     table = np.asarray(table, dtype=float)
     if table.ndim != 2 or table.shape[1] != 2:
         raise ValueError("potential table must have two columns (u, W)")

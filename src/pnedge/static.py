@@ -10,16 +10,24 @@ matrix-free Newton polish.  The background part of the half-Laplacian
 uses the closed form, so the arctan core with ``zeta_bg = d/(2(1-nu))``
 is an exact fixed point of the discretization under the Frenkel
 potential.
+
+The linearization ``c0 (-d_xx)^{1/2} + W''(u1)`` is symmetric but may
+be slightly indefinite on the periodic box, so the polish solves it with
+MINRES.  The module carries its own :func:`minres` (Paige-Saunders, as
+in scipy's ``scipy.sparse.linalg.minres``) and :func:`brentq` (Brent's
+bracketing root finder, as in scipy's ``scipy.optimize.brentq``, used to
+locate the zero crossing).  Both reproduce scipy's iterates bit for bit;
+carrying them keeps ``import pnedge`` and the Frenkel solve path free of
+scipy, whose import costs more than a whole default solve.
 """
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.optimize import brentq
-from scipy.sparse.linalg import LinearOperator, minres
 
 from .errors import ConvergenceError, MonotonicityWarning
 from .grid import Grid1D
@@ -144,9 +152,11 @@ def _semi_implicit_sweep(p, spec, opts, tol):
     dt_cap = 1.8 / wpp_max if wpp_max > 0 else opts.dt0
     dt = min(opts.dt0, dt_cap)
 
+    u_bg = p.background_on_grid()
+
     def res_of(vv):
-        u1 = p.background_on_grid() + vv
-        return c0 * (apply_half_laplacian(grid, vv) + lam_bg) + eval_potential(spec, u1, 1)
+        lam = apply_half_laplacian(grid, vv) + lam_bg
+        return c0 * lam + eval_potential(spec, u_bg + vv, 1)
 
     r = res_of(v)
     it = 0
@@ -163,7 +173,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
             raise ConvergenceError(
                 "pseudo-time iteration exhausted max_iters", rf.linf, rf.l2, it
             )
-        g = eval_potential(spec, p.background_on_grid() + v, 1) + c0 * lam_bg
+        g = eval_potential(spec, u_bg + v, 1) + c0 * lam_bg
         res_linf = float(np.max(np.abs(r)))
 
         # a step may not degrade monotonicity beyond the current iterate plus
@@ -208,21 +218,26 @@ def _semi_implicit_sweep(p, spec, opts, tol):
 
 def _newton_polish(p, spec, opts, tol):
     grid, params = p.grid, p.params
-    c0, N = params.c0, grid.N
+    c0 = params.c0
     w0 = max(eval_potential(spec, params.b / 4.0, 2), 0.1 * params.G / params.d)
     precon_symbol = 1.0 / (c0 * grid.xi_r + w0)
-    precon = LinearOperator((N, N), matvec=lambda z: apply_symbol(grid, z, precon_symbol))
+
+    def precon(z):
+        return apply_symbol(grid, z, precon_symbol)
+
+    u_bg = p.background_on_grid()
     v = p.v.copy()
     steps = 0
     r = residual(p.with_correction(v), spec).samples
     for _ in range(30):
         if np.max(np.abs(r)) <= tol:
             break
-        wpp = eval_potential(spec, p.background_on_grid() + v, 2)
-        jac = LinearOperator(
-            (N, N), matvec=lambda z: c0 * apply_half_laplacian(grid, z) + wpp * z
-        )
-        dv, info = minres(jac, -r, M=precon, rtol=opts.newton_tol)
+        wpp = eval_potential(spec, u_bg + v, 2)
+
+        def jac(z):
+            return c0 * apply_half_laplacian(grid, z) + wpp * z
+
+        dv, info = minres(jac, -r, precon, rtol=opts.newton_tol)
         if info != 0:
             warnings.warn(f"inner minres returned info={info}", stacklevel=2)
         # damped update: backtrack while the residual grows; stop cleanly
@@ -381,3 +396,204 @@ def burgers_density(p: Profile) -> tuple[np.ndarray, float]:
     tail = 2.0 * (p.params.b / 4.0 + right) + 2.0 * (p.params.b / 4.0 - left)
     total = float(grid.h * np.sum(rho) + tail)
     return rho, total
+
+
+# ---------------------------------------------------------------------------
+# MINRES and Brent's method, ported from scipy 1.17 so that the solve path
+# needs no scipy import.  ``minres`` follows the pure-Python
+# ``scipy/sparse/linalg/_isolve/minres.py`` (itself a translation of the
+# Paige-Saunders MATLAB code) and ``brentq`` the C routine
+# ``scipy/optimize/Zeros/brentq.c``, operation for operation, so both give
+# the same iterates as scipy to the last bit.  scipy's licence:
+#
+# Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
+# All rights reserved.
+#
+# Redistribution and use in source and binary forms, with or without
+# modification, are permitted provided that the following conditions
+# are met:
+#
+# 1. Redistributions of source code must retain the above copyright
+#    notice, this list of conditions and the following disclaimer.
+#
+# 2. Redistributions in binary form must reproduce the above
+#    copyright notice, this list of conditions and the following
+#    disclaimer in the documentation and/or other materials provided
+#    with the distribution.
+#
+# 3. Neither the name of the copyright holder nor the names of its
+#    contributors may be used to endorse or promote products derived
+#    from this software without specific prior written permission.
+#
+# THIS SOFTWARE IS PROVIDED BY THE COPYRIGHT HOLDERS AND CONTRIBUTORS
+# "AS IS" AND ANY EXPRESS OR IMPLIED WARRANTIES, INCLUDING, BUT NOT
+# LIMITED TO, THE IMPLIED WARRANTIES OF MERCHANTABILITY AND FITNESS FOR
+# A PARTICULAR PURPOSE ARE DISCLAIMED. IN NO EVENT SHALL THE COPYRIGHT
+# OWNER OR CONTRIBUTORS BE LIABLE FOR ANY DIRECT, INDIRECT, INCIDENTAL,
+# SPECIAL, EXEMPLARY, OR CONSEQUENTIAL DAMAGES (INCLUDING, BUT NOT
+# LIMITED TO, PROCUREMENT OF SUBSTITUTE GOODS OR SERVICES; LOSS OF USE,
+# DATA, OR PROFITS; OR BUSINESS INTERRUPTION) HOWEVER CAUSED AND ON ANY
+# THEORY OF LIABILITY, WHETHER IN CONTRACT, STRICT LIABILITY, OR TORT
+# (INCLUDING NEGLIGENCE OR OTHERWISE) ARISING IN ANY WAY OUT OF THE USE
+# OF THIS SOFTWARE, EVEN IF ADVISED OF THE POSSIBILITY OF SUCH DAMAGE.
+# ---------------------------------------------------------------------------
+
+_EPS = float(np.finfo(float).eps)
+
+
+def minres(matvec, b, psolve, rtol=1e-5, maxiter=None):
+    """Preconditioned MINRES for a symmetric ``A x = b`` from ``x0 = 0``.
+
+    ``matvec(z) = A z``; ``psolve(z) = M z`` applies a symmetric positive
+    definite preconditioner that approximates ``A^{-1}``.  Returns
+    ``(x, info)`` with ``info = 0`` on a stop by scipy's tests (relative
+    residual or ``||A r||`` below ``rtol``, roundoff level, ``cond(A)``
+    beyond ``0.1/eps``) and ``info = maxiter`` (default ``5 n``) when the
+    iteration limit ends the run.  Raises ``ValueError`` when ``M`` is
+    indefinite or ``A`` is found not symmetric.
+    """
+    b = np.asarray(b, dtype=float).ravel()
+    n = b.shape[0]
+    if maxiter is None:
+        maxiter = 5 * n
+    x = np.zeros(n)
+
+    # first Lanczos vector: y = M r1 with r1 = b (x0 = 0)
+    r1 = b.copy()
+    y = psolve(r1)
+    beta1 = np.inner(r1, y)
+    if beta1 < 0:
+        raise ValueError("indefinite preconditioner")
+    elif beta1 == 0:
+        return x, 0
+    beta1 = math.sqrt(beta1)
+
+    beta = beta1
+    dbar = 0
+    epsln = 0
+    phibar = beta1
+    tnorm2 = 0
+    gmax = 0
+    gmin = np.finfo(float).max
+    cs = -1
+    sn = 0
+    w = np.zeros(n)
+    w2 = np.zeros(n)
+    r2 = r1
+    for itn in range(1, maxiter + 1):
+        # Lanczos step
+        v = (1.0 / beta) * y
+        y = matvec(v)
+        if itn >= 2:
+            y = y - (beta / oldb) * r1
+        alfa = np.inner(v, y)
+        y = y - (alfa / beta) * r2
+        r1 = r2
+        r2 = y
+        y = psolve(r2)
+        oldb = beta
+        beta = np.inner(r2, y)
+        if beta < 0:
+            raise ValueError("non-symmetric matrix")
+        beta = math.sqrt(beta)
+        tnorm2 += alfa**2 + oldb**2 + beta**2
+        # Abar = const * I: stop after this step
+        exact = itn == 1 and beta / beta1 <= 10 * _EPS
+
+        # apply the previous rotation, then compute the next one
+        oldeps = epsln
+        delta = cs * dbar + sn * alfa
+        gbar = sn * dbar - cs * alfa
+        epsln = sn * beta
+        dbar = -cs * beta
+        root = np.linalg.norm([gbar, dbar])
+        gamma = max(np.linalg.norm([gbar, beta]), _EPS)
+        cs = gbar / gamma
+        sn = beta / gamma
+        phi = cs * phibar
+        phibar = sn * phibar
+
+        # update x
+        w1 = w2
+        w2 = w
+        w = (v - oldeps * w1 - delta * w2) * (1.0 / gamma)
+        x = x + phi * w
+
+        # norm estimates and scipy's stopping tests
+        gmax = max(gmax, gamma)
+        gmin = min(gmin, gamma)
+        anorm = math.sqrt(tnorm2)
+        ynorm = np.linalg.norm(x)
+        test1 = np.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
+        test2 = np.inf if anorm == 0 else root / anorm
+        if (exact or test1 <= rtol or test2 <= rtol or anorm * ynorm * _EPS >= beta1
+                or gmax / gmin >= 0.1 / _EPS):
+            return x, 0
+        # scipy lets the iteration limit outrank these two roundoff tests
+        if itn < maxiter and (1 + test1 <= 1 or 1 + test2 <= 1):
+            return x, 0
+    return x, maxiter
+
+
+def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+    """Root of ``f`` in ``[a, b]`` by Brent's method; ``f(a)`` and ``f(b)``
+    must differ in sign.
+
+    Converges when half the bracket is below ``(xtol + rtol |x|) / 2``.
+    Raises ``ValueError`` for a bad bracket or tolerance or a NaN value
+    of ``f``, and ``RuntimeError`` after ``maxiter`` iterations.
+    """
+    if xtol <= 0:
+        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
+    if rtol < 4 * _EPS:
+        raise ValueError(f"rtol too small ({rtol:g} < {4 * _EPS:g})")
+
+    def fx(x):
+        y = float(f(x))
+        if math.isnan(y):
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return y
+
+    xpre, xcur = float(a), float(b)
+    xblk = fblk = spre = scur = 0.0
+    fpre, fcur = fx(xpre), fx(xcur)
+    if fpre == 0:
+        return xpre
+    if fcur == 0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(maxiter):
+        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0 or abs(sbis) < delta:
+            return xcur
+
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            try:
+                if xpre == xblk:
+                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
+                else:
+                    dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
+                    dblk = (fblk - fcur) / (xblk - xcur)
+                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            except ZeroDivisionError:
+                stry = math.inf  # an underflowed denominator: C gets inf or nan, and bisects
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis  # bisect
+        else:
+            spre = scur = sbis  # bisect
+
+        xpre, fpre = xcur, fcur
+        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
+        fcur = fx(xcur)
+    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

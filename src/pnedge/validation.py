@@ -15,10 +15,10 @@ numerically the bare tolerances.
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, field
 
 import numpy as np
-from scipy.special import gamma as gamma_fn
 
 from .config import RunConfig, box_radii, run_setup, solve_options
 from .dynamics import (
@@ -172,7 +172,7 @@ def check_sobolev(ctx: SuiteContext) -> list[CheckResult]:
     out = []
     errs = []
     for s in (0.75, 1.0, 1.5):
-        closed = b * b * gamma_fn(2 * s - 1) / (4.0 * np.pi * (2.0 * z) ** (2 * s - 1))
+        closed = b * b * math.gamma(2 * s - 1) / (4.0 * np.pi * (2.0 * z) ** (2 * s - 1))
         got = hs_seminorm_analytic(b, z, s)
         errs.append(abs(got - closed) / closed)
     out.append(_leq("03.sobolev.analytic_vs_gamma", np.max(errs), 1e-3,

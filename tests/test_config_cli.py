@@ -1,8 +1,10 @@
 """Configuration parsing and the command-line interface."""
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,6 +255,39 @@ def test_cli_entry_point_runs():
                           capture_output=True, text=True)
     assert proc.returncode == 0
     assert "solve-static" in proc.stdout
+
+
+_NO_SCIPY_RUN = """
+import sys
+from pnedge.cli import main
+
+out, common = sys.argv[1], ["--set", "L_over_zeta=100", "--N", "512"]
+runs = {
+    "solve-static": [],
+    "extend": ["--set", "ylevels_count=4"],
+    "energy": ["--set", "energy_n_perturbations=2", "--set", "energy_quad_levels=48",
+               "--set", "energy_y_max_over_zeta=50"],
+    "dynamics": ["--set", "dynamics_T_end=1", "--set", "dynamics_snapshot_times=0.5"],
+}
+for cmd, extra in runs.items():
+    assert main(["--output", f"{out}/{cmd}"] + common + extra + [cmd]) == 0, cmd
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_frenkel_subcommands_load_no_scipy(tmp_path):
+    # the tanh start runs the sweep, the centring root find and the MINRES polish
+    import pnedge
+
+    src = str(Path(pnedge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    summary = json.loads((tmp_path / "solve-static" / "summary.json").read_text())
+    assert summary["newton_steps"] >= 1
 
 
 def test_write_csv_17_digits(tmp_path):

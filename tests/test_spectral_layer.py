@@ -1,5 +1,9 @@
-"""The real-FFT spectral layer: Nyquist convention and where transforms live."""
+"""The real-FFT spectral layer: Nyquist convention and where transforms live.
 
+Also where scipy may be imported: nowhere at module level.
+"""
+
+import ast
 import re
 from pathlib import Path
 
@@ -86,3 +90,42 @@ def test_complex_transforms_only_in_spectral_field():
                     for path in sorted(SRC.glob("*.py")) if path.name != "grid.py"
                     for lineno, name in _fft_uses(path) if name in ("fft", "ifft")]
     assert complex_uses == []
+
+
+def _import_time_scipy(path):
+    """(line, module) of every scipy import that runs when ``path`` is imported.
+
+    Function bodies run later and ``if TYPE_CHECKING:`` blocks never do;
+    every other statement of the module (class bodies, ``if``, ``try``,
+    ``with`` blocks included) runs at import.
+    """
+    found = []
+
+    def visit(stmts):
+        for node in stmts:
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
+                visit(node.orelse)
+                continue
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            else:
+                names = []
+            found.extend((node.lineno, n) for n in names
+                         if n == "scipy" or n.startswith("scipy."))
+            for field in ("body", "orelse", "finalbody", "handlers"):
+                visit(getattr(node, field, []))
+
+    visit(ast.parse(path.read_text()).body)
+    return found
+
+
+def test_no_module_level_scipy_imports():
+    # import pnedge must stay scipy-free: the import alone costs more than a solve
+    eager = [(path.name, lineno, name)
+             for path in sorted(SRC.glob("*.py"))
+             for lineno, name in _import_time_scipy(path)]
+    assert eager == []
