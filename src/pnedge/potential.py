@@ -15,14 +15,11 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import TYPE_CHECKING, Optional
+from typing import Optional
 
 import numpy as np
 
 from .params import PhysParams
-
-if TYPE_CHECKING:
-    from scipy.interpolate import CubicSpline
 
 #: number of dense samples used by the structural validation checks
 _SCAN_POINTS = 10_000
@@ -35,7 +32,7 @@ class PotentialSpec:
     kind: str  # "frenkel" | "user_table"
     params: PhysParams
     table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _spline: Optional[CubicSpline] = field(default=None, repr=False, compare=False)
+    _spline: Optional["scipy.interpolate.CubicSpline"] = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in ("frenkel", "user_table"):
@@ -74,7 +71,7 @@ def from_csv(params: PhysParams, path) -> PotentialSpec:
     return from_table(params, np.asarray(rows))
 
 
-def _build_periodic_spline(table: np.ndarray, period: float) -> CubicSpline:
+def _build_periodic_spline(table: np.ndarray, period: float) -> "scipy.interpolate.CubicSpline":
     from scipy.interpolate import CubicSpline  # only tables need scipy
 
     table = np.asarray(table, dtype=float)

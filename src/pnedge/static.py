@@ -441,7 +441,7 @@ def burgers_density(p: Profile) -> tuple[np.ndarray, float]:
 _EPS = float(np.finfo(float).eps)
 
 
-def minres(matvec, b, psolve, rtol=1e-5, maxiter=None):
+def minres(matvec, b, psolve, rtol, maxiter=None):
     """Preconditioned MINRES for a symmetric ``A x = b`` from ``x0 = 0``.
 
     ``matvec(z) = A z``; ``psolve(z) = M z`` applies a symmetric positive
@@ -535,18 +535,17 @@ def minres(matvec, b, psolve, rtol=1e-5, maxiter=None):
     return x, maxiter
 
 
-def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
+def brentq(f, a, b, xtol=2e-12, maxiter=100):
     """Root of ``f`` in ``[a, b]`` by Brent's method; ``f(a)`` and ``f(b)``
     must differ in sign.
 
-    Converges when half the bracket is below ``(xtol + rtol |x|) / 2``.
-    Raises ``ValueError`` for a bad bracket or tolerance or a NaN value
-    of ``f``, and ``RuntimeError`` after ``maxiter`` iterations.
+    Converges when half the bracket is below ``(xtol + 4 eps |x|) / 2``,
+    scipy's default relative tolerance.  Raises ``ValueError`` for a bad
+    bracket or tolerance or a NaN value of ``f``, and ``RuntimeError``
+    after ``maxiter`` iterations.
     """
     if xtol <= 0:
         raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-    if rtol < 4 * _EPS:
-        raise ValueError(f"rtol too small ({rtol:g} < {4 * _EPS:g})")
 
     def fx(x):
         y = float(f(x))
@@ -571,7 +570,7 @@ def brentq(f, a, b, xtol=2e-12, rtol=4 * _EPS, maxiter=100):
             xpre, xcur, xblk = xcur, xblk, xcur
             fpre, fcur, fblk = fcur, fblk, fcur
 
-        delta = (xtol + rtol * abs(xcur)) / 2
+        delta = (xtol + 4 * _EPS * abs(xcur)) / 2
         sbis = (xblk - xcur) / 2
         if fcur == 0 or abs(sbis) < delta:
             return xcur

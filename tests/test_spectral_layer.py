@@ -95,18 +95,14 @@ def test_complex_transforms_only_in_spectral_field():
 def _import_time_scipy(path):
     """(line, module) of every scipy import that runs when ``path`` is imported.
 
-    Function bodies run later and ``if TYPE_CHECKING:`` blocks never do;
-    every other statement of the module (class bodies, ``if``, ``try``,
-    ``with`` blocks included) runs at import.
+    Function bodies run later; every other statement of the module (class
+    bodies, ``if``, ``try``, ``with`` blocks included) runs at import.
     """
     found = []
 
     def visit(stmts):
         for node in stmts:
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.If) and "TYPE_CHECKING" in ast.unparse(node.test):
-                visit(node.orelse)
                 continue
             if isinstance(node, ast.Import):
                 names = [alias.name for alias in node.names]
