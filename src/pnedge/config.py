@@ -101,6 +101,7 @@ class RunConfig:
                 f"got {self.ylevels_y_max_over_zeta} <= {self.ylevels_y_min_over_zeta}")
         if not 0.0 < self.nu < 0.5:
             raise ValueError(f"config key 'nu' must lie in (0, 1/2), got {self.nu}")
+        self.params  # PhysParams checks G, b and d
         if self.N % 2 != 0 or self.N < 4:
             raise ValueError(f"config key 'N' must be even and >= 4, got {self.N}")
         if self.dynamics_method not in ("semi_implicit", "etd"):
@@ -128,7 +129,7 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 #: keys whose value must be > 0 (floats are also checked for finiteness)
-_POSITIVE_KEYS = ("G", "b", "d", "L_over_zeta", "dynamics_dt", "dynamics_T_end",
+_POSITIVE_KEYS = ("L_over_zeta", "dynamics_dt", "dynamics_T_end",
                   "static_dt0", "static_max_iters", "energy_quad_levels",
                   "energy_n_perturbations", "energy_y_max_over_zeta", "ylevels_count",
                   "ylevels_y_min_over_zeta", "ylevels_y_max_over_zeta")

@@ -108,20 +108,20 @@ def residual(p: Profile, spec: PotentialSpec, wp: np.ndarray | None = None,
     return ResidualField(grid=p.grid, samples=r)
 
 
-def monotonicity_violation(p: Profile) -> float:
-    """Largest positive forward difference of u1 (0 when monotone).
+def monotonicity_violation(u1: np.ndarray) -> float:
+    """Largest positive forward difference of samples of u1 (0 when monotone).
 
     The wrap interval (between the last and first node, where the
     periodic jump lives) is not a constraint.
     """
-    return float(max(np.max(np.diff(p.u1)), 0.0))
+    return float(max(np.max(np.diff(u1)), 0.0))
 
 
 def is_monotone_decreasing(p: Profile, slack: float | None = None) -> bool:
     """Discrete check of du1/dx <= 0 at interior nodes, up to roundoff."""
     if slack is None:
         slack = 1e-10 * p.params.b
-    return monotonicity_violation(p) <= slack
+    return monotonicity_violation(p.u1) <= slack
 
 
 def semi_implicit_update(v_hat, g_hat, dt, c0, q):
@@ -139,9 +139,22 @@ def semi_implicit_step(grid: Grid1D, v: np.ndarray, g: np.ndarray, dt: float,
     return apply_symbol(grid, v - dt * g, semi_implicit_update(1.0, 0.0, dt, c0, grid.xi_r))
 
 
+def _force_balance(grid, spec, c0, u_bg, lam_bg, v):
+    """Samples of the residual at correction ``v``, and ``W'(u1)``.
+
+    The background ``u_bg`` and its half-Laplacian ``lam_bg`` are held by
+    the caller; the operations are :func:`residual`'s, in its order.
+    """
+    wp = eval_potential(spec, u_bg + v, 1)
+    r = c0 * (lam_bg + apply_half_laplacian(grid, v))
+    r += wp
+    return r, wp
+
+
 def _semi_implicit_sweep(p, spec, opts, tol):
     grid, params = p.grid, p.params
     c0 = params.c0
+    u_bg = p.background_on_grid()
     lam_bg = p.half_laplacian_background()
     v = p.v.copy()
     monotone_ok = True
@@ -152,15 +165,9 @@ def _semi_implicit_sweep(p, spec, opts, tol):
     dt_cap = 1.8 / wpp_max if wpp_max > 0 else opts.dt0
     dt = min(opts.dt0, dt_cap)
 
-    u_bg = p.background_on_grid()
-
-    def res_of(vv):
-        lam = apply_half_laplacian(grid, vv) + lam_bg
-        return c0 * lam + eval_potential(spec, u_bg + vv, 1)
-
-    r = res_of(v)
+    r, wp = _force_balance(grid, spec, c0, u_bg, lam_bg, v)
     it = 0
-    viol = monotonicity_violation(p)
+    viol = monotonicity_violation(u_bg + v)
     target = max(tol, opts.newton_switch * params.G * params.b / params.d) if opts.newton else tol
 
     def slack(res_linf):
@@ -173,7 +180,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
             raise ConvergenceError(
                 "pseudo-time iteration exhausted max_iters", rf.linf, rf.l2, it
             )
-        g = eval_potential(spec, u_bg + v, 1) + c0 * lam_bg
+        g = wp + c0 * lam_bg
         res_linf = float(np.max(np.abs(r)))
 
         # a step may not degrade monotonicity beyond the current iterate plus
@@ -184,7 +191,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
         trial_dt = dt
         for _ in range(opts.max_halvings + 1):
             v_new = semi_implicit_step(grid, v, g, trial_dt, c0)
-            viol_new = monotonicity_violation(p.with_correction(v_new))
+            viol_new = monotonicity_violation(u_bg + v_new)
             if viol_new <= max(viol, slack(res_linf)):
                 mono_accept = True
                 dt = trial_dt
@@ -199,8 +206,8 @@ def _semi_implicit_sweep(p, spec, opts, tol):
                 )
             monotone_ok = False
             v_new = semi_implicit_step(grid, v, g, dt, c0)
-            viol_new = monotonicity_violation(p.with_correction(v_new))
-        r_new = res_of(v_new)
+            viol_new = monotonicity_violation(u_bg + v_new)
+        r_new, wp_new = _force_balance(grid, spec, c0, u_bg, lam_bg, v_new)
         if float(np.max(np.abs(r_new))) > 2.0 * res_linf:
             # gross divergence guard (explicit potential force too stiff)
             dt *= 0.5
@@ -209,7 +216,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
                 raise ConvergenceError(
                     "pseudo-time step underflow", rf.linf, rf.l2, it)
             continue
-        v, r = v_new, r_new
+        v, r, wp = v_new, r_new, wp_new
         viol = viol_new
         dt = min(dt * 1.1, dt_cap)
         it += 1
@@ -226,9 +233,10 @@ def _newton_polish(p, spec, opts, tol):
         return apply_symbol(grid, z, precon_symbol)
 
     u_bg = p.background_on_grid()
+    lam_bg = p.half_laplacian_background()
     v = p.v.copy()
     steps = 0
-    r = residual(p.with_correction(v), spec).samples
+    r = residual(p, spec).samples
     for _ in range(30):
         if np.max(np.abs(r)) <= tol:
             break
@@ -246,7 +254,7 @@ def _newton_polish(p, spec, opts, tol):
         base = np.max(np.abs(r))
         improved = False
         for _ in range(8):
-            r_try = residual(p.with_correction(v + step * dv), spec).samples
+            r_try, _ = _force_balance(grid, spec, c0, u_bg, lam_bg, v + step * dv)
             if np.max(np.abs(r_try)) < base:
                 improved = True
                 break

@@ -290,6 +290,50 @@ def test_frenkel_subcommands_load_no_scipy(tmp_path):
     assert summary["newton_steps"] >= 1
 
 
+_NO_SCIPY_TABLE_RUN = """
+import sys
+from pnedge.cli import main
+
+out, table = sys.argv[1], sys.argv[2]
+common = ["--set", f"potential=table:{table}", "--set", "L_over_zeta=100", "--N", "512"]
+runs = {
+    "solve-static": [],
+    "dynamics": ["--set", "dynamics_T_end=1", "--set", "dynamics_snapshot_times=0.5"],
+}
+for cmd, extra in runs.items():
+    assert main(["--output", f"{out}/{cmd}"] + common + extra + [cmd]) == 0, cmd
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_table_subcommands_load_no_scipy(tmp_path):
+    # a tabulated potential is interpolated by the package's own spline
+    import pnedge
+    from pnedge.params import PhysParams
+    from pnedge.potential import eval_potential, frenkel
+
+    u = np.linspace(0.0, 0.5, 64, endpoint=False)
+    w = eval_potential(frenkel(PhysParams()), u, 0)
+    table = tmp_path / "potential.csv"
+    table.write_text("u,W\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(u, w)))
+    src = str(Path(pnedge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_TABLE_RUN, str(tmp_path), str(table)],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+    summary = json.loads((tmp_path / "solve-static" / "summary.json").read_text())
+    assert summary["newton_steps"] >= 1
+
+
+@pytest.mark.parametrize("key, value", [("G", "-1"), ("b", "0"), ("d", "-0.5")])
+def test_physical_range_checked_by_params_names_key(key, value):
+    # G, b and d are range-checked in one place, where PhysParams is built
+    with pytest.raises(ValueError, match=f" {key} must be positive and finite"):
+        parse_config(None, {key: value})
+
+
 def test_write_csv_17_digits(tmp_path):
     path = tmp_path / "t.csv"
     write_csv(path, {"x": np.array([1.0 / 3.0]), "value": np.array([np.pi])})

@@ -104,6 +104,15 @@ def test_table_needs_enough_samples():
         from_table(prm, np.column_stack([u, np.ones_like(u)]))
 
 
+def test_table_rejects_knots_that_collapse_onto_the_period():
+    # np.mod(-1e-18, b/2) is b/2 itself, so after closing the period the
+    # last two knots coincide
+    prm = PhysParams()
+    u = np.append(np.linspace(0, prm.b / 2, 16, endpoint=False), -1e-18)
+    with pytest.raises(ValueError, match="strictly increasing"):
+        from_table(prm, np.column_stack([u, np.cos(u)]))
+
+
 def test_table_csv_roundtrip(tmp_path):
     prm = PhysParams()
     fr = frenkel(prm)

@@ -1,14 +1,18 @@
-"""The in-house MINRES and Brent ports give scipy's results bit for bit."""
+"""The in-house MINRES, Brent and periodic-spline ports give scipy's results bit for bit."""
 
 import math
 
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
+from scipy.linalg.lapack import dgtsv
 from scipy.optimize import brentq as scipy_brentq
 from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import minres as scipy_minres
 
 import pnedge.static as static
+from pnedge.params import PhysParams
+from pnedge.potential import _gtsv, eval_potential, from_table
 from pnedge.profile import tanh_profile
 from pnedge.static import brentq, minres, solve_static
 
@@ -190,3 +194,94 @@ def test_minres_matches_scipy_on_the_newton_jacobian(grid, params, spec, monkeyp
     res = solve_static(tanh_profile(grid, params), spec)
     assert res.newton_steps >= 1
     assert calls == [0] * len(calls) and len(calls) >= res.newton_steps
+
+
+# ---------------------------------------------------------------------------
+# periodic cubic spline
+# ---------------------------------------------------------------------------
+
+def _bits(a):
+    """The IEEE bit patterns: equality here tells -0.0 from 0.0."""
+    return np.asarray(a, dtype=float).view(np.uint64)
+
+
+def _scipy_spline(table, period):
+    """scipy's spline through a table, preprocessed as ``from_table`` does."""
+    u = np.mod(table[:, 0], period)
+    order = np.argsort(u)
+    u, w = u[order], table[order, 1]
+    u, idx = np.unique(u, return_index=True)
+    w = w[idx] - w[idx].min()
+    return CubicSpline(np.append(u, u[0] + period), np.append(w, w[0]), bc_type="periodic")
+
+
+def _table(rng, n, period, kind):
+    if kind == "uniform":
+        u = np.arange(n) * (period / n)
+    elif kind == "offset":  # uniform, first knot not 0
+        u = (np.arange(n) + 0.37) * (period / n)
+    else:
+        u = np.sort(rng.uniform(-period, 2.0 * period, n))
+    return np.column_stack([u, rng.uniform(0.0, 1.0, n)])
+
+
+def _assert_matches_scipy(table, params, queries):
+    spec = from_table(params, table)
+    ref = _scipy_spline(table, spec.period)
+    np.testing.assert_array_equal(_bits(spec._spline.x), _bits(ref.x))
+    np.testing.assert_array_equal(_bits(spec._spline.c), _bits(ref.c))
+    for order in (0, 1, 2):
+        expected = ref(np.mod(queries, spec.period), nu=order)
+        np.testing.assert_array_equal(_bits(eval_potential(spec, queries, order)),
+                                      _bits(expected))
+    return spec, ref
+
+
+@pytest.mark.parametrize("kind", ["uniform", "offset", "nonuniform"])
+def test_periodic_spline_matches_scipy(rng, kind):
+    params = PhysParams(b=1.3)
+    period = params.b / 2.0
+    for n in (8, 9, 33, 200):
+        table = _table(rng, n, period, kind)
+        spec = from_table(params, table)
+        knots = spec._spline.x
+        queries = np.concatenate([
+            rng.uniform(-3.0 * period, 3.0 * period, 2000),
+            knots, knots - period, knots + 2.0 * period, table[:, 0],
+            [0.0, -0.0, period, -period, 2.0 * period,
+             -1e-18, -1e-300, -5e-324, 1e-300, period - 1e-17],
+        ])
+        assert np.any(np.mod(queries, period) == period)  # np.mod can return the period
+        _assert_matches_scipy(table, params, queries)
+
+
+def test_periodic_spline_scalar_input(rng):
+    params = PhysParams()
+    table = _table(rng, 40, params.b / 2.0, "nonuniform")
+    spec, ref = _assert_matches_scipy(table, params, np.array([0.1]))
+    for u in (0.1, -0.3, np.float64(0.7), np.array(0.2)):
+        for order in (0, 1, 2):
+            value = eval_potential(spec, u, order)
+            assert np.shape(value) == ()
+            assert _bits(value) == _bits(ref(np.mod(u, spec.period), nu=order))
+
+
+def test_periodic_spline_row_interchange():
+    # the gap 0.03 -> 0.2 is wider than its neighbours' sum, so elimination
+    # of the slope system meets a subdiagonal entry larger than the pivot
+    u = np.array([0.0, 0.01, 0.02, 0.03, 0.2, 0.21, 0.22, 0.23, 0.24])
+    params = PhysParams()
+    table = np.column_stack([u, np.sin(4.0 * np.pi * u / params.b) ** 2])
+    _assert_matches_scipy(table, params, np.linspace(-0.6, 0.6, 2001))
+
+    # the condensed (n-2)x(n-2) system of CubicSpline's periodic branch
+    x = np.append(u, params.b / 2.0)
+    dx = np.diff(x)
+    m = len(x) - 2
+    d = 2.0 * (np.roll(dx, 1)[:m] + dx[:m])
+    dl, du = dx[1:m], np.roll(dx, 1)[:m - 1]
+    rhs = np.linspace(-1.0, 1.0, m)
+    fill, _, _, x_ref, info = dgtsv(dl, d, du, rhs)
+    assert info == 0
+    assert np.any(fill != 0.0)  # LAPACK swapped rows: the second superdiagonal filled in
+    np.testing.assert_array_equal(_bits(_gtsv(dl, d, du, rhs)), _bits(x_ref))

@@ -1,6 +1,7 @@
 """The real-FFT spectral layer: Nyquist convention and where transforms live.
 
-Also where scipy may be imported: nowhere at module level.
+Also where scipy may be imported: nowhere at module level, and inside
+one function only.
 """
 
 import ast
@@ -125,3 +126,41 @@ def test_no_module_level_scipy_imports():
              for path in sorted(SRC.glob("*.py"))
              for lineno, name in _import_time_scipy(path)]
     assert eager == []
+
+
+def _scipy_imports(path):
+    """(line, enclosing function, module, names) of every scipy import in a
+    source file, at any depth."""
+    found = []
+
+    def visit(node, func):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            if isinstance(child, ast.Import):
+                found.extend((child.lineno, func, alias.name, ()) for alias in child.names
+                             if alias.name == "scipy" or alias.name.startswith("scipy."))
+            elif isinstance(child, ast.ImportFrom):
+                module = child.module or ""
+                if module == "scipy" or module.startswith("scipy."):
+                    found.append((child.lineno, func, module,
+                                  tuple(alias.name for alias in child.names)))
+            visit(child, func)
+
+    visit(ast.parse(path.read_text()), None)
+    return found
+
+
+def test_scipy_is_imported_only_for_the_half_line_quadrature():
+    # tables, the solver and every CLI path run on numpy alone; the one
+    # adaptive quadrature (check 03, lambda_seminorm*) keeps scipy's quad
+    allowed = ("operators.py", "_half_line_quad", "scipy.integrate", ("quad",))
+    imports = [(path.name, lineno, func, module, names)
+               for path in sorted(SRC.glob("*.py"))
+               for lineno, func, module, names in _scipy_imports(path)]
+    others = [f"{name}:{lineno}: {module} {names} in {func or 'module body'}"
+              for name, lineno, func, module, names in imports
+              if (name, func, module, names) != allowed]
+    assert others == [], "scipy imported outside operators._half_line_quad:\n" + "\n".join(others)
+    assert [(name, func, module, names) for name, _, func, module, names in imports] == [allowed]

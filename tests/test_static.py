@@ -17,6 +17,7 @@ from pnedge.static import (
     center_profile,
     decay_coefficients,
     is_monotone_decreasing,
+    monotonicity_violation,
     residual,
     solve_static,
 )
@@ -141,6 +142,14 @@ def test_solve_with_mismatched_background_width(grid, params, spec):
     interior = np.abs(grid.x) <= 0.9 * grid.L
     du = np.diff(result.profile.u1)
     assert np.max(du[interior[:-1]]) <= 1e-10 * params.b
+
+
+def test_monotonicity_violation_of_samples(solved):
+    # the sweep tests trial steps on samples; profiles go through the same check
+    assert monotonicity_violation(np.array([0.3, 0.1, 0.15, -0.2])) == pytest.approx(0.05)
+    assert monotonicity_violation(np.array([0.3, 0.1, 0.1, -0.2])) == 0.0
+    assert monotonicity_violation(solved.u1) == 0.0
+    assert is_monotone_decreasing(solved)
 
 
 # ---------------------------------------------------------------------------
