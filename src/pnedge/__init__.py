@@ -52,7 +52,7 @@ from .extension import (
     lambda_seminorm_total,
     stress_field,
 )
-from .grid import Grid1D, SpectralField, build_grid
+from .grid import Grid1D, build_grid
 from .operators import (
     apply_half_laplacian,
     apply_hilbert,

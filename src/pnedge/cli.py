@@ -10,6 +10,7 @@ import argparse
 import json
 import sys
 import time
+from contextlib import contextmanager
 
 import numpy as np
 
@@ -90,6 +91,16 @@ def _initial_profile(cfg: RunConfig, grid, params) -> Profile:
     raise ValueError(f"unknown static_init {choice!r}")
 
 
+@contextmanager
+def _timed(timings: dict, key: str):
+    """Add the seconds spent in the block to ``timings[key]``."""
+    t0 = time.perf_counter()
+    try:
+        yield
+    finally:
+        timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
+
+
 def _solve(cfg: RunConfig, grid, params, spec):
     return solve_static(_initial_profile(cfg, grid, params), spec, solve_options(cfg))
 
@@ -103,10 +114,12 @@ def cmd_solve_static(cfg: RunConfig) -> int:
     rho, total = burgers_density(centered)
     rf = residual(centered, spec)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
-    write_csv(out / "profile.csv", {
-        "x": grid.x, "u1": centered.u1, "v": centered.v,
-        "rho": rho, "residual": rf.samples,
-    })
+    timings: dict = {}
+    with _timed(timings, "write"):
+        write_csv(out / "profile.csv", {
+            "x": grid.x, "u1": centered.u1, "v": centered.v,
+            "rho": rho, "residual": rf.samples,
+        })
     summary = {
         "residual_linf": rf.linf, "residual_l2": rf.l2,
         "shift": shift, "decay_plus": cp, "decay_minus": cm,
@@ -114,8 +127,8 @@ def cmd_solve_static(cfg: RunConfig) -> int:
         "newton_steps": result.newton_steps, "monotone": result.monotone,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
-    write_manifest(out / "manifest.json", cfg.echo(), "solve-static",
-                   {"total": time.perf_counter() - t0})
+    timings["total"] = time.perf_counter() - t0
+    write_manifest(out / "manifest.json", cfg.echo(), "solve-static", timings)
     return 0
 
 
@@ -131,23 +144,30 @@ def cmd_extend(cfg: RunConfig) -> int:
     sf = stress_field(profile, yl)
     s12_gamma, s22_gamma = dtn_traction(profile)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
+    timings: dict = {}
     ys = yl.values
     pairs = {
         "u1": (hp.u1_plus, hp.u1_minus), "u2": (hp.u2_plus, hp.u2_minus),
         "sigma11": (sf.s11_plus, sf.s11_minus), "sigma12": (sf.s12_plus, sf.s12_minus),
         "sigma22": (sf.s22_plus, sf.s22_minus), "sigma33": (sf.s33_plus, sf.s33_minus),
     }
-    for name, (plus, minus) in pairs.items():
+    del hp, sf  # a field's arrays are released once it is written
+    while pairs:
+        name, (plus, minus) = pairs.popitem()
         if yl.mirrored:
             values = np.vstack([minus[::-1], plus])
             levels = np.concatenate([-ys[::-1], ys])
         else:
             values, levels = plus, ys
-        write_field_csv(out / f"{name}.csv", grid.x, levels, values)
-    write_csv(out / "traction.csv", {"x": grid.x, "sigma12": s12_gamma,
-                                     "sigma22": s22_gamma})
-    write_manifest(out / "manifest.json", cfg.echo(), "extend",
-                   {"total": time.perf_counter() - t0},
+        del plus, minus
+        with _timed(timings, "write"):
+            write_field_csv(out / f"{name}.csv", grid.x, levels, values)
+        del values
+    with _timed(timings, "write"):
+        write_csv(out / "traction.csv", {"x": grid.x, "sigma12": s12_gamma,
+                                         "sigma22": s22_gamma})
+    timings["total"] = time.perf_counter() - t0
+    write_manifest(out / "manifest.json", cfg.echo(), "extend", timings,
                    extra={"gauges": {"u2_zero_mode": 0.0,
                                      "note": "u2 defined up to an additive constant"},
                           "grid": {"L": grid.L, "N": grid.N, "h": grid.h}})
@@ -178,12 +198,14 @@ def cmd_energy(cfg: RunConfig) -> int:
         "log_divergence": {"slope": slope, "intercept": intercept, "r_squared": r2},
     }
     (out / "energy.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    write_csv(out / "energy_box.csv", {
-        "R": np.asarray(radii),
-        "E": np.array(E_box),
-    })
-    write_manifest(out / "manifest.json", cfg.echo(), "energy",
-                   {"total": time.perf_counter() - t0})
+    timings: dict = {}
+    with _timed(timings, "write"):
+        write_csv(out / "energy_box.csv", {
+            "R": np.asarray(radii),
+            "E": np.array(E_box),
+        })
+    timings["total"] = time.perf_counter() - t0
+    write_manifest(out / "manifest.json", cfg.echo(), "energy", timings)
     return 0
 
 
@@ -226,17 +248,21 @@ def cmd_dynamics(cfg: RunConfig) -> int:
             arr = trace.as_arrays()
     except TimeStepUnderflowError as exc:
         arr = exc.trace.as_arrays() if exc.trace is not None else {}
+        timings: dict = {}
         if arr:
-            _write_trace_csv(out / "trace.csv", arr)
-        write_manifest(out / "manifest.json", cfg.echo(), "dynamics",
-                       {"total": time.perf_counter() - t0},
+            with _timed(timings, "write"):
+                _write_trace_csv(out / "trace.csv", arr)
+        timings["total"] = time.perf_counter() - t0
+        write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings,
                        extra={"aborted": str(exc)})
         raise
-    _write_trace_csv(out / "trace.csv", arr)
-    for t_snap, u1 in snapshots.items():
-        write_csv(out / f"snapshot_t{t_snap:g}.csv", {"x": grid.x, "u1": u1})
-    write_manifest(out / "manifest.json", cfg.echo(), "dynamics",
-                   {"total": time.perf_counter() - t0})
+    timings = {}
+    with _timed(timings, "write"):
+        _write_trace_csv(out / "trace.csv", arr)
+        for t_snap, u1 in snapshots.items():
+            write_csv(out / f"snapshot_t{t_snap:g}.csv", {"x": grid.x, "u1": u1})
+    timings["total"] = time.perf_counter() - t0
+    write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings)
     return 0
 
 

@@ -337,6 +337,10 @@ def run_dynamics(
         r = _residual(state)
         return _squared_l2(r), r.linf
 
+    # Once stepped past, the start state's caches only hold memory.  W'(u1)
+    # and a spectrum the state has yet to make recompute bit for bit; one a
+    # step handed it (rfft(irfft(v_hat)) is not v_hat) or a caller made stays.
+    stale = ["_wp_u1"] + ([] if "_v_hat" in vars(s0) else ["_v_hat"])
     trace = DynamicsTrace()
     s = s0
     F = free_energy(s) if monitor else np.nan
@@ -358,6 +362,9 @@ def run_dynamics(
                 trace=trace,
             )
         s, F = cand, F_new  # the accepted candidate's F is the new state's
+        for key in stale:
+            vars(s0).pop(key, None)
+        stale = []
         dt = min(opts.dt, 2.0 * step_dt)  # regrow gently after any halving
         Q, res_linf = norms(s)
         trace.record(s.t, F, Q, res_linf, step_dt)

@@ -26,8 +26,16 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DivergenceError
-from .grid import Grid1D, SpectralField
-from .operators import apply_half_laplacian, hs_seminorm_grid, irfft, rfft
+from .grid import Grid1D
+from .operators import (
+    apply_half_laplacian,
+    background_transform,
+    hs_seminorm_analytic,
+    hs_seminorm_grid,
+    irfft,
+    rfft,
+    seminorm_weights,
+)
 from .params import PhysParams
 from .profile import Profile
 
@@ -362,8 +370,6 @@ def _trace_seminorm_sq_profile(p: Profile, s_trace: float) -> float:
     Background in closed form (Gamma function), correction and cross
     term on the discrete wavenumber grid.
     """
-    from .operators import background_transform, hs_seminorm_analytic
-
     b, zbg = p.params.b, p.zeta_bg
     if s_trace <= 0.5:
         raise DivergenceError(
@@ -372,13 +378,14 @@ def _trace_seminorm_sq_profile(p: Profile, s_trace: float) -> float:
     total = hs_seminorm_analytic(b, zbg, s_trace)
     if np.any(p.v):
         grid = p.grid
-        coeffs = SpectralField.from_samples(grid, p.v).coeffs
+        # continuum transform of v on the rfft modes: h e^{i xi_k L} rfft(v)_k,
+        # where e^{i xi_k L} = (-1)^k
+        c = grid.h * rfft(p.v)
+        c[1::2] *= -1.0
         # shift the background transform to the profile center
-        bg = background_transform(b, zbg, grid.xi) * np.exp(-1j * grid.xi * p.x0)
-        q = grid.q
-        w = np.where(q > 0, q ** (2.0 * s_trace), 0.0)
-        corr = w * (np.abs(coeffs) ** 2 + 2.0 * np.real(bg * np.conj(coeffs)))
-        total += float(np.sum(corr) / (2.0 * grid.L))
+        bg = background_transform(b, zbg, grid.xi_r) * np.exp(-1j * grid.xi_r * p.x0)
+        corr = np.abs(c) ** 2 + 2.0 * np.real(bg * np.conj(c))
+        total += float(np.sum(seminorm_weights(grid, s_trace) * corr) / grid.h**2)
     return total
 
 

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -67,39 +67,3 @@ def build_grid(L: float, N: int) -> Grid1D:
     xi = 2.0 * np.pi * np.fft.fftfreq(N, d=h)
     xi_r = 2.0 * np.pi * np.fft.rfftfreq(N, d=h)
     return Grid1D(L=float(L), N=int(N), h=h, x=x, xi=xi, xi_r=xi_r)
-
-
-@dataclass(frozen=True)
-class SpectralField:
-    """Fourier coefficients ``c_k ~ uhat(xi_k)`` of samples on a grid.
-
-    ``coeffs`` is FFT-ordered and includes the quadrature factor
-    ``h * exp(i xi_k L)`` relating the raw DFT to the continuum
-    transform, so ``|c_k|^2`` can be summed directly in Parseval-type
-    expressions.
-    """
-
-    grid: Grid1D
-    coeffs: np.ndarray = field(repr=False)
-
-    @classmethod
-    def from_samples(cls, grid: Grid1D, u: np.ndarray) -> "SpectralField":
-        u = np.asarray(u, dtype=float)
-        if u.shape != (grid.N,):
-            raise ValueError(f"expected {grid.N} samples, got shape {u.shape}")
-        k = np.fft.fftfreq(grid.N, d=1.0 / grid.N)  # integer mode numbers
-        phase = np.where(np.rint(k).astype(int) % 2 == 0, 1.0, -1.0)
-        coeffs = grid.h * phase * np.fft.fft(u)
-        return cls(grid=grid, coeffs=coeffs)
-
-    def to_samples(self) -> np.ndarray:
-        k = np.fft.fftfreq(self.grid.N, d=1.0 / self.grid.N)
-        phase = np.where(np.rint(k).astype(int) % 2 == 0, 1.0, -1.0)
-        return np.fft.ifft(self.coeffs * phase / self.grid.h).real
-
-    def conjugate_symmetry_defect(self) -> float:
-        """Max |c_{-k} - conj(c_k)| relative to the coefficient scale."""
-        c = self.coeffs
-        flipped = np.conj(np.roll(c[::-1], 1))  # index -k for each k
-        scale = np.max(np.abs(c)) or 1.0
-        return float(np.max(np.abs(c - flipped)) / scale)

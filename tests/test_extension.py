@@ -20,6 +20,7 @@ from pnedge.extension import (
     trace_of_extension,
 )
 from pnedge.grid import build_grid
+from pnedge.operators import background_transform, hs_seminorm_analytic
 from pnedge.potential import eval_potential
 from pnedge.profile import Profile, analytic_profile, background
 
@@ -230,6 +231,29 @@ def test_lambda_divergence_at_one(analytic):
 def test_lambda_rejects_bad_m(analytic):
     with pytest.raises(ValueError):
         lambda_seminorm(analytic, 1.5, 2)
+
+
+def _trace_seminorm_sq_full_fft(p, s):
+    """Reference: the squared H^s trace seminorm with the correction and
+    cross term summed over all N complex-FFT modes, continuum-normalised."""
+    g = p.grid
+    k = np.fft.fftfreq(g.N, d=1.0 / g.N)
+    c = g.h * np.where(np.rint(k).astype(int) % 2 == 0, 1.0, -1.0) * np.fft.fft(p.v)
+    bg = background_transform(p.params.b, p.zeta_bg, g.xi) * np.exp(-1j * g.xi * p.x0)
+    w = np.where(g.q > 0, g.q ** (2.0 * s), 0.0)
+    corr = np.sum(w * (np.abs(c) ** 2 + 2.0 * np.real(bg * np.conj(c)))) / (2.0 * g.L)
+    return hs_seminorm_analytic(p.params.b, p.zeta_bg, s) + float(corr)
+
+
+@pytest.mark.parametrize("s", [1.25, 1.5, 2.0])
+def test_lambda_trace_correction_on_rfft_modes_matches_full_fft(grid, params, s):
+    # an off-centre profile whose background is not the core's, with a bump
+    p = Profile(grid=grid, params=params, zeta_bg=1.5 * params.zeta, x0=0.3,
+                v=0.05 * np.exp(-(((grid.x - 1.0) / 3.0) ** 2)))
+    expected = _trace_seminorm_sq_full_fft(p, s - 0.5)
+    correction = expected - hs_seminorm_analytic(params.b, p.zeta_bg, s - 0.5)
+    assert abs(correction) > 1e-2 * expected
+    assert lambda_seminorm_total(p, s).trace_sq == pytest.approx(expected, rel=1e-13)
 
 
 def test_ylevels_validation():

@@ -7,7 +7,7 @@ from scipy.integrate import quad
 from scipy.special import gamma as gamma_fn
 
 from pnedge.errors import DivergenceError
-from pnedge.grid import SpectralField, build_grid
+from pnedge.grid import build_grid
 from pnedge.operators import (
     apply_half_laplacian,
     apply_hilbert,
@@ -62,14 +62,6 @@ def test_build_grid_rejects_bad_input():
 def test_build_grid_rejects_non_finite_length(L):
     with pytest.raises(ValueError, match="half-length L must be finite"):
         build_grid(L, 64)
-
-
-def test_spectral_field_conjugate_symmetry(rng):
-    g = build_grid(10.0, 64)
-    u = rng.normal(size=64)
-    field = SpectralField.from_samples(g, u)
-    assert field.conjugate_symmetry_defect() < 1e-13
-    np.testing.assert_allclose(field.to_samples(), u, atol=1e-13)
 
 
 # ---------------------------------------------------------------------------

@@ -93,6 +93,15 @@ def test_complex_transforms_only_in_spectral_field():
     assert complex_uses == []
 
 
+def test_no_complex_transforms_in_any_module():
+    # every transform is real: grid.py keeps only the wavenumber tables
+    complex_uses = [(path.name, lineno, name)
+                    for path in sorted(SRC.glob("*.py"))
+                    for lineno, name in _fft_uses(path)
+                    if name in ("fft", "ifft", "fftn", "ifftn", "fft2", "ifft2")]
+    assert complex_uses == []
+
+
 def _import_time_scipy(path):
     """(line, module) of every scipy import that runs when ``path`` is imported.
 
