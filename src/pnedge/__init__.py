@@ -26,7 +26,6 @@ from .energy import (
     BoxQuadrature,
     EnergyBreakdown,
     Perturbation,
-    cross_terms,
     elastic_energy_box,
     energy_breakdown,
     misfit_energy,

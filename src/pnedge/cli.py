@@ -11,6 +11,7 @@ import json
 import sys
 import time
 from contextlib import contextmanager
+from dataclasses import asdict
 
 import numpy as np
 
@@ -19,9 +20,8 @@ from .dynamics import DynamicsState, RunOptions, run_dynamics
 from .energy import (
     BoxQuadrature,
     HalfPlaneTables,
-    _log_fit,
-    elastic_energy_box,
     energy_breakdown,
+    log_divergence_fit,
     misfit_energy,
     seeded_perturbations,
 )
@@ -183,18 +183,16 @@ def cmd_energy(cfg: RunConfig) -> int:
     perts = seeded_perturbations(grid, params, cfg.energy_n_perturbations,
                                  seed=cfg.energy_pert_seed)
     radii = box_radii(cfg)
-    E_box = [elastic_energy_box(profile, R) for R in radii]
+    E_box, slope, intercept, r2 = log_divergence_fit(profile, radii)
     tables = HalfPlaneTables.build(profile, quad)
-    E_mis = misfit_energy(profile, spec)
-    breakdowns = [energy_breakdown(ph, profile, spec, box_radius=radii[-1], tables=tables,
-                                   E_mis=E_mis, E_els_box=E_box[-1])
-                  for ph in perts]
-    slope, intercept, r2 = _log_fit(radii, E_box)
+    # per-profile values, kept in each perturbation's record of energy.json
+    profile_pieces = {"E_mis": misfit_energy(profile, spec), "E_els_box": E_box[-1],
+                      "box_radius": radii[-1]}
+    records = [{**asdict(energy_breakdown(ph, profile, spec, tables)), **profile_pieces}
+               for ph in perts]
     out = prepare_output_dir(cfg.output, cfg.overwrite)
-    from dataclasses import asdict
-
     payload = {
-        "perturbations": [asdict(bd) for bd in breakdowns],
+        "perturbations": records,
         "log_divergence": {"slope": slope, "intercept": intercept, "r_squared": r2},
     }
     (out / "energy.json").write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")

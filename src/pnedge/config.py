@@ -108,6 +108,16 @@ class RunConfig:
             raise ValueError("config key 'dynamics_method' must be semi_implicit or etd")
         if not (self.potential == "frenkel" or self.potential.startswith("table:")):
             raise ValueError("config key 'potential' must be 'frenkel' or 'table:<path>'")
+        radii = box_radii(self)
+        if len(set(radii)) < 2 or not all(0.0 < r <= self.L_over_zeta * self.zeta / 2.0
+                                          for r in radii):
+            raise ValueError(
+                "config key 'energy_box_radii_over_zeta' must list at least two distinct "
+                f"radii in (0, L_over_zeta/2], got {self.energy_box_radii_over_zeta!r}")
+        if not all(0.0 < t <= self.dynamics_T_end for t in snapshot_times(self)):
+            raise ValueError(
+                "config key 'dynamics_snapshot_times' must lie in (0, dynamics_T_end], "
+                f"got {self.dynamics_snapshot_times!r}")
 
     @property
     def params(self) -> PhysParams:
@@ -193,14 +203,22 @@ def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     return cfg
 
 
+def _floats(key: str, text: str) -> list[float]:
+    """The comma-separated numbers of a list-valued key."""
+    try:
+        return [float(tok) for tok in text.split(",") if tok.strip()]
+    except ValueError:
+        raise ValueError(f"config key '{key}' must be comma-separated numbers, "
+                         f"got {text!r}") from None
+
+
 def box_radii(cfg: RunConfig) -> list[float]:
-    return [float(tok) * cfg.zeta for tok in cfg.energy_box_radii_over_zeta.split(",") if tok.strip()]
+    return [r * cfg.zeta for r in _floats("energy_box_radii_over_zeta",
+                                          cfg.energy_box_radii_over_zeta)]
 
 
 def snapshot_times(cfg: RunConfig) -> list[float]:
-    if not cfg.dynamics_snapshot_times.strip():
-        return []
-    return [float(tok) for tok in cfg.dynamics_snapshot_times.split(",") if tok.strip()]
+    return _floats("dynamics_snapshot_times", cfg.dynamics_snapshot_times)
 
 
 def run_setup(cfg: RunConfig) -> tuple[PhysParams, Grid1D, PotentialSpec]:

@@ -30,7 +30,6 @@ from __future__ import annotations
 import warnings
 from dataclasses import dataclass, field
 from functools import partial
-from typing import Optional
 
 import numpy as np
 
@@ -96,7 +95,6 @@ class Perturbation:
 
     grid: Grid1D
     phi1: np.ndarray = field(repr=False)
-    kind: str = "elastic_extension"
 
     def __post_init__(self):
         phi = np.asarray(self.phi1, dtype=float)
@@ -187,15 +185,23 @@ def cross_term_gamma(p: Profile, phi: Perturbation) -> float:
     return p.params.c0 * inner_h(p.grid, phi.phi1, lam_u1)
 
 
+def _slip_plane_route(phi: Perturbation, p: Profile, spec: PotentialSpec):
+    """The slip-plane pieces ``(c0/2)|phi1|^2_{H^1/2}``,
+    ``c0 int phi1 (-d_xx)^{1/2} u1`` and ``int [W(u1+phi1) - W(u1)]``,
+    followed by their sum."""
+    quad = 0.5 * p.params.c0 * hs_seminorm_grid(p.grid, phi.phi1, 0.5)
+    cross = cross_term_gamma(p, phi)
+    mis_diff = _misfit_difference(p, spec, phi.phi1)
+    return quad, cross, mis_diff, quad + cross + mis_diff
+
+
 def reduced_perturbed_energy(phi: Perturbation, p: Profile, spec: PotentialSpec) -> float:
     """Perturbed energy of the reduced slip-plane system.
 
     ``(c0/2)|phi1|^2_{H^1/2} + c0 int phi1 (-d_xx)^{1/2} u1
     + int [W(u1+phi1) - W(u1)]``.
     """
-    quad = 0.5 * p.params.c0 * hs_seminorm_grid(p.grid, phi.phi1, 0.5)
-    cross = cross_term_gamma(p, phi)
-    return quad + cross + _misfit_difference(p, spec, phi.phi1)
+    return _slip_plane_route(phi, p, spec)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +225,7 @@ def _parseval_multipliers(ms) -> np.ndarray:
 
 
 def _energy_table(
-    grid: Grid1D, params: PhysParams, quad: Optional[BoxQuadrature], multipliers=None,
+    grid: Grid1D, params: PhysParams, quad: BoxQuadrature, multipliers=None,
 ) -> np.ndarray:
     """Per-mode weights ``T_k`` with ``(1/2) int sigma : eps = sum_k T_k
     |rfft(trace)_k|^2`` over both half-planes.
@@ -232,7 +238,6 @@ def _energy_table(
     per-mode kernel times ``|rfft(trace)_k|^2``; the kernels are summed
     over the quadrature nodes and the mirror half-plane doubles the sum.
     """
-    quad = quad or BoxQuadrature.for_params(params)
     ys, wy = quad.nodes_weights()
     G, nu = params.G, params.nu
     lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
@@ -247,7 +252,7 @@ def _energy_table(
     return 2.0 * mode_weights(grid) * acc
 
 
-def _cross_table(p: Profile, quad: Optional[BoxQuadrature]) -> np.ndarray:
+def _cross_table(p: Profile, quad: BoxQuadrature) -> np.ndarray:
     """Per-mode vector ``P_k`` with ``C_els(u, phi) = Re sum_k P_k
     rfft(phi1)_k``.
 
@@ -256,7 +261,6 @@ def _cross_table(p: Profile, quad: Optional[BoxQuadrature]) -> np.ndarray:
     directly from the strain multipliers times ``rfft(v)``; the
     integrand is even under the mirror map, so twice the upper sum.
     """
-    quad = quad or BoxQuadrature.for_params(p.params)
     ys, wy = quad.nodes_weights()
     grid, prm = p.grid, p.params
     G, nu = prm.G, prm.nu
@@ -299,7 +303,7 @@ class HalfPlaneTables:
     cross: np.ndarray = field(repr=False)
 
     @classmethod
-    def build(cls, p: Profile, quad: Optional[BoxQuadrature] = None) -> "HalfPlaneTables":
+    def build(cls, p: Profile, quad: BoxQuadrature) -> "HalfPlaneTables":
         return cls(
             elastic=_energy_table(p.grid, p.params, quad),
             cross=_cross_table(p, quad),
@@ -313,17 +317,14 @@ class HalfPlaneTables:
 
 
 def elastic_energy_of_trace(
-    grid: Grid1D, phi1: np.ndarray, params: PhysParams,
-    quad: Optional[BoxQuadrature] = None,
+    grid: Grid1D, phi1: np.ndarray, params: PhysParams, quad: BoxQuadrature,
 ) -> float:
     """``E_els(phi) = (1/2) int sigma_phi : eps_phi`` of the elastic
     extension of a decaying trace, by quadrature over both half-planes."""
     return _quadratic(_energy_table(grid, params, quad), phi1)
 
 
-def cross_term_elastic(
-    p: Profile, phi: Perturbation, quad: Optional[BoxQuadrature] = None
-) -> float:
+def cross_term_elastic(p: Profile, phi: Perturbation, quad: BoxQuadrature) -> float:
     """``C_els(u, phi) = int eps_phi : sigma_u`` over both half-planes.
 
     Background stress of u in closed form, correction spectrally.
@@ -331,37 +332,29 @@ def cross_term_elastic(
     return _bilinear(_cross_table(p, quad), phi.phi1)
 
 
-def cross_terms(
-    p: Profile, phi: Perturbation, quad: Optional[BoxQuadrature] = None,
-    tables: Optional[HalfPlaneTables] = None,
-) -> tuple[float, float]:
-    """Both routes to the cross term: (C_els by 2-d quadrature,
-    C_Gamma by slip-plane quadrature).  Equality is the key identity.
-    ``tables`` (the profile's, if already built) replaces ``quad``."""
-    c_els = (cross_term_elastic(p, phi, quad) if tables is None
-             else tables.cross_term(phi.phi1))
-    return c_els, cross_term_gamma(p, phi)
+def _half_plane_route(phi: Perturbation, p: Profile, tables: HalfPlaneTables,
+                      mis_diff: float):
+    """``E_els(phi)`` and ``C_els(u, phi)`` from the profile's tables,
+    followed by their sum with the misfit difference ``mis_diff``.
+    Warns when the perturbation's field has not decayed at the
+    quadrature boundary."""
+    if not phi.check_decay(p.params.b):
+        warnings.warn("perturbation trace above decay threshold outside the "
+                      "central half of the grid", stacklevel=3)
+    e_els = tables.elastic_energy(phi.phi1)
+    c_els = tables.cross_term(phi.phi1)
+    return e_els, c_els, e_els + c_els + mis_diff
 
 
 def perturbed_total_energy(
-    phi: Perturbation, p: Profile, spec: PotentialSpec,
-    quad: Optional[BoxQuadrature] = None, tables: Optional[HalfPlaneTables] = None,
+    phi: Perturbation, p: Profile, spec: PotentialSpec, tables: HalfPlaneTables,
 ) -> float:
     """Perturbed total energy through the half-plane route.
 
-    ``E_els(phi) + C_els(u, phi)`` by 2-d quadrature plus the misfit
-    difference on the slip plane.  ``tables`` (the profile's, if already
-    built) replaces ``quad``.  Warns when the perturbation's field has
-    not decayed at the quadrature boundary.
+    ``E_els(phi) + C_els(u, phi)`` by 2-d quadrature (the profile's
+    ``tables``) plus the misfit difference on the slip plane.
     """
-    if tables is None:
-        tables = HalfPlaneTables.build(p, quad)
-    if not phi.check_decay(p.params.b):
-        warnings.warn("perturbation trace above decay threshold outside the "
-                      "central half of the grid", stacklevel=2)
-    e_els = tables.elastic_energy(phi.phi1)
-    c_els = tables.cross_term(phi.phi1)
-    return e_els + c_els + _misfit_difference(p, spec, phi.phi1)
+    return _half_plane_route(phi, p, tables, _misfit_difference(p, spec, phi.phi1))[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -416,22 +409,25 @@ def elastic_energy_box(
     return 2.0 * total
 
 
-def _log_fit(radii, E) -> tuple[float, float, float]:
-    """Least-squares fit ``E ~ slope ln R + intercept`` of box energies
-    already computed; returns (slope, intercept, R^2 of the regression)."""
-    radii = np.asarray(radii, dtype=float)
-    E = np.asarray(E, dtype=float)
-    A = np.vstack([np.log(radii), np.ones_like(radii)]).T
-    coef, *_ = np.linalg.lstsq(A, E, rcond=None)
-    resid = E - A @ coef
-    r2 = 1.0 - float(np.sum(resid**2) / np.sum((E - E.mean()) ** 2))
+def log_fit(x, y) -> tuple[float, float, float]:
+    """Least-squares fit ``y ~ slope ln x + intercept``; returns
+    (slope, intercept, R^2 of the regression)."""
+    x = np.asarray(x, dtype=float)
+    y = np.asarray(y, dtype=float)
+    A = np.vstack([np.log(x), np.ones_like(x)]).T
+    coef, *_ = np.linalg.lstsq(A, y, rcond=None)
+    resid = y - A @ coef
+    r2 = 1.0 - float(np.sum(resid**2) / np.sum((y - y.mean()) ** 2))
     return float(coef[0]), float(coef[1]), r2
 
 
-def log_divergence_fit(p: Profile, radii) -> tuple[float, float, float]:
-    """Affine fit ``E(R) ~ slope ln R + intercept``; returns
-    (slope, intercept, R^2 of the regression)."""
-    return _log_fit(radii, [elastic_energy_box(p, R) for R in radii])
+def log_divergence_fit(p: Profile, radii, **resolution):
+    """Box energies ``E(R)`` at ``radii`` and their affine fit
+    ``E ~ slope ln R + intercept``; returns (energies, slope, intercept,
+    R^2 of the regression).  ``resolution`` (``n_x``, ``n_levels``)
+    passes to :func:`elastic_energy_box`."""
+    energies = [elastic_energy_box(p, R, **resolution) for R in radii]
+    return (energies, *log_fit(radii, energies))
 
 
 # ---------------------------------------------------------------------------
@@ -442,7 +438,6 @@ def log_divergence_fit(p: Profile, radii) -> tuple[float, float, float]:
 class EnergyBreakdown:
     """All perturbed-energy pieces for one (profile, perturbation) pair."""
 
-    E_mis: float
     E_gamma_e_pert: float      # (c0/2) |phi1|^2_{H^1/2}
     cross_gamma: float         # c0 int phi1 (-dxx)^{1/2} u1
     misfit_difference: float
@@ -450,51 +445,15 @@ class EnergyBreakdown:
     E_els_pert: float          # (1/2) int sigma_phi : eps_phi
     cross_els: float           # int eps_phi : sigma_u
     E_hat_total: float         # half-plane route total
-    E_els_box: float
-    box_radius: float
-
-    def consistency_defect(self) -> float:
-        """Internal identity: E_hat_gamma recomposes from its parts."""
-        return abs(self.E_hat_gamma
-                   - (self.E_gamma_e_pert + self.cross_gamma + self.misfit_difference))
 
 
 def energy_breakdown(
-    phi: Perturbation, p: Profile, spec: PotentialSpec,
-    quad: Optional[BoxQuadrature] = None, box_radius: Optional[float] = None,
-    *, tables: Optional[HalfPlaneTables] = None, E_mis: Optional[float] = None,
-    E_els_box: Optional[float] = None,
+    phi: Perturbation, p: Profile, spec: PotentialSpec, tables: HalfPlaneTables,
 ) -> EnergyBreakdown:
-    """Compute every energy piece for one perturbation of a profile.
-
-    The per-profile pieces (``tables`` in place of ``quad``, ``E_mis``
-    and ``E_els_box`` at ``box_radius``) are computed here unless a
-    caller looping over perturbations passes them in.
-    """
-    box_radius = box_radius if box_radius is not None else 20.0 * p.params.zeta
-    if tables is None:
-        tables = HalfPlaneTables.build(p, quad)
-    if E_mis is None:
-        E_mis = misfit_energy(p, spec)
-    if E_els_box is None:
-        E_els_box = elastic_energy_box(p, box_radius)
-    quad_part = 0.5 * p.params.c0 * hs_seminorm_grid(p.grid, phi.phi1, 0.5)
-    cross_g = cross_term_gamma(p, phi)
-    mis_diff = _misfit_difference(p, spec, phi.phi1)
-    e_els = tables.elastic_energy(phi.phi1)
-    c_els = tables.cross_term(phi.phi1)
-    return EnergyBreakdown(
-        E_mis=E_mis,
-        E_gamma_e_pert=quad_part,
-        cross_gamma=cross_g,
-        misfit_difference=mis_diff,
-        E_hat_gamma=quad_part + cross_g + mis_diff,
-        E_els_pert=e_els,
-        cross_els=c_els,
-        E_hat_total=e_els + c_els + mis_diff,
-        E_els_box=E_els_box,
-        box_radius=box_radius,
-    )
+    """Both routes to the perturbed energy of one perturbation, each
+    piece evaluated once; ``tables`` are the profile's."""
+    gamma = _slip_plane_route(phi, p, spec)
+    return EnergyBreakdown(*gamma, *_half_plane_route(phi, p, tables, gamma[2]))
 
 
 # ---------------------------------------------------------------------------
@@ -503,7 +462,7 @@ def energy_breakdown(
 
 def competitor_energy(
     grid: Grid1D, phi1: np.ndarray, params: PhysParams,
-    f_pair, g_pair, quad: Optional[BoxQuadrature] = None,
+    f_pair, g_pair, quad: BoxQuadrature,
 ) -> float:
     """Elastic energy of a same-trace competitor field.
 

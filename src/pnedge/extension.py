@@ -28,7 +28,6 @@ import numpy as np
 from .errors import DivergenceError
 from .grid import Grid1D
 from .operators import (
-    apply_half_laplacian,
     background_transform,
     hs_seminorm_analytic,
     hs_seminorm_grid,
@@ -38,6 +37,7 @@ from .operators import (
 )
 from .params import PhysParams
 from .profile import Profile
+from .static import half_laplacian_profile
 
 
 # ---------------------------------------------------------------------------
@@ -325,10 +325,7 @@ def dtn_traction(p: Profile) -> tuple[np.ndarray, np.ndarray]:
     ``2 sigma12 = W'(u1)``.
     """
     prm = p.params
-    lam = p.half_laplacian_background()
-    if np.any(p.v):
-        lam = lam + apply_half_laplacian(p.grid, p.v)
-    sigma12 = -(prm.G / (1.0 - prm.nu)) * lam
+    sigma12 = -(prm.G / (1.0 - prm.nu)) * half_laplacian_profile(p)
     return sigma12, np.zeros_like(sigma12)
 
 

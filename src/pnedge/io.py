@@ -274,11 +274,6 @@ def write_csv(path, columns: dict) -> None:
             f.write(chars[keep])
 
 
-def write_samples_csv(path, x: np.ndarray, value: np.ndarray) -> None:
-    """Canonical sample-array serialization (columns x, value)."""
-    write_csv(path, {"x": x, "value": value})
-
-
 def write_field_csv(path, x: np.ndarray, y_levels: np.ndarray, values: np.ndarray) -> None:
     """Flatten a (level, x) field to columns x, y, value.
 

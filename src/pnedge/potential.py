@@ -155,16 +155,12 @@ def validate_potential(spec: PotentialSpec) -> PotentialReport:
     floor = min(well, well_m) + 1e-10 * scale
     interior = bool(np.all(eval_potential(spec, v, 0) > floor))
 
-    if spec.kind == "frenkel":
-        curv = min(eval_potential(spec, b / 4.0, 2), eval_potential(spec, -b / 4.0, 2))
-    else:
-        # centered finite difference, robust for tabulated input
-        eps = spec.period / 200.0
-        def fd2(u0):
-            w = eval_potential(spec, np.array([u0 - eps, u0, u0 + eps]), 0)
-            return (w[0] - 2.0 * w[1] + w[2]) / eps**2
-        curv = min(fd2(b / 4.0), fd2(-b / 4.0))
-    positive_curv = bool(curv > 0.0)
+    # centered finite difference, robust for tabulated input
+    eps = spec.period / 200.0
+    def fd2(u0):
+        w = eval_potential(spec, np.array([u0 - eps, u0, u0 + eps]), 0)
+        return (w[0] - 2.0 * w[1] + w[2]) / eps**2
+    positive_curv = bool(min(fd2(b / 4.0), fd2(-b / 4.0)) > 0.0)
 
     return PotentialReport(
         interior_strict_minimum=interior,

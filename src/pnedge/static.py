@@ -117,11 +117,9 @@ def monotonicity_violation(u1: np.ndarray) -> float:
     return float(max(np.max(np.diff(u1)), 0.0))
 
 
-def is_monotone_decreasing(p: Profile, slack: float | None = None) -> bool:
+def is_monotone_decreasing(p: Profile) -> bool:
     """Discrete check of du1/dx <= 0 at interior nodes, up to roundoff."""
-    if slack is None:
-        slack = 1e-10 * p.params.b
-    return monotonicity_violation(p.u1) <= slack
+    return monotonicity_violation(p.u1) <= 1e-10 * p.params.b
 
 
 def semi_implicit_update(v_hat, g_hat, dt, c0, q):

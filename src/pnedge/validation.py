@@ -32,13 +32,12 @@ from .dynamics import (
 from .energy import (
     BoxQuadrature,
     HalfPlaneTables,
-    _log_fit,
     competitor_energy,
-    cross_terms,
-    elastic_energy_box,
     elastic_energy_of_trace,
+    energy_breakdown,
+    log_divergence_fit,
+    log_fit,
     misfit_energy,
-    perturbed_total_energy,
     reduced_perturbed_energy,
     seeded_perturbations,
 )
@@ -318,11 +317,9 @@ def check_energy_relation(ctx: SuiteContext) -> list[CheckResult]:
     rel, cross = [], []
     tables = HalfPlaneTables.build(p, quad)
     for ph in perts:
-        eg = reduced_perturbed_energy(ph, p, ctx.spec)
-        et = perturbed_total_energy(ph, p, ctx.spec, tables=tables)
-        rel.append(abs(et - eg) / max(abs(eg), floor))
-        ce, cg = cross_terms(p, ph, tables=tables)
-        cross.append(abs(ce - cg) / max(abs(cg), floor))
+        bd = energy_breakdown(ph, p, ctx.spec, tables)
+        rel.append(abs(bd.E_hat_total - bd.E_hat_gamma) / max(abs(bd.E_hat_gamma), floor))
+        cross.append(abs(bd.cross_els - bd.cross_gamma) / max(abs(bd.cross_gamma), floor))
     return [
         _leq("07.energy_relation.total", np.max(rel), 1e-2,
              f"slip-plane and half-plane energies agree ({len(perts)} seeded "
@@ -386,12 +383,11 @@ def check_minimizer(ctx: SuiteContext) -> list[CheckResult]:
 def check_log_divergence(ctx: SuiteContext) -> list[CheckResult]:
     radii = box_radii(ctx.cfg)
     p = ctx.solved
-    slope, _, r2 = _log_fit(radii, [elastic_energy_box(p, R) for R in radii])
+    _, slope, _, r2 = log_divergence_fit(p, radii)
 
     # self-convergence of the quadrature for the slope: the fit above is
     # the fine resolution (1024, 192)
-    s_coarse, _, _ = _log_fit(
-        radii, [elastic_energy_box(p, R, n_x=512, n_levels=96) for R in radii])
+    _, s_coarse, _, _ = log_divergence_fit(p, radii, n_x=512, n_levels=96)
     conv = abs(slope - s_coarse) / abs(slope)
     return [
         _geq("09.log_divergence.affine_fit", r2, 0.999,
@@ -440,8 +436,7 @@ def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
             if hit:
                 total += abs((free_energy(s) - Fb) / dt + Qb)
         sums.append(total)
-    A = np.vstack([np.log(dts), np.ones(len(dts))]).T
-    chain_order = float(np.linalg.lstsq(A, np.log(sums), rcond=None)[0][0])
+    chain_order = log_fit(dts, np.log(sums))[0]
     chain_bound = sums[0] / dts[0]  # the constant C in |dF/dt + Q| <= C dt
 
     # integrator cross-validation: gap at T = 1 scales like dt
@@ -453,8 +448,7 @@ def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
         sa, _ = run_dynamics(s0, 1.0, opts_a)
         sb, _ = run_dynamics(s0, 1.0, opts_b)
         gaps.append(float(np.max(np.abs(sa.p.v - sb.p.v))))
-    A = np.vstack([np.log(gap_dts), np.ones(len(gap_dts))]).T
-    gap_order = float(np.linalg.lstsq(A, np.log(gaps), rcond=None)[0][0])
+    gap_order = log_fit(gap_dts, np.log(gaps))[0]
 
     return [
         _leq("10.dynamics.F_nonincreasing", f_increase, f_tol,

@@ -61,6 +61,19 @@ def test_nu_out_of_range_names_key():
     ("ylevels_y_min_over_zeta", "0"),
     ("ylevels_y_max_over_zeta", "-1"),
     ("ylevels_y_max_over_zeta", "0.1"),
+    ("energy_box_radii_over_zeta", ""),
+    ("energy_box_radii_over_zeta", "5"),
+    ("energy_box_radii_over_zeta", "5,5"),
+    ("energy_box_radii_over_zeta", "5,-1"),
+    ("energy_box_radii_over_zeta", "nan"),
+    ("energy_box_radii_over_zeta", "5,inf"),
+    ("energy_box_radii_over_zeta", "5,1000"),
+    ("energy_box_radii_over_zeta", "5,ten"),
+    ("dynamics_snapshot_times", "60"),
+    ("dynamics_snapshot_times", "0"),
+    ("dynamics_snapshot_times", "1,-1"),
+    ("dynamics_snapshot_times", "nan"),
+    ("dynamics_snapshot_times", "1,later"),
 ])
 def test_bad_value_rejected_names_key(key, value):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
@@ -239,7 +252,7 @@ def test_nan_energy_fails_check_07(monkeypatch):
     import pnedge.validation as valmod
 
     cfg = RunConfig(energy_n_perturbations=2, energy_quad_levels=16)
-    monkeypatch.setattr(valmod, "perturbed_total_energy", lambda *a, **k: float("nan"))
+    monkeypatch.setattr(valmod.HalfPlaneTables, "elastic_energy", lambda self, phi1: float("nan"))
     results = {r.name: r for r in valmod.check_energy_relation(valmod.SuiteContext(cfg))}
     total = results["07.energy_relation.total"]
     assert np.isnan(total.actual) and not total.passed
@@ -342,20 +355,6 @@ def test_write_csv_17_digits(tmp_path):
     x_back, v_back = (float(tok) for tok in body[1].split(","))
     assert x_back == 1.0 / 3.0
     assert v_back == np.pi
-
-
-def test_write_samples_csv_roundtrip(tmp_path):
-    from pnedge.io import write_samples_csv
-
-    x = np.linspace(-1, 1, 7)
-    vals = np.sin(x) / 3.0
-    path = tmp_path / "samples.csv"
-    write_samples_csv(path, x, vals)
-    rows = path.read_text().splitlines()
-    assert rows[0] == "x,value"
-    back = np.array([[float(t) for t in row.split(",")] for row in rows[1:]])
-    np.testing.assert_array_equal(back[:, 0], x)
-    np.testing.assert_array_equal(back[:, 1], vals)
 
 
 def _reference_csv(columns: dict) -> bytes:

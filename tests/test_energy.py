@@ -12,7 +12,7 @@ from pnedge.energy import (
     Perturbation,
     competitor_energy,
     cross_term_elastic,
-    cross_terms,
+    cross_term_gamma,
     elastic_energy_box,
     elastic_energy_of_trace,
     energy_breakdown,
@@ -127,15 +127,20 @@ def test_elastic_energy_matches_trace_seminorm(grid, params, quadq):
     assert e2d == pytest.approx(egamma, rel=2e-3)
 
 
-def test_total_energy_zero_perturbation(grid, solved, spec, quadq):
+@pytest.fixture(scope="module")
+def tables(solved, quadq):
+    return HalfPlaneTables.build(solved, quadq)
+
+
+def test_total_energy_zero_perturbation(grid, solved, spec, tables):
     phi = Perturbation(grid=grid, phi1=np.zeros(grid.N))
-    assert perturbed_total_energy(phi, solved, spec, quadq) == pytest.approx(0.0, abs=1e-15)
+    assert perturbed_total_energy(phi, solved, spec, tables) == pytest.approx(0.0, abs=1e-15)
 
 
-def test_energy_relation_gaussian(grid, solved, spec, params, quadq):
+def test_energy_relation_gaussian(grid, solved, spec, params, tables):
     phi = gaussian_pert(grid, params)
     eg = reduced_perturbed_energy(phi, solved, spec)
-    et = perturbed_total_energy(phi, solved, spec, quadq)
+    et = perturbed_total_energy(phi, solved, spec, tables)
     assert et == pytest.approx(eg, rel=1e-2)
 
 
@@ -153,20 +158,27 @@ def test_elastic_scaling_split(grid, solved, params, quadq):
 
 def test_cross_terms_zero_and_linear(grid, solved, quadq, params):
     zero = Perturbation(grid=grid, phi1=np.zeros(grid.N))
-    ce, cg = cross_terms(solved, zero, quadq)
-    assert ce == 0.0 and cg == 0.0
+    assert cross_term_elastic(solved, zero, quadq) == 0.0
+    assert cross_term_gamma(solved, zero) == 0.0
     phi = gaussian_pert(grid, params, center=1.3)
-    ce1, cg1 = cross_terms(solved, phi, quadq)
-    assert ce1 == pytest.approx(cg1, rel=1e-2)
+    assert cross_term_elastic(solved, phi, quadq) == pytest.approx(
+        cross_term_gamma(solved, phi), rel=1e-2)
 
 
-def test_energy_breakdown_consistency(grid, solved, spec, params, quadq):
+def test_energy_breakdown_consistency(grid, solved, spec, params, tables):
     phi = gaussian_pert(grid, params)
-    bd = energy_breakdown(phi, solved, spec, quadq)
-    assert bd.consistency_defect() <= 1e-15
+    bd = energy_breakdown(phi, solved, spec, tables)
+    assert bd.E_hat_gamma == reduced_perturbed_energy(phi, solved, spec)
+    assert bd.E_hat_total == perturbed_total_energy(phi, solved, spec, tables)
     assert bd.E_hat_total == pytest.approx(bd.E_hat_gamma,
                                            rel=1e-2, abs=1e-5)
-    assert bd.E_mis == pytest.approx(1.0 / (3.0 * np.pi), rel=1e-2)
+    assert misfit_energy(solved, spec) == pytest.approx(1.0 / (3.0 * np.pi), rel=1e-2)
+
+
+def test_breakdown_warns_on_undecayed_perturbation(grid, solved, spec, params, tables):
+    phi = Perturbation(grid=grid, phi1=np.full(grid.N, 1e-3 * params.b))
+    with pytest.warns(UserWarning, match="decay threshold"):
+        energy_breakdown(phi, solved, spec, tables)
 
 
 # ---------------------------------------------------------------------------
@@ -245,14 +257,6 @@ def test_tables_match_level_quadrature(which, grid, solved, params, quadq):
             k_ref, rel=1e-12, abs=0)
 
 
-def test_tables_reused_across_calls_match_fresh_builds(grid, solved, spec, params, quadq):
-    tables = HalfPlaneTables.build(solved, quadq)
-    phi = gaussian_pert(grid, params, center=-0.7)
-    assert perturbed_total_energy(phi, solved, spec, tables=tables) == \
-        perturbed_total_energy(phi, solved, spec, quadq)
-    assert cross_terms(solved, phi, tables=tables) == cross_terms(solved, phi, quadq)
-
-
 # ---------------------------------------------------------------------------
 # minimizer property and extension optimality
 # ---------------------------------------------------------------------------
@@ -302,7 +306,7 @@ def test_box_energy_monotone_in_radius(analytic, params):
 
 def test_box_energy_log_divergence(analytic, params):
     radii = np.array([5, 10, 20, 40]) * params.zeta
-    slope, _, r2 = log_divergence_fit(analytic, radii)
+    _, slope, _, r2 = log_divergence_fit(analytic, radii)
     assert r2 >= 0.999
     assert slope > 0
 
