@@ -313,6 +313,16 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
 _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}
 
 
+def march(s0: DynamicsState, T_end: float, dt: float, step) -> DynamicsState:
+    """The end state of :func:`run_dynamics` with ``adapt`` off and no
+    monitoring: steps of ``dt`` by ``step`` (a stepper such as
+    :func:`step_etd`), the last one what is left to ``T_end``."""
+    s = s0
+    while s.t < T_end - 1e-12:
+        s = step(s, min(dt, T_end - s.t))
+    return s
+
+
 def run_dynamics(
     s0: DynamicsState, T_end: float, opts: RunOptions | None = None
 ) -> tuple[DynamicsState, DynamicsTrace]:

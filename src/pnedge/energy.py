@@ -23,6 +23,18 @@ profile into length N/2+1 vectors (:class:`HalfPlaneTables`) and each
 perturbation then costs one ``rfft`` and a dot product.  The
 y-quadrature is the discrete node/weight sum, independent of the
 closed-form y-integrals of the slip-plane route.
+
+The tables and :func:`elastic_energy_box` evaluate the y-levels in
+chunks of ``_LEVEL_CHUNK`` (4): the heights enter the per-level
+formulas as a column, so a chunk is one set of 2-d array operations and
+one batched FFT, where a level at a time paid numpy's per-call cost on
+every small array.  The weighted sum still adds one level at a time, in
+node order, with each level's x-sum taken along its own contiguous row,
+so every result has the bits of the level-by-level loop.  A chunk holds
+a few (chunk, N) arrays, which bounds the live memory of a call: at
+N = 4096 and 193 levels the tracemalloc peak is about 1.6 MiB for a box
+energy and 2.9 MiB for the tables (0.5 and 0.8 MiB a level at a
+time), where all 193 levels at once would take some 130 MiB.
 """
 
 from __future__ import annotations
@@ -51,6 +63,11 @@ from .static import half_laplacian_profile
 # ---------------------------------------------------------------------------
 # quadrature geometry for the half-plane integrals
 # ---------------------------------------------------------------------------
+
+#: y-levels evaluated together by the half-plane quadratures (see the
+#: module docstring for the memory this bounds)
+_LEVEL_CHUNK = 4
+
 
 @dataclass(frozen=True)
 class BoxQuadrature:
@@ -179,10 +196,20 @@ def _misfit_difference(p: Profile, spec: PotentialSpec, phi1: np.ndarray) -> flo
     ))
 
 
+def _half_laplacian_u1(p: Profile) -> np.ndarray:
+    """``(-d_xx)^{1/2} u1`` of a profile, made on its first perturbation
+    and kept, read-only, on the (frozen) profile for the ones after."""
+    lam = p.__dict__.get("_half_laplacian_u1")
+    if lam is None:
+        lam = half_laplacian_profile(p)
+        lam.flags.writeable = False
+        p.__dict__["_half_laplacian_u1"] = lam
+    return lam
+
+
 def cross_term_gamma(p: Profile, phi: Perturbation) -> float:
     """Slip-plane cross term ``c0 int phi1 (-d_xx)^{1/2} u1 dx``."""
-    lam_u1 = half_laplacian_profile(p)
-    return p.params.c0 * inner_h(p.grid, phi.phi1, lam_u1)
+    return p.params.c0 * inner_h(p.grid, phi.phi1, _half_laplacian_u1(p))
 
 
 def _slip_plane_route(phi: Perturbation, p: Profile, spec: PotentialSpec):
@@ -220,35 +247,54 @@ def _parseval_multipliers(ms) -> np.ndarray:
     of each multiplier is kept there.
     """
     m = np.array(ms, dtype=complex)
-    m[:, -1] = m[:, -1].real
+    m[..., -1] = m[..., -1].real
     return m
 
 
+def _level_chunks(ys: np.ndarray, wy: np.ndarray):
+    """The quadrature nodes in chunks of ``_LEVEL_CHUNK`` levels: heights
+    as a column (so the per-level formulas broadcast to one row per
+    level) with the chunk's weights."""
+    for s in range(0, len(ys), _LEVEL_CHUNK):
+        yield ys[s:s + _LEVEL_CHUNK, None], wy[s:s + _LEVEL_CHUNK]
+
+
+def _elastic_amplitudes(q, y, nu):
+    """Real amplitudes ``(a11, a22, a12)`` of the extension's strain
+    multipliers ``(i a11, i a22, a12)``."""
+    m11, m22, m12 = _strain_multipliers(q, y, nu)
+    return m11.imag, m22.imag, m12
+
+
 def _energy_table(
-    grid: Grid1D, params: PhysParams, quad: BoxQuadrature, multipliers=None,
+    grid: Grid1D, params: PhysParams, quad: BoxQuadrature, amplitudes=None,
 ) -> np.ndarray:
     """Per-mode weights ``T_k`` with ``(1/2) int sigma : eps = sum_k T_k
     |rfft(trace)_k|^2`` over both half-planes.
 
-    ``multipliers(q, y)`` returns the upper-half strain multipliers
-    ``(m11, m22, m12)`` on the ``rfft`` modes ``q = grid.xi_r``; the
-    default is the elastic extension.  By Parseval the x-sum at
-    height y of the isotropic density
+    ``amplitudes(q, y)`` returns real ``(a11, a22, a12)`` such that the
+    upper-half strain multipliers on the ``rfft`` modes ``q = grid.xi_r``
+    are ``(i a11, i a22, a12)``; the default is the elastic extension.
+    By Parseval the x-sum at height y of the isotropic density
     ``G (e11^2 + e22^2 + 2 e12^2) + (lambda/2) (e11 + e22)^2`` is a
     per-mode kernel times ``|rfft(trace)_k|^2``; the kernels are summed
     over the quadrature nodes and the mirror half-plane doubles the sum.
+    At the unpaired Nyquist mode (the last) only the real part of a
+    multiplier counts, so ``a11`` and ``a22`` drop out there.
     """
-    ys, wy = quad.nodes_weights()
     G, nu = params.G, params.nu
     lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
-    if multipliers is None:
-        multipliers = partial(_strain_multipliers, nu=nu)
+    if amplitudes is None:
+        amplitudes = partial(_elastic_amplitudes, nu=nu)
     q = grid.xi_r
     acc = np.zeros(len(q))
-    for y, wt in zip(ys, wy):
-        m11, m22, m12 = _parseval_multipliers(multipliers(q, y))
-        acc += wt * (G * (_abs2(m11) + _abs2(m22) + 2.0 * _abs2(m12))
-                     + 0.5 * lame * _abs2(m11 + m22))
+    for y, wts in _level_chunks(*quad.nodes_weights()):
+        a11, a22, a12 = amplitudes(q, y)
+        a11[..., -1] = 0.0
+        a22[..., -1] = 0.0
+        rows = G * (a11**2 + a22**2 + 2.0 * a12**2) + 0.5 * lame * (a11 + a22)**2
+        for wt, row in zip(wts, rows):
+            acc += wt * row
     return 2.0 * mode_weights(grid) * acc
 
 
@@ -261,14 +307,13 @@ def _cross_table(p: Profile, quad: BoxQuadrature) -> np.ndarray:
     directly from the strain multipliers times ``rfft(v)``; the
     integrand is even under the mirror map, so twice the upper sum.
     """
-    ys, wy = quad.nodes_weights()
     grid, prm = p.grid, p.params
     G, nu = prm.G, prm.nu
     q = grid.xi_r
     xs = grid.x - p.x0
     v_hat = rfft(p.v) if np.any(p.v) else None
     acc = np.zeros(len(q), dtype=complex)
-    for y, wt in zip(ys, wy):
+    for y, wts in _level_chunks(*quad.nodes_weights()):
         m11, m22, m12 = _parseval_multipliers(_strain_multipliers(q, y, nu))
         s11, s12, s22, _ = _analytic_stress(xs, y, G, prm.b, nu, p.zeta_bg, +1.0)
         S11, S22, S12 = rfft(np.stack([s11, s22, s12]))
@@ -276,7 +321,9 @@ def _cross_table(p: Profile, quad: BoxQuadrature) -> np.ndarray:
             c11, c12, c22, _ = strains_to_stresses(m11 * v_hat, m22 * v_hat, m12 * v_hat,
                                                    G, nu)
             S11, S12, S22 = S11 + c11, S12 + c12, S22 + c22
-        acc += wt * (m11 * np.conj(S11) + m22 * np.conj(S22) + 2.0 * m12 * np.conj(S12))
+        rows = m11 * np.conj(S11) + m22 * np.conj(S22) + 2.0 * m12 * np.conj(S12)
+        for wt, row in zip(wts, rows):
+            acc += wt * row
     return 2.0 * mode_weights(grid) * acc
 
 
@@ -386,26 +433,33 @@ def elastic_energy_box(
     wx = np.full(n_x, xw[1] - xw[0])
     wx[0] *= 0.5
     wx[-1] *= 0.5
+    xw = xw - p.x0
 
     has_v = bool(np.any(p.v))
     if has_v:
-        # correction stresses live on the periodic grid; restrict to the window
+        # correction stresses live on the periodic grid; restrict to the
+        # window |x| <= R, one index range of the sorted nodes
         v_hat = rfft(p.v)
-        mask = np.abs(p.grid.x) <= R
-        xg = p.grid.x[mask] - p.x0
+        x = p.grid.x
+        win = slice(np.searchsorted(x, -R), np.searchsorted(x, R, side="right"))
+        xg = x[win] - p.x0
         wxg = np.full(xg.shape, p.grid.h)
 
     total = 0.0
-    for y, wt in zip(ys, wy):
-        s11, s12, s22, _ = _analytic_stress(xw - p.x0, y, G, prm.b, nu, p.zeta_bg, +1.0)
-        total += wt * float(np.sum(wx * density(s11, s12, s22)))
+    for y, wts in _level_chunks(ys, wy):
+        s11, s12, s22, _ = _analytic_stress(xw, y, G, prm.b, nu, p.zeta_bg, +1.0)
+        bg = np.sum(wx * density(s11, s12, s22), axis=-1)
         if has_v:
             ev = _strains_of_spectrum(p.grid, v_hat, nu, y)
-            c11, c12, c22, _ = strains_to_stresses(*(e[mask] for e in ev), G, nu)
+            c11, c12, c22, _ = strains_to_stresses(*(e[:, win] for e in ev), G, nu)
             b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
-            corr = (density(b11 + c11, b12 + c12, b22 + c22)
-                    - density(b11, b12, b22))
-            total += wt * float(np.sum(wxg * corr))
+            corr = np.sum(wxg * (density(b11 + c11, b12 + c12, b22 + c22)
+                                 - density(b11, b12, b22)), axis=-1)
+        # level by level in node order, so the sum rounds as a level loop's
+        for i, wt in enumerate(wts):
+            total += wt * float(bg[i])
+            if has_v:
+                total += wt * float(corr[i])
     return 2.0 * total
 
 
@@ -476,9 +530,10 @@ def competitor_energy(
     f, fp = f_pair
     g, gp = g_pair
 
-    def multipliers(q, y):
-        # on the rfft modes xi = q >= 0, so i sgn(xi) q = i q
+    def amplitudes(q, y):
+        # on the rfft modes xi = q >= 0, so i sgn(xi) q = i q: the
+        # multipliers are (i q f(t), i q g'(t), (q f'(t) - q g(t))/2)
         t = q * y
-        return 1j * q * f(t), 1j * q * gp(t), 0.5 * (q * fp(t) - q * g(t))
+        return q * f(t), q * gp(t), 0.5 * (q * fp(t) - q * g(t))
 
-    return _quadratic(_energy_table(grid, params, quad, multipliers), phi1)
+    return _quadratic(_energy_table(grid, params, quad, amplitudes), phi1)

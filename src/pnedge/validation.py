@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -26,14 +27,15 @@ from .dynamics import (
     RunOptions,
     dissipation_rate,
     free_energy,
+    march,
     run_dynamics,
+    step_etd,
     step_semi_implicit,
 )
 from .energy import (
     BoxQuadrature,
     HalfPlaneTables,
     competitor_energy,
-    elastic_energy_of_trace,
     energy_breakdown,
     log_divergence_fit,
     log_fit,
@@ -99,7 +101,8 @@ def _geq(name, actual, floor, expected, detail="") -> CheckResult:
 
 @dataclass
 class SuiteContext:
-    """Shared expensive artifacts (grid, solved profile) for the checks."""
+    """Shared expensive artifacts (grid, solved profile, its half-plane
+    tables) for the checks."""
 
     cfg: RunConfig
     params: PhysParams = field(init=False)
@@ -115,6 +118,18 @@ class SuiteContext:
         init = tanh_profile(self.grid, self.params)
         self.solved = solve_static(init, self.spec, solve_options(self.cfg)).profile
         _, self.solved_centered = center_profile(self.solved)
+
+    @property
+    def quad(self) -> BoxQuadrature:
+        """The configured half-plane quadrature."""
+        return BoxQuadrature.for_params(self.params,
+                                        y_max_factor=self.cfg.energy_y_max_over_zeta,
+                                        n_levels=self.cfg.energy_quad_levels)
+
+    @cached_property
+    def tables(self) -> HalfPlaneTables:
+        """Half-plane tables of the solved profile at :attr:`quad`."""
+        return HalfPlaneTables.build(self.solved, self.quad)
 
     @property
     def force_scale(self) -> float:
@@ -308,16 +323,12 @@ def check_dtn(ctx: SuiteContext) -> list[CheckResult]:
 
 def check_energy_relation(ctx: SuiteContext) -> list[CheckResult]:
     cfg, prm = ctx.cfg, ctx.params
-    p = ctx.solved
-    quad = BoxQuadrature.for_params(prm, y_max_factor=cfg.energy_y_max_over_zeta,
-                                    n_levels=cfg.energy_quad_levels)
     perts = seeded_perturbations(ctx.grid, prm, cfg.energy_n_perturbations,
                                  seed=cfg.energy_pert_seed)
     floor = 1e-3 * ctx.energy_scale
     rel, cross = [], []
-    tables = HalfPlaneTables.build(p, quad)
     for ph in perts:
-        bd = energy_breakdown(ph, p, ctx.spec, tables)
+        bd = energy_breakdown(ph, ctx.solved, ctx.spec, ctx.tables)
         rel.append(abs(bd.E_hat_total - bd.E_hat_gamma) / max(abs(bd.E_hat_gamma), floor))
         cross.append(abs(bd.cross_els - bd.cross_gamma) / max(abs(bd.cross_gamma), floor))
     return [
@@ -358,12 +369,10 @@ def check_minimizer(ctx: SuiteContext) -> list[CheckResult]:
         ((lambda t: np.exp(-0.5 * t), lambda t: -0.5 * np.exp(-0.5 * t)),
          (lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))),
     ]
-    quad = BoxQuadrature.for_params(prm, y_max_factor=cfg.energy_y_max_over_zeta,
-                                    n_levels=cfg.energy_quad_levels)
     phi1 = perts[0].phi1
-    e_opt = elastic_energy_of_trace(ctx.grid, phi1, prm, quad)
+    e_opt = ctx.tables.elastic_energy(phi1)
     margins = [
-        competitor_energy(ctx.grid, phi1, prm, f_pair, g_pair, quad) - e_opt
+        competitor_energy(ctx.grid, phi1, prm, f_pair, g_pair, ctx.quad) - e_opt
         for f_pair, g_pair in competitors
     ]
     return [
@@ -443,10 +452,8 @@ def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
     gap_dts = (0.05, 0.025, 0.0125)
     gaps = []
     for dt in gap_dts:
-        opts_a = RunOptions(dt=dt, adapt=False, method="semi_implicit")
-        opts_b = RunOptions(dt=dt, adapt=False, method="etd")
-        sa, _ = run_dynamics(s0, 1.0, opts_a)
-        sb, _ = run_dynamics(s0, 1.0, opts_b)
+        sa = march(s0, 1.0, dt, step_semi_implicit)
+        sb = march(s0, 1.0, dt, step_etd)
         gaps.append(float(np.max(np.abs(sa.p.v - sb.p.v))))
     gap_order = log_fit(gap_dts, np.log(gaps))[0]
 

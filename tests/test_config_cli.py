@@ -270,6 +270,29 @@ def test_cli_entry_point_runs():
     assert "solve-static" in proc.stdout
 
 
+def test_malloc_thresholds_set_through_mallopt_or_skipped(monkeypatch):
+    import ctypes
+
+    from pnedge import cli
+
+    calls = []
+
+    class Libc:
+        def mallopt(self, param, value):
+            calls.append((param, value))
+            return 1
+
+    monkeypatch.setattr(ctypes, "CDLL", lambda name: Libc())
+    cli._fix_malloc_thresholds.__wrapped__()
+    assert calls == [(-3, 4 << 20), (-1, 2 << 20)]  # M_MMAP_THRESHOLD, M_TRIM_THRESHOLD
+
+    def no_libc(name):
+        raise OSError("no C library")
+
+    monkeypatch.setattr(ctypes, "CDLL", no_libc)
+    assert cli._fix_malloc_thresholds.__wrapped__() is None
+
+
 _NO_SCIPY_RUN = """
 import sys
 from pnedge.cli import main

@@ -9,6 +9,7 @@ from pnedge.dynamics import (
     dissipation_rate,
     etd_update,
     free_energy,
+    march,
     run_dynamics,
     semi_implicit_update,
     step_etd,
@@ -212,6 +213,20 @@ def test_integrators_consistent(bump_state):
                                                          method="etd"))
         gaps.append(np.max(np.abs(sa.p.v - sb.p.v)))
     assert np.log2(gaps[0] / gaps[1]) >= 0.9
+
+
+@pytest.mark.parametrize("method,step", [("semi_implicit", step_semi_implicit),
+                                         ("etd", step_etd)])
+@pytest.mark.parametrize("dt", [0.05, 0.025, 0.3])
+def test_march_matches_run_dynamics(bump_state, method, step, dt):
+    ref, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, adapt=False,
+                                                          method=method))
+    # the accumulated time leaves a last step that is not dt (dt = 0.05:
+    # 0.04999999999999971); march must take the same one
+    assert trace.dt_history[-1] != dt
+    got = march(bump_state, 1.0, dt, step)
+    assert got.t == ref.t
+    np.testing.assert_array_equal(got.p.v, ref.p.v)
 
 
 def test_underflow_carries_trace(bump_state):

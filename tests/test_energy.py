@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.integrate import quad
 
+from pnedge import energy
 from pnedge.energy import (
     BoxQuadrature,
     HalfPlaneTables,
@@ -24,9 +25,10 @@ from pnedge.energy import (
 )
 from pnedge.errors import DivergenceError, TailWarning
 from pnedge.extension import _analytic_stress, extend_trace_strains, strains_to_stresses
-from pnedge.operators import hs_seminorm_grid
+from pnedge.operators import hs_seminorm_grid, inner_h
 from pnedge.potential import eval_potential
 from pnedge.profile import Profile, background
+from pnedge.static import half_laplacian_profile
 
 
 @pytest.fixture(scope="module")
@@ -163,6 +165,21 @@ def test_cross_terms_zero_and_linear(grid, solved, quadq, params):
     phi = gaussian_pert(grid, params, center=1.3)
     assert cross_term_elastic(solved, phi, quadq) == pytest.approx(
         cross_term_gamma(solved, phi), rel=1e-2)
+
+
+def test_cross_term_gamma_transforms_profile_once(grid, solved, params, monkeypatch):
+    p = solved.with_correction(solved.v)  # a new profile object, nothing kept yet
+    calls = []
+    monkeypatch.setattr(energy, "half_laplacian_profile",
+                        lambda q: calls.append(q) or half_laplacian_profile(q))
+    perts = seeded_perturbations(grid, params, 3, seed=4)
+    got = [cross_term_gamma(p, ph) for ph in perts]
+    assert calls == [p]
+    lam = half_laplacian_profile(p)
+    assert got == [params.c0 * inner_h(grid, ph.phi1, lam) for ph in perts]
+    other = p.with_correction(0.5 * p.v)
+    cross_term_gamma(other, perts[0])
+    assert calls == [p, other]
 
 
 def test_energy_breakdown_consistency(grid, solved, spec, params, tables):

@@ -1,0 +1,215 @@
+"""Level-chunked half-plane quadratures against level-by-level references.
+
+The box energy and the Parseval tables evaluate their y-levels in chunks
+of ``energy._LEVEL_CHUNK``.  The references below are the one-level-at-a-
+time loops they replace, kept here verbatim; the chunked code must give
+the same bits (``==``, no tolerance), including for level counts that
+are not a multiple of the chunk and for fewer levels than one chunk.
+"""
+
+import tracemalloc
+from functools import partial
+
+import numpy as np
+import pytest
+
+from pnedge.energy import (
+    _LEVEL_CHUNK,
+    BoxQuadrature,
+    HalfPlaneTables,
+    competitor_energy,
+    elastic_energy_box,
+    seeded_perturbations,
+)
+from pnedge.extension import (
+    _analytic_stress,
+    _strain_multipliers,
+    _strains_of_spectrum,
+    strains_to_stresses,
+)
+from pnedge.operators import mode_weights, rfft
+
+# ---------------------------------------------------------------------------
+# level-by-level references
+# ---------------------------------------------------------------------------
+
+
+def _box_reference(p, R, n_x=1024, n_levels=192):
+    prm = p.params
+    G, nu = prm.G, prm.nu
+
+    def density(s11, s12, s22):
+        return (s11**2 + s22**2 - nu * (s11 + s22) ** 2 + 2.0 * s12**2) / (4.0 * G)
+
+    ys, wy = BoxQuadrature(prm.zeta / 50.0, R, n_levels).nodes_weights()
+    xw = np.linspace(-R, R, n_x)
+    wx = np.full(n_x, xw[1] - xw[0])
+    wx[0] *= 0.5
+    wx[-1] *= 0.5
+    has_v = bool(np.any(p.v))
+    if has_v:
+        v_hat = rfft(p.v)
+        mask = np.abs(p.grid.x) <= R
+        xg = p.grid.x[mask] - p.x0
+        wxg = np.full(xg.shape, p.grid.h)
+    total = 0.0
+    for y, wt in zip(ys, wy):
+        s11, s12, s22, _ = _analytic_stress(xw - p.x0, y, G, prm.b, nu, p.zeta_bg, +1.0)
+        total += wt * float(np.sum(wx * density(s11, s12, s22)))
+        if has_v:
+            ev = _strains_of_spectrum(p.grid, v_hat, nu, y)
+            c11, c12, c22, _ = strains_to_stresses(*(e[mask] for e in ev), G, nu)
+            b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
+            corr = (density(b11 + c11, b12 + c12, b22 + c22)
+                    - density(b11, b12, b22))
+            total += wt * float(np.sum(wxg * corr))
+    return 2.0 * total
+
+
+def _abs2(m):
+    return m.real**2 + m.imag**2
+
+
+def _parseval_multipliers(ms):
+    m = np.array(ms, dtype=complex)
+    m[:, -1] = m[:, -1].real
+    return m
+
+
+def _energy_table_reference(grid, params, quad, multipliers=None):
+    ys, wy = quad.nodes_weights()
+    G, nu = params.G, params.nu
+    lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
+    if multipliers is None:
+        multipliers = partial(_strain_multipliers, nu=nu)
+    q = grid.xi_r
+    acc = np.zeros(len(q))
+    for y, wt in zip(ys, wy):
+        m11, m22, m12 = _parseval_multipliers(multipliers(q, y))
+        acc += wt * (G * (_abs2(m11) + _abs2(m22) + 2.0 * _abs2(m12))
+                     + 0.5 * lame * _abs2(m11 + m22))
+    return 2.0 * mode_weights(grid) * acc
+
+
+def _cross_table_reference(p, quad):
+    ys, wy = quad.nodes_weights()
+    grid, prm = p.grid, p.params
+    G, nu = prm.G, prm.nu
+    q = grid.xi_r
+    xs = grid.x - p.x0
+    v_hat = rfft(p.v) if np.any(p.v) else None
+    acc = np.zeros(len(q), dtype=complex)
+    for y, wt in zip(ys, wy):
+        m11, m22, m12 = _parseval_multipliers(_strain_multipliers(q, y, nu))
+        s11, s12, s22, _ = _analytic_stress(xs, y, G, prm.b, nu, p.zeta_bg, +1.0)
+        S11, S22, S12 = rfft(np.stack([s11, s22, s12]))
+        if v_hat is not None:
+            c11, c12, c22, _ = strains_to_stresses(m11 * v_hat, m22 * v_hat, m12 * v_hat,
+                                                   G, nu)
+            S11, S12, S22 = S11 + c11, S12 + c12, S22 + c22
+        acc += wt * (m11 * np.conj(S11) + m22 * np.conj(S22) + 2.0 * m12 * np.conj(S12))
+    return 2.0 * mode_weights(grid) * acc
+
+
+def _competitor_reference(grid, phi1, params, f_pair, g_pair, quad):
+    f, fp = f_pair
+    g, gp = g_pair
+
+    def multipliers(q, y):
+        t = q * y
+        return 1j * q * f(t), 1j * q * gp(t), 0.5 * (q * fp(t) - q * g(t))
+
+    table = _energy_table_reference(grid, params, quad, multipliers)
+    th = rfft(np.asarray(phi1, dtype=float))
+    return float(np.dot(table, _abs2(th)))
+
+
+# ---------------------------------------------------------------------------
+# fixtures
+# ---------------------------------------------------------------------------
+
+#: ``n_levels`` of the quadrature, which has ``n_levels + 1`` nodes with
+#: y = 0: the config's 193 nodes (one past a multiple of the chunk), a
+#: chunk and two, one short of two chunks, and fewer than one chunk
+LEVELS = (192, _LEVEL_CHUNK + 1, 2 * _LEVEL_CHUNK - 2, _LEVEL_CHUNK - 2)
+
+
+@pytest.fixture(scope="module", params=["solved", "analytic"])
+def profile(request, solved, analytic):
+    p = solved if request.param == "solved" else analytic
+    assert bool(np.any(p.v)) == (request.param == "solved")
+    return p
+
+
+def _competitors(nu):
+    beta = 1.0 / (2.0 - 2.0 * nu)
+    zero = (lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))
+    return [
+        ((lambda t: np.exp(-t), lambda t: -np.exp(-t)), zero),
+        ((lambda t: np.exp(-0.5 * t), lambda t: -0.5 * np.exp(-0.5 * t)), zero),
+        ((lambda t: np.exp(-t), lambda t: -np.exp(-t)),
+         (lambda t: -beta * ((1.0 - 2.0 * nu) + t) * np.exp(-t),
+          lambda t: -beta * (2.0 * nu - t) * np.exp(-t))),
+    ]
+
+
+# ---------------------------------------------------------------------------
+# bit-for-bit agreement
+# ---------------------------------------------------------------------------
+
+@pytest.mark.parametrize("R_over_zeta", [5.0, 40.0])
+@pytest.mark.parametrize("n_x,n_levels", [(1024, 192), (512, 96),
+                                          (256, _LEVEL_CHUNK + 2), (256, _LEVEL_CHUNK - 2)])
+def test_box_energy_bit_identical(profile, params, R_over_zeta, n_x, n_levels):
+    R = R_over_zeta * params.zeta
+    got = elastic_energy_box(profile, R, n_x=n_x, n_levels=n_levels)
+    assert got == _box_reference(profile, R, n_x=n_x, n_levels=n_levels)
+
+
+@pytest.mark.parametrize("n_levels", LEVELS)
+def test_tables_bit_identical(profile, params, n_levels):
+    quad = BoxQuadrature.for_params(params, n_levels=n_levels)
+    tables = HalfPlaneTables.build(profile, quad)
+    np.testing.assert_array_equal(
+        tables.elastic, _energy_table_reference(profile.grid, params, quad))
+    np.testing.assert_array_equal(tables.cross, _cross_table_reference(profile, quad))
+
+
+@pytest.mark.parametrize("n_levels", LEVELS)
+def test_competitor_energy_bit_identical(grid, params, n_levels):
+    quad = BoxQuadrature.for_params(params, n_levels=n_levels)
+    phi1 = seeded_perturbations(grid, params, 1, seed=3)[0].phi1
+    for f_pair, g_pair in _competitors(params.nu):
+        got = competitor_energy(grid, phi1, params, f_pair, g_pair, quad)
+        assert got == _competitor_reference(grid, phi1, params, f_pair, g_pair, quad)
+
+
+# ---------------------------------------------------------------------------
+# memory bound of one chunk
+# ---------------------------------------------------------------------------
+
+_PEAK_LIMIT = 4 * 2**20  # bytes
+
+
+def _peak_bytes(fn):
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_quadrature_peak_memory(solved, grid, params):
+    quad = BoxQuadrature.for_params(params, n_levels=192)
+    phi1 = seeded_perturbations(grid, params, 1, seed=3)[0].phi1
+    (f_pair, g_pair), *_ = _competitors(params.nu)
+    runs = {
+        "elastic_energy_box": lambda: elastic_energy_box(solved, 40.0 * params.zeta),
+        "HalfPlaneTables.build": lambda: HalfPlaneTables.build(solved, quad),
+        "competitor_energy": lambda: competitor_energy(grid, phi1, params, f_pair,
+                                                       g_pair, quad),
+    }
+    for name, fn in runs.items():
+        peak = _peak_bytes(fn)
+        assert peak <= _PEAK_LIMIT, f"{name}: tracemalloc peak {peak} B"
