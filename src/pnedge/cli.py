@@ -156,14 +156,14 @@ def cmd_extend(cfg: RunConfig) -> int:
     while pairs:
         name, (plus, minus) = pairs.popitem()
         if yl.mirrored:
-            values = np.vstack([minus[::-1], plus])
+            blocks = (minus[::-1], plus)
             levels = np.concatenate([-ys[::-1], ys])
         else:
-            values, levels = plus, ys
+            blocks, levels = (plus,), ys
         del plus, minus
         with _timed(timings, "write"):
-            write_field_csv(out / f"{name}.csv", grid.x, levels, values)
-        del values
+            write_field_csv(out / f"{name}.csv", grid.x, levels, *blocks)
+        del blocks
     with _timed(timings, "write"):
         write_csv(out / "traction.csv", {"x": grid.x, "sigma12": s12_gamma,
                                          "sigma22": s22_gamma})

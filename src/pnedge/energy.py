@@ -244,9 +244,9 @@ def _parseval_multipliers(ms) -> np.ndarray:
 
     The tables never pass through ``irfft``, so they apply its rule for
     the unpaired Nyquist mode (the last) themselves: only the real part
-    of each multiplier is kept there.
+    of each multiplier is kept there (in place, for a complex array).
     """
-    m = np.array(ms, dtype=complex)
+    m = np.asarray(ms, dtype=complex)
     m[..., -1] = m[..., -1].real
     return m
 
@@ -263,7 +263,7 @@ def _elastic_amplitudes(q, y, nu):
     """Real amplitudes ``(a11, a22, a12)`` of the extension's strain
     multipliers ``(i a11, i a22, a12)``."""
     m11, m22, m12 = _strain_multipliers(q, y, nu)
-    return m11.imag, m22.imag, m12
+    return m11.imag, m22.imag, m12.real
 
 
 def _energy_table(

@@ -143,15 +143,17 @@ def _u2_multiplier(q, nu, beta, y):
     return -beta * ((1.0 - 2.0 * nu) * 1j * np.sign(q) + 1j * q * y) * np.exp(-q * y)
 
 
-def _strain_multipliers(q, y, nu):
+def _strain_multipliers(q, y, nu) -> np.ndarray:
     """Fourier multipliers taking uhat1(xi,0+) to the upper-half strains,
-    on the rfft modes (``xi = q >= 0``)."""
+    on the rfft modes (``xi = q >= 0``), as one complex array whose first
+    axis is (e11, e22, e12)."""
     beta = 1.0 / (2.0 - 2.0 * nu)
     decay = np.exp(-q * y)
-    e11 = 1j * q * (1.0 - beta * q * y) * decay
-    e22 = -1j * q * beta * (2.0 * nu - q * y) * decay
-    e12 = q * beta * (q * y - 1.0) * decay
-    return e11, e22, e12
+    m = np.empty((3,) + decay.shape, dtype=complex)
+    np.multiply(1j * q * (1.0 - beta * q * y), decay, out=m[0])
+    np.multiply(-1j * q * beta * (2.0 * nu - q * y), decay, out=m[1])
+    np.multiply(q * beta * (q * y - 1.0), decay, out=m[2])
+    return m
 
 
 def _displacement_of_spectrum(grid: Grid1D, trace_hat: np.ndarray, nu: float, y: float):
@@ -166,7 +168,9 @@ def _displacement_of_spectrum(grid: Grid1D, trace_hat: np.ndarray, nu: float, y:
 
 def _strains_of_spectrum(grid: Grid1D, trace_hat: np.ndarray, nu: float, y: float):
     """:func:`extend_trace_strains` from the trace's ``rfft``."""
-    e11, e22, e12 = irfft(grid, np.stack(_strain_multipliers(grid.xi_r, y, nu)) * trace_hat)
+    m = _strain_multipliers(grid.xi_r, y, nu)
+    m *= trace_hat
+    e11, e22, e12 = irfft(grid, m)
     return e11, e22, e12
 
 

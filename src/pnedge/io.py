@@ -22,8 +22,9 @@ compacted by the keep matrix is a CSV row.  :func:`write_csv` builds the
 slots of up to ``_BLOCK_ROWS`` rows and writes them with one call;
 :func:`write_field_csv` formats the x and y columns once, left-aligned in
 slots as wide as their widest cell, and writes one y-level at a time from
-one pair of matrices reused for every level.  Formatting runs over at most
-``_CHUNK`` cells at a time.
+one pair of matrices reused for every level; the levels may come in
+blocks, so a mirrored field's two halves are never stacked.  Formatting
+runs over at most ``_CHUNK`` cells at a time.
 """
 
 from __future__ import annotations
@@ -274,24 +275,31 @@ def write_csv(path, columns: dict) -> None:
             f.write(chars[keep])
 
 
-def write_field_csv(path, x: np.ndarray, y_levels: np.ndarray, values: np.ndarray) -> None:
+def write_field_csv(path, x: np.ndarray, y_levels: np.ndarray, *blocks: np.ndarray) -> None:
     """Flatten a (level, x) field to columns x, y, value.
 
-    ``x`` and ``y_levels`` are numeric 1-D arrays and ``values`` has
-    shape ``(len(y_levels), len(x))``.
+    ``x`` and ``y_levels`` are numeric 1-D arrays.  The field's rows, one
+    per level, are those of ``blocks`` in order: one array of shape
+    ``(len(y_levels), len(x))``, or several with ``len(x)`` columns whose
+    rows add up to the levels (the halves of a mirrored field, written
+    without stacking them into one array).
     """
-    x, y_levels, values = np.asarray(x), np.asarray(y_levels), np.asarray(values)
-    if x.ndim != 1 or y_levels.ndim != 1 or values.shape != (y_levels.size, x.size):
-        raise ValueError(f"field values have shape {values.shape}, expected "
+    x, y_levels = np.asarray(x), np.asarray(y_levels)
+    blocks = [np.asarray(b) for b in blocks]
+    shapes = [b.shape for b in blocks]
+    if (x.ndim != 1 or y_levels.ndim != 1
+            or any(len(sh) != 2 or sh[1] != x.size for sh in shapes)
+            or sum(sh[0] for sh in shapes) != y_levels.size):
+        raise ValueError(f"field values have shape {' + '.join(map(str, shapes))}, expected "
                          f"(len(y_levels), len(x)) = {(y_levels.size, x.size)}")
     x_cells, y_cells = _packed(x), _packed(y_levels)
     chars, keep, [x_slot, y_slot, v_slot] = _row_slots(
-        x.size, [x_cells.shape[1], y_cells.shape[1], _width(values)])
+        x.size, [x_cells.shape[1], y_cells.shape[1], max(map(_width, blocks), default=1)])
     x_slot[0][:] = x_cells
     np.not_equal(x_cells, 0, out=x_slot[1])
     with open(path, "wb") as f:
         f.write(b"x,y,value\n")
-        for y, row in zip(y_cells, values):
+        for y, row in zip(y_cells, (row for b in blocks for row in b)):
             y_slot[0][:] = y
             y_slot[1][:] = y != 0
             _fill(row, *v_slot)

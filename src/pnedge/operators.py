@@ -25,6 +25,7 @@ modes use the Parseval weights of :func:`mode_weights`, and a squared
 
 from __future__ import annotations
 
+import math
 from typing import Literal, Optional
 
 import numpy as np
@@ -108,17 +109,27 @@ def fourier_shift(grid: Grid1D, f: np.ndarray, a: float) -> np.ndarray:
     return apply_symbol(grid, _check_samples(grid, f), np.exp(1j * grid.xi_r * a))
 
 
-def fourier_interpolate(grid: Grid1D, f: np.ndarray, xq):
-    """Evaluate the band-limited interpolant of ``f`` at points ``xq``.
+def fourier_interpolant(grid: Grid1D, f: np.ndarray):
+    """The band-limited interpolant of ``f`` as a function of query points.
 
-    O(N * len(xq)); intended for a handful of query points.
+    The samples are transformed once; each evaluation at points ``xq``
+    costs O(N * len(xq)), so it suits a handful of points at a time, as a
+    root finder's steps are.
     """
-    f = _check_samples(grid, f)
-    scalar = np.isscalar(xq)
-    dx = np.atleast_1d(np.asarray(xq, dtype=float)) - grid.x[0]
-    coeffs = mode_weights(grid) / grid.h * rfft(f)
-    vals = (np.exp(1j * np.outer(dx, grid.xi_r)) @ coeffs).real
-    return float(vals[0]) if scalar else vals
+    coeffs = mode_weights(grid) / grid.h * rfft(_check_samples(grid, f))
+
+    def interpolant(xq):
+        scalar = np.isscalar(xq)
+        dx = np.atleast_1d(np.asarray(xq, dtype=float)) - grid.x[0]
+        vals = (np.exp(1j * np.outer(dx, grid.xi_r)) @ coeffs).real
+        return float(vals[0]) if scalar else vals
+
+    return interpolant
+
+
+def fourier_interpolate(grid: Grid1D, f: np.ndarray, xq):
+    """Evaluate the band-limited interpolant of ``f`` at points ``xq``."""
+    return fourier_interpolant(grid, f)(xq)
 
 
 # ---------------------------------------------------------------------------
@@ -158,31 +169,23 @@ def background_transform(b: float, zeta: float, xi: np.ndarray) -> np.ndarray:
     return np.where(q > 0, out, 0.0 + 0.0j)
 
 
-def _half_line_quad(integrand) -> float:
-    """Adaptive ``quad`` over (0, inf) as the sum over (0, 1) and (1, inf)."""
-    from scipy.integrate import quad  # kept off the solve path's imports
-
-    inner, _ = quad(integrand, 0.0, 1.0, limit=200)
-    outer, _ = quad(integrand, 1.0, np.inf, limit=200)
-    return inner + outer
-
-
 def hs_seminorm_analytic(b: float, zeta: float, s: float) -> float:
-    """Squared H^s seminorm of the arctan core by adaptive quadrature.
+    """Squared H^s seminorm of the arctan core in closed form.
 
-    Integrates ``(1/2pi) |xi|^{2s} b^2/(4 xi^2) exp(-2 zeta |xi|)`` over
-    the line.  Diverges (raises) for ``s <= 1/2``: the integrand behaves
-    like ``|xi|^{2s-2}`` at the origin.
+    ``(1/2pi) int |xi|^{2s} b^2/(4 xi^2) exp(-2 zeta |xi|)`` over the line
+    is ``b^2 Gamma(2s-1) / (4 pi (2 zeta)^(2s-1))``.  Diverges (raises) for
+    ``s <= 1/2``: the integrand behaves like ``|xi|^{2s-2}`` at the origin.
     """
     if s <= 0.5:
         raise DivergenceError(
             f"H^s seminorm of the arctan profile diverges for s={s} <= 1/2"
         )
+    return b * b * math.gamma(2.0 * s - 1.0) / (4.0 * np.pi * (2.0 * zeta) ** (2.0 * s - 1.0))
 
-    def integrand(q):
-        return q ** (2.0 * s - 2.0) * np.exp(-2.0 * zeta * q)
 
-    return b * b / (4.0 * np.pi) * _half_line_quad(integrand)
+def _expm1_ratio(x: float) -> float:
+    """``expm1(x) / x``, 1 at ``x = 0``."""
+    return math.expm1(x) / x if x != 0.0 else 1.0
 
 
 def hs_seminorm_background_difference(
@@ -190,15 +193,37 @@ def hs_seminorm_background_difference(
 ) -> float:
     """Squared H^s seminorm of the difference of two arctan cores.
 
-    The difference decays like 1/x, so the seminorm is finite for every
-    ``s > -1/2``; computed by adaptive quadrature of
-    ``(1/2pi)|xi|^{2s} b^2/(4 xi^2) (e^{-zeta1 |xi|} - e^{-zeta2 |xi|})^2``.
+    In closed form,
+    ``(1/2pi) int |xi|^{2s} b^2/(4 xi^2) (e^{-zeta1 |xi|} - e^{-zeta2 |xi|})^2``
+    is ``b^2 Gamma(2s-1) [(2 zeta1)^{1-2s} + (2 zeta2)^{1-2s}
+    - 2 (zeta1+zeta2)^{1-2s}] / (4 pi)``.  The difference decays like 1/x, so the seminorm is finite for every
+    ``s > -1/2`` (raises :class:`DivergenceError` otherwise).  The poles of
+    Gamma at s = 1/2 and s = 0 are removable: the bracket is written with
+    ``expm1`` about the nearer one, so it keeps its relative accuracy there,
+    and at the poles themselves gives the limits
+    ``2 ln((zeta1+zeta2) / (2 sqrt(zeta1 zeta2)))`` (s = 1/2) and
+    ``2 zeta1 ln 2 zeta1 + 2 zeta2 ln 2 zeta2 - 2 (zeta1+zeta2) ln(zeta1+zeta2)``
+    (s = 0), times ``b^2 / (4 pi)``.
     """
-
-    def integrand(q):
-        return q ** (2.0 * s - 2.0) * (np.exp(-zeta1 * q) - np.exp(-zeta2 * q)) ** 2
-
-    return b * b / (4.0 * np.pi) * _half_line_quad(integrand)
+    if s <= -0.5:
+        raise DivergenceError(
+            f"H^s seminorm of an arctan-core difference diverges for s={s} <= -1/2"
+        )
+    zs = (2.0 * zeta1, 2.0 * zeta2, zeta1 + zeta2)
+    logs = [math.log(z) for z in zs]
+    if s > 0.25:
+        # e = 2s - 1: z^{-e} - 1 = -e ln z expm1_ratio(-e ln z),
+        # Gamma(e) = Gamma(1+e) / e
+        e = 2.0 * s - 1.0
+        r = [lz * _expm1_ratio(-e * lz) for lz in logs]
+        value = -math.gamma(1.0 + e) * (r[0] + r[1] - 2.0 * r[2])
+    else:
+        # d = 2s: z^{1-2s} = z + z expm1(-d ln z), the z's cancel exactly
+        # (2 zeta1 + 2 zeta2 = 2 (zeta1 + zeta2)), Gamma(d-1) = Gamma(1+d) / (d (d-1))
+        d = 2.0 * s
+        r = [z * lz * _expm1_ratio(-d * lz) for z, lz in zip(zs, logs)]
+        value = math.gamma(1.0 + d) / (1.0 - d) * (r[0] + r[1] - 2.0 * r[2])
+    return b * b / (4.0 * np.pi) * value
 
 
 def hs_seminorm(
@@ -211,8 +236,9 @@ def hs_seminorm(
 
     Grid mode sums the discrete multiplier over a decaying sample array
     (pass ``grid``).  Analytic mode applies to profiles whose correction
-    is negligible and integrates the background transform by adaptive
-    quadrature; it raises :class:`DivergenceError` for ``s <= 1/2``.
+    is negligible and returns the background's closed form
+    (:func:`hs_seminorm_analytic`); it raises :class:`DivergenceError`
+    for ``s <= 1/2``.
     """
     from .profile import Profile  # local import to avoid a cycle
 

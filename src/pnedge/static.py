@@ -31,7 +31,7 @@ import numpy as np
 
 from .errors import ConvergenceError, MonotonicityWarning
 from .grid import Grid1D
-from .operators import apply_half_laplacian, apply_symbol, fourier_interpolate, fourier_shift
+from .operators import apply_half_laplacian, apply_symbol, fourier_interpolant, fourier_shift
 from .params import PhysParams
 from .potential import PotentialSpec, eval_potential, validate_potential
 from .profile import Profile
@@ -324,9 +324,10 @@ def zero_crossing(p: Profile) -> float:
     if len(zeros) == 1:
         return float(p.grid.x[zeros[0]])
     j, k = nz[changes[0]], nz[changes[0] + 1]
+    v_cont = fourier_interpolant(p.grid, p.v)
 
     def u1_cont(xq):
-        return float(p.background_at(xq) + fourier_interpolate(p.grid, p.v, xq))
+        return float(p.background_at(xq) + v_cont(xq))
 
     return brentq(u1_cont, p.grid.x[j], p.grid.x[k], xtol=1e-14 * max(1.0, p.grid.h))
 

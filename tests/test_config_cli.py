@@ -311,6 +311,40 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
+_NO_SCIPY_SEMINORMS = """
+import sys
+from types import SimpleNamespace
+
+from pnedge.extension import lambda_seminorm_total
+from pnedge.grid import build_grid
+from pnedge.params import PhysParams
+from pnedge.potential import frenkel
+from pnedge.profile import tanh_profile
+from pnedge.static import solve_static
+from pnedge.validation import check_sobolev
+
+params = PhysParams()
+assert all(r.passed for r in check_sobolev(SimpleNamespace(params=params)))
+grid = build_grid(100.0 * params.zeta, 512)
+p = solve_static(tanh_profile(grid, params), frenkel(params)).profile
+assert lambda_seminorm_total(p, 1.5).value > 0.0
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_seminorm_oracles_load_no_scipy():
+    # check 03's closed forms and exp-sinh rule, and lambda_seminorm* with a correction
+    import pnedge
+
+    src = str(Path(pnedge.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SEMINORMS],
+                          capture_output=True, text=True, env=env)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "[]"
+
+
 def test_frenkel_subcommands_load_no_scipy(tmp_path):
     # the tanh start runs the sweep, the centring root find and the MINRES polish
     import pnedge
@@ -418,6 +452,26 @@ def test_write_field_csv_matches_reference(tmp_path):
                                "y": np.repeat(levels, x.size),
                                "value": values.reshape(-1)})
     assert path.read_bytes() == expected
+
+
+def test_write_field_csv_blocks_write_the_rows_of_one_array(tmp_path):
+    rng = np.random.default_rng(6)
+    x = np.linspace(-30.0, 30.0, 48, endpoint=False)
+    ys = np.geomspace(0.1, 10.0, 4)
+    levels = np.concatenate([-ys[::-1], ys])
+    plus = rng.standard_normal((ys.size, x.size))
+    minus = -plus
+    write_field_csv(tmp_path / "one.csv", x, levels, np.vstack([minus[::-1], plus]))
+    write_field_csv(tmp_path / "halves.csv", x, levels, minus[::-1], plus)
+    write_field_csv(tmp_path / "rows.csv", x, levels, *np.split(np.vstack([minus[::-1], plus]),
+                                                            [1, 2, 7]))
+    one = (tmp_path / "one.csv").read_bytes()
+    assert (tmp_path / "halves.csv").read_bytes() == one
+    assert (tmp_path / "rows.csv").read_bytes() == one
+    with pytest.raises(ValueError, match=r"\(4, 48\) \+ \(3, 48\).*\(8, 48\)"):
+        write_field_csv(tmp_path / "f.csv", x, levels, minus, plus[1:])
+    with pytest.raises(ValueError, match=r"\(4, 48\) \+ \(4, 47\)"):
+        write_field_csv(tmp_path / "f.csv", x, levels, minus, plus[:, 1:])
 
 
 def test_write_csv_rejects_no_columns(tmp_path):

@@ -21,6 +21,7 @@ from pnedge.operators import (
     spectral_derivative,
 )
 from pnedge.profile import background
+from pnedge.validation import _exp_sinh
 
 
 def pv_hilbert(f, x0, span=400.0):
@@ -191,6 +192,48 @@ def test_analytic_seminorm_divergence():
         hs_seminorm_analytic(1.0, 2.0 / 3.0, 0.5)
     with pytest.raises(DivergenceError):
         hs_seminorm_analytic(1.0, 2.0 / 3.0, 0.3)
+
+
+@pytest.mark.parametrize("s", [0.55, 0.75, 1.0, 1.5])
+def test_analytic_seminorm_matches_exp_sinh(s):
+    zeta = 2.0 / 3.0
+    rule = _exp_sinh(lambda q: q ** (2 * s - 2) * np.exp(-2 * zeta * q), 2 * s - 1)
+    assert hs_seminorm_analytic(1.0, zeta, s) == pytest.approx(rule / (4 * np.pi), rel=1e-13)
+
+
+_B, _Z1, _Z2 = 1.3, 1.0 / 3.0, 4.0 / 3.0
+
+
+@pytest.mark.parametrize("s", [-0.25, 0.0, 0.25, 0.5, 1.0])
+def test_background_difference_matches_exp_sinh(s):
+    # e^{-z1 q} - e^{-z2 q} through expm1, so that small q keeps its digits
+    rule = _exp_sinh(
+        lambda q: q ** (2 * s - 2) * (np.exp(-_Z1 * q) * np.expm1((_Z1 - _Z2) * q)) ** 2,
+        2 * s + 1)
+    got = hs_seminorm_background_difference(_B, _Z1, _Z2, s)
+    assert got == pytest.approx(_B**2 * rule / (4 * np.pi), rel=1e-13)
+
+
+@pytest.mark.parametrize("pole,limit", [
+    (0.5, 2 * np.log((_Z1 + _Z2) / (2 * np.sqrt(_Z1 * _Z2)))),
+    (0.0, 2 * _Z1 * np.log(2 * _Z1) + 2 * _Z2 * np.log(2 * _Z2)
+     - 2 * (_Z1 + _Z2) * np.log(_Z1 + _Z2)),
+])
+def test_background_difference_limits_at_gamma_poles(pole, limit):
+    at = hs_seminorm_background_difference(_B, _Z1, _Z2, pole)
+    assert at == pytest.approx(_B**2 * limit / (4 * np.pi), rel=1e-14)
+    # no loss of digits next to the pole: the slope in s is of order the value
+    for ds in (1e-12, -1e-12, 1e-8, -1e-8, 1e-5, -1e-5):
+        near = hs_seminorm_background_difference(_B, _Z1, _Z2, pole + ds)
+        assert near == pytest.approx(at, rel=4 * abs(ds))
+
+
+def test_background_difference_domain_edge():
+    for s in (-0.5, -0.75, -3.0):
+        with pytest.raises(DivergenceError):
+            hs_seminorm_background_difference(_B, _Z1, _Z2, s)
+    near = hs_seminorm_background_difference(_B, _Z1, _Z2, -0.5 + 1e-9)
+    assert np.isfinite(near) and near > 1e6
 
 
 def test_constant_samples_zero_seminorm():

@@ -27,7 +27,7 @@ from pnedge.extension import (
     _strains_of_spectrum,
     strains_to_stresses,
 )
-from pnedge.operators import mode_weights, rfft
+from pnedge.operators import irfft, mode_weights, rfft
 
 # ---------------------------------------------------------------------------
 # level-by-level references
@@ -64,6 +64,16 @@ def _box_reference(p, R, n_x=1024, n_levels=192):
                     - density(b11, b12, b22))
             total += wt * float(np.sum(wxg * corr))
     return 2.0 * total
+
+
+def _strain_multipliers_reference(q, y, nu):
+    """The three strain multipliers as separate arrays, for ``np.stack``."""
+    beta = 1.0 / (2.0 - 2.0 * nu)
+    decay = np.exp(-q * y)
+    e11 = 1j * q * (1.0 - beta * q * y) * decay
+    e22 = -1j * q * beta * (2.0 * nu - q * y) * decay
+    e12 = q * beta * (q * y - 1.0) * decay
+    return e11, e22, e12
 
 
 def _abs2(m):
@@ -164,6 +174,17 @@ def test_box_energy_bit_identical(profile, params, R_over_zeta, n_x, n_levels):
     R = R_over_zeta * params.zeta
     got = elastic_energy_box(profile, R, n_x=n_x, n_levels=n_levels)
     assert got == _box_reference(profile, R, n_x=n_x, n_levels=n_levels)
+
+
+@pytest.mark.parametrize("y", [0.0, 0.3, np.array([[0.0], [0.01], [2.5], [40.0]])],
+                         ids=["zero", "level", "chunk"])
+def test_strains_bit_identical_to_stacked_multipliers(solved, params, y):
+    grid, nu = solved.grid, params.nu
+    ref = np.stack(_strain_multipliers_reference(grid.xi_r, y, nu))
+    np.testing.assert_array_equal(_strain_multipliers(grid.xi_r, y, nu), ref)
+    v_hat = rfft(solved.v)
+    np.testing.assert_array_equal(np.stack(_strains_of_spectrum(grid, v_hat, nu, y)),
+                                  irfft(grid, ref * v_hat))
 
 
 @pytest.mark.parametrize("n_levels", LEVELS)

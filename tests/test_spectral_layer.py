@@ -1,7 +1,6 @@
 """The real-FFT spectral layer: Nyquist convention and where transforms live.
 
-Also where scipy may be imported: nowhere at module level, and inside
-one function only.
+Also that no module of the package imports scipy, at any depth.
 """
 
 import ast
@@ -102,41 +101,6 @@ def test_no_complex_transforms_in_any_module():
     assert complex_uses == []
 
 
-def _import_time_scipy(path):
-    """(line, module) of every scipy import that runs when ``path`` is imported.
-
-    Function bodies run later; every other statement of the module (class
-    bodies, ``if``, ``try``, ``with`` blocks included) runs at import.
-    """
-    found = []
-
-    def visit(stmts):
-        for node in stmts:
-            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                continue
-            if isinstance(node, ast.Import):
-                names = [alias.name for alias in node.names]
-            elif isinstance(node, ast.ImportFrom):
-                names = [node.module or ""]
-            else:
-                names = []
-            found.extend((node.lineno, n) for n in names
-                         if n == "scipy" or n.startswith("scipy."))
-            for field in ("body", "orelse", "finalbody", "handlers"):
-                visit(getattr(node, field, []))
-
-    visit(ast.parse(path.read_text()).body)
-    return found
-
-
-def test_no_module_level_scipy_imports():
-    # import pnedge must stay scipy-free: the import alone costs more than a solve
-    eager = [(path.name, lineno, name)
-             for path in sorted(SRC.glob("*.py"))
-             for lineno, name in _import_time_scipy(path)]
-    assert eager == []
-
-
 def _scipy_imports(path):
     """(line, enclosing function, module, names) of every scipy import in a
     source file, at any depth."""
@@ -161,15 +125,10 @@ def _scipy_imports(path):
     return found
 
 
-def test_scipy_is_imported_only_for_the_half_line_quadrature():
-    # tables, the solver and every CLI path run on numpy alone; the one
-    # adaptive quadrature (check 03, lambda_seminorm*) keeps scipy's quad
-    allowed = ("operators.py", "_half_line_quad", "scipy.integrate", ("quad",))
-    imports = [(path.name, lineno, func, module, names)
+def test_no_scipy_import_in_src():
+    # numpy is the only runtime dependency: the solver, the tables, the
+    # seminorms and every CLI path, check 03 included, import no scipy
+    imports = [f"{path.name}:{lineno}: {module} {names} in {func or 'module body'}"
                for path in sorted(SRC.glob("*.py"))
                for lineno, func, module, names in _scipy_imports(path)]
-    others = [f"{name}:{lineno}: {module} {names} in {func or 'module body'}"
-              for name, lineno, func, module, names in imports
-              if (name, func, module, names) != allowed]
-    assert others == [], "scipy imported outside operators._half_line_quad:\n" + "\n".join(others)
-    assert [(name, func, module, names) for name, _, func, module, names in imports] == [allowed]
+    assert imports == [], "scipy imported in src/pnedge:\n" + "\n".join(imports)

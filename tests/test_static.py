@@ -5,14 +5,16 @@ import warnings
 import numpy as np
 import pytest
 
+from pnedge import operators
 from pnedge.errors import TailWarning
 from pnedge.grid import build_grid
-from pnedge.operators import fourier_shift
+from pnedge.operators import fourier_interpolate, fourier_shift
 from pnedge.params import PhysParams
 from pnedge.potential import from_table, frenkel
 from pnedge.profile import Profile, analytic_profile, background, tanh_profile
 from pnedge.static import (
     SolveOptions,
+    brentq,
     burgers_density,
     center_profile,
     decay_coefficients,
@@ -168,6 +170,34 @@ def test_center_translated_profile(grid, params):
     shift, centered = center_profile(p)
     assert shift == pytest.approx(a, abs=1e-6 * grid.h)
     assert abs(centered.background_at(0.0)) <= 1e-10 * params.b
+
+
+def _shift_with_a_transform_per_step(p):
+    """The zero crossing as found when every Brent step interpolated v
+    through its own ``rfft`` (``fourier_interpolate``)."""
+    assert np.all(p.u1 != 0.0)
+    j = np.flatnonzero(np.diff(np.sign(p.u1)) != 0)[0]
+    return brentq(lambda xq: float(p.background_at(xq) + fourier_interpolate(p.grid, p.v, xq)),
+                  p.grid.x[j], p.grid.x[j + 1], xtol=1e-14 * max(1.0, p.grid.h))
+
+
+def test_center_profile_transforms_v_once_and_keeps_its_shift(solved, monkeypatch):
+    shifted = Profile(grid=solved.grid, params=solved.params, zeta_bg=solved.zeta_bg,
+                      x0=solved.x0 + 0.37 * solved.grid.h,
+                      v=fourier_shift(solved.grid, solved.v, -0.37 * solved.grid.h))
+    for p in (solved, shifted):
+        expected = _shift_with_a_transform_per_step(p)
+        calls = []
+
+        def counted(f, out=None):
+            calls.append(f)
+            return np.fft.rfft(f, out=out)
+
+        monkeypatch.setattr(operators, "rfft", counted)
+        shift, _ = center_profile(p)
+        monkeypatch.undo()
+        assert shift == expected
+        assert len(calls) == 2  # the interpolant's coefficients and the Fourier shift
 
 
 def test_center_rejects_nonmonotone(grid, params):
