@@ -27,7 +27,7 @@ from .energy import (
     seeded_perturbations,
 )
 from .errors import TimeStepUnderflowError
-from .extension import YLevels, dtn_traction, extend_to_half_planes, stress_field
+from .extension import PARITY, YLevels, dtn_traction, extend_to_half_planes, stress_field
 from .io import prepare_output_dir, write_csv, write_field_csv, write_manifest
 from .profile import Profile, analytic_profile, tanh_profile
 from .static import (
@@ -102,6 +102,11 @@ def _timed(timings: dict, key: str):
         timings[key] = timings.get(key, 0.0) + time.perf_counter() - t0
 
 
+def _bytes_written(paths) -> dict:
+    """Manifest entry of the size in bytes of each CSV a command wrote."""
+    return {"bytes_written": {p.name: p.stat().st_size for p in paths}}
+
+
 def _solve(cfg: RunConfig, grid, params, spec):
     return solve_static(_initial_profile(cfg, grid, params), spec, solve_options(cfg))
 
@@ -129,7 +134,8 @@ def cmd_solve_static(cfg: RunConfig) -> int:
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     timings["total"] = time.perf_counter() - t0
-    write_manifest(out / "manifest.json", cfg.echo(), "solve-static", timings)
+    write_manifest(out / "manifest.json", cfg.echo(), "solve-static", timings,
+                   extra=_bytes_written([out / "profile.csv"]))
     return 0
 
 
@@ -146,24 +152,17 @@ def cmd_extend(cfg: RunConfig) -> int:
     s12_gamma, s22_gamma = dtn_traction(profile)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
     timings: dict = {}
-    ys = yl.values
-    pairs = {
-        "u1": (hp.u1_plus, hp.u1_minus), "u2": (hp.u2_plus, hp.u2_minus),
-        "sigma11": (sf.s11_plus, sf.s11_minus), "sigma12": (sf.s12_plus, sf.s12_minus),
-        "sigma22": (sf.s22_plus, sf.s22_minus), "sigma33": (sf.s33_plus, sf.s33_minus),
-    }
-    del hp, sf  # a field's arrays are released once it is written
-    while pairs:
-        name, (plus, minus) = pairs.popitem()
-        if yl.mirrored:
-            blocks = (minus[::-1], plus)
-            levels = np.concatenate([-ys[::-1], ys])
-        else:
-            blocks, levels = (plus,), ys
-        del plus, minus
+    upper = {"u1": hp.u1_plus, "u2": hp.u2_plus,
+             "sigma11": sf.s11_plus, "sigma12": sf.s12_plus,
+             "sigma22": sf.s22_plus, "sigma33": sf.s33_plus}
+    paths = [out / f"{name}.csv" for name in upper] + [out / "traction.csv"]
+    del hp, sf  # a field's array is released once it is written
+    while upper:
+        name, values = upper.popitem()
+        mirror = PARITY[name.replace("sigma", "s")] if yl.mirrored else None
         with _timed(timings, "write"):
-            write_field_csv(out / f"{name}.csv", grid.x, levels, *blocks)
-        del blocks
+            write_field_csv(out / f"{name}.csv", grid.x, yl.values, values, mirror=mirror)
+        del values
     with _timed(timings, "write"):
         write_csv(out / "traction.csv", {"x": grid.x, "sigma12": s12_gamma,
                                          "sigma22": s22_gamma})
@@ -171,7 +170,8 @@ def cmd_extend(cfg: RunConfig) -> int:
     write_manifest(out / "manifest.json", cfg.echo(), "extend", timings,
                    extra={"gauges": {"u2_zero_mode": 0.0,
                                      "note": "u2 defined up to an additive constant"},
-                          "grid": {"L": grid.L, "N": grid.N, "h": grid.h}})
+                          "grid": {"L": grid.L, "N": grid.N, "h": grid.h},
+                          **_bytes_written(paths)})
     return 0
 
 
@@ -253,15 +253,18 @@ def cmd_dynamics(cfg: RunConfig) -> int:
                 _write_trace_csv(out / "trace.csv", arr)
         timings["total"] = time.perf_counter() - t0
         write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings,
-                       extra={"aborted": str(exc)})
+                       extra={"aborted": str(exc),
+                              **_bytes_written([out / "trace.csv"] if arr else [])})
         raise
     timings = {}
+    paths = [out / "trace.csv"] + [out / f"snapshot_t{t:g}.csv" for t in snapshots]
     with _timed(timings, "write"):
-        _write_trace_csv(out / "trace.csv", arr)
-        for t_snap, u1 in snapshots.items():
-            write_csv(out / f"snapshot_t{t_snap:g}.csv", {"x": grid.x, "u1": u1})
+        _write_trace_csv(paths[0], arr)
+        for path, u1 in zip(paths[1:], snapshots.values()):
+            write_csv(path, {"x": grid.x, "u1": u1})
     timings["total"] = time.perf_counter() - t0
-    write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings)
+    write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings,
+                   extra=_bytes_written(paths))
     return 0
 
 

@@ -264,18 +264,22 @@ def _check_dt(dt: float) -> None:
 
 
 def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
-             v_hat_star=0.0) -> DynamicsState:
+             v_hat_star: Optional[np.ndarray] = None) -> DynamicsState:
     """One step of the linear update ``kernel``: ``v_hat+ = S_v (v_hat - v_hat*)
     + S_f rfft(force) + v_hat*`` with the kernel's symbols at dt, summed on
-    the modes (``v_hat* = 0`` unless given); one rfft and one irfft."""
+    the modes (without ``v_hat*`` unless given); one rfft and one irfft."""
     inv = s._invariants()
     s_v, s_f = inv.symbols(kernel, dt)
-    v_hat = s._v_hat - v_hat_star
-    v_hat *= s_v
+    if v_hat_star is None:
+        v_hat = s._v_hat * s_v
+    else:
+        v_hat = s._v_hat - v_hat_star
+        v_hat *= s_v
     f_hat = rfft(force, out=inv.work_hat)
     f_hat *= s_f
     v_hat += f_hat
-    v_hat += v_hat_star
+    if v_hat_star is not None:
+        v_hat += v_hat_star
     new = replace(s, t=s.t + dt, p=s.p.with_correction(irfft(s.p.grid, v_hat)))
     new.__dict__["_v_hat"] = v_hat  # the cache slot of the property
     return new

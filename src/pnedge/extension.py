@@ -199,22 +199,36 @@ def strains_to_stresses(e11, e22, e12, G: float, nu: float):
 # field containers
 # ---------------------------------------------------------------------------
 
+#: parity of each component under y -> -y (u1 and the normal stresses odd)
+PARITY = {"u1": -1, "u2": 1, "s11": -1, "s12": 1, "s22": -1, "s33": -1}
+
+
+def _lower_half(component: str) -> property:
+    """Read-only lower-half array of ``component`` at heights ``-values[i]``:
+    its upper array, negated when the component is odd in y."""
+    upper = f"{component}_plus"
+    if PARITY[component] < 0:
+        return property(lambda self: -getattr(self, upper))
+    return property(lambda self: getattr(self, upper))
+
+
 @dataclass(frozen=True)
 class HalfPlaneField:
     """Displacement samples on y-levels above and below the slip plane.
 
-    Arrays are (level, x).  Lower-half arrays are stored at heights
-    ``-values[i]`` and satisfy the mirror symmetry
-    ``u1_minus(x, -y) = -u1_plus(x, y)``, ``u2_minus(x, -y) = u2_plus(x, y)``
-    exactly by construction.
+    Arrays are (level, x).  Only the upper half is stored; the lower-half
+    arrays at heights ``-values[i]`` are derived from it by the mirror
+    symmetry ``u1_minus(x, -y) = -u1_plus(x, y)``,
+    ``u2_minus(x, -y) = u2_plus(x, y)``, so they hold it exactly.
     """
 
     grid: Grid1D
     ylevels: YLevels
     u1_plus: np.ndarray = field(repr=False)
     u2_plus: np.ndarray = field(repr=False)
-    u1_minus: np.ndarray = field(repr=False)
-    u2_minus: np.ndarray = field(repr=False)
+
+    u1_minus = _lower_half("u1")
+    u2_minus = _lower_half("u2")
 
     def mirror_defect(self) -> float:
         d1 = np.max(np.abs(self.u1_plus + self.u1_minus))
@@ -225,7 +239,11 @@ class HalfPlaneField:
 
 @dataclass(frozen=True)
 class StressField:
-    """Stress samples on y-levels above and below the slip plane."""
+    """Stress samples on y-levels above and below the slip plane.
+
+    Only the upper half is stored; the lower-half arrays are derived from
+    it: s12 is even under y -> -y, the normal components are odd.
+    """
 
     grid: Grid1D
     ylevels: YLevels
@@ -234,10 +252,11 @@ class StressField:
     s12_plus: np.ndarray = field(repr=False)
     s22_plus: np.ndarray = field(repr=False)
     s33_plus: np.ndarray = field(repr=False)
-    s11_minus: np.ndarray = field(repr=False)
-    s12_minus: np.ndarray = field(repr=False)
-    s22_minus: np.ndarray = field(repr=False)
-    s33_minus: np.ndarray = field(repr=False)
+
+    s11_minus = _lower_half("s11")
+    s12_minus = _lower_half("s12")
+    s22_minus = _lower_half("s22")
+    s33_minus = _lower_half("s33")
 
     def strains(self, side: str = "plus"):
         """Strains recovered through the inverse plane-strain relation."""
@@ -273,11 +292,7 @@ def extend_to_half_planes(p: Profile, yl: YLevels) -> HalfPlaneField:
             b2 = b2 + c2
         u1p[i] = b1
         u2p[i] = b2
-    return HalfPlaneField(
-        grid=grid, ylevels=yl,
-        u1_plus=u1p, u2_plus=u2p,
-        u1_minus=-u1p, u2_minus=u2p.copy(),
-    )
+    return HalfPlaneField(grid=grid, ylevels=yl, u1_plus=u1p, u2_plus=u2p)
 
 
 def trace_of_extension(p: Profile) -> np.ndarray:
@@ -295,8 +310,8 @@ def stress_field(p: Profile, yl: YLevels) -> StressField:
 
     Correction strains come from the analytic y-derivatives of the
     spectral factors (no differencing across levels); background stress
-    from the closed form.  Mirror relations give the lower half:
-    s12 is even under (y -> -y), the normal components are odd.
+    from the closed form.  The lower half is derived by
+    :class:`StressField` from the mirror relations.
     """
     grid, prm = p.grid, p.params
     xs = grid.x - p.x0
@@ -315,8 +330,6 @@ def stress_field(p: Profile, yl: YLevels) -> StressField:
         grid=grid, ylevels=yl, params=prm,
         s11_plus=comps["s11"], s12_plus=comps["s12"],
         s22_plus=comps["s22"], s33_plus=comps["s33"],
-        s11_minus=-comps["s11"], s12_minus=comps["s12"].copy(),
-        s22_minus=-comps["s22"], s33_minus=-comps["s33"],
     )
 
 

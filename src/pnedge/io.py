@@ -16,15 +16,20 @@ bare point stripped; ``-`` when the sign bit is set).  NaN, infinities,
 zeros and the rare cells outside that range are formatted by Python, one
 ``%`` operation per block.
 
-Each cell fills a fixed-width slot of a byte matrix, and a matching
-boolean matrix keeps the bytes it spells; a row of slots and separators
-compacted by the keep matrix is a CSV row.  :func:`write_csv` builds the
-slots of up to ``_BLOCK_ROWS`` rows and writes them with one call;
-:func:`write_field_csv` formats the x and y columns once, left-aligned in
-slots as wide as their widest cell, and writes one y-level at a time from
-one pair of matrices reused for every level; the levels may come in
-blocks, so a mirrored field's two halves are never stacked.  Formatting
-runs over at most ``_CHUNK`` cells at a time.
+Each cell fills a fixed-width slot of a byte matrix, NUL in the bytes it
+does not spell; a row of slots and separators with its NULs deleted is a
+CSV row.  :func:`write_csv` builds the slots of up to ``_BLOCK_ROWS`` rows
+and writes them with one call.  :func:`write_field_csv` formats the x and
+y columns once, left-aligned in slots as wide as their widest cell, and
+writes one y-level at a time from one row matrix reused for every level.
+A mirrored field is passed as its upper half only: each level is
+formatted once, and the cells are kept until the level's second row is
+written.  A mirror row of an even field repeats them.  In a mirror row of
+an odd field, a cell formatted in integers changes only its sign byte
+(``-`` or NUL in the slot's first column); a cell formatted by Python
+(zeros, ``|v| <= 1e-25`` or ``>= 1e16``, NaN and infinities) is formatted
+again from ``-v``, so ``0.0`` becomes ``-0`` as in the negated array.
+Formatting runs over at most ``_CHUNK`` cells at a time.
 """
 
 from __future__ import annotations
@@ -170,14 +175,14 @@ def _digits(d: np.ndarray) -> np.ndarray:
     return out
 
 
-def _format_floats(v: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
+def _format_floats(v: np.ndarray, chars: np.ndarray) -> None:
     """Fill (n, _CELL) slots with the cells ``"%.17g" % v[i]`` (float64 v).
 
     Cells outside the exact range are formatted as 1, then overwritten.
+    Bytes of the slot that the cell does not spell are NUL.
     """
-    a = np.abs(v)
-    exact = (a > _TINY) & (a < 1e16)
-    d, e = _decimal17(np.where(exact, a, 1.0))
+    exact = _exact(v)
+    d, e = _decimal17(np.where(exact, np.abs(v), 1.0))
     dig = _digits(d)
     nd = ((dig[1:18] != 0) * _ORD_DIGIT).max(axis=0, initial=0)
     p = _POINT[e - _E_MIN]
@@ -195,15 +200,22 @@ def _format_floats(v: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
     np.floor_divide(exp, 10, out=slot[26])
     np.remainder(exp, 10, out=slot[27])
     slot[26:] += ord("0")
-    chars[:] = slot.T
-    keep[:] = _KEEP.take(((e - _E_MIN) * 18 + nd) * 2 + (v < 0), axis=0)
-    if exact.all():
-        return
-    rest = np.flatnonzero(~exact)
+    np.multiply(slot.T, _KEEP.take(((e - _E_MIN) * 18 + nd) * 2 + (v < 0), axis=0),
+                out=chars)
+    if not exact.all():
+        _format_by_python(v, np.flatnonzero(~exact), chars)
+
+
+def _exact(v: np.ndarray) -> np.ndarray:
+    """Cells of float64 ``v`` that :func:`_format_floats` formats in integers."""
+    a = np.abs(v)
+    return (a > _TINY) & (a < 1e16)
+
+
+def _format_by_python(v: np.ndarray, rest: np.ndarray, chars: np.ndarray) -> None:
+    """Fill the slots ``rest`` with ``"%.17g" % v[i]``, one ``%`` operation."""
     text = ("%.17g\n" * rest.size % tuple(v[rest].tolist())).encode().split(b"\n")[:-1]
-    cells = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
-    chars[rest] = cells
-    keep[rest] = cells != 0
+    chars[rest] = np.array(text, dtype=f"S{_CELL}").view(np.uint8).reshape(-1, _CELL)
 
 
 def _text(a: np.ndarray) -> list[bytes]:
@@ -215,43 +227,43 @@ def _width(a: np.ndarray) -> int:
     return _CELL if a.dtype.kind == "f" else max(map(len, _text(a)), default=0) or 1
 
 
-def _fill(a: np.ndarray, chars: np.ndarray, keep: np.ndarray) -> None:
+def _fill(a: np.ndarray, chars: np.ndarray) -> None:
     """Fill the slots of a 1-D array's cells."""
     if a.dtype.kind == "f":
         v = np.asarray(a, dtype=np.float64)
         for s in range(0, v.size, _CHUNK):
-            _format_floats(v[s:s + _CHUNK], chars[s:s + _CHUNK], keep[s:s + _CHUNK])
+            _format_floats(v[s:s + _CHUNK], chars[s:s + _CHUNK])
         return
-    text = _text(a)
     width = chars.shape[1]
-    chars[:] = np.array(text, dtype=f"S{width}").view(np.uint8).reshape(-1, width)
-    keep[:] = np.arange(width) < np.array([len(t) for t in text], dtype=int)[:, None]
+    chars[:] = np.array(_text(a), dtype=f"S{width}").view(np.uint8).reshape(-1, width)
 
 
 def _row_slots(n: int, widths: list[int]):
-    """Byte and keep matrices of ``n`` rows of slots of the given widths, each
-    followed by a comma and the last by a newline, and the (bytes, keep)
-    views of the slots; the rows' bytes are ``chars[keep]``."""
+    """Byte matrix of ``n`` rows of slots of the given widths, each followed
+    by a comma and the last by a newline, and the views of the slots."""
     chars = np.empty((n, sum(widths) + len(widths)), np.uint8)
-    keep = np.empty(chars.shape, bool)
     slots, start = [], 0
     for w in widths:
-        slots.append((chars[:, start:start + w], keep[:, start:start + w]))
+        slots.append(chars[:, start:start + w])
         start += w
         chars[:, start] = ord(",")
-        keep[:, start] = True
         start += 1
     chars[:, -1] = ord("\n")
-    return chars, keep, slots
+    return chars, slots
+
+
+def _text_of(chars: np.ndarray) -> bytes:
+    """The bytes a matrix of slots spells: all of them but the NULs."""
+    return chars.tobytes().translate(None, b"\0")
 
 
 def _packed(a: np.ndarray) -> np.ndarray:
     """The cells of a 1-D array left-aligned in rows of the widest one's
     width, NUL-padded, as (n, width) uint8: narrower slots for columns
     formatted once and written many times."""
-    chars, keep, [slot] = _row_slots(a.size, [_width(a)])
-    _fill(a, *slot)
-    cells = np.array(chars[keep].tobytes().split(b"\n")[:-1], dtype=bytes)
+    chars, [slot] = _row_slots(a.size, [_width(a)])
+    _fill(a, slot)
+    cells = np.array(_text_of(chars).split(b"\n")[:-1], dtype=bytes)
     return cells.view(np.uint8).reshape(a.size, cells.itemsize)
 
 
@@ -269,41 +281,63 @@ def write_csv(path, columns: dict) -> None:
         f.write((",".join(names) + "\n").encode())
         for start in range(0, n, _BLOCK_ROWS):
             block = [a[start:start + _BLOCK_ROWS] for a in arrays]
-            chars, keep, slots = _row_slots(len(block[0]), widths)
+            chars, slots = _row_slots(len(block[0]), widths)
             for a, slot in zip(block, slots):
-                _fill(a, *slot)
-            f.write(chars[keep])
+                _fill(a, slot)
+            f.write(_text_of(chars))
 
 
-def write_field_csv(path, x: np.ndarray, y_levels: np.ndarray, *blocks: np.ndarray) -> None:
+def _negate_cells(v: np.ndarray, chars: np.ndarray) -> None:
+    """Turn the slots of float64 cells ``v`` into those of ``-v``: a cell
+    formatted in integers has its sign in column 0, ``-`` or NUL, so only
+    that byte flips; the Python-formatted cells are formatted again from
+    ``-v``."""
+    exact = _exact(v)
+    sign = chars[:, 0]
+    np.bitwise_xor(sign, ord("-"), out=sign, where=exact)
+    if not exact.all():
+        _format_by_python(-v, np.flatnonzero(~exact), chars)
+
+
+def write_field_csv(path, x: np.ndarray, y_levels: np.ndarray, values: np.ndarray,
+                    mirror: int | None = None) -> None:
     """Flatten a (level, x) field to columns x, y, value.
 
-    ``x`` and ``y_levels`` are numeric 1-D arrays.  The field's rows, one
-    per level, are those of ``blocks`` in order: one array of shape
-    ``(len(y_levels), len(x))``, or several with ``len(x)`` columns whose
-    rows add up to the levels (the halves of a mirrored field, written
-    without stacking them into one array).
+    ``x`` and ``y_levels`` are numeric 1-D arrays and ``values`` has shape
+    ``(len(y_levels), len(x))``.  With ``mirror`` (+1 for a field even in
+    y, -1 for an odd one) the mirror image comes first: the rows
+    ``mirror * values[::-1]`` at heights ``-y_levels[::-1]``, then
+    ``values`` at ``y_levels``, the bytes of the stacked array written
+    without ``mirror``.  Each level is formatted once for both of its rows.
     """
-    x, y_levels = np.asarray(x), np.asarray(y_levels)
-    blocks = [np.asarray(b) for b in blocks]
-    shapes = [b.shape for b in blocks]
-    if (x.ndim != 1 or y_levels.ndim != 1
-            or any(len(sh) != 2 or sh[1] != x.size for sh in shapes)
-            or sum(sh[0] for sh in shapes) != y_levels.size):
-        raise ValueError(f"field values have shape {' + '.join(map(str, shapes))}, expected "
+    x, y_levels, values = np.asarray(x), np.asarray(y_levels), np.asarray(values)
+    if x.ndim != 1 or y_levels.ndim != 1 or values.shape != (y_levels.size, x.size):
+        raise ValueError(f"field values have shape {values.shape}, expected "
                          f"(len(y_levels), len(x)) = {(y_levels.size, x.size)}")
+    if mirror not in (None, 1, -1):
+        raise ValueError(f"mirror must be None, 1 or -1, got {mirror!r}")
+    if mirror is not None and values.dtype.kind != "f":
+        raise ValueError(f"a mirrored field must be floating, got dtype {values.dtype}")
+    rows = [(i, False) for i in range(y_levels.size)]
+    if mirror is not None:
+        rows = [(i, mirror < 0) for i in reversed(range(y_levels.size))] + rows
+        y_levels = np.concatenate([-y_levels[::-1], y_levels])
     x_cells, y_cells = _packed(x), _packed(y_levels)
-    chars, keep, [x_slot, y_slot, v_slot] = _row_slots(
-        x.size, [x_cells.shape[1], y_cells.shape[1], max(map(_width, blocks), default=1)])
-    x_slot[0][:] = x_cells
-    np.not_equal(x_cells, 0, out=x_slot[1])
+    chars, [x_slot, y_slot, v_slot] = _row_slots(
+        x.size, [x_cells.shape[1], y_cells.shape[1], _width(values)])
+    x_slot[:] = x_cells
+    # every level's cells, formatted once and kept until its last row is written
+    cells = np.empty((values.size, v_slot.shape[1]), np.uint8)
+    _fill(values.reshape(-1), cells)
+    cells = cells.reshape(values.shape[0], x.size, -1)
     with open(path, "wb") as f:
         f.write(b"x,y,value\n")
-        for y, row in zip(y_cells, (row for b in blocks for row in b)):
-            y_slot[0][:] = y
-            y_slot[1][:] = y != 0
-            _fill(row, *v_slot)
-            f.write(chars[keep])
+        for y, (i, negate) in zip(y_cells, rows):
+            y_slot[:] = y
+            v_slot[:] = cells[i]
+            if negate:
+                _negate_cells(np.asarray(values[i], dtype=np.float64), v_slot)
+            f.write(_text_of(chars))
 
 
 def config_hash(echo_text: str) -> str:

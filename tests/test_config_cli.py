@@ -345,6 +345,23 @@ def test_seminorm_oracles_load_no_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+def test_default_solve_is_byte_identical_across_blas_threads(tmp_path):
+    # N = 4096 stays below the sizes at which OpenBLAS splits a dot product
+    import pnedge
+
+    src = str(Path(pnedge.__file__).resolve().parents[1])
+    profiles = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        out = tmp_path / threads
+        proc = subprocess.run([sys.executable, "-m", "pnedge.cli", "--output", str(out),
+                               "solve-static"], capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        profiles.append((out / "profile.csv").read_bytes())
+    assert profiles[0] == profiles[1]
+
+
 def test_frenkel_subcommands_load_no_scipy(tmp_path):
     # the tanh start runs the sweep, the centring root find and the MINRES polish
     import pnedge
@@ -454,24 +471,23 @@ def test_write_field_csv_matches_reference(tmp_path):
     assert path.read_bytes() == expected
 
 
-def test_write_field_csv_blocks_write_the_rows_of_one_array(tmp_path):
+@pytest.mark.parametrize("mirror", [1, -1])
+def test_write_field_csv_mirror_writes_the_stacked_array(tmp_path, mirror):
     rng = np.random.default_rng(6)
     x = np.linspace(-30.0, 30.0, 48, endpoint=False)
     ys = np.geomspace(0.1, 10.0, 4)
-    levels = np.concatenate([-ys[::-1], ys])
-    plus = rng.standard_normal((ys.size, x.size))
-    minus = -plus
-    write_field_csv(tmp_path / "one.csv", x, levels, np.vstack([minus[::-1], plus]))
-    write_field_csv(tmp_path / "halves.csv", x, levels, minus[::-1], plus)
-    write_field_csv(tmp_path / "rows.csv", x, levels, *np.split(np.vstack([minus[::-1], plus]),
-                                                            [1, 2, 7]))
-    one = (tmp_path / "one.csv").read_bytes()
-    assert (tmp_path / "halves.csv").read_bytes() == one
-    assert (tmp_path / "rows.csv").read_bytes() == one
-    with pytest.raises(ValueError, match=r"\(4, 48\) \+ \(3, 48\).*\(8, 48\)"):
-        write_field_csv(tmp_path / "f.csv", x, levels, minus, plus[1:])
-    with pytest.raises(ValueError, match=r"\(4, 48\) \+ \(4, 47\)"):
-        write_field_csv(tmp_path / "f.csv", x, levels, minus, plus[:, 1:])
+    plus = rng.standard_normal((ys.size, x.size)) * 10.0 ** rng.uniform(-30.0, 20.0, (4, 48))
+    plus[1, :6] = [0.0, -0.0, np.nan, np.inf, -np.inf, 5e-324]
+    write_field_csv(tmp_path / "stacked.csv", x, np.concatenate([-ys[::-1], ys]),
+                    np.vstack([mirror * plus[::-1], plus]))
+    write_field_csv(tmp_path / "mirrored.csv", x, ys, plus, mirror=mirror)
+    assert (tmp_path / "mirrored.csv").read_bytes() == (tmp_path / "stacked.csv").read_bytes()
+    with pytest.raises(ValueError, match="mirror must be None, 1 or -1"):
+        write_field_csv(tmp_path / "f.csv", x, ys, plus, mirror=0)
+    with pytest.raises(ValueError, match="must be floating"):
+        write_field_csv(tmp_path / "f.csv", x, ys, np.ones(plus.shape, int), mirror=mirror)
+    with pytest.raises(ValueError, match=r"\(3, 48\).*\(4, 48\)"):
+        write_field_csv(tmp_path / "f.csv", x, ys, plus[1:], mirror=mirror)
 
 
 def test_write_csv_rejects_no_columns(tmp_path):

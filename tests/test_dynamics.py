@@ -364,6 +364,19 @@ def test_carried_spectrum_matches_transform_of_samples(bump_state, step):
     assert np.max(np.abs(s._v_hat - v_hat)) <= 1e-12 * np.max(np.abs(v_hat))
 
 
+def test_semi_implicit_step_equals_update_about_a_zero_spectrum(bump_state):
+    # the step skips the subtraction and addition of a reference spectrum
+    from pnedge.dynamics import _advance
+
+    s = bump_state
+    for _ in range(5):
+        g = s.p.params.c0 * s._invariants().lam_bg + s._wp_u1
+        want = _advance(s, 0.1, semi_implicit_update, g, np.zeros_like(s._v_hat))
+        s = step_semi_implicit(s, 0.1)
+        assert np.array_equal(s._v_hat, want._v_hat)
+        assert np.array_equal(s.p.v, want.p.v)
+
+
 def test_replace_never_carries_a_stale_spectrum(bump_state, grid, params):
     from dataclasses import replace
 

@@ -1,5 +1,7 @@
 """Elastic extension, stresses, traction map and half-plane seminorms."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 from scipy.integrate import quad
@@ -117,6 +119,18 @@ def test_half_plane_field_mirror(analytic, params):
     assert hp.mirror_defect() == 0.0
     np.testing.assert_allclose(hp.u1_minus, -hp.u1_plus)
     np.testing.assert_allclose(hp.u2_minus, hp.u2_plus)
+
+
+@pytest.mark.parametrize("comp, parity", [("u1", -1), ("u2", 1), ("s11", -1), ("s12", 1),
+                                          ("s22", -1), ("s33", -1)])
+def test_lower_half_is_derived_from_the_upper(analytic, params, comp, parity):
+    yl = YLevels.geometric(params.zeta / 5, 5 * params.zeta, 3)
+    container = (extend_to_half_planes if comp[0] == "u" else stress_field)(analytic, yl)
+    assert not [f.name for f in fields(container) if f.name.endswith("_minus")]
+    upper, lower = getattr(container, f"{comp}_plus"), getattr(container, f"{comp}_minus")
+    assert np.array_equal(lower, upper if parity > 0 else -upper)
+    with pytest.raises(AttributeError):
+        setattr(container, f"{comp}_minus", upper)
 
 
 def test_stress_field_plane_strain_identity(solved, params, rng):

@@ -8,7 +8,7 @@ import numpy as np
 from hypothesis import given, settings, strategies as st
 
 from pnedge.cli import main
-from pnedge.io import write_csv
+from pnedge.io import write_csv, write_field_csv
 
 
 def _written(values: np.ndarray) -> bytes:
@@ -83,6 +83,28 @@ def test_random_bit_patterns_match_format():
     _assert_cells_exact(bits.view(np.float64))
 
 
+#: cells every mirrored field of the property below holds: signed zeros,
+#: subnormals, the fallback's range ends and beyond, infinities and NaN, and
+#: cells formatted in integers
+_MIRROR_CELLS = np.array([0.0, -0.0, 5e-324, -2.2250738585072009e-308, 1e-30, -1e-25,
+                          1e16, 1e20, np.inf, -np.inf, np.nan,
+                          1.0, -0.1, 2.5e-7, -123456.789, 9007199254740993.0])
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(st.integers(0, 2**64 - 1), max_size=64), st.lists(st.floats(), max_size=64),
+       st.sampled_from([1, -1]))
+def test_mirrored_rows_match_format(patterns, floats, mirror):
+    v = np.concatenate([np.array(patterns, dtype=np.uint64).view(np.float64),
+                        np.array(floats, dtype=np.float64), _MIRROR_CELLS])
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "f.csv"
+        write_field_csv(path, np.arange(v.size), np.array([1.0]), v[None, :], mirror=mirror)
+        rows = path.read_bytes().decode().splitlines()[1:]
+    assert rows[:v.size] == [f"{i},-1,{'%.17g' % (mirror * c)}" for i, c in enumerate(v)]
+    assert rows[v.size:] == [f"{i},1,{'%.17g' % c}" for i, c in enumerate(v)]
+
+
 def test_mixed_magnitudes_match_format():
     rng = np.random.default_rng(7)
     values = rng.choice([-1.0, 1.0], 50_000) * 10.0 ** rng.uniform(-14.0, 18.0, 50_000)
@@ -101,6 +123,10 @@ def test_manifest_times_the_csv_writes(tmp_path):
     for cmd, extra in runs.items():
         out = tmp_path / cmd
         assert main(["--output", str(out)] + common + extra + [cmd]) == 0, cmd
-        timings = json.loads((out / "manifest.json").read_text())["timings_s"]
+        manifest = json.loads((out / "manifest.json").read_text())
+        timings = manifest["timings_s"]
         assert set(timings) == {"total", "write"}, cmd
         assert 0.0 < timings["write"] < timings["total"], cmd
+        if cmd != "energy":
+            assert manifest["bytes_written"] == {
+                p.name: p.stat().st_size for p in out.glob("*.csv")}, cmd
