@@ -7,22 +7,20 @@ energy, dissipation and residual as the profile relaxes back.
 
 import numpy as np
 
-from pnedge import PhysParams, analytic_profile, build_grid
-from pnedge.dynamics import DynamicsState, RunOptions, run_dynamics
-from pnedge.potential import frenkel
+from pnedge import RunConfig
+from pnedge.config import dynamics_start, run_setup
+from pnedge.dynamics import RunOptions, run_dynamics
 from pnedge.static import center_profile
 
 
 def main():
-    params = PhysParams()
+    cfg = RunConfig()  # defaults: a 0.1 b bump of width zeta on [-200 zeta, 200 zeta), N = 4096
+    params, grid, spec = run_setup(cfg)
     z = params.zeta
-    grid = build_grid(200 * z, 4096)
-    ref = analytic_profile(grid, params)
-    v0 = 0.1 * params.b * np.exp(-grid.x**2 / z**2)
-    s0 = DynamicsState(t=0.0, p=ref.with_correction(v0), spec=frenkel(params),
-                       reference=ref)
+    s0 = dynamics_start(cfg, grid, params, spec)
+    ref = s0.reference
 
-    state, trace = run_dynamics(s0, 50.0, RunOptions(dt=0.1, adapt=True))
+    state, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions(dt=cfg.dynamics_dt))
     arr = trace.as_arrays()
     print(f"{'t':>7} {'F':>12} {'Q':>12} {'residual':>12}")
     for k in range(0, len(arr["times"]), 50):

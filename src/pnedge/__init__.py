@@ -29,7 +29,6 @@ from .energy import (
     elastic_energy_box,
     energy_breakdown,
     misfit_energy,
-    perturbed_total_energy,
     reduced_perturbed_energy,
     seeded_perturbations,
 )
@@ -55,7 +54,6 @@ from .grid import Grid1D, build_grid
 from .operators import (
     apply_half_laplacian,
     apply_hilbert,
-    hs_seminorm,
     hs_seminorm_analytic,
     hs_seminorm_grid,
     spectral_derivative,

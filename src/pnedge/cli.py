@@ -16,20 +16,23 @@ from functools import cache
 
 import numpy as np
 
-from .config import RunConfig, box_radii, parse_config, run_setup, snapshot_times, solve_options
-from .dynamics import DynamicsState, RunOptions, run_dynamics
-from .energy import (
-    BoxQuadrature,
-    HalfPlaneTables,
-    energy_breakdown,
-    log_divergence_fit,
-    misfit_energy,
-    seeded_perturbations,
+from .config import (
+    RunConfig,
+    box_radii,
+    dynamics_start,
+    energy_perturbations,
+    energy_quadrature,
+    initial_profile,
+    parse_config,
+    run_setup,
+    snapshot_times,
+    solve_options,
 )
+from .dynamics import RunOptions, run_dynamics
+from .energy import HalfPlaneTables, energy_breakdown, log_divergence_fit, misfit_energy
 from .errors import TimeStepUnderflowError
 from .extension import PARITY, YLevels, dtn_traction, extend_to_half_planes, stress_field
 from .io import prepare_output_dir, write_csv, write_field_csv, write_manifest
-from .profile import Profile, analytic_profile, tanh_profile
 from .static import (
     burgers_density,
     center_profile,
@@ -50,7 +53,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--output", help="output directory (overrides config)")
     ap.add_argument("--overwrite", action="store_true",
                     help="allow writing into a directory that already holds results")
-    ap.add_argument("--seed", type=int, help="override the run seed")
     ap.add_argument("--N", type=int, help="override the grid sample count")
     ap.add_argument("--potential", help="frenkel or table:<path>")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
@@ -69,8 +71,6 @@ def _config_from_args(args) -> RunConfig:
         overrides[key.strip()] = value.strip()
     if args.output is not None:
         overrides["output"] = args.output
-    if args.seed is not None:
-        overrides["seed"] = str(args.seed)
     if args.N is not None:
         overrides["N"] = str(args.N)
     if args.potential is not None:
@@ -78,18 +78,6 @@ def _config_from_args(args) -> RunConfig:
     if args.overwrite:
         overrides["overwrite"] = "true"
     return parse_config(args.config, overrides)
-
-
-def _initial_profile(cfg: RunConfig, grid, params) -> Profile:
-    choice = cfg.static_init
-    if choice == "tanh":
-        return tanh_profile(grid, params)
-    if choice == "analytic":
-        return analytic_profile(grid, params)
-    if choice.startswith("background:"):
-        width = float(choice.split(":", 1)[1]) * params.zeta
-        return Profile(grid=grid, params=params, zeta_bg=width)
-    raise ValueError(f"unknown static_init {choice!r}")
 
 
 @contextmanager
@@ -108,7 +96,7 @@ def _bytes_written(paths) -> dict:
 
 
 def _solve(cfg: RunConfig, grid, params, spec):
-    return solve_static(_initial_profile(cfg, grid, params), spec, solve_options(cfg))
+    return solve_static(initial_profile(cfg, grid, params), spec, solve_options(cfg))
 
 
 def cmd_solve_static(cfg: RunConfig) -> int:
@@ -179,18 +167,14 @@ def cmd_energy(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     params, grid, spec = run_setup(cfg)
     profile = _solve(cfg, grid, params, spec).profile
-    quad = BoxQuadrature.for_params(params, y_max_factor=cfg.energy_y_max_over_zeta,
-                                    n_levels=cfg.energy_quad_levels)
-    perts = seeded_perturbations(grid, params, cfg.energy_n_perturbations,
-                                 seed=cfg.energy_pert_seed)
     radii = box_radii(cfg)
     E_box, slope, intercept, r2 = log_divergence_fit(profile, radii)
-    tables = HalfPlaneTables.build(profile, quad)
+    tables = HalfPlaneTables.build(profile, energy_quadrature(cfg, params))
     # per-profile values, kept in each perturbation's record of energy.json
     profile_pieces = {"E_mis": misfit_energy(profile, spec), "E_els_box": E_box[-1],
                       "box_radius": radii[-1]}
     records = [{**asdict(energy_breakdown(ph, profile, spec, tables)), **profile_pieces}
-               for ph in perts]
+               for ph in energy_perturbations(cfg, grid, params)]
     out = prepare_output_dir(cfg.output, cfg.overwrite)
     payload = {
         "perturbations": records,
@@ -216,14 +200,8 @@ def _write_trace_csv(path, arr: dict) -> None:
 def cmd_dynamics(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     params, grid, spec = run_setup(cfg)
-    ref = analytic_profile(grid, params)
-    z = params.zeta
-    v0 = cfg.dynamics_bump_amp * params.b * np.exp(
-        -(grid.x**2) / (cfg.dynamics_bump_width_over_zeta * z) ** 2
-    )
-    s0 = DynamicsState(t=0.0, p=ref.with_correction(v0), spec=spec, reference=ref)
-    opts = RunOptions(dt=cfg.dynamics_dt, adapt=cfg.dynamics_adapt,
-                      method=cfg.dynamics_method)
+    s0 = dynamics_start(cfg, grid, params, spec)
+    opts = RunOptions(dt=cfg.dynamics_dt, method=cfg.dynamics_method)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
     snaps = snapshot_times(cfg)
     snapshots = {}

@@ -12,12 +12,15 @@ from dataclasses import dataclass, fields, replace
 from pathlib import Path
 from typing import Optional
 
+import numpy as np
+
+from .dynamics import DynamicsState
+from .energy import BoxQuadrature, Perturbation, seeded_perturbations
 from .grid import Grid1D, build_grid
 from .params import PhysParams
 from .potential import PotentialSpec, frenkel, from_csv
+from .profile import Profile, analytic_profile, tanh_profile
 from .static import SolveOptions
-
-FORMAT_VERSION = "1"
 
 
 def _fmt(value) -> str:
@@ -54,10 +57,8 @@ class RunConfig:
     # potential: "frenkel" or "table:<path>"
     potential: str = "frenkel"
     # orchestration
-    seed: int = 1234
     output: str = "out"
     overwrite: bool = False
-    format_version: str = FORMAT_VERSION
     # extension block
     ylevels_y_min_over_zeta: float = 0.1
     ylevels_y_max_over_zeta: float = 10.0
@@ -72,7 +73,6 @@ class RunConfig:
     # dynamics block
     dynamics_dt: float = 0.1
     dynamics_T_end: float = 50.0
-    dynamics_adapt: bool = True
     dynamics_method: str = "semi_implicit"
     dynamics_bump_amp: float = 0.1
     dynamics_bump_width_over_zeta: float = 1.0
@@ -81,7 +81,6 @@ class RunConfig:
     static_dt0: float = 0.5
     static_res_tol: Optional[float] = None
     static_max_iters: int = 20000
-    static_newton: bool = True
     static_init: str = "tanh"  # tanh | analytic | background:<width_over_zeta>
 
     def validate(self) -> None:
@@ -118,6 +117,11 @@ class RunConfig:
             raise ValueError(
                 "config key 'dynamics_snapshot_times' must lie in (0, dynamics_T_end], "
                 f"got {self.dynamics_snapshot_times!r}")
+        parse_static_init(self)
+        try:
+            energy_quadrature(self, self.params)
+        except ValueError as exc:
+            raise ValueError(f"config key 'energy_y_max_over_zeta': {exc}") from None
 
     @property
     def params(self) -> PhysParams:
@@ -235,4 +239,57 @@ def run_setup(cfg: RunConfig) -> tuple[PhysParams, Grid1D, PotentialSpec]:
 def solve_options(cfg: RunConfig) -> SolveOptions:
     """Static solver controls of a run."""
     return SolveOptions(dt0=cfg.static_dt0, res_tol=cfg.static_res_tol,
-                        max_iters=cfg.static_max_iters, newton=cfg.static_newton)
+                        max_iters=cfg.static_max_iters)
+
+
+def parse_static_init(cfg: RunConfig) -> tuple[str, Optional[float]]:
+    """The start of a static solve: ``("tanh", None)``, ``("analytic", None)``
+    or ``("background", width_over_zeta)``."""
+    choice = cfg.static_init
+    if choice in ("tanh", "analytic"):
+        return choice, None
+    kind, _, width = choice.partition(":")
+    if kind == "background":
+        try:
+            value = float(width)
+        except ValueError:
+            value = math.nan
+        if 0.0 < value < math.inf:
+            return kind, value
+    raise ValueError("config key 'static_init' must be tanh, analytic or "
+                     f"background:<positive width_over_zeta>, got {choice!r}")
+
+
+def initial_profile(cfg: RunConfig, grid: Grid1D, params: PhysParams) -> Profile:
+    """The profile a static solve starts from (:func:`parse_static_init`)."""
+    kind, width = parse_static_init(cfg)
+    if kind == "tanh":
+        return tanh_profile(grid, params)
+    if kind == "analytic":
+        return analytic_profile(grid, params)
+    return Profile(grid=grid, params=params, zeta_bg=width * params.zeta)
+
+
+def energy_quadrature(cfg: RunConfig, params: PhysParams) -> BoxQuadrature:
+    """The half-plane quadrature of the perturbed energies."""
+    return BoxQuadrature.for_params(params, y_max_factor=cfg.energy_y_max_over_zeta,
+                                    n_levels=cfg.energy_quad_levels)
+
+
+def energy_perturbations(cfg: RunConfig, grid: Grid1D,
+                         params: PhysParams) -> list[Perturbation]:
+    """The seeded perturbations whose energies ``pnedge energy`` and check 07
+    compare."""
+    return seeded_perturbations(grid, params, cfg.energy_n_perturbations,
+                                seed=cfg.energy_pert_seed)
+
+
+def dynamics_start(cfg: RunConfig, grid: Grid1D, params: PhysParams,
+                   spec: PotentialSpec) -> DynamicsState:
+    """The analytic core plus a Gaussian bump at t = 0, with the core as
+    the reference static profile."""
+    ref = analytic_profile(grid, params)
+    v0 = cfg.dynamics_bump_amp * params.b * np.exp(
+        -(grid.x**2) / (cfg.dynamics_bump_width_over_zeta * params.zeta) ** 2
+    )
+    return DynamicsState(t=0.0, p=ref.with_correction(v0), spec=spec, reference=ref)

@@ -87,12 +87,6 @@ class DynamicsState:
         if ref is not None and (ref.zeta_bg != self.p.zeta_bg or ref.x0 != self.p.x0):
             raise ValueError("reference background differs from the state background")
 
-    def deviation(self) -> np.ndarray:
-        """v = u1 - u1* on the grid."""
-        if self.reference is None:
-            raise ValueError("no reference static profile set")
-        return self.p.v - self.reference.v
-
     def _invariants(self) -> _RunInvariants:
         """The run record, rebuilt if it was made for another run."""
         inv = self._run
@@ -193,8 +187,11 @@ class DynamicsTrace:
 
 @dataclass(frozen=True)
 class RunOptions:
+    """Controls of :func:`run_dynamics`: the step ``dt``, the integrator
+    ``method``, and the guard on F (a step may raise it by at most
+    ``f_increase_tol``, and is halved at most ``max_halvings`` times)."""
+
     dt: float = 0.1
-    adapt: bool = True
     method: str = "semi_implicit"  # or "etd"
     f_increase_tol: Optional[float] = None  # default 1e-10 * G b^2 / d
     max_halvings: int = 20
@@ -216,7 +213,7 @@ def free_energy(s: DynamicsState) -> float:
         raise ValueError("free energy needs a reference static profile")
     inv = s._invariants()
     h = s.p.grid.h
-    v = np.subtract(s.p.v, s.reference.v, out=inv.work)  # s.deviation(), in the buffer
+    v = np.subtract(s.p.v, s.reference.v, out=inv.work)  # u1 - u1*, in the buffer
     lin = -h * float(np.dot(v, inv.wp_star))
     w = eval_potential(s.spec, np.add(inv.u_star, v, out=v), 0)  # W(u1* + v)
     w -= inv.w_star
@@ -308,7 +305,7 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     if s.reference is None:
         raise ValueError("ETD stepping requires a reference static profile")
     inv = s._invariants()
-    T = np.subtract(s.p.v, s.reference.v, out=inv.work)  # s.deviation(), in the buffer
+    T = np.subtract(s.p.v, s.reference.v, out=inv.work)  # u1 - u1*, in the buffer
     T -= s._wp_u1
     T += inv.wp_star
     return _advance(s, dt, etd_update, T, inv.v_hat_star)
@@ -318,9 +315,10 @@ _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}
 
 
 def march(s0: DynamicsState, T_end: float, dt: float, step) -> DynamicsState:
-    """The end state of :func:`run_dynamics` with ``adapt`` off and no
-    monitoring: steps of ``dt`` by ``step`` (a stepper such as
-    :func:`step_etd`), the last one what is left to ``T_end``."""
+    """Steps of ``dt`` by ``step`` (a stepper such as :func:`step_etd`),
+    the last one what is left to ``T_end``, with no monitoring and no
+    guard on F: the fixed-step path.  :func:`run_dynamics` takes the same
+    steps whenever its guard halves none."""
     s = s0
     while s.t < T_end - 1e-12:
         s = step(s, min(dt, T_end - s.t))
@@ -332,9 +330,12 @@ def run_dynamics(
 ) -> tuple[DynamicsState, DynamicsTrace]:
     """March to T_end recording F, Q and the residual per accepted step.
 
-    With ``adapt`` on, a step that raises F beyond the tolerance is
-    halved and retried (at most ``max_halvings`` times; underflow raises
-    :class:`TimeStepUnderflowError` carrying the partial trace).
+    With a reference static profile the run guards F: a step that raises
+    F beyond ``f_increase_tol`` is halved and retried (at most
+    ``max_halvings`` times; underflow raises
+    :class:`TimeStepUnderflowError` carrying the partial trace), and the
+    step regrows to at most twice the accepted one.  Without a reference
+    F is not defined (recorded as NaN) and every step is taken.
     """
     if not 0.0 < T_end < np.inf:
         raise ValueError(f"T_end must be positive and finite, got {T_end}")
@@ -367,7 +368,7 @@ def run_dynamics(
         for _ in range(opts.max_halvings + 1):
             cand = stepper(s, step_dt)
             F_new = free_energy(cand) if monitor else np.nan
-            if not (monitor and opts.adapt) or F_new <= F + f_tol:
+            if not monitor or F_new <= F + f_tol:
                 break
             step_dt *= 0.5
         else:

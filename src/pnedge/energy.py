@@ -82,6 +82,15 @@ class BoxQuadrature:
     y_max: float
     n_levels: int = 160
 
+    def __post_init__(self):
+        """Reject node sets whose geometric part would not increase; their
+        trapezoid weights would go negative."""
+        if not 0.0 < self.y_min < self.y_max:
+            raise ValueError("quadrature levels need 0 < y_min < y_max, "
+                             f"got y_min = {self.y_min}, y_max = {self.y_max}")
+        if self.n_levels < 1:
+            raise ValueError(f"quadrature needs n_levels >= 1, got {self.n_levels}")
+
     @classmethod
     def for_params(cls, params: PhysParams, y_max_factor: float = 400.0,
                    n_levels: int = 160) -> "BoxQuadrature":
@@ -391,17 +400,6 @@ def _half_plane_route(phi: Perturbation, p: Profile, tables: HalfPlaneTables,
     e_els = tables.elastic_energy(phi.phi1)
     c_els = tables.cross_term(phi.phi1)
     return e_els, c_els, e_els + c_els + mis_diff
-
-
-def perturbed_total_energy(
-    phi: Perturbation, p: Profile, spec: PotentialSpec, tables: HalfPlaneTables,
-) -> float:
-    """Perturbed total energy through the half-plane route.
-
-    ``E_els(phi) + C_els(u, phi)`` by 2-d quadrature (the profile's
-    ``tables``) plus the misfit difference on the slip plane.
-    """
-    return _half_plane_route(phi, p, tables, _misfit_difference(p, spec, phi.phi1))[-1]
 
 
 # ---------------------------------------------------------------------------

@@ -258,17 +258,6 @@ class StressField:
     s22_minus = _lower_half("s22")
     s33_minus = _lower_half("s33")
 
-    def strains(self, side: str = "plus"):
-        """Strains recovered through the inverse plane-strain relation."""
-        G, nu = self.params.G, self.params.nu
-        s11 = getattr(self, f"s11_{side}")
-        s22 = getattr(self, f"s22_{side}")
-        s12 = getattr(self, f"s12_{side}")
-        e11 = (s11 - nu * (s11 + s22)) / (2.0 * G)
-        e22 = (s22 - nu * (s11 + s22)) / (2.0 * G)
-        e12 = s12 / (2.0 * G)
-        return e11, e22, e12
-
 
 def extend_to_half_planes(p: Profile, yl: YLevels) -> HalfPlaneField:
     """Displacement fields of a profile on the requested y-levels.

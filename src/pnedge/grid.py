@@ -2,8 +2,9 @@
 
 The line is truncated to ``[-L, L)`` with ``N`` uniformly spaced nodes
 ``x_j = -L + j h``, ``h = 2L/N``.  Discrete wavenumbers are
-``xi_k = pi k / L`` for ``k = -N/2 .. N/2-1``, stored in FFT order;
-the ``rfft`` modes ``k = 0 .. N/2`` carry ``xi_r = pi k / L >= 0``.
+``xi_k = pi k / L`` for ``k = -N/2 .. N/2-1``; real samples are
+transformed by ``rfft``, whose modes ``k = 0 .. N/2`` carry
+``xi_r = pi k / L >= 0``, also ``|xi|`` there.
 Spectral coefficients follow the non-unitary angular-frequency
 convention ``uhat(xi) = int u(x) exp(-i xi x) dx``, discretized as
 ``c_k = h * sum_j u_j exp(-i xi_k x_j)``.
@@ -26,17 +27,7 @@ class Grid1D:
     N: int
     h: float
     x: np.ndarray
-    xi: np.ndarray  # FFT-ordered wavenumbers pi*k/L
     xi_r: np.ndarray  # rfft-mode wavenumbers pi*k/L, k = 0..N/2 (also |xi| there)
-
-    @property
-    def q(self) -> np.ndarray:
-        """|xi|, the symbol of the half-Laplacian."""
-        return np.abs(self.xi)
-
-    @property
-    def nyquist_index(self) -> int:
-        return self.N // 2
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Grid1D):
@@ -64,6 +55,5 @@ def build_grid(L: float, N: int) -> Grid1D:
         warnings.warn(f"N={N} is below the recommended minimum of 16", stacklevel=2)
     h = 2.0 * L / N
     x = -L + h * np.arange(N)
-    xi = 2.0 * np.pi * np.fft.fftfreq(N, d=h)
     xi_r = 2.0 * np.pi * np.fft.rfftfreq(N, d=h)
-    return Grid1D(L=float(L), N=int(N), h=h, x=x, xi=xi, xi_r=xi_r)
+    return Grid1D(L=float(L), N=int(N), h=h, x=x, xi_r=xi_r)

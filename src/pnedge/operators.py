@@ -26,7 +26,7 @@ modes use the Parseval weights of :func:`mode_weights`, and a squared
 from __future__ import annotations
 
 import math
-from typing import Literal, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -225,38 +225,3 @@ def hs_seminorm_background_difference(
         value = math.gamma(1.0 + d) / (1.0 - d) * (r[0] + r[1] - 2.0 * r[2])
     return b * b / (4.0 * np.pi) * value
 
-
-def hs_seminorm(
-    u,
-    s: float,
-    mode: Literal["grid", "analytic"] = "grid",
-    grid: Optional[Grid1D] = None,
-) -> float:
-    """Squared homogeneous Sobolev seminorm of a profile or sample array.
-
-    Grid mode sums the discrete multiplier over a decaying sample array
-    (pass ``grid``).  Analytic mode applies to profiles whose correction
-    is negligible and returns the background's closed form
-    (:func:`hs_seminorm_analytic`); it raises :class:`DivergenceError`
-    for ``s <= 1/2``.
-    """
-    from .profile import Profile  # local import to avoid a cycle
-
-    if isinstance(u, Profile):
-        if mode == "grid":
-            raise ValueError(
-                "grid mode requires decaying samples; a profile carries a "
-                "non-decaying arctan background (use analytic mode)"
-            )
-        if np.max(np.abs(u.v)) > 1e-10 * u.params.b:
-            raise ValueError(
-                "analytic mode covers the arctan background only; this "
-                "profile carries a non-negligible correction"
-            )
-        return hs_seminorm_analytic(u.params.b, u.zeta_bg, s)
-
-    if mode != "grid":
-        raise ValueError("analytic mode applies to Profile inputs only")
-    if grid is None:
-        raise ValueError("grid mode requires the grid argument")
-    return hs_seminorm_grid(grid, u, s)

@@ -23,7 +23,7 @@ from .errors import TailWarning
 from .grid import Grid1D
 from .params import PhysParams
 
-#: default bound on |v| at the domain ends, in units of b
+#: bound on |v| at the domain ends, in units of b, beyond which a profile warns
 TAIL_TOL = 1e-3
 
 
@@ -52,7 +52,6 @@ class Profile:
     zeta_bg: float
     x0: float = 0.0
     v: np.ndarray = field(default=None, repr=False)
-    tail_tol: float = TAIL_TOL
 
     def __post_init__(self):
         if self.zeta_bg <= 0:
@@ -63,10 +62,10 @@ class Profile:
             raise ValueError(f"correction has shape {v.shape}, expected ({self.grid.N},)")
         object.__setattr__(self, "v", v)
         tail = max(abs(v[0]), abs(v[-1]))
-        if tail > self.tail_tol * self.params.b:
+        if tail > TAIL_TOL * self.params.b:
             warnings.warn(
                 f"correction tails |v| = {tail:.2e} exceed "
-                f"{self.tail_tol:.0e} * b at the domain ends",
+                f"{TAIL_TOL:.0e} * b at the domain ends",
                 TailWarning,
                 stacklevel=2,
             )

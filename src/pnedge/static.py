@@ -5,8 +5,8 @@ Solves the nonlocal force balance
     ``c0 (-d_xx)^{1/2} u1 + W'(u1) = 0``,   ``c0 = 2G/(1-nu)``,
 
 with far field ``u1(-inf) = b/4``, ``u1(+inf) = -b/4``, by a
-semi-implicit pseudo-time gradient flow followed by an optional
-matrix-free Newton polish.  The background part of the half-Laplacian
+semi-implicit pseudo-time gradient flow followed by a matrix-free
+Newton polish.  The background part of the half-Laplacian
 uses the closed form, so the arctan core with ``zeta_bg = d/(2(1-nu))``
 is an exact fixed point of the discretization under the Frenkel
 potential.
@@ -37,21 +37,28 @@ from .potential import PotentialSpec, eval_potential, validate_potential
 from .profile import Profile
 
 
+#: relative residual at which the inner MINRES solve of a Newton step stops
+NEWTON_TOL = 1e-8
+#: residual level, in units of ``G b / d``, at which Newton takes over from the sweep
+NEWTON_SWITCH = 1e-3
+#: halvings of a sweep step that break monotonicity before it is taken anyway
+MAX_HALVINGS = 8
+
+
 @dataclass(frozen=True)
 class SolveOptions:
     """Iteration controls for :func:`solve_static`.
 
-    The residual tolerance defaults to ``1e-10 * G * b / d`` in the
-    units of the force balance.
+    ``dt0`` is the first pseudo-time step of the sweep and ``max_iters``
+    the number of sweep steps it may take.  The residual tolerance
+    ``res_tol`` defaults to ``1e-10 * G * b / d`` in the units of the
+    force balance.  The sweep hands over to the Newton polish at
+    :data:`NEWTON_SWITCH` (or at ``res_tol``, if that is larger).
     """
 
     dt0: float = 0.5
     res_tol: float | None = None
     max_iters: int = 20_000
-    newton: bool = True
-    newton_tol: float = 1e-8
-    newton_switch: float = 1e-3  # residual level at which Newton takes over
-    max_halvings: int = 8
 
     def resolved_tol(self, params: PhysParams) -> float:
         if self.res_tol is not None:
@@ -166,7 +173,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
     r, wp = _force_balance(grid, spec, c0, u_bg, lam_bg, v)
     it = 0
     viol = monotonicity_violation(u_bg + v)
-    target = max(tol, opts.newton_switch * params.G * params.b / params.d) if opts.newton else tol
+    target = max(tol, NEWTON_SWITCH * params.G * params.b / params.d)
 
     def slack(res_linf):
         # transient slope wiggles scale like h * residual / c0; roundoff floor
@@ -187,7 +194,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
         # the full step, flag, and keep dt.
         mono_accept = False
         trial_dt = dt
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             v_new = semi_implicit_step(grid, v, g, trial_dt, c0)
             viol_new = monotonicity_violation(u_bg + v_new)
             if viol_new <= max(viol, slack(res_linf)):
@@ -221,7 +228,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
     return p.with_correction(v), it, monotone_ok
 
 
-def _newton_polish(p, spec, opts, tol):
+def _newton_polish(p, spec, tol):
     grid, params = p.grid, p.params
     c0 = params.c0
     w0 = max(eval_potential(spec, params.b / 4.0, 2), 0.1 * params.G / params.d)
@@ -243,7 +250,7 @@ def _newton_polish(p, spec, opts, tol):
         def jac(z):
             return c0 * apply_half_laplacian(grid, z) + wpp * z
 
-        dv, info = minres(jac, -r, precon, rtol=opts.newton_tol)
+        dv, info = minres(jac, -r, precon, rtol=NEWTON_TOL)
         if info != 0:
             warnings.warn(f"inner minres returned info={info}", stacklevel=2)
         # damped update: backtrack while the residual grows; stop cleanly
@@ -290,15 +297,13 @@ def solve_static(init: Profile, spec: PotentialSpec, opts: SolveOptions | None =
                            newton_steps=0, monotone=is_monotone_decreasing(init))
 
     p, iters, monotone_ok = _semi_implicit_sweep(init, spec, opts, tol)
-    newton_steps = 0
-    if opts.newton:
-        # absorb any core drift into the background center first: the
-        # correction must not carry translation content (see rebase_center)
-        try:
-            p = rebase_center(p)
-        except ValueError:
-            pass  # no unique crossing; polish in the current split
-        p, newton_steps = _newton_polish(p, spec, opts, tol)
+    # absorb any core drift into the background center first: the
+    # correction must not carry translation content (see rebase_center)
+    try:
+        p = rebase_center(p)
+    except ValueError:
+        pass  # no unique crossing; polish in the current split
+    p, newton_steps = _newton_polish(p, spec, tol)
     rf = residual(p, spec)
     if rf.linf > tol:
         raise ConvergenceError("solver stalled above tolerance", rf.linf, rf.l2, iters)
@@ -342,7 +347,7 @@ def center_profile(p: Profile) -> tuple[float, Profile]:
     v_shift = fourier_shift(p.grid, p.v, shift)
     centered = Profile(
         grid=p.grid, params=p.params, zeta_bg=p.zeta_bg,
-        x0=p.x0 - shift, v=v_shift, tail_tol=p.tail_tol,
+        x0=p.x0 - shift, v=v_shift,
     )
     return shift, centered
 
@@ -362,7 +367,7 @@ def rebase_center(p: Profile) -> Profile:
 
     v_new = u1 - background(p.grid.x, p.params.b, p.zeta_bg, x_star)
     return Profile(grid=p.grid, params=p.params, zeta_bg=p.zeta_bg,
-                   x0=x_star, v=v_new, tail_tol=p.tail_tol)
+                   x0=x_star, v=v_new)
 
 
 def decay_coefficients(p: Profile) -> tuple[float, float]:

@@ -21,9 +21,16 @@ from functools import cached_property
 
 import numpy as np
 
-from .config import RunConfig, box_radii, run_setup, solve_options
+from .config import (
+    RunConfig,
+    box_radii,
+    dynamics_start,
+    energy_perturbations,
+    energy_quadrature,
+    run_setup,
+    solve_options,
+)
 from .dynamics import (
-    DynamicsState,
     RunOptions,
     dissipation_rate,
     free_energy,
@@ -122,9 +129,7 @@ class SuiteContext:
     @property
     def quad(self) -> BoxQuadrature:
         """The configured half-plane quadrature."""
-        return BoxQuadrature.for_params(self.params,
-                                        y_max_factor=self.cfg.energy_y_max_over_zeta,
-                                        n_levels=self.cfg.energy_quad_levels)
+        return energy_quadrature(self.cfg, self.params)
 
     @cached_property
     def tables(self) -> HalfPlaneTables:
@@ -341,9 +346,7 @@ def check_dtn(ctx: SuiteContext) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_energy_relation(ctx: SuiteContext) -> list[CheckResult]:
-    cfg, prm = ctx.cfg, ctx.params
-    perts = seeded_perturbations(ctx.grid, prm, cfg.energy_n_perturbations,
-                                 seed=cfg.energy_pert_seed)
+    perts = energy_perturbations(ctx.cfg, ctx.grid, ctx.params)
     floor = 1e-3 * ctx.energy_scale
     rel, cross = [], []
     for ph in perts:
@@ -433,14 +436,11 @@ def check_log_divergence(ctx: SuiteContext) -> list[CheckResult]:
 def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
     cfg, prm, grid = ctx.cfg, ctx.params, ctx.grid
     z, b = prm.zeta, prm.b
-    ref = ctx.analytic
-    v0 = cfg.dynamics_bump_amp * b * np.exp(
-        -(grid.x**2) / (cfg.dynamics_bump_width_over_zeta * z) ** 2
-    )
-    s0 = DynamicsState(t=0.0, p=ref.with_correction(v0), spec=ctx.spec, reference=ref)
+    s0 = dynamics_start(cfg, grid, prm, ctx.spec)
+    ref = s0.reference
 
-    send, trace = run_dynamics(s0, cfg.dynamics_T_end,
-                               RunOptions(dt=cfg.dynamics_dt, adapt=cfg.dynamics_adapt))
+    # the suite checks the semi-implicit run whatever dynamics_method says
+    send, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions(dt=cfg.dynamics_dt))
     arr = trace.as_arrays()
     f_tol = 1e-10 * ctx.energy_scale
     f_increase = float(np.max(np.diff(arr["F_values"])))

@@ -1,9 +1,11 @@
 """Configuration parsing and the command-line interface."""
 
+import ast
 import json
 import os
 import subprocess
 import sys
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -29,8 +31,8 @@ def test_echo_includes_derived_zeta():
 
 
 def test_roundtrip_with_overrides():
-    cfg = parse_config(None, {"N": "8192", "nu": "0.3", "seed": "7"})
-    assert cfg.N == 8192 and cfg.nu == 0.3 and cfg.seed == 7
+    cfg = parse_config(None, {"N": "8192", "nu": "0.3", "energy_pert_seed": "7"})
+    assert cfg.N == 8192 and cfg.nu == 0.3 and cfg.energy_pert_seed == 7
     assert parse_config_text(cfg.echo()) == cfg
 
 
@@ -53,6 +55,7 @@ def test_nu_out_of_range_names_key():
     ("energy_quad_levels", "0"),
     ("energy_n_perturbations", "-1"),
     ("energy_y_max_over_zeta", "-1"),
+    ("energy_y_max_over_zeta", "0.01"),  # below the first level, zeta/50
     ("static_dt0", "0"),
     ("static_res_tol", "0"),
     ("static_res_tol", "-1e-12"),
@@ -74,6 +77,10 @@ def test_nu_out_of_range_names_key():
     ("dynamics_snapshot_times", "1,-1"),
     ("dynamics_snapshot_times", "nan"),
     ("dynamics_snapshot_times", "1,later"),
+    ("static_init", "bogus"),
+    ("static_init", "background:abc"),
+    ("static_init", "background:0"),
+    ("static_init", "background:-1"),
 ])
 def test_bad_value_rejected_names_key(key, value):
     with pytest.raises(ValueError, match=f"config key '{key}'"):
@@ -87,10 +94,10 @@ def test_inconsistent_zeta_rejected():
 
 def test_flag_overrides_file(tmp_path):
     path = tmp_path / "run.cfg"
-    path.write_text("N = 4096\nseed = 3\n")
+    path.write_text("N = 4096\nenergy_pert_seed = 3\n")
     cfg = parse_config(path, {"N": "8192"})
     assert cfg.N == 8192
-    assert cfg.seed == 3
+    assert cfg.energy_pert_seed == 3
 
 
 def test_box_radii_parsing():
@@ -142,7 +149,6 @@ def test_cli_deterministic_outputs(tmp_path):
     args1 = [
         "--output", str(tmp_path / "a"), "--N", "512",
         "--set", "L_over_zeta=100", "--set", "static_init=analytic",
-        "--seed", "9",
     ]
     args2 = [a.replace(str(tmp_path / "a"), str(tmp_path / "b")) for a in args1]
     assert main(args1 + ["solve-static"]) == 0
@@ -261,6 +267,30 @@ def test_nan_energy_fails_check_07(monkeypatch):
 def test_cli_bad_config_exit_code(tmp_path):
     rc = main(["--set", "nu=0.7", "--output", str(tmp_path / "x"), "solve-static"])
     assert rc == 2
+
+
+@pytest.mark.parametrize("key", ["seed", "format_version", "static_newton", "dynamics_adapt"])
+def test_removed_config_key_is_unknown(tmp_path, capsys, key):
+    rc = main(["--set", f"{key}=1", "--output", str(tmp_path / "x"), "solve-static"])
+    assert rc == 2
+    assert f"unknown config key '{key}'" in capsys.readouterr().err
+    with pytest.raises(ValueError, match=f"unknown config key '{key}'"):
+        parse_config_text(f"{key} = 1\n")
+
+
+def test_every_config_key_is_read():
+    # a key no code reads changes nothing: each must be read from a config,
+    # as cfg.<key> (ctx.cfg.<key> too) or as self.<key> in RunConfig's own
+    # methods; copying a flag into the config (args.<key>) is no read
+    src = Path(__file__).resolve().parents[1] / "src" / "pnedge"
+    read = set()
+    for path in src.glob("*.py"):
+        owners = {"cfg", "self"} if path.name == "config.py" else {"cfg"}
+        for node in ast.walk(ast.parse(path.read_text())):
+            if (isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+                    and ast.unparse(node.value).split(".")[-1] in owners):
+                read.add(node.attr)
+    assert [f.name for f in fields(RunConfig) if f.name not in read] == []
 
 
 def test_cli_entry_point_runs():

@@ -36,10 +36,11 @@ def test_semi_implicit_kernel_single_mode():
     # 1/(1 + dt c0 |xi1|)
     g = build_grid(10.0, 128)
     c0, dt = 8.0 / 3.0, 0.2
-    k1 = g.xi[5]
+    k1 = g.xi_r[5]
     v = np.cos(k1 * g.x)
-    v_hat = semi_implicit_update(np.fft.fft(v), np.zeros(g.N, complex), dt, c0, g.q)
-    out = np.fft.ifft(v_hat).real
+    v_hat = semi_implicit_update(np.fft.rfft(v), np.zeros(g.N // 2 + 1, complex), dt, c0,
+                                 g.xi_r)
+    out = np.fft.irfft(v_hat, g.N)
     np.testing.assert_allclose(out, v / (1 + dt * c0 * abs(k1)), atol=1e-13)
 
 
@@ -47,10 +48,10 @@ def test_etd_kernel_pure_decay():
     # with T = 0 each mode decays exactly by e^{-a_k t}, a_k = c0|xi_k| + 1
     g = build_grid(10.0, 128)
     c0, dt = 8.0 / 3.0, 0.37
-    k1 = g.xi[9]
+    k1 = g.xi_r[9]
     v = np.sin(k1 * g.x)
-    v_hat = etd_update(np.fft.fft(v), np.zeros(g.N, complex), dt, c0, g.q)
-    out = np.fft.ifft(v_hat).real
+    v_hat = etd_update(np.fft.rfft(v), np.zeros(g.N // 2 + 1, complex), dt, c0, g.xi_r)
+    out = np.fft.irfft(v_hat, g.N)
     np.testing.assert_allclose(out, v * np.exp(-(c0 * abs(k1) + 1) * dt), atol=1e-13)
 
 
@@ -59,8 +60,8 @@ def test_etd_kernel_constant_forcing():
     g = build_grid(10.0, 64)
     c0, dt = 2.0, 0.5
     T = np.full(64, 0.3)
-    v_hat = etd_update(np.zeros(64, complex), np.fft.fft(T), dt, c0, g.q)
-    out = np.fft.ifft(v_hat).real
+    v_hat = etd_update(np.zeros(33, complex), np.fft.rfft(T), dt, c0, g.xi_r)
+    out = np.fft.irfft(v_hat, g.N)
     np.testing.assert_allclose(out, 0.3 * (1 - np.exp(-dt)), atol=1e-13)
 
 
@@ -149,7 +150,7 @@ def test_one_free_energy_per_accepted_step(bump_state, monkeypatch):
 
 
 def test_bump_relaxes_to_core(bump_state, analytic, grid, params):
-    send, trace = run_dynamics(bump_state, 50.0, RunOptions(dt=0.1, adapt=True))
+    send, trace = run_dynamics(bump_state, 50.0, RunOptions(dt=0.1))
     arr = trace.as_arrays()
     f_tol = 1e-10 * params.G * params.b**2 / params.d
     assert np.all(np.diff(arr["F_values"]) <= f_tol)
@@ -207,10 +208,8 @@ def test_steady_state_equivalence(bump_state, params):
 def test_integrators_consistent(bump_state):
     gaps = []
     for dt in (0.05, 0.025):
-        sa, _ = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, adapt=False,
-                                                         method="semi_implicit"))
-        sb, _ = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, adapt=False,
-                                                         method="etd"))
+        sa, _ = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, method="semi_implicit"))
+        sb, _ = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, method="etd"))
         gaps.append(np.max(np.abs(sa.p.v - sb.p.v)))
     assert np.log2(gaps[0] / gaps[1]) >= 0.9
 
@@ -219,8 +218,9 @@ def test_integrators_consistent(bump_state):
                                          ("etd", step_etd)])
 @pytest.mark.parametrize("dt", [0.05, 0.025, 0.3])
 def test_march_matches_run_dynamics(bump_state, method, step, dt):
-    ref, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, adapt=False,
-                                                          method=method))
+    ref, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, method=method))
+    # the guard on F halves no step here, so march must take the same steps
+    assert trace.dt_history[1:-1] == [dt] * (len(trace.dt_history) - 2)
     # the accumulated time leaves a last step that is not dt (dt = 0.05:
     # 0.04999999999999971); march must take the same one
     assert trace.dt_history[-1] != dt
@@ -232,7 +232,7 @@ def test_march_matches_run_dynamics(bump_state, method, step, dt):
 def test_underflow_carries_trace(bump_state):
     # force halving to exhaust by demanding a strictly decreasing F with an
     # impossible negative tolerance
-    opts = RunOptions(dt=0.1, adapt=True, f_increase_tol=-1.0, max_halvings=3)
+    opts = RunOptions(dt=0.1, f_increase_tol=-1.0, max_halvings=3)
     with pytest.raises(TimeStepUnderflowError) as exc:
         run_dynamics(bump_state, 1.0, opts)
     assert exc.value.trace is not None

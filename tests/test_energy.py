@@ -19,7 +19,6 @@ from pnedge.energy import (
     energy_breakdown,
     log_divergence_fit,
     misfit_energy,
-    perturbed_total_energy,
     reduced_perturbed_energy,
     seeded_perturbations,
 )
@@ -34,6 +33,14 @@ from pnedge.static import half_laplacian_profile
 @pytest.fixture(scope="module")
 def quadq(params):
     return BoxQuadrature.for_params(params, n_levels=160)
+
+
+@pytest.mark.parametrize("y_min, y_max, n_levels", [
+    (1.0, 0.5, 8), (1.0, 1.0, 8), (0.0, 1.0, 8), (-0.1, 1.0, 8), (0.1, 1.0, 0),
+])
+def test_box_quadrature_rejects_levels_with_negative_weights(y_min, y_max, n_levels):
+    with pytest.raises(ValueError, match="y_min|n_levels"):
+        BoxQuadrature(y_min, y_max, n_levels)
 
 
 def gaussian_pert(grid, params, amp=0.05, center=0.9, width=2.0):
@@ -136,13 +143,14 @@ def tables(solved, quadq):
 
 def test_total_energy_zero_perturbation(grid, solved, spec, tables):
     phi = Perturbation(grid=grid, phi1=np.zeros(grid.N))
-    assert perturbed_total_energy(phi, solved, spec, tables) == pytest.approx(0.0, abs=1e-15)
+    total = energy_breakdown(phi, solved, spec, tables).E_hat_total
+    assert total == pytest.approx(0.0, abs=1e-15)
 
 
 def test_energy_relation_gaussian(grid, solved, spec, params, tables):
     phi = gaussian_pert(grid, params)
     eg = reduced_perturbed_energy(phi, solved, spec)
-    et = perturbed_total_energy(phi, solved, spec, tables)
+    et = energy_breakdown(phi, solved, spec, tables).E_hat_total
     assert et == pytest.approx(eg, rel=1e-2)
 
 
@@ -186,7 +194,7 @@ def test_energy_breakdown_consistency(grid, solved, spec, params, tables):
     phi = gaussian_pert(grid, params)
     bd = energy_breakdown(phi, solved, spec, tables)
     assert bd.E_hat_gamma == reduced_perturbed_energy(phi, solved, spec)
-    assert bd.E_hat_total == perturbed_total_energy(phi, solved, spec, tables)
+    assert bd.E_hat_total == bd.E_els_pert + bd.cross_els + bd.misfit_difference
     assert bd.E_hat_total == pytest.approx(bd.E_hat_gamma,
                                            rel=1e-2, abs=1e-5)
     assert misfit_energy(solved, spec) == pytest.approx(1.0 / (3.0 * np.pi), rel=1e-2)
@@ -235,14 +243,16 @@ def _profile_stress(p):
 def _competitor_strains(grid, phi1, f_pair, g_pair):
     (f, fp), (g, gp) = f_pair, g_pair
     th = np.fft.fft(phi1)
+    xi = 2.0 * np.pi * np.fft.fftfreq(grid.N, d=grid.h)  # all N modes, FFT order
+    q = np.abs(xi)
 
     def strains(y):
-        t = grid.q * y
-        m11 = 1j * grid.xi * f(t)
-        m22 = 1j * np.sign(grid.xi) * grid.q * gp(t)
-        m12 = 0.5 * (grid.q * fp(t) - grid.q * g(t))
-        m11[grid.nyquist_index] = 0.0
-        m22[grid.nyquist_index] = 0.0
+        t = q * y
+        m11 = 1j * xi * f(t)
+        m22 = 1j * np.sign(xi) * q * gp(t)
+        m12 = 0.5 * (q * fp(t) - q * g(t))
+        m11[grid.N // 2] = 0.0  # the Nyquist mode
+        m22[grid.N // 2] = 0.0
         return tuple(np.fft.ifft(m * th).real for m in (m11, m22, m12))
     return strains
 

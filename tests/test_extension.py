@@ -88,7 +88,7 @@ def test_extension_trace_is_identity(solved):
 
 def test_extension_factor_root(grid, params):
     # the u1 factor (1 - |xi| y /(2-2nu)) vanishes at y = (2-2nu)/xi1
-    k1 = grid.xi[40]
+    k1 = grid.xi_r[40]
     v = np.cos(k1 * grid.x)
     y_root = (2 - 2 * params.nu) / k1
     u1c, _ = extend_trace_displacement(grid, v, params.nu, y_root)
@@ -155,7 +155,12 @@ def test_stress_field_odd_in_x(analytic, params):
 def test_stress_strains_inverse(solved, params):
     yl = YLevels.geometric(params.zeta / 5, 5 * params.zeta, 4)
     sf = stress_field(solved, yl)
-    e11, e22, e12 = sf.strains("plus")
+    # strains by the inverse plane-strain relation
+    G, nu = params.G, params.nu
+    s11, s22 = sf.s11_plus, sf.s22_plus
+    e11 = (s11 - nu * (s11 + s22)) / (2.0 * G)
+    e22 = (s22 - nu * (s11 + s22)) / (2.0 * G)
+    e12 = sf.s12_plus / (2.0 * G)
     s11, s12, s22, s33 = strains_to_stresses(e11, e22, e12, params.G, params.nu)
     np.testing.assert_allclose(s11, sf.s11_plus, atol=1e-12)
     np.testing.assert_allclose(s22, sf.s22_plus, atol=1e-12)
@@ -209,7 +214,7 @@ def test_lambda_single_mode_against_quadrature(grid, params):
     # one Fourier mode: the closed per-mode y-integral against brute quadrature
     nu = params.nu
     beta = 1 / (2 - 2 * nu)
-    k1 = grid.xi[5]
+    k1 = grid.xi_r[5]
     v = np.cos(k1 * grid.x)
     lam = lambda_seminorm_samples(grid, v, nu, 1.0, 0)
     i_u1, _ = quad(lambda t: (1 - beta * t) ** 2 * np.exp(-2 * t), 0, 60)
@@ -253,8 +258,10 @@ def _trace_seminorm_sq_full_fft(p, s):
     g = p.grid
     k = np.fft.fftfreq(g.N, d=1.0 / g.N)
     c = g.h * np.where(np.rint(k).astype(int) % 2 == 0, 1.0, -1.0) * np.fft.fft(p.v)
-    bg = background_transform(p.params.b, p.zeta_bg, g.xi) * np.exp(-1j * g.xi * p.x0)
-    w = np.where(g.q > 0, g.q ** (2.0 * s), 0.0)
+    xi = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.h)
+    q = np.abs(xi)
+    bg = background_transform(p.params.b, p.zeta_bg, xi) * np.exp(-1j * xi * p.x0)
+    w = np.where(q > 0, q ** (2.0 * s), 0.0)
     corr = np.sum(w * (np.abs(c) ** 2 + 2.0 * np.real(bg * np.conj(c)))) / (2.0 * g.L)
     return hs_seminorm_analytic(p.params.b, p.zeta_bg, s) + float(corr)
 

@@ -8,12 +8,12 @@ import pytest
 from pnedge.errors import TailWarning
 from pnedge.grid import build_grid
 from pnedge.params import PhysParams
-from pnedge.profile import Profile, analytic_profile, background, tanh_profile
+from pnedge.profile import TAIL_TOL, Profile, analytic_profile, background, tanh_profile
 
 
 def test_analytic_profile_far_field(analytic, params, grid):
     u1 = analytic.u1
-    budget = params.b * (analytic.tail_tol + analytic.zeta_bg / grid.L / np.pi)
+    budget = params.b * (TAIL_TOL + analytic.zeta_bg / grid.L / np.pi)
     assert abs(u1[0] - params.b / 4.0) <= budget
     assert abs(u1[-1] + params.b / 4.0) <= budget
 
@@ -22,7 +22,7 @@ def test_tanh_profile_tails_within_tolerance(grid, params):
     with warnings.catch_warnings():
         warnings.simplefilter("error", TailWarning)
         p = tanh_profile(grid, params)
-    assert max(abs(p.v[0]), abs(p.v[-1])) <= p.tail_tol * params.b
+    assert max(abs(p.v[0]), abs(p.v[-1])) <= TAIL_TOL * params.b
 
 
 def test_tail_warning_fires(grid, params):

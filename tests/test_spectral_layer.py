@@ -60,7 +60,8 @@ def test_apply_symbol_broadcasts_over_stacked_symbols(rng):
 
 def test_grid_rfft_modes_match_full_wavenumbers():
     g = build_grid(7.0, 32)
-    np.testing.assert_array_equal(g.xi_r, np.abs(g.xi[: g.N // 2 + 1]))
+    xi = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.h)  # all N modes, FFT order
+    np.testing.assert_array_equal(g.xi_r, np.abs(xi[: g.N // 2 + 1]))
 
 
 _FFT_REF = re.compile(r"\b(?:np|numpy|scipy)\.fft\b(?:\.(\w+))?")

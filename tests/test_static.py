@@ -257,6 +257,6 @@ def test_max_iters_exhaustion(grid, params, spec):
 
     init = tanh_profile(grid, params)
     with pytest.raises(ConvergenceError) as exc:
-        solve_static(init, spec, SolveOptions(max_iters=1, newton=False))
+        solve_static(init, spec, SolveOptions(max_iters=1))
     assert exc.value.linf > 0
     assert exc.value.iterations == 1
