@@ -18,6 +18,7 @@ import numpy as np
 
 from .config import (
     RunConfig,
+    _snapshot_file,
     box_radii,
     dynamics_start,
     energy_perturbations,
@@ -133,8 +134,7 @@ def cmd_extend(cfg: RunConfig) -> int:
     profile = _solve(cfg, grid, params, spec).profile
     z = params.zeta
     yl = YLevels.geometric(cfg.ylevels_y_min_over_zeta * z,
-                           cfg.ylevels_y_max_over_zeta * z,
-                           cfg.ylevels_count, mirrored=cfg.ylevels_mirrored)
+                           cfg.ylevels_y_max_over_zeta * z, cfg.ylevels_count)
     hp = extend_to_half_planes(profile, yl)
     sf = stress_field(profile, yl)
     s12_gamma, s22_gamma = dtn_traction(profile)
@@ -147,9 +147,9 @@ def cmd_extend(cfg: RunConfig) -> int:
     del hp, sf  # a field's array is released once it is written
     while upper:
         name, values = upper.popitem()
-        mirror = PARITY[name.replace("sigma", "s")] if yl.mirrored else None
         with _timed(timings, "write"):
-            write_field_csv(out / f"{name}.csv", grid.x, yl.values, values, mirror=mirror)
+            write_field_csv(out / f"{name}.csv", grid.x, yl.values, values,
+                            mirror=PARITY[name.replace("sigma", "s")])
         del values
     with _timed(timings, "write"):
         write_csv(out / "traction.csv", {"x": grid.x, "sigma12": s12_gamma,
@@ -205,24 +205,14 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     out = prepare_output_dir(cfg.output, cfg.overwrite)
     snaps = snapshot_times(cfg)
     snapshots = {}
+    pieces = []  # the trace of each run, stopping at each snapshot time
     try:
-        if snaps:
-            s = s0
-            times = sorted(set(snaps) | {cfg.dynamics_T_end})
-            merged = None
-            for t_target in times:
-                s, trace = run_dynamics(s, t_target, opts)
-                snapshots[t_target] = s.p.u1.copy()
-                arrs = trace.as_arrays()
-                if merged is None:
-                    merged = arrs
-                else:
-                    merged = {k: np.concatenate([merged[k], arrs[k][1:]])
-                              for k in merged}
-            arr = merged
-        else:
-            _, trace = run_dynamics(s0, cfg.dynamics_T_end, opts)
-            arr = trace.as_arrays()
+        s = s0
+        for t_stop in snaps or [cfg.dynamics_T_end]:
+            s, trace = run_dynamics(s, t_stop, opts)
+            if snaps:
+                snapshots[t_stop] = s.p.u1.copy()
+            pieces.append(trace.as_arrays())
     except TimeStepUnderflowError as exc:
         arr = exc.trace.as_arrays() if exc.trace is not None else {}
         timings: dict = {}
@@ -234,8 +224,11 @@ def cmd_dynamics(cfg: RunConfig) -> int:
                        extra={"aborted": str(exc),
                               **_bytes_written([out / "trace.csv"] if arr else [])})
         raise
+    # a run after the first starts from the state the one before ended in
+    arr = {k: np.concatenate([pieces[0][k], *(a[k][1:] for a in pieces[1:])])
+           for k in pieces[0]}
     timings = {}
-    paths = [out / "trace.csv"] + [out / f"snapshot_t{t:g}.csv" for t in snapshots]
+    paths = [out / "trace.csv"] + [out / _snapshot_file(t) for t in snapshots]
     with _timed(timings, "write"):
         _write_trace_csv(paths[0], arr)
         for path, u1 in zip(paths[1:], snapshots.values()):

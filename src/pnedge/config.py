@@ -15,7 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DynamicsState
-from .energy import BoxQuadrature, Perturbation, seeded_perturbations
+from .energy import BoxQuadrature, Perturbation, _first_level, seeded_perturbations
 from .grid import Grid1D, build_grid
 from .params import PhysParams
 from .potential import PotentialSpec, frenkel, from_csv
@@ -63,7 +63,6 @@ class RunConfig:
     ylevels_y_min_over_zeta: float = 0.1
     ylevels_y_max_over_zeta: float = 10.0
     ylevels_count: int = 24
-    ylevels_mirrored: bool = True
     # energy block
     energy_box_radii_over_zeta: str = "5,10,20,40"
     energy_n_perturbations: int = 10
@@ -108,20 +107,27 @@ class RunConfig:
         if not (self.potential == "frenkel" or self.potential.startswith("table:")):
             raise ValueError("config key 'potential' must be 'frenkel' or 'table:<path>'")
         radii = box_radii(self)
-        if len(set(radii)) < 2 or not all(0.0 < r <= self.L_over_zeta * self.zeta / 2.0
+        # a box quadrature starts at the first level: a radius must lie beyond it
+        y_min = _first_level(self.params)
+        if len(set(radii)) < 2 or not all(y_min < r <= self.L_over_zeta * self.zeta / 2.0
                                           for r in radii):
             raise ValueError(
                 "config key 'energy_box_radii_over_zeta' must list at least two distinct "
-                f"radii in (0, L_over_zeta/2], got {self.energy_box_radii_over_zeta!r}")
-        if not all(0.0 < t <= self.dynamics_T_end for t in snapshot_times(self)):
+                f"radii in (1/50, L_over_zeta/2], got {self.energy_box_radii_over_zeta!r}")
+        times = snapshot_times(self)
+        if not all(0.0 < t <= self.dynamics_T_end for t in times):
             raise ValueError(
                 "config key 'dynamics_snapshot_times' must lie in (0, dynamics_T_end], "
                 f"got {self.dynamics_snapshot_times!r}")
+        if len({_snapshot_file(t) for t in times}) < len(times):
+            raise ValueError("config key 'dynamics_snapshot_times' must name distinct files "
+                             f"snapshot_t<t:g>.csv, got {self.dynamics_snapshot_times!r}")
         parse_static_init(self)
         try:
             energy_quadrature(self, self.params)
         except ValueError as exc:
-            raise ValueError(f"config key 'energy_y_max_over_zeta': {exc}") from None
+            key = "energy_quad_levels" if "n_levels" in str(exc) else "energy_y_max_over_zeta"
+            raise ValueError(f"config key '{key}': {exc}") from None
 
     @property
     def params(self) -> PhysParams:
@@ -222,7 +228,15 @@ def box_radii(cfg: RunConfig) -> list[float]:
 
 
 def snapshot_times(cfg: RunConfig) -> list[float]:
-    return _floats("dynamics_snapshot_times", cfg.dynamics_snapshot_times)
+    """The times a dynamics run writes a snapshot at: the listed ones and
+    ``dynamics_T_end``, sorted, or none when no time is listed."""
+    times = _floats("dynamics_snapshot_times", cfg.dynamics_snapshot_times)
+    return sorted(set(times) | {cfg.dynamics_T_end}) if times else []
+
+
+def _snapshot_file(t: float) -> str:
+    """Name of the snapshot file of time t."""
+    return f"snapshot_t{t:g}.csv"
 
 
 def run_setup(cfg: RunConfig) -> tuple[PhysParams, Grid1D, PotentialSpec]:

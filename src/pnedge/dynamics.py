@@ -78,13 +78,15 @@ class DynamicsState:
     t: float
     p: Profile
     spec: PotentialSpec
-    reference: Optional[Profile] = None  # static profile u1* for F, Q and ETD
+    reference: Profile  # static profile u1* for F, Q and ETD
     _run: Optional[_RunInvariants] = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        """Reject a reference whose background is not the state's."""
+        """Reject a missing reference, or one whose background is not the state's."""
         ref = self.reference
-        if ref is not None and (ref.zeta_bg != self.p.zeta_bg or ref.x0 != self.p.x0):
+        if ref is None:
+            raise ValueError("a dynamics state needs a reference static profile")
+        if ref.zeta_bg != self.p.zeta_bg or ref.x0 != self.p.x0:
             raise ValueError("reference background differs from the state background")
 
     def _invariants(self) -> _RunInvariants:
@@ -116,14 +118,14 @@ class _RunInvariants:
     params: PhysParams
     zeta_bg: float
     x0: float
-    reference: Optional[Profile]
+    reference: Profile
     spec: PotentialSpec
     bg: np.ndarray
     lam_bg: np.ndarray
-    u_star: Optional[np.ndarray]  # the reference arrays are None without one
-    w_star: Optional[np.ndarray]
-    wp_star: Optional[np.ndarray]
-    v_hat_star: Optional[np.ndarray]
+    u_star: np.ndarray
+    w_star: np.ndarray
+    wp_star: np.ndarray
+    v_hat_star: np.ndarray
     hs_weights: np.ndarray  # seminorm weights of F
     work: np.ndarray
     work_hat: np.ndarray
@@ -132,15 +134,11 @@ class _RunInvariants:
     @classmethod
     def of(cls, s: DynamicsState) -> _RunInvariants:
         p, ref, grid = s.p, s.reference, s.p.grid
-        u_star = w_star = wp_star = v_hat_star = None
-        if ref is not None:
-            u_star = ref.u1
-            w_star = eval_potential(s.spec, u_star, 0)
-            wp_star = eval_potential(s.spec, u_star, 1)
-            v_hat_star = rfft(ref.v)
+        u_star = ref.u1
         return cls(grid, p.params, p.zeta_bg, p.x0, ref, s.spec,
                    p.background_on_grid(), p.half_laplacian_background(),
-                   u_star, w_star, wp_star, v_hat_star,
+                   u_star, eval_potential(s.spec, u_star, 0),
+                   eval_potential(s.spec, u_star, 1), rfft(ref.v),
                    seminorm_weights(grid, 0.5),
                    np.empty(grid.N), np.empty(grid.N // 2 + 1, dtype=complex))
 
@@ -209,8 +207,6 @@ class RunOptions:
 
 def free_energy(s: DynamicsState) -> float:
     """F relative to the reference static profile; F(u1*) = 0."""
-    if s.reference is None:
-        raise ValueError("free energy needs a reference static profile")
     inv = s._invariants()
     h = s.p.grid.h
     v = np.subtract(s.p.v, s.reference.v, out=inv.work)  # u1 - u1*, in the buffer
@@ -296,14 +292,11 @@ def step_semi_implicit(s: DynamicsState, dt: float) -> DynamicsState:
 def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     """One ETD1 step on the deviation from the reference static profile.
 
-    Exact when the nonlinear remainder T is constant over the step;
-    requires ``reference`` (whose background must match the state's).
+    Exact when the nonlinear remainder T is constant over the step.
     T reads W'(u1) at ``u1 = u_bg + v_state``, which equals ``u1* + v``
     up to rounding (exactly when the reference correction is zero).
     """
     _check_dt(dt)
-    if s.reference is None:
-        raise ValueError("ETD stepping requires a reference static profile")
     inv = s._invariants()
     T = np.subtract(s.p.v, s.reference.v, out=inv.work)  # u1 - u1*, in the buffer
     T -= s._wp_u1
@@ -330,12 +323,10 @@ def run_dynamics(
 ) -> tuple[DynamicsState, DynamicsTrace]:
     """March to T_end recording F, Q and the residual per accepted step.
 
-    With a reference static profile the run guards F: a step that raises
-    F beyond ``f_increase_tol`` is halved and retried (at most
-    ``max_halvings`` times; underflow raises
+    The run guards F: a step that raises F beyond ``f_increase_tol`` is
+    halved and retried (at most ``max_halvings`` times; underflow raises
     :class:`TimeStepUnderflowError` carrying the partial trace), and the
-    step regrows to at most twice the accepted one.  Without a reference
-    F is not defined (recorded as NaN) and every step is taken.
+    step regrows to at most twice the accepted one.
     """
     if not 0.0 < T_end < np.inf:
         raise ValueError(f"T_end must be positive and finite, got {T_end}")
@@ -346,7 +337,6 @@ def run_dynamics(
     prm = s0.p.params
     f_tol = (opts.f_increase_tol if opts.f_increase_tol is not None
              else 1e-10 * prm.G * prm.b**2 / prm.d)
-    monitor = s0.reference is not None
 
     def norms(state):
         r = _residual(state)
@@ -358,7 +348,7 @@ def run_dynamics(
     stale = ["_wp_u1"] + ([] if "_v_hat" in vars(s0) else ["_v_hat"])
     trace = DynamicsTrace()
     s = s0
-    F = free_energy(s) if monitor else np.nan
+    F = free_energy(s)
     Q, res_linf = norms(s)
     trace.record(s.t, F, Q, res_linf, 0.0)
 
@@ -367,8 +357,8 @@ def run_dynamics(
         step_dt = min(dt, T_end - s.t)
         for _ in range(opts.max_halvings + 1):
             cand = stepper(s, step_dt)
-            F_new = free_energy(cand) if monitor else np.nan
-            if not monitor or F_new <= F + f_tol:
+            F_new = free_energy(cand)
+            if F_new <= F + f_tol:
                 break
             step_dt *= 0.5
         else:

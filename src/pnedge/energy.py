@@ -24,17 +24,15 @@ perturbation then costs one ``rfft`` and a dot product.  The
 y-quadrature is the discrete node/weight sum, independent of the
 closed-form y-integrals of the slip-plane route.
 
-The tables and :func:`elastic_energy_box` evaluate the y-levels in
-chunks of ``_LEVEL_CHUNK`` (4): the heights enter the per-level
-formulas as a column, so a chunk is one set of 2-d array operations and
-one batched FFT, where a level at a time paid numpy's per-call cost on
-every small array.  The weighted sum still adds one level at a time, in
-node order, with each level's x-sum taken along its own contiguous row,
-so every result has the bits of the level-by-level loop.  A chunk holds
-a few (chunk, N) arrays, which bounds the live memory of a call: at
-N = 4096 and 193 levels the tracemalloc peak is about 1.6 MiB for a box
-energy and 2.9 MiB for the tables (0.5 and 0.8 MiB a level at a
-time), where all 193 levels at once would take some 130 MiB.
+The tables and :func:`elastic_energy_box` walk the y-levels four at a
+time with the level walk of :mod:`pnedge.extension`, where a level at a
+time paid numpy's per-call cost on every small array.  The weighted sum
+still adds one level at a time, in node order, with each level's x-sum
+taken along its own contiguous row, so every result has the bits of the
+level-by-level loop.  At N = 4096 and 193 levels the tracemalloc peak is
+about 1.6 MiB for a box energy and 2.9 MiB for the tables (0.5 and
+0.8 MiB a level at a time), where all 193 levels at once would take some
+130 MiB.
 """
 
 from __future__ import annotations
@@ -48,6 +46,7 @@ import numpy as np
 from .errors import DivergenceError
 from .extension import (
     _analytic_stress,
+    _level_chunks,
     _strain_multipliers,
     _strains_of_spectrum,
     strains_to_stresses,
@@ -64,18 +63,19 @@ from .static import half_laplacian_profile
 # quadrature geometry for the half-plane integrals
 # ---------------------------------------------------------------------------
 
-#: y-levels evaluated together by the half-plane quadratures (see the
-#: module docstring for the memory this bounds)
-_LEVEL_CHUNK = 4
+def _first_level(params: PhysParams) -> float:
+    """First positive node of every half-plane quadrature, ``zeta / 50``."""
+    return params.zeta / 50.0
 
 
 @dataclass(frozen=True)
 class BoxQuadrature:
     """Tensor quadrature for y-integrals over the half-planes.
 
-    Trapezoid weights on a node set {0} + geometric(y_min, y_max, n);
-    x-integration rides on the periodic grid (h * sum, evaluated by
-    discrete Parseval), which is exact for the spectral fields.
+    Trapezoid weights on a node set {0} + geometric(y_min, y_max, n),
+    n >= 2 (a geometric part of one level would be y_min alone and drop
+    y_max); x-integration rides on the periodic grid (h * sum, evaluated
+    by discrete Parseval), which is exact for the spectral fields.
     """
 
     y_min: float
@@ -83,19 +83,19 @@ class BoxQuadrature:
     n_levels: int = 160
 
     def __post_init__(self):
-        """Reject node sets whose geometric part would not increase; their
-        trapezoid weights would go negative."""
+        """Reject node sets whose geometric part would not increase (their
+        trapezoid weights would go negative) or would not reach y_max."""
         if not 0.0 < self.y_min < self.y_max:
             raise ValueError("quadrature levels need 0 < y_min < y_max, "
                              f"got y_min = {self.y_min}, y_max = {self.y_max}")
-        if self.n_levels < 1:
-            raise ValueError(f"quadrature needs n_levels >= 1, got {self.n_levels}")
+        if self.n_levels < 2:
+            raise ValueError(f"quadrature needs n_levels >= 2, got {self.n_levels}")
 
     @classmethod
     def for_params(cls, params: PhysParams, y_max_factor: float = 400.0,
                    n_levels: int = 160) -> "BoxQuadrature":
-        z = params.zeta
-        return cls(y_min=z / 50.0, y_max=y_max_factor * z, n_levels=n_levels)
+        return cls(y_min=_first_level(params), y_max=y_max_factor * params.zeta,
+                   n_levels=n_levels)
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes ``{0} + geometric(y_min, y_max, n_levels)`` and their trapezoid weights."""
@@ -260,14 +260,6 @@ def _parseval_multipliers(ms) -> np.ndarray:
     return m
 
 
-def _level_chunks(ys: np.ndarray, wy: np.ndarray):
-    """The quadrature nodes in chunks of ``_LEVEL_CHUNK`` levels: heights
-    as a column (so the per-level formulas broadcast to one row per
-    level) with the chunk's weights."""
-    for s in range(0, len(ys), _LEVEL_CHUNK):
-        yield ys[s:s + _LEVEL_CHUNK, None], wy[s:s + _LEVEL_CHUNK]
-
-
 def _elastic_amplitudes(q, y, nu):
     """Real amplitudes ``(a11, a22, a12)`` of the extension's strain
     multipliers ``(i a11, i a22, a12)``."""
@@ -425,7 +417,7 @@ def elastic_energy_box(
     def density(s11, s12, s22):
         return (s11**2 + s22**2 - nu * (s11 + s22) ** 2 + 2.0 * s12**2) / (4.0 * G)
 
-    ys, wy = BoxQuadrature(prm.zeta / 50.0, R, n_levels).nodes_weights()
+    ys, wy = BoxQuadrature(_first_level(prm), R, n_levels).nodes_weights()
 
     xw = np.linspace(-R, R, n_x)
     wx = np.full(n_x, xw[1] - xw[0])

@@ -9,14 +9,21 @@ fields are
     ``uhat2(xi, y) = -A beta ((1 - 2 nu) i sgn(xi) + i xi y) e^{-q y}``
 
 and the lower half-plane follows from the mirror symmetry
-``u1(x, -y) = -u1(x, y)``, ``u2(x, -y) = u2(x, y)``.  Strains are
-assembled with the analytic y-derivatives of the factors, so the
+``u1(x, -y) = -u1(x, y)``, ``u2(x, -y) = u2(x, y)`` (:data:`PARITY`).  Strains
+are assembled with the analytic y-derivatives of the factors, so the
 plane-strain identities (``sigma33 = nu (sigma11 + sigma22)``,
 ``sigma22 = 0`` on the slip plane) hold per mode to roundoff.
 
 Profiles are split as background plus correction: the background fields
 and stresses use the closed forms of the arctan core, the correction
-passes through the spectral formulas.
+passes through the spectral formulas.  Only the upper half-plane is
+computed; the CSV writer mirrors it (``write_field_csv(mirror=PARITY[c])``).
+
+Every walk over y-levels, here and in :mod:`pnedge.energy`, takes them
+``_LEVEL_CHUNK`` (4) at a time with the heights as a column
+(:func:`_level_chunks`): one set of 2-d array operations and one batched
+FFT a chunk, the bits of a level-at-a-time loop, and live memory bounded
+by a few (chunk, N) arrays whatever the number of levels.
 """
 
 from __future__ import annotations
@@ -46,10 +53,9 @@ from .static import half_laplacian_profile
 
 @dataclass(frozen=True)
 class YLevels:
-    """Positive sampling heights, geometric by default; optionally mirrored."""
+    """Positive sampling heights of the upper half-plane, geometric by default."""
 
     values: np.ndarray
-    mirrored: bool = True
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=float)
@@ -62,8 +68,20 @@ class YLevels:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def geometric(cls, y_min: float, y_max: float, n: int, mirrored: bool = True) -> "YLevels":
-        return cls(values=np.geomspace(y_min, y_max, n), mirrored=mirrored)
+    def geometric(cls, y_min: float, y_max: float, n: int) -> "YLevels":
+        return cls(values=np.geomspace(y_min, y_max, n))
+
+
+_LEVEL_CHUNK = 4  #: y-levels evaluated together by every walk over the heights
+
+
+def _level_chunks(ys: np.ndarray, *per_level: np.ndarray):
+    """The heights ``ys`` in chunks of ``_LEVEL_CHUNK`` levels: each chunk's
+    heights as a column (so the per-level formulas broadcast to one row
+    per level), followed by the chunk's rows of each ``per_level`` array."""
+    for s in range(0, len(ys), _LEVEL_CHUNK):
+        rows = slice(s, s + _LEVEL_CHUNK)
+        yield (ys[rows, None], *(a[rows] for a in per_level))
 
 
 # ---------------------------------------------------------------------------
@@ -199,27 +217,17 @@ def strains_to_stresses(e11, e22, e12, G: float, nu: float):
 # field containers
 # ---------------------------------------------------------------------------
 
-#: parity of each component under y -> -y (u1 and the normal stresses odd)
+#: parity of each component under y -> -y (u1 and the normal stresses
+#: odd): the sign that maps the upper half-plane onto the lower one
 PARITY = {"u1": -1, "u2": 1, "s11": -1, "s12": 1, "s22": -1, "s33": -1}
-
-
-def _lower_half(component: str) -> property:
-    """Read-only lower-half array of ``component`` at heights ``-values[i]``:
-    its upper array, negated when the component is odd in y."""
-    upper = f"{component}_plus"
-    if PARITY[component] < 0:
-        return property(lambda self: -getattr(self, upper))
-    return property(lambda self: getattr(self, upper))
 
 
 @dataclass(frozen=True)
 class HalfPlaneField:
-    """Displacement samples on y-levels above and below the slip plane.
+    """Displacement samples on the y-levels of the upper half-plane.
 
-    Arrays are (level, x).  Only the upper half is stored; the lower-half
-    arrays at heights ``-values[i]`` are derived from it by the mirror
-    symmetry ``u1_minus(x, -y) = -u1_plus(x, y)``,
-    ``u2_minus(x, -y) = u2_plus(x, y)``, so they hold it exactly.
+    Arrays are (level, x).  The lower half at heights ``-values[i]`` is
+    their mirror image, ``PARITY[c]`` times the upper array of component c.
     """
 
     grid: Grid1D
@@ -227,22 +235,13 @@ class HalfPlaneField:
     u1_plus: np.ndarray = field(repr=False)
     u2_plus: np.ndarray = field(repr=False)
 
-    u1_minus = _lower_half("u1")
-    u2_minus = _lower_half("u2")
-
-    def mirror_defect(self) -> float:
-        d1 = np.max(np.abs(self.u1_plus + self.u1_minus))
-        d2 = np.max(np.abs(self.u2_plus - self.u2_minus))
-        scale = max(np.max(np.abs(self.u1_plus)), np.max(np.abs(self.u2_plus)), 1e-300)
-        return float(max(d1, d2) / scale)
-
 
 @dataclass(frozen=True)
 class StressField:
-    """Stress samples on y-levels above and below the slip plane.
+    """Stress samples on the y-levels of the upper half-plane.
 
-    Only the upper half is stored; the lower-half arrays are derived from
-    it: s12 is even under y -> -y, the normal components are odd.
+    Arrays are (level, x); the lower half is their mirror image, s12 even
+    under y -> -y and the normal components odd (:data:`PARITY`).
     """
 
     grid: Grid1D
@@ -253,35 +252,38 @@ class StressField:
     s22_plus: np.ndarray = field(repr=False)
     s33_plus: np.ndarray = field(repr=False)
 
-    s11_minus = _lower_half("s11")
-    s12_minus = _lower_half("s12")
-    s22_minus = _lower_half("s22")
-    s33_minus = _lower_half("s33")
+
+def _upper_half_walk(p: Profile, ys: np.ndarray, n_fields: int, core, correction):
+    """``n_fields`` (level, x) arrays of a profile at the heights ``ys``: the
+    core's closed form ``core(x - x0, y)``, written into a chunk's rows, plus
+    the correction's spectral field ``correction(rfft(v), y)`` added in place
+    (unless v is zero), with ``y`` a column of the chunk's heights."""
+    grid = p.grid
+    xs = grid.x - p.x0
+    v_hat = rfft(p.v) if np.any(p.v) else None
+    out = [np.empty((len(ys), grid.N)) for _ in range(n_fields)]
+    for y, *rows in _level_chunks(ys, *out):
+        for row, values in zip(rows, core(xs, y)):
+            row[...] = values
+        if v_hat is not None:
+            for row, values in zip(rows, correction(v_hat, y)):
+                row += values
+    return out
 
 
 def extend_to_half_planes(p: Profile, yl: YLevels) -> HalfPlaneField:
     """Displacement fields of a profile on the requested y-levels.
 
-    Background by the closed forms (upper branch with +zeta, lower with
-    -zeta), correction through the spectral factors; the zero mode of
-    the u2 correction is 0, so u2 carries the additive-constant gauge of
-    the closed form only.
+    Background by the closed form of the upper branch (+zeta), correction
+    through the spectral factors; the zero mode of the u2 correction is 0,
+    so u2 carries the additive-constant gauge of the closed form only.
     """
-    grid, prm = p.grid, p.params
-    xs = grid.x - p.x0
-    n_lev = len(yl.values)
-    u1p = np.empty((n_lev, grid.N))
-    u2p = np.empty((n_lev, grid.N))
-    v_hat = rfft(p.v) if np.any(p.v) else None
-    for i, y in enumerate(yl.values):
-        b1, b2 = _analytic_displacement(xs, y, prm.b, prm.nu, p.zeta_bg, +1.0)
-        if v_hat is not None:
-            c1, c2 = _displacement_of_spectrum(grid, v_hat, prm.nu, y)
-            b1 = b1 + c1
-            b2 = b2 + c2
-        u1p[i] = b1
-        u2p[i] = b2
-    return HalfPlaneField(grid=grid, ylevels=yl, u1_plus=u1p, u2_plus=u2p)
+    prm = p.params
+    u1, u2 = _upper_half_walk(
+        p, yl.values, 2,
+        lambda xs, y: _analytic_displacement(xs, y, prm.b, prm.nu, p.zeta_bg, +1.0),
+        lambda v_hat, y: _displacement_of_spectrum(p.grid, v_hat, prm.nu, y))
+    return HalfPlaneField(grid=p.grid, ylevels=yl, u1_plus=u1, u2_plus=u2)
 
 
 def trace_of_extension(p: Profile) -> np.ndarray:
@@ -299,27 +301,16 @@ def stress_field(p: Profile, yl: YLevels) -> StressField:
 
     Correction strains come from the analytic y-derivatives of the
     spectral factors (no differencing across levels); background stress
-    from the closed form.  The lower half is derived by
-    :class:`StressField` from the mirror relations.
+    from the closed form of the upper branch.
     """
-    grid, prm = p.grid, p.params
-    xs = grid.x - p.x0
-    n_lev = len(yl.values)
-    comps = {k: np.empty((n_lev, grid.N)) for k in ("s11", "s12", "s22", "s33")}
-    v_hat = rfft(p.v) if np.any(p.v) else None
-    for i, y in enumerate(yl.values):
-        s11, s12, s22, s33 = _analytic_stress(xs, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
-        if v_hat is not None:
-            e11, e22, e12 = _strains_of_spectrum(grid, v_hat, prm.nu, y)
-            c11, c12, c22, c33 = strains_to_stresses(e11, e22, e12, prm.G, prm.nu)
-            s11, s12, s22, s33 = s11 + c11, s12 + c12, s22 + c22, s33 + c33
-        comps["s11"][i], comps["s12"][i] = s11, s12
-        comps["s22"][i], comps["s33"][i] = s22, s33
-    return StressField(
-        grid=grid, ylevels=yl, params=prm,
-        s11_plus=comps["s11"], s12_plus=comps["s12"],
-        s22_plus=comps["s22"], s33_plus=comps["s33"],
-    )
+    prm = p.params
+    s11, s12, s22, s33 = _upper_half_walk(
+        p, yl.values, 4,
+        lambda xs, y: _analytic_stress(xs, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0),
+        lambda v_hat, y: strains_to_stresses(*_strains_of_spectrum(p.grid, v_hat, prm.nu, y),
+                                             prm.G, prm.nu))
+    return StressField(grid=p.grid, ylevels=yl, params=prm,
+                       s11_plus=s11, s12_plus=s12, s22_plus=s22, s33_plus=s33)
 
 
 def dtn_traction(p: Profile) -> tuple[np.ndarray, np.ndarray]:

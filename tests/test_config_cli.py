@@ -53,6 +53,7 @@ def test_nu_out_of_range_names_key():
     ("dynamics_dt", "nan"),
     ("static_max_iters", "0"),
     ("energy_quad_levels", "0"),
+    ("energy_quad_levels", "1"),  # one geometric level would drop y_max
     ("energy_n_perturbations", "-1"),
     ("energy_y_max_over_zeta", "-1"),
     ("energy_y_max_over_zeta", "0.01"),  # below the first level, zeta/50
@@ -72,11 +73,15 @@ def test_nu_out_of_range_names_key():
     ("energy_box_radii_over_zeta", "5,inf"),
     ("energy_box_radii_over_zeta", "5,1000"),
     ("energy_box_radii_over_zeta", "5,ten"),
+    ("energy_box_radii_over_zeta", "0.01,0.015"),  # at or below the first level, zeta/50
+    ("energy_box_radii_over_zeta", "0.015,5"),
     ("dynamics_snapshot_times", "60"),
     ("dynamics_snapshot_times", "0"),
     ("dynamics_snapshot_times", "1,-1"),
     ("dynamics_snapshot_times", "nan"),
     ("dynamics_snapshot_times", "1,later"),
+    ("dynamics_snapshot_times", "1.0000001,1.0000002"),  # both snapshot_t1.csv
+    ("dynamics_snapshot_times", "49.9999999"),  # snapshot_t50.csv, as dynamics_T_end
     ("static_init", "bogus"),
     ("static_init", "background:abc"),
     ("static_init", "background:0"),
@@ -216,6 +221,15 @@ def test_cli_dynamics(tmp_path):
     assert (out / "snapshot_t1.csv").exists()
 
 
+def test_cli_dynamics_rejects_snapshots_sharing_a_file(tmp_path, capsys):
+    # 1.0000001 and 1.0000002 both name snapshot_t1.csv: one would replace the other
+    rc = main(_fast_overrides(tmp_path, dynamics_T_end=2.0,
+                              dynamics_snapshot_times="1.0000001,1.0000002") + ["dynamics"])
+    assert rc == 2
+    assert "config key 'dynamics_snapshot_times'" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_dynamics_underflow_exit_code(tmp_path, monkeypatch):
     import pnedge.cli as climod
     from pnedge.dynamics import DynamicsTrace
@@ -269,7 +283,8 @@ def test_cli_bad_config_exit_code(tmp_path):
     assert rc == 2
 
 
-@pytest.mark.parametrize("key", ["seed", "format_version", "static_newton", "dynamics_adapt"])
+@pytest.mark.parametrize("key", ["seed", "format_version", "static_newton", "dynamics_adapt",
+                                 "ylevels_mirrored"])
 def test_removed_config_key_is_unknown(tmp_path, capsys, key):
     rc = main(["--set", f"{key}=1", "--output", str(tmp_path / "x"), "solve-static"])
     assert rc == 2

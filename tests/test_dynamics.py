@@ -85,10 +85,12 @@ def test_zero_deviation_stays_zero(analytic, spec):
     assert np.max(np.abs(s.p.v)) < 1e-14
 
 
-def test_etd_requires_reference(analytic, spec):
-    s = DynamicsState(t=0.0, p=analytic, spec=spec, reference=None)
-    with pytest.raises(ValueError):
-        step_etd(s, 0.1)
+def test_state_requires_a_reference(analytic, spec):
+    # F, Q and ETD all need the reference static profile: a state has one
+    with pytest.raises(ValueError, match="reference"):
+        DynamicsState(t=0.0, p=analytic, spec=spec, reference=None)
+    with pytest.raises(TypeError):
+        DynamicsState(t=0.0, p=analytic, spec=spec)
 
 
 def test_step_rejects_nonpositive_dt(bump_state):
@@ -255,8 +257,7 @@ def _fresh(s):
 
 def _assert_same_as_fresh(s, steppers=(step_etd,)):
     fresh = _fresh(s)
-    if s.reference is not None:
-        assert free_energy(s) == free_energy(fresh)
+    assert free_energy(s) == free_energy(fresh)
     for step in steppers:
         assert np.array_equal(step(s, 0.1).p.v, step(fresh, 0.1).p.v)
     assert dissipation_rate(s) == dissipation_rate(fresh)
@@ -264,9 +265,8 @@ def _assert_same_as_fresh(s, steppers=(step_etd,)):
 
 def _warm(s):
     """Fill the run record and the state's W'(u1) cache."""
-    if s.reference is not None:
-        free_energy(s)
-        step_etd(s, 0.1)
+    free_energy(s)
+    step_etd(s, 0.1)
     step_semi_implicit(s, 0.1)
     dissipation_rate(s)
     return s
@@ -288,14 +288,10 @@ def test_cache_rebuilt_for_another_background_or_params(bump_state, params):
     from pnedge.params import PhysParams
 
     s = _warm(bump_state)
-    # with no reference only the profile's own settings can make the record stale
-    plain = _warm(replace(s, reference=None))
     for change in ({"zeta_bg": 1.5 * params.zeta}, {"x0": 0.3}, {"params": PhysParams(G=2.0)}):
         moved = replace(s, p=replace(s.p, **change),
                         reference=replace(s.reference, **change))
-        _assert_same_as_fresh(moved)
-        _assert_same_as_fresh(replace(plain, p=replace(plain.p, **change)),
-                              steppers=(step_semi_implicit,))
+        _assert_same_as_fresh(moved, steppers=(step_etd, step_semi_implicit))
 
 
 def test_cache_rebuilt_for_another_potential(bump_state, params):
@@ -447,4 +443,3 @@ def test_state_rejects_reference_with_another_background(bump_state, change):
         DynamicsState(t=0.0, p=moved, spec=bump_state.spec, reference=bump_state.reference)
     with pytest.raises(ValueError, match="background"):
         replace(bump_state, p=moved)
-    assert replace(bump_state, p=moved, reference=None).reference is None

@@ -1,14 +1,15 @@
 """Elastic extension, stresses, traction map and half-plane seminorms."""
 
-from dataclasses import fields
-
 import numpy as np
 import pytest
 from scipy.integrate import quad
 
 from pnedge.errors import DivergenceError
 from pnedge.extension import (
+    PARITY,
     YLevels,
+    _analytic_displacement,
+    _analytic_stress,
     analytic_fields,
     dtn_traction,
     extend_to_half_planes,
@@ -96,8 +97,6 @@ def test_extension_factor_root(grid, params):
 
 
 def test_extension_matches_closed_form_difference(grid, params):
-    from pnedge.extension import _analytic_displacement
-
     b, nu, z = params.b, params.nu, params.zeta
     z1, z2 = z, 2 * z
     trace = background(grid.x, b, z1) - background(grid.x, b, z2)
@@ -113,24 +112,21 @@ def test_extension_matches_closed_form_difference(grid, params):
     assert worst / scale < 1e-3
 
 
-def test_half_plane_field_mirror(analytic, params):
-    yl = YLevels.geometric(params.zeta / 5, 5 * params.zeta, 6)
-    hp = extend_to_half_planes(analytic, yl)
-    assert hp.mirror_defect() == 0.0
-    np.testing.assert_allclose(hp.u1_minus, -hp.u1_plus)
-    np.testing.assert_allclose(hp.u2_minus, hp.u2_plus)
-
-
 @pytest.mark.parametrize("comp, parity", [("u1", -1), ("u2", 1), ("s11", -1), ("s12", 1),
                                           ("s22", -1), ("s33", -1)])
 def test_lower_half_is_derived_from_the_upper(analytic, params, comp, parity):
+    # only the upper half is stored; PARITY, the writer's mirror sign, maps
+    # it onto the closed form's lower branch at heights -y exactly
+    assert PARITY[comp] == parity
     yl = YLevels.geometric(params.zeta / 5, 5 * params.zeta, 3)
     container = (extend_to_half_planes if comp[0] == "u" else stress_field)(analytic, yl)
-    assert not [f.name for f in fields(container) if f.name.endswith("_minus")]
-    upper, lower = getattr(container, f"{comp}_plus"), getattr(container, f"{comp}_minus")
-    assert np.array_equal(lower, upper if parity > 0 else -upper)
-    with pytest.raises(AttributeError):
-        setattr(container, f"{comp}_minus", upper)
+    assert not hasattr(container, f"{comp}_minus")
+    xs, y = analytic.grid.x - analytic.x0, -yl.values[:, None]
+    b, nu, G, z = params.b, params.nu, params.G, analytic.zeta_bg
+    lower = dict(zip(PARITY, (*_analytic_displacement(xs, y, b, nu, z, -1.0),
+                              *_analytic_stress(xs, y, G, b, nu, z, -1.0))))
+    upper = getattr(container, f"{comp}_plus")
+    assert np.array_equal(lower[comp], parity * upper)
 
 
 def test_stress_field_plane_strain_identity(solved, params, rng):

@@ -1,10 +1,11 @@
-"""Level-chunked half-plane quadratures against level-by-level references.
+"""Level-chunked half-plane walks against level-by-level references.
 
-The box energy and the Parseval tables evaluate their y-levels in chunks
-of ``energy._LEVEL_CHUNK``.  The references below are the one-level-at-a-
-time loops they replace, kept here verbatim; the chunked code must give
-the same bits (``==``, no tolerance), including for level counts that
-are not a multiple of the chunk and for fewer levels than one chunk.
+The half-plane fields, the box energy and the Parseval tables evaluate
+their y-levels in chunks of ``extension._LEVEL_CHUNK``.  The references
+below are the one-level-at-a-time loops they replace, kept here
+verbatim; the chunked code must give the same bits (``==``, no
+tolerance), including for level counts that are not a multiple of the
+chunk and for fewer levels than one chunk.
 """
 
 import tracemalloc
@@ -14,7 +15,6 @@ import numpy as np
 import pytest
 
 from pnedge.energy import (
-    _LEVEL_CHUNK,
     BoxQuadrature,
     HalfPlaneTables,
     competitor_energy,
@@ -22,12 +22,21 @@ from pnedge.energy import (
     seeded_perturbations,
 )
 from pnedge.extension import (
+    _LEVEL_CHUNK,
+    YLevels,
+    _analytic_displacement,
     _analytic_stress,
+    _displacement_of_spectrum,
     _strain_multipliers,
     _strains_of_spectrum,
+    extend_to_half_planes,
     strains_to_stresses,
+    stress_field,
 )
+from pnedge.grid import build_grid
 from pnedge.operators import irfft, mode_weights, rfft
+from pnedge.params import PhysParams
+from pnedge.profile import Profile, background
 
 # ---------------------------------------------------------------------------
 # level-by-level references
@@ -64,6 +73,41 @@ def _box_reference(p, R, n_x=1024, n_levels=192):
                     - density(b11, b12, b22))
             total += wt * float(np.sum(wxg * corr))
     return 2.0 * total
+
+
+def _extend_reference(p, yl):
+    grid, prm = p.grid, p.params
+    xs = grid.x - p.x0
+    n_lev = len(yl.values)
+    u1p = np.empty((n_lev, grid.N))
+    u2p = np.empty((n_lev, grid.N))
+    v_hat = rfft(p.v) if np.any(p.v) else None
+    for i, y in enumerate(yl.values):
+        b1, b2 = _analytic_displacement(xs, y, prm.b, prm.nu, p.zeta_bg, +1.0)
+        if v_hat is not None:
+            c1, c2 = _displacement_of_spectrum(grid, v_hat, prm.nu, y)
+            b1 = b1 + c1
+            b2 = b2 + c2
+        u1p[i] = b1
+        u2p[i] = b2
+    return u1p, u2p
+
+
+def _stress_reference(p, yl):
+    grid, prm = p.grid, p.params
+    xs = grid.x - p.x0
+    n_lev = len(yl.values)
+    comps = {k: np.empty((n_lev, grid.N)) for k in ("s11", "s12", "s22", "s33")}
+    v_hat = rfft(p.v) if np.any(p.v) else None
+    for i, y in enumerate(yl.values):
+        s11, s12, s22, s33 = _analytic_stress(xs, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
+        if v_hat is not None:
+            e11, e22, e12 = _strains_of_spectrum(grid, v_hat, prm.nu, y)
+            c11, c12, c22, c33 = strains_to_stresses(e11, e22, e12, prm.G, prm.nu)
+            s11, s12, s22, s33 = s11 + c11, s12 + c12, s22 + c22, s33 + c33
+        comps["s11"][i], comps["s12"][i] = s11, s12
+        comps["s22"][i], comps["s33"][i] = s22, s33
+    return comps["s11"], comps["s12"], comps["s22"], comps["s33"]
 
 
 def _strain_multipliers_reference(q, y, nu):
@@ -144,11 +188,29 @@ def _competitor_reference(grid, phi1, params, f_pair, g_pair, quad):
 LEVELS = (192, _LEVEL_CHUNK + 1, 2 * _LEVEL_CHUNK - 2, _LEVEL_CHUNK - 2)
 
 
-@pytest.fixture(scope="module", params=["solved", "analytic"])
-def profile(request, solved, analytic):
+def _wide_core(prm, N):
+    """The arctan core written about a background of twice its width, so
+    that the correction v is of order b.  The solved profile's v is about
+    1e-11 b, below the rounding of the core it is added to, so a bit the
+    correction path changes does not show in its fields."""
+    g = build_grid(200.0 * prm.zeta, N)
+    v = background(g.x, prm.b, prm.zeta) - background(g.x, prm.b, 2.0 * prm.zeta)
+    return Profile(grid=g, params=prm, zeta_bg=2.0 * prm.zeta, v=v)
+
+
+@pytest.fixture(scope="module", params=["solved", "analytic", "wide"])
+def profile(request, solved, analytic, params, grid):
+    if request.param == "wide":
+        return _wide_core(params, grid.N)
     p = solved if request.param == "solved" else analytic
     assert bool(np.any(p.v)) == (request.param == "solved")
     return p
+
+
+@pytest.fixture(scope="module", params=[0.25, 0.2137])
+def wide_core(request, grid):
+    """:func:`_wide_core` at two Poisson ratios."""
+    return _wide_core(PhysParams(nu=request.param), grid.N)
 
 
 def _competitors(nu):
@@ -166,6 +228,26 @@ def _competitors(nu):
 # ---------------------------------------------------------------------------
 # bit-for-bit agreement
 # ---------------------------------------------------------------------------
+
+#: field levels: one, fewer than a chunk, a chunk, one past it, and the
+#: config's default count
+FIELD_LEVELS = (1, _LEVEL_CHUNK - 1, _LEVEL_CHUNK, _LEVEL_CHUNK + 1, 24)
+
+
+@pytest.mark.parametrize("n", FIELD_LEVELS)
+def test_half_plane_fields_bit_identical(wide_core, analytic, n):
+    assert np.max(np.abs(wide_core.v)) > 0.01 * wide_core.params.b
+    for p in (wide_core, analytic):
+        z = p.params.zeta
+        yl = YLevels.geometric(0.1 * z, 10.0 * z, n)
+        hp = extend_to_half_planes(p, yl)
+        sf = stress_field(p, yl)
+        got = (hp.u1_plus, hp.u2_plus, sf.s11_plus, sf.s12_plus, sf.s22_plus, sf.s33_plus)
+        want = (*_extend_reference(p, yl), *_stress_reference(p, yl))
+        for g, w in zip(got, want):
+            # the bit patterns, so that a zero's sign counts too
+            np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
+
 
 @pytest.mark.parametrize("R_over_zeta", [5.0, 40.0])
 @pytest.mark.parametrize("n_x,n_levels", [(1024, 192), (512, 96),
