@@ -46,8 +46,6 @@ from .extension import (
     analytic_fields,
     dtn_traction,
     extend_to_half_planes,
-    lambda_seminorm,
-    lambda_seminorm_total,
     stress_field,
 )
 from .grid import Grid1D, build_grid

@@ -246,7 +246,10 @@ def run_setup(cfg: RunConfig) -> tuple[PhysParams, Grid1D, PotentialSpec]:
     if cfg.potential == "frenkel":
         spec = frenkel(params)
     else:
-        spec = from_csv(params, cfg.potential.split(":", 1)[1])
+        try:
+            spec = from_csv(params, cfg.potential.split(":", 1)[1])
+        except (OSError, ValueError) as exc:
+            raise ValueError(f"config key 'potential': {exc}") from exc
     return params, grid, spec
 
 

@@ -32,16 +32,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import DivergenceError
 from .grid import Grid1D
-from .operators import (
-    background_transform,
-    hs_seminorm_analytic,
-    hs_seminorm_grid,
-    irfft,
-    rfft,
-    seminorm_weights,
-)
+from .operators import irfft, rfft
 from .params import PhysParams
 from .profile import Profile
 from .static import half_laplacian_profile
@@ -325,99 +317,3 @@ def dtn_traction(p: Profile) -> tuple[np.ndarray, np.ndarray]:
     sigma12 = -(prm.G / (1.0 - prm.nu)) * half_laplacian_profile(p)
     return sigma12, np.zeros_like(sigma12)
 
-
-# ---------------------------------------------------------------------------
-# Lambda seminorms of the extension
-# ---------------------------------------------------------------------------
-
-def _y_integral_factors(m: int, nu: float) -> tuple[float, float]:
-    """Closed per-mode y-integrals of the squared extension factors.
-
-    For the upper half-plane and one trace unit, the m-th y-derivative
-    of the u1 factor integrates to ``K1 / q`` and of the u2 factor to
-    ``K2 / q`` (times ``q^{2m}`` from differentiation), using
-    ``int_0^inf t^k e^{-2t} dt = k!/2^{k+1}``.
-    """
-    beta = 1.0 / (2.0 - 2.0 * nu)
-    c1 = 1.0 + beta * m
-    k1 = c1 * c1 / 2.0 - c1 * beta / 2.0 + beta * beta / 4.0
-    c2 = m - (1.0 - 2.0 * nu)
-    k2 = beta * beta * (c2 * c2 / 2.0 - c2 / 2.0 + 0.25)
-    return k1, k2
-
-
-@dataclass(frozen=True)
-class LambdaSeminorm:
-    """One (s, m) block of the half-plane seminorm and its trace ratio."""
-
-    value: float
-    trace_sq: float
-
-    @property
-    def ratio_sq(self) -> float:
-        return self.value / self.trace_sq
-
-
-def _trace_seminorm_sq_profile(p: Profile, s_trace: float) -> float:
-    """Squared H^{s_trace} seminorm of u1 = background + correction.
-
-    Background in closed form (Gamma function), correction and cross
-    term on the discrete wavenumber grid.
-    """
-    b, zbg = p.params.b, p.zeta_bg
-    if s_trace <= 0.5:
-        raise DivergenceError(
-            f"trace seminorm diverges for exponent {s_trace} <= 1/2"
-        )
-    total = hs_seminorm_analytic(b, zbg, s_trace)
-    if np.any(p.v):
-        grid = p.grid
-        # continuum transform of v on the rfft modes: h e^{i xi_k L} rfft(v)_k,
-        # where e^{i xi_k L} = (-1)^k
-        c = grid.h * rfft(p.v)
-        c[1::2] *= -1.0
-        # shift the background transform to the profile center
-        bg = background_transform(b, zbg, grid.xi_r) * np.exp(-1j * grid.xi_r * p.x0)
-        corr = np.abs(c) ** 2 + 2.0 * np.real(bg * np.conj(c))
-        total += float(np.sum(seminorm_weights(grid, s_trace) * corr) / grid.h**2)
-    return total
-
-
-def lambda_seminorm(p: Profile, s: float, m: int) -> LambdaSeminorm:
-    """Squared seminorm ``|| (-d_xx)^{(s-m)/2} d_y^m u ||^2`` over both
-    half-planes, u1 and u2 components summed.
-
-    The y-integral of the squared extension factors is carried out in
-    closed form per mode, which reduces the block to
-    ``2 (K1(m) + K2(m))`` times the squared H^{s - 1/2} seminorm of the
-    trace.  Requires ``s >= 1``, ``0 <= m <= floor(s)``; diverges for
-    ``s <= 1`` when the profile carries the arctan background.
-    """
-    if m < 0 or m > int(np.floor(s)):
-        raise ValueError(f"derivative order m={m} outside 0..floor(s)={int(np.floor(s))}")
-    if s < 1.0:
-        raise ValueError(f"half-plane seminorm requires s >= 1, got {s}")
-    k1, k2 = _y_integral_factors(m, p.params.nu)
-    trace_sq = _trace_seminorm_sq_profile(p, s - 0.5)
-    return LambdaSeminorm(value=2.0 * (k1 + k2) * trace_sq, trace_sq=trace_sq)
-
-
-def lambda_seminorm_samples(
-    grid: Grid1D, trace: np.ndarray, nu: float, s: float, m: int
-) -> LambdaSeminorm:
-    """Same (s, m) block for a decaying trace given as samples (no background)."""
-    if m < 0 or m > int(np.floor(s)):
-        raise ValueError(f"derivative order m={m} outside 0..floor(s)={int(np.floor(s))}")
-    k1, k2 = _y_integral_factors(m, nu)
-    trace_sq = hs_seminorm_grid(grid, trace, s - 0.5)
-    return LambdaSeminorm(value=2.0 * (k1 + k2) * trace_sq, trace_sq=trace_sq)
-
-
-def lambda_seminorm_total(p: Profile, s: float) -> LambdaSeminorm:
-    """Sum of the (s, m) blocks for m = 0..floor(s), with the trace ratio."""
-    trace_sq = _trace_seminorm_sq_profile(p, s - 0.5)
-    total = 0.0
-    for m in range(int(np.floor(s)) + 1):
-        k1, k2 = _y_integral_factors(m, p.params.nu)
-        total += 2.0 * (k1 + k2) * trace_sq
-    return LambdaSeminorm(value=total, trace_sq=trace_sq)

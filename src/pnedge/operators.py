@@ -156,19 +156,6 @@ def hs_seminorm_grid(grid: Grid1D, f: np.ndarray, s: float) -> float:
     return float(np.sum(seminorm_weights(grid, s) * (spec.real**2 + spec.imag**2)))
 
 
-def background_transform(b: float, zeta: float, xi: np.ndarray) -> np.ndarray:
-    """Fourier transform of the arctan core ``-(b/2pi) arctan(x/zeta)``.
-
-    Equals ``(i b / (2 xi)) exp(-zeta |xi|)``; the zero mode is set to 0
-    (odd function, principal-value sense).
-    """
-    xi = np.asarray(xi, dtype=float)
-    q = np.abs(xi)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        out = 1j * b / (2.0 * xi) * np.exp(-zeta * q)
-    return np.where(q > 0, out, 0.0 + 0.0j)
-
-
 def hs_seminorm_analytic(b: float, zeta: float, s: float) -> float:
     """Squared H^s seminorm of the arctan core in closed form.
 

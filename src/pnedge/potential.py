@@ -8,10 +8,12 @@ provided: the classical Frenkel sinusoid
     ``W(u) = G b^2 / (4 pi^2 d) * (1 + cos(4 pi u / b))``
 
 and a tabulated density with periodic cubic interpolation.  The table's
-spline is the package's own (:class:`PeriodicSpline`): it reproduces
-scipy's ``CubicSpline(..., bc_type="periodic")``, its coefficients and
-its periodic evaluation, bit for bit, so that no table path imports
-scipy, whose import costs more than a whole default solve.
+spline is the package's own (:class:`PeriodicSpline`): the C^2 periodic
+cubic through the samples, fitted by one O(n) solve of the cyclic
+tridiagonal system for its knot slopes (no LAPACK call, so no BLAS thread
+count can move its bits) and evaluated by Horner's rule after one
+reduction to the period.  scipy's ``CubicSpline(..., bc_type="periodic")``
+is the same spline; the tests compare against it at a stated tolerance.
 """
 
 from __future__ import annotations
@@ -64,14 +66,23 @@ def from_table(params: PhysParams, table: np.ndarray) -> PotentialSpec:
 
 
 def from_csv(params: PhysParams, path) -> PotentialSpec:
-    """Load a tabulated potential from a CSV file with columns u, W."""
+    """Load a tabulated potential from a CSV file with columns u, W.
+
+    Blank rows and a header row starting with ``u`` are skipped; any other
+    row that is not two numbers raises a ``ValueError`` naming its line.
+    """
     rows = []
     with open(Path(path), newline="") as fh:
         reader = csv.reader(fh)
         for row in reader:
             if not row or row[0].strip().lower() == "u":
                 continue
-            rows.append((float(row[0]), float(row[1])))
+            try:
+                u, w = map(float, row)
+            except ValueError:
+                raise ValueError(f"{path}, line {reader.line_num}: expected two numbers "
+                                 f"u, W, got {','.join(row)!r}") from None
+            rows.append((u, w))
     return from_table(params, np.asarray(rows))
 
 
@@ -117,7 +128,7 @@ def eval_potential(spec: PotentialSpec, u, order: int = 0):
             np.cos(w, out=w)
             w *= -4.0 * p.G / p.d
         return w[()]  # a scalar for a scalar u
-    return spec._spline(np.mod(u, spec.period), order)[()]
+    return spec._spline(u, order)[()]
 
 
 @dataclass(frozen=True)
@@ -169,67 +180,42 @@ def validate_potential(spec: PotentialSpec) -> PotentialReport:
     )
 
 
-# ---------------------------------------------------------------------------
-# The periodic cubic spline of scipy 1.17, ported so that tabulated
-# potentials need no scipy import.  ``PeriodicSpline.fit`` follows the
-# ``bc_type="periodic"`` branch of ``CubicSpline.__init__`` (its condensed
-# system and rank correction, solved by ``solve_banded((1, 1), ...)``, which
-# calls LAPACK's reference ``dgtsv``) and ``CubicHermiteSpline``'s power
-# coefficients; ``PeriodicSpline.__call__`` follows ``PPoly.__call__`` with
-# ``extrapolate="periodic"`` and ``_ppoly.evaluate_poly1``.  Every step is
-# the same floating-point operation in the same order, so coefficients and
-# values equal scipy's to the last bit.  scipy's licence is reproduced with
-# the MINRES and Brent ports in ``static.py``.  LAPACK is Copyright (c)
-# 1992-2013 The University of Tennessee and The University of Tennessee
-# Research Foundation, (c) 2000-2013 The University of California Berkeley
-# and (c) 2006-2013 The University of Colorado Denver, and is distributed
-# under the same three BSD conditions.
-# ---------------------------------------------------------------------------
+def _solve_cyclic(lower, diag, upper, rhs) -> np.ndarray:
+    """Solution s of the strictly diagonally dominant cyclic tridiagonal
+    system ``lower[i] s[i-1] + diag[i] s[i] + upper[i] s[i+1] = rhs[i]``
+    (indices mod n): Thomas elimination without pivoting, on Python floats,
+    with the corners folded into the diagonal and restored by one
+    Sherman-Morrison update, so no BLAS thread count can move its bits."""
+    lower, diag, upper, rhs = (list(map(float, a)) for a in (lower, diag, upper, rhs))
+    n = len(diag)
+    gamma = -diag[0]
+    diag[0] -= gamma
+    diag[-1] -= upper[-1] * lower[0] / gamma
+    u = [gamma] + [0.0] * (n - 2) + [upper[-1]]
+    ratio, x, z = [upper[0] / diag[0]], [rhs[0] / diag[0]], [u[0] / diag[0]]
+    for i in range(1, n):
+        pivot = diag[i] - lower[i] * ratio[-1]
+        ratio.append(upper[i] / pivot)
+        x.append((rhs[i] - lower[i] * x[-1]) / pivot)
+        z.append((u[i] - lower[i] * z[-1]) / pivot)
+    for i in range(n - 2, -1, -1):
+        x[i] -= ratio[i] * x[i + 1]
+        z[i] -= ratio[i] * z[i + 1]
+    scale = (x[0] + lower[0] * x[-1] / gamma) / (1.0 + z[0] + lower[0] * z[-1] / gamma)
+    return np.array(x) - scale * np.array(z)
 
 
-def _gtsv(dl, d, du, b) -> list:
-    """LAPACK ``dgtsv`` for one right-hand side, on Python floats.
-
-    Gaussian elimination of the tridiagonal matrix (sub-, main and
-    super-diagonal ``dl``, ``d``, ``du``) with partial pivoting: a row
-    interchange where the subdiagonal entry is the larger, which fills
-    a second superdiagonal.  Returns the solution.  A zero pivot, which
-    LAPACK reports as ``info > 0``, raises ``ZeroDivisionError``; the
-    spline's diagonally dominant systems have none.
-    """
-    dl, d, du, b = (list(map(float, a)) for a in (dl, d, du, b))
-    n = len(d)
-    for i in range(n - 1):
-        if abs(d[i]) >= abs(dl[i]):
-            # no row interchange
-            fact = dl[i] / d[i]
-            d[i + 1] = d[i + 1] - fact * du[i]
-            b[i + 1] = b[i + 1] - fact * b[i]
-            dl[i] = 0.0
-        else:
-            # interchange rows i and i+1; dl[i] becomes the fill-in
-            fact = d[i] / dl[i]
-            d[i] = dl[i]
-            temp = d[i + 1]
-            d[i + 1] = du[i] - fact * temp
-            if i < n - 2:
-                dl[i] = du[i + 1]
-                du[i + 1] = -fact * dl[i]
-            du[i] = temp
-            b[i], b[i + 1] = b[i + 1], b[i] - fact * b[i + 1]
-    b[n - 1] = b[n - 1] / d[n - 1]
-    b[n - 2] = (b[n - 2] - du[n - 2] * b[n - 1]) / d[n - 2]
-    for i in range(n - 3, -1, -1):
-        b[i] = (b[i] - du[i] * b[i + 1] - dl[i] * b[i + 2]) / d[i]
-    return b
+#: factors taking the power coefficients (highest first) of a cubic to
+#: those of its first and second derivatives
+_DERIVATIVE_FACTORS = (np.ones(4), np.array([3.0, 2.0, 1.0]), np.array([6.0, 2.0]))
 
 
 @dataclass(frozen=True)
 class PeriodicSpline:
-    """Periodic cubic spline through ``(x[i], y[i])`` with ``y[-1] == y[0]``.
+    """C^2 periodic cubic spline through ``(x[i], y[i])`` with ``y[-1] == y[0]``.
 
     ``c[:, i]`` holds the power coefficients of the interval
-    ``[x[i], x[i+1]]``, highest power first, as scipy's ``PPoly.c``.
+    ``[x[i], x[i+1]]`` in the offset from ``x[i]``, highest power first.
     """
 
     x: np.ndarray = field(repr=False)
@@ -237,82 +223,41 @@ class PeriodicSpline:
 
     @classmethod
     def fit(cls, x, y) -> "PeriodicSpline":
-        """scipy's ``CubicSpline(x, y, bc_type="periodic")``, for at least 4
-        knots and ``y[-1] == y[0]``."""
+        """The spline through at least 4 knots, with ``y[-1] == y[0]``.
+
+        The knot slopes s (``s[n] = s[0]``) solve the cyclic system of C^2
+        continuity, row i ``dx[i] s[i-1] + 2 (dx[i-1] + dx[i]) s[i] +
+        dx[i-1] s[i+1] = 3 (dx[i] m[i-1] + dx[i-1] m[i])`` for the secant
+        slopes m; each interval is the cubic Hermite interpolant of its end
+        values and slopes.
+        """
         x, y = np.asarray(x, dtype=float), np.asarray(y, dtype=float)
-        n = len(x)
         dx = np.diff(x)
         if np.any(dx <= 0):
             raise ValueError("spline knots must be strictly increasing")
-        slope = np.diff(y) / dx
-
-        # the banded system for the knot slopes s[i], i = 1..n-2 ...
-        A = np.zeros((3, n))
-        rhs = np.empty(n)
-        A[1, 1:-1] = 2 * (dx[:-1] + dx[1:])
-        A[0, 2:] = dx[:-1]
-        A[-1, :-2] = dx[1:]
-        rhs[1:-1] = 3 * (dx[1:] * slope[:-1] + dx[:-1] * slope[1:])
-        # ... with n - 1 unknowns by periodicity (s[-1] = s[0]); its corner
-        # entries make it cyclic, so the leading (n-2)x(n-2) block is solved
-        # for two right-hand sides and the last unknown eliminated
-        A = A[:, :-1]
-        A[1, 0] = 2 * (dx[-1] + dx[0])
-        A[0, 1] = dx[-1]
-        rhs = rhs[:-1]
-        rhs[0] = 3 * (dx[0] * slope[-1] + dx[-1] * slope[0])
-        rhs[-1] = 3 * (dx[-1] * slope[-2] + dx[-2] * slope[-1])
-        dl, d, du = A[2, :-2], A[1, :-1], A[0, 1:-1]
-        b2 = np.zeros(n - 2)
-        b2[0] = -dx[0]
-        b2[-1] = -dx[-3]
-        s1 = np.array(_gtsv(dl, d, du, rhs[:-1]))
-        s2 = np.array(_gtsv(dl, d, du, b2))
-        s_m1 = ((rhs[-1] - dx[-2] * s1[0] - dx[-1] * s1[-1])
-                / (2 * (dx[-1] + dx[-2]) + dx[-2] * s2[0] + dx[-1] * s2[-1]))
-        s = np.empty(n)
-        s[:-2] = s1 + s_m1 * s2
-        s[-2] = s_m1
-        s[-1] = s[0]
-
-        # cubic Hermite interpolation of the values and slopes
-        t = (s[:-1] + s[1:] - 2 * slope) / dx
-        c = np.stack((t / dx, (slope - s[:-1]) / dx - t, s[:-1], y[:-1]))
+        m = np.diff(y) / dx
+        dx_prev, m_prev = np.roll(dx, 1), np.roll(m, 1)
+        s = _solve_cyclic(dx, 2 * (dx_prev + dx), dx_prev, 3 * (dx * m_prev + dx_prev * m))
+        s = np.append(s, s[0])
+        t = (s[:-1] + s[1:] - 2 * m) / dx
+        c = np.stack((t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]))
         return cls(x=x, c=c)
 
     def __call__(self, u, nu: int) -> np.ndarray:
-        """Derivative ``nu`` (0, 1 or 2) at ``u`` in ``[0, period]``.
+        """Derivative ``nu`` (0, 1 or 2) at any real ``u``.
 
-        scipy's periodic wrap ``x0 + (u - x0) % (x[-1] - x0)``: for ``u``
-        reduced to one period (``np.mod``), ``%`` is one shift up or down
-        by the period, taken as two comparisons.  The interval is the
-        last one starting at or before the wrapped point.  Each polynomial
-        is summed in ``evaluate_poly1``'s order: from ``0.0`` (which turns
-        a ``-0.0`` term into ``0.0``), lowest power first, powers of the
-        offset by repeated multiplication, derivative factors last.
+        ``u`` is reduced once, to its offset ``mod(u - x[0], period)`` from
+        the first knot; the interval is the last one whose knot offset is
+        at or below it, and its polynomial is summed by Horner's rule.
         """
-        x, c = self.x, self.c
-        x0, period = x[0], x[-1] - x[0]
-        w = np.subtract(u, x0, out=np.empty(np.shape(u)))
-        high = w >= period
-        np.add(w, period, out=w, where=w < 0.0)
-        np.subtract(w, period, out=w, where=high)
-        w += x0
-        i = np.searchsorted(x[1:-1], w, side="right")
-        s = w - x.take(i)
-        if nu == 0:
-            out = (0.0 + c[3]).take(i)
-            out += c[2].take(i) * s
-            s2 = s * s
-            out += c[1].take(i) * s2
-            s2 *= s
-            out += c[0].take(i) * s2
-        elif nu == 1:
-            out = (0.0 + c[2]).take(i)
-            out += c[1].take(i) * s * 2.0
-            s *= s
-            out += c[0].take(i) * s * 3.0
-        else:
-            out = (0.0 + c[1] * 2.0).take(i)
-            out += c[0].take(i) * s * 6.0
+        x = self.x
+        offsets = x - x[0]
+        w = np.mod(u - x[0], offsets[-1])
+        i = np.searchsorted(offsets[1:-1], w, side="right")
+        w -= offsets.take(i)
+        coef = self.c[:4 - nu] * _DERIVATIVE_FACTORS[nu][:, None]
+        out = coef[0].take(i)
+        for row in coef[1:]:
+            out *= w
+            out += row.take(i)
         return out

@@ -230,6 +230,22 @@ def test_cli_dynamics_rejects_snapshots_sharing_a_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("content, detail", [
+    (None, "No such file"),
+    ("u,W\n0.0,1.0\n0.1\n", "line 3"),  # one field
+    ("u,W\n0.0,1.0\n0.1,one\n", "line 3"),  # not a number
+], ids=["missing", "one_field", "not_a_number"])
+def test_cli_bad_potential_table_names_key(tmp_path, capsys, content, detail):
+    table = tmp_path / "potential.csv"
+    if content is not None:
+        table.write_text(content)
+    rc = main(_fast_overrides(tmp_path, potential=f"table:{table}") + ["solve-static"])
+    assert rc == 2
+    err = json.loads(capsys.readouterr().err)["error"]
+    assert "config key 'potential'" in err and detail in err
+    assert not (tmp_path / "out").exists()
+
+
 def test_cli_dynamics_underflow_exit_code(tmp_path, monkeypatch):
     import pnedge.cli as climod
     from pnedge.dynamics import DynamicsTrace
@@ -360,25 +376,17 @@ _NO_SCIPY_SEMINORMS = """
 import sys
 from types import SimpleNamespace
 
-from pnedge.extension import lambda_seminorm_total
-from pnedge.grid import build_grid
 from pnedge.params import PhysParams
-from pnedge.potential import frenkel
-from pnedge.profile import tanh_profile
-from pnedge.static import solve_static
 from pnedge.validation import check_sobolev
 
 params = PhysParams()
 assert all(r.passed for r in check_sobolev(SimpleNamespace(params=params)))
-grid = build_grid(100.0 * params.zeta, 512)
-p = solve_static(tanh_profile(grid, params), frenkel(params)).profile
-assert lambda_seminorm_total(p, 1.5).value > 0.0
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
 def test_seminorm_oracles_load_no_scipy():
-    # check 03's closed forms and exp-sinh rule, and lambda_seminorm* with a correction
+    # check 03's closed forms and exp-sinh rule
     import pnedge
 
     src = str(Path(pnedge.__file__).resolve().parents[1])

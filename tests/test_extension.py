@@ -1,10 +1,8 @@
-"""Elastic extension, stresses, traction map and half-plane seminorms."""
+"""Elastic extension, stresses and traction map."""
 
 import numpy as np
 import pytest
-from scipy.integrate import quad
 
-from pnedge.errors import DivergenceError
 from pnedge.extension import (
     PARITY,
     YLevels,
@@ -15,15 +13,11 @@ from pnedge.extension import (
     extend_to_half_planes,
     extend_trace_displacement,
     extend_trace_strains,
-    lambda_seminorm,
-    lambda_seminorm_samples,
-    lambda_seminorm_total,
     strains_to_stresses,
     stress_field,
     trace_of_extension,
 )
 from pnedge.grid import build_grid
-from pnedge.operators import background_transform, hs_seminorm_analytic
 from pnedge.potential import eval_potential
 from pnedge.profile import Profile, analytic_profile, background
 
@@ -194,83 +188,6 @@ def test_sigma22_spectral_zero_on_plane(grid, params):
     strains = extend_trace_strains(grid, trace, params.nu, 0.0)
     s = strains_to_stresses(*strains, params.G, params.nu)
     assert np.max(np.abs(s[2])) <= 1e-13 * np.max(np.abs(s[1]))
-
-
-# ---------------------------------------------------------------------------
-# half-plane (Lambda) seminorms
-# ---------------------------------------------------------------------------
-
-def test_lambda_zero_trace():
-    g = build_grid(10.0, 64)
-    lam = lambda_seminorm_samples(g, np.zeros(64), 0.25, 1.0, 0)
-    assert lam.value == 0.0
-
-
-def test_lambda_single_mode_against_quadrature(grid, params):
-    # one Fourier mode: the closed per-mode y-integral against brute quadrature
-    nu = params.nu
-    beta = 1 / (2 - 2 * nu)
-    k1 = grid.xi_r[5]
-    v = np.cos(k1 * grid.x)
-    lam = lambda_seminorm_samples(grid, v, nu, 1.0, 0)
-    i_u1, _ = quad(lambda t: (1 - beta * t) ** 2 * np.exp(-2 * t), 0, 60)
-    i_u2, _ = quad(lambda t: beta**2 * ((1 - 2 * nu) + t) ** 2 * np.exp(-2 * t), 0, 60)
-    from pnedge.operators import hs_seminorm_grid
-
-    expected = 2 * (i_u1 + i_u2) * hs_seminorm_grid(grid, v, 0.5)
-    assert lam.value == pytest.approx(expected, rel=1e-12)
-
-
-@pytest.mark.parametrize("m", [0, 1])
-def test_lambda_analytic_profile_finite(analytic, m):
-    lam = lambda_seminorm(analytic, 1.5, m)
-    assert np.isfinite(lam.value) and lam.value > 0
-
-
-def test_lambda_ratio_grid_independent(params):
-    # stability ratio does not depend on the grid
-    ratios = []
-    for L_over, N in ((100, 1024), (200, 2048), (400, 4096)):
-        g = build_grid(L_over * params.zeta, N)
-        p = analytic_profile(g, params)
-        ratios.append(np.sqrt(lambda_seminorm_total(p, 1.5).ratio_sq))
-    assert np.max(ratios) - np.min(ratios) < 1e-10
-    assert ratios[0] < 10.0
-
-
-def test_lambda_divergence_at_one(analytic):
-    with pytest.raises(DivergenceError):
-        lambda_seminorm(analytic, 1.0, 0)
-
-
-def test_lambda_rejects_bad_m(analytic):
-    with pytest.raises(ValueError):
-        lambda_seminorm(analytic, 1.5, 2)
-
-
-def _trace_seminorm_sq_full_fft(p, s):
-    """Reference: the squared H^s trace seminorm with the correction and
-    cross term summed over all N complex-FFT modes, continuum-normalised."""
-    g = p.grid
-    k = np.fft.fftfreq(g.N, d=1.0 / g.N)
-    c = g.h * np.where(np.rint(k).astype(int) % 2 == 0, 1.0, -1.0) * np.fft.fft(p.v)
-    xi = 2.0 * np.pi * np.fft.fftfreq(g.N, d=g.h)
-    q = np.abs(xi)
-    bg = background_transform(p.params.b, p.zeta_bg, xi) * np.exp(-1j * xi * p.x0)
-    w = np.where(q > 0, q ** (2.0 * s), 0.0)
-    corr = np.sum(w * (np.abs(c) ** 2 + 2.0 * np.real(bg * np.conj(c)))) / (2.0 * g.L)
-    return hs_seminorm_analytic(p.params.b, p.zeta_bg, s) + float(corr)
-
-
-@pytest.mark.parametrize("s", [1.25, 1.5, 2.0])
-def test_lambda_trace_correction_on_rfft_modes_matches_full_fft(grid, params, s):
-    # an off-centre profile whose background is not the core's, with a bump
-    p = Profile(grid=grid, params=params, zeta_bg=1.5 * params.zeta, x0=0.3,
-                v=0.05 * np.exp(-(((grid.x - 1.0) / 3.0) ** 2)))
-    expected = _trace_seminorm_sq_full_fft(p, s - 0.5)
-    correction = expected - hs_seminorm_analytic(params.b, p.zeta_bg, s - 0.5)
-    assert abs(correction) > 1e-2 * expected
-    assert lambda_seminorm_total(p, s).trace_sq == pytest.approx(expected, rel=1e-13)
 
 
 def test_ylevels_validation():

@@ -1,5 +1,10 @@
 """Misfit potential: closed forms, tables, structural validation."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -142,3 +147,93 @@ def test_frenkel_in_place_evaluation_matches_closed_forms():
     u_before = u.copy()
     eval_potential(fr, u, 1)
     np.testing.assert_array_equal(u, u_before)  # the input is left alone
+
+
+# ---------------------------------------------------------------------------
+# the periodic spline of a table
+# ---------------------------------------------------------------------------
+
+#: miss of a table value at its knot, and jump of W, W' or W'' across a
+#: knot, relative to the largest knot value
+_KNOT_RTOL = 1e-13
+#: change of W, W' or W'' under a shift by whole periods, relative to its
+#: largest knot value: the shift moves the reduced argument by a few ulp
+#: of |u + k period|, which the next derivative (up to about 1/dx times
+#: the last) amplifies
+_PERIOD_RTOL = 1e-11
+
+
+def _spline_table(kind, period):
+    rng = np.random.default_rng(5)
+    if kind == "uniform":
+        u = np.arange(64) * (period / 64)
+    elif kind == "offset":  # uniform, first knot not 0
+        u = (np.arange(64) + 0.37) * (period / 64)
+    elif kind == "nonuniform":  # one knot drawn in each of 200 cells
+        u = (np.arange(200) + rng.uniform(0.1, 0.9, 200)) * (period / 200)
+    else:  # the gap 0.03 -> 0.2 is wider than its neighbours' sum
+        u = np.array([0.0, 0.01, 0.02, 0.03, 0.2, 0.21, 0.22, 0.23, 0.24])
+    return np.column_stack([u, rng.uniform(0.0, 1.0, len(u))])
+
+
+def _one_sided(spline, order):
+    """W^(order) at the end of each interval and at the start of the next
+    one (the last interval's next is the first: the periodic seam)."""
+    c, dx = spline.c, np.diff(spline.x)
+    ends = [np.polyval(np.polyder(c[:, i], order), dx[i]) for i in range(len(dx))]
+    starts = [np.polyval(np.polyder(c[:, i], order), 0.0) for i in range(len(dx))]
+    return np.array(ends), np.roll(starts, -1)
+
+
+@pytest.mark.parametrize("kind", ["uniform", "offset", "nonuniform", "gap"])
+def test_table_spline_interpolates_with_continuous_second_derivative(kind):
+    prm = PhysParams()
+    table = _spline_table(kind, prm.b / 2.0)
+    spec = from_table(prm, table)
+    w = table[:, 1] - table[:, 1].min()
+    np.testing.assert_allclose(eval_potential(spec, table[:, 0], 0), w,
+                               rtol=0.0, atol=_KNOT_RTOL * w.max())
+    for order in (0, 1, 2):
+        ends, starts = _one_sided(spec._spline, order)
+        assert np.max(np.abs(ends - starts)) <= _KNOT_RTOL * np.max(np.abs(starts))
+
+
+@pytest.mark.parametrize("kind", ["uniform", "offset", "nonuniform", "gap"])
+def test_table_spline_is_periodic(kind):
+    prm = PhysParams()
+    spec = from_table(prm, _spline_table(kind, prm.b / 2.0))
+    u = np.random.default_rng(1).uniform(-spec.period, spec.period, 1000)
+    for order in (0, 1, 2):
+        scale = np.max(np.abs(_one_sided(spec._spline, order)[1]))
+        base = eval_potential(spec, u, order)
+        for k in (-3, -1, 1, 2, 5):
+            shifted = eval_potential(spec, u + k * spec.period, order)
+            assert np.max(np.abs(shifted - base)) <= _PERIOD_RTOL * scale
+
+
+_TABLE_FIT = """
+import sys
+import numpy as np
+from pnedge.params import PhysParams
+from pnedge.potential import from_table
+
+rng = np.random.default_rng(200)
+table = np.column_stack([rng.uniform(0.0, 0.5, 200), rng.uniform(0.0, 1.0, 200)])
+sys.stdout.write(from_table(PhysParams(), table)._spline.c.tobytes().hex())
+"""
+
+
+def test_table_fit_is_independent_of_blas_threads():
+    # a seeded 200-knot non-uniform table, fitted with 1 and with 2 BLAS threads
+    import pnedge
+
+    src = str(Path(pnedge.__file__).resolve().parents[1])
+    fits = []
+    for threads in ("1", "2"):
+        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")]))}
+        proc = subprocess.run([sys.executable, "-c", _TABLE_FIT],
+                              capture_output=True, text=True, env=env)
+        assert proc.returncode == 0, proc.stderr
+        fits.append(proc.stdout)
+    assert fits[0] == fits[1]
