@@ -48,7 +48,9 @@ The work buffers hold what one call needs only until it returns: the
 force and its spectrum, F's deviation and difference spectrum, and the
 residual's ``(-d_xx)^{1/2} u1``.  Besides the arrays the new state keeps
 (v, ``v_hat`` and ``W'(u1)``), an accepted step allocates only W(u1) in
-F, the argument ``u_bg + v`` of ``W'(u1)`` and the residual's samples,
+F, the argument ``u_bg + v`` of ``W'(u1)``, the residual's samples and
+the products summed by the three fixed-order inner products
+(:func:`pnedge.operators.dot`: F's linear term and seminorm, and Q),
 each freed within the step.  The buffers make one run record unfit for
 use from two threads at once.
 """
@@ -64,7 +66,7 @@ import numpy as np
 
 from .errors import TimeStepUnderflowError
 from .grid import Grid1D
-from .operators import irfft, rfft, seminorm_weights
+from .operators import dot, irfft, rfft, seminorm_weights
 from .params import PhysParams
 from .potential import PotentialSpec, eval_potential
 from .profile import Profile
@@ -126,7 +128,7 @@ class _RunInvariants:
     w_star: np.ndarray
     wp_star: np.ndarray
     v_hat_star: np.ndarray
-    hs_weights: np.ndarray  # seminorm weights of F
+    hs_weights: np.ndarray  # seminorm weights of F, one per (re, im) entry of a mode
     work: np.ndarray
     work_hat: np.ndarray
     _symbols: dict = field(default_factory=dict)  # latest (kernel, dt) -> stacked symbols
@@ -139,7 +141,7 @@ class _RunInvariants:
                    p.background_on_grid(), p.half_laplacian_background(),
                    u_star, eval_potential(s.spec, u_star, 0),
                    eval_potential(s.spec, u_star, 1), rfft(ref.v),
-                   seminorm_weights(grid, 0.5),
+                   np.repeat(seminorm_weights(grid, 0.5), 2),
                    np.empty(grid.N), np.empty(grid.N // 2 + 1, dtype=complex))
 
     def fits(self, s: DynamicsState) -> bool:
@@ -210,13 +212,13 @@ def free_energy(s: DynamicsState) -> float:
     inv = s._invariants()
     h = s.p.grid.h
     v = np.subtract(s.p.v, s.reference.v, out=inv.work)  # u1 - u1*, in the buffer
-    lin = -h * float(np.dot(v, inv.wp_star))
+    lin = -h * dot(v, inv.wp_star)
     w = eval_potential(s.spec, np.add(inv.u_star, v, out=v), 0)  # W(u1* + v)
     w -= inv.w_star
     mis = h * float(np.sum(w))
-    # |v_hat - v_hat*|^2 per mode: the squares of its (re, im) pairs, summed
-    d = np.subtract(s._v_hat, inv.v_hat_star, out=inv.work_hat).view(float).reshape(-1, 2)
-    quad = 0.5 * s.p.params.c0 * float(np.sum(inv.hs_weights @ np.square(d, out=d)))
+    # |v_hat - v_hat*|^2 per mode: the squares of its (re, im) pairs
+    d = np.subtract(s._v_hat, inv.v_hat_star, out=inv.work_hat).view(float)
+    quad = 0.5 * s.p.params.c0 * dot(inv.hs_weights, np.square(d, out=d))
     return quad + lin + mis
 
 
@@ -229,7 +231,7 @@ def _residual(s: DynamicsState) -> ResidualField:
 
 
 def _squared_l2(r: ResidualField) -> float:
-    return float(r.grid.h * np.dot(r.samples, r.samples))
+    return r.grid.h * dot(r.samples, r.samples)
 
 
 def dissipation_rate(s: DynamicsState) -> float:

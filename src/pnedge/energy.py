@@ -52,7 +52,7 @@ from .extension import (
     strains_to_stresses,
 )
 from .grid import Grid1D
-from .operators import hs_seminorm_grid, inner_h, mode_weights, rfft
+from .operators import dot, hs_seminorm_grid, inner_h, mode_weights, rfft
 from .params import PhysParams
 from .potential import PotentialSpec, eval_potential
 from .profile import Profile
@@ -66,6 +66,15 @@ from .static import half_laplacian_profile
 def _first_level(params: PhysParams) -> float:
     """First positive node of every half-plane quadrature, ``zeta / 50``."""
     return params.zeta / 50.0
+
+
+def _trapezoid_weights(nodes: np.ndarray) -> np.ndarray:
+    """Trapezoid weights on increasing ``nodes``."""
+    w = np.zeros_like(nodes)
+    dy = np.diff(nodes)
+    w[:-1] += 0.5 * dy
+    w[1:] += 0.5 * dy
+    return w
 
 
 @dataclass(frozen=True)
@@ -100,11 +109,7 @@ class BoxQuadrature:
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes ``{0} + geometric(y_min, y_max, n_levels)`` and their trapezoid weights."""
         ys = np.concatenate([[0.0], np.geomspace(self.y_min, self.y_max, self.n_levels)])
-        w = np.zeros_like(ys)
-        dy = np.diff(ys)
-        w[:-1] += 0.5 * dy
-        w[1:] += 0.5 * dy
-        return ys, w
+        return ys, _trapezoid_weights(ys)
 
 
 # ---------------------------------------------------------------------------
@@ -329,12 +334,13 @@ def _cross_table(p: Profile, quad: BoxQuadrature) -> np.ndarray:
 
 
 def _quadratic(table: np.ndarray, phi1) -> float:
-    th = rfft(np.asarray(phi1, dtype=float))
-    return float(np.dot(table, _abs2(th)))
+    return dot(table, _abs2(rfft(np.asarray(phi1, dtype=float))))
 
 
 def _bilinear(table: np.ndarray, phi1) -> float:
-    return float(np.dot(table, rfft(np.asarray(phi1, dtype=float))).real)
+    """``Re sum_k table_k rfft(phi1)_k``, the dot product of the (re, im)
+    pairs of the conjugate table and of the spectrum."""
+    return dot(np.conj(table).view(float), rfft(np.asarray(phi1, dtype=float)).view(float))
 
 
 @dataclass(frozen=True)
@@ -420,9 +426,7 @@ def elastic_energy_box(
     ys, wy = BoxQuadrature(_first_level(prm), R, n_levels).nodes_weights()
 
     xw = np.linspace(-R, R, n_x)
-    wx = np.full(n_x, xw[1] - xw[0])
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
+    wx = _trapezoid_weights(xw)
     xw = xw - p.x0
 
     has_v = bool(np.any(p.v))

@@ -99,9 +99,17 @@ def spectral_derivative(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     return apply_symbol(grid, _check_samples(grid, f), 1j * grid.xi_r)
 
 
+def dot(a, b) -> float:
+    """``sum_j a_j b_j`` of two real 1-D arrays by numpy's pairwise sum: in
+    one thread and in an order fixed by the length, so unlike a BLAS dot no
+    thread count moves its bits.  Every inner product whose bits reach an
+    output goes through here."""
+    return float(np.add.reduce(np.multiply(a, b)))
+
+
 def inner_h(grid: Grid1D, f: np.ndarray, g: np.ndarray) -> float:
     """Discrete L2 inner product ``h * sum f_j g_j``."""
-    return float(grid.h * np.sum(np.asarray(f) * np.asarray(g)))
+    return grid.h * dot(f, g)
 
 
 def fourier_shift(grid: Grid1D, f: np.ndarray, a: float) -> np.ndarray:
@@ -110,26 +118,23 @@ def fourier_shift(grid: Grid1D, f: np.ndarray, a: float) -> np.ndarray:
 
 
 def fourier_interpolant(grid: Grid1D, f: np.ndarray):
-    """The band-limited interpolant of ``f`` as a function of query points.
+    """The band-limited interpolant of ``f``: ``interpolant(x, nu)`` is its
+    derivative of order ``nu`` (0 or 1) at the point x.
 
-    The samples are transformed once; each evaluation at points ``xq``
-    costs O(N * len(xq)), so it suits a handful of points at a time, as a
-    root finder's steps are.
+    The samples are transformed once, and each value is the real part of
+    ``sum_k c_k exp(i xi_k x)``, a :func:`dot` of (re, im) pairs.  The
+    modes are taken about x = 0, not about the first node ``-L``:
+    ``exp(i xi_k L) = (-1)^k`` moves the coefficients there exactly, while
+    ``x + L`` would round a point near the core to the spacing of L.
     """
     coeffs = mode_weights(grid) / grid.h * rfft(_check_samples(grid, f))
+    coeffs[1::2] *= -1.0
+    conj_pairs = [np.conj(c).view(float) for c in (coeffs, 1j * grid.xi_r * coeffs)]
 
-    def interpolant(xq):
-        scalar = np.isscalar(xq)
-        dx = np.atleast_1d(np.asarray(xq, dtype=float)) - grid.x[0]
-        vals = (np.exp(1j * np.outer(dx, grid.xi_r)) @ coeffs).real
-        return float(vals[0]) if scalar else vals
+    def interpolant(x: float, nu: int = 0) -> float:
+        return dot(conj_pairs[nu], np.exp(1j * grid.xi_r * x).view(float))
 
     return interpolant
-
-
-def fourier_interpolate(grid: Grid1D, f: np.ndarray, xq):
-    """Evaluate the band-limited interpolant of ``f`` at points ``xq``."""
-    return fourier_interpolant(grid, f)(xq)
 
 
 # ---------------------------------------------------------------------------
@@ -153,7 +158,7 @@ def hs_seminorm_grid(grid: Grid1D, f: np.ndarray, s: float) -> float:
     ``s = 1/2``.
     """
     spec = rfft(_check_samples(grid, f))
-    return float(np.sum(seminorm_weights(grid, s) * (spec.real**2 + spec.imag**2)))
+    return dot(seminorm_weights(grid, s), spec.real**2 + spec.imag**2)
 
 
 def hs_seminorm_analytic(b: float, zeta: float, s: float) -> float:

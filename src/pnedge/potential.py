@@ -99,11 +99,12 @@ def _build_periodic_spline(table: np.ndarray, period: float) -> "PeriodicSpline"
         raise ValueError(
             f"potential table needs at least 8 samples per period, got {len(u)}"
         )
-    w = w - w.min()  # normalize the lattice minimum to zero
     # close the period for the periodic boundary condition
     u_ext = np.concatenate([u, [u[0] + period]])
     w_ext = np.concatenate([w, [w[0]]])
-    return PeriodicSpline.fit(u_ext, w_ext)
+    spline = PeriodicSpline.fit(u_ext, w_ext)
+    spline.c[3] -= spline(period / 2.0, 0)  # W = 0 at the wells u = +-b/4
+    return spline
 
 
 def eval_potential(spec: PotentialSpec, u, order: int = 0):

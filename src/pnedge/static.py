@@ -13,12 +13,14 @@ potential.
 
 The linearization ``c0 (-d_xx)^{1/2} + W''(u1)`` is symmetric but may
 be slightly indefinite on the periodic box, so the polish solves it with
-MINRES.  The module carries its own :func:`minres` (Paige-Saunders, as
-in scipy's ``scipy.sparse.linalg.minres``) and :func:`brentq` (Brent's
-bracketing root finder, as in scipy's ``scipy.optimize.brentq``, used to
-locate the zero crossing).  Both reproduce scipy's iterates bit for bit;
-carrying them keeps ``import pnedge`` and the Frenkel solve path free of
-scipy, whose import costs more than a whole default solve.
+MINRES.  The module carries its own :func:`minres`: scipy's
+``scipy.sparse.linalg.minres`` recurrence and stopping tests (the
+Paige-Saunders algorithm), with every inner product a fixed-order
+:func:`~pnedge.operators.dot`, so no BLAS thread count moves its
+iterates.  The zero crossing that fixes the translation gauge is found by
+bracketed Newton steps on the band-limited interpolant of u1.  Neither
+needs scipy, whose import costs more than a whole default solve; scipy is
+the tests' reference.
 """
 
 from __future__ import annotations
@@ -31,10 +33,17 @@ import numpy as np
 
 from .errors import ConvergenceError, MonotonicityWarning
 from .grid import Grid1D
-from .operators import apply_half_laplacian, apply_symbol, fourier_interpolant, fourier_shift
+from .operators import (
+    apply_half_laplacian,
+    apply_symbol,
+    dot,
+    fourier_interpolant,
+    fourier_shift,
+    spectral_derivative,
+)
 from .params import PhysParams
 from .potential import PotentialSpec, eval_potential, validate_potential
-from .profile import Profile
+from .profile import Profile, background, background_derivative
 
 
 #: relative residual at which the inner MINRES solve of a Newton step stops
@@ -315,8 +324,11 @@ def solve_static(init: Profile, spec: PotentialSpec, opts: SolveOptions | None =
 
 
 def zero_crossing(p: Profile) -> float:
-    """Locate the unique zero of u1 by bracketing plus a band-limited
-    root find.  Requires exactly one sign change (monotone profiles)."""
+    """Locate the unique zero of u1 by Newton steps on its band-limited
+    interpolant, from the secant root through the two nodes that bracket
+    it; a step that leaves the bracket bisects it.  Requires exactly one
+    sign change (monotone profiles)."""
+    grid, b = p.grid, p.params.b
     u1 = p.u1
     nz = np.flatnonzero(u1)
     zeros = np.flatnonzero(u1 == 0.0)
@@ -327,14 +339,29 @@ def zero_crossing(p: Profile) -> float:
             f"changes and {len(zeros)} exact zeros"
         )
     if len(zeros) == 1:
-        return float(p.grid.x[zeros[0]])
+        return float(grid.x[zeros[0]])
     j, k = nz[changes[0]], nz[changes[0] + 1]
-    v_cont = fourier_interpolant(p.grid, p.v)
-
-    def u1_cont(xq):
-        return float(p.background_at(xq) + v_cont(xq))
-
-    return brentq(u1_cont, p.grid.x[j], p.grid.x[k], xtol=1e-14 * max(1.0, p.grid.h))
+    v_cont = fourier_interpolant(grid, p.v)
+    xtol = 1e-14 * max(1.0, grid.h)
+    lo, hi = float(grid.x[j]), float(grid.x[k])
+    x = float(lo - u1[j] * (hi - lo) / (u1[k] - u1[j]))
+    for _ in range(100):
+        value = float(p.background_at(x)) + v_cont(x)
+        if value == 0.0:
+            return x
+        if (value > 0.0) == (u1[j] > 0.0):
+            lo = x
+        else:
+            hi = x
+        slope = float(background_derivative(x, b, p.zeta_bg, p.x0)) + v_cont(x, 1)
+        step = value / slope
+        # a converged step lands on the bracket end just moved to x
+        if abs(step) < xtol:
+            return x - step
+        x -= step
+        if not lo < x < hi:
+            x = 0.5 * (lo + hi)
+    raise RuntimeError("zero crossing: no convergence after 100 steps")
 
 
 def center_profile(p: Profile) -> tuple[float, Profile]:
@@ -362,10 +389,7 @@ def rebase_center(p: Profile) -> Profile:
     is handled in closed form.
     """
     x_star = zero_crossing(p)
-    u1 = p.u1
-    from .profile import background
-
-    v_new = u1 - background(p.grid.x, p.params.b, p.zeta_bg, x_star)
+    v_new = p.u1 - background(p.grid.x, p.params.b, p.zeta_bg, x_star)
     return Profile(grid=p.grid, params=p.params, zeta_bg=p.zeta_bg,
                    x0=x_star, v=v_new)
 
@@ -397,9 +421,6 @@ def burgers_density(p: Profile) -> tuple[np.ndarray, float]:
     evaluated from the boundary displacements, so the total approximates
     the full Burgers content b.
     """
-    from .operators import spectral_derivative
-    from .profile import background_derivative
-
     grid = p.grid
     dbg = background_derivative(grid.x, p.params.b, p.zeta_bg, p.x0)
     dv = spectral_derivative(grid, p.v) if np.any(p.v) else 0.0
@@ -411,12 +432,12 @@ def burgers_density(p: Profile) -> tuple[np.ndarray, float]:
 
 
 # ---------------------------------------------------------------------------
-# MINRES and Brent's method, ported from scipy 1.17 so that the solve path
-# needs no scipy import.  ``minres`` follows the pure-Python
+# MINRES, after scipy 1.17's pure-Python
 # ``scipy/sparse/linalg/_isolve/minres.py`` (itself a translation of the
-# Paige-Saunders MATLAB code) and ``brentq`` the C routine
-# ``scipy/optimize/Zeros/brentq.c``, operation for operation, so both give
-# the same iterates as scipy to the last bit.  scipy's licence:
+# Paige-Saunders MATLAB code): the same recurrence and stopping tests, so
+# the solve path needs no scipy import.  Its inner products are
+# ``operators.dot``, fixed-order sums, where scipy's are BLAS ``np.inner``.
+# scipy's licence:
 #
 # Copyright (c) 2001-2002 Enthought, Inc. 2003, SciPy Developers.
 # All rights reserved.
@@ -473,7 +494,7 @@ def minres(matvec, b, psolve, rtol, maxiter=None):
     # first Lanczos vector: y = M r1 with r1 = b (x0 = 0)
     r1 = b.copy()
     y = psolve(r1)
-    beta1 = np.inner(r1, y)
+    beta1 = dot(r1, y)
     if beta1 < 0:
         raise ValueError("indefinite preconditioner")
     elif beta1 == 0:
@@ -498,13 +519,13 @@ def minres(matvec, b, psolve, rtol, maxiter=None):
         y = matvec(v)
         if itn >= 2:
             y = y - (beta / oldb) * r1
-        alfa = np.inner(v, y)
+        alfa = dot(v, y)
         y = y - (alfa / beta) * r2
         r1 = r2
         r2 = y
         y = psolve(r2)
         oldb = beta
-        beta = np.inner(r2, y)
+        beta = dot(r2, y)
         if beta < 0:
             raise ValueError("non-symmetric matrix")
         beta = math.sqrt(beta)
@@ -535,7 +556,7 @@ def minres(matvec, b, psolve, rtol, maxiter=None):
         gmax = max(gmax, gamma)
         gmin = min(gmin, gamma)
         anorm = math.sqrt(tnorm2)
-        ynorm = np.linalg.norm(x)
+        ynorm = math.sqrt(dot(x, x))
         test1 = np.inf if ynorm == 0 or anorm == 0 else phibar / (anorm * ynorm)
         test2 = np.inf if anorm == 0 else root / anorm
         if (exact or test1 <= rtol or test2 <= rtol or anorm * ynorm * _EPS >= beta1
@@ -545,66 +566,3 @@ def minres(matvec, b, psolve, rtol, maxiter=None):
         if itn < maxiter and (1 + test1 <= 1 or 1 + test2 <= 1):
             return x, 0
     return x, maxiter
-
-
-def brentq(f, a, b, xtol=2e-12, maxiter=100):
-    """Root of ``f`` in ``[a, b]`` by Brent's method; ``f(a)`` and ``f(b)``
-    must differ in sign.
-
-    Converges when half the bracket is below ``(xtol + 4 eps |x|) / 2``,
-    scipy's default relative tolerance.  Raises ``ValueError`` for a bad
-    bracket or tolerance or a NaN value of ``f``, and ``RuntimeError``
-    after ``maxiter`` iterations.
-    """
-    if xtol <= 0:
-        raise ValueError(f"xtol too small ({xtol:g} <= 0)")
-
-    def fx(x):
-        y = float(f(x))
-        if math.isnan(y):
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return y
-
-    xpre, xcur = float(a), float(b)
-    xblk = fblk = spre = scur = 0.0
-    fpre, fcur = fx(xpre), fx(xcur)
-    if fpre == 0:
-        return xpre
-    if fcur == 0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(maxiter):
-        if fpre != 0 and fcur != 0 and math.copysign(1.0, fpre) != math.copysign(1.0, fcur):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-
-        delta = (xtol + 4 * _EPS * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0 or abs(sbis) < delta:
-            return xcur
-
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            try:
-                if xpre == xblk:
-                    stry = -fcur * (xcur - xpre) / (fcur - fpre)  # interpolate
-                else:
-                    dpre = (fpre - fcur) / (xpre - xcur)  # extrapolate
-                    dblk = (fblk - fcur) / (xblk - xcur)
-                    stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            except ZeroDivisionError:
-                stry = math.inf  # an underflowed denominator: C gets inf or nan, and bisects
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis  # bisect
-        else:
-            spre = scur = sbis  # bisect
-
-        xpre, fpre = xcur, fcur
-        xcur += scur if abs(scur) > delta else (delta if sbis > 0 else -delta)
-        fcur = fx(xcur)
-    raise RuntimeError(f"Failed to converge after {maxiter} iterations.")

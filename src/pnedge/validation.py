@@ -65,7 +65,8 @@ from .extension import (
 )
 from .grid import build_grid
 from .operators import (
-    fourier_interpolate,
+    apply_half_laplacian,
+    fourier_interpolant,
     hs_seminorm_analytic,
     hs_seminorm_background_difference,
     hs_seminorm_grid,
@@ -342,9 +343,7 @@ def check_dtn(ctx: SuiteContext) -> list[CheckResult]:
     balance = float(np.max(np.abs(2.0 * s12 - eval_potential(ctx.spec, p.u1, 1))))
     # sigma12 at x = zeta: analytic background part plus interpolated correction
     lam_bg = p.half_laplacian_background(np.array([prm.zeta]))[0]
-    from .operators import apply_half_laplacian
-
-    lam_v = fourier_interpolate(p.grid, apply_half_laplacian(p.grid, p.v), prm.zeta)
+    lam_v = fourier_interpolant(p.grid, apply_half_laplacian(p.grid, p.v))(prm.zeta)
     s12_at_zeta = -(prm.G / (1.0 - prm.nu)) * (lam_bg + lam_v)
     dev = abs(s12_at_zeta - prm.G * prm.b / (4.0 * np.pi * (1.0 - prm.nu) * prm.zeta))
     return [
@@ -524,7 +523,7 @@ def check_misfit(ctx: SuiteContext) -> list[CheckResult]:
 def check_burgers(ctx: SuiteContext) -> list[CheckResult]:
     prm = ctx.params
     rho, total = burgers_density(ctx.solved_centered)
-    rho0 = fourier_interpolate(ctx.grid, rho, 0.0)
+    rho0 = fourier_interpolant(ctx.grid, rho)(0.0)
     target0 = prm.b / (np.pi * prm.zeta)
     return [
         _leq("12.burgers.total", abs(total - prm.b), 1e-3 * prm.b,

@@ -398,21 +398,40 @@ def test_seminorm_oracles_load_no_scipy():
     assert proc.stdout.splitlines()[-1] == "[]"
 
 
+_THREAD_RUNS = """
+import sys
+from pnedge.cli import main
+
+out, big = sys.argv[1], ["--N", "16384", "--set", "L_over_zeta=800"]
+dyn = big + ["--set", "dynamics_T_end=1", "dynamics"]
+runs = {
+    "default": ["solve-static"],
+    "big": big + ["solve-static"],
+    "si": ["--set", "dynamics_method=semi_implicit"] + dyn,
+    "etd": ["--set", "dynamics_method=etd"] + dyn,
+}
+for name, args in runs.items():
+    assert main(["--output", f"{out}/{name}"] + args) == 0, name
+"""
+
+
 def test_default_solve_is_byte_identical_across_blas_threads(tmp_path):
-    # N = 4096 stays below the sizes at which OpenBLAS splits a dot product
+    # N = 16384: above the sizes at which OpenBLAS splits a dot product
     import pnedge
 
     src = str(Path(pnedge.__file__).resolve().parents[1])
-    profiles = []
+    outputs = []
     for threads in ("1", "2"):
         env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
             filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / threads
-        proc = subprocess.run([sys.executable, "-m", "pnedge.cli", "--output", str(out),
-                               "solve-static"], capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_RUNS, str(out)],
+                              capture_output=True, text=True, env=env)
         assert proc.returncode == 0, proc.stderr
-        profiles.append((out / "profile.csv").read_bytes())
-    assert profiles[0] == profiles[1]
+        outputs.append({f: (out / f).read_bytes() for f in (
+            "default/profile.csv", "default/summary.json", "big/profile.csv",
+            "big/summary.json", "si/trace.csv", "etd/trace.csv")})
+    assert outputs[0] == outputs[1]
 
 
 def test_frenkel_subcommands_load_no_scipy(tmp_path):

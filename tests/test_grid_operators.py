@@ -11,7 +11,7 @@ from pnedge.grid import build_grid
 from pnedge.operators import (
     apply_half_laplacian,
     apply_hilbert,
-    fourier_interpolate,
+    fourier_interpolant,
     fourier_shift,
     hs_seminorm_analytic,
     hs_seminorm_background_difference,
@@ -89,7 +89,7 @@ def test_half_laplacian_background_difference_point_value():
     closed = -(1.0 / (2 * np.pi)) * (g.x / (g.x**2 + 1) - g.x / (g.x**2 + 4))
     mask = np.abs(g.x) < 100
     assert np.max(np.abs(out - closed)[mask]) < 1e-5
-    at_one = fourier_interpolate(g, out, 1.0)
+    at_one = fourier_interpolant(g, out)(1.0)
     assert at_one == pytest.approx(-3.0 / (20.0 * np.pi), abs=1e-5)
     # independent principal-value oracle H(f')(1)
     def fprime(s):
@@ -271,6 +271,10 @@ def test_fourier_shift_roundtrip(rng):
 def test_fourier_interpolate_matches_nodes():
     g = build_grid(10.0, 128)
     f = np.cos(g.xi_r[3] * g.x) + 0.3 * np.sin(g.xi_r[7] * g.x)
-    vals = fourier_interpolate(g, f, g.x[10:14])
-    np.testing.assert_allclose(vals, f[10:14], atol=1e-12)
-    assert fourier_interpolate(g, f, float(g.x[5])) == pytest.approx(f[5], abs=1e-12)
+    interpolant = fourier_interpolant(g, f)
+    np.testing.assert_allclose([interpolant(x) for x in g.x[10:14]], f[10:14], atol=1e-12)
+    assert interpolant(float(g.x[5])) == pytest.approx(f[5], abs=1e-12)
+    # the derivative, between the nodes too
+    xq = g.x[10:14] + 0.37 * g.h
+    df = -g.xi_r[3] * np.sin(g.xi_r[3] * xq) + 0.3 * g.xi_r[7] * np.cos(g.xi_r[7] * xq)
+    np.testing.assert_allclose([interpolant(x, 1) for x in xq], df, atol=1e-12)

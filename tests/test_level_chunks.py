@@ -17,6 +17,7 @@ import pytest
 from pnedge.energy import (
     BoxQuadrature,
     HalfPlaneTables,
+    _trapezoid_weights,
     competitor_energy,
     elastic_energy_box,
     seeded_perturbations,
@@ -34,7 +35,7 @@ from pnedge.extension import (
     stress_field,
 )
 from pnedge.grid import build_grid
-from pnedge.operators import irfft, mode_weights, rfft
+from pnedge.operators import dot, irfft, mode_weights, rfft
 from pnedge.params import PhysParams
 from pnedge.profile import Profile, background
 
@@ -52,9 +53,7 @@ def _box_reference(p, R, n_x=1024, n_levels=192):
 
     ys, wy = BoxQuadrature(prm.zeta / 50.0, R, n_levels).nodes_weights()
     xw = np.linspace(-R, R, n_x)
-    wx = np.full(n_x, xw[1] - xw[0])
-    wx[0] *= 0.5
-    wx[-1] *= 0.5
+    wx = _trapezoid_weights(xw)
     has_v = bool(np.any(p.v))
     if has_v:
         v_hat = rfft(p.v)
@@ -175,7 +174,7 @@ def _competitor_reference(grid, phi1, params, f_pair, g_pair, quad):
 
     table = _energy_table_reference(grid, params, quad, multipliers)
     th = rfft(np.asarray(phi1, dtype=float))
-    return float(np.dot(table, _abs2(th)))
+    return dot(table, _abs2(th))
 
 
 # ---------------------------------------------------------------------------

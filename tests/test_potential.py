@@ -102,6 +102,17 @@ def test_tabulated_frenkel_passes():
                                eval_potential(fr, probe, 1), atol=2e-5)
 
 
+def test_table_is_zero_at_the_wells_when_no_sample_is():
+    # knots 0.3 of a cell off the wells: the smallest sample lies above the
+    # spline's W(b/4), which a zero set at that sample would put at -1.1e-5
+    prm = PhysParams()
+    u = (np.arange(64) + 0.3) * (prm.b / 2 / 64)
+    spec = from_table(prm, np.column_stack([u, eval_potential(frenkel(prm), u, 0)]))
+    assert eval_potential(spec, prm.b / 4.0, 0) == 0.0
+    assert eval_potential(spec, -prm.b / 4.0, 0) == 0.0
+    assert validate_potential(spec).passed
+
+
 def test_table_needs_enough_samples():
     prm = PhysParams()
     u = np.linspace(0, prm.b / 2, 5, endpoint=False)
@@ -190,9 +201,10 @@ def test_table_spline_interpolates_with_continuous_second_derivative(kind):
     prm = PhysParams()
     table = _spline_table(kind, prm.b / 2.0)
     spec = from_table(prm, table)
-    w = table[:, 1] - table[:, 1].min()
+    # the samples, less the one constant that puts W(+-b/4) at zero
+    w = table[:, 1] - table[0, 1] + eval_potential(spec, table[0, 0], 0)
     np.testing.assert_allclose(eval_potential(spec, table[:, 0], 0), w,
-                               rtol=0.0, atol=_KNOT_RTOL * w.max())
+                               rtol=0.0, atol=_KNOT_RTOL * np.ptp(w))
     for order in (0, 1, 2):
         ends, starts = _one_sided(spec._spline, order)
         assert np.max(np.abs(ends - starts)) <= _KNOT_RTOL * np.max(np.abs(starts))

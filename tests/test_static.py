@@ -4,17 +4,17 @@ import warnings
 
 import numpy as np
 import pytest
+from scipy.optimize import brentq
 
 from pnedge import operators
 from pnedge.errors import TailWarning
 from pnedge.grid import build_grid
-from pnedge.operators import fourier_interpolate, fourier_shift
+from pnedge.operators import fourier_interpolant, fourier_shift
 from pnedge.params import PhysParams
 from pnedge.potential import from_table, frenkel
 from pnedge.profile import Profile, analytic_profile, background, tanh_profile
 from pnedge.static import (
     SolveOptions,
-    brentq,
     burgers_density,
     center_profile,
     decay_coefficients,
@@ -22,6 +22,7 @@ from pnedge.static import (
     monotonicity_violation,
     residual,
     solve_static,
+    zero_crossing,
 )
 
 
@@ -172,13 +173,14 @@ def test_center_translated_profile(grid, params):
     assert abs(centered.background_at(0.0)) <= 1e-10 * params.b
 
 
-def _shift_with_a_transform_per_step(p):
-    """The zero crossing as found when every Brent step interpolated v
-    through its own ``rfft`` (``fourier_interpolate``)."""
+def _reference_root(p):
+    """The zero crossing by scipy's Brent root finder on the band-limited
+    interpolant of u1, to half the centring's step tolerance."""
     assert np.all(p.u1 != 0.0)
     j = np.flatnonzero(np.diff(np.sign(p.u1)) != 0)[0]
-    return brentq(lambda xq: float(p.background_at(xq) + fourier_interpolate(p.grid, p.v, xq)),
-                  p.grid.x[j], p.grid.x[j + 1], xtol=1e-14 * max(1.0, p.grid.h))
+    v_cont = fourier_interpolant(p.grid, p.v)
+    return brentq(lambda xq: float(p.background_at(xq)) + v_cont(xq),
+                  p.grid.x[j], p.grid.x[j + 1], xtol=0.5e-14 * max(1.0, p.grid.h))
 
 
 def test_center_profile_transforms_v_once_and_keeps_its_shift(solved, monkeypatch):
@@ -186,7 +188,7 @@ def test_center_profile_transforms_v_once_and_keeps_its_shift(solved, monkeypatc
                       x0=solved.x0 + 0.37 * solved.grid.h,
                       v=fourier_shift(solved.grid, solved.v, -0.37 * solved.grid.h))
     for p in (solved, shifted):
-        expected = _shift_with_a_transform_per_step(p)
+        expected = _reference_root(p)
         calls = []
 
         def counted(f, out=None):
@@ -196,8 +198,17 @@ def test_center_profile_transforms_v_once_and_keeps_its_shift(solved, monkeypatc
         monkeypatch.setattr(operators, "rfft", counted)
         shift, _ = center_profile(p)
         monkeypatch.undo()
-        assert shift == expected
+        assert abs(shift - expected) <= 1e-14 * max(1.0, p.grid.h)
         assert len(calls) == 2  # the interpolant's coefficients and the Fourier shift
+
+
+@pytest.mark.parametrize("frac", [0.01, 0.3, 0.97])
+def test_zero_crossing_of_a_core_narrower_than_a_cell(grid, params, frac):
+    # the secant start lands on the flat part, where Newton leaves the
+    # bracket: the steps fall back on bisection until they close in
+    x0 = grid.x[grid.N // 2] + frac * grid.h
+    p = Profile(grid=grid, params=params, zeta_bg=1e-3 * grid.h, x0=x0)
+    assert zero_crossing(p) == pytest.approx(x0, abs=1e-14)
 
 
 def test_center_rejects_nonmonotone(grid, params):
