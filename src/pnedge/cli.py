@@ -206,6 +206,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     snaps = snapshot_times(cfg)
     snapshots = {}
     pieces = []  # the trace of each run, stopping at each snapshot time
+    aborted = None
     try:
         s = s0
         for t_stop in snaps or [cfg.dynamics_T_end]:
@@ -214,28 +215,29 @@ def cmd_dynamics(cfg: RunConfig) -> int:
                 snapshots[t_stop] = s.p.u1.copy()
             pieces.append(trace.as_arrays())
     except TimeStepUnderflowError as exc:
-        arr = exc.trace.as_arrays() if exc.trace is not None else {}
-        timings: dict = {}
-        if arr:
-            with _timed(timings, "write"):
-                _write_trace_csv(out / "trace.csv", arr)
-        timings["total"] = time.perf_counter() - t0
-        write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings,
-                       extra={"aborted": str(exc),
-                              **_bytes_written([out / "trace.csv"] if arr else [])})
-        raise
-    # a run after the first starts from the state the one before ended in
-    arr = {k: np.concatenate([pieces[0][k], *(a[k][1:] for a in pieces[1:])])
-           for k in pieces[0]}
-    timings = {}
-    paths = [out / "trace.csv"] + [out / _snapshot_file(t) for t in snapshots]
+        # keep what was reached: the completed pieces, the snapshots at
+        # their ends, and the partial trace of the piece that underflowed
+        aborted = exc
+        if exc.trace is not None:
+            pieces.append(exc.trace.as_arrays())
+    timings: dict = {}
+    paths = [out / "trace.csv"] if pieces else []
     with _timed(timings, "write"):
-        _write_trace_csv(paths[0], arr)
-        for path, u1 in zip(paths[1:], snapshots.values()):
-            write_csv(path, {"x": grid.x, "u1": u1})
+        if pieces:
+            # a run after the first starts from the state the one before ended in
+            arr = {k: np.concatenate([pieces[0][k], *(a[k][1:] for a in pieces[1:])])
+                   for k in pieces[0]}
+            _write_trace_csv(paths[0], arr)
+        for t, u1 in snapshots.items():
+            paths.append(out / _snapshot_file(t))
+            write_csv(paths[-1], {"x": grid.x, "u1": u1})
     timings["total"] = time.perf_counter() - t0
-    write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings,
-                   extra=_bytes_written(paths))
+    extra = _bytes_written(paths)
+    if aborted is not None:
+        extra["aborted"] = str(aborted)
+    write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings, extra=extra)
+    if aborted is not None:
+        raise aborted
     return 0
 
 

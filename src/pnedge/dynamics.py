@@ -258,6 +258,11 @@ def _check_dt(dt: float) -> None:
         raise ValueError(f"time step must be positive and finite, got {dt}")
 
 
+def _check_T_end(T_end: float) -> None:
+    if not 0.0 < T_end < np.inf:
+        raise ValueError(f"T_end must be positive and finite, got {T_end}")
+
+
 def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
              v_hat_star: Optional[np.ndarray] = None) -> DynamicsState:
     """One step of the linear update ``kernel``: ``v_hat+ = S_v (v_hat - v_hat*)
@@ -314,6 +319,7 @@ def march(s0: DynamicsState, T_end: float, dt: float, step) -> DynamicsState:
     the last one what is left to ``T_end``, with no monitoring and no
     guard on F: the fixed-step path.  :func:`run_dynamics` takes the same
     steps whenever its guard halves none."""
+    _check_T_end(T_end)
     s = s0
     while s.t < T_end - 1e-12:
         s = step(s, min(dt, T_end - s.t))
@@ -330,8 +336,7 @@ def run_dynamics(
     :class:`TimeStepUnderflowError` carrying the partial trace), and the
     step regrows to at most twice the accepted one.
     """
-    if not 0.0 < T_end < np.inf:
-        raise ValueError(f"T_end must be positive and finite, got {T_end}")
+    _check_T_end(T_end)
     opts = opts or RunOptions()
     stepper = _STEPPERS.get(opts.method)
     if stepper is None:

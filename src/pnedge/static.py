@@ -11,9 +11,14 @@ uses the closed form, so the arctan core with ``zeta_bg = d/(2(1-nu))``
 is an exact fixed point of the discretization under the Frenkel
 potential.
 
-The linearization ``c0 (-d_xx)^{1/2} + W''(u1)`` is symmetric but may
-be slightly indefinite on the periodic box, so the polish solves it with
-MINRES.  The module carries its own :func:`minres`: scipy's
+A sweep step makes two transforms: the step's own equation gives the
+residual of its result.  The linearization ``c0 (-d_xx)^{1/2} + W''(u1)``
+is symmetric but may be slightly indefinite on the periodic box, so the
+polish solves it with MINRES, preconditioned by the inverse of its
+far-field part ``c0 |xi| + w0``.  The linearization is that inverse plus
+``diag(W''(u1) - w0)`` exactly, so MINRES forms its products from vectors
+it holds, and a Krylov iteration makes two transforms, those of the
+preconditioner.  The module carries its own :func:`minres`: scipy's
 ``scipy.sparse.linalg.minres`` recurrence and stopping tests (the
 Paige-Saunders algorithm), with every inner product a fixed-order
 :func:`~pnedge.operators.dot`, so no BLAS thread count moves its
@@ -165,6 +170,29 @@ def _force_balance(grid, spec, c0, u_bg, lam_bg, v):
     return r, wp
 
 
+def _residual_after_step(spec, u_bg, v, v_new, dt, wp):
+    """Samples of the residual at ``v_new``, and ``W'(u1)`` there, for a
+    :func:`semi_implicit_step` of ``dt`` from ``v`` with force
+    ``g = c0 lam_bg + wp``.
+
+    The step solved ``v_new + dt c0 (-d_xx)^{1/2} v_new = v - dt g`` on
+    every mode, the zero and Nyquist modes included, so
+    ``R(v_new) = (v - v_new)/dt + W'(u_bg + v_new) - wp`` with no
+    transform.  It agrees with :func:`_force_balance` on ``v_new`` to
+    ``c eps (max|v| (1/dt + c0 max|xi|) + max|wp|)``, ``c`` at most 2 at
+    N = 4096 and 16384: the rounding of ``(v - v_new)/dt``, of the step
+    (which ``1 + dt c0 |xi|`` carries into its equation) and of the W'
+    difference.  After :data:`MAX_HALVINGS` halvings that is about
+    1e-14 G b / d, far below :data:`NEWTON_SWITCH`.
+    """
+    wp_new = eval_potential(spec, u_bg + v_new, 1)
+    r = np.subtract(v, v_new)
+    r /= dt
+    r += wp_new
+    r -= wp
+    return r, wp_new
+
+
 def _semi_implicit_sweep(p, spec, opts, tol):
     grid, params = p.grid, p.params
     c0 = params.c0
@@ -221,7 +249,7 @@ def _semi_implicit_sweep(p, spec, opts, tol):
             monotone_ok = False
             v_new = semi_implicit_step(grid, v, g, dt, c0)
             viol_new = monotonicity_violation(u_bg + v_new)
-        r_new, wp_new = _force_balance(grid, spec, c0, u_bg, lam_bg, v_new)
+        r_new, wp_new = _residual_after_step(spec, u_bg, v, v_new, dt, wp)
         if float(np.max(np.abs(r_new))) > 2.0 * res_linf:
             # gross divergence guard (explicit potential force too stiff)
             dt *= 0.5
@@ -240,6 +268,8 @@ def _semi_implicit_sweep(p, spec, opts, tol):
 def _newton_polish(p, spec, tol):
     grid, params = p.grid, p.params
     c0 = params.c0
+    # the preconditioner inverts the far-field Jacobian c0 |xi| + w0, so the
+    # Jacobian is its inverse plus diag(W''(u1) - w0)
     w0 = max(eval_potential(spec, params.b / 4.0, 2), 0.1 * params.G / params.d)
     precon_symbol = 1.0 / (c0 * grid.xi_r + w0)
 
@@ -254,12 +284,8 @@ def _newton_polish(p, spec, tol):
     for _ in range(30):
         if np.max(np.abs(r)) <= tol:
             break
-        wpp = eval_potential(spec, u_bg + v, 2)
-
-        def jac(z):
-            return c0 * apply_half_laplacian(grid, z) + wpp * z
-
-        dv, info = minres(jac, -r, precon, rtol=NEWTON_TOL)
+        shift = eval_potential(spec, u_bg + v, 2) - w0
+        dv, info = minres(None, -r, precon, rtol=NEWTON_TOL, shift=shift)
         if info != 0:
             warnings.warn(f"inner minres returned info={info}", stacklevel=2)
         # damped update: backtrack while the residual grows; stop cleanly
@@ -474,11 +500,17 @@ def burgers_density(p: Profile) -> tuple[np.ndarray, float]:
 _EPS = float(np.finfo(float).eps)
 
 
-def minres(matvec, b, psolve, rtol, maxiter=None):
+def minres(matvec, b, psolve, rtol, maxiter=None, shift=None):
     """Preconditioned MINRES for a symmetric ``A x = b`` from ``x0 = 0``.
 
     ``matvec(z) = A z``; ``psolve(z) = M z`` applies a symmetric positive
-    definite preconditioner that approximates ``A^{-1}``.  Returns
+    definite preconditioner that approximates ``A^{-1}``.  With ``shift``
+    given, ``matvec`` is not called and ``A = M^{-1} + diag(shift)`` must
+    hold exactly: each Lanczos vector is ``v = M r / beta`` for a vector
+    ``r`` the recurrence holds, so ``A v = r / beta + shift v`` costs no
+    application of ``A``.  An iteration then makes one ``psolve`` (two
+    transforms for a Fourier-diagonal ``M``) where the generic form makes
+    a ``psolve`` and a ``matvec``.  Returns
     ``(x, info)`` with ``info = 0`` on a stop by scipy's tests (relative
     residual or ``||A r||`` below ``rtol``, roundoff level, ``cond(A)``
     beyond ``0.1/eps``) and ``info = maxiter`` (default ``5 n``) when the
@@ -516,7 +548,10 @@ def minres(matvec, b, psolve, rtol, maxiter=None):
     for itn in range(1, maxiter + 1):
         # Lanczos step
         v = (1.0 / beta) * y
-        y = matvec(v)
+        if shift is None:
+            y = matvec(v)
+        else:
+            y = (1.0 / beta) * r2 + shift * v  # y was psolve(r2)
         if itn >= 2:
             y = y - (beta / oldb) * r1
         alfa = dot(v, y)

@@ -262,6 +262,39 @@ def test_cli_dynamics_underflow_exit_code(tmp_path, monkeypatch):
     assert (tmp_path / "out" / "trace.csv").exists()
 
 
+def test_cli_dynamics_underflow_keeps_the_pieces_before_it(tmp_path, monkeypatch):
+    """A run that underflows in its second piece writes the first piece's
+    trace and snapshot, then the partial trace: what an unbroken run to
+    the point of failure writes."""
+    import pnedge.cli as climod
+    from pnedge.dynamics import run_dynamics
+    from pnedge.errors import TimeStepUnderflowError
+
+    ref = tmp_path / "ref"
+    rc = main(_fast_overrides(ref, dynamics_T_end=1.25, dynamics_dt=0.1,
+                              dynamics_snapshot_times=1) + ["dynamics"])
+    assert rc == 0
+
+    def second_piece_underflows(s, t_stop, opts):
+        if t_stop == 1.0:
+            return run_dynamics(s, t_stop, opts)
+        _, partial = run_dynamics(s, 1.25, opts)  # what was recorded before the failure
+        raise TimeStepUnderflowError("forced underflow", trace=partial)
+
+    monkeypatch.setattr(climod, "run_dynamics", second_piece_underflows)
+    rc = main(_fast_overrides(tmp_path, dynamics_T_end=2, dynamics_dt=0.1,
+                              dynamics_snapshot_times=1) + ["dynamics"])
+    assert rc == 2
+    out = tmp_path / "out"
+    for name in ("trace.csv", "snapshot_t1.csv"):
+        assert (out / name).read_bytes() == (ref / "out" / name).read_bytes()
+    assert not (out / "snapshot_t2.csv").exists()
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["aborted"] == "forced underflow"
+    assert manifest["bytes_written"] == {
+        name: (out / name).stat().st_size for name in ("trace.csv", "snapshot_t1.csv")}
+
+
 def test_cli_validate_failure_exit_code(tmp_path, monkeypatch):
     import pnedge.cli as climod
     from pnedge.validation import CheckResult

@@ -415,6 +415,15 @@ def test_run_rejects_bad_end_time(bump_state, T_end):
         run_dynamics(bump_state, T_end)
 
 
+@pytest.mark.parametrize("T_end", [float("inf"), float("nan"), 0.0, -1.0])
+def test_march_rejects_bad_end_time(bump_state, T_end):
+    def no_step(s, dt):
+        raise AssertionError("march stepped towards a bad T_end")
+
+    with pytest.raises(ValueError, match="T_end must be positive and finite"):
+        march(bump_state, T_end, 0.1, no_step)
+
+
 @pytest.mark.parametrize("field, value", [
     ("dt", float("nan")), ("dt", float("inf")), ("dt", 0.0), ("dt", -0.1),
     ("max_halvings", -1), ("max_halvings", 2.5), ("max_halvings", float("nan")),

@@ -9,6 +9,7 @@ from scipy.sparse.linalg import LinearOperator
 from scipy.sparse.linalg import minres as scipy_minres
 
 import pnedge.static as static
+from pnedge.operators import apply_half_laplacian
 from pnedge.params import PhysParams
 from pnedge.potential import eval_potential, from_table
 from pnedge.profile import tanh_profile
@@ -91,16 +92,25 @@ def test_minres_of_a_zero_right_hand_side(indefinite_system):
 
 @pytest.mark.usefixtures("scipy_reductions")
 def test_minres_matches_scipy_on_the_newton_jacobian(grid, params, spec, monkeypatch):
-    """Every inner solve of the N = 4096 tanh solve, against scipy's."""
+    """Every inner solve of the N = 4096 tanh solve: the generic form
+    against scipy's, and the shift form the polish uses against the
+    generic form."""
     calls = []
+    w0 = eval_potential(spec, params.b / 4.0, 2)
 
-    def both(matvec, b, psolve, rtol):
-        x, info = minres(matvec, b, psolve, rtol=rtol)
-        x_ref, info_ref = _scipy_minres(matvec, b, psolve, rtol=rtol)
+    def both(matvec, b, psolve, rtol, shift):
+        def jac(z):
+            return params.c0 * apply_half_laplacian(grid, z) + (shift + w0) * z
+
+        x, info = minres(jac, b, psolve, rtol=rtol)
+        x_ref, info_ref = _scipy_minres(jac, b, psolve, rtol=rtol)
         assert info == info_ref
         np.testing.assert_array_equal(x, x_ref)
+        x_shift, info_shift = minres(matvec, b, psolve, rtol=rtol, shift=shift)
+        assert info_shift == info
+        assert np.linalg.norm(x_shift - x) <= 1e-12 * np.linalg.norm(x)
         calls.append(info)
-        return x, info
+        return x_shift, info_shift
 
     monkeypatch.setattr(static, "minres", both)
     res = solve_static(tanh_profile(grid, params), spec)

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy.optimize import brentq
 
+import pnedge.static as static
 from pnedge import operators
 from pnedge.errors import TailWarning
 from pnedge.grid import build_grid
@@ -271,3 +272,115 @@ def test_max_iters_exhaustion(grid, params, spec):
         solve_static(init, spec, SolveOptions(max_iters=1))
     assert exc.value.linf > 0
     assert exc.value.iterations == 1
+
+
+# ---------------------------------------------------------------------------
+# transforms per solver phase
+# ---------------------------------------------------------------------------
+
+def _count_transforms(monkeypatch):
+    """Count the ``numpy.fft`` real transforms made from here on."""
+    count = [0]
+    for name in ("rfft", "irfft"):
+        def counted(*args, _fn=getattr(np.fft, name), **kwargs):
+            count[0] += 1
+            return _fn(*args, **kwargs)
+
+        monkeypatch.setattr(np.fft, name, counted)
+    return count
+
+
+def test_transform_budget_of_the_default_solve(grid, params, spec, monkeypatch):
+    """Two transforms per sweep trial step and per MINRES iteration, plus
+    a fixed few per phase, in the N = 4096 tanh solve."""
+    count = _count_transforms(monkeypatch)
+    phases = {}  # name -> [calls, transforms made inside them]
+
+    def counting(name, fn):
+        def wrapped(*args, **kwargs):
+            before = count[0]
+            out = fn(*args, **kwargs)
+            rec = phases.setdefault(name, [0, 0])
+            rec[0] += 1
+            rec[1] += count[0] - before
+            return out
+
+        return wrapped
+
+    psolves = []
+    minres = static.minres
+
+    def minres_counting_psolve(matvec, b, psolve, rtol, **kwargs):
+        # the preconditioner runs once up front and once per iteration
+        calls = [0]
+
+        def counted(z):
+            calls[0] += 1
+            return psolve(z)
+
+        out = minres(matvec, b, counted, rtol, **kwargs)
+        psolves.append(calls[0])
+        return out
+
+    monkeypatch.setattr(static, "minres", counting("minres", minres_counting_psolve))
+    for name in ("_semi_implicit_sweep", "semi_implicit_step", "_newton_polish",
+                 "_force_balance", "rebase_center"):
+        monkeypatch.setattr(static, name, counting(name, getattr(static, name)))
+
+    res = solve_static(tanh_profile(grid, params), spec)
+    total = count[0]
+    trials, step_transforms = phases["semi_implicit_step"]
+    balances = phases["_force_balance"][0]
+    krylov = sum(psolves) - len(psolves)
+    assert (res.iterations, res.newton_steps, trials, krylov) == (12, 2, 12, 20)
+    assert step_transforms == 2 * trials
+    # the sweep: one force balance up front, then its trial steps alone
+    assert phases["_semi_implicit_sweep"][1] == 2 + 2 * trials
+    # MINRES: one preconditioner up front, then one per iteration
+    assert phases["minres"][1] == 2 * len(psolves) + 2 * krylov
+    # the polish: a residual, its MINRES solves and the backtracking trials
+    assert phases["_newton_polish"][1] == 2 + phases["minres"][1] + 2 * (balances - 1)
+    # the solve: a residual up front, the centre crossing and a final residual
+    assert phases["rebase_center"][1] == 1
+    assert total == phases["_semi_implicit_sweep"][1] + phases["_newton_polish"][1] + 5
+    assert total == 81
+
+
+@pytest.mark.parametrize("L_over, N", [(200, 4096), (800, 16384)])
+def test_sweep_residual_from_the_update_matches_the_transform(params, spec, monkeypatch,
+                                                              L_over, N):
+    """The sweep's residual from the step's equation agrees with the
+    transformed one on every trial of a solve, and on steps halved up to
+    :data:`~pnedge.static.MAX_HALVINGS` times, within the stated bound."""
+    grid = build_grid(L_over * params.zeta, N)
+    init = tanh_profile(grid, params)
+    c0, lam_bg = params.c0, init.half_laplacian_background()
+    eps = np.finfo(float).eps
+    ratios = []
+
+    def compare(r, wp_new, u_bg, v, v_new, dt, wp):
+        r_ref, wp_ref = static._force_balance(grid, spec, c0, u_bg, lam_bg, v_new)
+        assert np.array_equal(wp_new, wp_ref)
+        bound = eps * (np.max(np.abs(v)) * (1.0 / dt + c0 * grid.xi_r[-1])
+                       + np.max(np.abs(wp)))
+        ratios.append(np.max(np.abs(r - r_ref)) / bound)
+
+    from_update = static._residual_after_step
+
+    def checked(spec_, u_bg, v, v_new, dt, wp):
+        r, wp_new = from_update(spec_, u_bg, v, v_new, dt, wp)
+        compare(r, wp_new, u_bg, v, v_new, dt, wp)
+        return r, wp_new
+
+    monkeypatch.setattr(static, "_residual_after_step", checked)
+    res = solve_static(init, spec)
+    assert len(ratios) >= res.iterations > 0
+
+    u_bg = init.background_on_grid()
+    _, wp = static._force_balance(grid, spec, c0, u_bg, lam_bg, init.v)
+    g = wp + c0 * lam_bg
+    for k in range(static.MAX_HALVINGS + 1):
+        dt = SolveOptions().dt0 * 0.5**k
+        v_new = static.semi_implicit_step(grid, init.v, g, dt, c0)
+        compare(*from_update(spec, u_bg, init.v, v_new, dt, wp), u_bg, init.v, v_new, dt, wp)
+    assert max(ratios) <= 4.0
