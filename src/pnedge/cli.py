@@ -27,7 +27,6 @@ from .config import (
     parse_config,
     run_setup,
     snapshot_times,
-    solve_options,
 )
 from .dynamics import RunOptions, run_dynamics
 from .energy import HalfPlaneTables, energy_breakdown, log_divergence_fit, misfit_energy
@@ -97,7 +96,7 @@ def _bytes_written(paths) -> dict:
 
 
 def _solve(cfg: RunConfig, grid, params, spec):
-    return solve_static(initial_profile(cfg, grid, params), spec, solve_options(cfg))
+    return solve_static(initial_profile(cfg, grid, params), spec)
 
 
 def cmd_solve_static(cfg: RunConfig) -> int:

@@ -18,9 +18,8 @@ from .dynamics import DynamicsState
 from .energy import BoxQuadrature, Perturbation, _first_level, seeded_perturbations
 from .grid import Grid1D, build_grid
 from .params import PhysParams
-from .potential import PotentialSpec, frenkel, from_csv
+from .potential import PotentialSpec, frenkel, from_csv, validate_potential
 from .profile import Profile, analytic_profile, tanh_profile
-from .static import SolveOptions
 
 
 def _fmt(value) -> str:
@@ -28,8 +27,6 @@ def _fmt(value) -> str:
         return "true" if value else "false"
     if isinstance(value, float):
         return format(value, ".17g")
-    if value is None:
-        return "none"
     return str(value)
 
 
@@ -77,9 +74,6 @@ class RunConfig:
     dynamics_bump_width_over_zeta: float = 1.0
     dynamics_snapshot_times: str = ""
     # static block
-    static_dt0: float = 0.5
-    static_res_tol: Optional[float] = None
-    static_max_iters: int = 20000
     static_init: str = "tanh"  # tanh | analytic | background:<width_over_zeta>
 
     def validate(self) -> None:
@@ -90,9 +84,6 @@ class RunConfig:
         for key in _POSITIVE_KEYS:
             if getattr(self, key) <= 0:
                 raise ValueError(f"config key '{key}' must be positive, got {getattr(self, key)}")
-        if self.static_res_tol is not None and self.static_res_tol <= 0:
-            raise ValueError(
-                f"config key 'static_res_tol' must be positive, got {self.static_res_tol}")
         if self.ylevels_y_max_over_zeta <= self.ylevels_y_min_over_zeta:
             raise ValueError(
                 "config key 'ylevels_y_max_over_zeta' must exceed ylevels_y_min_over_zeta, "
@@ -149,8 +140,7 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 #: keys whose value must be > 0 (floats are also checked for finiteness)
-_POSITIVE_KEYS = ("L_over_zeta", "dynamics_dt", "dynamics_T_end",
-                  "static_dt0", "static_max_iters", "energy_quad_levels",
+_POSITIVE_KEYS = ("L_over_zeta", "dynamics_dt", "dynamics_T_end", "energy_quad_levels",
                   "energy_n_perturbations", "energy_y_max_over_zeta", "ylevels_count",
                   "ylevels_y_min_over_zeta", "ylevels_y_max_over_zeta")
 
@@ -164,8 +154,6 @@ def _coerce(key: str, text: str):
         return int(text)
     if ftype == "float":
         return float(text)
-    if ftype == "Optional[float]":
-        return None if text.lower() == "none" else float(text)
     return text
 
 
@@ -240,23 +228,21 @@ def _snapshot_file(t: float) -> str:
 
 
 def run_setup(cfg: RunConfig) -> tuple[PhysParams, Grid1D, PotentialSpec]:
-    """Physical parameters, grid and misfit potential of a run."""
+    """Physical parameters, grid and misfit potential of a run; a table
+    that fails :func:`~pnedge.potential.validate_potential` is rejected."""
     params = cfg.params
     grid = build_grid(cfg.L_over_zeta * params.zeta, cfg.N)
     if cfg.potential == "frenkel":
-        spec = frenkel(params)
-    else:
-        try:
-            spec = from_csv(params, cfg.potential.split(":", 1)[1])
-        except (OSError, ValueError) as exc:
-            raise ValueError(f"config key 'potential': {exc}") from exc
+        return params, grid, frenkel(params)
+    try:
+        spec = from_csv(params, cfg.potential.split(":", 1)[1])
+    except (OSError, ValueError) as exc:
+        raise ValueError(f"config key 'potential': {exc}") from exc
+    report = validate_potential(spec)
+    if not report.passed:
+        raise ValueError(f"config key 'potential': misfit potential fails structural "
+                         f"checks: {report}")
     return params, grid, spec
-
-
-def solve_options(cfg: RunConfig) -> SolveOptions:
-    """Static solver controls of a run."""
-    return SolveOptions(dt0=cfg.static_dt0, res_tol=cfg.static_res_tol,
-                        max_iters=cfg.static_max_iters)
 
 
 def parse_static_init(cfg: RunConfig) -> tuple[str, Optional[float]]:

@@ -19,7 +19,8 @@ update.  The free energy relative to a reference static profile,
     ``F(v) = (c0/2) |v|^2_{H^1/2} - int v W'(u1*) + int [W(v+u1*) - W(u1*)]``,
 
 decays along trajectories with rate ``Q = int R^2 dx`` (squared residual
-of the force balance).
+of the force balance).  A run takes a step size and a method; its guard
+on F is the module constants :data:`F_INCREASE_TOL` and :data:`MAX_HALVINGS`.
 
 Only v changes along a trajectory, so the rest is evaluated once:
 
@@ -59,7 +60,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from numbers import Integral
 from typing import Optional
 
 import numpy as np
@@ -185,26 +185,27 @@ class DynamicsTrace:
                 for k in ("times", "F_values", "Q_values", "residual_norms", "dt_history")}
 
 
+#: rise of F, in units of ``G b^2 / d``, beyond which a step of
+#: :func:`run_dynamics` is halved
+F_INCREASE_TOL = 1e-10
+#: halvings of a step of :func:`run_dynamics` before it raises
+MAX_HALVINGS = 20
+
+
 @dataclass(frozen=True)
 class RunOptions:
-    """Controls of :func:`run_dynamics`: the step ``dt``, the integrator
-    ``method``, and the guard on F (a step may raise it by at most
-    ``f_increase_tol``, and is halved at most ``max_halvings`` times)."""
+    """Controls of :func:`run_dynamics`: the step ``dt`` and the integrator
+    ``method``."""
 
     dt: float = 0.1
     method: str = "semi_implicit"  # or "etd"
-    f_increase_tol: Optional[float] = None  # default 1e-10 * G b^2 / d
-    max_halvings: int = 20
 
     def __post_init__(self):
         if not 0.0 < self.dt < np.inf:
             raise ValueError(f"RunOptions.dt must be positive and finite, got {self.dt}")
-        if self.f_increase_tol is not None and not np.isfinite(self.f_increase_tol):
-            raise ValueError(
-                f"RunOptions.f_increase_tol must be finite, got {self.f_increase_tol}")
-        if not (isinstance(self.max_halvings, Integral) and self.max_halvings >= 0):
-            raise ValueError("RunOptions.max_halvings must be a nonnegative integer, "
-                             f"got {self.max_halvings!r}")
+        if self.method not in _STEPPERS:
+            raise ValueError(f"RunOptions.method must be one of {sorted(_STEPPERS)}, "
+                             f"got {self.method!r}")
 
 
 def free_energy(s: DynamicsState) -> float:
@@ -331,19 +332,16 @@ def run_dynamics(
 ) -> tuple[DynamicsState, DynamicsTrace]:
     """March to T_end recording F, Q and the residual per accepted step.
 
-    The run guards F: a step that raises F beyond ``f_increase_tol`` is
-    halved and retried (at most ``max_halvings`` times; underflow raises
-    :class:`TimeStepUnderflowError` carrying the partial trace), and the
-    step regrows to at most twice the accepted one.
+    The run guards F: a step that raises F beyond :data:`F_INCREASE_TOL`
+    ``G b^2 / d`` is halved and retried (at most :data:`MAX_HALVINGS`
+    times; underflow raises :class:`TimeStepUnderflowError` carrying the
+    partial trace), and the step regrows to at most twice the accepted one.
     """
     _check_T_end(T_end)
     opts = opts or RunOptions()
-    stepper = _STEPPERS.get(opts.method)
-    if stepper is None:
-        raise ValueError(f"unknown method {opts.method!r}")
+    stepper = _STEPPERS[opts.method]
     prm = s0.p.params
-    f_tol = (opts.f_increase_tol if opts.f_increase_tol is not None
-             else 1e-10 * prm.G * prm.b**2 / prm.d)
+    f_tol = F_INCREASE_TOL * prm.G * prm.b**2 / prm.d
 
     def norms(state):
         r = _residual(state)
@@ -362,7 +360,7 @@ def run_dynamics(
     dt = opts.dt
     while s.t < T_end - 1e-12:
         step_dt = min(dt, T_end - s.t)
-        for _ in range(opts.max_halvings + 1):
+        for _ in range(MAX_HALVINGS + 1):
             cand = stepper(s, step_dt)
             F_new = free_energy(cand)
             if F_new <= F + f_tol:
@@ -370,7 +368,7 @@ def run_dynamics(
             step_dt *= 0.5
         else:
             raise TimeStepUnderflowError(
-                f"time step underflow at t={s.t:.6g} after {opts.max_halvings} halvings",
+                f"time step underflow at t={s.t:.6g} after {MAX_HALVINGS} halvings",
                 trace=trace,
             )
         s, F = cand, F_new  # the accepted candidate's F is the new state's

@@ -6,13 +6,16 @@ Solves the nonlocal force balance
 
 with far field ``u1(-inf) = b/4``, ``u1(+inf) = -b/4``, by a
 semi-implicit pseudo-time gradient flow followed by a matrix-free
-Newton polish.  The background part of the half-Laplacian
-uses the closed form, so the arctan core with ``zeta_bg = d/(2(1-nu))``
-is an exact fixed point of the discretization under the Frenkel
-potential.
+Newton polish.  A solve has no settings: its limits are the module
+constants :data:`DT0`, :data:`MAX_SWEEP_ITERS`, :data:`NEWTON_SWITCH`
+and :data:`RES_TOL`.  The background part of the half-Laplacian uses the
+closed form, so the arctan core with ``zeta_bg = d/(2(1-nu))`` is an
+exact fixed point of the discretization under the Frenkel potential.
 
-A sweep step makes two transforms: the step's own equation gives the
-residual of its result.  The linearization ``c0 (-d_xx)^{1/2} + W''(u1)``
+Each residual is evaluated once: the sweep starts from the start
+profile's, a sweep step makes two transforms because the step's own
+equation gives the residual of its result, and the solve returns the
+polish's last one.  The linearization ``c0 (-d_xx)^{1/2} + W''(u1)``
 is symmetric but may be slightly indefinite on the periodic box, so the
 polish solves it with MINRES, preconditioned by the inverse of its
 far-field part ``c0 |xi| + w0``.  The linearization is that inverse plus
@@ -46,7 +49,6 @@ from .operators import (
     fourier_shift,
     spectral_derivative,
 )
-from .params import PhysParams
 from .potential import PotentialSpec, eval_potential, validate_potential
 from .profile import Profile, background, background_derivative
 
@@ -57,27 +59,12 @@ NEWTON_TOL = 1e-8
 NEWTON_SWITCH = 1e-3
 #: halvings of a sweep step that break monotonicity before it is taken anyway
 MAX_HALVINGS = 8
-
-
-@dataclass(frozen=True)
-class SolveOptions:
-    """Iteration controls for :func:`solve_static`.
-
-    ``dt0`` is the first pseudo-time step of the sweep and ``max_iters``
-    the number of sweep steps it may take.  The residual tolerance
-    ``res_tol`` defaults to ``1e-10 * G * b / d`` in the units of the
-    force balance.  The sweep hands over to the Newton polish at
-    :data:`NEWTON_SWITCH` (or at ``res_tol``, if that is larger).
-    """
-
-    dt0: float = 0.5
-    res_tol: float | None = None
-    max_iters: int = 20_000
-
-    def resolved_tol(self, params: PhysParams) -> float:
-        if self.res_tol is not None:
-            return self.res_tol
-        return 1e-10 * params.G * params.b / params.d
+#: upper bound on the first pseudo-time step of the sweep
+DT0 = 0.5
+#: residual level, in units of ``G b / d``, at which a solve has converged
+RES_TOL = 1e-10
+#: sweep steps a solve may take before it raises
+MAX_SWEEP_ITERS = 20_000
 
 
 @dataclass(frozen=True)
@@ -193,7 +180,9 @@ def _residual_after_step(spec, u_bg, v, v_new, dt, wp):
     return r, wp_new
 
 
-def _semi_implicit_sweep(p, spec, opts, tol):
+def _semi_implicit_sweep(p, spec, r, wp):
+    """Gradient-flow steps to :data:`NEWTON_SWITCH` from ``p``, whose
+    residual samples ``r`` and ``W'(u1)`` the caller holds."""
     grid, params = p.grid, p.params
     c0 = params.c0
     u_bg = p.background_on_grid()
@@ -201,26 +190,24 @@ def _semi_implicit_sweep(p, spec, opts, tol):
     v = p.v.copy()
     monotone_ok = True
 
-    # explicit treatment of W' is stable for dt < 2 / max|W''|
+    # explicit treatment of W' is stable for dt < 2 / max|W''|, and
+    # max|W''| > 0 for a potential with positive curvature at its wells
     probe = np.linspace(-params.b / 4.0, params.b / 4.0, 512)
-    wpp_max = float(np.max(np.abs(eval_potential(spec, probe, 2))))
-    dt_cap = 1.8 / wpp_max if wpp_max > 0 else opts.dt0
-    dt = min(opts.dt0, dt_cap)
-
-    r, wp = _force_balance(grid, spec, c0, u_bg, lam_bg, v)
+    dt_cap = 1.8 / float(np.max(np.abs(eval_potential(spec, probe, 2))))
+    dt = min(DT0, dt_cap)
     it = 0
     viol = monotonicity_violation(u_bg + v)
-    target = max(tol, NEWTON_SWITCH * params.G * params.b / params.d)
+    target = NEWTON_SWITCH * params.G * params.b / params.d
 
     def slack(res_linf):
         # transient slope wiggles scale like h * residual / c0; roundoff floor
         return 1e-10 * params.b + grid.h * res_linf / c0
 
     while np.max(np.abs(r)) > target:
-        if it >= opts.max_iters:
+        if it >= MAX_SWEEP_ITERS:
             rf = ResidualField(grid=grid, samples=r)
             raise ConvergenceError(
-                "pseudo-time iteration exhausted max_iters", rf.linf, rf.l2, it
+                "pseudo-time iteration exhausted MAX_SWEEP_ITERS", rf.linf, rf.l2, it
             )
         g = wp + c0 * lam_bg
         res_linf = float(np.max(np.abs(r)))
@@ -266,6 +253,8 @@ def _semi_implicit_sweep(p, spec, opts, tol):
 
 
 def _newton_polish(p, spec, tol):
+    """Newton steps from ``p`` to ``tol``; returns the profile, the steps
+    taken and the residual samples of the last accepted iterate."""
     grid, params = p.grid, p.params
     c0 = params.c0
     # the preconditioner inverts the far-field Jacobian c0 |xi| + w0, so the
@@ -307,39 +296,43 @@ def _newton_polish(p, spec, tol):
     else:
         rf = ResidualField(grid=grid, samples=r)
         raise ConvergenceError("Newton polish did not converge", rf.linf, rf.l2, steps)
-    return p.with_correction(v), steps
+    return p.with_correction(v), steps, r
 
 
-def solve_static(init: Profile, spec: PotentialSpec, opts: SolveOptions | None = None) -> SolveResult:
+def solve_static(init: Profile, spec: PotentialSpec) -> SolveResult:
     """Drive a profile to the static core structure.
 
     A semi-implicit gradient flow (unconditionally stable for the
-    nonlocal part) reduces the residual to the Newton switch level, then
-    a matrix-free Newton iteration with a Fourier-diagonal
-    preconditioner polishes to ``res_tol``.  Monotonicity of u1 is
-    enforced per accepted step by halving; persistent violations are
-    downgraded to a warning and flagged on the result.
+    nonlocal part) of at most :data:`MAX_SWEEP_ITERS` steps, the first
+    at most :data:`DT0`, reduces the residual to the Newton switch level,
+    then a matrix-free Newton iteration with a Fourier-diagonal
+    preconditioner polishes it to :data:`RES_TOL` ``G b / d``.
+    Monotonicity of u1 is enforced per accepted step by halving;
+    persistent violations are downgraded to a warning and flagged on the
+    result.
     """
-    opts = opts or SolveOptions()
     report = validate_potential(spec)
     if not report.passed:
         raise ValueError(f"misfit potential fails structural checks: {report}")
-    tol = opts.resolved_tol(init.params)
+    prm = init.params
+    tol = RES_TOL * prm.G * prm.b / prm.d
 
-    r0 = residual(init, spec)
+    wp = eval_potential(spec, init.u1, 1)
+    r0 = residual(init, spec, wp=wp)
     if r0.linf <= tol:
         return SolveResult(profile=init, residual=r0, iterations=0,
                            newton_steps=0, monotone=is_monotone_decreasing(init))
 
-    p, iters, monotone_ok = _semi_implicit_sweep(init, spec, opts, tol)
+    p, iters, monotone_ok = _semi_implicit_sweep(init, spec, r0.samples, wp)
+    del r0, wp  # the polish needs neither: free them before its Krylov vectors
     # absorb any core drift into the background center first: the
     # correction must not carry translation content (see rebase_center)
     try:
         p = rebase_center(p)
     except ValueError:
         pass  # no unique crossing; polish in the current split
-    p, newton_steps = _newton_polish(p, spec, tol)
-    rf = residual(p, spec)
+    p, newton_steps, r = _newton_polish(p, spec, tol)
+    rf = ResidualField(grid=p.grid, samples=r)
     if rf.linf > tol:
         raise ConvergenceError("solver stalled above tolerance", rf.linf, rf.l2, iters)
     monotone = is_monotone_decreasing(p)

@@ -28,7 +28,6 @@ from .config import (
     energy_perturbations,
     energy_quadrature,
     run_setup,
-    solve_options,
 )
 from .dynamics import (
     RunOptions,
@@ -125,7 +124,7 @@ class SuiteContext:
         self.params, self.grid, self.spec = run_setup(self.cfg)
         self.analytic = analytic_profile(self.grid, self.params)
         init = tanh_profile(self.grid, self.params)
-        self.solved = solve_static(init, self.spec, solve_options(self.cfg)).profile
+        self.solved = solve_static(init, self.spec).profile
         _, self.solved_centered = center_profile(self.solved)
 
     @property

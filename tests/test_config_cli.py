@@ -51,15 +51,11 @@ def test_nu_out_of_range_names_key():
     ("L_over_zeta", "inf"),
     ("dynamics_dt", "-1"),
     ("dynamics_dt", "nan"),
-    ("static_max_iters", "0"),
     ("energy_quad_levels", "0"),
     ("energy_quad_levels", "1"),  # one geometric level would drop y_max
     ("energy_n_perturbations", "-1"),
     ("energy_y_max_over_zeta", "-1"),
     ("energy_y_max_over_zeta", "0.01"),  # below the first level, zeta/50
-    ("static_dt0", "0"),
-    ("static_res_tol", "0"),
-    ("static_res_tol", "-1e-12"),
     ("dynamics_T_end", "0"),
     ("ylevels_count", "0"),
     ("ylevels_y_min_over_zeta", "0"),
@@ -230,16 +226,23 @@ def test_cli_dynamics_rejects_snapshots_sharing_a_file(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
-@pytest.mark.parametrize("content, detail", [
-    (None, "No such file"),
-    ("u,W\n0.0,1.0\n0.1\n", "line 3"),  # one field
-    ("u,W\n0.0,1.0\n0.1,one\n", "line 3"),  # not a number
-], ids=["missing", "one_field", "not_a_number"])
-def test_cli_bad_potential_table_names_key(tmp_path, capsys, content, detail):
+#: 1 - cos(4 pi u / b) on 64 samples: maxima where the wells should be
+_INVERTED_WELLS = "u,W\n" + "".join(
+    f"{u:.17g},{1.0 - np.cos(4.0 * np.pi * u):.17g}\n" for u in np.arange(64) / 128.0)
+
+
+@pytest.mark.parametrize("content, detail, command", [
+    (None, "No such file", "solve-static"),
+    ("u,W\n0.0,1.0\n0.1\n", "line 3", "solve-static"),  # one field
+    ("u,W\n0.0,1.0\n0.1,one\n", "line 3", "solve-static"),  # not a number
+    # a table that loads but fails validate_potential
+    (_INVERTED_WELLS, "fails structural checks", "dynamics"),
+], ids=["missing", "one_field", "not_a_number", "inverted_wells"])
+def test_cli_bad_potential_table_names_key(tmp_path, capsys, content, detail, command):
     table = tmp_path / "potential.csv"
     if content is not None:
         table.write_text(content)
-    rc = main(_fast_overrides(tmp_path, potential=f"table:{table}") + ["solve-static"])
+    rc = main(_fast_overrides(tmp_path) + ["--potential", f"table:{table}", command])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert "config key 'potential'" in err and detail in err
@@ -333,7 +336,8 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 
 @pytest.mark.parametrize("key", ["seed", "format_version", "static_newton", "dynamics_adapt",
-                                 "ylevels_mirrored"])
+                                 "ylevels_mirrored", "static_dt0", "static_res_tol",
+                                 "static_max_iters"])
 def test_removed_config_key_is_unknown(tmp_path, capsys, key):
     rc = main(["--set", f"{key}=1", "--output", str(tmp_path / "x"), "solve-static"])
     assert rc == 2
@@ -355,6 +359,25 @@ def test_every_config_key_is_read():
                     and ast.unparse(node.value).split(".")[-1] in owners):
                 read.add(node.attr)
     assert [f.name for f in fields(RunConfig) if f.name not in read] == []
+
+
+def test_settable_values_are_counted():
+    # what a caller can set: the config keys, the CLI's options (the
+    # command included, --help not) and the fields of the objects a
+    # library caller builds around a solve and a run
+    import argparse
+
+    from pnedge.cli import _build_parser
+    from pnedge.dynamics import RunOptions
+    from pnedge.extension import YLevels
+    from pnedge.profile import Profile
+
+    options = [a for a in _build_parser()._actions if not isinstance(a, argparse._HelpAction)]
+    counts = {"RunConfig": len(fields(RunConfig)), "cli": len(options),
+              "RunOptions": len(fields(RunOptions)), "Profile": len(fields(Profile)),
+              "YLevels": len(fields(YLevels))}
+    assert counts == {"RunConfig": 24, "cli": 7, "RunOptions": 2, "Profile": 5, "YLevels": 1}
+    assert sum(counts.values()) == 39
 
 
 def test_cli_entry_point_runs():

@@ -15,7 +15,6 @@ from pnedge.params import PhysParams
 from pnedge.potential import from_table, frenkel
 from pnedge.profile import Profile, analytic_profile, background, tanh_profile
 from pnedge.static import (
-    SolveOptions,
     burgers_density,
     center_profile,
     decay_coefficients,
@@ -264,14 +263,133 @@ def test_solver_rejects_bad_potential(grid, params):
         solve_static(analytic_profile(grid, params), bad)
 
 
-def test_max_iters_exhaustion(grid, params, spec):
+def test_max_iters_exhaustion(grid, params, spec, monkeypatch):
     from pnedge.errors import ConvergenceError
 
     init = tanh_profile(grid, params)
+    monkeypatch.setattr(static, "MAX_SWEEP_ITERS", 1)
     with pytest.raises(ConvergenceError) as exc:
-        solve_static(init, spec, SolveOptions(max_iters=1))
+        solve_static(init, spec)
     assert exc.value.linf > 0
     assert exc.value.iterations == 1
+
+
+def _eps_table(params, eps=0.05, samples=64):
+    """Frenkel plus ``eps`` times the harmonic ``1 - cos(8 pi u / b)``."""
+    a = params.G * params.b**2 / (4.0 * np.pi**2 * params.d)
+    u = np.arange(samples) * params.b / (2.0 * samples)
+    w = (a * (1.0 + np.cos(4.0 * np.pi * u / params.b))
+         + eps * a * (1.0 - np.cos(8.0 * np.pi * u / params.b)))
+    return from_table(params, np.column_stack([u, w]))
+
+
+@pytest.mark.parametrize("start, potential, counts", [
+    ("tanh", "frenkel", (12, 2, 0)),
+    # a background of the wrong width rings across the wrap (ROADMAP item 1)
+    ("background:2", "frenkel", (12, 3, 2)),
+    ("tanh", "table", (12, 3, 1)),
+])
+def test_result_residual_is_the_residual_of_the_result(grid, params, spec, start,
+                                                       potential, counts):
+    """The residual a solve returns is the one its profile has, bit for bit,
+    though the solve evaluates it no more after the polish."""
+    init = (tanh_profile(grid, params) if start == "tanh"
+            else Profile(grid=grid, params=params, zeta_bg=2.0 * params.zeta))
+    pot = spec if potential == "frenkel" else _eps_table(params)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = solve_static(init, pot)
+    ref = residual(res.profile, pot).samples
+    assert res.residual.samples.tobytes() == ref.tobytes()
+    assert all(issubclass(w.category, static.MonotonicityWarning) for w in caught)
+    assert (res.iterations, res.newton_steps, len(caught)) == counts
+    assert res.monotone == (len(caught) == 0)
+
+
+# ---------------------------------------------------------------------------
+# failure paths of solve_static
+# ---------------------------------------------------------------------------
+
+def test_sweep_divergence_guard_underflows(grid, params, spec, monkeypatch):
+    """A step whose residual more than doubles is halved, and a step halved
+    below 1e-12 of the cap raises."""
+    from pnedge.errors import ConvergenceError
+
+    trials = []
+
+    def diverging(spec_, u_bg, v, v_new, dt, wp):
+        trials.append(dt)
+        return np.full_like(v, 1e6), wp
+
+    monkeypatch.setattr(static, "_residual_after_step", diverging)
+    with pytest.raises(ConvergenceError, match="pseudo-time step underflow") as exc:
+        solve_static(tanh_profile(grid, params), spec)
+    assert exc.value.iterations == 0
+    # 2**-40 is the first halving below 1e-12
+    assert trials == [trials[0] * 0.5**k for k in range(40)]
+
+
+def _polish_with(monkeypatch, scale, info=0):
+    """Make each Newton step ``scale`` times MINRES's solution, with ``info``."""
+    minres = static.minres
+
+    def scaled(matvec, b, psolve, rtol, **kwargs):
+        x, _ = minres(matvec, b, psolve, rtol, **kwargs)
+        return scale * x, info
+
+    monkeypatch.setattr(static, "minres", scaled)
+
+
+def test_newton_without_improvement_stalls(grid, params, spec, monkeypatch):
+    """A Newton direction no step length improves is backtracked 8 times,
+    the polish stops, and the solve raises above tolerance."""
+    from pnedge.errors import ConvergenceError
+
+    balances = []
+    force_balance = static._force_balance
+
+    def counted(*args):
+        balances.append(1)
+        return force_balance(*args)
+
+    monkeypatch.setattr(static, "_force_balance", counted)
+    _polish_with(monkeypatch, 0.0)
+    with pytest.raises(ConvergenceError, match="solver stalled above tolerance") as exc:
+        solve_static(tanh_profile(grid, params), spec)
+    assert len(balances) == 8
+    assert exc.value.linf > static.RES_TOL
+    assert exc.value.iterations == 12
+
+
+def test_newton_polish_exhaustion(grid, params, spec, monkeypatch):
+    """Newton steps that each shrink the residual by only about 10% run out
+    after 30 steps."""
+    from pnedge.errors import ConvergenceError
+
+    _polish_with(monkeypatch, 0.1)
+    with pytest.raises(ConvergenceError, match="Newton polish did not converge") as exc:
+        solve_static(tanh_profile(grid, params), spec)
+    assert exc.value.iterations == 30
+    assert exc.value.linf > static.RES_TOL
+
+
+def test_minres_info_is_warned(grid, params, spec, monkeypatch):
+    _polish_with(monkeypatch, 1.0, info=5)
+    with pytest.warns(UserWarning, match="inner minres returned info=5"):
+        res = solve_static(tanh_profile(grid, params), spec)
+    assert res.residual.linf <= static.RES_TOL
+    assert (res.iterations, res.newton_steps) == (12, 2)
+
+
+def test_polish_keeps_the_split_when_rebase_fails(grid, params, spec, monkeypatch):
+    def no_crossing(p):
+        raise ValueError("profile must cross zero exactly once")
+
+    monkeypatch.setattr(static, "rebase_center", no_crossing)
+    res = solve_static(tanh_profile(grid, params), spec)
+    assert res.residual.linf <= static.RES_TOL
+    assert res.profile.x0 == 0.0 and res.profile.zeta_bg == params.zeta
+    assert res.monotone
 
 
 # ---------------------------------------------------------------------------
@@ -334,16 +452,17 @@ def test_transform_budget_of_the_default_solve(grid, params, spec, monkeypatch):
     krylov = sum(psolves) - len(psolves)
     assert (res.iterations, res.newton_steps, trials, krylov) == (12, 2, 12, 20)
     assert step_transforms == 2 * trials
-    # the sweep: one force balance up front, then its trial steps alone
-    assert phases["_semi_implicit_sweep"][1] == 2 + 2 * trials
+    # the sweep: its trial steps alone, from the solve's residual
+    assert phases["_semi_implicit_sweep"][1] == 2 * trials
     # MINRES: one preconditioner up front, then one per iteration
     assert phases["minres"][1] == 2 * len(psolves) + 2 * krylov
     # the polish: a residual, its MINRES solves and the backtracking trials
-    assert phases["_newton_polish"][1] == 2 + phases["minres"][1] + 2 * (balances - 1)
-    # the solve: a residual up front, the centre crossing and a final residual
+    assert phases["_newton_polish"][1] == 2 + phases["minres"][1] + 2 * balances
+    # the solve: a residual up front and the centre crossing; the result
+    # carries the polish's last residual
     assert phases["rebase_center"][1] == 1
-    assert total == phases["_semi_implicit_sweep"][1] + phases["_newton_polish"][1] + 5
-    assert total == 81
+    assert total == phases["_semi_implicit_sweep"][1] + phases["_newton_polish"][1] + 3
+    assert total == 77
 
 
 @pytest.mark.parametrize("L_over, N", [(200, 4096), (800, 16384)])
@@ -380,7 +499,7 @@ def test_sweep_residual_from_the_update_matches_the_transform(params, spec, monk
     _, wp = static._force_balance(grid, spec, c0, u_bg, lam_bg, init.v)
     g = wp + c0 * lam_bg
     for k in range(static.MAX_HALVINGS + 1):
-        dt = SolveOptions().dt0 * 0.5**k
+        dt = static.DT0 * 0.5**k
         v_new = static.semi_implicit_step(grid, init.v, g, dt, c0)
         compare(*from_update(spec, u_bg, init.v, v_new, dt, wp), u_bg, init.v, v_new, dt, wp)
     assert max(ratios) <= 4.0
