@@ -20,7 +20,7 @@ def main():
     s0 = dynamics_start(cfg, grid, params, spec)
     ref = s0.reference
 
-    state, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions(dt=cfg.dynamics_dt))
+    state, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions())
     arr = trace.as_arrays()
     print(f"{'t':>7} {'F':>12} {'Q':>12} {'residual':>12}")
     for k in range(0, len(arr["times"]), 50):

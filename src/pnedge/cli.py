@@ -22,14 +22,19 @@ from .config import (
     box_radii,
     dynamics_start,
     energy_perturbations,
-    energy_quadrature,
     initial_profile,
     parse_config,
     run_setup,
     snapshot_times,
 )
 from .dynamics import RunOptions, run_dynamics
-from .energy import HalfPlaneTables, energy_breakdown, log_divergence_fit, misfit_energy
+from .energy import (
+    BoxQuadrature,
+    HalfPlaneTables,
+    energy_breakdown,
+    log_divergence_fit,
+    misfit_energy,
+)
 from .errors import TimeStepUnderflowError
 from .extension import PARITY, YLevels, dtn_traction, extend_to_half_planes, stress_field
 from .io import prepare_output_dir, write_csv, write_field_csv, write_manifest
@@ -53,8 +58,6 @@ def _build_parser() -> argparse.ArgumentParser:
     ap.add_argument("--output", help="output directory (overrides config)")
     ap.add_argument("--overwrite", action="store_true",
                     help="allow writing into a directory that already holds results")
-    ap.add_argument("--N", type=int, help="override the grid sample count")
-    ap.add_argument("--potential", help="frenkel or table:<path>")
     ap.add_argument("--set", action="append", default=[], metavar="KEY=VALUE",
                     help="override any config key (repeatable)")
     ap.add_argument("command",
@@ -71,10 +74,6 @@ def _config_from_args(args) -> RunConfig:
         overrides[key.strip()] = value.strip()
     if args.output is not None:
         overrides["output"] = args.output
-    if args.N is not None:
-        overrides["N"] = str(args.N)
-    if args.potential is not None:
-        overrides["potential"] = args.potential
     if args.overwrite:
         overrides["overwrite"] = "true"
     return parse_config(args.config, overrides)
@@ -164,11 +163,11 @@ def cmd_extend(cfg: RunConfig) -> int:
 
 def cmd_energy(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
+    radii = box_radii(cfg)
     params, grid, spec = run_setup(cfg)
     profile = _solve(cfg, grid, params, spec).profile
-    radii = box_radii(cfg)
     E_box, slope, intercept, r2 = log_divergence_fit(profile, radii)
-    tables = HalfPlaneTables.build(profile, energy_quadrature(cfg, params))
+    tables = HalfPlaneTables.build(profile, BoxQuadrature.for_params(params))
     # per-profile values, kept in each perturbation's record of energy.json
     profile_pieces = {"E_mis": misfit_energy(profile, spec), "E_els_box": E_box[-1],
                       "box_radius": radii[-1]}
@@ -200,7 +199,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     params, grid, spec = run_setup(cfg)
     s0 = dynamics_start(cfg, grid, params, spec)
-    opts = RunOptions(dt=cfg.dynamics_dt, method=cfg.dynamics_method)
+    opts = RunOptions(method=cfg.dynamics_method)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
     snaps = snapshot_times(cfg)
     snapshots = {}
@@ -242,6 +241,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
+    box_radii(cfg)  # check 09 reads them: reject a bad radius before the suite runs
     results = run_validation(cfg)
     for r in results:
         print(r.line())

@@ -1,8 +1,10 @@
 """Run configuration: plain-text key = value files with flag overrides.
 
-The echoed form lists every key (defaults made explicit, derived
-``zeta`` included) and parses back to an identical configuration, which
-is what the output manifests hash.
+File lines and flag pairs take one path into the configuration, and the
+result is validated once, after the flags, so a flag may replace a file
+value that would be rejected on its own.  The echoed form lists every
+key (defaults made explicit, derived ``zeta`` included) and parses back
+to an identical configuration, which is what the output manifests hash.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ from typing import Optional
 import numpy as np
 
 from .dynamics import DynamicsState
-from .energy import BoxQuadrature, Perturbation, _first_level, seeded_perturbations
+from .energy import Perturbation, _first_level, seeded_perturbations
 from .grid import Grid1D, build_grid
 from .params import PhysParams
 from .potential import PotentialSpec, frenkel, from_csv, validate_potential
@@ -63,11 +65,8 @@ class RunConfig:
     # energy block
     energy_box_radii_over_zeta: str = "5,10,20,40"
     energy_n_perturbations: int = 10
-    energy_quad_levels: int = 192
-    energy_y_max_over_zeta: float = 400.0
     energy_pert_seed: int = 2024
     # dynamics block
-    dynamics_dt: float = 0.1
     dynamics_T_end: float = 50.0
     dynamics_method: str = "semi_implicit"
     dynamics_bump_amp: float = 0.1
@@ -97,14 +96,14 @@ class RunConfig:
             raise ValueError("config key 'dynamics_method' must be semi_implicit or etd")
         if not (self.potential == "frenkel" or self.potential.startswith("table:")):
             raise ValueError("config key 'potential' must be 'frenkel' or 'table:<path>'")
-        radii = box_radii(self)
+        radii = _radii(self)
         # a box quadrature starts at the first level: a radius must lie beyond it
+        # (the bound by L/2 is box_radii's, checked by the commands that read them)
         y_min = _first_level(self.params)
-        if len(set(radii)) < 2 or not all(y_min < r <= self.L_over_zeta * self.zeta / 2.0
-                                          for r in radii):
+        if len(set(radii)) < 2 or not all(y_min < r < math.inf for r in radii):
             raise ValueError(
                 "config key 'energy_box_radii_over_zeta' must list at least two distinct "
-                f"radii in (1/50, L_over_zeta/2], got {self.energy_box_radii_over_zeta!r}")
+                f"finite radii above 1/50, got {self.energy_box_radii_over_zeta!r}")
         times = snapshot_times(self)
         if not all(0.0 < t <= self.dynamics_T_end for t in times):
             raise ValueError(
@@ -114,11 +113,6 @@ class RunConfig:
             raise ValueError("config key 'dynamics_snapshot_times' must name distinct files "
                              f"snapshot_t<t:g>.csv, got {self.dynamics_snapshot_times!r}")
         parse_static_init(self)
-        try:
-            energy_quadrature(self, self.params)
-        except ValueError as exc:
-            key = "energy_quad_levels" if "n_levels" in str(exc) else "energy_y_max_over_zeta"
-            raise ValueError(f"config key '{key}': {exc}") from None
 
     @property
     def params(self) -> PhysParams:
@@ -140,28 +134,38 @@ class RunConfig:
 _FIELD_TYPES = {f.name: f.type for f in fields(RunConfig)}
 
 #: keys whose value must be > 0 (floats are also checked for finiteness)
-_POSITIVE_KEYS = ("L_over_zeta", "dynamics_dt", "dynamics_T_end", "energy_quad_levels",
-                  "energy_n_perturbations", "energy_y_max_over_zeta", "ylevels_count",
-                  "ylevels_y_min_over_zeta", "ylevels_y_max_over_zeta")
+_POSITIVE_KEYS = ("L_over_zeta", "dynamics_T_end", "dynamics_bump_width_over_zeta",
+                  "energy_n_perturbations", "ylevels_count", "ylevels_y_min_over_zeta",
+                  "ylevels_y_max_over_zeta")
+
+#: the parser of a value's text, by its key's type
+_PARSERS = {"bool": _parse_bool, "int": int, "float": float, "str": str}
 
 
-def _coerce(key: str, text: str):
-    ftype = _FIELD_TYPES[key]
-    text = text.strip()
-    if ftype == "bool":
-        return _parse_bool(text)
-    if ftype == "int":
-        return int(text)
-    if ftype == "float":
-        return float(text)
-    return text
-
-
-def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
-    """Parse key = value lines; unknown keys are rejected by name."""
-    cfg = base or RunConfig()
+def _updated(cfg: RunConfig, items) -> RunConfig:
+    """``cfg`` with each ``(key, text)`` of ``items`` set, not yet validated:
+    the one path of file lines and flag pairs.  An unknown key, or a text
+    that is not of its key's type, is rejected by name."""
     updates = {}
-    zeta_seen = None
+    for key, text in items:
+        if key not in _FIELD_TYPES:
+            raise ValueError(f"unknown config key '{key}'")
+        ftype, text = _FIELD_TYPES[key], str(text).strip()
+        try:
+            updates[key] = _PARSERS[ftype](text)
+        except ValueError:
+            raise ValueError(f"config key '{key}' must parse as {ftype}, got {text!r}") from None
+    return replace(cfg, **updates)
+
+
+def _file_config(text: str) -> RunConfig:
+    """The defaults updated by the ``key = value`` lines of a config file.
+
+    A ``zeta`` line (the echo's derived value) must agree with the
+    file's own d and nu; when those are out of range it is not checked,
+    and validation rejects them unless a flag replaces them.
+    """
+    items, zeta = [], None
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -170,35 +174,32 @@ def parse_config_text(text: str, base: RunConfig | None = None) -> RunConfig:
             raise ValueError(f"line {lineno}: expected 'key = value', got {raw!r}")
         key, value = (part.strip() for part in line.split("=", 1))
         if key == "zeta":
-            zeta_seen = float(value)
-            continue
-        if key not in _FIELD_TYPES:
-            raise ValueError(f"line {lineno}: unknown config key '{key}'")
-        updates[key] = _coerce(key, value)
-    cfg = replace(cfg, **updates)
+            zeta = float(value)
+        else:
+            items.append((key, value))
+    cfg = _updated(RunConfig(), items)
+    if zeta is not None:
+        try:
+            derived = cfg.zeta
+        except ValueError:  # a physical value out of range: a flag may replace it
+            return cfg
+        if abs(zeta - derived) > 1e-12 * max(1.0, derived):
+            raise ValueError(
+                f"config key 'zeta' = {zeta} inconsistent with d/(2(1-nu)) = {derived}")
+    return cfg
+
+
+def parse_config_text(text: str, overrides: dict | None = None) -> RunConfig:
+    """The configuration of a config file's text with ``overrides`` (key to
+    value) on top, validated once."""
+    cfg = _updated(_file_config(text), (overrides or {}).items())
     cfg.validate()
-    if zeta_seen is not None and abs(zeta_seen - cfg.zeta) > 1e-12 * max(1.0, cfg.zeta):
-        raise ValueError(
-            f"config key 'zeta' = {zeta_seen} inconsistent with d/(2(1-nu)) = {cfg.zeta}"
-        )
     return cfg
 
 
 def parse_config(path=None, overrides: dict | None = None) -> RunConfig:
     """Load a config file (optional) and apply flag overrides on top."""
-    cfg = RunConfig()
-    if path is not None:
-        text = Path(path).read_text()
-        cfg = parse_config_text(text, cfg)
-    if overrides:
-        updates = {}
-        for key, value in overrides.items():
-            if key not in _FIELD_TYPES:
-                raise ValueError(f"unknown config key '{key}'")
-            updates[key] = _coerce(key, str(value))
-        cfg = replace(cfg, **updates)
-    cfg.validate()
-    return cfg
+    return parse_config_text(Path(path).read_text() if path is not None else "", overrides)
 
 
 def _floats(key: str, text: str) -> list[float]:
@@ -210,9 +211,21 @@ def _floats(key: str, text: str) -> list[float]:
                          f"got {text!r}") from None
 
 
-def box_radii(cfg: RunConfig) -> list[float]:
+def _radii(cfg: RunConfig) -> list[float]:
     return [r * cfg.zeta for r in _floats("energy_box_radii_over_zeta",
                                           cfg.energy_box_radii_over_zeta)]
+
+
+def box_radii(cfg: RunConfig) -> list[float]:
+    """The radii of the boxed elastic energies.  A box must fit in the
+    grid, so each radius is at most L/2; only the commands that read the
+    radii (``energy`` and ``validate``) require that."""
+    radii = _radii(cfg)
+    if max(radii) > cfg.L_over_zeta * cfg.zeta / 2.0:
+        raise ValueError(
+            "config key 'energy_box_radii_over_zeta' must not exceed L_over_zeta/2 = "
+            f"{cfg.L_over_zeta / 2.0:g}, got {cfg.energy_box_radii_over_zeta!r}")
+    return radii
 
 
 def snapshot_times(cfg: RunConfig) -> list[float]:
@@ -271,12 +284,6 @@ def initial_profile(cfg: RunConfig, grid: Grid1D, params: PhysParams) -> Profile
     if kind == "analytic":
         return analytic_profile(grid, params)
     return Profile(grid=grid, params=params, zeta_bg=width * params.zeta)
-
-
-def energy_quadrature(cfg: RunConfig, params: PhysParams) -> BoxQuadrature:
-    """The half-plane quadrature of the perturbed energies."""
-    return BoxQuadrature.for_params(params, y_max_factor=cfg.energy_y_max_over_zeta,
-                                    n_levels=cfg.energy_quad_levels)
 
 
 def energy_perturbations(cfg: RunConfig, grid: Grid1D,

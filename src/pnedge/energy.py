@@ -89,7 +89,7 @@ class BoxQuadrature:
 
     y_min: float
     y_max: float
-    n_levels: int = 160
+    n_levels: int
 
     def __post_init__(self):
         """Reject node sets whose geometric part would not increase (their
@@ -101,10 +101,10 @@ class BoxQuadrature:
             raise ValueError(f"quadrature needs n_levels >= 2, got {self.n_levels}")
 
     @classmethod
-    def for_params(cls, params: PhysParams, y_max_factor: float = 400.0,
-                   n_levels: int = 160) -> "BoxQuadrature":
-        return cls(y_min=_first_level(params), y_max=y_max_factor * params.zeta,
-                   n_levels=n_levels)
+    def for_params(cls, params: PhysParams) -> "BoxQuadrature":
+        """The quadrature of the perturbed energies: 192 levels from the
+        first level, zeta/50, up to 400 zeta."""
+        return cls(y_min=_first_level(params), y_max=400.0 * params.zeta, n_levels=192)
 
     def nodes_weights(self) -> tuple[np.ndarray, np.ndarray]:
         """Nodes ``{0} + geometric(y_min, y_max, n_levels)`` and their trapezoid weights."""
@@ -133,10 +133,10 @@ class Perturbation:
             raise ValueError(f"trace has shape {phi.shape}, expected ({self.grid.N},)")
         object.__setattr__(self, "phi1", phi)
 
-    def check_decay(self, b: float, tol: float = 1e-8) -> bool:
-        """|phi1| below tol*b outside the central half of the grid."""
+    def check_decay(self, b: float) -> bool:
+        """|phi1| below 1e-8 b outside the central half of the grid."""
         outside = np.abs(self.grid.x) > self.grid.L / 2.0
-        return bool(np.all(np.abs(self.phi1[outside]) <= tol * b))
+        return bool(np.all(np.abs(self.phi1[outside]) <= 1e-8 * b))
 
 
 def seeded_perturbations(
@@ -317,16 +317,14 @@ def _cross_table(p: Profile, quad: BoxQuadrature) -> np.ndarray:
     G, nu = prm.G, prm.nu
     q = grid.xi_r
     xs = grid.x - p.x0
-    v_hat = rfft(p.v) if np.any(p.v) else None
+    v_hat = rfft(p.v)
     acc = np.zeros(len(q), dtype=complex)
     for y, wts in _level_chunks(*quad.nodes_weights()):
         m11, m22, m12 = _parseval_multipliers(_strain_multipliers(q, y, nu))
         s11, s12, s22, _ = _analytic_stress(xs, y, G, prm.b, nu, p.zeta_bg, +1.0)
         S11, S22, S12 = rfft(np.stack([s11, s22, s12]))
-        if v_hat is not None:
-            c11, c12, c22, _ = strains_to_stresses(m11 * v_hat, m22 * v_hat, m12 * v_hat,
-                                                   G, nu)
-            S11, S12, S22 = S11 + c11, S12 + c12, S22 + c22
+        c11, c12, c22, _ = strains_to_stresses(m11 * v_hat, m22 * v_hat, m12 * v_hat, G, nu)
+        S11, S12, S22 = S11 + c11, S12 + c12, S22 + c22
         rows = m11 * np.conj(S11) + m22 * np.conj(S22) + 2.0 * m12 * np.conj(S12)
         for wt, row in zip(wts, rows):
             acc += wt * row
@@ -429,31 +427,27 @@ def elastic_energy_box(
     wx = _trapezoid_weights(xw)
     xw = xw - p.x0
 
-    has_v = bool(np.any(p.v))
-    if has_v:
-        # correction stresses live on the periodic grid; restrict to the
-        # window |x| <= R, one index range of the sorted nodes
-        v_hat = rfft(p.v)
-        x = p.grid.x
-        win = slice(np.searchsorted(x, -R), np.searchsorted(x, R, side="right"))
-        xg = x[win] - p.x0
-        wxg = np.full(xg.shape, p.grid.h)
+    # correction stresses live on the periodic grid; restrict to the
+    # window |x| <= R, one index range of the sorted nodes
+    v_hat = rfft(p.v)
+    x = p.grid.x
+    win = slice(np.searchsorted(x, -R), np.searchsorted(x, R, side="right"))
+    xg = x[win] - p.x0
+    wxg = np.full(xg.shape, p.grid.h)
 
     total = 0.0
     for y, wts in _level_chunks(ys, wy):
         s11, s12, s22, _ = _analytic_stress(xw, y, G, prm.b, nu, p.zeta_bg, +1.0)
         bg = np.sum(wx * density(s11, s12, s22), axis=-1)
-        if has_v:
-            ev = _strains_of_spectrum(p.grid, v_hat, nu, y)
-            c11, c12, c22, _ = strains_to_stresses(*(e[:, win] for e in ev), G, nu)
-            b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
-            corr = np.sum(wxg * (density(b11 + c11, b12 + c12, b22 + c22)
-                                 - density(b11, b12, b22)), axis=-1)
+        ev = _strains_of_spectrum(p.grid, v_hat, nu, y)
+        c11, c12, c22, _ = strains_to_stresses(*(e[:, win] for e in ev), G, nu)
+        b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
+        corr = np.sum(wxg * (density(b11 + c11, b12 + c12, b22 + c22)
+                             - density(b11, b12, b22)), axis=-1)
         # level by level in node order, so the sum rounds as a level loop's
         for i, wt in enumerate(wts):
             total += wt * float(bg[i])
-            if has_v:
-                total += wt * float(corr[i])
+            total += wt * float(corr[i])
     return 2.0 * total
 
 

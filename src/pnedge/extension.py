@@ -248,18 +248,17 @@ class StressField:
 def _upper_half_walk(p: Profile, ys: np.ndarray, n_fields: int, core, correction):
     """``n_fields`` (level, x) arrays of a profile at the heights ``ys``: the
     core's closed form ``core(x - x0, y)``, written into a chunk's rows, plus
-    the correction's spectral field ``correction(rfft(v), y)`` added in place
-    (unless v is zero), with ``y`` a column of the chunk's heights."""
+    the correction's spectral field ``correction(rfft(v), y)`` added in place,
+    with ``y`` a column of the chunk's heights."""
     grid = p.grid
     xs = grid.x - p.x0
-    v_hat = rfft(p.v) if np.any(p.v) else None
+    v_hat = rfft(p.v)
     out = [np.empty((len(ys), grid.N)) for _ in range(n_fields)]
     for y, *rows in _level_chunks(ys, *out):
         for row, values in zip(rows, core(xs, y)):
             row[...] = values
-        if v_hat is not None:
-            for row, values in zip(rows, correction(v_hat, y)):
-                row += values
+        for row, values in zip(rows, correction(v_hat, y)):
+            row += values
     return out
 
 

@@ -112,14 +112,13 @@ def analytic_profile(grid: Grid1D, params: PhysParams) -> Profile:
     return Profile(grid=grid, params=params, zeta_bg=params.zeta)
 
 
-def tanh_profile(grid: Grid1D, params: PhysParams, width: float | None = None) -> Profile:
+def tanh_profile(grid: Grid1D, params: PhysParams) -> Profile:
     """A tanh-shaped initial guess expressed as background plus correction.
 
-    ``u1 = -(b/4) tanh(x / width)`` has the right far field and
+    ``u1 = -(b/4) tanh(x / zeta)`` has the right far field and
     monotonicity but is not a solution; its deviation from the arctan
     background decays like 1/x and lands in the correction.
     """
-    width = params.zeta if width is None else width
-    u1 = -(params.b / 4.0) * np.tanh(grid.x / width)
+    u1 = -(params.b / 4.0) * np.tanh(grid.x / params.zeta)
     v = u1 - background(grid.x, params.b, params.zeta, 0.0)
     return Profile(grid=grid, params=params, zeta_bg=params.zeta, x0=0.0, v=v)

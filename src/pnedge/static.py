@@ -94,10 +94,7 @@ class SolveResult:
 
 def half_laplacian_profile(p: Profile) -> np.ndarray:
     """``(-d_xx)^{1/2} u1``: closed-form background plus spectral correction."""
-    out = p.half_laplacian_background()
-    if np.any(p.v):
-        out = out + apply_half_laplacian(p.grid, p.v)
-    return out
+    return p.half_laplacian_background() + apply_half_laplacian(p.grid, p.v)
 
 
 def residual(p: Profile, spec: PotentialSpec, wp: np.ndarray | None = None,
@@ -442,7 +439,7 @@ def burgers_density(p: Profile) -> tuple[np.ndarray, float]:
     """
     grid = p.grid
     dbg = background_derivative(grid.x, p.params.b, p.zeta_bg, p.x0)
-    dv = spectral_derivative(grid, p.v) if np.any(p.v) else 0.0
+    dv = spectral_derivative(grid, p.v)
     rho = -2.0 * (dbg + dv)
     left, right = p.boundary_values()
     tail = 2.0 * (p.params.b / 4.0 + right) + 2.0 * (p.params.b / 4.0 - left)

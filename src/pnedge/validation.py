@@ -26,7 +26,6 @@ from .config import (
     box_radii,
     dynamics_start,
     energy_perturbations,
-    energy_quadrature,
     run_setup,
 )
 from .dynamics import (
@@ -129,8 +128,8 @@ class SuiteContext:
 
     @property
     def quad(self) -> BoxQuadrature:
-        """The configured half-plane quadrature."""
-        return energy_quadrature(self.cfg, self.params)
+        """The half-plane quadrature of the perturbed energies."""
+        return BoxQuadrature.for_params(self.params)
 
     @cached_property
     def tables(self) -> HalfPlaneTables:
@@ -452,7 +451,7 @@ def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
     ref = s0.reference
 
     # the suite checks the semi-implicit run whatever dynamics_method says
-    send, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions(dt=cfg.dynamics_dt))
+    send, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions())
     arr = trace.as_arrays()
     f_tol = 1e-10 * ctx.energy_scale
     f_increase = float(np.max(np.diff(arr["F_values"])))

@@ -1,3 +1,6 @@
+import os
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -32,6 +35,18 @@ def analytic(grid, params):
 def solved(grid, params, spec):
     """Static profile solved once from the tanh initial guess."""
     return solve_static(tanh_profile(grid, params), spec).profile
+
+
+@pytest.fixture(scope="session")
+def pnedge_env():
+    """``pnedge_env(**extra)``: this process's environment plus ``extra``,
+    with the imported package's source directory first on PYTHONPATH, so
+    a subprocess imports the same pnedge."""
+    import pnedge
+
+    src = str(Path(pnedge.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return lambda **extra: {**os.environ, **extra, "PYTHONPATH": path}
 
 
 @pytest.fixture()

@@ -2,7 +2,6 @@
 
 import ast
 import json
-import os
 import subprocess
 import sys
 from dataclasses import fields
@@ -49,14 +48,18 @@ def test_nu_out_of_range_names_key():
 @pytest.mark.parametrize("key, value", [
     ("G", "nan"),
     ("L_over_zeta", "inf"),
+    ("N", "4096.5"),  # not an int
+    ("overwrite", "maybe"),  # not a bool
+    # removed keys: whatever the value, unknown by name
     ("dynamics_dt", "-1"),
     ("dynamics_dt", "nan"),
     ("energy_quad_levels", "0"),
-    ("energy_quad_levels", "1"),  # one geometric level would drop y_max
-    ("energy_n_perturbations", "-1"),
+    ("energy_quad_levels", "1"),
     ("energy_y_max_over_zeta", "-1"),
-    ("energy_y_max_over_zeta", "0.01"),  # below the first level, zeta/50
+    ("energy_y_max_over_zeta", "0.01"),
+    ("energy_n_perturbations", "-1"),
     ("dynamics_T_end", "0"),
+    ("dynamics_bump_width_over_zeta", "0"),  # the start's bump would be NaN
     ("ylevels_count", "0"),
     ("ylevels_y_min_over_zeta", "0"),
     ("ylevels_y_max_over_zeta", "-1"),
@@ -67,7 +70,7 @@ def test_nu_out_of_range_names_key():
     ("energy_box_radii_over_zeta", "5,-1"),
     ("energy_box_radii_over_zeta", "nan"),
     ("energy_box_radii_over_zeta", "5,inf"),
-    ("energy_box_radii_over_zeta", "5,1000"),
+    ("energy_box_radii_over_zeta", "5,1000"),  # beyond L/2, checked where radii are read
     ("energy_box_radii_over_zeta", "5,ten"),
     ("energy_box_radii_over_zeta", "0.01,0.015"),  # at or below the first level, zeta/50
     ("energy_box_radii_over_zeta", "0.015,5"),
@@ -84,8 +87,10 @@ def test_nu_out_of_range_names_key():
     ("static_init", "background:-1"),
 ])
 def test_bad_value_rejected_names_key(key, value):
+    # every value is checked by parse_config except the radii's bound by
+    # L/2, which box_radii checks for the commands that read the radii
     with pytest.raises(ValueError, match=f"config key '{key}'"):
-        parse_config(None, {key: value})
+        box_radii(parse_config(None, {key: value}))
 
 
 def test_inconsistent_zeta_rejected():
@@ -99,6 +104,33 @@ def test_flag_overrides_file(tmp_path):
     cfg = parse_config(path, {"N": "8192"})
     assert cfg.N == 8192
     assert cfg.energy_pert_seed == 3
+
+
+def test_flag_replaces_a_bad_file_value(tmp_path):
+    # the configuration is validated once, after the flags
+    path = tmp_path / "run.cfg"
+    path.write_text("nu = 0.6\n")
+    with pytest.raises(ValueError, match="'nu'"):
+        parse_config(path)
+    assert parse_config(path, {"nu": "0.3"}).nu == 0.3
+    rc = main(["--config", str(path), "--set", "nu=0.3"] + _fast_overrides(tmp_path)
+              + ["solve-static"])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert parse_config_text(manifest["config_echo"]).nu == 0.3
+    # a zeta line cannot be checked against an out-of-range nu: the flag decides
+    path.write_text("nu = 0.6\nzeta = 1.25\n")
+    assert parse_config(path, {"nu": "0.3"}).nu == 0.3
+
+
+def test_echoed_config_loads_with_overrides(tmp_path):
+    # the zeta line is checked against the file's own d and nu
+    path = tmp_path / "echo.cfg"
+    path.write_text(RunConfig(nu=0.2).echo())
+    assert parse_config(path, {"nu": "0.3", "d": "2"}) == RunConfig(nu=0.3, d=2.0)
+    path.write_text(RunConfig(nu=0.2).echo() + "nu = 0.3\n")  # zeta left at nu = 0.2's
+    with pytest.raises(ValueError, match="config key 'zeta'"):
+        parse_config(path, {"nu": "0.2"})
 
 
 def test_box_radii_parsing():
@@ -118,7 +150,7 @@ def test_config_hash_stable():
 def _fast_overrides(tmp_path, **extra):
     args = [
         "--output", str(tmp_path / "out"),
-        "--set", "L_over_zeta=100", "--N", "512",
+        "--set", "L_over_zeta=100", "--set", "N=512",
         "--set", "static_init=analytic",
     ]
     for key, value in extra.items():
@@ -148,7 +180,7 @@ def test_cli_refuses_existing_output(tmp_path):
 
 def test_cli_deterministic_outputs(tmp_path):
     args1 = [
-        "--output", str(tmp_path / "a"), "--N", "512",
+        "--output", str(tmp_path / "a"), "--set", "N=512",
         "--set", "L_over_zeta=100", "--set", "static_init=analytic",
     ]
     args2 = [a.replace(str(tmp_path / "a"), str(tmp_path / "b")) for a in args1]
@@ -182,9 +214,7 @@ def test_cli_extend(tmp_path):
 
 def test_cli_energy(tmp_path):
     rc = main(_fast_overrides(
-        tmp_path, energy_n_perturbations=2, energy_quad_levels=48,
-        energy_y_max_over_zeta=50,
-        energy_box_radii_over_zeta="5,10,20") + ["energy"])
+        tmp_path, energy_n_perturbations=2, energy_box_radii_over_zeta="5,10,20") + ["energy"])
     assert rc == 0
     payload = json.loads((tmp_path / "out" / "energy.json").read_text())
     assert len(payload["perturbations"]) == 2
@@ -195,8 +225,7 @@ def test_cli_energy(tmp_path):
 
 
 def test_cli_energy_breakdowns_deterministic(tmp_path):
-    common = dict(energy_n_perturbations=2, energy_quad_levels=48,
-                  energy_y_max_over_zeta=50, energy_box_radii_over_zeta="5,10,20")
+    common = dict(energy_n_perturbations=2, energy_box_radii_over_zeta="5,10,20")
     rc = main(_fast_overrides(tmp_path, **common) + ["energy"])
     assert rc == 0
     first = (tmp_path / "out" / "energy.json").read_bytes()
@@ -207,8 +236,7 @@ def test_cli_energy_breakdowns_deterministic(tmp_path):
 
 def test_cli_dynamics(tmp_path):
     rc = main(_fast_overrides(
-        tmp_path, dynamics_T_end=1.0, dynamics_dt=0.1,
-        dynamics_snapshot_times="0.5") + ["dynamics"])
+        tmp_path, dynamics_T_end=1.0, dynamics_snapshot_times="0.5") + ["dynamics"])
     assert rc == 0
     out = tmp_path / "out"
     rows = (out / "trace.csv").read_text().splitlines()
@@ -242,7 +270,7 @@ def test_cli_bad_potential_table_names_key(tmp_path, capsys, content, detail, co
     table = tmp_path / "potential.csv"
     if content is not None:
         table.write_text(content)
-    rc = main(_fast_overrides(tmp_path) + ["--potential", f"table:{table}", command])
+    rc = main(_fast_overrides(tmp_path, potential=f"table:{table}") + [command])
     assert rc == 2
     err = json.loads(capsys.readouterr().err)["error"]
     assert "config key 'potential'" in err and detail in err
@@ -274,8 +302,8 @@ def test_cli_dynamics_underflow_keeps_the_pieces_before_it(tmp_path, monkeypatch
     from pnedge.errors import TimeStepUnderflowError
 
     ref = tmp_path / "ref"
-    rc = main(_fast_overrides(ref, dynamics_T_end=1.25, dynamics_dt=0.1,
-                              dynamics_snapshot_times=1) + ["dynamics"])
+    rc = main(_fast_overrides(ref, dynamics_T_end=1.25, dynamics_snapshot_times=1)
+              + ["dynamics"])
     assert rc == 0
 
     def second_piece_underflows(s, t_stop, opts):
@@ -285,8 +313,8 @@ def test_cli_dynamics_underflow_keeps_the_pieces_before_it(tmp_path, monkeypatch
         raise TimeStepUnderflowError("forced underflow", trace=partial)
 
     monkeypatch.setattr(climod, "run_dynamics", second_piece_underflows)
-    rc = main(_fast_overrides(tmp_path, dynamics_T_end=2, dynamics_dt=0.1,
-                              dynamics_snapshot_times=1) + ["dynamics"])
+    rc = main(_fast_overrides(tmp_path, dynamics_T_end=2, dynamics_snapshot_times=1)
+              + ["dynamics"])
     assert rc == 2
     out = tmp_path / "out"
     for name in ("trace.csv", "snapshot_t1.csv"):
@@ -323,7 +351,7 @@ def test_cli_validate_success_exit_code(tmp_path, monkeypatch):
 def test_nan_energy_fails_check_07(monkeypatch):
     import pnedge.validation as valmod
 
-    cfg = RunConfig(energy_n_perturbations=2, energy_quad_levels=16)
+    cfg = RunConfig(energy_n_perturbations=2)
     monkeypatch.setattr(valmod.HalfPlaneTables, "elastic_energy", lambda self, phi1: float("nan"))
     results = {r.name: r for r in valmod.check_energy_relation(valmod.SuiteContext(cfg))}
     total = results["07.energy_relation.total"]
@@ -337,7 +365,8 @@ def test_cli_bad_config_exit_code(tmp_path):
 
 @pytest.mark.parametrize("key", ["seed", "format_version", "static_newton", "dynamics_adapt",
                                  "ylevels_mirrored", "static_dt0", "static_res_tol",
-                                 "static_max_iters"])
+                                 "static_max_iters", "energy_quad_levels",
+                                 "energy_y_max_over_zeta", "dynamics_dt"])
 def test_removed_config_key_is_unknown(tmp_path, capsys, key):
     rc = main(["--set", f"{key}=1", "--output", str(tmp_path / "x"), "solve-static"])
     assert rc == 2
@@ -376,13 +405,37 @@ def test_settable_values_are_counted():
     counts = {"RunConfig": len(fields(RunConfig)), "cli": len(options),
               "RunOptions": len(fields(RunOptions)), "Profile": len(fields(Profile)),
               "YLevels": len(fields(YLevels))}
-    assert counts == {"RunConfig": 24, "cli": 7, "RunOptions": 2, "Profile": 5, "YLevels": 1}
-    assert sum(counts.values()) == 39
+    assert counts == {"RunConfig": 21, "cli": 5, "RunOptions": 2, "Profile": 5, "YLevels": 1}
+    assert sum(counts.values()) == 34
 
 
-def test_cli_entry_point_runs():
+@pytest.mark.parametrize("flag, value", [("--N", "512"), ("--potential", "frenkel")])
+def test_removed_flag_is_rejected(tmp_path, capsys, flag, value):
+    # --set N=... and --set potential=... are the one way into those keys
+    with pytest.raises(SystemExit) as exc:
+        main(["--output", str(tmp_path / "x"), "solve-static", flag, value])
+    assert exc.value.code == 2
+    assert f"unrecognized arguments: {flag} {value}" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_radii_bound_only_where_radii_are_read(tmp_path, capsys):
+    # at L = 50 zeta the default radius 40 zeta exceeds L/2: only energy
+    # and validate read the radii
+    common = ["--set", "N=256", "--set", "L_over_zeta=50", "--set", "static_init=analytic"]
+    for command, extra in (("solve-static", []), ("dynamics", ["--set", "dynamics_T_end=0.5"])):
+        assert main(common + extra + ["--output", str(tmp_path / command), command]) == 0
+    capsys.readouterr()
+    for command in ("energy", "validate"):
+        assert main(common + ["--output", str(tmp_path / command), command]) == 2
+        err = json.loads(capsys.readouterr().err)["error"]
+        assert "config key 'energy_box_radii_over_zeta'" in err and "25" in err
+        assert not (tmp_path / command).exists()
+
+
+def test_cli_entry_point_runs(pnedge_env):
     proc = subprocess.run([sys.executable, "-m", "pnedge.cli", "--help"],
-                          capture_output=True, text=True)
+                          capture_output=True, text=True, env=pnedge_env())
     assert proc.returncode == 0
     assert "solve-static" in proc.stdout
 
@@ -414,12 +467,11 @@ _NO_SCIPY_RUN = """
 import sys
 from pnedge.cli import main
 
-out, common = sys.argv[1], ["--set", "L_over_zeta=100", "--N", "512"]
+out, common = sys.argv[1], ["--set", "L_over_zeta=100", "--set", "N=512"]
 runs = {
     "solve-static": [],
     "extend": ["--set", "ylevels_count=4"],
-    "energy": ["--set", "energy_n_perturbations=2", "--set", "energy_quad_levels=48",
-               "--set", "energy_y_max_over_zeta=50"],
+    "energy": ["--set", "energy_n_perturbations=2"],
     "dynamics": ["--set", "dynamics_T_end=1", "--set", "dynamics_snapshot_times=0.5"],
 }
 for cmd, extra in runs.items():
@@ -441,15 +493,10 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_seminorm_oracles_load_no_scipy():
+def test_seminorm_oracles_load_no_scipy(pnedge_env):
     # check 03's closed forms and exp-sinh rule
-    import pnedge
-
-    src = str(Path(pnedge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_SEMINORMS],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=pnedge_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
 
@@ -458,7 +505,7 @@ _THREAD_RUNS = """
 import sys
 from pnedge.cli import main
 
-out, big = sys.argv[1], ["--N", "16384", "--set", "L_over_zeta=800"]
+out, big = sys.argv[1], ["--set", "N=16384", "--set", "L_over_zeta=800"]
 dyn = big + ["--set", "dynamics_T_end=1", "dynamics"]
 runs = {
     "default": ["solve-static"],
@@ -471,18 +518,13 @@ for name, args in runs.items():
 """
 
 
-def test_default_solve_is_byte_identical_across_blas_threads(tmp_path):
+def test_default_solve_is_byte_identical_across_blas_threads(tmp_path, pnedge_env):
     # N = 16384: above the sizes at which OpenBLAS splits a dot product
-    import pnedge
-
-    src = str(Path(pnedge.__file__).resolve().parents[1])
     outputs = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
         out = tmp_path / threads
-        proc = subprocess.run([sys.executable, "-c", _THREAD_RUNS, str(out)],
-                              capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", _THREAD_RUNS, str(out)], capture_output=True,
+                              text=True, env=pnedge_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         outputs.append({f: (out / f).read_bytes() for f in (
             "default/profile.csv", "default/summary.json", "big/profile.csv",
@@ -490,15 +532,10 @@ def test_default_solve_is_byte_identical_across_blas_threads(tmp_path):
     assert outputs[0] == outputs[1]
 
 
-def test_frenkel_subcommands_load_no_scipy(tmp_path):
+def test_frenkel_subcommands_load_no_scipy(tmp_path, pnedge_env):
     # the tanh start runs the sweep, the centring root find and the MINRES polish
-    import pnedge
-
-    src = str(Path(pnedge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_RUN, str(tmp_path)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=pnedge_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     summary = json.loads((tmp_path / "solve-static" / "summary.json").read_text())
@@ -510,7 +547,7 @@ import sys
 from pnedge.cli import main
 
 out, table = sys.argv[1], sys.argv[2]
-common = ["--set", f"potential=table:{table}", "--set", "L_over_zeta=100", "--N", "512"]
+common = ["--set", f"potential=table:{table}", "--set", "L_over_zeta=100", "--set", "N=512"]
 runs = {
     "solve-static": [],
     "dynamics": ["--set", "dynamics_T_end=1", "--set", "dynamics_snapshot_times=0.5"],
@@ -521,9 +558,8 @@ print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
 
-def test_table_subcommands_load_no_scipy(tmp_path):
+def test_table_subcommands_load_no_scipy(tmp_path, pnedge_env):
     # a tabulated potential is interpolated by the package's own spline
-    import pnedge
     from pnedge.params import PhysParams
     from pnedge.potential import eval_potential, frenkel
 
@@ -531,11 +567,8 @@ def test_table_subcommands_load_no_scipy(tmp_path):
     w = eval_potential(frenkel(PhysParams()), u, 0)
     table = tmp_path / "potential.csv"
     table.write_text("u,W\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(u, w)))
-    src = str(Path(pnedge.__file__).resolve().parents[1])
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")]))}
     proc = subprocess.run([sys.executable, "-c", _NO_SCIPY_TABLE_RUN, str(tmp_path), str(table)],
-                          capture_output=True, text=True, env=env)
+                          capture_output=True, text=True, env=pnedge_env())
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[-1] == "[]"
     summary = json.loads((tmp_path / "solve-static" / "summary.json").read_text())

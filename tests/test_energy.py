@@ -32,7 +32,7 @@ from pnedge.static import half_laplacian_profile
 
 @pytest.fixture(scope="module")
 def quadq(params):
-    return BoxQuadrature.for_params(params, n_levels=160)
+    return BoxQuadrature(params.zeta / 50.0, 400.0 * params.zeta, 160)
 
 
 @pytest.mark.parametrize("y_min, y_max, n_levels", [
@@ -41,6 +41,12 @@ def quadq(params):
 def test_box_quadrature_rejects_levels_with_negative_weights(y_min, y_max, n_levels):
     with pytest.raises(ValueError, match="y_min|n_levels"):
         BoxQuadrature(y_min, y_max, n_levels)
+
+
+def test_energy_quadrature_levels(params):
+    # the perturbed energies' quadrature: 192 levels from zeta/50 to 400 zeta
+    quad = BoxQuadrature.for_params(params)
+    assert quad == BoxQuadrature(params.zeta / 50.0, 400.0 * params.zeta, 192)
 
 
 def gaussian_pert(grid, params, amp=0.05, center=0.9, width=2.0):

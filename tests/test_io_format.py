@@ -112,12 +112,11 @@ def test_mixed_magnitudes_match_format():
 
 
 def test_manifest_times_the_csv_writes(tmp_path):
-    common = ["--set", "L_over_zeta=200", "--N", "1024"]
+    common = ["--set", "L_over_zeta=200", "--set", "N=1024"]
     runs = {
         "solve-static": [],
         "extend": ["--set", "ylevels_count=4"],
-        "energy": ["--set", "energy_n_perturbations=2", "--set", "energy_quad_levels=48",
-                   "--set", "energy_y_max_over_zeta=50"],
+        "energy": ["--set", "energy_n_perturbations=2"],
         "dynamics": ["--set", "dynamics_T_end=1", "--set", "dynamics_snapshot_times=0.5"],
     }
     for cmd, extra in runs.items():

@@ -270,7 +270,7 @@ def test_strains_bit_identical_to_stacked_multipliers(solved, params, y):
 
 @pytest.mark.parametrize("n_levels", LEVELS)
 def test_tables_bit_identical(profile, params, n_levels):
-    quad = BoxQuadrature.for_params(params, n_levels=n_levels)
+    quad = BoxQuadrature(params.zeta / 50.0, 400.0 * params.zeta, n_levels)
     tables = HalfPlaneTables.build(profile, quad)
     np.testing.assert_array_equal(
         tables.elastic, _energy_table_reference(profile.grid, params, quad))
@@ -279,7 +279,7 @@ def test_tables_bit_identical(profile, params, n_levels):
 
 @pytest.mark.parametrize("n_levels", LEVELS)
 def test_competitor_energy_bit_identical(grid, params, n_levels):
-    quad = BoxQuadrature.for_params(params, n_levels=n_levels)
+    quad = BoxQuadrature(params.zeta / 50.0, 400.0 * params.zeta, n_levels)
     phi1 = seeded_perturbations(grid, params, 1, seed=3)[0].phi1
     for f_pair, g_pair in _competitors(params.nu):
         got = competitor_energy(grid, phi1, params, f_pair, g_pair, quad)
@@ -303,7 +303,7 @@ def _peak_bytes(fn):
 
 
 def test_quadrature_peak_memory(solved, grid, params):
-    quad = BoxQuadrature.for_params(params, n_levels=192)
+    quad = BoxQuadrature.for_params(params)
     phi1 = seeded_perturbations(grid, params, 1, seed=3)[0].phi1
     (f_pair, g_pair), *_ = _competitors(params.nu)
     runs = {

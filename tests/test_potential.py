@@ -1,9 +1,7 @@
 """Misfit potential: closed forms, tables, structural validation."""
 
-import os
 import subprocess
 import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -235,17 +233,12 @@ sys.stdout.write(from_table(PhysParams(), table)._spline.c.tobytes().hex())
 """
 
 
-def test_table_fit_is_independent_of_blas_threads():
+def test_table_fit_is_independent_of_blas_threads(pnedge_env):
     # a seeded 200-knot non-uniform table, fitted with 1 and with 2 BLAS threads
-    import pnedge
-
-    src = str(Path(pnedge.__file__).resolve().parents[1])
     fits = []
     for threads in ("1", "2"):
-        env = {**os.environ, "OPENBLAS_NUM_THREADS": threads, "PYTHONPATH": os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")]))}
-        proc = subprocess.run([sys.executable, "-c", _TABLE_FIT],
-                              capture_output=True, text=True, env=env)
+        proc = subprocess.run([sys.executable, "-c", _TABLE_FIT], capture_output=True,
+                              text=True, env=pnedge_env(OPENBLAS_NUM_THREADS=threads))
         assert proc.returncode == 0, proc.stderr
         fits.append(proc.stdout)
     assert fits[0] == fits[1]

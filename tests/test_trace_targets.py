@@ -38,7 +38,7 @@ def test_traced_cli_commands_feed_the_layer_metrics(tmp_path):
     spans = _load_spans()
     transforms = {name: getattr(np.fft, name)
                   for name in spans._FFT_C2C + spans._FFT_C2R + spans._FFT_R2C}
-    common = ["--N", "512", "--set", "L_over_zeta=200"]
+    common = ["--set", "N=512", "--set", "L_over_zeta=200"]
     runs = [["solve-static"], ["--set", "ylevels_count=4", "extend"],
             ["--set", "dynamics_T_end=1", "dynamics"]]
     tracer = spans.Tracer()
