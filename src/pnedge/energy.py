@@ -29,10 +29,23 @@ time with the level walk of :mod:`pnedge.extension`, where a level at a
 time paid numpy's per-call cost on every small array.  The weighted sum
 still adds one level at a time, in node order, with each level's x-sum
 taken along its own contiguous row, so every result has the bits of the
-level-by-level loop.  At N = 4096 and 193 levels the tracemalloc peak is
-about 1.6 MiB for a box energy and 2.9 MiB for the tables (0.5 and
-0.8 MiB a level at a time), where all 193 levels at once would take some
-130 MiB.
+level-by-level loop.
+
+:func:`elastic_energy_box` takes all its radii in one call.  Each box
+keeps its own nodes for the closed-form background, but the correction's
+strains, 3 inverse transforms a level, are taken in one walk shared by
+all radii: ``{0}``, the radii themselves and ``M`` geometric levels from
+zeta/50 to the largest radius, ``M`` chosen so that every radius has at
+least ``n_levels`` of them at or below it (264 for the default radii at
+192 levels).  A level's correction stress is formed once on the largest
+box's x-window, and each radius sums its own slice of it with trapezoid
+weights on the nodes up to its radius.  Four radii so take 268 levels of
+transforms, not 4 x 193.
+
+At N = 4096 the tracemalloc peak is about 1.5 MiB for the four default
+box energies (1.6 MiB for one radius on its own walk before) and 2.9 MiB
+for the tables of 193 levels, where all 193 levels at once would take
+some 130 MiB.
 """
 
 from __future__ import annotations
@@ -402,53 +415,105 @@ def _half_plane_route(phi: Perturbation, p: Profile, tables: HalfPlaneTables,
 # boxed elastic energy (log divergence study)
 # ---------------------------------------------------------------------------
 
-def elastic_energy_box(
-    p: Profile, R: float, n_x: int = 1024, n_levels: int = 192
-) -> float:
-    """Elastic energy ``(1/2) int sigma : eps`` over the box
-    ``|x| <= R, |y| <= R`` minus the slip plane.
+def _stress_density(s11, s12, s22, G, nu):
+    """Plane-strain energy density ``(1/2) sigma : eps`` of in-plane stresses."""
+    return (s11**2 + s22**2 - nu * (s11 + s22) ** 2 + 2.0 * s12**2) / (4.0 * G)
 
-    Background stresses on a dedicated uniform x-window (decoupled from
-    the profile grid), correction stresses spectrally on the profile
-    grid restricted to the window.  Grows like ``slope * ln R`` for
-    ``R >> zeta``.
-    """
-    if R > p.grid.L / 2.0:
-        raise ValueError(f"box radius {R} exceeds L/2 = {p.grid.L / 2.0}")
+
+def _box_background(p: Profile, R: float, n_x: int, n_levels: int) -> float:
+    """Upper-half quadrature of the closed-form background's density over
+    ``|x| <= R, 0 <= y <= R``: trapezoid weights on the box's own nodes
+    ``BoxQuadrature(zeta/50, R, n_levels)`` and on a uniform ``n_x``-point
+    x-window, decoupled from the profile grid."""
     prm = p.params
-    G, nu = prm.G, prm.nu
-
-    def density(s11, s12, s22):
-        return (s11**2 + s22**2 - nu * (s11 + s22) ** 2 + 2.0 * s12**2) / (4.0 * G)
-
     ys, wy = BoxQuadrature(_first_level(prm), R, n_levels).nodes_weights()
-
     xw = np.linspace(-R, R, n_x)
     wx = _trapezoid_weights(xw)
     xw = xw - p.x0
-
-    # correction stresses live on the periodic grid; restrict to the
-    # window |x| <= R, one index range of the sorted nodes
-    v_hat = rfft(p.v)
-    x = p.grid.x
-    win = slice(np.searchsorted(x, -R), np.searchsorted(x, R, side="right"))
-    xg = x[win] - p.x0
-    wxg = np.full(xg.shape, p.grid.h)
-
     total = 0.0
     for y, wts in _level_chunks(ys, wy):
-        s11, s12, s22, _ = _analytic_stress(xw, y, G, prm.b, nu, p.zeta_bg, +1.0)
-        bg = np.sum(wx * density(s11, s12, s22), axis=-1)
-        ev = _strains_of_spectrum(p.grid, v_hat, nu, y)
-        c11, c12, c22, _ = strains_to_stresses(*(e[:, win] for e in ev), G, nu)
-        b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
-        corr = np.sum(wxg * (density(b11 + c11, b12 + c12, b22 + c22)
-                             - density(b11, b12, b22)), axis=-1)
+        s11, s12, s22, _ = _analytic_stress(xw, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
+        bg = np.sum(wx * _stress_density(s11, s12, s22, prm.G, prm.nu), axis=-1)
         # level by level in node order, so the sum rounds as a level loop's
-        for i, wt in enumerate(wts):
-            total += wt * float(bg[i])
-            total += wt * float(corr[i])
-    return 2.0 * total
+        for wt, row in zip(wts, bg):
+            total += wt * float(row)
+    return total
+
+
+def _box_correction_nodes(y0: float, radii, n_levels: int) -> np.ndarray:
+    """Nodes of the shared correction walk: ``{0}``, ``M`` geometric levels
+    from ``y0`` to the largest radius, and every radius.  ``M`` keeps at
+    least ``n_levels`` geometric levels at or below the smallest radius,
+    so at or below every radius; for one radius it is ``n_levels`` and the
+    nodes are that box's own."""
+    r_min, r_max = min(radii), max(radii)
+    # the ratio apart, so that one radius gives exactly n_levels
+    ratio = np.log(r_max / y0) / np.log(r_min / y0)
+    m = 1 + int(np.ceil((n_levels - 1) * ratio))
+    # a set, not np.unique, whose first call imports numpy.ma (1 MB resident)
+    return np.array(sorted({0.0, *np.geomspace(y0, r_max, m).tolist(), *radii}))
+
+
+def _box_correction(p: Profile, radii, n_levels: int) -> list[float]:
+    """Upper-half quadrature, for every radius R, of the density change
+    the correction v adds over ``|x| <= R, 0 <= y <= R``.
+
+    One walk over the shared nodes serves all radii: each level takes the
+    correction's strains (3 inverse transforms) and the grid background
+    stress once, on the largest radius's window of the periodic grid, and
+    each radius sums its own slice of that window with trapezoid weights
+    on the nodes up to its radius.
+    """
+    prm, grid = p.params, p.grid
+    G, nu = prm.G, prm.nu
+    ys = _box_correction_nodes(_first_level(prm), radii, n_levels)
+    # weights per (level, radius), zero above the radius
+    wy = np.zeros((len(ys), len(radii)))
+    for j, R in enumerate(radii):
+        top = np.searchsorted(ys, R, side="right")
+        wy[:top, j] = _trapezoid_weights(ys[:top])
+
+    # the window |x| <= R is one index range of the sorted nodes; each
+    # radius's range is a slice of the largest one's
+    x = grid.x
+    r_max = max(radii)
+    lo, hi = np.searchsorted(x, -r_max), np.searchsorted(x, r_max, side="right")
+    xg = x[lo:hi] - p.x0
+    cols = [slice(np.searchsorted(x, -R) - lo, np.searchsorted(x, R, side="right") - lo)
+            for R in radii]
+
+    v_hat = rfft(p.v)
+    totals = [0.0] * len(radii)
+    for y, wts in _level_chunks(ys, wy):
+        ev = _strains_of_spectrum(grid, v_hat, nu, y)
+        c11, c12, c22, _ = strains_to_stresses(*(e[:, lo:hi] for e in ev), G, nu)
+        b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
+        dens = grid.h * (_stress_density(b11 + c11, b12 + c12, b22 + c22, G, nu)
+                         - _stress_density(b11, b12, b22, G, nu))
+        for j, sub in enumerate(cols):
+            for wt, row in zip(wts[:, j], np.sum(dens[:, sub], axis=-1)):
+                totals[j] += wt * float(row)
+    return totals
+
+
+def elastic_energy_box(
+    p: Profile, radii, n_x: int = 1024, n_levels: int = 192
+) -> list[float]:
+    """Elastic energies ``(1/2) int sigma : eps`` over the boxes
+    ``|x| <= R, |y| <= R`` minus the slip plane, one per radius R of
+    ``radii``, in their order.
+
+    Background stresses in closed form on each box's own nodes and
+    x-window (:func:`_box_background`); correction stresses spectrally on
+    the profile grid, in one level walk shared by all radii
+    (:func:`_box_correction`).  Grows like ``slope * ln R`` for
+    ``R >> zeta``.
+    """
+    radii = [float(R) for R in radii]
+    if max(radii) > p.grid.L / 2.0:
+        raise ValueError(f"box radius {max(radii)} exceeds L/2 = {p.grid.L / 2.0}")
+    bg = [_box_background(p, R, n_x, n_levels) for R in radii]
+    return [2.0 * (b + c) for b, c in zip(bg, _box_correction(p, radii, n_levels))]
 
 
 def log_fit(x, y) -> tuple[float, float, float]:
@@ -468,7 +533,7 @@ def log_divergence_fit(p: Profile, radii, **resolution):
     ``E ~ slope ln R + intercept``; returns (energies, slope, intercept,
     R^2 of the regression).  ``resolution`` (``n_x``, ``n_levels``)
     passes to :func:`elastic_energy_box`."""
-    energies = [elastic_energy_box(p, R, **resolution) for R in radii]
+    energies = elastic_energy_box(p, radii, **resolution)
     return (energies, *log_fit(radii, energies))
 
 

@@ -277,16 +277,6 @@ def extend_to_half_planes(p: Profile, yl: YLevels) -> HalfPlaneField:
     return HalfPlaneField(grid=p.grid, ylevels=yl, u1_plus=u1, u2_plus=u2)
 
 
-def trace_of_extension(p: Profile) -> np.ndarray:
-    """u1 at y = 0+: the spectral extension evaluated back on the slip plane.
-
-    The extension factor is identically 1 at y = 0, so this reproduces
-    the input trace up to FFT roundoff (inverse trace round trip).
-    """
-    u1, _ = extend_trace_displacement(p.grid, p.v, p.params.nu, 0.0)
-    return p.background_on_grid() + u1
-
-
 def stress_field(p: Profile, yl: YLevels) -> StressField:
     """Stress fields of a profile on the requested y-levels.
 

@@ -86,10 +86,6 @@ class Profile:
             x = self.grid.x
         return background_half_laplacian(x, self.params.b, self.zeta_bg, self.x0)
 
-    def disregistry(self) -> np.ndarray:
-        """Shear displacement jump ``phi = 2 u1 + b/2`` across the plane."""
-        return 2.0 * self.u1 + self.params.b / 2.0
-
     def with_correction(self, v: np.ndarray) -> "Profile":
         return replace(self, v=np.asarray(v, dtype=float))
 

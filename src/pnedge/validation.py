@@ -431,9 +431,10 @@ def check_log_divergence(ctx: SuiteContext) -> list[CheckResult]:
     # the fine resolution (1024, 192)
     _, s_coarse, _, _ = log_divergence_fit(p, radii, n_x=512, n_levels=96)
     conv = abs(slope - s_coarse) / abs(slope)
+    listed = ",".join(f"{r / ctx.cfg.zeta:g}" for r in radii)
     return [
         _geq("09.log_divergence.affine_fit", r2, 0.999,
-             "E(R) affine in ln R over R = {5,10,20,40} zeta"),
+             f"E(R) affine in ln R over R = {{{listed}}} zeta"),
         _geq("09.log_divergence.slope_positive", slope, 0.0, "positive slope"),
         _leq("09.log_divergence.slope_converged", conv, 0.05,
              "slope stable between two quadrature resolutions"),

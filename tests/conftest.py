@@ -6,7 +6,7 @@ import pytest
 
 from pnedge.grid import build_grid
 from pnedge.params import PhysParams
-from pnedge.potential import frenkel
+from pnedge.potential import frenkel, from_table
 from pnedge.profile import analytic_profile, tanh_profile
 from pnedge.static import solve_static
 
@@ -24,6 +24,18 @@ def grid(params):
 @pytest.fixture(scope="session")
 def spec(params):
     return frenkel(params)
+
+
+@pytest.fixture(scope="session")
+def eps_table(params):
+    """Tabulated Frenkel plus 0.05 times the harmonic ``1 - cos(8 pi u / b)``
+    (64 samples of one period): a potential with no closed-form core."""
+    eps, samples = 0.05, 64
+    a = params.G * params.b**2 / (4.0 * np.pi**2 * params.d)
+    u = np.arange(samples) * params.b / (2.0 * samples)
+    w = (a * (1.0 + np.cos(4.0 * np.pi * u / params.b))
+         + eps * a * (1.0 - np.cos(8.0 * np.pi * u / params.b)))
+    return from_table(params, np.column_stack([u, w]))
 
 
 @pytest.fixture(scope="session")

@@ -234,6 +234,15 @@ def test_cli_energy_breakdowns_deterministic(tmp_path):
     assert (tmp_path / "out" / "energy.json").read_bytes() == first
 
 
+# at L = 100 zeta the suite's tanh start has tails above TAIL_TOL
+@pytest.mark.filterwarnings("ignore::pnedge.errors.TailWarning")
+def test_validate_reports_its_box_radii(tmp_path):
+    main(_fast_overrides(tmp_path, energy_box_radii_over_zeta="5,10,20") + ["validate"])
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    check = next(c for c in report["checks"] if c["name"] == "09.log_divergence.affine_fit")
+    assert check["expected"] == "E(R) affine in ln R over R = {5,10,20} zeta"
+
+
 def test_cli_dynamics(tmp_path):
     rc = main(_fast_overrides(
         tmp_path, dynamics_T_end=1.0, dynamics_snapshot_times="0.5") + ["dynamics"])

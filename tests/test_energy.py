@@ -1,6 +1,10 @@
 """Energy functionals: misfit, perturbed energies, cross terms, box energy."""
 
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -332,8 +336,7 @@ def test_extension_minimizes_elastic_energy(grid, params, quadq):
 
 def test_box_energy_monotone_in_radius(analytic, params):
     z = params.zeta
-    e1 = elastic_energy_box(analytic, 5 * z)
-    e2 = elastic_energy_box(analytic, 10 * z)
+    e1, e2 = elastic_energy_box(analytic, [5 * z, 10 * z])
     assert e2 > e1 > 0
 
 
@@ -346,7 +349,48 @@ def test_box_energy_log_divergence(analytic, params):
 
 def test_box_energy_radius_bound(analytic, params):
     with pytest.raises(ValueError):
-        elastic_energy_box(analytic, 0.6 * analytic.grid.L)
+        elastic_energy_box(analytic, [0.6 * analytic.grid.L])
+    # any radius beyond L/2 is rejected, wherever it is listed
+    with pytest.raises(ValueError, match="exceeds L/2"):
+        elastic_energy_box(analytic, [5.0 * params.zeta, 0.6 * analytic.grid.L])
+
+
+def test_box_correction_nodes_of_one_radius(params):
+    # one radius walks exactly the nodes of its own box quadrature
+    y0 = params.zeta / 50.0
+    for R, n_levels in ((5.0 * params.zeta, 192), (40.0 * params.zeta, 96)):
+        ys = energy._box_correction_nodes(y0, [R], n_levels)
+        np.testing.assert_array_equal(ys, BoxQuadrature(y0, R, n_levels).nodes_weights()[0])
+
+
+@pytest.mark.parametrize("n_levels", [192, 96])
+def test_box_correction_nodes_below_every_radius(params, n_levels):
+    # 264 shared geometric levels at the defaults and 132 at (512, 96),
+    # each radius a node, and at least n_levels positive nodes below it
+    y0 = params.zeta / 50.0
+    radii = [r * params.zeta for r in (5.0, 10.0, 20.0, 40.0)]
+    ys = energy._box_correction_nodes(y0, radii, n_levels)
+    assert len(ys) == 1 + {192: 264, 96: 132}[n_levels] + 3
+    for R in radii:
+        assert R in ys
+        assert np.count_nonzero((ys >= y0) & (ys < R)) >= n_levels
+
+
+def test_box_energy_unsorted_radii_in_input_order(solved, params):
+    radii = [r * params.zeta for r in (5.0, 10.0, 20.0, 40.0)]
+    shuffled = [radii[i] for i in (2, 0, 3, 1)]
+    want = elastic_energy_box(solved, radii)
+    assert elastic_energy_box(solved, shuffled) == [want[i] for i in (2, 0, 3, 1)]
+
+
+def test_log_divergence_script_runs(pnedge_env):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "energy_log_divergence.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=pnedge_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    slope = re.search(r"slope = (\S+),", proc.stdout)
+    assert slope is not None, proc.stdout
+    assert float(slope.group(1)) > 0
 
 
 def test_seeded_perturbations_reproducible(grid, params):

@@ -3,12 +3,14 @@
 The half-plane fields, the box energy and the Parseval tables evaluate
 their y-levels in chunks of ``extension._LEVEL_CHUNK``.  The references
 below are the one-level-at-a-time loops they replace, kept here
-verbatim; the chunked code must give the same bits (``==``, no
+verbatim (the box energy's is the level-by-level form of its walk shared
+by all radii); the chunked code must give the same bits (``==``, no
 tolerance), including for level counts that are not a multiple of the
 chunk and for fewer levels than one chunk.
 """
 
 import tracemalloc
+import warnings
 from functools import partial
 
 import numpy as np
@@ -37,41 +39,57 @@ from pnedge.extension import (
 from pnedge.grid import build_grid
 from pnedge.operators import dot, irfft, mode_weights, rfft
 from pnedge.params import PhysParams
-from pnedge.profile import Profile, background
+from pnedge.profile import Profile, background, tanh_profile
+from pnedge.static import solve_static
 
 # ---------------------------------------------------------------------------
 # level-by-level references
 # ---------------------------------------------------------------------------
 
 
-def _box_reference(p, R, n_x=1024, n_levels=192):
+def _density(s11, s12, s22, G, nu):
+    return (s11**2 + s22**2 - nu * (s11 + s22) ** 2 + 2.0 * s12**2) / (4.0 * G)
+
+
+def _box_background_reference(p, R, n_x, n_levels):
     prm = p.params
-    G, nu = prm.G, prm.nu
-
-    def density(s11, s12, s22):
-        return (s11**2 + s22**2 - nu * (s11 + s22) ** 2 + 2.0 * s12**2) / (4.0 * G)
-
     ys, wy = BoxQuadrature(prm.zeta / 50.0, R, n_levels).nodes_weights()
     xw = np.linspace(-R, R, n_x)
     wx = _trapezoid_weights(xw)
-    has_v = bool(np.any(p.v))
-    if has_v:
-        v_hat = rfft(p.v)
-        mask = np.abs(p.grid.x) <= R
-        xg = p.grid.x[mask] - p.x0
-        wxg = np.full(xg.shape, p.grid.h)
     total = 0.0
     for y, wt in zip(ys, wy):
-        s11, s12, s22, _ = _analytic_stress(xw - p.x0, y, G, prm.b, nu, p.zeta_bg, +1.0)
-        total += wt * float(np.sum(wx * density(s11, s12, s22)))
-        if has_v:
-            ev = _strains_of_spectrum(p.grid, v_hat, nu, y)
+        s11, s12, s22, _ = _analytic_stress(xw - p.x0, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
+        total += wt * float(np.sum(wx * _density(s11, s12, s22, prm.G, prm.nu)))
+    return total
+
+
+def _box_reference(p, radii, n_x=1024, n_levels=192):
+    """The multi-radius box energy one level at a time: each radius's
+    background on its own nodes, the correction on the shared nodes with
+    each radius's trapezoid weights and x-window."""
+    prm = p.params
+    G, nu = prm.G, prm.nu
+    y0 = prm.zeta / 50.0
+    r_min, r_max = min(radii), max(radii)
+    m = 1 + int(np.ceil((n_levels - 1) * (np.log(r_max / y0) / np.log(r_min / y0))))
+    ys = np.unique(np.concatenate([[0.0], np.geomspace(y0, r_max, m), radii]))
+    weights = [np.zeros_like(ys) for _ in radii]
+    for w, R in zip(weights, radii):
+        w[ys <= R] = _trapezoid_weights(ys[ys <= R])
+    masks = [np.abs(p.grid.x) <= R for R in radii]
+    v_hat = rfft(p.v)
+    corr = [0.0] * len(radii)
+    for i, y in enumerate(ys):
+        ev = _strains_of_spectrum(p.grid, v_hat, nu, y)
+        for j, mask in enumerate(masks):
             c11, c12, c22, _ = strains_to_stresses(*(e[mask] for e in ev), G, nu)
+            xg = p.grid.x[mask] - p.x0
             b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
-            corr = (density(b11 + c11, b12 + c12, b22 + c22)
-                    - density(b11, b12, b22))
-            total += wt * float(np.sum(wxg * corr))
-    return 2.0 * total
+            d = p.grid.h * (_density(b11 + c11, b12 + c12, b22 + c22, G, nu)
+                            - _density(b11, b12, b22, G, nu))
+            corr[j] += weights[j][i] * float(np.sum(d))
+    return [2.0 * (_box_background_reference(p, R, n_x, n_levels) + c)
+            for R, c in zip(radii, corr)]
 
 
 def _extend_reference(p, yl):
@@ -248,13 +266,46 @@ def test_half_plane_fields_bit_identical(wide_core, analytic, n):
             np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
-@pytest.mark.parametrize("R_over_zeta", [5.0, 40.0])
+# box radii over zeta: one radius at either end, two unsorted, and the
+# config's default four
+@pytest.mark.parametrize("radii_over_zeta",
+                         [(5.0,), (40.0,), (40.0, 5.0), (5.0, 10.0, 20.0, 40.0)],
+                         ids=["5.0", "40.0", "40,5", "5,10,20,40"])
 @pytest.mark.parametrize("n_x,n_levels", [(1024, 192), (512, 96),
                                           (256, _LEVEL_CHUNK + 2), (256, _LEVEL_CHUNK - 2)])
-def test_box_energy_bit_identical(profile, params, R_over_zeta, n_x, n_levels):
-    R = R_over_zeta * params.zeta
-    got = elastic_energy_box(profile, R, n_x=n_x, n_levels=n_levels)
-    assert got == _box_reference(profile, R, n_x=n_x, n_levels=n_levels)
+def test_box_energy_bit_identical(profile, params, radii_over_zeta, n_x, n_levels):
+    radii = [r * params.zeta for r in radii_over_zeta]
+    got = elastic_energy_box(profile, radii, n_x=n_x, n_levels=n_levels)
+    assert got == _box_reference(profile, radii, n_x=n_x, n_levels=n_levels)
+
+
+@pytest.fixture(scope="module")
+def solved_table(grid, params, eps_table):
+    with warnings.catch_warnings():
+        # the solved table core is not monotone (ROADMAP item 1)
+        warnings.filterwarnings("ignore", "converged profile is not monotone")
+        return solve_static(tanh_profile(grid, params), eps_table).profile
+
+
+@pytest.mark.parametrize("potential, n_x, n_levels, rtol", [
+    ("frenkel", 1024, 192, 1e-14),
+    ("frenkel", 512, 96, 1e-14),
+    ("table", 1024, 192, 1e-5),
+    ("table", 512, 96, 5e-5),
+])
+def test_shared_walk_matches_per_radius_walks(solved, solved_table, params, potential,
+                                              n_x, n_levels, rtol):
+    """The walk shared by the four default radii against each radius on
+    its own: one radius walks its own box's levels, as the box energy did
+    before the radii shared a walk.  The solved Frenkel correction is
+    about 1e-11 b, so the two agree to roundoff; under the table the
+    radii get more shared levels than their own, and the two differ by
+    the quadrature's error."""
+    p = solved if potential == "frenkel" else solved_table
+    radii = [r * params.zeta for r in (5.0, 10.0, 20.0, 40.0)]
+    got = elastic_energy_box(p, radii, n_x=n_x, n_levels=n_levels)
+    want = [_box_reference(p, [R], n_x=n_x, n_levels=n_levels)[0] for R in radii]
+    np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
 
 @pytest.mark.parametrize("y", [0.0, 0.3, np.array([[0.0], [0.01], [2.5], [40.0]])],
@@ -307,7 +358,8 @@ def test_quadrature_peak_memory(solved, grid, params):
     phi1 = seeded_perturbations(grid, params, 1, seed=3)[0].phi1
     (f_pair, g_pair), *_ = _competitors(params.nu)
     runs = {
-        "elastic_energy_box": lambda: elastic_energy_box(solved, 40.0 * params.zeta),
+        "elastic_energy_box": lambda: elastic_energy_box(
+            solved, [r * params.zeta for r in (5.0, 10.0, 20.0, 40.0)]),
         "HalfPlaneTables.build": lambda: HalfPlaneTables.build(solved, quad),
         "competitor_energy": lambda: competitor_energy(grid, phi1, params, f_pair,
                                                        g_pair, quad),

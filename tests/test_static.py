@@ -274,28 +274,19 @@ def test_max_iters_exhaustion(grid, params, spec, monkeypatch):
     assert exc.value.iterations == 1
 
 
-def _eps_table(params, eps=0.05, samples=64):
-    """Frenkel plus ``eps`` times the harmonic ``1 - cos(8 pi u / b)``."""
-    a = params.G * params.b**2 / (4.0 * np.pi**2 * params.d)
-    u = np.arange(samples) * params.b / (2.0 * samples)
-    w = (a * (1.0 + np.cos(4.0 * np.pi * u / params.b))
-         + eps * a * (1.0 - np.cos(8.0 * np.pi * u / params.b)))
-    return from_table(params, np.column_stack([u, w]))
-
-
 @pytest.mark.parametrize("start, potential, counts", [
     ("tanh", "frenkel", (12, 2, 0)),
     # a background of the wrong width rings across the wrap (ROADMAP item 1)
     ("background:2", "frenkel", (12, 3, 2)),
     ("tanh", "table", (12, 3, 1)),
 ])
-def test_result_residual_is_the_residual_of_the_result(grid, params, spec, start,
-                                                       potential, counts):
+def test_result_residual_is_the_residual_of_the_result(grid, params, spec, eps_table,
+                                                       start, potential, counts):
     """The residual a solve returns is the one its profile has, bit for bit,
     though the solve evaluates it no more after the polish."""
     init = (tanh_profile(grid, params) if start == "tanh"
             else Profile(grid=grid, params=params, zeta_bg=2.0 * params.zeta))
-    pot = spec if potential == "frenkel" else _eps_table(params)
+    pot = spec if potential == "frenkel" else eps_table
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = solve_static(init, pot)
