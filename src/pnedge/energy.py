@@ -31,6 +31,15 @@ still adds one level at a time, in node order, with each level's x-sum
 taken along its own contiguous row, so every result has the bits of the
 level-by-level loop.
 
+:meth:`HalfPlaneTables.build` makes both tables in one walk: each level
+takes the strain amplitudes once, for its elastic row and for its cross
+row against the ``rfft`` of the closed-form background stress sampled on
+the grid (the walk's only transforms).  As ``E_els(phi) = sum_k E_k
+|rfft(phi1)_k|^2`` is a quadratic form and the correction's stress is the
+elastic map of ``v``, the correction's cross part is its polarization
+``2 E conj(rfft(v))``, added after the walk: the same nodes and weights,
+so still a y-quadrature apart from the slip-plane route.
+
 :func:`elastic_energy_box` takes all its radii in one call.  Each box
 keeps its own nodes for the closed-form background, but the correction's
 strains, 3 inverse transforms a level, are taken in one walk shared by
@@ -43,9 +52,8 @@ weights on the nodes up to its radius.  Four radii so take 268 levels of
 transforms, not 4 x 193.
 
 At N = 4096 the tracemalloc peak is about 1.5 MiB for the four default
-box energies (1.6 MiB for one radius on its own walk before) and 2.9 MiB
-for the tables of 193 levels, where all 193 levels at once would take
-some 130 MiB.
+box energies and 2.1 MiB for the tables of 193 levels, where all 193
+levels at once would take some 130 MiB.
 """
 
 from __future__ import annotations
@@ -58,11 +66,11 @@ import numpy as np
 
 from .errors import DivergenceError
 from .extension import (
-    _analytic_stress,
+    _analytic_plane_stress,
     _level_chunks,
+    _plane_stresses,
     _strain_multipliers,
     _strains_of_spectrum,
-    strains_to_stresses,
 )
 from .grid import Grid1D
 from .operators import dot, hs_seminorm_grid, inner_h, mode_weights, rfft
@@ -266,23 +274,18 @@ def _abs2(m: np.ndarray) -> np.ndarray:
     return m.real**2 + m.imag**2
 
 
-def _parseval_multipliers(ms) -> np.ndarray:
-    """Strain multipliers ``(m11, m22, m12)`` stacked for a Parseval table.
-
-    The tables never pass through ``irfft``, so they apply its rule for
-    the unpaired Nyquist mode (the last) themselves: only the real part
-    of each multiplier is kept there (in place, for a complex array).
-    """
-    m = np.asarray(ms, dtype=complex)
-    m[..., -1] = m[..., -1].real
-    return m
-
-
-def _elastic_amplitudes(q, y, nu):
-    """Real amplitudes ``(a11, a22, a12)`` of the extension's strain
-    multipliers ``(i a11, i a22, a12)``."""
-    m11, m22, m12 = _strain_multipliers(q, y, nu)
-    return m11.imag, m22.imag, m12.real
+def _elastic_rows(amplitudes, G: float, nu: float) -> np.ndarray:
+    """Per-mode kernels, one row per level, of the x-sum at height y of the
+    density ``G (e11^2 + e22^2 + 2 e12^2) + (lambda/2) (e11 + e22)^2``
+    against ``|rfft(trace)_k|^2``, from the real amplitudes ``(a11, a22,
+    a12)`` of the strain multipliers ``(i a11, i a22, a12)``.  At the
+    unpaired Nyquist mode (the last) only a multiplier's real part counts,
+    as in ``irfft``: ``a11`` and ``a22`` are zeroed there, in place."""
+    a11, a22, a12 = amplitudes
+    a11[..., -1] = 0.0
+    a22[..., -1] = 0.0
+    lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
+    return G * (a11**2 + a22**2 + 2.0 * a12**2) + 0.5 * lame * (a11 + a22)**2
 
 
 def _energy_table(
@@ -294,52 +297,15 @@ def _energy_table(
     ``amplitudes(q, y)`` returns real ``(a11, a22, a12)`` such that the
     upper-half strain multipliers on the ``rfft`` modes ``q = grid.xi_r``
     are ``(i a11, i a22, a12)``; the default is the elastic extension.
-    By Parseval the x-sum at height y of the isotropic density
-    ``G (e11^2 + e22^2 + 2 e12^2) + (lambda/2) (e11 + e22)^2`` is a
-    per-mode kernel times ``|rfft(trace)_k|^2``; the kernels are summed
-    over the quadrature nodes and the mirror half-plane doubles the sum.
-    At the unpaired Nyquist mode (the last) only the real part of a
-    multiplier counts, so ``a11`` and ``a22`` drop out there.
+    The kernels (:func:`_elastic_rows`) are summed over the quadrature
+    nodes and the mirror half-plane doubles the sum.
     """
-    G, nu = params.G, params.nu
-    lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
     if amplitudes is None:
-        amplitudes = partial(_elastic_amplitudes, nu=nu)
+        amplitudes = partial(_strain_multipliers, nu=params.nu)
     q = grid.xi_r
     acc = np.zeros(len(q))
     for y, wts in _level_chunks(*quad.nodes_weights()):
-        a11, a22, a12 = amplitudes(q, y)
-        a11[..., -1] = 0.0
-        a22[..., -1] = 0.0
-        rows = G * (a11**2 + a22**2 + 2.0 * a12**2) + 0.5 * lame * (a11 + a22)**2
-        for wt, row in zip(wts, rows):
-            acc += wt * row
-    return 2.0 * mode_weights(grid) * acc
-
-
-def _cross_table(p: Profile, quad: BoxQuadrature) -> np.ndarray:
-    """Per-mode vector ``P_k`` with ``C_els(u, phi) = Re sum_k P_k
-    rfft(phi1)_k``.
-
-    The stress spectrum of u at each level is the ``rfft`` of the
-    closed-form background stress plus the correction stress taken
-    directly from the strain multipliers times ``rfft(v)``; the
-    integrand is even under the mirror map, so twice the upper sum.
-    """
-    grid, prm = p.grid, p.params
-    G, nu = prm.G, prm.nu
-    q = grid.xi_r
-    xs = grid.x - p.x0
-    v_hat = rfft(p.v)
-    acc = np.zeros(len(q), dtype=complex)
-    for y, wts in _level_chunks(*quad.nodes_weights()):
-        m11, m22, m12 = _parseval_multipliers(_strain_multipliers(q, y, nu))
-        s11, s12, s22, _ = _analytic_stress(xs, y, G, prm.b, nu, p.zeta_bg, +1.0)
-        S11, S22, S12 = rfft(np.stack([s11, s22, s12]))
-        c11, c12, c22, _ = strains_to_stresses(m11 * v_hat, m22 * v_hat, m12 * v_hat, G, nu)
-        S11, S12, S22 = S11 + c11, S12 + c12, S22 + c22
-        rows = m11 * np.conj(S11) + m22 * np.conj(S22) + 2.0 * m12 * np.conj(S12)
-        for wt, row in zip(wts, rows):
+        for wt, row in zip(wts, _elastic_rows(amplitudes(q, y), params.G, params.nu)):
             acc += wt * row
     return 2.0 * mode_weights(grid) * acc
 
@@ -369,10 +335,29 @@ class HalfPlaneTables:
 
     @classmethod
     def build(cls, p: Profile, quad: BoxQuadrature) -> "HalfPlaneTables":
-        return cls(
-            elastic=_energy_table(p.grid, p.params, quad),
-            cross=_cross_table(p, quad),
-        )
+        """Both tables from one level walk (module docstring); the integrands
+        are even under the mirror map, so each is twice its upper sum."""
+        grid, prm = p.grid, p.params
+        q = grid.xi_r
+        xs = grid.x - p.x0
+        el = np.zeros(len(q))
+        bg = np.zeros(len(q), dtype=complex)
+        for y, wts in _level_chunks(*quad.nodes_weights()):
+            a11, a22, a12 = amp = _strain_multipliers(q, y, prm.nu)
+            el_rows = _elastic_rows(amp, prm.G, prm.nu)
+            s11, s12, s22 = _analytic_plane_stress(xs, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
+            S11, S22, S12 = rfft(np.stack([s11, s22, s12]))
+            # m : conj(S) for m = (i a11, i a22, a12), with 2 m12 for e12 and e21;
+            # _elastic_rows has zeroed a11 and a22 at the Nyquist mode
+            bg_rows = np.empty(S12.shape, dtype=complex)
+            bg_rows.real = a11 * S11.imag + a22 * S22.imag + 2.0 * a12 * S12.real
+            bg_rows.imag = a11 * S11.real + a22 * S22.real - 2.0 * a12 * S12.imag
+            for wt, el_row, bg_row in zip(wts, el_rows, bg_rows):
+                el += wt * el_row
+                bg += wt * bg_row
+        w = 2.0 * mode_weights(grid)
+        elastic = w * el
+        return cls(elastic=elastic, cross=w * bg + 2.0 * elastic * np.conj(rfft(p.v)))
 
     def elastic_energy(self, phi1) -> float:
         return _quadratic(self.elastic, phi1)
@@ -394,7 +379,7 @@ def cross_term_elastic(p: Profile, phi: Perturbation, quad: BoxQuadrature) -> fl
 
     Background stress of u in closed form, correction spectrally.
     """
-    return _bilinear(_cross_table(p, quad), phi.phi1)
+    return HalfPlaneTables.build(p, quad).cross_term(phi.phi1)
 
 
 def _half_plane_route(phi: Perturbation, p: Profile, tables: HalfPlaneTables,
@@ -432,7 +417,7 @@ def _box_background(p: Profile, R: float, n_x: int, n_levels: int) -> float:
     xw = xw - p.x0
     total = 0.0
     for y, wts in _level_chunks(ys, wy):
-        s11, s12, s22, _ = _analytic_stress(xw, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
+        s11, s12, s22 = _analytic_plane_stress(xw, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
         bg = np.sum(wx * _stress_density(s11, s12, s22, prm.G, prm.nu), axis=-1)
         # level by level in node order, so the sum rounds as a level loop's
         for wt, row in zip(wts, bg):
@@ -486,8 +471,8 @@ def _box_correction(p: Profile, radii, n_levels: int) -> list[float]:
     totals = [0.0] * len(radii)
     for y, wts in _level_chunks(ys, wy):
         ev = _strains_of_spectrum(grid, v_hat, nu, y)
-        c11, c12, c22, _ = strains_to_stresses(*(e[:, lo:hi] for e in ev), G, nu)
-        b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
+        c11, c12, c22 = _plane_stresses(*(e[:, lo:hi] for e in ev), G, nu)
+        b11, b12, b22 = _analytic_plane_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
         dens = grid.h * (_stress_density(b11 + c11, b12 + c12, b22 + c22, G, nu)
                          - _stress_density(b11, b12, b22, G, nu))
         for j, sub in enumerate(cols):

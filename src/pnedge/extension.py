@@ -100,8 +100,9 @@ def _analytic_displacement(x, y, b, nu, zeta, sign):
     return u1, u2
 
 
-def _analytic_stress(x, y, G, b, nu, zeta, sign):
-    """Stress of the arctan core at (x, y); sign = +-1 picks the branch."""
+def _analytic_plane_stress(x, y, G, b, nu, zeta, sign):
+    """In-plane stress (s11, s12, s22) of the arctan core at (x, y); sign =
+    +-1 picks the branch."""
     x = np.asarray(x, float)
     p = y + sign * zeta
     r2 = x * x + p * p
@@ -109,8 +110,15 @@ def _analytic_stress(x, y, G, b, nu, zeta, sign):
     s11 = pref * (-(3.0 * y + sign * 2.0 * zeta) / r2 + 2.0 * y * p * p / r2**2)
     s12 = pref * (x / r2 - 2.0 * x * y * p / r2**2)
     s22 = pref * (-y / r2 + 2.0 * x * x * y / r2**2)
-    s33 = pref * (-2.0 * nu * p / r2)
-    return s11, s12, s22, s33
+    return s11, s12, s22
+
+
+def _analytic_stress(x, y, G, b, nu, zeta, sign):
+    """Stress (s11, s12, s22, s33) of the arctan core at (x, y): the
+    in-plane stress and the plane-strain s33."""
+    p = y + sign * zeta
+    s33 = G * b / (2.0 * np.pi * (1.0 - nu)) * (-2.0 * nu * p / (x * x + p * p))
+    return (*_analytic_plane_stress(x, y, G, b, nu, zeta, sign), s33)
 
 
 def analytic_fields(params: PhysParams, points, side: int | None = None):
@@ -154,16 +162,17 @@ def _u2_multiplier(q, nu, beta, y):
 
 
 def _strain_multipliers(q, y, nu) -> np.ndarray:
-    """Fourier multipliers taking uhat1(xi,0+) to the upper-half strains,
-    on the rfft modes (``xi = q >= 0``), as one complex array whose first
-    axis is (e11, e22, e12)."""
+    """Real amplitudes ``(a11, a22, a12)`` of the Fourier multipliers
+    ``(i a11, i a22, a12)`` that take uhat1(xi,0+) to the upper-half strains
+    (e11, e22, e12), on the rfft modes (``xi = q >= 0``), as one real array
+    whose first axis is the component."""
     beta = 1.0 / (2.0 - 2.0 * nu)
     decay = np.exp(-q * y)
-    m = np.empty((3,) + decay.shape, dtype=complex)
-    np.multiply(1j * q * (1.0 - beta * q * y), decay, out=m[0])
-    np.multiply(-1j * q * beta * (2.0 * nu - q * y), decay, out=m[1])
-    np.multiply(q * beta * (q * y - 1.0), decay, out=m[2])
-    return m
+    a = np.empty((3,) + decay.shape)
+    np.multiply(q * (1.0 - beta * q * y), decay, out=a[0])
+    np.multiply(-q * beta * (2.0 * nu - q * y), decay, out=a[1])
+    np.multiply(q * beta * (q * y - 1.0), decay, out=a[2])
+    return a
 
 
 def _displacement_of_spectrum(grid: Grid1D, trace_hat: np.ndarray, nu: float, y: float):
@@ -178,8 +187,10 @@ def _displacement_of_spectrum(grid: Grid1D, trace_hat: np.ndarray, nu: float, y:
 
 def _strains_of_spectrum(grid: Grid1D, trace_hat: np.ndarray, nu: float, y: float):
     """:func:`extend_trace_strains` from the trace's ``rfft``."""
-    m = _strain_multipliers(grid.xi_r, y, nu)
-    m *= trace_hat
+    a = _strain_multipliers(grid.xi_r, y, nu)
+    m = np.empty(a.shape, dtype=complex)
+    np.multiply(a[:2], 1j * trace_hat, out=m[:2])
+    np.multiply(a[2], trace_hat, out=m[2])
     e11, e22, e12 = irfft(grid, m)
     return e11, e22, e12
 
@@ -194,15 +205,18 @@ def extend_trace_strains(grid: Grid1D, trace: np.ndarray, nu: float, y: float):
     return _strains_of_spectrum(grid, rfft(np.asarray(trace, float)), nu, y)
 
 
-def strains_to_stresses(e11, e22, e12, G: float, nu: float):
-    """Plane-strain isotropic constitutive map (e33 = 0)."""
+def _plane_stresses(e11, e22, e12, G: float, nu: float):
+    """In-plane stresses (s11, s12, s22) of the plane-strain isotropic map."""
     lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
     tr = e11 + e22
-    s11 = 2.0 * G * e11 + lame * tr
-    s22 = 2.0 * G * e22 + lame * tr
-    s12 = 2.0 * G * e12
-    s33 = lame * tr
-    return s11, s12, s22, s33
+    return 2.0 * G * e11 + lame * tr, 2.0 * G * e12, 2.0 * G * e22 + lame * tr
+
+
+def strains_to_stresses(e11, e22, e12, G: float, nu: float):
+    """Plane-strain isotropic constitutive map (e33 = 0): the in-plane
+    stresses and s33 = lame (e11 + e22)."""
+    lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
+    return (*_plane_stresses(e11, e22, e12, G, nu), lame * (e11 + e22))
 
 
 # ---------------------------------------------------------------------------

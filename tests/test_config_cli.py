@@ -584,6 +584,36 @@ def test_table_subcommands_load_no_scipy(tmp_path, pnedge_env):
     assert summary["newton_steps"] >= 1
 
 
+_NUMPY_MA_TABLE_RUN = """
+import sys
+from pnedge.cli import main
+
+out, table = sys.argv[1], sys.argv[2]
+common = ["--set", f"potential=table:{table}", "--set", "L_over_zeta=100", "--set", "N=512"]
+for cmd in ("solve-static", "energy"):
+    assert main(["--output", f"{out}/{cmd}"] + common + [cmd]) == 0, cmd
+print("numpy.ma" in sys.modules)
+"""
+
+
+def test_table_solve_and_energy_leave_numpy_ma_unimported(tmp_path, pnedge_env):
+    # the first plain np.unique call of a process imports numpy.ma (about
+    # 1.7 MB resident); the table spline's np.unique(..., return_index=True)
+    # and the box energy's node set do not
+    from pnedge.params import PhysParams
+    from pnedge.potential import eval_potential, frenkel
+
+    u = np.linspace(0.0, 0.5, 64, endpoint=False)
+    w = eval_potential(frenkel(PhysParams()), u, 0)
+    table = tmp_path / "potential.csv"
+    table.write_text("u,W\n" + "".join(f"{a:.17g},{b:.17g}\n" for a, b in zip(u, w)))
+    proc = subprocess.run([sys.executable, "-c", _NUMPY_MA_TABLE_RUN, str(tmp_path), str(table)],
+                          capture_output=True, text=True, env=pnedge_env())
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
+    assert (tmp_path / "energy" / "energy.json").exists()
+
+
 @pytest.mark.parametrize("key, value", [("G", "-1"), ("b", "0"), ("d", "-0.5")])
 def test_physical_range_checked_by_params_names_key(key, value):
     # G, b and d are range-checked in one place, where PhysParams is built

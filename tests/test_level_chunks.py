@@ -4,18 +4,23 @@ The half-plane fields, the box energy and the Parseval tables evaluate
 their y-levels in chunks of ``extension._LEVEL_CHUNK``.  The references
 below are the one-level-at-a-time loops they replace, kept here
 verbatim (the box energy's is the level-by-level form of its walk shared
-by all radii); the chunked code must give the same bits (``==``, no
-tolerance), including for level counts that are not a multiple of the
-chunk and for fewer levels than one chunk.
+by all radii, the cross table's that of its background walk plus the
+correction's polarization); the chunked code must give the same bits
+(``==``, no tolerance), including for level counts that are not a
+multiple of the chunk and for fewer levels than one chunk.  The cross
+table as a sum of two stresses at every level is kept as a reference at
+roundoff.
 """
 
 import tracemalloc
 import warnings
+from dataclasses import replace
 from functools import partial
 
 import numpy as np
 import pytest
 
+from pnedge import energy
 from pnedge.energy import (
     BoxQuadrature,
     HalfPlaneTables,
@@ -152,7 +157,7 @@ def _energy_table_reference(grid, params, quad, multipliers=None):
     G, nu = params.G, params.nu
     lame = 2.0 * nu * G / (1.0 - 2.0 * nu)
     if multipliers is None:
-        multipliers = partial(_strain_multipliers, nu=nu)
+        multipliers = partial(_strain_multipliers_reference, nu=nu)
     q = grid.xi_r
     acc = np.zeros(len(q))
     for y, wt in zip(ys, wy):
@@ -162,24 +167,35 @@ def _energy_table_reference(grid, params, quad, multipliers=None):
     return 2.0 * mode_weights(grid) * acc
 
 
-def _cross_table_reference(p, quad):
+def _two_stress_cross_table(p, quad):
+    """The cross table as a sum of two stresses at every level: the
+    background's ``rfft`` plus the correction's stress spectrum from the
+    strain multipliers times ``rfft(v)``."""
     ys, wy = quad.nodes_weights()
     grid, prm = p.grid, p.params
     G, nu = prm.G, prm.nu
     q = grid.xi_r
     xs = grid.x - p.x0
-    v_hat = rfft(p.v) if np.any(p.v) else None
+    v_hat = rfft(p.v)
     acc = np.zeros(len(q), dtype=complex)
     for y, wt in zip(ys, wy):
-        m11, m22, m12 = _parseval_multipliers(_strain_multipliers(q, y, nu))
+        m11, m22, m12 = _parseval_multipliers(_strain_multipliers_reference(q, y, nu))
         s11, s12, s22, _ = _analytic_stress(xs, y, G, prm.b, nu, p.zeta_bg, +1.0)
         S11, S22, S12 = rfft(np.stack([s11, s22, s12]))
-        if v_hat is not None:
-            c11, c12, c22, _ = strains_to_stresses(m11 * v_hat, m22 * v_hat, m12 * v_hat,
-                                                   G, nu)
-            S11, S12, S22 = S11 + c11, S12 + c12, S22 + c22
+        c11, c12, c22, _ = strains_to_stresses(m11 * v_hat, m22 * v_hat, m12 * v_hat, G, nu)
+        S11, S12, S22 = S11 + c11, S12 + c12, S22 + c22
         acc += wt * (m11 * np.conj(S11) + m22 * np.conj(S22) + 2.0 * m12 * np.conj(S12))
     return 2.0 * mode_weights(grid) * acc
+
+
+def _cross_table_reference(p, quad):
+    """The level loop over the background alone (the two-stress table of
+    ``v = 0``) plus the correction's cross part, the polarization
+    ``2 E_k conj(rfft(v)_k)`` of the elastic table."""
+    background_only = replace(p, v=np.zeros_like(p.v))
+    elastic = _energy_table_reference(p.grid, p.params, quad)
+    return (_two_stress_cross_table(background_only, quad)
+            + 2.0 * elastic * np.conj(rfft(p.v)))
 
 
 def _competitor_reference(grid, phi1, params, f_pair, g_pair, quad):
@@ -313,7 +329,8 @@ def test_shared_walk_matches_per_radius_walks(solved, solved_table, params, pote
 def test_strains_bit_identical_to_stacked_multipliers(solved, params, y):
     grid, nu = solved.grid, params.nu
     ref = np.stack(_strain_multipliers_reference(grid.xi_r, y, nu))
-    np.testing.assert_array_equal(_strain_multipliers(grid.xi_r, y, nu), ref)
+    np.testing.assert_array_equal(_strain_multipliers(grid.xi_r, y, nu),
+                                  np.stack([ref[0].imag, ref[1].imag, ref[2].real]))
     v_hat = rfft(solved.v)
     np.testing.assert_array_equal(np.stack(_strains_of_spectrum(grid, v_hat, nu, y)),
                                   irfft(grid, ref * v_hat))
@@ -326,6 +343,38 @@ def test_tables_bit_identical(profile, params, n_levels):
     np.testing.assert_array_equal(
         tables.elastic, _energy_table_reference(profile.grid, params, quad))
     np.testing.assert_array_equal(tables.cross, _cross_table_reference(profile, quad))
+
+
+@pytest.mark.parametrize("case", ["frenkel", "table", "background:2"])
+def test_cross_table_matches_two_stress_table(solved, solved_table, grid, params, case):
+    """The correction's cross part by polarization against the correction's
+    stress summed with the background's at every level: the same quadrature,
+    so they agree to roundoff, and bit for bit where v = 0."""
+    p = {"frenkel": solved, "table": solved_table,
+         "background:2": Profile(grid=grid, params=params, zeta_bg=2.0 * params.zeta)}[case]
+    quad = BoxQuadrature.for_params(params)
+    cross = HalfPlaneTables.build(p, quad).cross
+    want = _two_stress_cross_table(p, quad)
+    if case == "background:2":
+        assert not np.any(p.v)
+        np.testing.assert_array_equal(cross, want)
+    else:
+        assert np.max(np.abs(cross - want)) <= 1e-14 * np.max(np.abs(want))
+
+
+def test_tables_take_the_amplitudes_once_a_chunk(solved, params, monkeypatch):
+    """One walk builds both tables: one amplitude call a chunk of levels."""
+    calls = []
+
+    def counted(q, y, nu):
+        calls.append(len(y))
+        return _strain_multipliers(q, y, nu)
+
+    monkeypatch.setattr(energy, "_strain_multipliers", counted)
+    quad = BoxQuadrature.for_params(params)
+    HalfPlaneTables.build(solved, quad)
+    assert len(quad.nodes_weights()[0]) == 193
+    assert len(calls) == 49 and sum(calls) == 193
 
 
 @pytest.mark.parametrize("n_levels", LEVELS)
