@@ -18,7 +18,7 @@ def main():
     params, grid, spec = run_setup(cfg)
     z = params.zeta
     s0 = dynamics_start(cfg, grid, params, spec)
-    ref = s0.reference
+    ref = s0.reference.profile
 
     state, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions())
     arr = trace.as_arrays()

@@ -62,6 +62,7 @@ from .profile import Profile, analytic_profile, tanh_profile
 from .static import (
     ResidualField,
     SolveResult,
+    StaticState,
     burgers_density,
     center_profile,
     decay_coefficients,

@@ -39,6 +39,7 @@ from .errors import TimeStepUnderflowError
 from .extension import PARITY, YLevels, dtn_traction, extend_to_half_planes, stress_field
 from .io import prepare_output_dir, write_csv, write_field_csv, write_manifest
 from .static import (
+    StaticState,
     burgers_density,
     center_profile,
     decay_coefficients,
@@ -165,13 +166,13 @@ def cmd_energy(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     radii = box_radii(cfg)
     params, grid, spec = run_setup(cfg)
-    profile = _solve(cfg, grid, params, spec).profile
-    E_box, slope, intercept, r2 = log_divergence_fit(profile, radii)
-    tables = HalfPlaneTables.build(profile, BoxQuadrature.for_params(params))
+    state = StaticState(_solve(cfg, grid, params, spec).profile, spec)
+    E_box, slope, intercept, r2 = log_divergence_fit(state.profile, radii)
+    tables = HalfPlaneTables.build(state.profile, BoxQuadrature.for_params(params))
     # per-profile values, kept in each perturbation's record of energy.json
-    profile_pieces = {"E_mis": misfit_energy(profile, spec), "E_els_box": E_box[-1],
+    profile_pieces = {"E_mis": misfit_energy(state), "E_els_box": E_box[-1],
                       "box_radius": radii[-1]}
-    records = [{**asdict(energy_breakdown(ph, profile, spec, tables)), **profile_pieces}
+    records = [{**asdict(energy_breakdown(ph, state, tables)), **profile_pieces}
                for ph in energy_perturbations(cfg, grid, params)]
     out = prepare_output_dir(cfg.output, cfg.overwrite)
     payload = {

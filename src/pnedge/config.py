@@ -22,6 +22,7 @@ from .grid import Grid1D, build_grid
 from .params import PhysParams
 from .potential import PotentialSpec, frenkel, from_csv, validate_potential
 from .profile import Profile, analytic_profile, tanh_profile
+from .static import StaticState
 
 
 def _fmt(value) -> str:
@@ -296,10 +297,10 @@ def energy_perturbations(cfg: RunConfig, grid: Grid1D,
 
 def dynamics_start(cfg: RunConfig, grid: Grid1D, params: PhysParams,
                    spec: PotentialSpec) -> DynamicsState:
-    """The analytic core plus a Gaussian bump at t = 0, with the core as
-    the reference static profile."""
+    """The analytic core plus a Gaussian bump at t = 0, with the core
+    under ``spec`` as the reference static state."""
     ref = analytic_profile(grid, params)
     v0 = cfg.dynamics_bump_amp * params.b * np.exp(
         -(grid.x**2) / (cfg.dynamics_bump_width_over_zeta * params.zeta) ** 2
     )
-    return DynamicsState(t=0.0, p=ref.with_correction(v0), spec=spec, reference=ref)
+    return DynamicsState(t=0.0, p=ref.with_correction(v0), reference=StaticState(ref, spec))

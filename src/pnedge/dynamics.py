@@ -30,14 +30,13 @@ Only v changes along a trajectory, so the rest is evaluated once:
   state; the monitor's residual of an accepted state and the next step's
   force read the same ``W'(u1)``.
 * per run, a private record on :class:`DynamicsState` holds the
-  background u_bg on the grid and ``(-d_xx)^{1/2} u_bg``, the reference
-  ``u1*`` with ``W(u1*)``, ``W'(u1*)`` and ``v_hat*``, the seminorm
-  weights of F, the update symbols of the latest (method, step size), and
-  two work buffers, one of samples and one of spectrum.  Steps pass it on
-  to the states they make.
-  A state whose grid, parameters, ``zeta_bg``, ``x0``, reference or
-  potential is not the record's (the grid, the reference and the
-  potential compared by identity, the rest by value) builds a new one.
+  reference, the background u_bg on the grid and ``(-d_xx)^{1/2} u_bg``,
+  ``u1*``, ``v_hat*``, the seminorm weights of F, the update symbols of
+  the latest (method, step size), and two work buffers, one of samples
+  and one of spectrum.  Steps pass it on; a state with another reference
+  builds a new one.  The reference (:class:`~pnedge.static.StaticState`)
+  holds the potential and keeps ``W(u1*)`` and ``W'(u1*)``, and it must
+  share the state's grid, parameters, ``zeta_bg`` and ``x0``.
 
 An accepted step thus makes 3 N-point transforms, for either method: the
 rfft of the force (g, or T for ETD), the irfft of ``v_hat+``, and the
@@ -60,17 +59,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 from functools import cached_property
-from typing import Optional
 
 import numpy as np
 
 from .errors import TimeStepUnderflowError
-from .grid import Grid1D
 from .operators import dot, irfft, rfft, seminorm_weights
-from .params import PhysParams
-from .potential import PotentialSpec, eval_potential
+from .potential import eval_potential
 from .profile import Profile
-from .static import ResidualField, residual, semi_implicit_update
+from .static import ResidualField, StaticState, residual, semi_implicit_update
 
 
 @dataclass(frozen=True)
@@ -79,23 +75,22 @@ class DynamicsState:
 
     t: float
     p: Profile
-    spec: PotentialSpec
-    reference: Profile  # static profile u1* for F, Q and ETD
-    _run: Optional[_RunInvariants] = field(default=None, compare=False, repr=False)
+    reference: StaticState  # u1* of F, Q and ETD, and the potential of the flow
+    _run: _RunInvariants | None = field(default=None, compare=False, repr=False)
 
     def __post_init__(self):
-        """Reject a missing reference, or one whose background is not the state's."""
-        ref = self.reference
-        if ref is None:
-            raise ValueError("a dynamics state needs a reference static profile")
-        if ref.zeta_bg != self.p.zeta_bg or ref.x0 != self.p.x0:
-            raise ValueError("reference background differs from the state background")
+        """Reject a missing reference, or one with another grid, parameters or background."""
+        if not isinstance(self.reference, StaticState):
+            raise ValueError("a dynamics state needs a reference static state")
+        p, q = self.p, self.reference.profile
+        if (p.grid, p.params, p.zeta_bg, p.x0) != (q.grid, q.params, q.zeta_bg, q.x0):
+            raise ValueError("reference grid, parameters or background is not the state's")
 
     def _invariants(self) -> _RunInvariants:
-        """The run record, rebuilt if it was made for another run."""
+        """The run record, rebuilt if it was made for another reference."""
         inv = self._run
-        if inv is None or not inv.fits(self):
-            inv = _RunInvariants.of(self)
+        if inv is None or inv.reference is not self.reference:
+            inv = _RunInvariants.of(self.reference)
             # a cache: it changes no value the state compares or prints
             object.__setattr__(self, "_run", inv)
         return inv
@@ -103,7 +98,7 @@ class DynamicsState:
     @cached_property
     def _wp_u1(self) -> np.ndarray:
         """W'(u1) on the grid."""
-        return eval_potential(self.spec, self._invariants().bg + self.p.v, 1)
+        return eval_potential(self.reference.spec, self._invariants().bg + self.p.v, 1)
 
     @cached_property
     def _v_hat(self) -> np.ndarray:
@@ -116,17 +111,10 @@ class _RunInvariants:
     """What stays fixed along a trajectory, and its work buffers; see the
     module docstring."""
 
-    grid: Grid1D
-    params: PhysParams
-    zeta_bg: float
-    x0: float
-    reference: Profile
-    spec: PotentialSpec
+    reference: StaticState
     bg: np.ndarray
     lam_bg: np.ndarray
     u_star: np.ndarray
-    w_star: np.ndarray
-    wp_star: np.ndarray
     v_hat_star: np.ndarray
     hs_weights: np.ndarray  # seminorm weights of F, one per (re, im) entry of a mode
     work: np.ndarray
@@ -134,21 +122,11 @@ class _RunInvariants:
     _symbols: dict = field(default_factory=dict)  # latest (kernel, dt) -> stacked symbols
 
     @classmethod
-    def of(cls, s: DynamicsState) -> _RunInvariants:
-        p, ref, grid = s.p, s.reference, s.p.grid
-        u_star = ref.u1
-        return cls(grid, p.params, p.zeta_bg, p.x0, ref, s.spec,
-                   p.background_on_grid(), p.half_laplacian_background(),
-                   u_star, eval_potential(s.spec, u_star, 0),
-                   eval_potential(s.spec, u_star, 1), rfft(ref.v),
-                   np.repeat(seminorm_weights(grid, 0.5), 2),
-                   np.empty(grid.N), np.empty(grid.N // 2 + 1, dtype=complex))
-
-    def fits(self, s: DynamicsState) -> bool:
-        p = s.p
-        return (p.grid is self.grid and p.params == self.params
-                and p.zeta_bg == self.zeta_bg and p.x0 == self.x0
-                and s.reference is self.reference and s.spec is self.spec)
+    def of(cls, ref: StaticState) -> _RunInvariants:
+        p = ref.profile
+        return cls(ref, p.background_on_grid(), p.half_laplacian_background(), p.u1,
+                   rfft(p.v), np.repeat(seminorm_weights(p.grid, 0.5), 2),
+                   np.empty(p.grid.N), np.empty(p.grid.N // 2 + 1, dtype=complex))
 
     def symbols(self, kernel, dt: float) -> np.ndarray:
         """Symbols of v and of the force in the update ``kernel`` at step dt;
@@ -156,7 +134,8 @@ class _RunInvariants:
         at unit force."""
         symbols = self._symbols.get((kernel, dt))
         if symbols is None:
-            q, c0 = self.grid.xi_r, self.params.c0
+            p = self.reference.profile
+            q, c0 = p.grid.xi_r, p.params.c0
             symbols = np.stack([kernel(1.0, 0.0, dt, c0, q), kernel(0.0, 1.0, dt, c0, q)])
             self._symbols.clear()  # keep the latest step size only
             self._symbols[(kernel, dt)] = symbols
@@ -210,12 +189,12 @@ class RunOptions:
 
 def free_energy(s: DynamicsState) -> float:
     """F relative to the reference static profile; F(u1*) = 0."""
-    inv = s._invariants()
+    inv, ref = s._invariants(), s.reference
     h = s.p.grid.h
-    v = np.subtract(s.p.v, s.reference.v, out=inv.work)  # u1 - u1*, in the buffer
-    lin = -h * dot(v, inv.wp_star)
-    w = eval_potential(s.spec, np.add(inv.u_star, v, out=v), 0)  # W(u1* + v)
-    w -= inv.w_star
+    v = np.subtract(s.p.v, ref.profile.v, out=inv.work)  # u1 - u1*, in the buffer
+    lin = -h * dot(v, ref.wp)
+    w = eval_potential(ref.spec, np.add(inv.u_star, v, out=v), 0)  # W(u1* + v)
+    w -= ref.w
     mis = h * float(np.sum(w))
     # |v_hat - v_hat*|^2 per mode: the squares of its (re, im) pairs
     d = np.subtract(s._v_hat, inv.v_hat_star, out=inv.work_hat).view(float)
@@ -228,7 +207,7 @@ def _residual(s: DynamicsState) -> ResidualField:
     inv, grid = s._invariants(), s.p.grid
     lam = irfft(grid, np.multiply(grid.xi_r, s._v_hat, out=inv.work_hat), out=inv.work)
     lam += inv.lam_bg
-    return residual(s.p, s.spec, wp=s._wp_u1, lam=lam)
+    return residual(s.p, s.reference.spec, wp=s._wp_u1, lam=lam)
 
 
 def _squared_l2(r: ResidualField) -> float:
@@ -265,7 +244,7 @@ def _check_T_end(T_end: float) -> None:
 
 
 def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
-             v_hat_star: Optional[np.ndarray] = None) -> DynamicsState:
+             v_hat_star: np.ndarray | None = None) -> DynamicsState:
     """One step of the linear update ``kernel``: ``v_hat+ = S_v (v_hat - v_hat*)
     + S_f rfft(force) + v_hat*`` with the kernel's symbols at dt, summed on
     the modes (without ``v_hat*`` unless given); one rfft and one irfft."""
@@ -306,9 +285,9 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     """
     _check_dt(dt)
     inv = s._invariants()
-    T = np.subtract(s.p.v, s.reference.v, out=inv.work)  # u1 - u1*, in the buffer
+    T = np.subtract(s.p.v, s.reference.profile.v, out=inv.work)  # u1 - u1*, in the buffer
     T -= s._wp_u1
-    T += inv.wp_star
+    T += s.reference.wp
     return _advance(s, dt, etd_update, T, inv.v_hat_star)
 
 

@@ -75,9 +75,9 @@ from .extension import (
 from .grid import Grid1D
 from .operators import dot, hs_seminorm_grid, inner_h, mode_weights, rfft
 from .params import PhysParams
-from .potential import PotentialSpec, eval_potential
+from .potential import eval_potential
 from .profile import Profile
-from .static import half_laplacian_profile
+from .static import StaticState
 
 
 # ---------------------------------------------------------------------------
@@ -193,8 +193,8 @@ def seeded_perturbations(
 # slip-plane (Gamma) route
 # ---------------------------------------------------------------------------
 
-def misfit_energy(p: Profile, spec: PotentialSpec) -> float:
-    """Misfit energy ``int W(u1) dx`` with analytic tail correction.
+def misfit_energy(s: StaticState) -> float:
+    """Misfit energy ``int W(u1) dx`` of a state, with analytic tail correction.
 
     The grid sum covers [-L, L); beyond the box the integrand is
     expanded about the nearest lattice well, ``W ~ (1/2) W''(m) (u1-m)^2``
@@ -202,9 +202,7 @@ def misfit_energy(p: Profile, spec: PotentialSpec) -> float:
     ``W''(m) c^2 / (2L)`` per side.  Raises if the integrand does not
     decay (nonzero well offset at the ends).
     """
-    prm = p.params
-    u1 = p.u1
-    w = eval_potential(spec, u1, 0)
+    p, spec, prm = s.profile, s.spec, s.profile.params
     left, right = p.boundary_values()
     period = spec.period
     scale = prm.G * prm.b**2 / prm.d
@@ -220,50 +218,38 @@ def misfit_energy(p: Profile, spec: PotentialSpec) -> float:
             )
         c = dev * xend  # 1/x tail amplitude
         tail += eval_potential(spec, m, 2) * c * c / (2.0 * abs(xend))
-    return float(p.grid.h * np.sum(w) + tail)
+    return float(p.grid.h * np.sum(s.w) + tail)
 
 
-def _misfit_difference(p: Profile, spec: PotentialSpec, phi1: np.ndarray) -> float:
+def _misfit_difference(s: StaticState, phi1: np.ndarray) -> float:
     """Misfit energy change ``h sum [W(u1 + phi1) - W(u1)]`` of a perturbation."""
-    u1 = p.u1
-    return float(p.grid.h * np.sum(
-        eval_potential(spec, u1 + phi1, 0) - eval_potential(spec, u1, 0)
-    ))
+    p = s.profile
+    return float(p.grid.h * np.sum(eval_potential(s.spec, p.u1 + phi1, 0) - s.w))
 
 
-def _half_laplacian_u1(p: Profile) -> np.ndarray:
-    """``(-d_xx)^{1/2} u1`` of a profile, made on its first perturbation
-    and kept, read-only, on the (frozen) profile for the ones after."""
-    lam = p.__dict__.get("_half_laplacian_u1")
-    if lam is None:
-        lam = half_laplacian_profile(p)
-        lam.flags.writeable = False
-        p.__dict__["_half_laplacian_u1"] = lam
-    return lam
-
-
-def cross_term_gamma(p: Profile, phi: Perturbation) -> float:
+def cross_term_gamma(s: StaticState, phi: Perturbation) -> float:
     """Slip-plane cross term ``c0 int phi1 (-d_xx)^{1/2} u1 dx``."""
-    return p.params.c0 * inner_h(p.grid, phi.phi1, _half_laplacian_u1(p))
+    return s.profile.params.c0 * inner_h(s.profile.grid, phi.phi1, s.lam)
 
 
-def _slip_plane_route(phi: Perturbation, p: Profile, spec: PotentialSpec):
+def _slip_plane_route(phi: Perturbation, s: StaticState):
     """The slip-plane pieces ``(c0/2)|phi1|^2_{H^1/2}``,
     ``c0 int phi1 (-d_xx)^{1/2} u1`` and ``int [W(u1+phi1) - W(u1)]``,
     followed by their sum."""
+    p = s.profile
     quad = 0.5 * p.params.c0 * hs_seminorm_grid(p.grid, phi.phi1, 0.5)
-    cross = cross_term_gamma(p, phi)
-    mis_diff = _misfit_difference(p, spec, phi.phi1)
+    cross = cross_term_gamma(s, phi)
+    mis_diff = _misfit_difference(s, phi.phi1)
     return quad, cross, mis_diff, quad + cross + mis_diff
 
 
-def reduced_perturbed_energy(phi: Perturbation, p: Profile, spec: PotentialSpec) -> float:
-    """Perturbed energy of the reduced slip-plane system.
+def reduced_perturbed_energy(phi: Perturbation, s: StaticState) -> float:
+    """Perturbed energy of the reduced slip-plane system about a state.
 
     ``(c0/2)|phi1|^2_{H^1/2} + c0 int phi1 (-d_xx)^{1/2} u1
     + int [W(u1+phi1) - W(u1)]``.
     """
-    return _slip_plane_route(phi, p, spec)[-1]
+    return _slip_plane_route(phi, s)[-1]
 
 
 # ---------------------------------------------------------------------------
@@ -540,12 +526,12 @@ class EnergyBreakdown:
 
 
 def energy_breakdown(
-    phi: Perturbation, p: Profile, spec: PotentialSpec, tables: HalfPlaneTables,
+    phi: Perturbation, s: StaticState, tables: HalfPlaneTables,
 ) -> EnergyBreakdown:
-    """Both routes to the perturbed energy of one perturbation, each
-    piece evaluated once; ``tables`` are the profile's."""
-    gamma = _slip_plane_route(phi, p, spec)
-    return EnergyBreakdown(*gamma, *_half_plane_route(phi, p, tables, gamma[2]))
+    """Both routes to the perturbed energy of one perturbation about a
+    state, each piece evaluated once; ``tables`` are its profile's."""
+    gamma = _slip_plane_route(phi, s)
+    return EnergyBreakdown(*gamma, *_half_plane_route(phi, s.profile, tables, gamma[2]))
 
 
 # ---------------------------------------------------------------------------

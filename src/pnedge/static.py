@@ -12,6 +12,10 @@ and :data:`RES_TOL`.  The background part of the half-Laplacian uses the
 closed form, so the arctan core with ``zeta_bg = d/(2(1-nu))`` is an
 exact fixed point of the discretization under the Frenkel potential.
 
+A solved profile and its potential make a :class:`StaticState`: the u*
+of the perturbed energies E(u* + phi) - E(u*) and of the dynamics that
+relax back to it, which read its W, W' and half-Laplacian, made once.
+
 Each residual is evaluated once: the sweep starts from the start
 profile's, a sweep step makes two transforms because the step's own
 equation gives the residual of its result, and the solve returns the
@@ -36,6 +40,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -95,6 +100,33 @@ class SolveResult:
 def half_laplacian_profile(p: Profile) -> np.ndarray:
     """``(-d_xx)^{1/2} u1``: closed-form background plus spectral correction."""
     return p.half_laplacian_background() + apply_half_laplacian(p.grid, p.v)
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+@dataclass(frozen=True, eq=False)
+class StaticState:
+    """A static profile under its misfit potential, compared by identity.
+    ``w = W(u1)``, ``wp = W'(u1)`` and ``lam = (-d_xx)^{1/2} u1`` are each
+    made on first use and kept, read-only."""
+
+    profile: Profile
+    spec: PotentialSpec
+
+    @cached_property
+    def w(self) -> np.ndarray:
+        return _read_only(eval_potential(self.spec, self.profile.u1, 0))
+
+    @cached_property
+    def wp(self) -> np.ndarray:
+        return _read_only(eval_potential(self.spec, self.profile.u1, 1))
+
+    @cached_property
+    def lam(self) -> np.ndarray:
+        return _read_only(half_laplacian_profile(self.profile))
 
 
 def residual(p: Profile, spec: PotentialSpec, wp: np.ndarray | None = None,

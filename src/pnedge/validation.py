@@ -73,6 +73,7 @@ from .params import PhysParams
 from .potential import PotentialSpec, eval_potential
 from .profile import Profile, analytic_profile, background, tanh_profile
 from .static import (
+    StaticState,
     burgers_density,
     center_profile,
     decay_coefficients,
@@ -108,7 +109,7 @@ def _geq(name, actual, floor, expected, detail="") -> CheckResult:
 
 @dataclass
 class SuiteContext:
-    """Shared expensive artifacts (grid, solved profile, its half-plane
+    """Shared expensive artifacts (grid, solved state, its half-plane
     tables) for the checks."""
 
     cfg: RunConfig
@@ -116,15 +117,15 @@ class SuiteContext:
     grid: object = field(init=False)
     spec: PotentialSpec = field(init=False)
     analytic: Profile = field(init=False)
-    solved: Profile = field(init=False)
+    solved: StaticState = field(init=False)
     solved_centered: Profile = field(init=False)
 
     def __post_init__(self):
         self.params, self.grid, self.spec = run_setup(self.cfg)
         self.analytic = analytic_profile(self.grid, self.params)
         init = tanh_profile(self.grid, self.params)
-        self.solved = solve_static(init, self.spec).profile
-        _, self.solved_centered = center_profile(self.solved)
+        self.solved = StaticState(solve_static(init, self.spec).profile, self.spec)
+        _, self.solved_centered = center_profile(self.solved.profile)
 
     @property
     def quad(self) -> BoxQuadrature:
@@ -134,7 +135,7 @@ class SuiteContext:
     @cached_property
     def tables(self) -> HalfPlaneTables:
         """Half-plane tables of the solved profile at :attr:`quad`."""
-        return HalfPlaneTables.build(self.solved, self.quad)
+        return HalfPlaneTables.build(self.solved.profile, self.quad)
 
     @property
     def force_scale(self) -> float:
@@ -255,7 +256,7 @@ def check_decay_rate(ctx: SuiteContext) -> list[CheckResult]:
 # ---------------------------------------------------------------------------
 
 def check_extension_oracle(ctx: SuiteContext) -> list[CheckResult]:
-    prm, grid, p = ctx.params, ctx.grid, ctx.solved
+    prm, grid, p = ctx.params, ctx.grid, ctx.solved.profile
     b, nu, G, z = prm.b, prm.nu, prm.G, prm.zeta
     z1, z2 = z, 2.0 * z
     trace = background(grid.x, b, z1) - background(grid.x, b, z2)
@@ -361,7 +362,7 @@ def check_energy_relation(ctx: SuiteContext) -> list[CheckResult]:
     floor = 1e-3 * ctx.energy_scale
     rel, cross = [], []
     for ph in perts:
-        bd = energy_breakdown(ph, ctx.solved, ctx.spec, ctx.tables)
+        bd = energy_breakdown(ph, ctx.solved, ctx.tables)
         rel.append(abs(bd.E_hat_total - bd.E_hat_gamma) / max(abs(bd.E_hat_gamma), floor))
         cross.append(abs(bd.cross_els - bd.cross_gamma) / max(abs(bd.cross_gamma), floor))
     return [
@@ -379,10 +380,9 @@ def check_energy_relation(ctx: SuiteContext) -> list[CheckResult]:
 
 def check_minimizer(ctx: SuiteContext) -> list[CheckResult]:
     cfg, prm = ctx.cfg, ctx.params
-    p = ctx.solved
     perts = seeded_perturbations(ctx.grid, prm, 20, seed=cfg.energy_pert_seed + 1,
                                  out_of_range=6)
-    values = [reduced_perturbed_energy(ph, p, ctx.spec) for ph in perts]
+    values = [reduced_perturbed_energy(ph, ctx.solved) for ph in perts]
     floor = -1e-8 * ctx.energy_scale
 
     # extension optimality: same trace, competitor decay profiles in y
@@ -424,7 +424,7 @@ def check_minimizer(ctx: SuiteContext) -> list[CheckResult]:
 
 def check_log_divergence(ctx: SuiteContext) -> list[CheckResult]:
     radii = box_radii(ctx.cfg)
-    p = ctx.solved
+    p = ctx.solved.profile
     _, slope, _, r2 = log_divergence_fit(p, radii)
 
     # self-convergence of the quadrature for the slope: the fit above is
@@ -449,7 +449,7 @@ def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
     cfg, prm, grid = ctx.cfg, ctx.params, ctx.grid
     z, b = prm.zeta, prm.b
     s0 = dynamics_start(cfg, grid, prm, ctx.spec)
-    ref = s0.reference
+    ref = s0.reference.profile
 
     # the suite checks the semi-implicit run whatever dynamics_method says
     send, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions())
@@ -510,7 +510,7 @@ def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
 def check_misfit(ctx: SuiteContext) -> list[CheckResult]:
     prm = ctx.params
     target = prm.G * prm.b**2 * prm.zeta / (2.0 * np.pi * prm.d)
-    got = misfit_energy(ctx.analytic, ctx.spec)
+    got = misfit_energy(StaticState(ctx.analytic, ctx.spec))
     return [_leq("11.misfit_energy", abs(got - target) / target, 5e-3,
                  f"int W(u_bg) = G b^2 zeta/(2 pi d) = {target:.6f}")]
 

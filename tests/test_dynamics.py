@@ -1,5 +1,10 @@
 """Gradient-flow dynamics: kernels, fixed points, dissipation, parity."""
 
+import re
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -17,14 +22,15 @@ from pnedge.dynamics import (
 )
 from pnedge.errors import TimeStepUnderflowError
 from pnedge.grid import build_grid
-from pnedge.static import center_profile, residual
+from pnedge.params import PhysParams
+from pnedge.static import StaticState, center_profile, residual
 
 
 @pytest.fixture()
 def bump_state(grid, params, analytic, spec):
     v0 = 0.1 * params.b * np.exp(-grid.x**2 / params.zeta**2)
-    return DynamicsState(t=0.0, p=analytic.with_correction(v0), spec=spec,
-                         reference=analytic)
+    return DynamicsState(t=0.0, p=analytic.with_correction(v0),
+                         reference=StaticState(analytic, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -70,7 +76,7 @@ def test_etd_kernel_constant_forcing():
 # ---------------------------------------------------------------------------
 
 def test_static_profile_is_fixed_point(analytic, spec):
-    s0 = DynamicsState(t=0.0, p=analytic, spec=spec, reference=analytic)
+    s0 = DynamicsState(t=0.0, p=analytic, reference=StaticState(analytic, spec))
     s1 = step_semi_implicit(s0, 0.1)
     assert np.max(np.abs(s1.p.v)) < 1e-15
     s2 = step_etd(s0, 0.1)
@@ -79,7 +85,7 @@ def test_static_profile_is_fixed_point(analytic, spec):
 
 
 def test_zero_deviation_stays_zero(analytic, spec):
-    s = DynamicsState(t=0.0, p=analytic, spec=spec, reference=analytic)
+    s = DynamicsState(t=0.0, p=analytic, reference=StaticState(analytic, spec))
     for _ in range(5):
         s = step_etd(s, 0.2)
     assert np.max(np.abs(s.p.v)) < 1e-14
@@ -88,9 +94,9 @@ def test_zero_deviation_stays_zero(analytic, spec):
 def test_state_requires_a_reference(analytic, spec):
     # F, Q and ETD all need the reference static profile: a state has one
     with pytest.raises(ValueError, match="reference"):
-        DynamicsState(t=0.0, p=analytic, spec=spec, reference=None)
+        DynamicsState(t=0.0, p=analytic, reference=None)
     with pytest.raises(TypeError):
-        DynamicsState(t=0.0, p=analytic, spec=spec)
+        DynamicsState(t=0.0, p=analytic)
 
 
 def test_step_rejects_nonpositive_dt(bump_state):
@@ -111,7 +117,7 @@ def test_single_step_decreases_free_energy(bump_state):
 # ---------------------------------------------------------------------------
 
 def test_run_trace_constant_for_static_start(analytic, spec, params):
-    s0 = DynamicsState(t=0.0, p=analytic, spec=spec, reference=analytic)
+    s0 = DynamicsState(t=0.0, p=analytic, reference=StaticState(analytic, spec))
     _, trace = run_dynamics(s0, 1.0, RunOptions(dt=0.25))
     arr = trace.as_arrays()
     assert np.max(np.abs(arr["F_values"])) < 1e-14
@@ -164,7 +170,7 @@ def test_bump_relaxes_to_core(bump_state, analytic, grid, params):
 def test_dissipation_identity(bump_state, params):
     # Q equals the squared L2 norm of the force-balance residual
     q = dissipation_rate(bump_state)
-    r = residual(bump_state.p, bump_state.spec)
+    r = residual(bump_state.p, bump_state.reference.spec)
     assert q == pytest.approx(r.l2**2, rel=1e-12)
     assert q >= 0
     # -dF/dt matches Q to first order in dt
@@ -175,7 +181,7 @@ def test_dissipation_identity(bump_state, params):
 
 
 def test_dissipation_zero_at_static(analytic, spec, params):
-    s = DynamicsState(t=0.0, p=analytic, spec=spec, reference=analytic)
+    s = DynamicsState(t=0.0, p=analytic, reference=StaticState(analytic, spec))
     scale = (params.G * params.b / params.d) ** 2 * analytic.grid.L
     assert dissipation_rate(s) <= 1e-18 * scale
 
@@ -184,8 +190,8 @@ def test_parity_preserved_for_odd_data(grid, params, analytic, spec):
     # odd initial deviation with the even potential stays odd
     z = params.zeta
     v0 = 0.08 * params.b * (grid.x / z) * np.exp(-grid.x**2 / z**2)
-    s0 = DynamicsState(t=0.0, p=analytic.with_correction(v0), spec=spec,
-                       reference=analytic)
+    s0 = DynamicsState(t=0.0, p=analytic.with_correction(v0),
+                       reference=StaticState(analytic, spec))
     send, _ = run_dynamics(s0, 5.0, RunOptions(dt=0.1))
     u1 = send.p.u1
     assert np.max(np.abs(u1[1:] + u1[1:][::-1])) <= 1e-8 * params.b
@@ -198,9 +204,9 @@ def test_steady_state_equivalence(bump_state, params):
     from pnedge.static import solve_static
 
     send, _ = run_dynamics(bump_state, 50.0, RunOptions(dt=0.1))
-    end_res = residual(send.p, send.spec)
+    end_res = residual(send.p, send.reference.spec)
     assert end_res.linf <= 1e-4 * params.G * params.b / params.d
-    polished = solve_static(send.p, send.spec)
+    polished = solve_static(send.p, send.reference.spec)
     assert polished.residual.linf <= 1e-10 * params.G * params.b / params.d
     assert polished.iterations == 0  # already below the Newton switch
     moved = np.max(np.abs(polished.profile.u1 - send.p.u1))
@@ -255,7 +261,7 @@ def test_unknown_method_rejected(bump_state):
 
 def _fresh(s):
     """The same state built anew, with no cached invariants."""
-    return DynamicsState(t=s.t, p=s.p, spec=s.spec, reference=s.reference)
+    return DynamicsState(t=s.t, p=s.p, reference=s.reference)
 
 
 def _assert_same_as_fresh(s, steppers=(step_etd,)):
@@ -278,11 +284,12 @@ def _warm(s):
 def test_cache_rebuilt_for_another_reference(bump_state, grid, params):
     from dataclasses import replace
 
-    other = bump_state.reference.with_correction(
-        0.02 * params.b * np.exp(-grid.x**2 / params.zeta**2))
+    ref = bump_state.reference
+    other = StaticState(ref.profile.with_correction(
+        0.02 * params.b * np.exp(-grid.x**2 / params.zeta**2)), ref.spec)
     s = replace(_warm(bump_state), reference=other)
     _assert_same_as_fresh(s)
-    assert free_energy(replace(s, p=other)) == 0.0
+    assert free_energy(replace(s, p=other.profile)) == 0.0
 
 
 def test_cache_rebuilt_for_another_background_or_params(bump_state, params):
@@ -292,8 +299,8 @@ def test_cache_rebuilt_for_another_background_or_params(bump_state, params):
 
     s = _warm(bump_state)
     for change in ({"zeta_bg": 1.5 * params.zeta}, {"x0": 0.3}, {"params": PhysParams(G=2.0)}):
-        moved = replace(s, p=replace(s.p, **change),
-                        reference=replace(s.reference, **change))
+        moved = replace(s, p=replace(s.p, **change), reference=replace(
+            s.reference, profile=replace(s.reference.profile, **change)))
         _assert_same_as_fresh(moved, steppers=(step_etd, step_semi_implicit))
 
 
@@ -304,9 +311,9 @@ def test_cache_rebuilt_for_another_potential(bump_state, params):
 
     u = np.linspace(0.0, params.b / 2.0, 64, endpoint=False)
     table = from_table(params, np.column_stack([u, 2.0 * eval_potential(frenkel(params), u, 0)]))
-    s = replace(_warm(bump_state), spec=table)
+    s = replace(_warm(bump_state), reference=StaticState(bump_state.reference.profile, table))
     _assert_same_as_fresh(s, steppers=(step_etd, step_semi_implicit))
-    assert free_energy(replace(s, p=s.reference)) == 0.0
+    assert free_energy(replace(s, p=s.reference.profile)) == 0.0
 
 
 @pytest.mark.parametrize("method", ["semi_implicit", "etd"])
@@ -443,13 +450,28 @@ def test_step_rejects_nonfinite_dt(bump_state, step, dt):
         step(bump_state, dt)
 
 
-@pytest.mark.parametrize("change", [{"zeta_bg": 1.5}, {"x0": 0.3}])
+@pytest.mark.parametrize("change", [
+    {"zeta_bg": 1.5}, {"x0": 0.3},
+    # the same N on half the domain, and another shear modulus
+    {"grid": build_grid(100.0 * PhysParams().zeta, 4096)}, {"params": PhysParams(G=2.0)},
+])
 def test_state_rejects_reference_with_another_background(bump_state, change):
     from dataclasses import replace
 
     moved = replace(bump_state.p, **change)
-    assert moved.zeta_bg != bump_state.p.zeta_bg or moved.x0 != bump_state.p.x0
+    assert all(getattr(moved, k) != getattr(bump_state.p, k) for k in change)
     with pytest.raises(ValueError, match="background"):
-        DynamicsState(t=0.0, p=moved, spec=bump_state.spec, reference=bump_state.reference)
+        DynamicsState(t=0.0, p=moved, reference=bump_state.reference)
     with pytest.raises(ValueError, match="background"):
         replace(bump_state, p=moved)
+
+
+def test_relaxation_demo_script_runs(pnedge_env, params):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "relaxation_demo.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=pnedge_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    err = re.search(r"after centering: (\S+)", proc.stdout)
+    assert err is not None, proc.stdout
+    assert float(err.group(1)) <= 1e-3 * params.b
+    assert "energy monotone: True" in proc.stdout

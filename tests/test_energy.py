@@ -31,7 +31,8 @@ from pnedge.extension import _analytic_stress, extend_trace_strains, strains_to_
 from pnedge.operators import hs_seminorm_grid, inner_h
 from pnedge.potential import eval_potential
 from pnedge.profile import Profile, background
-from pnedge.static import half_laplacian_profile
+from pnedge import static
+from pnedge.static import StaticState, half_laplacian_profile
 
 
 @pytest.fixture(scope="module")
@@ -68,12 +69,12 @@ def test_misfit_perfect_lattice(grid, params, spec):
         warnings.simplefilter("ignore", TailWarning)
         flat = Profile(grid=grid, params=params, zeta_bg=params.zeta,
                        v=params.b / 4.0 - background(grid.x, params.b, params.zeta))
-    assert misfit_energy(flat, spec) == pytest.approx(0.0, abs=1e-12)
+    assert misfit_energy(StaticState(flat, spec)) == pytest.approx(0.0, abs=1e-12)
 
 
 def test_misfit_closed_form(analytic, spec, params):
     target = params.G * params.b**2 * params.zeta / (2 * np.pi * params.d)
-    got = misfit_energy(analytic, spec)
+    got = misfit_energy(StaticState(analytic, spec))
     assert got == pytest.approx(target, rel=5e-3)
     assert got == pytest.approx(1.0 / (3.0 * np.pi), rel=5e-3)
 
@@ -84,7 +85,7 @@ def test_misfit_divergence_for_constant_zero(grid, params, spec):
         zero = Profile(grid=grid, params=params, zeta_bg=params.zeta,
                        v=-background(grid.x, params.b, params.zeta))
     with pytest.raises(DivergenceError):
-        misfit_energy(zero, spec)
+        misfit_energy(StaticState(zero, spec))
 
 
 # ---------------------------------------------------------------------------
@@ -93,7 +94,7 @@ def test_misfit_divergence_for_constant_zero(grid, params, spec):
 
 def test_reduced_energy_zero_perturbation(grid, solved, spec):
     phi = Perturbation(grid=grid, phi1=np.zeros(grid.N))
-    assert reduced_perturbed_energy(phi, solved, spec) == 0.0
+    assert reduced_perturbed_energy(phi, StaticState(solved, spec)) == 0.0
 
 
 def test_reduced_energy_translation_difference(grid, solved, spec, params):
@@ -102,7 +103,7 @@ def test_reduced_energy_translation_difference(grid, solved, spec, params):
             + np.interp(grid.x - a, grid.x, solved.v, period=2 * grid.L)
             - solved.u1)
     phi = Perturbation(grid=grid, phi1=phi1)
-    value = reduced_perturbed_energy(phi, solved, spec)
+    value = reduced_perturbed_energy(phi, StaticState(solved, spec))
     scale = params.G * params.b**2 / params.d
     assert abs(value) <= 1e-6 * scale
 
@@ -113,7 +114,7 @@ def test_reduced_energy_dense_quadrature_oracle(grid, analytic, spec, params):
     amp, w = 0.05 * params.b, params.zeta
     phi1 = amp * np.exp(-grid.x**2 / (2 * w * w))
     phi = Perturbation(grid=grid, phi1=phi1)
-    got = reduced_perturbed_energy(phi, analytic, spec)
+    got = reduced_perturbed_energy(phi, StaticState(analytic, spec))
     assert got > 0
 
     c0, z, b = params.c0, params.zeta, params.b
@@ -153,14 +154,14 @@ def tables(solved, quadq):
 
 def test_total_energy_zero_perturbation(grid, solved, spec, tables):
     phi = Perturbation(grid=grid, phi1=np.zeros(grid.N))
-    total = energy_breakdown(phi, solved, spec, tables).E_hat_total
+    total = energy_breakdown(phi, StaticState(solved, spec), tables).E_hat_total
     assert total == pytest.approx(0.0, abs=1e-15)
 
 
 def test_energy_relation_gaussian(grid, solved, spec, params, tables):
     phi = gaussian_pert(grid, params)
-    eg = reduced_perturbed_energy(phi, solved, spec)
-    et = energy_breakdown(phi, solved, spec, tables).E_hat_total
+    eg = reduced_perturbed_energy(phi, StaticState(solved, spec))
+    et = energy_breakdown(phi, StaticState(solved, spec), tables).E_hat_total
     assert et == pytest.approx(eg, rel=1e-2)
 
 
@@ -176,44 +177,62 @@ def test_elastic_scaling_split(grid, solved, params, quadq):
     assert c2 == pytest.approx(2 * c1, rel=1e-12)
 
 
-def test_cross_terms_zero_and_linear(grid, solved, quadq, params):
+def test_cross_terms_zero_and_linear(grid, solved, spec, quadq, params):
     zero = Perturbation(grid=grid, phi1=np.zeros(grid.N))
     assert cross_term_elastic(solved, zero, quadq) == 0.0
-    assert cross_term_gamma(solved, zero) == 0.0
+    assert cross_term_gamma(StaticState(solved, spec), zero) == 0.0
     phi = gaussian_pert(grid, params, center=1.3)
     assert cross_term_elastic(solved, phi, quadq) == pytest.approx(
-        cross_term_gamma(solved, phi), rel=1e-2)
+        cross_term_gamma(StaticState(solved, spec), phi), rel=1e-2)
 
 
-def test_cross_term_gamma_transforms_profile_once(grid, solved, params, monkeypatch):
-    p = solved.with_correction(solved.v)  # a new profile object, nothing kept yet
+def test_cross_term_gamma_transforms_profile_once(grid, solved, spec, params, monkeypatch):
+    s = StaticState(solved, spec)  # a new state, nothing kept yet
     calls = []
-    monkeypatch.setattr(energy, "half_laplacian_profile",
+    monkeypatch.setattr(static, "half_laplacian_profile",
                         lambda q: calls.append(q) or half_laplacian_profile(q))
     perts = seeded_perturbations(grid, params, 3, seed=4)
-    got = [cross_term_gamma(p, ph) for ph in perts]
-    assert calls == [p]
-    lam = half_laplacian_profile(p)
+    got = [cross_term_gamma(s, ph) for ph in perts]
+    assert calls == [solved]
+    lam = half_laplacian_profile(solved)
     assert got == [params.c0 * inner_h(grid, ph.phi1, lam) for ph in perts]
-    other = p.with_correction(0.5 * p.v)
+    other = StaticState(solved.with_correction(0.5 * solved.v), spec)
     cross_term_gamma(other, perts[0])
-    assert calls == [p, other]
+    assert calls == [solved, other.profile]
 
 
 def test_energy_breakdown_consistency(grid, solved, spec, params, tables):
     phi = gaussian_pert(grid, params)
-    bd = energy_breakdown(phi, solved, spec, tables)
-    assert bd.E_hat_gamma == reduced_perturbed_energy(phi, solved, spec)
+    bd = energy_breakdown(phi, StaticState(solved, spec), tables)
+    assert bd.E_hat_gamma == reduced_perturbed_energy(phi, StaticState(solved, spec))
     assert bd.E_hat_total == bd.E_els_pert + bd.cross_els + bd.misfit_difference
     assert bd.E_hat_total == pytest.approx(bd.E_hat_gamma,
                                            rel=1e-2, abs=1e-5)
-    assert misfit_energy(solved, spec) == pytest.approx(1.0 / (3.0 * np.pi), rel=1e-2)
+    assert misfit_energy(StaticState(solved, spec)) == pytest.approx(1.0 / (3.0 * np.pi), rel=1e-2)
+
+
+def test_breakdown_evaluates_w_of_the_state_once(grid, solved, spec, params, tables,
+                                                 monkeypatch):
+    # W(u1 + phi1) per perturbation, and the state's W(u1) once for all
+    calls = []
+
+    def counting(spec_, u, order=0):
+        if order == 0:
+            calls.append(order)
+        return eval_potential(spec_, u, order)
+
+    monkeypatch.setattr(energy, "eval_potential", counting)
+    monkeypatch.setattr(static, "eval_potential", counting)
+    s = StaticState(solved, spec)
+    for ph in seeded_perturbations(grid, params, 10, seed=3):
+        energy_breakdown(ph, s, tables)
+    assert len(calls) == 11
 
 
 def test_breakdown_warns_on_undecayed_perturbation(grid, solved, spec, params, tables):
     phi = Perturbation(grid=grid, phi1=np.full(grid.N, 1e-3 * params.b))
     with pytest.warns(UserWarning, match="decay threshold"):
-        energy_breakdown(phi, solved, spec, tables)
+        energy_breakdown(phi, StaticState(solved, spec), tables)
 
 
 # ---------------------------------------------------------------------------
@@ -302,7 +321,7 @@ def test_minimizer_nonnegative_seeded(grid, solved, spec, params):
     perts = seeded_perturbations(grid, params, 8, seed=7, out_of_range=3)
     floor = -1e-8 * params.G * params.b**2 / params.d
     for ph in perts:
-        assert reduced_perturbed_energy(ph, solved, spec) >= floor
+        assert reduced_perturbed_energy(ph, StaticState(solved, spec)) >= floor
 
 
 def test_extension_minimizes_elastic_energy(grid, params, quadq):

@@ -1,6 +1,10 @@
 """Static solver: residual oracles, recovery, diagnostics."""
 
+import re
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,9 +16,10 @@ from pnedge.errors import TailWarning
 from pnedge.grid import build_grid
 from pnedge.operators import fourier_interpolant, fourier_shift
 from pnedge.params import PhysParams
-from pnedge.potential import from_table, frenkel
+from pnedge.potential import eval_potential, from_table, frenkel
 from pnedge.profile import Profile, analytic_profile, background, tanh_profile
 from pnedge.static import (
+    StaticState,
     burgers_density,
     center_profile,
     decay_coefficients,
@@ -494,3 +499,25 @@ def test_sweep_residual_from_the_update_matches_the_transform(params, spec, monk
         v_new = static.semi_implicit_step(grid, init.v, g, dt, c0)
         compare(*from_update(spec, u_bg, init.v, v_new, dt, wp), u_bg, init.v, v_new, dt, wp)
     assert max(ratios) <= 4.0
+
+
+def test_static_state_keeps_read_only_arrays(solved, spec):
+    s = StaticState(solved, spec)
+    for name, want in (("w", eval_potential(spec, solved.u1, 0)),
+                       ("wp", eval_potential(spec, solved.u1, 1)),
+                       ("lam", static.half_laplacian_profile(solved))):
+        got = getattr(s, name)
+        assert getattr(s, name) is got  # made once
+        assert not got.flags.writeable
+        np.testing.assert_array_equal(got, want)
+
+
+def test_static_refinement_study_script_runs(pnedge_env):
+    script = Path(__file__).resolve().parents[1] / "scripts" / "static_refinement_study.py"
+    proc = subprocess.run([sys.executable, str(script)], capture_output=True, text=True,
+                          env=pnedge_env(), timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    # the L-refinement rows that carry an order: L/zeta, N, err, order, warnings
+    orders = re.findall(r"^ +\d+ +\d+ +\S+ +(\d+\.\d+) +\d+$", proc.stdout, re.M)
+    assert len(orders) == 3, proc.stdout
+    assert min(float(o) for o in orders) >= 2.9
