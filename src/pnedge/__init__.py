@@ -40,8 +40,6 @@ from .errors import (
     TimeStepUnderflowError,
 )
 from .extension import (
-    HalfPlaneField,
-    StressField,
     YLevels,
     analytic_fields,
     dtn_traction,

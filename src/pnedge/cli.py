@@ -102,12 +102,12 @@ def _solve(cfg: RunConfig, grid, params, spec):
 def cmd_solve_static(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     params, grid, spec = run_setup(cfg)
+    out = prepare_output_dir(cfg.output, cfg.overwrite)
     result = _solve(cfg, grid, params, spec)
     shift, centered = center_profile(result.profile)
     cp, cm = decay_coefficients(centered)
     rho, total = burgers_density(centered)
     rf = residual(centered, spec)
-    out = prepare_output_dir(cfg.output, cfg.overwrite)
     timings: dict = {}
     with _timed(timings, "write"):
         write_csv(out / "profile.csv", {
@@ -127,28 +127,27 @@ def cmd_solve_static(cfg: RunConfig) -> int:
     return 0
 
 
+def _field_csv(component: str) -> str:
+    """File name of a field component: ``u1.csv``, ``s11`` -> ``sigma11.csv``."""
+    return ("sigma" + component[1:] if component[0] == "s" else component) + ".csv"
+
+
 def cmd_extend(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     params, grid, spec = run_setup(cfg)
+    out = prepare_output_dir(cfg.output, cfg.overwrite)
     profile = _solve(cfg, grid, params, spec).profile
     z = params.zeta
     yl = YLevels.geometric(cfg.ylevels_y_min_over_zeta * z,
                            cfg.ylevels_y_max_over_zeta * z, cfg.ylevels_count)
-    hp = extend_to_half_planes(profile, yl)
-    sf = stress_field(profile, yl)
+    upper = {**extend_to_half_planes(profile, yl), **stress_field(profile, yl)}
     s12_gamma, s22_gamma = dtn_traction(profile)
-    out = prepare_output_dir(cfg.output, cfg.overwrite)
     timings: dict = {}
-    upper = {"u1": hp.u1_plus, "u2": hp.u2_plus,
-             "sigma11": sf.s11_plus, "sigma12": sf.s12_plus,
-             "sigma22": sf.s22_plus, "sigma33": sf.s33_plus}
-    paths = [out / f"{name}.csv" for name in upper] + [out / "traction.csv"]
-    del hp, sf  # a field's array is released once it is written
-    while upper:
-        name, values = upper.popitem()
+    paths = [out / _field_csv(c) for c in upper] + [out / "traction.csv"]
+    while upper:  # a component's array is released once it is written
+        c, values = upper.popitem()
         with _timed(timings, "write"):
-            write_field_csv(out / f"{name}.csv", grid.x, yl.values, values,
-                            mirror=PARITY[name.replace("sigma", "s")])
+            write_field_csv(out / _field_csv(c), grid.x, yl.values, values, mirror=PARITY[c])
         del values
     with _timed(timings, "write"):
         write_csv(out / "traction.csv", {"x": grid.x, "sigma12": s12_gamma,
@@ -166,6 +165,7 @@ def cmd_energy(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     radii = box_radii(cfg)
     params, grid, spec = run_setup(cfg)
+    out = prepare_output_dir(cfg.output, cfg.overwrite)
     state = StaticState(_solve(cfg, grid, params, spec).profile, spec)
     E_box, slope, intercept, r2 = log_divergence_fit(state.profile, radii)
     tables = HalfPlaneTables.build(state.profile, BoxQuadrature.for_params(params))
@@ -174,7 +174,6 @@ def cmd_energy(cfg: RunConfig) -> int:
                       "box_radius": radii[-1]}
     records = [{**asdict(energy_breakdown(ph, state, tables)), **profile_pieces}
                for ph in energy_perturbations(cfg, grid, params)]
-    out = prepare_output_dir(cfg.output, cfg.overwrite)
     payload = {
         "perturbations": records,
         "log_divergence": {"slope": slope, "intercept": intercept, "r_squared": r2},
@@ -187,7 +186,8 @@ def cmd_energy(cfg: RunConfig) -> int:
             "E": np.array(E_box),
         })
     timings["total"] = time.perf_counter() - t0
-    write_manifest(out / "manifest.json", cfg.echo(), "energy", timings)
+    write_manifest(out / "manifest.json", cfg.echo(), "energy", timings,
+                   extra=_bytes_written([out / "energy_box.csv"]))
     return 0
 
 
@@ -242,11 +242,13 @@ def cmd_dynamics(cfg: RunConfig) -> int:
 
 def cmd_validate(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
-    box_radii(cfg)  # check 09 reads them: reject a bad radius before the suite runs
+    # reject a bad radius (check 09 reads them) or potential before the suite runs
+    box_radii(cfg)
+    run_setup(cfg)
+    out = prepare_output_dir(cfg.output, cfg.overwrite)
     results = run_validation(cfg)
     for r in results:
         print(r.line())
-    out = prepare_output_dir(cfg.output, cfg.overwrite)
     report = report_dict(results)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
     write_manifest(out / "manifest.json", cfg.echo(), "validate",

@@ -16,7 +16,7 @@ from typing import Optional
 
 import numpy as np
 
-from .dynamics import DynamicsState
+from .dynamics import _STEPPERS, DynamicsState
 from .energy import Perturbation, _first_level, seeded_perturbations
 from .grid import Grid1D, build_grid
 from .params import PhysParams
@@ -93,8 +93,10 @@ class RunConfig:
         self.params  # PhysParams checks G, b and d
         if self.N % 2 != 0 or self.N < 4:
             raise ValueError(f"config key 'N' must be even and >= 4, got {self.N}")
-        if self.dynamics_method not in ("semi_implicit", "etd"):
-            raise ValueError("config key 'dynamics_method' must be semi_implicit or etd")
+        if self.dynamics_method not in _STEPPERS:
+            raise ValueError(
+                f"config key 'dynamics_method' must be {' or '.join(_STEPPERS)}, "
+                f"got {self.dynamics_method!r}")
         if not (self.potential == "frenkel" or self.potential.startswith("table:")):
             raise ValueError("config key 'potential' must be 'frenkel' or 'table:<path>'")
         radii = _radii(self)

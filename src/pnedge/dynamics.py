@@ -180,8 +180,7 @@ class RunOptions:
     method: str = "semi_implicit"  # or "etd"
 
     def __post_init__(self):
-        if not 0.0 < self.dt < np.inf:
-            raise ValueError(f"RunOptions.dt must be positive and finite, got {self.dt}")
+        _check_positive("RunOptions.dt", self.dt)
         if self.method not in _STEPPERS:
             raise ValueError(f"RunOptions.method must be one of {sorted(_STEPPERS)}, "
                              f"got {self.method!r}")
@@ -233,14 +232,10 @@ def etd_update(v_hat, T_hat, dt, c0, q):
     return decay * v_hat + (1.0 - decay) / a * T_hat
 
 
-def _check_dt(dt: float) -> None:
-    if not 0.0 < dt < np.inf:
-        raise ValueError(f"time step must be positive and finite, got {dt}")
-
-
-def _check_T_end(T_end: float) -> None:
-    if not 0.0 < T_end < np.inf:
-        raise ValueError(f"T_end must be positive and finite, got {T_end}")
+def _check_positive(what: str, value: float) -> None:
+    """Reject a time step or end time ``value`` that is not positive and finite."""
+    if not 0.0 < value < np.inf:
+        raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
 def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
@@ -269,7 +264,7 @@ def step_semi_implicit(s: DynamicsState, dt: float) -> DynamicsState:
     """One semi-implicit step (:func:`pnedge.static.semi_implicit_update`);
     first order, unconditionally stable in the linear part, static profile
     exactly stationary."""
-    _check_dt(dt)
+    _check_positive("time step", dt)
     inv = s._invariants()
     g = np.multiply(s.p.params.c0, inv.lam_bg, out=inv.work)
     g += s._wp_u1
@@ -283,7 +278,7 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     T reads W'(u1) at ``u1 = u_bg + v_state``, which equals ``u1* + v``
     up to rounding (exactly when the reference correction is zero).
     """
-    _check_dt(dt)
+    _check_positive("time step", dt)
     inv = s._invariants()
     T = np.subtract(s.p.v, s.reference.profile.v, out=inv.work)  # u1 - u1*, in the buffer
     T -= s._wp_u1
@@ -299,7 +294,7 @@ def march(s0: DynamicsState, T_end: float, dt: float, step) -> DynamicsState:
     the last one what is left to ``T_end``, with no monitoring and no
     guard on F: the fixed-step path.  :func:`run_dynamics` takes the same
     steps whenever its guard halves none."""
-    _check_T_end(T_end)
+    _check_positive("T_end", T_end)
     s = s0
     while s.t < T_end - 1e-12:
         s = step(s, min(dt, T_end - s.t))
@@ -316,7 +311,7 @@ def run_dynamics(
     times; underflow raises :class:`TimeStepUnderflowError` carrying the
     partial trace), and the step regrows to at most twice the accepted one.
     """
-    _check_T_end(T_end)
+    _check_positive("T_end", T_end)
     opts = opts or RunOptions()
     stepper = _STEPPERS[opts.method]
     prm = s0.p.params

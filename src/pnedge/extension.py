@@ -17,7 +17,10 @@ plane-strain identities (``sigma33 = nu (sigma11 + sigma22)``,
 Profiles are split as background plus correction: the background fields
 and stresses use the closed forms of the arctan core, the correction
 passes through the spectral formulas.  Only the upper half-plane is
-computed; the CSV writer mirrors it (``write_field_csv(mirror=PARITY[c])``).
+computed: :func:`extend_to_half_planes` and :func:`stress_field` return a
+map from each component name (``u1, u2, s11, s12, s22, s33``, the keys of
+:data:`PARITY` and :func:`analytic_fields`) to its (level, x) array, and
+the CSV writer mirrors each one (``write_field_csv(mirror=PARITY[c])``).
 
 Every walk over y-levels, here and in :mod:`pnedge.energy`, takes them
 ``_LEVEL_CHUNK`` (4) at a time with the heights as a column
@@ -28,7 +31,7 @@ by a few (chunk, N) arrays whatever the number of levels.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -220,7 +223,7 @@ def strains_to_stresses(e11, e22, e12, G: float, nu: float):
 
 
 # ---------------------------------------------------------------------------
-# field containers
+# fields on the y-levels
 # ---------------------------------------------------------------------------
 
 #: parity of each component under y -> -y (u1 and the normal stresses
@@ -228,47 +231,18 @@ def strains_to_stresses(e11, e22, e12, G: float, nu: float):
 PARITY = {"u1": -1, "u2": 1, "s11": -1, "s12": 1, "s22": -1, "s33": -1}
 
 
-@dataclass(frozen=True)
-class HalfPlaneField:
-    """Displacement samples on the y-levels of the upper half-plane.
-
-    Arrays are (level, x).  The lower half at heights ``-values[i]`` is
-    their mirror image, ``PARITY[c]`` times the upper array of component c.
-    """
-
-    grid: Grid1D
-    ylevels: YLevels
-    u1_plus: np.ndarray = field(repr=False)
-    u2_plus: np.ndarray = field(repr=False)
-
-
-@dataclass(frozen=True)
-class StressField:
-    """Stress samples on the y-levels of the upper half-plane.
-
-    Arrays are (level, x); the lower half is their mirror image, s12 even
-    under y -> -y and the normal components odd (:data:`PARITY`).
-    """
-
-    grid: Grid1D
-    ylevels: YLevels
-    params: PhysParams
-    s11_plus: np.ndarray = field(repr=False)
-    s12_plus: np.ndarray = field(repr=False)
-    s22_plus: np.ndarray = field(repr=False)
-    s33_plus: np.ndarray = field(repr=False)
-
-
-def _upper_half_walk(p: Profile, ys: np.ndarray, n_fields: int, core, correction):
-    """``n_fields`` (level, x) arrays of a profile at the heights ``ys``: the
-    core's closed form ``core(x - x0, y)``, written into a chunk's rows, plus
-    the correction's spectral field ``correction(rfft(v), y)`` added in place,
-    with ``y`` a column of the chunk's heights."""
+def _upper_half_walk(p: Profile, ys: np.ndarray, names: tuple[str, ...], core, correction):
+    """The components ``names`` of a profile's field at the heights ``ys``,
+    as a map from each name to its (level, x) array: the core's closed form
+    ``core(x - x0, y)``, written into a chunk's rows, plus the correction's
+    spectral field ``correction(rfft(v), y)`` added in place, with ``y`` a
+    column of the chunk's heights.  ``core`` and ``correction`` return the
+    components in the order of ``names``."""
     grid = p.grid
     xs = grid.x - p.x0
     v_hat = rfft(p.v)
-    out = [np.empty((len(ys), grid.N)) for _ in range(n_fields)]
-    for y, *rows in _level_chunks(ys, *out):
+    out = {c: np.empty((len(ys), grid.N)) for c in names}
+    for y, *rows in _level_chunks(ys, *out.values()):
         for row, values in zip(rows, core(xs, y)):
             row[...] = values
         for row, values in zip(rows, correction(v_hat, y)):
@@ -276,36 +250,35 @@ def _upper_half_walk(p: Profile, ys: np.ndarray, n_fields: int, core, correction
     return out
 
 
-def extend_to_half_planes(p: Profile, yl: YLevels) -> HalfPlaneField:
-    """Displacement fields of a profile on the requested y-levels.
+def extend_to_half_planes(p: Profile, yl: YLevels) -> dict[str, np.ndarray]:
+    """Displacement ``{"u1", "u2"}`` of a profile on the y-levels of the
+    upper half-plane, each a (level, x) array.
 
     Background by the closed form of the upper branch (+zeta), correction
     through the spectral factors; the zero mode of the u2 correction is 0,
     so u2 carries the additive-constant gauge of the closed form only.
     """
     prm = p.params
-    u1, u2 = _upper_half_walk(
-        p, yl.values, 2,
+    return _upper_half_walk(
+        p, yl.values, ("u1", "u2"),
         lambda xs, y: _analytic_displacement(xs, y, prm.b, prm.nu, p.zeta_bg, +1.0),
         lambda v_hat, y: _displacement_of_spectrum(p.grid, v_hat, prm.nu, y))
-    return HalfPlaneField(grid=p.grid, ylevels=yl, u1_plus=u1, u2_plus=u2)
 
 
-def stress_field(p: Profile, yl: YLevels) -> StressField:
-    """Stress fields of a profile on the requested y-levels.
+def stress_field(p: Profile, yl: YLevels) -> dict[str, np.ndarray]:
+    """Stress ``{"s11", "s12", "s22", "s33"}`` of a profile on the y-levels
+    of the upper half-plane, each a (level, x) array.
 
     Correction strains come from the analytic y-derivatives of the
     spectral factors (no differencing across levels); background stress
     from the closed form of the upper branch.
     """
     prm = p.params
-    s11, s12, s22, s33 = _upper_half_walk(
-        p, yl.values, 4,
+    return _upper_half_walk(
+        p, yl.values, ("s11", "s12", "s22", "s33"),
         lambda xs, y: _analytic_stress(xs, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0),
         lambda v_hat, y: strains_to_stresses(*_strains_of_spectrum(p.grid, v_hat, prm.nu, y),
                                              prm.G, prm.nu))
-    return StressField(grid=p.grid, ylevels=yl, params=prm,
-                       s11_plus=s11, s12_plus=s12, s22_plus=s22, s33_plus=s33)
 
 
 def dtn_traction(p: Profile) -> tuple[np.ndarray, np.ndarray]:

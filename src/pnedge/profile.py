@@ -14,6 +14,7 @@ or half-Laplacian is needed.
 
 from __future__ import annotations
 
+import math
 import warnings
 from dataclasses import dataclass, field, replace
 
@@ -54,6 +55,9 @@ class Profile:
     v: np.ndarray = field(default=None, repr=False)
 
     def __post_init__(self):
+        for name in ("zeta_bg", "x0"):
+            if not math.isfinite(getattr(self, name)):
+                raise ValueError(f"{name} must be finite, got {getattr(self, name)}")
         if self.zeta_bg <= 0:
             raise ValueError(f"background width must be positive, got {self.zeta_bg}")
         v = self.v if self.v is not None else np.zeros(self.grid.N)

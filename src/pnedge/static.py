@@ -362,7 +362,7 @@ def solve_static(init: Profile, spec: PotentialSpec) -> SolveResult:
         pass  # no unique crossing; polish in the current split
     p, newton_steps, r = _newton_polish(p, spec, tol)
     rf = ResidualField(grid=p.grid, samples=r)
-    if rf.linf > tol:
+    if not rf.linf <= tol:  # a NaN residual fails this test too
         raise ConvergenceError("solver stalled above tolerance", rf.linf, rf.l2, iters)
     monotone = is_monotone_decreasing(p)
     if not monotone:

@@ -27,15 +27,21 @@ def spec(params):
 
 
 @pytest.fixture(scope="session")
-def eps_table(params):
-    """Tabulated Frenkel plus 0.05 times the harmonic ``1 - cos(8 pi u / b)``
-    (64 samples of one period): a potential with no closed-form core."""
+def eps_table_rows(params):
+    """(u, W) rows of Frenkel plus 0.05 times the harmonic
+    ``1 - cos(8 pi u / b)``, 64 samples of one period."""
     eps, samples = 0.05, 64
     a = params.G * params.b**2 / (4.0 * np.pi**2 * params.d)
     u = np.arange(samples) * params.b / (2.0 * samples)
     w = (a * (1.0 + np.cos(4.0 * np.pi * u / params.b))
          + eps * a * (1.0 - np.cos(8.0 * np.pi * u / params.b)))
-    return from_table(params, np.column_stack([u, w]))
+    return np.column_stack([u, w])
+
+
+@pytest.fixture(scope="session")
+def eps_table(params, eps_table_rows):
+    """The tabulated :func:`eps_table_rows`: a potential with no closed-form core."""
+    return from_table(params, eps_table_rows)
 
 
 @pytest.fixture(scope="session")

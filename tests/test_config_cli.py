@@ -11,8 +11,16 @@ import numpy as np
 import pytest
 
 from pnedge.cli import main
-from pnedge.config import RunConfig, box_radii, parse_config, parse_config_text
+from pnedge.config import (
+    RunConfig,
+    box_radii,
+    initial_profile,
+    parse_config,
+    parse_config_text,
+    run_setup,
+)
 from pnedge.io import _BLOCK_ROWS, config_hash, write_csv, write_field_csv
+from pnedge.potential import eval_potential
 
 
 # ---------------------------------------------------------------------------
@@ -85,12 +93,38 @@ def test_nu_out_of_range_names_key():
     ("static_init", "background:abc"),
     ("static_init", "background:0"),
     ("static_init", "background:-1"),
+    ("N", "4095"),  # odd
+    ("dynamics_method", "rk4"),
+    ("potential", "harmonic"),  # neither frenkel nor table:<path>
 ])
 def test_bad_value_rejected_names_key(key, value):
     # every value is checked by parse_config except the radii's bound by
     # L/2, which box_radii checks for the commands that read the radii
     with pytest.raises(ValueError, match=f"config key '{key}'"):
         box_radii(parse_config(None, {key: value}))
+
+
+def test_pair_without_equals_rejected(tmp_path, capsys):
+    path = tmp_path / "run.cfg"
+    path.write_text("N = 1024\nL_over_zeta 100\n")
+    with pytest.raises(ValueError, match="line 2: expected 'key = value'"):
+        parse_config(path)
+    assert main(["--set", "N", "--output", str(tmp_path / "x"), "solve-static"]) == 2
+    assert "--set expects KEY=VALUE, got 'N'" in capsys.readouterr().err
+    assert not (tmp_path / "x").exists()
+
+
+def test_config_file_skips_comments_and_blank_lines(tmp_path):
+    path = tmp_path / "run.cfg"
+    path.write_text("# a run\n\nN = 1024  # fine grid\n   \n# nu = 0.3\n")
+    assert parse_config(path) == RunConfig(N=1024)
+
+
+def test_background_start_is_the_bare_core(grid, params):
+    cfg = RunConfig(static_init="background:2.5")
+    p = initial_profile(cfg, grid, params)
+    assert p.zeta_bg == 2.5 * params.zeta and p.x0 == 0.0
+    assert not np.any(p.v)
 
 
 def test_inconsistent_zeta_rejected():
@@ -274,7 +308,8 @@ _INVERTED_WELLS = "u,W\n" + "".join(
     ("u,W\n0.0,1.0\n0.1,one\n", "line 3", "solve-static"),  # not a number
     # a table that loads but fails validate_potential
     (_INVERTED_WELLS, "fails structural checks", "dynamics"),
-], ids=["missing", "one_field", "not_a_number", "inverted_wells"])
+    (None, "No such file", "validate"),
+], ids=["missing", "one_field", "not_a_number", "inverted_wells", "missing_validate"])
 def test_cli_bad_potential_table_names_key(tmp_path, capsys, content, detail, command):
     table = tmp_path / "potential.csv"
     if content is not None:
@@ -284,6 +319,49 @@ def test_cli_bad_potential_table_names_key(tmp_path, capsys, content, detail, co
     err = json.loads(capsys.readouterr().err)["error"]
     assert "config key 'potential'" in err and detail in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.filterwarnings("ignore::pnedge.errors.TailWarning")
+@pytest.mark.filterwarnings("ignore::pnedge.errors.MonotonicityWarning")
+def test_cli_solves_under_a_valid_table(tmp_path, params, eps_table, eps_table_rows):
+    from pnedge.grid import build_grid
+    from pnedge.profile import tanh_profile
+    from pnedge.static import center_profile, solve_static
+
+    # the table as a file, loaded through the config: the spline of the same rows
+    table = tmp_path / "potential.csv"
+    table.write_text("u,W\n" + "".join(f"{u:.17g},{w:.17g}\n" for u, w in eps_table_rows))
+    _, _, spec = run_setup(parse_config(None, {"potential": f"table:{table}"}))
+    u = np.linspace(-params.b, params.b, 101)
+    for k in range(3):
+        assert np.array_equal(eval_potential(spec, u, k), eval_potential(eps_table, u, k))
+    assert main(_fast_overrides(tmp_path, potential=f"table:{table}", static_init="tanh")
+                + ["solve-static"]) == 0
+    grid = build_grid(100.0 * params.zeta, 512)
+    _, want = center_profile(solve_static(tanh_profile(grid, params), eps_table).profile)
+    got = np.loadtxt(tmp_path / "out" / "profile.csv", delimiter=",", skiprows=1)
+    assert np.array_equal(got[:, 1], want.u1)
+
+
+@pytest.mark.parametrize("command, entry", [
+    ("solve-static", "solve_static"), ("extend", "solve_static"),
+    ("energy", "solve_static"), ("dynamics", "run_dynamics"),
+    ("validate", "run_validation"),
+])
+def test_cli_refuses_a_used_output_before_the_work(tmp_path, capsys, monkeypatch,
+                                                   command, entry):
+    import pnedge.cli as climod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{command} worked before refusing its output directory")
+
+    monkeypatch.setattr(climod, entry, no_work)
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "manifest.json").write_text("{}\n")
+    assert main(_fast_overrides(tmp_path) + [command]) == 2
+    assert "already holds results" in capsys.readouterr().err
+    assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
 def test_cli_dynamics_underflow_exit_code(tmp_path, monkeypatch):

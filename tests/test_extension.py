@@ -115,24 +115,23 @@ def test_lower_half_is_derived_from_the_upper(analytic, params, comp, parity):
     # it onto the closed form's lower branch at heights -y exactly
     assert PARITY[comp] == parity
     yl = YLevels.geometric(params.zeta / 5, 5 * params.zeta, 3)
-    container = (extend_to_half_planes if comp[0] == "u" else stress_field)(analytic, yl)
-    assert not hasattr(container, f"{comp}_minus")
+    fields = (extend_to_half_planes if comp[0] == "u" else stress_field)(analytic, yl)
+    assert list(fields) == [c for c in PARITY if c[0] == comp[0]]
     xs, y = analytic.grid.x - analytic.x0, -yl.values[:, None]
     b, nu, G, z = params.b, params.nu, params.G, analytic.zeta_bg
     lower = dict(zip(PARITY, (*_analytic_displacement(xs, y, b, nu, z, -1.0),
                               *_analytic_stress(xs, y, G, b, nu, z, -1.0))))
-    upper = getattr(container, f"{comp}_plus")
-    assert np.array_equal(lower[comp], parity * upper)
+    assert np.array_equal(lower[comp], parity * fields[comp])
 
 
 def test_stress_field_plane_strain_identity(solved, params, rng):
     yl = YLevels.geometric(params.zeta / 5, 5 * params.zeta, 5)
     sf = stress_field(solved, yl)
-    idx = rng.integers(0, sf.s11_plus.size, size=20)
+    idx = rng.integers(0, sf["s11"].size, size=20)
     flat = lambda a: a.reshape(-1)[idx]
     np.testing.assert_allclose(
-        flat(sf.s33_plus),
-        params.nu * (flat(sf.s11_plus) + flat(sf.s22_plus)),
+        flat(sf["s33"]),
+        params.nu * (flat(sf["s11"]) + flat(sf["s22"])),
         atol=1e-14,
     )
 
@@ -141,7 +140,7 @@ def test_stress_field_odd_in_x(analytic, params):
     yl = YLevels.geometric(params.zeta / 5, 5 * params.zeta, 5)
     sf = stress_field(analytic, yl)
     # sigma12 is odd in x: vanishes at x = 0 (node N/2)
-    assert np.max(np.abs(sf.s12_plus[:, analytic.grid.N // 2])) < 1e-14
+    assert np.max(np.abs(sf["s12"][:, analytic.grid.N // 2])) < 1e-14
 
 
 def test_stress_strains_inverse(solved, params):
@@ -149,14 +148,14 @@ def test_stress_strains_inverse(solved, params):
     sf = stress_field(solved, yl)
     # strains by the inverse plane-strain relation
     G, nu = params.G, params.nu
-    s11, s22 = sf.s11_plus, sf.s22_plus
+    s11, s22 = sf["s11"], sf["s22"]
     e11 = (s11 - nu * (s11 + s22)) / (2.0 * G)
     e22 = (s22 - nu * (s11 + s22)) / (2.0 * G)
-    e12 = sf.s12_plus / (2.0 * G)
+    e12 = sf["s12"] / (2.0 * G)
     s11, s12, s22, s33 = strains_to_stresses(e11, e22, e12, params.G, params.nu)
-    np.testing.assert_allclose(s11, sf.s11_plus, atol=1e-12)
-    np.testing.assert_allclose(s22, sf.s22_plus, atol=1e-12)
-    np.testing.assert_allclose(s33, sf.s33_plus, atol=1e-12)
+    np.testing.assert_allclose(s11, sf["s11"], atol=1e-12)
+    np.testing.assert_allclose(s22, sf["s22"], atol=1e-12)
+    np.testing.assert_allclose(s33, sf["s33"], atol=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -225,10 +224,10 @@ def test_interior_equilibrium_under_refinement(params):
         worst = 0.0
         mask = np.abs(g.x) <= 10 * params.zeta
         for i in range(1, n_y - 1):
-            ds11_dx = spectral_derivative(g, sf.s11_plus[i])
-            ds12_dx = spectral_derivative(g, sf.s12_plus[i])
-            ds12_dy = (sf.s12_plus[i + 1] - sf.s12_plus[i - 1]) / (2 * dy)
-            ds22_dy = (sf.s22_plus[i + 1] - sf.s22_plus[i - 1]) / (2 * dy)
+            ds11_dx = spectral_derivative(g, sf["s11"][i])
+            ds12_dx = spectral_derivative(g, sf["s12"][i])
+            ds12_dy = (sf["s12"][i + 1] - sf["s12"][i - 1]) / (2 * dy)
+            ds22_dy = (sf["s22"][i + 1] - sf["s22"][i - 1]) / (2 * dy)
             div1 = ds11_dx + ds12_dy
             div2 = ds12_dx + ds22_dy
             worst = max(worst, np.max(np.abs(div1[mask])), np.max(np.abs(div2[mask])))

@@ -126,6 +126,5 @@ def test_manifest_times_the_csv_writes(tmp_path):
         timings = manifest["timings_s"]
         assert set(timings) == {"total", "write"}, cmd
         assert 0.0 < timings["write"] < timings["total"], cmd
-        if cmd != "energy":
-            assert manifest["bytes_written"] == {
-                p.name: p.stat().st_size for p in out.glob("*.csv")}, cmd
+        assert manifest["bytes_written"] == {
+            p.name: p.stat().st_size for p in out.glob("*.csv")}, cmd

@@ -51,6 +51,16 @@ def test_profile_validation():
         Profile(grid=g, params=prm, zeta_bg=1.0, v=np.zeros(32))
 
 
+@pytest.mark.parametrize("key", ["zeta_bg", "x0"])
+@pytest.mark.parametrize("value", [float("nan"), float("inf"), float("-inf")])
+def test_profile_rejects_nonfinite_background(params, key, value):
+    # a NaN passes every ordered guard of the solve, and zeta_bg = inf is the
+    # flat u1 = 0, which solve_static would return as converged
+    g = build_grid(200.0 * params.zeta, 512)
+    with pytest.raises(ValueError, match=f"{key} must be finite"):
+        Profile(grid=g, params=params, **{"zeta_bg": params.zeta, key: value})
+
+
 def test_background_shift(params):
     g = build_grid(50.0, 256)
     p = Profile(grid=g, params=params, zeta_bg=params.zeta, x0=2.5)

@@ -279,6 +279,21 @@ def test_max_iters_exhaustion(grid, params, spec, monkeypatch):
     assert exc.value.iterations == 1
 
 
+def test_nan_correction_raises(params, spec):
+    """A NaN fails the solve's last test: the sweep's and the polish's
+    ordered guards let it through, and the solve may not return it."""
+    from pnedge.errors import ConvergenceError
+
+    g = build_grid(200.0 * params.zeta, 512)
+    v = tanh_profile(g, params).v.copy()
+    v[g.N // 4] = np.nan
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore")
+        with pytest.raises(ConvergenceError, match="solver stalled above tolerance") as exc:
+            solve_static(Profile(grid=g, params=params, zeta_bg=params.zeta, v=v), spec)
+    assert np.isnan(exc.value.linf)
+
+
 @pytest.mark.parametrize("start, potential, counts", [
     ("tanh", "frenkel", (12, 2, 0)),
     # a background of the wrong width rings across the wrap (ROADMAP item 1)
