@@ -9,7 +9,7 @@ import numpy as np
 
 from pnedge import RunConfig
 from pnedge.config import dynamics_start, run_setup
-from pnedge.dynamics import RunOptions, run_dynamics
+from pnedge.dynamics import run_dynamics, step_semi_implicit
 from pnedge.static import center_profile
 
 
@@ -20,7 +20,7 @@ def main():
     s0 = dynamics_start(cfg, grid, params, spec)
     ref = s0.reference.profile
 
-    state, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions())
+    state, trace = run_dynamics(s0, cfg.dynamics_T_end, step_semi_implicit)
     arr = trace.as_arrays()
     print(f"{'t':>7} {'F':>12} {'Q':>12} {'residual':>12}")
     for k in range(0, len(arr["times"]), 50):

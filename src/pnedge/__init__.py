@@ -15,7 +15,6 @@ from .config import RunConfig, parse_config
 from .dynamics import (
     DynamicsState,
     DynamicsTrace,
-    RunOptions,
     dissipation_rate,
     free_energy,
     run_dynamics,
@@ -54,7 +53,7 @@ from .operators import (
     hs_seminorm_grid,
     spectral_derivative,
 )
-from .params import DEFAULT_PARAMS, PhysParams
+from .params import PhysParams
 from .potential import PotentialSpec, eval_potential, frenkel, from_csv, validate_potential
 from .profile import Profile, analytic_profile, tanh_profile
 from .static import (

@@ -27,7 +27,7 @@ from .config import (
     run_setup,
     snapshot_times,
 )
-from .dynamics import RunOptions, run_dynamics
+from .dynamics import _STEPPERS, run_dynamics
 from .energy import (
     BoxQuadrature,
     HalfPlaneTables,
@@ -200,7 +200,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     params, grid, spec = run_setup(cfg)
     s0 = dynamics_start(cfg, grid, params, spec)
-    opts = RunOptions(method=cfg.dynamics_method)
+    step = _STEPPERS[cfg.dynamics_method]
     out = prepare_output_dir(cfg.output, cfg.overwrite)
     snaps = snapshot_times(cfg)
     snapshots = {}
@@ -209,7 +209,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     try:
         s = s0
         for t_stop in snaps or [cfg.dynamics_T_end]:
-            s, trace = run_dynamics(s, t_stop, opts)
+            s, trace = run_dynamics(s, t_stop, step)
             if snaps:
                 snapshots[t_stop] = s.p.u1.copy()
             pieces.append(trace.as_arrays())

@@ -18,7 +18,7 @@ import numpy as np
 
 from .dynamics import _STEPPERS, DynamicsState
 from .energy import Perturbation, _first_level, seeded_perturbations
-from .grid import Grid1D, build_grid
+from .grid import Grid1D
 from .params import PhysParams
 from .potential import PotentialSpec, frenkel, from_csv, validate_potential
 from .profile import Profile, analytic_profile, tanh_profile
@@ -247,7 +247,7 @@ def run_setup(cfg: RunConfig) -> tuple[PhysParams, Grid1D, PotentialSpec]:
     """Physical parameters, grid and misfit potential of a run; a table
     that fails :func:`~pnedge.potential.validate_potential` is rejected."""
     params = cfg.params
-    grid = build_grid(cfg.L_over_zeta * params.zeta, cfg.N)
+    grid = Grid1D(cfg.L_over_zeta * params.zeta, cfg.N)
     if cfg.potential == "frenkel":
         return params, grid, frenkel(params)
     try:

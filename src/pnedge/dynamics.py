@@ -19,8 +19,9 @@ update.  The free energy relative to a reference static profile,
     ``F(v) = (c0/2) |v|^2_{H^1/2} - int v W'(u1*) + int [W(v+u1*) - W(u1*)]``,
 
 decays along trajectories with rate ``Q = int R^2 dx`` (squared residual
-of the force balance).  A run takes a step size and a method; its guard
-on F is the module constants :data:`F_INCREASE_TOL` and :data:`MAX_HALVINGS`.
+of the force balance).  A run takes its stepper (:func:`step_semi_implicit`
+or :func:`step_etd`) and steps of :data:`DT`; its guard on F is the module
+constants :data:`F_INCREASE_TOL` and :data:`MAX_HALVINGS`.
 
 Only v changes along a trajectory, so the rest is evaluated once:
 
@@ -32,7 +33,7 @@ Only v changes along a trajectory, so the rest is evaluated once:
 * per run, a private record on :class:`DynamicsState` holds the
   reference, the background u_bg on the grid and ``(-d_xx)^{1/2} u_bg``,
   ``u1*``, ``v_hat*``, the seminorm weights of F, the update symbols of
-  the latest (method, step size), and two work buffers, one of samples
+  the latest (kernel, step size), and two work buffers, one of samples
   and one of spectrum.  Steps pass it on; a state with another reference
   builds a new one.  The reference (:class:`~pnedge.static.StaticState`)
   holds the potential and keeps ``W(u1*)`` and ``W'(u1*)``, and it must
@@ -76,7 +77,7 @@ class DynamicsState:
     t: float
     p: Profile
     reference: StaticState  # u1* of F, Q and ETD, and the potential of the flow
-    _run: _RunInvariants | None = field(default=None, compare=False, repr=False)
+    _run: _RunInvariants | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         """Reject a missing reference, or one with another grid, parameters or background."""
@@ -164,26 +165,13 @@ class DynamicsTrace:
                 for k in ("times", "F_values", "Q_values", "residual_norms", "dt_history")}
 
 
+#: time step of :func:`run_dynamics`, and the most a halved step regrows to
+DT = 0.1
 #: rise of F, in units of ``G b^2 / d``, beyond which a step of
 #: :func:`run_dynamics` is halved
 F_INCREASE_TOL = 1e-10
 #: halvings of a step of :func:`run_dynamics` before it raises
 MAX_HALVINGS = 20
-
-
-@dataclass(frozen=True)
-class RunOptions:
-    """Controls of :func:`run_dynamics`: the step ``dt`` and the integrator
-    ``method``."""
-
-    dt: float = 0.1
-    method: str = "semi_implicit"  # or "etd"
-
-    def __post_init__(self):
-        _check_positive("RunOptions.dt", self.dt)
-        if self.method not in _STEPPERS:
-            raise ValueError(f"RunOptions.method must be one of {sorted(_STEPPERS)}, "
-                             f"got {self.method!r}")
 
 
 def free_energy(s: DynamicsState) -> float:
@@ -256,6 +244,7 @@ def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
     if v_hat_star is not None:
         v_hat += v_hat_star
     new = replace(s, t=s.t + dt, p=s.p.with_correction(irfft(s.p.grid, v_hat)))
+    object.__setattr__(new, "_run", inv)
     new.__dict__["_v_hat"] = v_hat  # the cache slot of the property
     return new
 
@@ -301,10 +290,9 @@ def march(s0: DynamicsState, T_end: float, dt: float, step) -> DynamicsState:
     return s
 
 
-def run_dynamics(
-    s0: DynamicsState, T_end: float, opts: RunOptions | None = None
-) -> tuple[DynamicsState, DynamicsTrace]:
-    """March to T_end recording F, Q and the residual per accepted step.
+def run_dynamics(s0: DynamicsState, T_end: float, step) -> tuple[DynamicsState, DynamicsTrace]:
+    """March to T_end by ``step`` (a stepper such as :func:`step_etd`) in
+    steps of :data:`DT`, recording F, Q and the residual per accepted step.
 
     The run guards F: a step that raises F beyond :data:`F_INCREASE_TOL`
     ``G b^2 / d`` is halved and retried (at most :data:`MAX_HALVINGS`
@@ -312,8 +300,6 @@ def run_dynamics(
     partial trace), and the step regrows to at most twice the accepted one.
     """
     _check_positive("T_end", T_end)
-    opts = opts or RunOptions()
-    stepper = _STEPPERS[opts.method]
     prm = s0.p.params
     f_tol = F_INCREASE_TOL * prm.G * prm.b**2 / prm.d
 
@@ -331,11 +317,11 @@ def run_dynamics(
     Q, res_linf = norms(s)
     trace.record(s.t, F, Q, res_linf, 0.0)
 
-    dt = opts.dt
+    dt = DT
     while s.t < T_end - 1e-12:
         step_dt = min(dt, T_end - s.t)
         for _ in range(MAX_HALVINGS + 1):
-            cand = stepper(s, step_dt)
+            cand = step(s, step_dt)
             F_new = free_energy(cand)
             if F_new <= F + f_tol:
                 break
@@ -349,7 +335,7 @@ def run_dynamics(
         for key in stale:
             vars(s0).pop(key, None)
         stale = []
-        dt = min(opts.dt, 2.0 * step_dt)  # regrow gently after any halving
+        dt = min(DT, 2.0 * step_dt)  # regrow gently after any halving
         Q, res_linf = norms(s)
         trace.record(s.t, F, Q, res_linf, step_dt)
     return s, trace

@@ -14,46 +14,45 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 
 @dataclass(frozen=True)
 class Grid1D:
-    """Periodic grid on [-L, L) with N nodes.  Build via :func:`build_grid`."""
-
-    L: float
-    N: int
-    h: float
-    x: np.ndarray
-    xi_r: np.ndarray  # rfft-mode wavenumbers pi*k/L, k = 0..N/2 (also |xi| there)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Grid1D):
-            return NotImplemented
-        return self.L == other.L and self.N == other.N
-
-    def __hash__(self):
-        return hash((self.L, self.N))
-
-
-def build_grid(L: float, N: int) -> Grid1D:
-    """Construct a :class:`Grid1D`.
+    """Periodic grid on [-L, L) with N nodes; ``h``, ``x`` and ``xi_r``
+    follow from (L, N), which alone compare and hash.
 
     ``N`` must be even and at least 4; resolutions below 16 are allowed
     for didactic examples but trigger a warning since they cannot
     resolve a dislocation core.
     """
-    if not math.isfinite(L) or L <= 0:
-        raise ValueError(f"domain half-length L must be finite and positive, got {L}")
-    if N % 2 != 0:
-        raise ValueError(f"sample count N must be even, got {N}")
-    if N < 4:
-        raise ValueError(f"sample count N must be at least 4, got {N}")
-    if N < 16:
-        warnings.warn(f"N={N} is below the recommended minimum of 16", stacklevel=2)
-    h = 2.0 * L / N
-    x = -L + h * np.arange(N)
-    xi_r = 2.0 * np.pi * np.fft.rfftfreq(N, d=h)
-    return Grid1D(L=float(L), N=int(N), h=h, x=x, xi_r=xi_r)
+
+    L: float
+    N: int
+    h: float = field(init=False, compare=False)
+    x: np.ndarray = field(init=False, compare=False)
+    # rfft-mode wavenumbers pi*k/L, k = 0..N/2 (also |xi| there)
+    xi_r: np.ndarray = field(init=False, compare=False)
+
+    def __post_init__(self):
+        L, N = self.L, self.N
+        if not math.isfinite(L) or L <= 0:
+            raise ValueError(f"domain half-length L must be finite and positive, got {L}")
+        if N % 2 != 0:
+            raise ValueError(f"sample count N must be even, got {N}")
+        if N < 4:
+            raise ValueError(f"sample count N must be at least 4, got {N}")
+        if N < 16:
+            warnings.warn(f"N={N} is below the recommended minimum of 16", stacklevel=3)
+        h = 2.0 * L / N
+        # the fields are frozen: set them once, here
+        for name, value in (("L", float(L)), ("N", int(N)), ("h", h),
+                            ("x", -L + h * np.arange(N)),
+                            ("xi_r", 2.0 * np.pi * np.fft.rfftfreq(N, d=h))):
+            object.__setattr__(self, name, value)
+
+
+#: the grid's constructor under the name the scripts and tests import
+build_grid = Grid1D

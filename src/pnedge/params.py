@@ -43,12 +43,3 @@ class PhysParams:
     def c0(self) -> float:
         """Half-Laplacian coefficient, 2 G / (1 - nu)."""
         return 2.0 * self.G / (1.0 - self.nu)
-
-
-#: Dimensionless desk-scale preset: G = b = d = 1, nu = 1/4, so zeta = 2/3
-#: and c0 = 8/3.
-DEFAULT_PARAMS = PhysParams()
-
-#: Normalized preset with G/(1 - nu) = 1, under which c0 = 2 and the
-#: energy functionals take their textbook coefficient-free form.
-NORMALIZED_PARAMS = PhysParams(G=0.75, nu=0.25)

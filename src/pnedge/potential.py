@@ -31,21 +31,17 @@ from .params import PhysParams
 _SCAN_POINTS = 10_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PotentialSpec:
-    """Misfit potential selector: Frenkel closed form or sampled table."""
+    """Misfit potential: the Frenkel closed form, or with a ``table`` of
+    (u, W) samples the periodic spline through them; compared by identity."""
 
-    kind: str  # "frenkel" | "user_table"
     params: PhysParams
-    table: Optional[np.ndarray] = field(default=None, repr=False, compare=False)
-    _spline: Optional["PeriodicSpline"] = field(default=None, repr=False, compare=False)
+    table: Optional[np.ndarray] = field(default=None, repr=False)
+    _spline: Optional["PeriodicSpline"] = field(init=False, default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in ("frenkel", "user_table"):
-            raise ValueError(f"unknown potential kind {self.kind!r}")
-        if self.kind == "user_table":
-            if self.table is None:
-                raise ValueError("user_table potential requires a table")
+        if self.table is not None:
             object.__setattr__(self, "_spline", _build_periodic_spline(
                 self.table, self.period))
 
@@ -57,12 +53,12 @@ class PotentialSpec:
 
 def frenkel(params: PhysParams) -> PotentialSpec:
     """The sinusoidal potential; admits the closed-form arctan core."""
-    return PotentialSpec(kind="frenkel", params=params)
+    return PotentialSpec(params)
 
 
 def from_table(params: PhysParams, table: np.ndarray) -> PotentialSpec:
     """Tabulated potential from (u, W) pairs covering one period."""
-    return PotentialSpec(kind="user_table", params=params, table=np.asarray(table, float))
+    return PotentialSpec(params, np.asarray(table, float))
 
 
 def from_csv(params: PhysParams, path) -> PotentialSpec:
@@ -113,7 +109,7 @@ def eval_potential(spec: PotentialSpec, u, order: int = 0):
         raise ValueError(f"derivative order must be 0, 1 or 2, got {order}")
     u = np.asarray(u, dtype=float)
     p = spec.params
-    if spec.kind == "frenkel":
+    if spec.table is None:  # Frenkel
         # one array transformed in place: the values of the closed forms
         # without their N-sized temporaries
         w = np.multiply(4.0 * np.pi, u, out=np.empty(u.shape))

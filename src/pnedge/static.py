@@ -102,6 +102,13 @@ def half_laplacian_profile(p: Profile) -> np.ndarray:
     return p.half_laplacian_background() + apply_half_laplacian(p.grid, p.v)
 
 
+def _check_params(p: Profile, spec: PotentialSpec) -> None:
+    """Reject a potential made for other parameters than the profile's."""
+    if spec.params != p.params:
+        raise ValueError(f"the potential's parameters {spec.params} are not "
+                         f"the profile's {p.params}")
+
+
 def _read_only(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
@@ -111,10 +118,14 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 class StaticState:
     """A static profile under its misfit potential, compared by identity.
     ``w = W(u1)``, ``wp = W'(u1)`` and ``lam = (-d_xx)^{1/2} u1`` are each
-    made on first use and kept, read-only."""
+    made on first use and kept, read-only.  The potential must be made
+    for the profile's parameters."""
 
     profile: Profile
     spec: PotentialSpec
+
+    def __post_init__(self):
+        _check_params(self.profile, self.spec)
 
     @cached_property
     def w(self) -> np.ndarray:
@@ -338,8 +349,10 @@ def solve_static(init: Profile, spec: PotentialSpec) -> SolveResult:
     preconditioner polishes it to :data:`RES_TOL` ``G b / d``.
     Monotonicity of u1 is enforced per accepted step by halving;
     persistent violations are downgraded to a warning and flagged on the
-    result.
+    result.  A potential made for other parameters than the profile's,
+    and a start whose residual is not finite, raise before any step.
     """
+    _check_params(init, spec)
     report = validate_potential(spec)
     if not report.passed:
         raise ValueError(f"misfit potential fails structural checks: {report}")
@@ -348,6 +361,8 @@ def solve_static(init: Profile, spec: PotentialSpec) -> SolveResult:
 
     wp = eval_potential(spec, init.u1, 1)
     r0 = residual(init, spec, wp=wp)
+    if not math.isfinite(r0.linf):
+        raise ConvergenceError("start residual is not finite", r0.linf, r0.l2, 0)
     if r0.linf <= tol:
         return SolveResult(profile=init, residual=r0, iterations=0,
                            newton_steps=0, monotone=is_monotone_decreasing(init))

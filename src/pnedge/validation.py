@@ -29,7 +29,6 @@ from .config import (
     run_setup,
 )
 from .dynamics import (
-    RunOptions,
     dissipation_rate,
     free_energy,
     march,
@@ -61,7 +60,7 @@ from .extension import (
     stress_field,
     strains_to_stresses,
 )
-from .grid import build_grid
+from .grid import Grid1D
 from .operators import (
     apply_half_laplacian,
     fourier_interpolant,
@@ -218,7 +217,7 @@ def check_sobolev(ctx: SuiteContext) -> list[CheckResult]:
                     "quadrature matches b^2 Gamma(2s-1)/(4 pi (2 zeta)^(2s-1))"))
 
     z1, z2 = z / 2.0, 2.0 * z
-    fine = build_grid(400.0 * z, 8192)
+    fine = Grid1D(400.0 * z, 8192)
     diff = background(fine.x, b, z1) - background(fine.x, b, z2)
     errs = []
     for s in (0.75, 1.0, 1.5):
@@ -452,7 +451,7 @@ def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
     ref = s0.reference.profile
 
     # the suite checks the semi-implicit run whatever dynamics_method says
-    send, trace = run_dynamics(s0, cfg.dynamics_T_end, RunOptions())
+    send, trace = run_dynamics(s0, cfg.dynamics_T_end, step_semi_implicit)
     arr = trace.as_arrays()
     f_tol = 1e-10 * ctx.energy_scale
     f_increase = float(np.max(np.diff(arr["F_values"])))

@@ -393,10 +393,10 @@ def test_cli_dynamics_underflow_keeps_the_pieces_before_it(tmp_path, monkeypatch
               + ["dynamics"])
     assert rc == 0
 
-    def second_piece_underflows(s, t_stop, opts):
+    def second_piece_underflows(s, t_stop, step):
         if t_stop == 1.0:
-            return run_dynamics(s, t_stop, opts)
-        _, partial = run_dynamics(s, 1.25, opts)  # what was recorded before the failure
+            return run_dynamics(s, t_stop, step)
+        _, partial = run_dynamics(s, 1.25, step)  # what was recorded before the failure
         raise TimeStepUnderflowError("forced underflow", trace=partial)
 
     monkeypatch.setattr(climod, "run_dynamics", second_piece_underflows)
@@ -479,21 +479,24 @@ def test_every_config_key_is_read():
 
 def test_settable_values_are_counted():
     # what a caller can set: the config keys, the CLI's options (the
-    # command included, --help not) and the fields of the objects a
-    # library caller builds around a solve and a run
+    # command included, --help not) and the constructor fields of the
+    # objects a library caller builds around a solve and a run
     import argparse
 
     from pnedge.cli import _build_parser
-    from pnedge.dynamics import RunOptions
+    from pnedge.dynamics import DynamicsState
     from pnedge.extension import YLevels
+    from pnedge.grid import Grid1D
+    from pnedge.potential import PotentialSpec
     from pnedge.profile import Profile
 
     options = [a for a in _build_parser()._actions if not isinstance(a, argparse._HelpAction)]
-    counts = {"RunConfig": len(fields(RunConfig)), "cli": len(options),
-              "RunOptions": len(fields(RunOptions)), "Profile": len(fields(Profile)),
-              "YLevels": len(fields(YLevels))}
-    assert counts == {"RunConfig": 21, "cli": 5, "RunOptions": 2, "Profile": 5, "YLevels": 1}
-    assert sum(counts.values()) == 34
+    counts = {"RunConfig": len(fields(RunConfig)), "cli": len(options)}
+    for cls in (Profile, YLevels, Grid1D, PotentialSpec, DynamicsState):
+        counts[cls.__name__] = sum(f.init for f in fields(cls))
+    assert counts == {"RunConfig": 21, "cli": 5, "Profile": 5, "YLevels": 1, "Grid1D": 2,
+                      "PotentialSpec": 2, "DynamicsState": 3}
+    assert sum(counts.values()) == 39
 
 
 @pytest.mark.parametrize("flag, value", [("--N", "512"), ("--potential", "frenkel")])

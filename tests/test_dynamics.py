@@ -8,9 +8,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from pnedge import dynamics
 from pnedge.dynamics import (
     DynamicsState,
-    RunOptions,
     dissipation_rate,
     etd_update,
     free_energy,
@@ -116,25 +116,23 @@ def test_single_step_decreases_free_energy(bump_state):
 # monitored runs
 # ---------------------------------------------------------------------------
 
-def test_run_trace_constant_for_static_start(analytic, spec, params):
+def test_run_trace_constant_for_static_start(analytic, spec, params, monkeypatch):
     s0 = DynamicsState(t=0.0, p=analytic, reference=StaticState(analytic, spec))
-    _, trace = run_dynamics(s0, 1.0, RunOptions(dt=0.25))
+    monkeypatch.setattr(dynamics, "DT", 0.25)
+    _, trace = run_dynamics(s0, 1.0, step_semi_implicit)
     arr = trace.as_arrays()
     assert np.max(np.abs(arr["F_values"])) < 1e-14
     assert np.max(arr["Q_values"]) < 1e-25
 
 
-def test_trace_records_free_energy_of_each_accepted_state(bump_state, monkeypatch):
-    from pnedge import dynamics
-
+def test_trace_records_free_energy_of_each_accepted_state(bump_state):
     accepted = []
 
     def recording(s, dt):
         accepted.append(step_semi_implicit(s, dt))
         return accepted[-1]
 
-    monkeypatch.setitem(dynamics._STEPPERS, "semi_implicit", recording)
-    _, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=0.1))
+    _, trace = run_dynamics(bump_state, 1.0, recording)
     assert len(accepted) == 10  # no halvings: every candidate was accepted
     assert trace.F_values[0] == free_energy(bump_state)
     for F, s in zip(trace.F_values[1:], accepted):
@@ -142,8 +140,6 @@ def test_trace_records_free_energy_of_each_accepted_state(bump_state, monkeypatc
 
 
 def test_one_free_energy_per_accepted_step(bump_state, monkeypatch):
-    from pnedge import dynamics
-
     calls = []
 
     def counting(s):
@@ -151,14 +147,14 @@ def test_one_free_energy_per_accepted_step(bump_state, monkeypatch):
         return free_energy(s)
 
     monkeypatch.setattr(dynamics, "free_energy", counting)
-    _, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=0.1))
+    _, trace = run_dynamics(bump_state, 1.0, step_semi_implicit)
     assert len(trace.times) == 11
     assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
     assert len(calls) == 11  # initial state plus one per accepted step
 
 
 def test_bump_relaxes_to_core(bump_state, analytic, grid, params):
-    send, trace = run_dynamics(bump_state, 50.0, RunOptions(dt=0.1))
+    send, trace = run_dynamics(bump_state, 50.0, step_semi_implicit)
     arr = trace.as_arrays()
     f_tol = 1e-10 * params.G * params.b**2 / params.d
     assert np.all(np.diff(arr["F_values"]) <= f_tol)
@@ -192,7 +188,7 @@ def test_parity_preserved_for_odd_data(grid, params, analytic, spec):
     v0 = 0.08 * params.b * (grid.x / z) * np.exp(-grid.x**2 / z**2)
     s0 = DynamicsState(t=0.0, p=analytic.with_correction(v0),
                        reference=StaticState(analytic, spec))
-    send, _ = run_dynamics(s0, 5.0, RunOptions(dt=0.1))
+    send, _ = run_dynamics(s0, 5.0, step_semi_implicit)
     u1 = send.p.u1
     assert np.max(np.abs(u1[1:] + u1[1:][::-1])) <= 1e-8 * params.b
 
@@ -203,7 +199,7 @@ def test_steady_state_equivalence(bump_state, params):
     # negligible further movement
     from pnedge.static import solve_static
 
-    send, _ = run_dynamics(bump_state, 50.0, RunOptions(dt=0.1))
+    send, _ = run_dynamics(bump_state, 50.0, step_semi_implicit)
     end_res = residual(send.p, send.reference.spec)
     assert end_res.linf <= 1e-4 * params.G * params.b / params.d
     polished = solve_static(send.p, send.reference.spec)
@@ -213,11 +209,12 @@ def test_steady_state_equivalence(bump_state, params):
     assert moved <= 1e-4 * params.b
 
 
-def test_integrators_consistent(bump_state):
+def test_integrators_consistent(bump_state, monkeypatch):
     gaps = []
     for dt in (0.05, 0.025):
-        sa, _ = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, method="semi_implicit"))
-        sb, _ = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, method="etd"))
+        monkeypatch.setattr(dynamics, "DT", dt)
+        sa, _ = run_dynamics(bump_state, 1.0, step_semi_implicit)
+        sb, _ = run_dynamics(bump_state, 1.0, step_etd)
         gaps.append(np.max(np.abs(sa.p.v - sb.p.v)))
     assert np.log2(gaps[0] / gaps[1]) >= 0.9
 
@@ -225,8 +222,10 @@ def test_integrators_consistent(bump_state):
 @pytest.mark.parametrize("method,step", [("semi_implicit", step_semi_implicit),
                                          ("etd", step_etd)])
 @pytest.mark.parametrize("dt", [0.05, 0.025, 0.3])
-def test_march_matches_run_dynamics(bump_state, method, step, dt):
-    ref, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=dt, method=method))
+def test_march_matches_run_dynamics(bump_state, monkeypatch, method, step, dt):
+    assert dynamics._STEPPERS[method] is step  # the name a config gives it
+    monkeypatch.setattr(dynamics, "DT", dt)
+    ref, trace = run_dynamics(bump_state, 1.0, step)
     # the guard on F halves no step here, so march must take the same steps
     assert trace.dt_history[1:-1] == [dt] * (len(trace.dt_history) - 2)
     # the accumulated time leaves a last step that is not dt (dt = 0.05:
@@ -240,19 +239,12 @@ def test_march_matches_run_dynamics(bump_state, method, step, dt):
 def test_underflow_carries_trace(bump_state, monkeypatch):
     # force halving to exhaust by demanding a strictly decreasing F with an
     # impossible negative tolerance
-    from pnedge import dynamics
-
     monkeypatch.setattr(dynamics, "F_INCREASE_TOL", -1.0)
     monkeypatch.setattr(dynamics, "MAX_HALVINGS", 3)
     with pytest.raises(TimeStepUnderflowError) as exc:
-        run_dynamics(bump_state, 1.0, RunOptions(dt=0.1))
+        run_dynamics(bump_state, 1.0, step_semi_implicit)
     assert exc.value.trace is not None
     assert len(exc.value.trace.times) >= 1
-
-
-def test_unknown_method_rejected(bump_state):
-    with pytest.raises(ValueError):
-        run_dynamics(bump_state, 1.0, RunOptions(method="leapfrog"))
 
 
 # ---------------------------------------------------------------------------
@@ -296,11 +288,14 @@ def test_cache_rebuilt_for_another_background_or_params(bump_state, params):
     from dataclasses import replace
 
     from pnedge.params import PhysParams
+    from pnedge.potential import frenkel
 
     s = _warm(bump_state)
     for change in ({"zeta_bg": 1.5 * params.zeta}, {"x0": 0.3}, {"params": PhysParams(G=2.0)}):
-        moved = replace(s, p=replace(s.p, **change), reference=replace(
-            s.reference, profile=replace(s.reference.profile, **change)))
+        # the potential follows the parameters
+        spec = frenkel(change["params"]) if "params" in change else s.reference.spec
+        moved = replace(s, p=replace(s.p, **change), reference=StaticState(
+            replace(s.reference.profile, **change), spec))
         _assert_same_as_fresh(moved, steppers=(step_etd, step_semi_implicit))
 
 
@@ -318,8 +313,6 @@ def test_cache_rebuilt_for_another_potential(bump_state, params):
 
 @pytest.mark.parametrize("method", ["semi_implicit", "etd"])
 def test_two_potential_evaluations_per_accepted_step(bump_state, monkeypatch, method):
-    from pnedge import dynamics
-
     calls = []
     original = dynamics.eval_potential
 
@@ -328,7 +321,7 @@ def test_two_potential_evaluations_per_accepted_step(bump_state, monkeypatch, me
         return original(*args, **kwargs)
 
     monkeypatch.setattr(dynamics, "eval_potential", counting)
-    _, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=0.1, method=method))
+    _, trace = run_dynamics(bump_state, 1.0, dynamics._STEPPERS[method])
     assert len(trace.times) == 11
     assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
     # W'(u1) and W(u1) per step; W(u1*), W'(u1*), and W'(u1) and W(u1) of the start
@@ -351,7 +344,7 @@ def test_three_transforms_per_accepted_step(bump_state, monkeypatch, method):
 
     for name in ("rfft", "irfft", "fft", "ifft"):
         monkeypatch.setattr(np.fft, name, counting(getattr(np.fft, name)))
-    _, trace = run_dynamics(bump_state, 1.0, RunOptions(dt=0.1, method=method))
+    _, trace = run_dynamics(bump_state, 1.0, dynamics._STEPPERS[method])
     assert len(trace.times) == 11
     assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
     # per step: rfft of the force, irfft of v_hat+, irfft of |xi| v_hat for the
@@ -397,8 +390,6 @@ def test_replace_never_carries_a_stale_spectrum(bump_state, grid, params):
 @pytest.mark.parametrize("method, dt", [("semi_implicit", 0.1), ("etd", 0.1),
                                         ("semi_implicit", 2.0), ("etd", 3.0)])
 def test_buffers_never_alias_an_accepted_state(bump_state, monkeypatch, method, dt):
-    from pnedge import dynamics
-
     made = []  # every candidate, with copies of its values when it was made
     step = dynamics._STEPPERS[method]
 
@@ -407,8 +398,8 @@ def test_buffers_never_alias_an_accepted_state(bump_state, monkeypatch, method, 
         made.append((cand, cand.p.v.copy(), cand._v_hat.copy()))
         return cand
 
-    monkeypatch.setitem(dynamics._STEPPERS, method, recording)
-    _, trace = run_dynamics(bump_state, 6.0, RunOptions(dt=dt, method=method))
+    monkeypatch.setattr(dynamics, "DT", dt)
+    _, trace = run_dynamics(bump_state, 6.0, recording)
     if dt > 1.0:
         assert len(made) > len(trace.times) - 1  # the run halved some steps
     for t, F, Q in zip(trace.times[1:], trace.F_values[1:], trace.Q_values[1:]):
@@ -422,7 +413,7 @@ def test_buffers_never_alias_an_accepted_state(bump_state, monkeypatch, method, 
 @pytest.mark.parametrize("T_end", [float("inf"), float("nan"), 0.0, -1.0])
 def test_run_rejects_bad_end_time(bump_state, T_end):
     with pytest.raises(ValueError, match="T_end"):
-        run_dynamics(bump_state, T_end)
+        run_dynamics(bump_state, T_end, step_semi_implicit)
 
 
 @pytest.mark.parametrize("T_end", [float("inf"), float("nan"), 0.0, -1.0])
@@ -432,15 +423,6 @@ def test_march_rejects_bad_end_time(bump_state, T_end):
 
     with pytest.raises(ValueError, match="T_end must be positive and finite"):
         march(bump_state, T_end, 0.1, no_step)
-
-
-@pytest.mark.parametrize("field, value", [
-    ("dt", float("nan")), ("dt", float("inf")), ("dt", 0.0), ("dt", -0.1),
-    ("method", "leapfrog"),
-])
-def test_run_options_reject_bad_values(field, value):
-    with pytest.raises(ValueError, match=field):
-        RunOptions(**{field: value})
 
 
 @pytest.mark.parametrize("step", [step_semi_implicit, step_etd])

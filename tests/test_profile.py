@@ -89,10 +89,3 @@ def test_params_validation():
 def test_params_reject_nonfinite(key, value):
     with pytest.raises(ValueError, match=f" {key} must be positive and finite"):
         PhysParams(**{key: value})
-
-
-def test_normalized_preset():
-    from pnedge.params import NORMALIZED_PARAMS
-
-    assert NORMALIZED_PARAMS.G / (1 - NORMALIZED_PARAMS.nu) == pytest.approx(1.0)
-    assert NORMALIZED_PARAMS.c0 == pytest.approx(2.0)

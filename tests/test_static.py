@@ -279,19 +279,36 @@ def test_max_iters_exhaustion(grid, params, spec, monkeypatch):
     assert exc.value.iterations == 1
 
 
-def test_nan_correction_raises(params, spec):
-    """A NaN fails the solve's last test: the sweep's and the polish's
-    ordered guards let it through, and the solve may not return it."""
+def test_nan_correction_raises(params, spec, monkeypatch):
+    """A NaN in the start's residual raises before any step: the sweep's
+    and the polish's ordered guards would let it through to MINRES."""
     from pnedge.errors import ConvergenceError
 
+    krylov, minres = [], static.minres
+
+    def recording(*args, **kwargs):
+        krylov.append(args)
+        return minres(*args, **kwargs)
+
+    monkeypatch.setattr(static, "minres", recording)
     g = build_grid(200.0 * params.zeta, 512)
     v = tanh_profile(g, params).v.copy()
     v[g.N // 4] = np.nan
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore")
-        with pytest.raises(ConvergenceError, match="solver stalled above tolerance") as exc:
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        with pytest.raises(ConvergenceError, match="start residual is not finite") as exc:
             solve_static(Profile(grid=g, params=params, zeta_bg=params.zeta, v=v), spec)
     assert np.isnan(exc.value.linf)
+    assert krylov == []
+    assert [str(w.message) for w in caught] == []
+
+
+@pytest.mark.parametrize("entry", [solve_static, StaticState])
+def test_potential_of_other_parameters_rejected(grid, params, entry):
+    """A potential made for G = 2 does not pose the G = 1 profile's problem."""
+    with pytest.raises(ValueError, match=r"the potential's parameters PhysParams\(G=2\.0.* "
+                                         r"are not the profile's PhysParams\(G=1\.0"):
+        entry(tanh_profile(grid, params), frenkel(PhysParams(G=2.0)))
 
 
 @pytest.mark.parametrize("start, potential, counts", [

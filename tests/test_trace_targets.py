@@ -57,3 +57,7 @@ def test_traced_cli_commands_feed_the_layer_metrics(tmp_path):
     calls = Counter(name for _, _, name, _, _, _ in tracer.spans)
     assert calls["extension.extend_to_half_planes"] == 1
     assert calls["extension.stress_field"] == 1
+    # the dynamics run reaches the traced stepper and monitor, not a
+    # binding made before the tracer rebound them
+    assert calls["dynamics.step"] > 0
+    assert calls["dynamics.free_energy"] > 0
