@@ -23,8 +23,7 @@ def solve_error(params, L_over_zeta, N):
     init = Profile(grid=grid, params=params, zeta_bg=2 * params.zeta)
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
-        result = solve_static(init, frenkel(params))
-        _, centered = center_profile(result.profile)
+        _, centered = center_profile(solve_static(init, frenkel(params)).profile)
     exact = analytic_profile(grid, params)
     mask = np.abs(grid.x) <= 20 * params.zeta
     return float(np.max(np.abs(centered.u1 - exact.u1)[mask])), len(caught)

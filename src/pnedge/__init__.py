@@ -58,7 +58,6 @@ from .potential import PotentialSpec, eval_potential, frenkel, from_csv, validat
 from .profile import Profile, analytic_profile, tanh_profile
 from .static import (
     ResidualField,
-    SolveResult,
     StaticState,
     burgers_density,
     center_profile,

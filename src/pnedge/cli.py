@@ -39,7 +39,6 @@ from .errors import TimeStepUnderflowError
 from .extension import PARITY, YLevels, dtn_traction, extend_to_half_planes, stress_field
 from .io import prepare_output_dir, write_csv, write_field_csv, write_manifest
 from .static import (
-    StaticState,
     burgers_density,
     center_profile,
     decay_coefficients,
@@ -95,16 +94,12 @@ def _bytes_written(paths) -> dict:
     return {"bytes_written": {p.name: p.stat().st_size for p in paths}}
 
 
-def _solve(cfg: RunConfig, grid, params, spec):
-    return solve_static(initial_profile(cfg, grid, params), spec)
-
-
 def cmd_solve_static(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     params, grid, spec = run_setup(cfg)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
-    result = _solve(cfg, grid, params, spec)
-    shift, centered = center_profile(result.profile)
+    state = solve_static(initial_profile(cfg, grid, params), spec)
+    shift, centered = center_profile(state.profile)
     cp, cm = decay_coefficients(centered)
     rho, total = burgers_density(centered)
     rf = residual(centered, spec)
@@ -117,8 +112,8 @@ def cmd_solve_static(cfg: RunConfig) -> int:
     summary = {
         "residual_linf": rf.linf, "residual_l2": rf.l2,
         "shift": shift, "decay_plus": cp, "decay_minus": cm,
-        "burgers_total": total, "iterations": result.iterations,
-        "newton_steps": result.newton_steps, "monotone": result.monotone,
+        "burgers_total": total, "iterations": state.iterations,
+        "newton_steps": state.newton_steps, "monotone": state.monotone,
     }
     (out / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True) + "\n")
     timings["total"] = time.perf_counter() - t0
@@ -136,7 +131,7 @@ def cmd_extend(cfg: RunConfig) -> int:
     t0 = time.perf_counter()
     params, grid, spec = run_setup(cfg)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
-    profile = _solve(cfg, grid, params, spec).profile
+    profile = solve_static(initial_profile(cfg, grid, params), spec).profile
     z = params.zeta
     yl = YLevels.geometric(cfg.ylevels_y_min_over_zeta * z,
                            cfg.ylevels_y_max_over_zeta * z, cfg.ylevels_count)
@@ -166,7 +161,7 @@ def cmd_energy(cfg: RunConfig) -> int:
     radii = box_radii(cfg)
     params, grid, spec = run_setup(cfg)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
-    state = StaticState(_solve(cfg, grid, params, spec).profile, spec)
+    state = solve_static(initial_profile(cfg, grid, params), spec)
     E_box, slope, intercept, r2 = log_divergence_fit(state.profile, radii)
     tables = HalfPlaneTables.build(state.profile, BoxQuadrature.for_params(params))
     # per-profile values, kept in each perturbation's record of energy.json

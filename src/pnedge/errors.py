@@ -13,11 +13,10 @@ class ConvergenceError(RuntimeError):
     Carries the last residual norms so callers can diagnose the failure.
     """
 
-    def __init__(self, message: str, linf: float, l2: float, iterations: int):
+    def __init__(self, message: str, residual, iterations: int):
+        linf, l2 = residual.linf, residual.l2
         super().__init__(f"{message} (L_inf={linf:.3e}, L2={l2:.3e}, iterations={iterations})")
-        self.linf = linf
-        self.l2 = l2
-        self.iterations = iterations
+        self.linf, self.l2, self.iterations = linf, l2, iterations
 
 
 class TimeStepUnderflowError(RuntimeError):

@@ -12,14 +12,14 @@ and :data:`RES_TOL`.  The background part of the half-Laplacian uses the
 closed form, so the arctan core with ``zeta_bg = d/(2(1-nu))`` is an
 exact fixed point of the discretization under the Frenkel potential.
 
-A solved profile and its potential make a :class:`StaticState`: the u*
-of the perturbed energies E(u* + phi) - E(u*) and of the dynamics that
-relax back to it, which read its W, W' and half-Laplacian, made once.
+A solve returns a :class:`StaticState`, with its solve record and
+residual: the u* of the perturbed energies E(u* + phi) - E(u*) and of
+the relaxing dynamics, which read its W, W' and half-Laplacian, made once.
 
 Each residual is evaluated once: the sweep starts from the start
-profile's, a sweep step makes two transforms because the step's own
-equation gives the residual of its result, and the solve returns the
-polish's last one.  The linearization ``c0 (-d_xx)^{1/2} + W''(u1)``
+state's, a sweep step makes two transforms because the step's own
+equation gives the residual of its result, and the solved state carries
+the polish's last one.  The linearization ``c0 (-d_xx)^{1/2} + W''(u1)``
 is symmetric but may be slightly indefinite on the periodic box, so the
 polish solves it with MINRES, preconditioned by the inverse of its
 far-field part ``c0 |xi| + w0``.  The linearization is that inverse plus
@@ -88,15 +88,6 @@ class ResidualField:
         return float(np.sqrt(self.grid.h * np.sum(self.samples**2)))
 
 
-@dataclass(frozen=True)
-class SolveResult:
-    profile: Profile
-    residual: ResidualField
-    iterations: int
-    newton_steps: int
-    monotone: bool
-
-
 def half_laplacian_profile(p: Profile) -> np.ndarray:
     """``(-d_xx)^{1/2} u1``: closed-form background plus spectral correction."""
     return p.half_laplacian_background() + apply_half_laplacian(p.grid, p.v)
@@ -117,12 +108,16 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StaticState:
     """A static profile under its misfit potential, compared by identity.
-    ``w = W(u1)``, ``wp = W'(u1)`` and ``lam = (-d_xx)^{1/2} u1`` are each
-    made on first use and kept, read-only.  The potential must be made
-    for the profile's parameters."""
+    ``w = W(u1)``, ``wp = W'(u1)``, ``lam = (-d_xx)^{1/2} u1`` and the
+    force-balance ``residual`` are each made on first use and kept,
+    read-only.  The potential must be made for the profile's parameters.
+    :func:`solve_static` sets the solve record of the state it solves;
+    a state made here has that of a converged start, ``(iterations,
+    newton_steps, monotone) = (0, 0, is_monotone_decreasing(profile))``."""
 
     profile: Profile
     spec: PotentialSpec
+    iterations = newton_steps = 0
 
     def __post_init__(self):
         _check_params(self.profile, self.spec)
@@ -139,14 +134,25 @@ class StaticState:
     def lam(self) -> np.ndarray:
         return _read_only(half_laplacian_profile(self.profile))
 
+    @cached_property
+    def residual(self) -> ResidualField:
+        rf = residual(self.profile, self.spec, wp=self.wp, lam=self.lam)
+        _read_only(rf.samples)
+        return rf
+
+    @cached_property
+    def monotone(self) -> bool:
+        return is_monotone_decreasing(self.profile)
+
 
 def residual(p: Profile, spec: PotentialSpec, wp: np.ndarray | None = None,
              lam: np.ndarray | None = None) -> ResidualField:
-    """Force-balance residual of a profile under a misfit potential.
+    """Force-balance residual of a profile under a potential made for its parameters.
 
     ``wp = W'(u1)`` and ``lam = (-d_xx)^{1/2} u1`` are computed unless
     the caller passes them (the dynamics holds both); neither is kept.
     """
+    _check_params(p, spec)
     if wp is None:
         wp = eval_potential(spec, p.u1, 1)
     if lam is None:
@@ -245,10 +251,8 @@ def _semi_implicit_sweep(p, spec, r, wp):
 
     while np.max(np.abs(r)) > target:
         if it >= MAX_SWEEP_ITERS:
-            rf = ResidualField(grid=grid, samples=r)
-            raise ConvergenceError(
-                "pseudo-time iteration exhausted MAX_SWEEP_ITERS", rf.linf, rf.l2, it
-            )
+            raise ConvergenceError("pseudo-time iteration exhausted MAX_SWEEP_ITERS",
+                                   ResidualField(grid=grid, samples=r), it)
         g = wp + c0 * lam_bg
         res_linf = float(np.max(np.abs(r)))
 
@@ -281,9 +285,8 @@ def _semi_implicit_sweep(p, spec, r, wp):
             # gross divergence guard (explicit potential force too stiff)
             dt *= 0.5
             if dt < 1e-12 * dt_cap:
-                rf = ResidualField(grid=grid, samples=r)
-                raise ConvergenceError(
-                    "pseudo-time step underflow", rf.linf, rf.l2, it)
+                raise ConvergenceError("pseudo-time step underflow",
+                                       ResidualField(grid=grid, samples=r), it)
             continue
         v, r, wp = v_new, r_new, wp_new
         viol = viol_new
@@ -334,13 +337,13 @@ def _newton_polish(p, spec, tol):
         r = r_try
         steps += 1
     else:
-        rf = ResidualField(grid=grid, samples=r)
-        raise ConvergenceError("Newton polish did not converge", rf.linf, rf.l2, steps)
+        raise ConvergenceError("Newton polish did not converge",
+                               ResidualField(grid=grid, samples=r), steps)
     return p.with_correction(v), steps, r
 
 
-def solve_static(init: Profile, spec: PotentialSpec) -> SolveResult:
-    """Drive a profile to the static core structure.
+def solve_static(init: Profile, spec: PotentialSpec) -> StaticState:
+    """Drive a profile to the static core structure, and return its state.
 
     A semi-implicit gradient flow (unconditionally stable for the
     nonlocal part) of at most :data:`MAX_SWEEP_ITERS` steps, the first
@@ -349,26 +352,26 @@ def solve_static(init: Profile, spec: PotentialSpec) -> SolveResult:
     preconditioner polishes it to :data:`RES_TOL` ``G b / d``.
     Monotonicity of u1 is enforced per accepted step by halving;
     persistent violations are downgraded to a warning and flagged on the
-    result.  A potential made for other parameters than the profile's,
-    and a start whose residual is not finite, raise before any step.
+    state, which carries its record and the polish's last residual.  A
+    start that has already converged is returned as its own state.  A
+    potential made for other parameters than the profile's, and a start
+    whose residual is not finite, raise before any step.
     """
-    _check_params(init, spec)
+    start = StaticState(init, spec)
     report = validate_potential(spec)
     if not report.passed:
         raise ValueError(f"misfit potential fails structural checks: {report}")
     prm = init.params
     tol = RES_TOL * prm.G * prm.b / prm.d
 
-    wp = eval_potential(spec, init.u1, 1)
-    r0 = residual(init, spec, wp=wp)
+    r0 = start.residual
     if not math.isfinite(r0.linf):
-        raise ConvergenceError("start residual is not finite", r0.linf, r0.l2, 0)
+        raise ConvergenceError("start residual is not finite", r0, 0)
     if r0.linf <= tol:
-        return SolveResult(profile=init, residual=r0, iterations=0,
-                           newton_steps=0, monotone=is_monotone_decreasing(init))
+        return start
 
-    p, iters, monotone_ok = _semi_implicit_sweep(init, spec, r0.samples, wp)
-    del r0, wp  # the polish needs neither: free them before its Krylov vectors
+    p, iters, monotone_ok = _semi_implicit_sweep(init, spec, r0.samples, start.wp)
+    del start, r0  # the polish needs neither: free them before its Krylov vectors
     # absorb any core drift into the background center first: the
     # correction must not carry translation content (see rebase_center)
     try:
@@ -376,14 +379,16 @@ def solve_static(init: Profile, spec: PotentialSpec) -> SolveResult:
     except ValueError:
         pass  # no unique crossing; polish in the current split
     p, newton_steps, r = _newton_polish(p, spec, tol)
-    rf = ResidualField(grid=p.grid, samples=r)
+    rf = ResidualField(grid=p.grid, samples=_read_only(r))
     if not rf.linf <= tol:  # a NaN residual fails this test too
-        raise ConvergenceError("solver stalled above tolerance", rf.linf, rf.l2, iters)
+        raise ConvergenceError("solver stalled above tolerance", rf, iters)
     monotone = is_monotone_decreasing(p)
     if not monotone:
         warnings.warn("converged profile is not monotone", MonotonicityWarning, stacklevel=2)
-    return SolveResult(profile=p, residual=rf, iterations=iters,
-                       newton_steps=newton_steps, monotone=monotone and monotone_ok)
+    solved = StaticState(p, spec)
+    vars(solved).update(residual=rf, iterations=iters, newton_steps=newton_steps,
+                        monotone=monotone and monotone_ok)
+    return solved
 
 
 def zero_crossing(p: Profile) -> float:

@@ -123,7 +123,7 @@ class SuiteContext:
         self.params, self.grid, self.spec = run_setup(self.cfg)
         self.analytic = analytic_profile(self.grid, self.params)
         init = tanh_profile(self.grid, self.params)
-        self.solved = StaticState(solve_static(init, self.spec).profile, self.spec)
+        self.solved = solve_static(init, self.spec)
         _, self.solved_centered = center_profile(self.solved.profile)
 
     @property

@@ -75,9 +75,14 @@ def test_residual_zero_potential(grid, params):
 
 def test_solve_analytic_is_fixed_point(analytic, spec):
     result = solve_static(analytic, spec)
+    assert isinstance(result, StaticState)
+    assert result.profile is analytic  # the start is returned as its own state
     assert result.iterations == 0
     assert result.newton_steps == 0
     assert result.residual.linf <= 1e-13
+    by_hand = StaticState(analytic, spec)
+    assert ((result.iterations, result.newton_steps, result.monotone)
+            == (by_hand.iterations, by_hand.newton_steps, by_hand.monotone))
 
 
 def test_solve_recovers_core_from_tanh(solved, analytic, grid, params):
@@ -303,7 +308,7 @@ def test_nan_correction_raises(params, spec, monkeypatch):
     assert [str(w.message) for w in caught] == []
 
 
-@pytest.mark.parametrize("entry", [solve_static, StaticState])
+@pytest.mark.parametrize("entry", [solve_static, StaticState, residual])
 def test_potential_of_other_parameters_rejected(grid, params, entry):
     """A potential made for G = 2 does not pose the G = 1 profile's problem."""
     with pytest.raises(ValueError, match=r"the potential's parameters PhysParams\(G=2\.0.* "
@@ -319,16 +324,21 @@ def test_potential_of_other_parameters_rejected(grid, params, entry):
 ])
 def test_result_residual_is_the_residual_of_the_result(grid, params, spec, eps_table,
                                                        start, potential, counts):
-    """The residual a solve returns is the one its profile has, bit for bit,
-    though the solve evaluates it no more after the polish."""
+    """The solved state's residual is the one its profile has, bit for bit,
+    though the solve evaluates it no more after the polish, and so is the
+    W'(u1) it makes."""
     init = (tanh_profile(grid, params) if start == "tanh"
             else Profile(grid=grid, params=params, zeta_bg=2.0 * params.zeta))
     pot = spec if potential == "frenkel" else eps_table
     with warnings.catch_warnings(record=True) as caught:
         warnings.simplefilter("always")
         res = solve_static(init, pot)
+    assert isinstance(res, StaticState)
     ref = residual(res.profile, pot).samples
     assert res.residual.samples.tobytes() == ref.tobytes()
+    fresh = StaticState(res.profile, pot)
+    assert res.residual.samples.tobytes() == fresh.residual.samples.tobytes()
+    assert res.wp.tobytes() == fresh.wp.tobytes()
     assert all(issubclass(w.category, static.MonotonicityWarning) for w in caught)
     assert (res.iterations, res.newton_steps, len(caught)) == counts
     assert res.monotone == (len(caught) == 0)
@@ -542,6 +552,8 @@ def test_static_state_keeps_read_only_arrays(solved, spec):
         assert getattr(s, name) is got  # made once
         assert not got.flags.writeable
         np.testing.assert_array_equal(got, want)
+    assert s.residual is s.residual and not s.residual.samples.flags.writeable
+    assert s.residual.samples.tobytes() == residual(solved, spec).samples.tobytes()
 
 
 def test_static_refinement_study_script_runs(pnedge_env):

@@ -51,12 +51,16 @@ def test_traced_cli_commands_feed_the_layer_metrics(tmp_path):
     assert {name: getattr(np.fft, name) for name in transforms} == transforms
     metrics = spans.layer_metrics(tracer, 0)
     assert metrics["static.sweep_iterations"] > 0
+    # the solve record the hook reads off the returned state, set by the
+    # solve and not left at a hand-made state's zero steps
+    assert metrics["static.newton_steps"] > 0
     assert metrics["dynamics.accepted_steps"] > 0
     assert metrics["io.write_field_csv.bytes"] > 0
     assert metrics["operators.fft.calls"] > 0
     calls = Counter(name for _, _, name, _, _, _ in tracer.spans)
     assert calls["extension.extend_to_half_planes"] == 1
     assert calls["extension.stress_field"] == 1
+    assert len(tracer.solver_residuals) == calls["static.solve_static"]
     # the dynamics run reaches the traced stepper and monitor, not a
     # binding made before the tracer rebound them
     assert calls["dynamics.step"] > 0
