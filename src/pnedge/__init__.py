@@ -48,7 +48,6 @@ from .extension import (
 from .grid import Grid1D, build_grid
 from .operators import (
     apply_half_laplacian,
-    apply_hilbert,
     hs_seminorm_analytic,
     hs_seminorm_grid,
     spectral_derivative,

@@ -241,13 +241,14 @@ def cmd_validate(cfg: RunConfig) -> int:
     box_radii(cfg)
     run_setup(cfg)
     out = prepare_output_dir(cfg.output, cfg.overwrite)
-    results = run_validation(cfg)
+    timings: dict = {}
+    results = run_validation(cfg, timings)
     for r in results:
         print(r.line())
     report = report_dict(results)
     (out / "report.json").write_text(json.dumps(report, indent=2, sort_keys=True) + "\n")
-    write_manifest(out / "manifest.json", cfg.echo(), "validate",
-                   {"total": time.perf_counter() - t0})
+    timings["total"] = time.perf_counter() - t0
+    write_manifest(out / "manifest.json", cfg.echo(), "validate", timings)
     return 0 if report["all_pass"] else 1
 
 

@@ -30,6 +30,12 @@ Only v changes along a trajectory, so the rest is evaluated once:
   its successor's ``v_hat`` on the modes and hands it on with the new
   state; the monitor's residual of an accepted state and the next step's
   force read the same ``W'(u1)``.
+* the successor itself is built directly, not by
+  ``dataclasses.replace``: its profile and state keep the grid,
+  parameters, background and reference of the state stepped from, so
+  their constructors' checks have nothing new to see, and only the
+  :class:`~pnedge.errors.TailWarning` test of the new v is made.
+  ``replace`` keeps every check.
 * per run, a private record on :class:`DynamicsState` holds the
   reference, the background u_bg on the grid and ``(-d_xx)^{1/2} u_bg``,
   ``u1*``, ``v_hat*``, the seminorm weights of F, the update symbols of
@@ -58,7 +64,7 @@ use from two threads at once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -243,9 +249,11 @@ def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
     v_hat += f_hat
     if v_hat_star is not None:
         v_hat += v_hat_star
-    new = replace(s, t=s.t + dt, p=s.p.with_correction(irfft(s.p.grid, v_hat)))
-    object.__setattr__(new, "_run", inv)
-    new.__dict__["_v_hat"] = v_hat  # the cache slot of the property
+    # built directly (module docstring), with the run record and v_hat in
+    # the cache slot of the property
+    new = object.__new__(DynamicsState)
+    vars(new).update(t=s.t + dt, p=s.p._successor(irfft(s.p.grid, v_hat)),
+                     reference=s.reference, _run=inv, _v_hat=v_hat)
     return new
 
 

@@ -24,9 +24,11 @@ perturbation then costs one ``rfft`` and a dot product.  The
 y-quadrature is the discrete node/weight sum, independent of the
 closed-form y-integrals of the slip-plane route.
 
-The tables and :func:`elastic_energy_box` walk the y-levels four at a
-time with the level walk of :mod:`pnedge.extension`, where a level at a
-time paid numpy's per-call cost on every small array.  The weighted sum
+The tables and :func:`elastic_energy_box` walk the y-levels with the
+level walk of :mod:`pnedge.extension`, where a level at a time paid
+numpy's per-call cost on every small array: four levels a chunk over
+the grid, and 16 or 32 over a box background's x-window of 1,024 or
+512 points (:func:`_box_background`).  The weighted sum
 still adds one level at a time, in node order, with each level's x-sum
 taken along its own contiguous row, so every result has the bits of the
 level-by-level loop.
@@ -402,7 +404,7 @@ def _box_background(p: Profile, R: float, n_x: int, n_levels: int) -> float:
     wx = _trapezoid_weights(xw)
     xw = xw - p.x0
     total = 0.0
-    for y, wts in _level_chunks(ys, wy):
+    for y, wts in _level_chunks(ys, wy, width=n_x):
         s11, s12, s22 = _analytic_plane_stress(xw, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
         bg = np.sum(wx * _stress_density(s11, s12, s22, prm.G, prm.nu), axis=-1)
         # level by level in node order, so the sum rounds as a level loop's

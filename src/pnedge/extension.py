@@ -23,10 +23,15 @@ map from each component name (``u1, u2, s11, s12, s22, s33``, the keys of
 the CSV writer mirrors each one (``write_field_csv(mirror=PARITY[c])``).
 
 Every walk over y-levels, here and in :mod:`pnedge.energy`, takes them
-``_LEVEL_CHUNK`` (4) at a time with the heights as a column
-(:func:`_level_chunks`): one set of 2-d array operations and one batched
-FFT a chunk, the bits of a level-at-a-time loop, and live memory bounded
-by a few (chunk, N) arrays whatever the number of levels.
+in chunks with the heights as a column (:func:`_level_chunks`): one set
+of 2-d array operations and one batched FFT a chunk, with the bits of a
+level-at-a-time loop.  A walk over rows of the grid takes
+``_LEVEL_CHUNK`` (4) levels a chunk at any N.  A walk over rows of
+``width`` points, such as the 1,024- and 512-point x-windows of the box
+energies, takes ``max(4, 16384 // width)`` levels (16 and 32 there), so
+its chunks hold no more points than four rows of the default N = 4096
+grid.  Live memory stays a few chunk arrays whatever the number of
+levels.
 """
 
 from __future__ import annotations
@@ -67,15 +72,22 @@ class YLevels:
         return cls(values=np.geomspace(y_min, y_max, n))
 
 
-_LEVEL_CHUNK = 4  #: y-levels evaluated together by every walk over the heights
+_LEVEL_CHUNK = 4  #: y-levels evaluated together by a walk over the grid's rows
+_CHUNK_POINTS = 16384  #: points a row array of a narrow walk's chunk holds
 
 
-def _level_chunks(ys: np.ndarray, *per_level: np.ndarray):
-    """The heights ``ys`` in chunks of ``_LEVEL_CHUNK`` levels: each chunk's
-    heights as a column (so the per-level formulas broadcast to one row
-    per level), followed by the chunk's rows of each ``per_level`` array."""
-    for s in range(0, len(ys), _LEVEL_CHUNK):
-        rows = slice(s, s + _LEVEL_CHUNK)
+def _level_chunks(ys: np.ndarray, *per_level: np.ndarray, width: int | None = None):
+    """The heights ``ys`` in chunks: each chunk's heights as a column (so
+    the per-level formulas broadcast to one row per level), followed by
+    the chunk's rows of each ``per_level`` array.
+
+    A walk over the grid takes ``_LEVEL_CHUNK`` levels a chunk.  A walk
+    whose rows are ``width`` points, not the grid's, takes
+    ``max(_LEVEL_CHUNK, _CHUNK_POINTS // width)``, so that a narrow row
+    does not pay numpy's per-call cost for a few points."""
+    n = _LEVEL_CHUNK if width is None else max(_LEVEL_CHUNK, _CHUNK_POINTS // width)
+    for s in range(0, len(ys), n):
+        rows = slice(s, s + n)
         yield (ys[rows, None], *(a[rows] for a in per_level))
 
 
@@ -110,9 +122,10 @@ def _analytic_plane_stress(x, y, G, b, nu, zeta, sign):
     p = y + sign * zeta
     r2 = x * x + p * p
     pref = G * b / (2.0 * np.pi * (1.0 - nu))
-    s11 = pref * (-(3.0 * y + sign * 2.0 * zeta) / r2 + 2.0 * y * p * p / r2**2)
-    s12 = pref * (x / r2 - 2.0 * x * y * p / r2**2)
-    s22 = pref * (-y / r2 + 2.0 * x * x * y / r2**2)
+    r4 = r2**2
+    s11 = pref * (-(3.0 * y + sign * 2.0 * zeta) / r2 + 2.0 * y * p * p / r4)
+    s12 = pref * (x / r2 - 2.0 * x * y * p / r4)
+    s22 = pref * (-y / r2 + 2.0 * x * x * y / r4)
     return s11, s12, s22
 
 

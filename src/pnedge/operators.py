@@ -4,7 +4,6 @@ All operators act on real sample arrays over a :class:`~pnedge.grid.Grid1D`
 and are diagonal in Fourier space:
 
 * half-Laplacian ``(-d_xx)^{1/2}``: symbol ``|xi|``,
-* Hilbert transform  ``H``: symbol ``-i sgn(xi)``,
 * derivative ``d_x``: symbol ``i xi``.
 
 Conventions: every transform goes through the pair :func:`rfft` /
@@ -13,12 +12,10 @@ caller that keeps a spectrum, or reuses work buffers, stays on the one
 layer), and every multiplier is applied by :func:`apply_symbol`, i.e.
 ``irfft(symbol * rfft(f))`` with the symbol given on the N/2 + 1 rfft
 modes ``grid.xi_r = pi k / L``, ``k = 0 .. N/2``.  The zero mode of
-``|xi|`` and ``sgn(xi)`` is 0 (the mean is annihilated).  The Nyquist
-mode ``k = N/2`` is unpaired: ``irfft`` drops the imaginary part of its
-bin, so the odd symbols (``sgn``, ``i xi``) map it to 0, a shift
-``e^{i xi a}`` keeps its cosine, and real input maps to real output by
-construction.  With these choices ``H(d_x f) == (-d_xx)^{1/2} f`` holds
-to roundoff for any f with no Nyquist content.  Sums over the rfft
+``|xi|`` is 0 (the mean is annihilated).  The Nyquist mode ``k = N/2``
+is unpaired: ``irfft`` drops the imaginary part of its bin, so the odd
+symbol ``i xi`` maps it to 0, a shift ``e^{i xi a}`` keeps its cosine,
+and real input maps to real output by construction.  Sums over the rfft
 modes use the Parseval weights of :func:`mode_weights`, and a squared
 ``H^s`` seminorm those of :func:`seminorm_weights`.
 """
@@ -83,15 +80,6 @@ def mode_weights(grid: Grid1D) -> np.ndarray:
 def apply_half_laplacian(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     """Apply ``(-d_xx)^{1/2}`` (symbol ``|xi_k|``; zero mode -> 0)."""
     return apply_symbol(grid, _check_samples(grid, f), grid.xi_r)
-
-
-def apply_hilbert(grid: Grid1D, f: np.ndarray) -> np.ndarray:
-    """Apply the Hilbert transform (symbol ``-i sgn(xi_k)``).
-
-    The principal-value kernel is ``H(f)(x) = (1/pi) PV int f(s)/(x-s) ds``.
-    Zero and Nyquist modes map to 0.
-    """
-    return apply_symbol(grid, _check_samples(grid, f), -1j * np.sign(grid.xi_r))
 
 
 def spectral_derivative(grid: Grid1D, f: np.ndarray) -> np.ndarray:

@@ -65,13 +65,17 @@ class Profile:
         if v.shape != (self.grid.N,):
             raise ValueError(f"correction has shape {v.shape}, expected ({self.grid.N},)")
         object.__setattr__(self, "v", v)
-        tail = max(abs(v[0]), abs(v[-1]))
+        self._check_tails()
+
+    def _check_tails(self) -> None:
+        """Warn when |v| at the domain ends exceeds ``TAIL_TOL * b``."""
+        tail = max(abs(self.v[0]), abs(self.v[-1]))
         if tail > TAIL_TOL * self.params.b:
             warnings.warn(
                 f"correction tails |v| = {tail:.2e} exceed "
                 f"{TAIL_TOL:.0e} * b at the domain ends",
                 TailWarning,
-                stacklevel=2,
+                stacklevel=3,
             )
 
     @property
@@ -92,6 +96,15 @@ class Profile:
 
     def with_correction(self, v: np.ndarray) -> "Profile":
         return replace(self, v=np.asarray(v, dtype=float))
+
+    def _successor(self, v: np.ndarray) -> "Profile":
+        """This profile with the correction ``v``, a float array of shape
+        (N,), built without re-checking the fields it keeps: only the new
+        tails are tested."""
+        new = object.__new__(Profile)
+        vars(new).update(vars(self), v=v)
+        new._check_tails()
+        return new
 
     def boundary_values(self) -> tuple[float, float]:
         """u1 at the two domain ends.

@@ -277,6 +277,18 @@ def test_validate_reports_its_box_radii(tmp_path):
     assert check["expected"] == "E(R) affine in ln R over R = {5,10,20} zeta"
 
 
+# at L = 100 zeta the suite's tanh start has tails above TAIL_TOL
+@pytest.mark.filterwarnings("ignore::pnedge.errors.TailWarning")
+def test_validate_manifest_times_each_check(tmp_path):
+    # a coarse grid, where some checks fail: the times are written either way
+    assert main(_fast_overrides(tmp_path, dynamics_T_end=5) + ["validate"]) in (0, 1)
+    timings = json.loads((tmp_path / "out" / "manifest.json").read_text())["timings_s"]
+    checks = [f"check_{i:02d}" for i in range(1, 13)]
+    assert sorted(timings) == checks + ["total"]
+    assert all(timings[c] >= 0.0 for c in checks)
+    assert sum(timings[c] for c in checks) <= timings["total"]
+
+
 def test_cli_dynamics(tmp_path):
     rc = main(_fast_overrides(
         tmp_path, dynamics_T_end=1.0, dynamics_snapshot_times="0.5") + ["dynamics"])
@@ -418,7 +430,7 @@ def test_cli_validate_failure_exit_code(tmp_path, monkeypatch):
     from pnedge.validation import CheckResult
 
     fake = [CheckResult(name="x", expected="", actual=1.0, tolerance=0.5, passed=False)]
-    monkeypatch.setattr(climod, "run_validation", lambda cfg: fake)
+    monkeypatch.setattr(climod, "run_validation", lambda cfg, timings: fake)
     rc = main(["--output", str(tmp_path / "v"), "validate"])
     assert rc == 1
     report = json.loads((tmp_path / "v" / "report.json").read_text())
@@ -430,7 +442,7 @@ def test_cli_validate_success_exit_code(tmp_path, monkeypatch):
     from pnedge.validation import CheckResult
 
     fake = [CheckResult(name="x", expected="", actual=0.1, tolerance=0.5, passed=True)]
-    monkeypatch.setattr(climod, "run_validation", lambda cfg: fake)
+    monkeypatch.setattr(climod, "run_validation", lambda cfg, timings: fake)
     rc = main(["--output", str(tmp_path / "v"), "validate"])
     assert rc == 0
 

@@ -387,6 +387,50 @@ def test_replace_never_carries_a_stale_spectrum(bump_state, grid, params):
         assert np.array_equal(moved._v_hat, np.fft.rfft(moved.p.v))
 
 
+@pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
+def test_stepped_state_matches_one_rebuilt_by_replace(bump_state, step):
+    """A step builds its successor without ``replace``; the state that
+    ``replace`` builds from the same samples, spectrum and run record
+    has the same fields, F, Q, v and v_hat."""
+    from dataclasses import fields, replace
+
+    s = step(step(bump_state, 0.1), 0.1)
+    new = step(s, 0.1)
+    rebuilt = replace(s, t=s.t + 0.1, p=s.p.with_correction(new.p.v))
+    object.__setattr__(rebuilt, "_run", s._invariants())
+    rebuilt.__dict__["_v_hat"] = new._v_hat
+    assert type(new) is DynamicsState and type(new.p) is type(s.p)
+    assert new.t == rebuilt.t and new.reference is rebuilt.reference
+    for f in fields(s.p):
+        assert getattr(new.p, f.name) is getattr(rebuilt.p, f.name)
+    assert new._invariants() is s._invariants()
+    assert free_energy(new) == free_energy(rebuilt)
+    assert dissipation_rate(new) == dissipation_rate(rebuilt)
+    assert np.array_equal(new._wp_u1, rebuilt._wp_u1)
+    assert np.array_equal(new._v_hat, rebuilt._v_hat)
+
+
+@pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
+def test_step_with_large_tails_warns_once(grid, params, analytic, spec, step):
+    """The successor skips the checks of the fields it keeps, not the test
+    of its correction's tails."""
+    import warnings
+
+    from pnedge.errors import TailWarning
+    from pnedge.profile import TAIL_TOL
+
+    # a bump on the node x = -L, so |v| there is 10 TAIL_TOL b
+    v0 = 10.0 * TAIL_TOL * params.b * np.exp(-(grid.x - grid.x[0]) ** 2 / params.zeta**2)
+    with pytest.warns(TailWarning):
+        s = DynamicsState(t=0.0, p=analytic.with_correction(v0),
+                          reference=StaticState(analytic, spec))
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        new = step(s, 0.1)
+    assert abs(new.p.v[0]) > TAIL_TOL * params.b
+    assert [w.category for w in caught] == [TailWarning]
+
+
 @pytest.mark.parametrize("method, dt", [("semi_implicit", 0.1), ("etd", 0.1),
                                         ("semi_implicit", 2.0), ("etd", 3.0)])
 def test_buffers_never_alias_an_accepted_state(bump_state, monkeypatch, method, dt):
@@ -457,3 +501,104 @@ def test_relaxation_demo_script_runs(pnedge_env, params):
     assert err is not None, proc.stdout
     assert float(err.group(1)) <= 1e-3 * params.b
     assert "energy monotone: True" in proc.stdout
+
+
+# ---------------------------------------------------------------------------
+# check 10: each trajectory marched once
+# ---------------------------------------------------------------------------
+
+@pytest.fixture(scope="module")
+def suite():
+    from pnedge.config import RunConfig
+    from pnedge.validation import SuiteContext
+
+    return SuiteContext(RunConfig())
+
+
+@pytest.fixture(scope="module")
+def check10_rows(suite):
+    from pnedge.validation import check_dynamics
+
+    return {r.name: r for r in check_dynamics(suite)}
+
+
+def _counted(calls, name, fn):
+    def counted(*args, **kwargs):
+        calls[name] = calls.get(name, 0) + 1
+        return fn(*args, **kwargs)
+    return counted
+
+
+def _marched_chain_sum(s0, dt):
+    """Check 10's chain-rule sum at step dt by its own march."""
+    checkpoints = (0.5, 1.0, 2.0, 3.0, 4.0)
+    s = s0
+    total = 0.0
+    nsteps = int(round(max(checkpoints) / dt)) + 1
+    for k in range(nsteps):
+        tn = k * dt
+        hit = any(abs(tn - tc) < 0.25 * dt for tc in checkpoints)
+        if hit:
+            Fb, Qb = free_energy(s), dissipation_rate(s)
+        s = step_semi_implicit(s, dt)
+        if hit:
+            total += abs((free_energy(s) - Fb) / dt + Qb)
+    return total
+
+
+def test_check_dynamics_counts_its_steps(suite, check10_rows, monkeypatch):
+    """The T = 50 run (500 steps) stands in for the dt = 0.1 chain-rule
+    march, and the dt = 0.05 and 0.025 marches for the semi-implicit gap
+    runs: 500 + 81 + 161 steps, then 80 semi-implicit and 20 + 40 + 80
+    ETD gap steps; F once per accepted run state and twice per checkpoint
+    of two marches."""
+    from pnedge import validation
+
+    calls = {}
+    for name in ("step_semi_implicit", "step_etd"):
+        monkeypatch.setattr(validation, name, _counted(calls, "step", getattr(validation, name)))
+    counted = _counted(calls, "free_energy", free_energy)
+    monkeypatch.setattr(validation, "free_energy", counted)
+    monkeypatch.setattr(dynamics, "free_energy", counted)
+    rows = validation.check_dynamics(suite)
+    assert calls == {"step": 962, "free_energy": 521}
+    assert [(r.name, r.actual) for r in rows] == [(n, r.actual) for n, r in check10_rows.items()]
+
+
+def test_check_dynamics_chain_sum_off_the_trace_is_the_marched_one(suite, check10_rows):
+    from pnedge.config import dynamics_start
+
+    s0 = dynamics_start(suite.cfg, suite.grid, suite.params, suite.spec)
+    bound = check10_rows["10.dynamics.chain_rule_bound"].actual
+    assert bound == _marched_chain_sum(s0, 0.1) / 0.1
+
+
+@pytest.mark.parametrize("why", ["run ends at t = 2", "run halves its first step"])
+def test_check_dynamics_marches_when_the_trace_cannot_stand_in(suite, check10_rows,
+                                                               monkeypatch, why):
+    from pnedge import validation
+    from pnedge.config import RunConfig
+
+    ctx = suite
+    if why == "run ends at t = 2":
+        ctx = validation.SuiteContext(RunConfig(dynamics_T_end=2.0))
+    else:
+        run_calls = []
+
+        def rejects_first_candidate(s):  # the run's second F is its first candidate's
+            run_calls.append(s.t)
+            return np.inf if len(run_calls) == 2 else free_energy(s)
+
+        monkeypatch.setattr(dynamics, "free_energy", rejects_first_candidate)
+    calls = {}
+    monkeypatch.setattr(validation, "free_energy",
+                        _counted(calls, "free_energy", free_energy))
+    rows = {r.name: r for r in validation.check_dynamics(ctx)}
+    assert list(rows) == list(check10_rows)
+    # three chain-rule marches of five checkpoints, not two
+    assert calls == {"free_energy": 30}
+    for name in ("chain_rule_order", "chain_rule_bound", "integrator_gap_order"):
+        key = "10.dynamics." + name
+        assert rows[key].actual == check10_rows[key].actual
+    if why == "run halves its first step":
+        assert run_calls[1:3] == [0.1, 0.05]  # the run retried its first step halved

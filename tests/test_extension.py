@@ -7,6 +7,7 @@ from pnedge.extension import (
     PARITY,
     YLevels,
     _analytic_displacement,
+    _analytic_plane_stress,
     _analytic_stress,
     analytic_fields,
     dtn_traction,
@@ -32,6 +33,27 @@ def test_analytic_displacement_point(params):
     expected = (1 / (2 * np.pi)) * (-np.arctan(0.5) + 1.0 / 7.5)
     assert out["u1"][0] == pytest.approx(expected, abs=1e-15)
     assert out["u1"][0] == pytest.approx(-0.05257114974629726, abs=1e-14)
+
+
+@pytest.mark.parametrize("sign", [1.0, -1.0])
+def test_plane_stress_squares_r2_once(params, rng, sign):
+    """``r2**2`` taken once has the bits of the expression that took it in
+    each component, at random points and at a column of heights."""
+    G, b, nu, z = params.G, params.b, params.nu, params.zeta
+    pref = G * b / (2.0 * np.pi * (1.0 - nu))
+
+    def per_component(x, y):
+        p = y + sign * z
+        r2 = x * x + p * p
+        return (pref * (-(3.0 * y + sign * 2.0 * z) / r2 + 2.0 * y * p * p / r2**2),
+                pref * (x / r2 - 2.0 * x * y * p / r2**2),
+                pref * (-y / r2 + 2.0 * x * x * y / r2**2))
+
+    x = rng.uniform(-50.0 * z, 50.0 * z, 500)
+    for y in (sign * rng.uniform(0.0, 40.0 * z, 500), sign * rng.uniform(0.0, 40.0 * z, (4, 1))):
+        got = _analytic_plane_stress(x, y, G, b, nu, z, sign)
+        for g, w in zip(got, per_component(x, y)):
+            np.testing.assert_array_equal(g.view(np.uint64), w.view(np.uint64))
 
 
 def test_analytic_u1_odd_in_x(params):

@@ -10,14 +10,12 @@ from pnedge.errors import DivergenceError
 from pnedge.grid import build_grid
 from pnedge.operators import (
     apply_half_laplacian,
-    apply_hilbert,
     fourier_interpolant,
     fourier_shift,
     hs_seminorm_analytic,
     hs_seminorm_background_difference,
     hs_seminorm_grid,
     inner_h,
-    spectral_derivative,
 )
 from pnedge.profile import background
 from pnedge.validation import _exp_sinh
@@ -65,7 +63,7 @@ def test_build_grid_rejects_non_finite_length(L):
 
 
 # ---------------------------------------------------------------------------
-# half-Laplacian and Hilbert transform
+# half-Laplacian
 # ---------------------------------------------------------------------------
 
 def test_half_laplacian_constant_is_zero():
@@ -98,26 +96,6 @@ def test_half_laplacian_background_difference_point_value():
     assert pv_hilbert(fprime, 1.0) == pytest.approx(-3.0 / (20.0 * np.pi), abs=1e-7)
 
 
-def test_hilbert_constant_and_cosine():
-    g = build_grid(5.0, 128)
-    np.testing.assert_allclose(apply_hilbert(g, np.ones(128)), 0.0, atol=1e-14)
-    k = g.xi_r[4]
-    np.testing.assert_allclose(apply_hilbert(g, np.cos(k * g.x)),
-                               np.sin(k * g.x), atol=1e-12)
-
-
-def test_hilbert_poisson_kernel():
-    # H maps the Poisson kernel to its conjugate x/(pi (x^2 + 1))
-    g = build_grid(400.0, 16384)
-    f = 1.0 / (np.pi * (g.x**2 + 1.0))
-    out = apply_hilbert(g, f)
-    expected = g.x / (np.pi * (g.x**2 + 1.0))
-    mask = np.abs(g.x) < 50
-    assert np.max(np.abs(out - expected)[mask]) < 2e-4
-    assert pv_hilbert(lambda s: 1.0 / (np.pi * (s * s + 1.0)), 2.0) == pytest.approx(
-        2.0 / (np.pi * 5.0), abs=1e-8)
-
-
 def _band_limited(g, coeffs):
     c = np.zeros(g.N, dtype=complex)
     n = len(coeffs)
@@ -145,17 +123,6 @@ def test_half_laplacian_self_adjoint_nonnegative(ca, cb):
     scale = max(1.0, np.abs(lf).max() * np.abs(h).max())
     assert abs(inner_h(g, lf, h) - inner_h(g, f, lh)) <= 1e-12 * scale * g.N * g.h
     assert inner_h(g, lf, f) >= -1e-12 * max(1.0, inner_h(g, f, f))
-
-
-@settings(max_examples=30, deadline=None)
-@given(smooth_samples())
-def test_composition_identity(coeffs):
-    # H(d_x f) equals the half-Laplacian for band-limited f
-    g = build_grid(7.0, 64)
-    f = _band_limited(g, coeffs)
-    left = apply_hilbert(g, spectral_derivative(g, f))
-    right = apply_half_laplacian(g, f)
-    np.testing.assert_allclose(left, right, atol=1e-11 * max(1.0, np.abs(right).max()))
 
 
 @settings(max_examples=30, deadline=None)

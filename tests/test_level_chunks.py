@@ -33,6 +33,7 @@ from pnedge.extension import (
     _LEVEL_CHUNK,
     YLevels,
     _analytic_displacement,
+    _level_chunks,
     _analytic_stress,
     _displacement_of_spectrum,
     _strain_multipliers,
@@ -291,6 +292,47 @@ def test_box_energy_bit_identical(profile, params, radii_over_zeta, n_x, n_level
     radii = [r * params.zeta for r in radii_over_zeta]
     got = elastic_energy_box(profile, radii, n_x=n_x, n_levels=n_levels)
     assert got == _box_reference(profile, radii, n_x=n_x, n_levels=n_levels)
+
+
+@pytest.mark.parametrize("width, levels", [(512, 32), (1024, 16), (4096, 4), (16384, 4),
+                                           (None, _LEVEL_CHUNK)])
+def test_chunk_levels_by_row_width(width, levels):
+    """A walk over narrow rows takes more levels a chunk, one over the
+    grid (no width) ``_LEVEL_CHUNK``; the last chunk is short."""
+    n = 2 * levels + 3
+    ys = np.geomspace(0.01, 1.0, n)
+    rows = np.arange(3 * n).reshape(n, 3)
+    chunks = list(_level_chunks(ys, rows, width=width))
+    assert [len(y) for y, _ in chunks] == [levels, levels, 3]
+    assert all(y.shape == (len(r), 1) for y, r in chunks)
+    assert np.array_equal(np.concatenate([y[:, 0] for y, _ in chunks]), ys)
+    assert np.array_equal(np.concatenate([r for _, r in chunks]), rows)
+
+
+@pytest.mark.parametrize("n_x,n_levels,chunk", [(1024, 192, 16), (512, 96, 32)])
+def test_box_energy_equals_a_four_level_walk(profile, params, monkeypatch,
+                                             n_x, n_levels, chunk):
+    """The box backgrounds' narrow windows walk ``chunk`` levels at a time,
+    with the bits of the walk of ``_LEVEL_CHUNK`` levels they replace."""
+    radii = [r * params.zeta for r in (5.0, 10.0, 20.0, 40.0)]
+    walks = []  # (width, chunk sizes) of each walk
+
+    def recorded(ys, *rows, width=None):
+        walks.append((width, []))
+        for y, *chunk_rows in _level_chunks(ys, *rows, width=width):
+            walks[-1][1].append(len(y))
+            yield (y, *chunk_rows)
+
+    monkeypatch.setattr(energy, "_level_chunks", recorded)
+    got = elastic_energy_box(profile, radii, n_x=n_x, n_levels=n_levels)
+    # one background walk a radius, over n_levels + 1 nodes
+    assert [w for w, _ in walks].count(n_x) == len(radii)
+    for width, sizes in walks:
+        size = chunk if width == n_x else _LEVEL_CHUNK
+        assert sizes[:-1] == [size] * (len(sizes) - 1) and 0 < sizes[-1] <= size
+    monkeypatch.setattr(energy, "_level_chunks",
+                        lambda ys, *rows, width=None: _level_chunks(ys, *rows))
+    assert got == elastic_energy_box(profile, radii, n_x=n_x, n_levels=n_levels)
 
 
 @pytest.fixture(scope="module")

@@ -14,7 +14,6 @@ import pnedge
 from pnedge.grid import build_grid
 from pnedge.operators import (
     apply_half_laplacian,
-    apply_hilbert,
     apply_symbol,
     fourier_shift,
     spectral_derivative,
@@ -32,7 +31,6 @@ def nyquist():
 
 def test_odd_symbols_annihilate_nyquist(nyquist):
     g, f = nyquist
-    assert np.max(np.abs(apply_hilbert(g, f))) <= 1e-12
     assert np.max(np.abs(spectral_derivative(g, f))) <= 1e-12
 
 
