@@ -37,7 +37,8 @@ Only v changes along a trajectory, so the rest is evaluated once:
   :class:`~pnedge.errors.TailWarning` test of the new v is made.
   ``replace`` keeps every check.
 * per run, a private record on :class:`DynamicsState` holds the
-  reference, the background u_bg on the grid and ``(-d_xx)^{1/2} u_bg``,
+  reference, the background u_bg on the grid, ``(-d_xx)^{1/2} u_bg`` and
+  its multiple by c0 (the background part of the semi-implicit force),
   ``u1*``, ``v_hat*``, the seminorm weights of F, the update symbols of
   the latest (kernel, step size), and two work buffers, one of samples
   and one of spectrum.  Steps pass it on; a state with another reference
@@ -45,17 +46,36 @@ Only v changes along a trajectory, so the rest is evaluated once:
   holds the potential and keeps ``W(u1*)`` and ``W'(u1*)``, and it must
   share the state's grid, parameters, ``zeta_bg`` and ``x0``.
 
-An accepted step thus makes 3 N-point transforms, for either method: the
-rfft of the force (g, or T for ETD), the irfft of ``v_hat+``, and the
-irfft of ``|xi| v_hat`` for the monitor's residual.  F's seminorm is a
-Parseval sum over ``v_hat - v_hat*`` and needs none.  The step evaluates
-the potential twice: ``W'(u1)`` and, in F, ``W(u1)``.
+The monitor's residual R (of Q and of its sup norm) takes one of two
+routes:
+
+* a state that :func:`step_semi_implicit` made reads it off the step's
+  equation, ``R(u+) = (v - v+)/dt + W'(u+) - W'(u)``
+  (:func:`pnedge.static._residual_after_step`), with no transform.  It
+  agrees with :func:`pnedge.static.residual` of the same profile to
+  ``2 eps (max|v| (1/dt + c0 max|xi|) + max|W'(u)|)``.  The step leaves
+  its successor a private record ``(v, W'(u), dt)``, the arrays of the
+  state stepped from (not copies).  The first read of the residual
+  releases the record and keeps the residual's samples on the state, so
+  every later read gives the same bits; a state never asked for its
+  residual drops the record with itself.
+* any other state (made by hand, by ``dataclasses.replace`` or by
+  :func:`step_etd`) takes ``c0 (irfft(|xi| v_hat) + (-d_xx)^{1/2} u_bg)
+  + W'(u1)``, one irfft a read, and keeps nothing.
+
+An accepted step thus makes 2 N-point transforms by the semi-implicit
+method, the rfft of the force g and the irfft of ``v_hat+``, and 3 by
+ETD: the rfft of T, the irfft of ``v_hat+`` and the irfft of
+``|xi| v_hat`` for the monitor's residual.  F's seminorm is a Parseval
+sum over ``v_hat - v_hat*`` and needs none.  The step evaluates the
+potential twice: ``W'(u1)`` and, in F, ``W(u1)``.
 
 The work buffers hold what one call needs only until it returns: the
 force and its spectrum, F's deviation and difference spectrum, and the
-residual's ``(-d_xx)^{1/2} u1``.  Besides the arrays the new state keeps
-(v, ``v_hat`` and ``W'(u1)``), an accepted step allocates only W(u1) in
-F, the argument ``u_bg + v`` of ``W'(u1)``, the residual's samples and
+transform route's ``(-d_xx)^{1/2} u1``.  Besides the arrays the new state
+keeps (v, ``v_hat`` and ``W'(u1)``, and a semi-implicit state its
+residual), an accepted step allocates only W(u1) in F, the argument
+``u_bg + v`` of ``W'(u1)``, the transform route's residual samples and
 the products summed by the three fixed-order inner products
 (:func:`pnedge.operators.dot`: F's linear term and seminorm, and Q),
 each freed within the step.  The buffers make one run record unfit for
@@ -73,7 +93,13 @@ from .errors import TimeStepUnderflowError
 from .operators import dot, irfft, rfft, seminorm_weights
 from .potential import eval_potential
 from .profile import Profile
-from .static import ResidualField, StaticState, residual, semi_implicit_update
+from .static import (
+    ResidualField,
+    StaticState,
+    _residual_after_step,
+    residual,
+    semi_implicit_update,
+)
 
 
 @dataclass(frozen=True)
@@ -112,6 +138,18 @@ class DynamicsState:
         """``rfft`` of the correction v; a step sets its successor's."""
         return rfft(self.p.v)
 
+    @cached_property
+    def _step_residual(self) -> ResidualField | None:
+        """The residual off the equation of the semi-implicit step that made
+        the state, from the record it released; None for another state."""
+        record = vars(self).pop("_step", None)
+        if record is None:
+            return None
+        v, wp, dt = record
+        r, _ = _residual_after_step(self.reference.spec, self._invariants().bg, v, self.p.v,
+                                    dt, wp, self._wp_u1)
+        return ResidualField(self.p.grid, r)
+
 
 @dataclass(frozen=True)
 class _RunInvariants:
@@ -121,6 +159,7 @@ class _RunInvariants:
     reference: StaticState
     bg: np.ndarray
     lam_bg: np.ndarray
+    c0_lam_bg: np.ndarray
     u_star: np.ndarray
     v_hat_star: np.ndarray
     hs_weights: np.ndarray  # seminorm weights of F, one per (re, im) entry of a mode
@@ -131,7 +170,8 @@ class _RunInvariants:
     @classmethod
     def of(cls, ref: StaticState) -> _RunInvariants:
         p = ref.profile
-        return cls(ref, p.background_on_grid(), p.half_laplacian_background(), p.u1,
+        lam_bg = p.half_laplacian_background()
+        return cls(ref, p.background_on_grid(), lam_bg, p.params.c0 * lam_bg, p.u1,
                    rfft(p.v), np.repeat(seminorm_weights(p.grid, 0.5), 2),
                    np.empty(p.grid.N), np.empty(p.grid.N // 2 + 1, dtype=complex))
 
@@ -196,7 +236,12 @@ def free_energy(s: DynamicsState) -> float:
 
 
 def _residual(s: DynamicsState) -> ResidualField:
-    """:func:`pnedge.static.residual` of the state from its W'(u1) and v_hat."""
+    """:func:`pnedge.static.residual` of the state: off the step's equation
+    for a state that :func:`step_semi_implicit` made, else from its W'(u1)
+    and v_hat (module docstring)."""
+    r = s._step_residual
+    if r is not None:
+        return r
     inv, grid = s._invariants(), s.p.grid
     lam = irfft(grid, np.multiply(grid.xi_r, s._v_hat, out=inv.work_hat), out=inv.work)
     lam += inv.lam_bg
@@ -263,9 +308,9 @@ def step_semi_implicit(s: DynamicsState, dt: float) -> DynamicsState:
     exactly stationary."""
     _check_positive("time step", dt)
     inv = s._invariants()
-    g = np.multiply(s.p.params.c0, inv.lam_bg, out=inv.work)
-    g += s._wp_u1
-    return _advance(s, dt, semi_implicit_update, g)
+    new = _advance(s, dt, semi_implicit_update, np.add(inv.c0_lam_bg, s._wp_u1, out=inv.work))
+    vars(new)["_step"] = (s.p.v, s._wp_u1, dt)  # the record of its residual
+    return new
 
 
 def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
@@ -284,18 +329,6 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
 
 
 _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}
-
-
-def march(s0: DynamicsState, T_end: float, dt: float, step) -> DynamicsState:
-    """Steps of ``dt`` by ``step`` (a stepper such as :func:`step_etd`),
-    the last one what is left to ``T_end``, with no monitoring and no
-    guard on F: the fixed-step path.  :func:`run_dynamics` takes the same
-    steps whenever its guard halves none."""
-    _check_positive("T_end", T_end)
-    s = s0
-    while s.t < T_end - 1e-12:
-        s = step(s, min(dt, T_end - s.t))
-    return s
 
 
 def run_dynamics(s0: DynamicsState, T_end: float, step) -> tuple[DynamicsState, DynamicsTrace]:

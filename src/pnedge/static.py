@@ -203,10 +203,10 @@ def _force_balance(grid, spec, c0, u_bg, lam_bg, v):
     return r, wp
 
 
-def _residual_after_step(spec, u_bg, v, v_new, dt, wp):
-    """Samples of the residual at ``v_new``, and ``W'(u1)`` there, for a
-    :func:`semi_implicit_step` of ``dt`` from ``v`` with force
-    ``g = c0 lam_bg + wp``.
+def _residual_after_step(spec, u_bg, v, v_new, dt, wp, wp_new=None):
+    """Samples of the residual at ``v_new``, and ``W'(u1)`` there
+    (``wp_new`` if the caller holds it), for a :func:`semi_implicit_step`
+    of ``dt`` from ``v`` with force ``g = c0 lam_bg + wp``.
 
     The step solved ``v_new + dt c0 (-d_xx)^{1/2} v_new = v - dt g`` on
     every mode, the zero and Nyquist modes included, so
@@ -216,9 +216,12 @@ def _residual_after_step(spec, u_bg, v, v_new, dt, wp):
     N = 4096 and 16384: the rounding of ``(v - v_new)/dt``, of the step
     (which ``1 + dt c0 |xi|`` carries into its equation) and of the W'
     difference.  After :data:`MAX_HALVINGS` halvings that is about
-    1e-14 G b / d, far below :data:`NEWTON_SWITCH`.
+    1e-14 G b / d, far below :data:`NEWTON_SWITCH`.  Its two callers are
+    the sweep here and the dynamics monitor, for a state that
+    :func:`pnedge.dynamics.step_semi_implicit` made.
     """
-    wp_new = eval_potential(spec, u_bg + v_new, 1)
+    if wp_new is None:
+        wp_new = eval_potential(spec, u_bg + v_new, 1)
     r = np.subtract(v, v_new)
     r /= dt
     r += wp_new

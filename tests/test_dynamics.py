@@ -14,7 +14,6 @@ from pnedge.dynamics import (
     dissipation_rate,
     etd_update,
     free_energy,
-    march,
     run_dynamics,
     semi_implicit_update,
     step_etd,
@@ -223,17 +222,23 @@ def test_integrators_consistent(bump_state, monkeypatch):
                                          ("etd", step_etd)])
 @pytest.mark.parametrize("dt", [0.05, 0.025, 0.3])
 def test_march_matches_run_dynamics(bump_state, monkeypatch, method, step, dt):
+    """Check 10's fixed-step march takes the steps of ``run_dynamics``
+    when its guard halves none, to the same state and Q."""
+    from pnedge.validation import _steps
+
     assert dynamics._STEPPERS[method] is step  # the name a config gives it
     monkeypatch.setattr(dynamics, "DT", dt)
     ref, trace = run_dynamics(bump_state, 1.0, step)
-    # the guard on F halves no step here, so march must take the same steps
-    assert trace.dt_history[1:-1] == [dt] * (len(trace.dt_history) - 2)
+    n = len(trace.dt_history) - 2
+    # the guard on F halves no step here, so the march takes the same steps
+    assert trace.dt_history[1:-1] == [dt] * n
     # the accumulated time leaves a last step that is not dt (dt = 0.05:
-    # 0.04999999999999971); march must take the same one
+    # 0.04999999999999971); the march ends with the same one
     assert trace.dt_history[-1] != dt
-    got = march(bump_state, 1.0, dt, step)
+    got = step(_steps(bump_state, n, dt, step), trace.dt_history[-1])
     assert got.t == ref.t
     np.testing.assert_array_equal(got.p.v, ref.p.v)
+    assert dissipation_rate(got) == trace.Q_values[-1]
 
 
 def test_underflow_carries_trace(bump_state, monkeypatch):
@@ -332,6 +337,32 @@ def test_two_potential_evaluations_per_accepted_step(bump_state, monkeypatch, me
 # spectral state and work buffers
 # ---------------------------------------------------------------------------
 
+def _count_transforms(monkeypatch):
+    """Calls of ``operators.rfft`` and ``operators.irfft``, counted under
+    every name a pnedge module binds them to."""
+    from pnedge import operators
+
+    calls = {"rfft": 0, "irfft": 0}
+    for name in calls:
+        fn = getattr(operators, name)
+        counted = _counted(calls, name, fn)
+        for mod in list(sys.modules.values()):
+            if mod.__name__.split(".")[0] == "pnedge" and getattr(mod, name, None) is fn:
+                monkeypatch.setattr(mod, name, counted)
+    return calls
+
+
+@pytest.mark.parametrize("method, irffts", [("semi_implicit", 1), ("etd", 2)])
+def test_transforms_per_accepted_step(bump_state, monkeypatch, method, irffts):
+    calls = _count_transforms(monkeypatch)
+    _, trace = run_dynamics(bump_state, 1.0, dynamics._STEPPERS[method])
+    assert len(trace.times) == 11
+    assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
+    # per step: the rfft of the force and the irfft of v_hat+, and for ETD
+    # the irfft of |xi| v_hat for the residual; rfft(v) of the start,
+    # rfft(v*) of the run record and the start's residual once
+    assert calls == {"rfft": 10 + 2, "irfft": 10 * irffts + 1}
+
 @pytest.mark.parametrize("method", ["semi_implicit", "etd"])
 def test_three_transforms_per_accepted_step(bump_state, monkeypatch, method):
     calls = []
@@ -347,11 +378,43 @@ def test_three_transforms_per_accepted_step(bump_state, monkeypatch, method):
     _, trace = run_dynamics(bump_state, 1.0, dynamics._STEPPERS[method])
     assert len(trace.times) == 11
     assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
-    # per step: rfft of the force, irfft of v_hat+, irfft of |xi| v_hat for the
-    # residual; c = 3: rfft(v) of the start, rfft(v*) of the run record, and
-    # the start's residual
+    # at most three per step (test_transforms_per_accepted_step pins them)
+    # and three for the start, and no complex transform
     assert len(calls) <= 3 * 10 + 3
     assert set(calls) <= {"rfft", "irfft"}
+
+
+@pytest.mark.parametrize("N", [4096, 16384])
+@pytest.mark.parametrize("potential", ["frenkel", "eps_table"])
+@pytest.mark.parametrize("dt", [0.1, 0.05])
+def test_residual_off_the_step_equation_within_its_bound(request, params, N, potential, dt):
+    """A semi-implicit state reads its residual off the step's equation,
+    within 2 eps (max|v| (1/dt + c0 max|xi|) + max|W'|) of the transformed
+    one, and keeps it; an ETD state's Q keeps the transform route."""
+    from pnedge.operators import dot
+    from pnedge.profile import analytic_profile
+
+    grid = build_grid(N / 4096 * 200.0 * params.zeta, N)  # the default spacing
+    core = analytic_profile(grid, params)
+    spec = request.getfixturevalue("spec" if potential == "frenkel" else potential)
+    v0 = 0.1 * params.b * np.exp(-grid.x**2 / params.zeta**2)
+    s = DynamicsState(t=0.0, p=core.with_correction(v0), reference=StaticState(core, spec))
+    eps, c0 = np.finfo(float).eps, params.c0
+    for _ in range(20):
+        new = step_semi_implicit(s, dt)
+        assert "_step" in vars(new)
+        got = dynamics._residual(new)
+        assert "_step" not in vars(new)  # the record is released once read
+        assert dynamics._residual(new) is got
+        bound = 2.0 * eps * (np.max(np.abs(s.p.v)) * (1.0 / dt + c0 * grid.xi_r[-1])
+                             + np.max(np.abs(s._wp_u1)))
+        assert np.max(np.abs(got.samples - residual(new.p, spec).samples)) <= bound
+        s = new
+
+    s = step_etd(s, dt)
+    lam = np.fft.irfft(grid.xi_r * s._v_hat, N) + s._invariants().lam_bg
+    r = residual(s.p, spec, wp=s._wp_u1, lam=lam).samples
+    assert dissipation_rate(s) == grid.h * dot(r, r)
 
 
 @pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
@@ -399,6 +462,8 @@ def test_stepped_state_matches_one_rebuilt_by_replace(bump_state, step):
     rebuilt = replace(s, t=s.t + 0.1, p=s.p.with_correction(new.p.v))
     object.__setattr__(rebuilt, "_run", s._invariants())
     rebuilt.__dict__["_v_hat"] = new._v_hat
+    if step is step_semi_implicit:  # the record Q is read off
+        rebuilt.__dict__["_step"] = new.__dict__["_step"]
     assert type(new) is DynamicsState and type(new.p) is type(s.p)
     assert new.t == rebuilt.t and new.reference is rebuilt.reference
     for f in fields(s.p):
@@ -458,15 +523,6 @@ def test_buffers_never_alias_an_accepted_state(bump_state, monkeypatch, method, 
 def test_run_rejects_bad_end_time(bump_state, T_end):
     with pytest.raises(ValueError, match="T_end"):
         run_dynamics(bump_state, T_end, step_semi_implicit)
-
-
-@pytest.mark.parametrize("T_end", [float("inf"), float("nan"), 0.0, -1.0])
-def test_march_rejects_bad_end_time(bump_state, T_end):
-    def no_step(s, dt):
-        raise AssertionError("march stepped towards a bad T_end")
-
-    with pytest.raises(ValueError, match="T_end must be positive and finite"):
-        march(bump_state, T_end, 0.1, no_step)
 
 
 @pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
@@ -562,6 +618,19 @@ def test_check_dynamics_counts_its_steps(suite, check10_rows, monkeypatch):
     monkeypatch.setattr(dynamics, "free_energy", counted)
     rows = validation.check_dynamics(suite)
     assert calls == {"step": 962, "free_energy": 521}
+    assert [(r.name, r.actual) for r in rows] == [(n, r.actual) for n, r in check10_rows.items()]
+
+
+def test_check_dynamics_counts_its_transforms(suite, check10_rows, monkeypatch):
+    """Check 10 reads the residual of its 500 + 10 monitored semi-implicit
+    states off their steps' equations: 964 irffts, 510 fewer than by
+    transform.  Its 962 step attempts take an rfft each; the start's
+    spectrum (twice), the run record and the centring take 5 more."""
+    from pnedge import validation
+
+    calls = _count_transforms(monkeypatch)
+    rows = validation.check_dynamics(suite)
+    assert calls == {"rfft": 967, "irfft": 964}
     assert [(r.name, r.actual) for r in rows] == [(n, r.actual) for n, r in check10_rows.items()]
 
 
