@@ -363,6 +363,7 @@ def test_transforms_per_accepted_step(bump_state, monkeypatch, method, irffts):
     # rfft(v*) of the run record and the start's residual once
     assert calls == {"rfft": 10 + 2, "irfft": 10 * irffts + 1}
 
+
 @pytest.mark.parametrize("method", ["semi_implicit", "etd"])
 def test_three_transforms_per_accepted_step(bump_state, monkeypatch, method):
     calls = []
