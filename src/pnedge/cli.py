@@ -206,7 +206,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
         for t_stop in snaps or [cfg.dynamics_T_end]:
             s, trace = run_dynamics(s, t_stop, step)
             if snaps:
-                snapshots[t_stop] = s.p.u1.copy()
+                snapshots[t_stop] = s.p.u1
             pieces.append(trace.as_arrays())
     except TimeStepUnderflowError as exc:
         # keep what was reached: the completed pieces, the snapshots at

@@ -30,21 +30,16 @@ Only v changes along a trajectory, so the rest is evaluated once:
   its successor's ``v_hat`` on the modes and hands it on with the new
   state; the monitor's residual of an accepted state and the next step's
   force read the same ``W'(u1)``.
-* the successor itself is built directly, not by
-  ``dataclasses.replace``: its profile and state keep the grid,
-  parameters, background and reference of the state stepped from, so
-  their constructors' checks have nothing new to see, and only the
-  :class:`~pnedge.errors.TailWarning` test of the new v is made.
-  ``replace`` keeps every check.
-* per run, a private record on :class:`DynamicsState` holds the
-  reference, the background u_bg on the grid, ``(-d_xx)^{1/2} u_bg`` and
-  its multiple by c0 (the background part of the semi-implicit force),
-  ``u1*``, ``v_hat*``, the seminorm weights of F, the update symbols of
-  the latest (kernel, step size), and two work buffers, one of samples
-  and one of spectrum.  Steps pass it on; a state with another reference
-  builds a new one.  The reference (:class:`~pnedge.static.StaticState`)
-  holds the potential and keeps ``W(u1*)`` and ``W'(u1*)``, and it must
-  share the state's grid, parameters, ``zeta_bg`` and ``x0``.
+* per run, a private record on :class:`DynamicsState`, made from its
+  reference on first use, holds the reference, the background u_bg on the
+  grid, ``(-d_xx)^{1/2} u_bg`` and its multiple by c0 (the background
+  part of the semi-implicit force), ``u1*``, ``v_hat*``, the seminorm
+  weights of F and the update symbols of the latest (kernel, step size),
+  every array read-only.  A step builds its successor through the
+  constructors and hands it the record.  The reference
+  (:class:`~pnedge.static.StaticState`) holds the potential and keeps
+  ``W(u1*)`` and ``W'(u1*)``, and it must share the state's grid,
+  parameters, ``zeta_bg`` and ``x0``.
 
 The monitor's residual R (of Q and of its sup norm) takes one of two
 routes:
@@ -69,17 +64,6 @@ ETD: the rfft of T, the irfft of ``v_hat+`` and the irfft of
 ``|xi| v_hat`` for the monitor's residual.  F's seminorm is a Parseval
 sum over ``v_hat - v_hat*`` and needs none.  The step evaluates the
 potential twice: ``W'(u1)`` and, in F, ``W(u1)``.
-
-The work buffers hold what one call needs only until it returns: the
-force and its spectrum, F's deviation and difference spectrum, and the
-transform route's ``(-d_xx)^{1/2} u1``.  Besides the arrays the new state
-keeps (v, ``v_hat`` and ``W'(u1)``, and a semi-implicit state its
-residual), an accepted step allocates only W(u1) in F, the argument
-``u_bg + v`` of ``W'(u1)``, the transform route's residual samples and
-the products summed by the three fixed-order inner products
-(:func:`pnedge.operators.dot`: F's linear term and seminorm, and Q),
-each freed within the step.  The buffers make one run record unfit for
-use from two threads at once.
 """
 
 from __future__ import annotations
@@ -96,20 +80,20 @@ from .profile import Profile
 from .static import (
     ResidualField,
     StaticState,
+    _read_only,
     _residual_after_step,
     residual,
     semi_implicit_update,
 )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class DynamicsState:
     """Trace state at time t; the background of ``p`` is fixed, v evolves."""
 
     t: float
     p: Profile
     reference: StaticState  # u1* of F, Q and ETD, and the potential of the flow
-    _run: _RunInvariants | None = field(default=None, init=False, compare=False, repr=False)
 
     def __post_init__(self):
         """Reject a missing reference, or one with another grid, parameters or background."""
@@ -119,19 +103,15 @@ class DynamicsState:
         if (p.grid, p.params, p.zeta_bg, p.x0) != (q.grid, q.params, q.zeta_bg, q.x0):
             raise ValueError("reference grid, parameters or background is not the state's")
 
-    def _invariants(self) -> _RunInvariants:
-        """The run record, rebuilt if it was made for another reference."""
-        inv = self._run
-        if inv is None or inv.reference is not self.reference:
-            inv = _RunInvariants.of(self.reference)
-            # a cache: it changes no value the state compares or prints
-            object.__setattr__(self, "_run", inv)
-        return inv
+    @cached_property
+    def _run(self) -> _RunInvariants:
+        """The run record of the reference; a step sets its successor's."""
+        return _RunInvariants.of(self.reference)
 
     @cached_property
     def _wp_u1(self) -> np.ndarray:
         """W'(u1) on the grid."""
-        return eval_potential(self.reference.spec, self._invariants().bg + self.p.v, 1)
+        return eval_potential(self.reference.spec, self._run.bg + self.p.v, 1)
 
     @cached_property
     def _v_hat(self) -> np.ndarray:
@@ -146,15 +126,14 @@ class DynamicsState:
         if record is None:
             return None
         v, wp, dt = record
-        r, _ = _residual_after_step(self.reference.spec, self._invariants().bg, v, self.p.v,
+        r, _ = _residual_after_step(self.reference.spec, self._run.bg, v, self.p.v,
                                     dt, wp, self._wp_u1)
         return ResidualField(self.p.grid, r)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class _RunInvariants:
-    """What stays fixed along a trajectory, and its work buffers; see the
-    module docstring."""
+    """What stays fixed along a trajectory, read-only; see the module docstring."""
 
     reference: StaticState
     bg: np.ndarray
@@ -163,17 +142,15 @@ class _RunInvariants:
     u_star: np.ndarray
     v_hat_star: np.ndarray
     hs_weights: np.ndarray  # seminorm weights of F, one per (re, im) entry of a mode
-    work: np.ndarray
-    work_hat: np.ndarray
     _symbols: dict = field(default_factory=dict)  # latest (kernel, dt) -> stacked symbols
 
     @classmethod
     def of(cls, ref: StaticState) -> _RunInvariants:
         p = ref.profile
         lam_bg = p.half_laplacian_background()
-        return cls(ref, p.background_on_grid(), lam_bg, p.params.c0 * lam_bg, p.u1,
-                   rfft(p.v), np.repeat(seminorm_weights(p.grid, 0.5), 2),
-                   np.empty(p.grid.N), np.empty(p.grid.N // 2 + 1, dtype=complex))
+        arrays = (p.background_on_grid(), lam_bg, p.params.c0 * lam_bg, p.u1, rfft(p.v),
+                  np.repeat(seminorm_weights(p.grid, 0.5), 2))
+        return cls(ref, *map(_read_only, arrays))
 
     def symbols(self, kernel, dt: float) -> np.ndarray:
         """Symbols of v and of the force in the update ``kernel`` at step dt;
@@ -183,7 +160,8 @@ class _RunInvariants:
         if symbols is None:
             p = self.reference.profile
             q, c0 = p.grid.xi_r, p.params.c0
-            symbols = np.stack([kernel(1.0, 0.0, dt, c0, q), kernel(0.0, 1.0, dt, c0, q)])
+            symbols = _read_only(np.stack([kernel(1.0, 0.0, dt, c0, q),
+                                           kernel(0.0, 1.0, dt, c0, q)]))
             self._symbols.clear()  # keep the latest step size only
             self._symbols[(kernel, dt)] = symbols
         return symbols
@@ -222,16 +200,16 @@ MAX_HALVINGS = 20
 
 def free_energy(s: DynamicsState) -> float:
     """F relative to the reference static profile; F(u1*) = 0."""
-    inv, ref = s._invariants(), s.reference
+    inv, ref = s._run, s.reference
     h = s.p.grid.h
-    v = np.subtract(s.p.v, ref.profile.v, out=inv.work)  # u1 - u1*, in the buffer
+    v = s.p.v - ref.profile.v  # u1 - u1*
     lin = -h * dot(v, ref.wp)
-    w = eval_potential(ref.spec, np.add(inv.u_star, v, out=v), 0)  # W(u1* + v)
+    w = eval_potential(ref.spec, inv.u_star + v, 0)  # W(u1* + v)
     w -= ref.w
     mis = h * float(np.sum(w))
     # |v_hat - v_hat*|^2 per mode: the squares of its (re, im) pairs
-    d = np.subtract(s._v_hat, inv.v_hat_star, out=inv.work_hat).view(float)
-    quad = 0.5 * s.p.params.c0 * dot(inv.hs_weights, np.square(d, out=d))
+    d = (s._v_hat - inv.v_hat_star).view(float)
+    quad = 0.5 * s.p.params.c0 * dot(inv.hs_weights, np.square(d))
     return quad + lin + mis
 
 
@@ -242,9 +220,9 @@ def _residual(s: DynamicsState) -> ResidualField:
     r = s._step_residual
     if r is not None:
         return r
-    inv, grid = s._invariants(), s.p.grid
-    lam = irfft(grid, np.multiply(grid.xi_r, s._v_hat, out=inv.work_hat), out=inv.work)
-    lam += inv.lam_bg
+    grid = s.p.grid
+    lam = irfft(grid, grid.xi_r * s._v_hat)
+    lam += s._run.lam_bg
     return residual(s.p, s.reference.spec, wp=s._wp_u1, lam=lam)
 
 
@@ -282,23 +260,19 @@ def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
     """One step of the linear update ``kernel``: ``v_hat+ = S_v (v_hat - v_hat*)
     + S_f rfft(force) + v_hat*`` with the kernel's symbols at dt, summed on
     the modes (without ``v_hat*`` unless given); one rfft and one irfft."""
-    inv = s._invariants()
-    s_v, s_f = inv.symbols(kernel, dt)
+    s_v, s_f = s._run.symbols(kernel, dt)
     if v_hat_star is None:
         v_hat = s._v_hat * s_v
     else:
         v_hat = s._v_hat - v_hat_star
         v_hat *= s_v
-    f_hat = rfft(force, out=inv.work_hat)
+    f_hat = rfft(force)
     f_hat *= s_f
     v_hat += f_hat
     if v_hat_star is not None:
         v_hat += v_hat_star
-    # built directly (module docstring), with the run record and v_hat in
-    # the cache slot of the property
-    new = object.__new__(DynamicsState)
-    vars(new).update(t=s.t + dt, p=s.p._successor(irfft(s.p.grid, v_hat)),
-                     reference=s.reference, _run=inv, _v_hat=v_hat)
+    new = DynamicsState(s.t + dt, s.p.with_correction(irfft(s.p.grid, v_hat)), s.reference)
+    vars(new).update(_run=s._run, _v_hat=v_hat)  # the caches of the properties
     return new
 
 
@@ -307,8 +281,7 @@ def step_semi_implicit(s: DynamicsState, dt: float) -> DynamicsState:
     first order, unconditionally stable in the linear part, static profile
     exactly stationary."""
     _check_positive("time step", dt)
-    inv = s._invariants()
-    new = _advance(s, dt, semi_implicit_update, np.add(inv.c0_lam_bg, s._wp_u1, out=inv.work))
+    new = _advance(s, dt, semi_implicit_update, s._run.c0_lam_bg + s._wp_u1)
     vars(new)["_step"] = (s.p.v, s._wp_u1, dt)  # the record of its residual
     return new
 
@@ -321,11 +294,10 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     up to rounding (exactly when the reference correction is zero).
     """
     _check_positive("time step", dt)
-    inv = s._invariants()
-    T = np.subtract(s.p.v, s.reference.profile.v, out=inv.work)  # u1 - u1*, in the buffer
+    T = s.p.v - s.reference.profile.v  # u1 - u1*
     T -= s._wp_u1
     T += s.reference.wp
-    return _advance(s, dt, etd_update, T, inv.v_hat_star)
+    return _advance(s, dt, etd_update, T, s._run.v_hat_star)
 
 
 _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}

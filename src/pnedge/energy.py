@@ -139,7 +139,7 @@ class BoxQuadrature:
 # perturbations of the static configuration
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Perturbation:
     """Decaying slip-plane perturbation trace; extension built on demand.
 
@@ -308,7 +308,7 @@ def _bilinear(table: np.ndarray, phi1) -> float:
     return dot(np.conj(table).view(float), rfft(np.asarray(phi1, dtype=float)).view(float))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HalfPlaneTables:
     """The half-plane quadrature of one profile as two per-mode vectors.
 

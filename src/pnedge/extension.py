@@ -51,7 +51,7 @@ from .static import half_laplacian_profile
 # sampling geometry
 # ---------------------------------------------------------------------------
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class YLevels:
     """Positive sampling heights of the upper half-plane, geometric by default."""
 

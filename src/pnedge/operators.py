@@ -7,9 +7,7 @@ and are diagonal in Fourier space:
 * derivative ``d_x``: symbol ``i xi``.
 
 Conventions: every transform goes through the pair :func:`rfft` /
-:func:`irfft` (thin wrappers of ``numpy.fft`` that accept ``out=``, so a
-caller that keeps a spectrum, or reuses work buffers, stays on the one
-layer), and every multiplier is applied by :func:`apply_symbol`, i.e.
+:func:`irfft` (thin wrappers of ``numpy.fft``), and every multiplier is applied by :func:`apply_symbol`, i.e.
 ``irfft(symbol * rfft(f))`` with the symbol given on the N/2 + 1 rfft
 modes ``grid.xi_r = pi k / L``, ``k = 0 .. N/2``.  The zero mode of
 ``|xi|`` is 0 (the mean is annihilated).  The Nyquist mode ``k = N/2``
@@ -23,7 +21,6 @@ modes use the Parseval weights of :func:`mode_weights`, and a squared
 from __future__ import annotations
 
 import math
-from typing import Optional
 
 import numpy as np
 
@@ -38,20 +35,14 @@ def _check_samples(grid: Grid1D, f: np.ndarray) -> np.ndarray:
     return f
 
 
-def rfft(f: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Spectrum of real samples on the rfft modes ``grid.xi_r`` (last axis).
-
-    ``out``, a complex array of the spectrum's shape, receives it in place.
-    """
-    return np.fft.rfft(f, out=out)
+def rfft(f: np.ndarray) -> np.ndarray:
+    """Spectrum of real samples on the rfft modes ``grid.xi_r`` (last axis)."""
+    return np.fft.rfft(f)
 
 
-def irfft(grid: Grid1D, f_hat: np.ndarray, out: Optional[np.ndarray] = None) -> np.ndarray:
-    """Real samples on ``grid`` of a spectrum on the rfft modes (last axis N/2 + 1).
-
-    ``out``, a real array of the samples' shape, receives them in place.
-    """
-    return np.fft.irfft(f_hat, grid.N, out=out)
+def irfft(grid: Grid1D, f_hat: np.ndarray) -> np.ndarray:
+    """Real samples on ``grid`` of a spectrum on the rfft modes (last axis N/2 + 1)."""
+    return np.fft.irfft(f_hat, grid.N)
 
 
 def apply_symbol(grid: Grid1D, f: np.ndarray, symbol) -> np.ndarray:

@@ -207,7 +207,7 @@ def _solve_cyclic(lower, diag, upper, rhs) -> np.ndarray:
 _DERIVATIVE_FACTORS = (np.ones(4), np.array([3.0, 2.0, 1.0]), np.array([6.0, 2.0]))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class PeriodicSpline:
     """C^2 periodic cubic spline through ``(x[i], y[i])`` with ``y[-1] == y[0]``.
 

@@ -44,7 +44,7 @@ def background_half_laplacian(x, b: float, zeta_bg: float, x0: float = 0.0) -> n
     return -(b / (2.0 * np.pi)) * xs / (xs * xs + zeta_bg * zeta_bg)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Profile:
     """Background-plus-correction representation of u1 on the slip plane."""
 
@@ -96,15 +96,6 @@ class Profile:
 
     def with_correction(self, v: np.ndarray) -> "Profile":
         return replace(self, v=np.asarray(v, dtype=float))
-
-    def _successor(self, v: np.ndarray) -> "Profile":
-        """This profile with the correction ``v``, a float array of shape
-        (N,), built without re-checking the fields it keeps: only the new
-        tails are tested."""
-        new = object.__new__(Profile)
-        vars(new).update(vars(self), v=v)
-        new._check_tails()
-        return new
 
     def boundary_values(self) -> tuple[float, float]:
         """u1 at the two domain ends.

@@ -72,7 +72,7 @@ RES_TOL = 1e-10
 MAX_SWEEP_ITERS = 20_000
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ResidualField:
     """Samples and norms of ``R = c0 (-d_xx)^{1/2} u1 + W'(u1)``."""
 
@@ -235,7 +235,7 @@ def _semi_implicit_sweep(p, spec, r, wp):
     grid, params = p.grid, p.params
     c0 = params.c0
     u_bg = p.background_on_grid()
-    lam_bg = p.half_laplacian_background()
+    c0_lam_bg = c0 * p.half_laplacian_background()
     v = p.v.copy()
     monotone_ok = True
 
@@ -256,7 +256,7 @@ def _semi_implicit_sweep(p, spec, r, wp):
         if it >= MAX_SWEEP_ITERS:
             raise ConvergenceError("pseudo-time iteration exhausted MAX_SWEEP_ITERS",
                                    ResidualField(grid=grid, samples=r), it)
-        g = wp + c0 * lam_bg
+        g = wp + c0_lam_bg
         res_linf = float(np.max(np.abs(r)))
 
         # a step may not degrade monotonicity beyond the current iterate plus

@@ -334,7 +334,7 @@ def test_two_potential_evaluations_per_accepted_step(bump_state, monkeypatch, me
 
 
 # ---------------------------------------------------------------------------
-# spectral state and work buffers
+# spectral state and run record
 # ---------------------------------------------------------------------------
 
 def _count_transforms(monkeypatch):
@@ -413,7 +413,7 @@ def test_residual_off_the_step_equation_within_its_bound(request, params, N, pot
         s = new
 
     s = step_etd(s, dt)
-    lam = np.fft.irfft(grid.xi_r * s._v_hat, N) + s._invariants().lam_bg
+    lam = np.fft.irfft(grid.xi_r * s._v_hat, N) + s._run.lam_bg
     r = residual(s.p, spec, wp=s._wp_u1, lam=lam).samples
     assert dissipation_rate(s) == grid.h * dot(r, r)
 
@@ -433,7 +433,7 @@ def test_semi_implicit_step_equals_update_about_a_zero_spectrum(bump_state):
 
     s = bump_state
     for _ in range(5):
-        g = s.p.params.c0 * s._invariants().lam_bg + s._wp_u1
+        g = s.p.params.c0 * s._run.lam_bg + s._wp_u1
         want = _advance(s, 0.1, semi_implicit_update, g, np.zeros_like(s._v_hat))
         s = step_semi_implicit(s, 0.1)
         assert np.array_equal(s._v_hat, want._v_hat)
@@ -452,16 +452,30 @@ def test_replace_never_carries_a_stale_spectrum(bump_state, grid, params):
 
 
 @pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
+def test_run_record_is_read_only(bump_state, step):
+    from dataclasses import fields
+
+    s = bump_state
+    for _ in range(10):
+        s = step(s, 0.1)
+    inv = s._run
+    arrays = [getattr(inv, f.name) for f in fields(inv)
+              if isinstance(getattr(inv, f.name), np.ndarray)]
+    assert inv._symbols  # the symbols of the step size taken
+    arrays += list(inv._symbols.values())
+    assert not any(a.flags.writeable for a in arrays)
+
+
+@pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
 def test_stepped_state_matches_one_rebuilt_by_replace(bump_state, step):
-    """A step builds its successor without ``replace``; the state that
-    ``replace`` builds from the same samples, spectrum and run record
-    has the same fields, F, Q, v and v_hat."""
+    """The state that ``replace`` builds from a step's samples, spectrum
+    and run record has the successor's fields, F, Q, v and v_hat."""
     from dataclasses import fields, replace
 
     s = step(step(bump_state, 0.1), 0.1)
     new = step(s, 0.1)
     rebuilt = replace(s, t=s.t + 0.1, p=s.p.with_correction(new.p.v))
-    object.__setattr__(rebuilt, "_run", s._invariants())
+    object.__setattr__(rebuilt, "_run", s._run)
     rebuilt.__dict__["_v_hat"] = new._v_hat
     if step is step_semi_implicit:  # the record Q is read off
         rebuilt.__dict__["_step"] = new.__dict__["_step"]
@@ -469,7 +483,7 @@ def test_stepped_state_matches_one_rebuilt_by_replace(bump_state, step):
     assert new.t == rebuilt.t and new.reference is rebuilt.reference
     for f in fields(s.p):
         assert getattr(new.p, f.name) is getattr(rebuilt.p, f.name)
-    assert new._invariants() is s._invariants()
+    assert new._run is s._run
     assert free_energy(new) == free_energy(rebuilt)
     assert dissipation_rate(new) == dissipation_rate(rebuilt)
     assert np.array_equal(new._wp_u1, rebuilt._wp_u1)
@@ -478,8 +492,7 @@ def test_stepped_state_matches_one_rebuilt_by_replace(bump_state, step):
 
 @pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
 def test_step_with_large_tails_warns_once(grid, params, analytic, spec, step):
-    """The successor skips the checks of the fields it keeps, not the test
-    of its correction's tails."""
+    """The successor's correction gets the tail test of a profile."""
     import warnings
 
     from pnedge.errors import TailWarning

@@ -89,3 +89,40 @@ def test_params_validation():
 def test_params_reject_nonfinite(key, value):
     with pytest.raises(ValueError, match=f" {key} must be positive and finite"):
         PhysParams(**{key: value})
+
+
+def _array_records(params):
+    """One builder per record that holds arrays, on a small grid; each call
+    makes a new record with the same values."""
+    from pnedge.dynamics import DynamicsState, _RunInvariants
+    from pnedge.energy import BoxQuadrature, HalfPlaneTables, Perturbation
+    from pnedge.extension import YLevels
+    from pnedge.potential import PeriodicSpline, frenkel
+    from pnedge.static import StaticState, residual
+
+    grid = build_grid(200.0 * params.zeta, 256)
+    core = analytic_profile(grid, params)
+    ref = StaticState(core, frenkel(params))
+    bump = 0.1 * params.b * np.exp(-grid.x**2 / params.zeta**2)
+    x = np.linspace(0.0, 1.0, 9)
+    return {
+        "Profile": lambda: tanh_profile(grid, params),
+        "DynamicsState": lambda: DynamicsState(0.0, core.with_correction(bump.copy()), ref),
+        "_RunInvariants": lambda: _RunInvariants.of(ref),
+        "Perturbation": lambda: Perturbation(grid, np.exp(-grid.x**2)),
+        "HalfPlaneTables": lambda: HalfPlaneTables.build(core, BoxQuadrature(0.1, 10.0, 4)),
+        "ResidualField": lambda: residual(core, ref.spec),
+        "YLevels": lambda: YLevels.geometric(0.1, 10.0, 4),
+        "PeriodicSpline": lambda: PeriodicSpline.fit(x, np.sin(2.0 * np.pi * x)),
+    }
+
+
+@pytest.mark.parametrize("name", ["Profile", "DynamicsState", "_RunInvariants", "Perturbation",
+                                  "HalfPlaneTables", "ResidualField", "YLevels",
+                                  "PeriodicSpline"])
+def test_array_records_compare_by_identity(params, name):
+    build = _array_records(params)[name]
+    a, b = build(), build()
+    assert type(a).__name__ == name
+    assert a == a and a != b
+    assert hash(a) == hash(a) and len({a, b}) == 2
