@@ -204,12 +204,12 @@ def free_energy(s: DynamicsState) -> float:
     h = s.p.grid.h
     v = s.p.v - ref.profile.v  # u1 - u1*
     lin = -h * dot(v, ref.wp)
-    w = eval_potential(ref.spec, inv.u_star + v, 0)  # W(u1* + v)
+    w = eval_potential(ref.spec, np.add(inv.u_star, v, out=v), 0)  # W(u1* + v)
     w -= ref.w
     mis = h * float(np.sum(w))
     # |v_hat - v_hat*|^2 per mode: the squares of its (re, im) pairs
     d = (s._v_hat - inv.v_hat_star).view(float)
-    quad = 0.5 * s.p.params.c0 * dot(inv.hs_weights, np.square(d))
+    quad = 0.5 * s.p.params.c0 * dot(inv.hs_weights, np.square(d, out=d))
     return quad + lin + mis
 
 
