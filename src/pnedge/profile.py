@@ -65,17 +65,13 @@ class Profile:
         if v.shape != (self.grid.N,):
             raise ValueError(f"correction has shape {v.shape}, expected ({self.grid.N},)")
         object.__setattr__(self, "v", v)
-        self._check_tails()
-
-    def _check_tails(self) -> None:
-        """Warn when |v| at the domain ends exceeds ``TAIL_TOL * b``."""
-        tail = max(abs(self.v[0]), abs(self.v[-1]))
+        tail = max(abs(v[0]), abs(v[-1]))
         if tail > TAIL_TOL * self.params.b:
             warnings.warn(
                 f"correction tails |v| = {tail:.2e} exceed "
                 f"{TAIL_TOL:.0e} * b at the domain ends",
                 TailWarning,
-                stacklevel=3,
+                stacklevel=2,
             )
 
     @property
