@@ -7,9 +7,10 @@ and are diagonal in Fourier space:
 * derivative ``d_x``: symbol ``i xi``.
 
 Conventions: every transform goes through the pair :func:`rfft` /
-:func:`irfft` (thin wrappers of ``numpy.fft``), and every multiplier is applied by :func:`apply_symbol`, i.e.
-``irfft(symbol * rfft(f))`` with the symbol given on the N/2 + 1 rfft
-modes ``grid.xi_r = pi k / L``, ``k = 0 .. N/2``.  The zero mode of
+:func:`irfft` (thin wrappers of ``numpy.fft``), and every multiplier is
+applied by :func:`apply_symbol`, i.e. ``irfft(symbol * rfft(f))`` with
+the symbol given on the N/2 + 1 rfft modes ``grid.xi_r = pi k / L``,
+``k = 0 .. N/2``.  The zero mode of
 ``|xi|`` is 0 (the mean is annihilated).  The Nyquist mode ``k = N/2``
 is unpaired: ``irfft`` drops the imaginary part of its bin, so the odd
 symbol ``i xi`` maps it to 0, a shift ``e^{i xi a}`` keeps its cosine,
