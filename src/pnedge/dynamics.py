@@ -54,16 +54,21 @@ routes:
   releases the record and keeps the residual's samples on the state, so
   every later read gives the same bits; a state never asked for its
   residual drops the record with itself.
-* any other state (made by hand, by ``dataclasses.replace`` or by
-  :func:`step_etd`) takes ``c0 (irfft(|xi| v_hat) + (-d_xx)^{1/2} u_bg)
-  + W'(u1)``, one irfft a read, and keeps nothing.
+* any other state takes ``c0 ((-d_xx)^{1/2} v + (-d_xx)^{1/2} u_bg)
+  + W'(u1)`` and keeps nothing.  A state that :func:`step_etd` made
+  holds ``(-d_xx)^{1/2} v``: the step inverts ``v_hat+`` and
+  ``|xi| v_hat+`` in one batched irfft of a (2, N/2 + 1) stack, whose
+  rows are the bits of two single calls, and the state's v is the first
+  row.  A state made by hand or by ``dataclasses.replace`` takes
+  ``irfft(|xi| v_hat)``, one irfft a read.
 
-An accepted step thus makes 2 N-point transforms by the semi-implicit
-method, the rfft of the force g and the irfft of ``v_hat+``, and 3 by
-ETD: the rfft of T, the irfft of ``v_hat+`` and the irfft of
-``|xi| v_hat`` for the monitor's residual.  F's seminorm is a Parseval
-sum over ``v_hat - v_hat*`` and needs none.  The step evaluates the
-potential twice: ``W'(u1)`` and, in F, ``W(u1)``.
+An accepted step thus makes 2 N-point transforms in 2 calls by the
+semi-implicit method, the rfft of the force g and the irfft of
+``v_hat+``, and 3 in 2 calls by ETD: the rfft of T and the batched
+irfft of ``v_hat+`` and ``|xi| v_hat+`` (numpy builds a transform plan
+on every call, so one call of two rows is cheaper than two).  F's
+seminorm is a Parseval sum over ``v_hat - v_hat*`` and needs none.  The
+step evaluates the potential twice: ``W'(u1)`` and, in F, ``W(u1)``.
 """
 
 from __future__ import annotations
@@ -216,14 +221,15 @@ def free_energy(s: DynamicsState) -> float:
 def _residual(s: DynamicsState) -> ResidualField:
     """:func:`pnedge.static.residual` of the state: off the step's equation
     for a state that :func:`step_semi_implicit` made, else from its W'(u1)
-    and v_hat (module docstring)."""
+    and ``(-d_xx)^{1/2} v`` (module docstring)."""
     r = s._step_residual
     if r is not None:
         return r
-    grid = s.p.grid
-    lam = irfft(grid, grid.xi_r * s._v_hat)
-    lam += s._run.lam_bg
-    return residual(s.p, s.reference.spec, wp=s._wp_u1, lam=lam)
+    lam_v = vars(s).get("_lam_v")  # the row step_etd made
+    if lam_v is None:
+        grid = s.p.grid
+        lam_v = irfft(grid, grid.xi_r * s._v_hat)
+    return residual(s.p, s.reference.spec, wp=s._wp_u1, lam=lam_v + s._run.lam_bg)
 
 
 def _squared_l2(r: ResidualField) -> float:
@@ -256,10 +262,13 @@ def _check_positive(what: str, value: float) -> None:
 
 
 def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
-             v_hat_star: np.ndarray | None = None) -> DynamicsState:
+             v_hat_star: np.ndarray | None = None, lam_v: bool = False) -> DynamicsState:
     """One step of the linear update ``kernel``: ``v_hat+ = S_v (v_hat - v_hat*)
     + S_f rfft(force) + v_hat*`` with the kernel's symbols at dt, summed on
-    the modes (without ``v_hat*`` unless given); one rfft and one irfft."""
+    the modes (without ``v_hat*`` unless given); one rfft and one irfft.
+    With ``lam_v`` the irfft inverts the stack of ``v_hat+`` and
+    ``|xi| v_hat+``, and the successor keeps the second row, its
+    ``(-d_xx)^{1/2} v``, for its residual."""
     s_v, s_f = s._run.symbols(kernel, dt)
     if v_hat_star is None:
         v_hat = s._v_hat * s_v
@@ -271,8 +280,14 @@ def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
     v_hat += f_hat
     if v_hat_star is not None:
         v_hat += v_hat_star
-    new = DynamicsState(s.t + dt, s.p.with_correction(irfft(s.p.grid, v_hat)), s.reference)
-    vars(new).update(_run=s._run, _v_hat=v_hat)  # the caches of the properties
+    grid = s.p.grid
+    caches = {"_run": s._run, "_v_hat": v_hat}  # the caches of the properties
+    if lam_v:  # one batched call, not two: numpy plans every call anew
+        v, caches["_lam_v"] = irfft(grid, np.stack([v_hat, grid.xi_r * v_hat]))
+    else:
+        v = irfft(grid, v_hat)
+    new = DynamicsState(s.t + dt, s.p.with_correction(v), s.reference)
+    vars(new).update(caches)
     return new
 
 
@@ -292,12 +307,13 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     Exact when the nonlinear remainder T is constant over the step.
     T reads W'(u1) at ``u1 = u_bg + v_state``, which equals ``u1* + v``
     up to rounding (exactly when the reference correction is zero).
+    The successor's v and ``(-d_xx)^{1/2} v`` are the rows of one irfft.
     """
     _check_positive("time step", dt)
     T = s.p.v - s.reference.profile.v  # u1 - u1*
     T -= s._wp_u1
     T += s.reference.wp
-    return _advance(s, dt, etd_update, T, s._run.v_hat_star)
+    return _advance(s, dt, etd_update, T, s._run.v_hat_star, lam_v=True)
 
 
 _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}

@@ -5,15 +5,30 @@ The displacement jump is penalized by a periodic multi-well density
 ``u = +-b/4`` and describe the perfect lattice.  Two realizations are
 provided: the classical Frenkel sinusoid
 
-    ``W(u) = G b^2 / (4 pi^2 d) * (1 + cos(4 pi u / b))``
+    ``W(u) = G b^2 / (4 pi^2 d) * (1 + cos(4 pi u / b))``,
 
-and a tabulated density with periodic cubic interpolation.  The table's
-spline is the package's own (:class:`PeriodicSpline`): the C^2 periodic
-cubic through the samples, fitted by one O(n) solve of the cyclic
-tridiagonal system for its knot slopes (no LAPACK call, so no BLAS thread
-count can move its bits) and evaluated by Horner's rule after one
-reduction to the period.  scipy's ``CubicSpline(..., bc_type="periodic")``
-is the same spline; the tests compare against it at a stated tolerance.
+evaluated in the offset ``delta = u - copysign(b/4, u)`` from the well
+on u's side by the identities
+
+    ``W = G b^2 / (2 pi^2 d) sin^2(2 pi delta / b)``,
+    ``W' = G b / (pi d) sin(4 pi delta / b)``,
+    ``W'' = 4 G / d cos(4 pi delta / b)``,
+
+which hold exactly for every u.  Away from the core u1 lies close to a
+well, where ``4 pi u / b`` lies near +-pi: there the offset hands the
+trigonometric functions a short argument (no slow argument reduction)
+and W has no ``1 + cos`` cancellation, so W and W' keep their relative
+accuracy down to the well; W is even and W' odd bit for bit, and
+``W''(+-b/4)`` is ``4 G / d`` exactly.
+
+The second realization is a tabulated density with periodic cubic
+interpolation.  The table's spline is the package's own
+(:class:`PeriodicSpline`): the C^2 periodic cubic through the samples,
+fitted by one O(n) solve of the cyclic tridiagonal system for its knot
+slopes (no LAPACK call, so no BLAS thread count can move its bits) and
+evaluated by Horner's rule after one reduction to the period.  scipy's
+``CubicSpline(..., bc_type="periodic")`` is the same spline; the tests
+compare against it at a stated tolerance.
 """
 
 from __future__ import annotations
@@ -110,20 +125,25 @@ def eval_potential(spec: PotentialSpec, u, order: int = 0):
     u = np.asarray(u, dtype=float)
     p = spec.params
     if spec.table is None:  # Frenkel
-        # one array transformed in place: the values of the closed forms
-        # without their N-sized temporaries
-        w = np.multiply(4.0 * np.pi, u, out=np.empty(u.shape))
-        w /= p.b
+        # the closed forms in the offset from the well on u's side (module
+        # docstring): short arguments and no 1 + cos cancellation near the
+        # wells, where most of the grid lies; one array transformed in
+        # place, without N-sized temporaries
+        w = np.copysign(p.b / 4.0, u, out=np.empty(u.shape))
+        np.subtract(u, w, out=w)
         if order == 0:
-            np.cos(w, out=w)
-            w += 1.0
-            w *= p.G * p.b**2 / (4.0 * np.pi**2 * p.d)
-        elif order == 1:
+            w *= 2.0 * np.pi / p.b
             np.sin(w, out=w)
-            w *= -p.G * p.b / (np.pi * p.d)
+            np.square(w, out=w)
+            w *= p.G * p.b**2 / (2.0 * np.pi**2 * p.d)
+        elif order == 1:
+            w *= 4.0 * np.pi / p.b
+            np.sin(w, out=w)
+            w *= p.G * p.b / (np.pi * p.d)
         else:
+            w *= 4.0 * np.pi / p.b
             np.cos(w, out=w)
-            w *= -4.0 * p.G / p.d
+            w *= 4.0 * p.G / p.d
         return w[()]  # a scalar for a scalar u
     return spec._spline(u, order)[()]
 

@@ -352,16 +352,25 @@ def _count_transforms(monkeypatch):
     return calls
 
 
-@pytest.mark.parametrize("method, irffts", [("semi_implicit", 1), ("etd", 2)])
-def test_transforms_per_accepted_step(bump_state, monkeypatch, method, irffts):
+@pytest.mark.parametrize("method, rows", [("semi_implicit", 1), ("etd", 2)])
+def test_transforms_per_accepted_step(bump_state, monkeypatch, method, rows):
     calls = _count_transforms(monkeypatch)
+    inverted = []
+    irfft = dynamics.irfft
+
+    def counted_rows(grid, f_hat):
+        inverted.append(1 if f_hat.ndim == 1 else len(f_hat))
+        return irfft(grid, f_hat)
+
+    monkeypatch.setattr(dynamics, "irfft", counted_rows)
     _, trace = run_dynamics(bump_state, 1.0, dynamics._STEPPERS[method])
     assert len(trace.times) == 11
     assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
-    # per step: the rfft of the force and the irfft of v_hat+, and for ETD
-    # the irfft of |xi| v_hat for the residual; rfft(v) of the start,
-    # rfft(v*) of the run record and the start's residual once
-    assert calls == {"rfft": 10 + 2, "irfft": 10 * irffts + 1}
+    # per step: the rfft of the force and one irfft, of v_hat+ and for ETD
+    # also of |xi| v_hat+ for the residual; rfft(v) of the start, rfft(v*)
+    # of the run record and the start's residual once
+    assert calls == {"rfft": 10 + 2, "irfft": 10 + 1}
+    assert sum(inverted) == 10 * rows + 1
 
 
 @pytest.mark.parametrize("method", ["semi_implicit", "etd"])
@@ -416,6 +425,26 @@ def test_residual_off_the_step_equation_within_its_bound(request, params, N, pot
     lam = np.fft.irfft(grid.xi_r * s._v_hat, N) + s._run.lam_bg
     r = residual(s.p, spec, wp=s._wp_u1, lam=lam).samples
     assert dissipation_rate(s) == grid.h * dot(r, r)
+
+
+@pytest.mark.parametrize("N", [512, 16384])
+def test_etd_residual_reads_the_batched_row_bit_for_bit(params, spec, N):
+    """An ETD state's residual reads (-d_xx)^{1/2} v off the second row of
+    its step's batched irfft; it has the bits of the one-row route, and
+    the first row has those of irfft(v_hat)."""
+    from pnedge.profile import analytic_profile
+
+    grid = build_grid(N / 4096 * 200.0 * params.zeta, N)  # the default spacing
+    core = analytic_profile(grid, params)
+    v0 = 0.1 * params.b * np.exp(-grid.x**2 / params.zeta**2)
+    s = DynamicsState(t=0.0, p=core.with_correction(v0), reference=StaticState(core, spec))
+    for _ in range(5):
+        s = step_etd(s, 0.1)
+        assert "_lam_v" in vars(s)
+        assert np.array_equal(s.p.v, np.fft.irfft(s._v_hat, N))
+        lam = np.fft.irfft(grid.xi_r * s._v_hat, N) + s._run.lam_bg
+        want = residual(s.p, spec, wp=s._wp_u1, lam=lam).samples
+        assert np.array_equal(dynamics._residual(s).samples, want)
 
 
 @pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
@@ -639,7 +668,9 @@ def test_check_dynamics_counts_its_transforms(suite, check10_rows, monkeypatch):
     """Check 10 reads the residual of its 500 + 10 monitored semi-implicit
     states off their steps' equations: 964 irffts, 510 fewer than by
     transform.  Its 962 step attempts take an rfft each; the start's
-    spectrum (twice), the run record and the centring take 5 more."""
+    spectrum (twice), the run record and the centring take 5 more.  Its
+    140 unmonitored ETD gap steps make the (-d_xx)^{1/2} v row in their
+    one irfft each and never read it."""
     from pnedge import validation
 
     calls = _count_transforms(monkeypatch)

@@ -140,15 +140,16 @@ def test_table_csv_roundtrip(tmp_path):
 
 
 def test_frenkel_in_place_evaluation_matches_closed_forms():
-    # the closed forms written out, term for term; the evaluation works on
-    # one array in place and must give the same bits and types
+    # the closed forms in the offset from the well on u's side, written out
+    # term for term; the evaluation works on one array in place and must
+    # give the same bits and types
     p = PhysParams(G=0.8, nu=0.3, b=1.3, d=0.9)
     fr = frenkel(p)
     u = np.random.default_rng(3).uniform(-p.b, p.b, 257)
-    arg = 4.0 * np.pi * u / p.b
-    closed = [p.G * p.b**2 / (4.0 * np.pi**2 * p.d) * (1.0 + np.cos(arg)),
-              -p.G * p.b / (np.pi * p.d) * np.sin(arg),
-              -4.0 * p.G / p.d * np.cos(arg)]
+    delta = u - np.copysign(p.b / 4.0, u)
+    closed = [p.G * p.b**2 / (2.0 * np.pi**2 * p.d) * np.sin(2.0 * np.pi / p.b * delta)**2,
+              p.G * p.b / (np.pi * p.d) * np.sin(4.0 * np.pi / p.b * delta),
+              4.0 * p.G / p.d * np.cos(4.0 * np.pi / p.b * delta)]
     for order, expected in enumerate(closed):
         np.testing.assert_array_equal(eval_potential(fr, u, order), expected)
         scalar = eval_potential(fr, float(u[7]), order)
@@ -156,6 +157,47 @@ def test_frenkel_in_place_evaluation_matches_closed_forms():
     u_before = u.copy()
     eval_potential(fr, u, 1)
     np.testing.assert_array_equal(u, u_before)  # the input is left alone
+
+
+def _frenkel_longdouble(p, u, order):
+    """W, W' or W'' of the Frenkel potential at the doubles u, in long double."""
+    G, b, d = (np.longdouble(x) for x in (p.G, p.b, p.d))
+    pi = 4 * np.arctan(np.longdouble(1))
+    u = np.asarray(u, dtype=np.longdouble)
+    delta = u - np.copysign(b / 4, u)  # exact identities, as in the module docstring
+    if order == 0:
+        return G * b * b / (2 * pi * pi * d) * np.sin(2 * pi * delta / b) ** 2
+    if order == 1:
+        return G * b / (pi * d) * np.sin(4 * pi * delta / b)
+    return 4 * G / d * np.cos(4 * pi * delta / b)
+
+
+@pytest.mark.skipif(np.finfo(np.longdouble).eps >= np.finfo(float).eps,
+                    reason="long double has no more precision than double here")
+@pytest.mark.parametrize("p", [PhysParams(), PhysParams(G=0.8, nu=0.3, b=1.3, d=0.9)])
+def test_frenkel_is_accurate_near_the_wells_and_symmetric(p):
+    fr = frenkel(p)
+    b = p.b
+    # W and W' to 1e-15 relative within 1e-3 b of either well, where
+    # 4 pi u / b lies near +-pi
+    offsets = np.linspace(-1e-3 * b, 1e-3 * b, 4001)
+    near = np.concatenate([b / 4.0 + offsets, -b / 4.0 + offsets])
+    for order in (0, 1):
+        exact = _frenkel_longdouble(p, near, order)
+        err = np.abs(eval_potential(fr, near, order) - exact)
+        assert np.all(err <= 1e-15 * np.abs(exact))
+    # all three orders to 2e-15 of their scale on [-b, b]
+    u = np.linspace(-b, b, 20001)
+    scales = (p.G * b**2 / (2.0 * np.pi**2 * p.d), p.G * b / (np.pi * p.d), 4.0 * p.G / p.d)
+    for order, scale in enumerate(scales):
+        err = np.abs(eval_potential(fr, u, order) - _frenkel_longdouble(p, u, order))
+        assert np.max(err) <= 2e-15 * scale
+    # W even and W' odd bit for bit, and W'' = 4 G / d exactly at the wells
+    # (so the core width of the curvature at the wells is zeta exactly)
+    np.testing.assert_array_equal(eval_potential(fr, -u, 0), eval_potential(fr, u, 0))
+    np.testing.assert_array_equal(eval_potential(fr, -u, 1), -eval_potential(fr, u, 1))
+    assert eval_potential(fr, b / 4.0, 2) == 4.0 * p.G / p.d
+    assert eval_potential(fr, -b / 4.0, 2) == 4.0 * p.G / p.d
 
 
 # ---------------------------------------------------------------------------
