@@ -23,46 +23,17 @@ of the force balance).  A run takes its stepper (:func:`step_semi_implicit`
 or :func:`step_etd`) and steps of :data:`DT`; its guard on F is the module
 constants :data:`F_INCREASE_TOL` and :data:`MAX_HALVINGS`.
 
-Only v changes along a trajectory, so the rest is evaluated once:
+Only v changes along a trajectory, so the rest is evaluated once.  A
+state makes its samples v (on the profile), their spectrum
+``v_hat = rfft(v)`` and ``W'(u1)`` once each, and a run makes its record
+(:class:`_RunInvariants`) once, from the reference.  A step builds its
+successor through the constructors and hands it the record, ``v_hat`` and
+what the successor's residual reads; :meth:`DynamicsState.residual` states
+its three routes.  The reference (:class:`~pnedge.static.StaticState`)
+holds the potential and keeps ``W(u1*)`` and ``W'(u1*)``, and it must
+share the state's grid, parameters, ``zeta_bg`` and ``x0``.
 
-* per state, the samples v (on the profile), their spectrum
-  ``v_hat = rfft(v)`` and ``W'(u1)`` are each made once.  A step builds
-  its successor's ``v_hat`` on the modes and hands it on with the new
-  state; the monitor's residual of an accepted state and the next step's
-  force read the same ``W'(u1)``.
-* per run, a private record on :class:`DynamicsState`, made from its
-  reference on first use, holds the reference, the background u_bg on the
-  grid, ``(-d_xx)^{1/2} u_bg`` and its multiple by c0 (the background
-  part of the semi-implicit force), ``u1*``, ``v_hat*``, the seminorm
-  weights of F and the update symbols of the latest (kernel, step size),
-  every array read-only.  A step builds its successor through the
-  constructors and hands it the record.  The reference
-  (:class:`~pnedge.static.StaticState`) holds the potential and keeps
-  ``W(u1*)`` and ``W'(u1*)``, and it must share the state's grid,
-  parameters, ``zeta_bg`` and ``x0``.
-
-The monitor's residual R (of Q and of its sup norm) takes one of two
-routes:
-
-* a state that :func:`step_semi_implicit` made reads it off the step's
-  equation, ``R(u+) = (v - v+)/dt + W'(u+) - W'(u)``
-  (:func:`pnedge.static._residual_after_step`), with no transform.  It
-  agrees with :func:`pnedge.static.residual` of the same profile to
-  ``2 eps (max|v| (1/dt + c0 max|xi|) + max|W'(u)|)``.  The step leaves
-  its successor a private record ``(v, W'(u), dt)``, the arrays of the
-  state stepped from (not copies).  The first read of the residual
-  releases the record and keeps the residual's samples on the state, so
-  every later read gives the same bits; a state never asked for its
-  residual drops the record with itself.
-* any other state takes ``c0 ((-d_xx)^{1/2} v + (-d_xx)^{1/2} u_bg)
-  + W'(u1)`` and keeps nothing.  A state that :func:`step_etd` made
-  holds ``(-d_xx)^{1/2} v``: the step inverts ``v_hat+`` and
-  ``|xi| v_hat+`` in one batched irfft of a (2, N/2 + 1) stack, whose
-  rows are the bits of two single calls, and the state's v is the first
-  row.  A state made by hand or by ``dataclasses.replace`` takes
-  ``irfft(|xi| v_hat)``, one irfft a read.
-
-An accepted step thus makes 2 N-point transforms in 2 calls by the
+An accepted step makes 2 N-point transforms in 2 calls by the
 semi-implicit method, the rfft of the force g and the irfft of
 ``v_hat+``, and 3 in 2 calls by ETD: the rfft of T and the batched
 irfft of ``v_hat+`` and ``|xi| v_hat+`` (numpy builds a transform plan
@@ -99,6 +70,7 @@ class DynamicsState:
     t: float
     p: Profile
     reference: StaticState  # u1* of F, Q and ETD, and the potential of the flow
+    _handoff = None  # what the step that made the state left its residual
 
     def __post_init__(self):
         """Reject a missing reference, or one with another grid, parameters or background."""
@@ -123,22 +95,50 @@ class DynamicsState:
         """``rfft`` of the correction v; a step sets its successor's."""
         return rfft(self.p.v)
 
-    @cached_property
-    def _step_residual(self) -> ResidualField | None:
-        """The residual off the equation of the semi-implicit step that made
-        the state, from the record it released; None for another state."""
-        record = vars(self).pop("_step", None)
-        if record is None:
-            return None
-        v, wp, dt = record
-        r, _ = _residual_after_step(self.reference.spec, self._run.bg, v, self.p.v,
-                                    dt, wp, self._wp_u1)
-        return ResidualField(self.p.grid, r)
+    def residual(self) -> ResidualField:
+        """:func:`pnedge.static.residual` of the state, by the route its
+        handoff (what the step that made it left) selects:
+
+        * :func:`step_semi_implicit` leaves ``(v, W'(u), dt)``, the arrays
+          of the state stepped from (not copies), and the residual is read
+          off the step's equation, ``R(u+) = (v - v+)/dt + W'(u+) - W'(u)``
+          (:func:`pnedge.static._residual_after_step`), with no transform.
+          It agrees with the transform route to
+          ``2 eps (max|v| (1/dt + c0 max|xi|) + max|W'(u)|)``.  The first
+          read replaces the handoff by its result, so every later read
+          gives the same bits and the arrays are released.
+        * :func:`step_etd` leaves ``(-d_xx)^{1/2} v``, the second row of
+          the step's batched irfft of ``v_hat+`` and ``|xi| v_hat+``, whose
+          rows are the bits of two single calls.
+        * a state made by hand or by ``dataclasses.replace`` has none and
+          takes ``irfft(|xi| v_hat)``, one irfft a read.
+
+        The last two take ``c0 ((-d_xx)^{1/2} v + (-d_xx)^{1/2} u_bg)
+        + W'(u1)`` on every read and keep nothing.
+        """
+        handoff = self._handoff
+        if isinstance(handoff, tuple):
+            v, wp, dt = handoff
+            r, _ = _residual_after_step(self.reference.spec, self._run.bg, v, self.p.v,
+                                        dt, wp, self._wp_u1)
+            handoff = vars(self)["_handoff"] = ResidualField(self.p.grid, r)
+        if isinstance(handoff, ResidualField):
+            return handoff
+        lam_v = handoff
+        if lam_v is None:
+            grid = self.p.grid
+            lam_v = irfft(grid, grid.xi_r * self._v_hat)
+        return residual(self.p, self.reference.spec, wp=self._wp_u1,
+                        lam=lam_v + self._run.lam_bg)
 
 
 @dataclass(frozen=True, eq=False)
 class _RunInvariants:
-    """What stays fixed along a trajectory, read-only; see the module docstring."""
+    """What stays fixed along a trajectory, every array read-only: the
+    reference, the background u_bg on the grid, ``(-d_xx)^{1/2} u_bg`` and
+    its multiple by c0 (the background part of the semi-implicit force),
+    ``u1*``, ``v_hat*``, the seminorm weights of F and the update symbols
+    of the latest (kernel, step size)."""
 
     reference: StaticState
     bg: np.ndarray
@@ -218,27 +218,9 @@ def free_energy(s: DynamicsState) -> float:
     return quad + lin + mis
 
 
-def _residual(s: DynamicsState) -> ResidualField:
-    """:func:`pnedge.static.residual` of the state: off the step's equation
-    for a state that :func:`step_semi_implicit` made, else from its W'(u1)
-    and ``(-d_xx)^{1/2} v`` (module docstring)."""
-    r = s._step_residual
-    if r is not None:
-        return r
-    lam_v = vars(s).get("_lam_v")  # the row step_etd made
-    if lam_v is None:
-        grid = s.p.grid
-        lam_v = irfft(grid, grid.xi_r * s._v_hat)
-    return residual(s.p, s.reference.spec, wp=s._wp_u1, lam=lam_v + s._run.lam_bg)
-
-
-def _squared_l2(r: ResidualField) -> float:
-    return r.grid.h * dot(r.samples, r.samples)
-
-
 def dissipation_rate(s: DynamicsState) -> float:
     """Q = squared L2 norm of the force-balance residual; nonnegative."""
-    return _squared_l2(_residual(s))
+    return s.residual().l2_squared
 
 
 # ---------------------------------------------------------------------------
@@ -262,13 +244,14 @@ def _check_positive(what: str, value: float) -> None:
 
 
 def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
-             v_hat_star: np.ndarray | None = None, lam_v: bool = False) -> DynamicsState:
+             v_hat_star: np.ndarray | None = None, handoff=None) -> DynamicsState:
     """One step of the linear update ``kernel``: ``v_hat+ = S_v (v_hat - v_hat*)
     + S_f rfft(force) + v_hat*`` with the kernel's symbols at dt, summed on
     the modes (without ``v_hat*`` unless given); one rfft and one irfft.
-    With ``lam_v`` the irfft inverts the stack of ``v_hat+`` and
-    ``|xi| v_hat+``, and the successor keeps the second row, its
-    ``(-d_xx)^{1/2} v``, for its residual."""
+    The successor keeps ``handoff`` for its residual
+    (:meth:`DynamicsState.residual`).  Without one the irfft inverts the
+    stack of ``v_hat+`` and ``|xi| v_hat+``, and the handoff is the second
+    row, the successor's ``(-d_xx)^{1/2} v``."""
     s_v, s_f = s._run.symbols(kernel, dt)
     if v_hat_star is None:
         v_hat = s._v_hat * s_v
@@ -281,13 +264,12 @@ def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
     if v_hat_star is not None:
         v_hat += v_hat_star
     grid = s.p.grid
-    caches = {"_run": s._run, "_v_hat": v_hat}  # the caches of the properties
-    if lam_v:  # one batched call, not two: numpy plans every call anew
-        v, caches["_lam_v"] = irfft(grid, np.stack([v_hat, grid.xi_r * v_hat]))
+    if handoff is None:  # one batched call, not two: numpy plans every call anew
+        v, handoff = irfft(grid, np.stack([v_hat, grid.xi_r * v_hat]))
     else:
         v = irfft(grid, v_hat)
     new = DynamicsState(s.t + dt, s.p.with_correction(v), s.reference)
-    vars(new).update(caches)
+    vars(new).update(_run=s._run, _v_hat=v_hat, _handoff=handoff)  # the step's products
     return new
 
 
@@ -296,9 +278,8 @@ def step_semi_implicit(s: DynamicsState, dt: float) -> DynamicsState:
     first order, unconditionally stable in the linear part, static profile
     exactly stationary."""
     _check_positive("time step", dt)
-    new = _advance(s, dt, semi_implicit_update, s._run.c0_lam_bg + s._wp_u1)
-    vars(new)["_step"] = (s.p.v, s._wp_u1, dt)  # the record of its residual
-    return new
+    return _advance(s, dt, semi_implicit_update, s._run.c0_lam_bg + s._wp_u1,
+                    handoff=(s.p.v, s._wp_u1, dt))
 
 
 def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
@@ -313,7 +294,7 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
     T = s.p.v - s.reference.profile.v  # u1 - u1*
     T -= s._wp_u1
     T += s.reference.wp
-    return _advance(s, dt, etd_update, T, s._run.v_hat_star, lam_v=True)
+    return _advance(s, dt, etd_update, T, s._run.v_hat_star)
 
 
 _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}
@@ -333,12 +314,13 @@ def run_dynamics(s0: DynamicsState, T_end: float, step) -> tuple[DynamicsState, 
     f_tol = F_INCREASE_TOL * prm.G * prm.b**2 / prm.d
 
     def norms(state):
-        r = _residual(state)
-        return _squared_l2(r), r.linf
+        r = state.residual()
+        return r.l2_squared, r.linf
 
     # Once stepped past, the start state's caches only hold memory.  W'(u1)
     # and a spectrum the state has yet to make recompute bit for bit; one a
-    # step handed it (rfft(irfft(v_hat)) is not v_hat) or a caller made stays.
+    # step handed it (rfft(irfft(v_hat)) is not v_hat) or a caller made stays,
+    # and so does the state's handoff.
     stale = ["_wp_u1"] + ([] if "_v_hat" in vars(s0) else ["_v_hat"])
     trace = DynamicsTrace()
     s = s0

@@ -52,6 +52,7 @@ from .operators import (
     dot,
     fourier_interpolant,
     fourier_shift,
+    inner_h,
     spectral_derivative,
 )
 from .potential import PotentialSpec, eval_potential, validate_potential
@@ -84,8 +85,12 @@ class ResidualField:
         return float(np.max(np.abs(self.samples)))
 
     @property
+    def l2_squared(self) -> float:
+        return inner_h(self.grid, self.samples, self.samples)
+
+    @property
     def l2(self) -> float:
-        return float(np.sqrt(self.grid.h * np.sum(self.samples**2)))
+        return float(np.sqrt(self.l2_squared))
 
 
 def half_laplacian_profile(p: Profile) -> np.ndarray:
@@ -217,8 +222,8 @@ def _residual_after_step(spec, u_bg, v, v_new, dt, wp, wp_new=None):
     (which ``1 + dt c0 |xi|`` carries into its equation) and of the W'
     difference.  After :data:`MAX_HALVINGS` halvings that is about
     1e-14 G b / d, far below :data:`NEWTON_SWITCH`.  Its two callers are
-    the sweep here and the dynamics monitor, for a state that
-    :func:`pnedge.dynamics.step_semi_implicit` made.
+    the sweep here and :meth:`pnedge.dynamics.DynamicsState.residual`, for
+    a state that :func:`pnedge.dynamics.step_semi_implicit` made.
     """
     if wp_new is None:
         wp_new = eval_potential(spec, u_bg + v_new, 1)

@@ -400,7 +400,8 @@ def test_three_transforms_per_accepted_step(bump_state, monkeypatch, method):
 def test_residual_off_the_step_equation_within_its_bound(request, params, N, potential, dt):
     """A semi-implicit state reads its residual off the step's equation,
     within 2 eps (max|v| (1/dt + c0 max|xi|) + max|W'|) of the transformed
-    one, and keeps it; an ETD state's Q keeps the transform route."""
+    one, and keeps it in place of its handoff; an ETD state's Q keeps the
+    transform route."""
     from pnedge.operators import dot
     from pnedge.profile import analytic_profile
 
@@ -412,10 +413,11 @@ def test_residual_off_the_step_equation_within_its_bound(request, params, N, pot
     eps, c0 = np.finfo(float).eps, params.c0
     for _ in range(20):
         new = step_semi_implicit(s, dt)
-        assert "_step" in vars(new)
-        got = dynamics._residual(new)
-        assert "_step" not in vars(new)  # the record is released once read
-        assert dynamics._residual(new) is got
+        v, wp, step_dt = new._handoff  # the arrays of the state stepped from
+        assert v is s.p.v and wp is s._wp_u1 and step_dt == dt
+        got = new.residual()
+        assert new._handoff is got  # the handoff is read once, its result kept
+        assert new.residual() is got
         bound = 2.0 * eps * (np.max(np.abs(s.p.v)) * (1.0 / dt + c0 * grid.xi_r[-1])
                              + np.max(np.abs(s._wp_u1)))
         assert np.max(np.abs(got.samples - residual(new.p, spec).samples)) <= bound
@@ -440,11 +442,40 @@ def test_etd_residual_reads_the_batched_row_bit_for_bit(params, spec, N):
     s = DynamicsState(t=0.0, p=core.with_correction(v0), reference=StaticState(core, spec))
     for _ in range(5):
         s = step_etd(s, 0.1)
-        assert "_lam_v" in vars(s)
+        assert s._handoff.base is s.p.v.base  # the second row of the step's irfft
         assert np.array_equal(s.p.v, np.fft.irfft(s._v_hat, N))
         lam = np.fft.irfft(grid.xi_r * s._v_hat, N) + s._run.lam_bg
         want = residual(s.p, spec, wp=s._wp_u1, lam=lam).samples
-        assert np.array_equal(dynamics._residual(s).samples, want)
+        assert np.array_equal(s.residual().samples, want)
+
+
+@pytest.mark.parametrize("made", ["hand", "semi_implicit", "etd",
+                                  "chained_semi_implicit", "chained_etd"])
+def test_residual_reads_repeat_bit_for_bit(bump_state, made):
+    """Every route of ``DynamicsState.residual`` gives the same bits on each
+    read, before and after the state starts a run: a state made by hand,
+    one made by either step, and the start of a chained run, the state an
+    earlier run ended in (as ``cmd_dynamics`` makes at its snapshot times).
+    Once the run has dropped the start's caches, it keeps the spectrum it
+    had and its residual."""
+    method = made.removeprefix("chained_")
+    step = dynamics._STEPPERS.get(method, step_etd)  # a hand-made state runs by ETD
+    if made == "hand":
+        s = bump_state
+    elif made == method:
+        s = step(bump_state, 0.1)
+    else:
+        s, trace = run_dynamics(bump_state, 0.5, step)
+        assert dissipation_rate(s) == trace.Q_values[-1]
+    want = s.residual().samples.copy()
+    assert np.array_equal(s.residual().samples, want)
+    v_hat = s._v_hat
+    _, trace = run_dynamics(s, s.t + 0.3, step)
+    assert "_wp_u1" not in vars(s)  # dropped once the run stepped past it
+    assert s._v_hat is v_hat
+    for _ in range(2):
+        assert np.array_equal(s.residual().samples, want)
+    assert dissipation_rate(s) == trace.Q_values[0]
 
 
 @pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
@@ -504,10 +535,9 @@ def test_stepped_state_matches_one_rebuilt_by_replace(bump_state, step):
     s = step(step(bump_state, 0.1), 0.1)
     new = step(s, 0.1)
     rebuilt = replace(s, t=s.t + 0.1, p=s.p.with_correction(new.p.v))
-    object.__setattr__(rebuilt, "_run", s._run)
-    rebuilt.__dict__["_v_hat"] = new._v_hat
-    if step is step_semi_implicit:  # the record Q is read off
-        rebuilt.__dict__["_step"] = new.__dict__["_step"]
+    vars(rebuilt).update(_run=s._run, _v_hat=new._v_hat)
+    if step is step_semi_implicit:  # the handoff Q is read off
+        vars(rebuilt)["_handoff"] = new._handoff
     assert type(new) is DynamicsState and type(new.p) is type(s.p)
     assert new.t == rebuilt.t and new.reference is rebuilt.reference
     for f in fields(s.p):
