@@ -39,7 +39,9 @@ semi-implicit method, the rfft of the force g and the irfft of
 irfft of ``v_hat+`` and ``|xi| v_hat+`` (numpy builds a transform plan
 on every call, so one call of two rows is cheaper than two).  F's
 seminorm is a Parseval sum over ``v_hat - v_hat*`` and needs none.  The
-step evaluates the potential twice: ``W'(u1)`` and, in F, ``W(u1)``.
+step evaluates the potential once: F reads ``W(u1)`` at the state's own
+``u1 = u_bg + v`` from the call that gives the state ``W'(u1)``, which
+the next step and the residual read.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ class DynamicsState:
 
     @cached_property
     def _wp_u1(self) -> np.ndarray:
-        """W'(u1) on the grid."""
+        """W'(u1) on the grid; :func:`free_energy` sets it when it comes first."""
         return eval_potential(self.reference.spec, self._run.bg + self.p.v, 1)
 
     @cached_property
@@ -204,17 +206,24 @@ MAX_HALVINGS = 20
 
 
 def free_energy(s: DynamicsState) -> float:
-    """F relative to the reference static profile; F(u1*) = 0."""
+    """F relative to the reference static profile; F(u1*) = 0.
+
+    W is evaluated at the state's ``u1 = u_bg + v``, the point of its
+    ``W'(u1)``; with a zero reference correction v* that is ``u1* + (v -
+    v*)`` bit for bit.  A state yet to make ``W'(u1)`` gets it from the
+    same call and keeps it; W is not kept."""
     inv, ref = s._run, s.reference
     h = s.p.grid.h
-    v = s.p.v - ref.profile.v  # u1 - u1*
-    lin = -h * dot(v, ref.wp)
-    w = eval_potential(ref.spec, np.add(inv.u_star, v, out=v), 0)  # W(u1* + v)
-    w -= ref.w
-    mis = h * float(np.sum(w))
     # |v_hat - v_hat*|^2 per mode: the squares of its (re, im) pairs
     d = (s._v_hat - inv.v_hat_star).view(float)
     quad = 0.5 * s.p.params.c0 * dot(inv.hs_weights, np.square(d, out=d))
+    if "_wp_u1" in vars(s):
+        w = eval_potential(ref.spec, inv.bg + s.p.v, 0)
+    else:
+        w, vars(s)["_wp_u1"] = eval_potential(ref.spec, inv.bg + s.p.v, (0, 1))
+    w -= ref.w
+    mis = h * float(np.sum(w))
+    lin = -h * dot(np.subtract(s.p.v, ref.profile.v, out=w), ref.wp)  # u1 - u1*
     return quad + lin + mis
 
 

@@ -317,20 +317,74 @@ def test_cache_rebuilt_for_another_potential(bump_state, params):
 
 
 @pytest.mark.parametrize("method", ["semi_implicit", "etd"])
-def test_two_potential_evaluations_per_accepted_step(bump_state, monkeypatch, method):
+def test_one_potential_evaluation_per_accepted_step(bump_state, monkeypatch, method):
+    from pnedge import static
+
     calls = []
     original = dynamics.eval_potential
 
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return original(*args, **kwargs)
+    def counting(spec, u, order=0):
+        calls.append(order)
+        return original(spec, u, order)
 
     monkeypatch.setattr(dynamics, "eval_potential", counting)
+    monkeypatch.setattr(static, "eval_potential", counting)
     _, trace = run_dynamics(bump_state, 1.0, dynamics._STEPPERS[method])
     assert len(trace.times) == 11
     assert np.all(np.asarray(trace.dt_history[1:]) == 0.1)  # no halvings
-    # W'(u1) and W(u1) per step; W(u1*), W'(u1*), and W'(u1) and W(u1) of the start
-    assert len(calls) <= 2 * 10 + 4
+    # W(u1) and W'(u1) of each state in one call; W(u1*) and W'(u1*)
+    assert len(calls) <= 10 + 1 + 2
+    assert calls.count((0, 1)) == 11
+
+
+def test_free_energy_leaves_w_prime_and_no_w(bump_state):
+    """F evaluates W and W' at the state's u1 in one call and leaves the
+    state W'(u1), with the bits of its own evaluation; a second F, with
+    W'(u1) made, evaluates W alone and gives the same bits."""
+    from pnedge.potential import eval_potential
+
+    s = step_etd(bump_state, 0.1)
+    before = set(vars(s))
+    F = free_energy(s)
+    assert set(vars(s)) - before == {"_wp_u1"}
+    u1 = s._run.bg + s.p.v
+    assert np.array_equal(s._wp_u1, eval_potential(s.reference.spec, u1, 1))
+    assert free_energy(s) == F
+    fresh = _fresh(s)
+    assert np.array_equal(fresh._wp_u1, s._wp_u1)  # W'(u1) made before F
+    assert free_energy(fresh) == F
+
+
+@pytest.mark.parametrize("method", ["semi_implicit", "etd"])
+def test_free_energy_at_a_solved_reference(grid, params, spec, method):
+    """Against a solved reference with a correction v* (solved from a
+    background of width 0.8 zeta, max|v*| = 0.018 b), F is 0.0 at the
+    reference, and along a 10-step run F at u1 = u_bg + v agrees with the
+    same F at u1* + (v - v*).  The two points differ by rounding.  In
+    units of eps h sum|W(u1) - W(u1*)|, the F differ by at most 1.7 in
+    these runs and 3.4 over 720 states of 24 such runs (bump amplitudes
+    0.05-0.2 b, widths 0.7-1.5 zeta, 30 steps each); the bound is 8."""
+    from pnedge.operators import dot
+    from pnedge.potential import eval_potential
+    from pnedge.profile import Profile
+    from pnedge.static import solve_static
+
+    ref = solve_static(Profile(grid=grid, params=params, zeta_bg=0.8 * params.zeta), spec)
+    assert np.max(np.abs(ref.profile.v)) > 0.01 * params.b
+    assert free_energy(DynamicsState(t=0.0, p=ref.profile, reference=ref)) == 0.0
+
+    eps, h = np.finfo(float).eps, grid.h
+    v0 = 0.1 * params.b * np.exp(-grid.x**2 / params.zeta**2)
+    s = DynamicsState(t=0.0, p=ref.profile.with_correction(ref.profile.v + v0), reference=ref)
+    for _ in range(11):
+        inv = s._run
+        v = s.p.v - ref.profile.v
+        w = eval_potential(spec, inv.u_star + v, 0) - ref.w  # W(u1* + (v - v*))
+        d = (s._v_hat - inv.v_hat_star).view(float)
+        want = (0.5 * params.c0 * dot(inv.hs_weights, d * d) - h * dot(v, ref.wp)
+                + h * float(np.sum(w)))
+        assert abs(free_energy(s) - want) <= 8.0 * eps * h * np.sum(np.abs(w))
+        s = dynamics._STEPPERS[method](s, 0.1)
 
 
 # ---------------------------------------------------------------------------

@@ -140,23 +140,38 @@ def test_table_csv_roundtrip(tmp_path):
 
 
 def test_frenkel_in_place_evaluation_matches_closed_forms():
-    # the closed forms in the offset from the well on u's side, written out
-    # term for term; the evaluation works on one array in place and must
+    # the tangent forms in the offset from the well on u's side, written out
+    # term for term; the evaluation works in place on two arrays and must
     # give the same bits and types
     p = PhysParams(G=0.8, nu=0.3, b=1.3, d=0.9)
     fr = frenkel(p)
     u = np.random.default_rng(3).uniform(-p.b, p.b, 257)
     delta = u - np.copysign(p.b / 4.0, u)
-    closed = [p.G * p.b**2 / (2.0 * np.pi**2 * p.d) * np.sin(2.0 * np.pi / p.b * delta)**2,
-              p.G * p.b / (np.pi * p.d) * np.sin(4.0 * np.pi / p.b * delta),
-              4.0 * p.G / p.d * np.cos(4.0 * np.pi / p.b * delta)]
+    t = np.tan(2.0 * np.pi / p.b * delta)
+    s = t / (t**2 + 1.0)
+    closed = [t * s * (p.G * p.b**2 / (2.0 * np.pi**2 * p.d)),
+              s * (2.0 * p.G * p.b / (np.pi * p.d)),
+              (1.0 - 2.0 * (t * s)) * (4.0 * p.G / p.d)]
     for order, expected in enumerate(closed):
         np.testing.assert_array_equal(eval_potential(fr, u, order), expected)
         scalar = eval_potential(fr, float(u[7]), order)
         assert isinstance(scalar, np.float64) and scalar == expected[7]
     u_before = u.copy()
-    eval_potential(fr, u, 1)
+    eval_potential(fr, u, (0, 1))
     np.testing.assert_array_equal(u, u_before)  # the input is left alone
+    # several orders from one reduction: each value is that of its own
+    # call, for the closed form and for a table, at an array and a scalar u
+    knots = np.linspace(0.0, p.b / 2.0, 48, endpoint=False)
+    table = from_table(p, np.column_stack([knots, eval_potential(fr, knots, 0)]))
+    for spec in (fr, table):
+        for x in (u, float(u[7])):
+            for orders in ((0, 1), (1, 0), (0, 1, 2)):
+                got = eval_potential(spec, x, orders)
+                assert isinstance(got, tuple) and len(got) == len(orders)
+                for k, value in zip(orders, got):
+                    single = eval_potential(spec, x, k)
+                    assert type(value) is type(single)
+                    np.testing.assert_array_equal(value, single)
 
 
 def _frenkel_longdouble(p, u, order):
