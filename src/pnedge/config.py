@@ -300,7 +300,9 @@ def energy_perturbations(cfg: RunConfig, grid: Grid1D,
 def dynamics_start(cfg: RunConfig, grid: Grid1D, params: PhysParams,
                    spec: PotentialSpec) -> DynamicsState:
     """The analytic core plus a Gaussian bump at t = 0, with the core
-    under ``spec`` as the reference static state."""
+    under ``spec`` as the reference of F.  The core is static only under
+    Frenkel; under a table F is still the energy difference from it, and
+    the flow does not read it."""
     ref = analytic_profile(grid, params)
     v0 = cfg.dynamics_bump_amp * params.b * np.exp(
         -(grid.x**2) / (cfg.dynamics_bump_width_over_zeta * params.zeta) ** 2

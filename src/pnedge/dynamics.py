@@ -6,22 +6,28 @@ The overdamped evolution
 
 relaxes the trace toward the static core while the bulk stays slaved to
 it (quasi-static half-planes: fields are re-derived from the trace on
-demand).  Two integrators share the splitting ``A = c0 (-d_xx)^{1/2} + I``,
-``T(v) = v - W'(v + u1*) + W'(u1*)``:
+demand).  With ``u1 = u_bg + v`` it is ``d_t v = -c0 (-d_xx)^{1/2} v - g(v)``
+under the one force ``g(v) = c0 (-d_xx)^{1/2} u_bg + W'(u_bg + v)``.  Two
+integrators share it, and the splitting ``A = c0 (-d_xx)^{1/2} + I``,
+``T(v) = v - g(v)`` of ``d_t v = -A v + T(v)``:
 
-* semi-implicit: stiff linear part implicit, potential force explicit;
+* semi-implicit: stiff linear part implicit, the force g explicit;
 * ETD1: exact integrating factor ``e^{-A dt}`` with the Duhamel term
   frozen over the step.
 
-Both have the static solution as an exact fixed point of the discrete
-update.  The free energy relative to a reference static profile,
+Both have every static solution as an exact fixed point of the discrete
+update, and neither reads a reference profile.  The free energy relative
+to a reference profile u1* with the state's background is the energy
+difference
 
-    ``F(v) = (c0/2) |v|^2_{H^1/2} - int v W'(u1*) + int [W(v+u1*) - W(u1*)]``,
+    ``F(v) = (c0/2) |v - v*|^2_{H^1/2} + c0 int (v - v*) (-d_xx)^{1/2} u1*
+    + int [W(u1) - W(u1*)]``,
 
-decays along trajectories with rate ``Q = int R^2 dx`` (squared residual
-of the force balance).  A run takes its stepper (:func:`step_semi_implicit`
-or :func:`step_etd`) and steps of :data:`DT`; its guard on F is the module
-constants :data:`F_INCREASE_TOL` and :data:`MAX_HALVINGS`.
+F(u1*) = 0, whether or not u1* is static.  It decays along trajectories
+with rate ``Q = int R^2 dx`` (squared residual of the force balance).  A
+run takes its stepper (:func:`step_semi_implicit` or :func:`step_etd`) and
+steps of :data:`DT`; its guard on F is the module constants
+:data:`F_INCREASE_TOL` and :data:`MAX_HALVINGS`.
 
 Only v changes along a trajectory, so the rest is evaluated once.  A
 state makes its samples v (on the profile), their spectrum
@@ -30,15 +36,17 @@ state makes its samples v (on the profile), their spectrum
 successor through the constructors and hands it the record, ``v_hat`` and
 what the successor's residual reads; :meth:`DynamicsState.residual` states
 its three routes.  The reference (:class:`~pnedge.static.StaticState`)
-holds the potential and keeps ``W(u1*)`` and ``W'(u1*)``, and it must
-share the state's grid, parameters, ``zeta_bg`` and ``x0``.
+holds the potential and keeps ``W(u1*)`` and ``(-d_xx)^{1/2} u1*``, which
+only F reads, and it must share the state's grid, parameters,
+``zeta_bg`` and ``x0``.
 
 An accepted step makes 2 N-point transforms in 2 calls by the
 semi-implicit method, the rfft of the force g and the irfft of
-``v_hat+``, and 3 in 2 calls by ETD: the rfft of T and the batched
+``v_hat+``, and 3 in 2 calls by ETD: the rfft of g and the batched
 irfft of ``v_hat+`` and ``|xi| v_hat+`` (numpy builds a transform plan
 on every call, so one call of two rows is cheaper than two).  F's
-seminorm is a Parseval sum over ``v_hat - v_hat*`` and needs none.  The
+seminorm is a Parseval sum over ``v_hat - v_hat*`` and needs none; its
+``(-d_xx)^{1/2} u1*`` is the reference's, made once.  The
 step evaluates the potential once: F reads ``W(u1)`` at the state's own
 ``u1 = u_bg + v`` from the call that gives the state ``W'(u1)``, which
 the next step and the residual read.
@@ -71,7 +79,7 @@ class DynamicsState:
 
     t: float
     p: Profile
-    reference: StaticState  # u1* of F, Q and ETD, and the potential of the flow
+    reference: StaticState  # u1* of F, and the potential of the flow
     _handoff = None  # what the step that made the state left its residual
 
     def __post_init__(self):
@@ -138,15 +146,14 @@ class DynamicsState:
 class _RunInvariants:
     """What stays fixed along a trajectory, every array read-only: the
     reference, the background u_bg on the grid, ``(-d_xx)^{1/2} u_bg`` and
-    its multiple by c0 (the background part of the semi-implicit force),
-    ``u1*``, ``v_hat*``, the seminorm weights of F and the update symbols
-    of the latest (kernel, step size)."""
+    its multiple by c0 (the background part of the force g), ``v_hat*``,
+    the seminorm weights of F and the update symbols of the latest
+    (kernel, step size)."""
 
     reference: StaticState
     bg: np.ndarray
     lam_bg: np.ndarray
     c0_lam_bg: np.ndarray
-    u_star: np.ndarray
     v_hat_star: np.ndarray
     hs_weights: np.ndarray  # seminorm weights of F, one per (re, im) entry of a mode
     _symbols: dict = field(default_factory=dict)  # latest (kernel, dt) -> stacked symbols
@@ -155,12 +162,12 @@ class _RunInvariants:
     def of(cls, ref: StaticState) -> _RunInvariants:
         p = ref.profile
         lam_bg = p.half_laplacian_background()
-        arrays = (p.background_on_grid(), lam_bg, p.params.c0 * lam_bg, p.u1, rfft(p.v),
+        arrays = (p.background_on_grid(), lam_bg, p.params.c0 * lam_bg, rfft(p.v),
                   np.repeat(seminorm_weights(p.grid, 0.5), 2))
         return cls(ref, *map(_read_only, arrays))
 
     def symbols(self, kernel, dt: float) -> np.ndarray:
-        """Symbols of v and of the force in the update ``kernel`` at step dt;
+        """Symbols of v and of the force g in the update ``kernel`` at step dt;
         the kernels are linear, so they are its values at unit ``v_hat`` and
         at unit force."""
         symbols = self._symbols.get((kernel, dt))
@@ -206,24 +213,24 @@ MAX_HALVINGS = 20
 
 
 def free_energy(s: DynamicsState) -> float:
-    """F relative to the reference static profile; F(u1*) = 0.
+    """F = E(u1) - E(u1*) relative to the reference profile; F(u1*) = 0.
 
     W is evaluated at the state's ``u1 = u_bg + v``, the point of its
     ``W'(u1)``; with a zero reference correction v* that is ``u1* + (v -
     v*)`` bit for bit.  A state yet to make ``W'(u1)`` gets it from the
     same call and keeps it; W is not kept."""
     inv, ref = s._run, s.reference
-    h = s.p.grid.h
+    c0, h = s.p.params.c0, s.p.grid.h
     # |v_hat - v_hat*|^2 per mode: the squares of its (re, im) pairs
     d = (s._v_hat - inv.v_hat_star).view(float)
-    quad = 0.5 * s.p.params.c0 * dot(inv.hs_weights, np.square(d, out=d))
+    quad = 0.5 * c0 * dot(inv.hs_weights, np.square(d, out=d))
     if "_wp_u1" in vars(s):
         w = eval_potential(ref.spec, inv.bg + s.p.v, 0)
     else:
         w, vars(s)["_wp_u1"] = eval_potential(ref.spec, inv.bg + s.p.v, (0, 1))
     w -= ref.w
     mis = h * float(np.sum(w))
-    lin = -h * dot(np.subtract(s.p.v, ref.profile.v, out=w), ref.wp)  # u1 - u1*
+    lin = c0 * h * dot(np.subtract(s.p.v, ref.profile.v, out=w), ref.lam)  # u1 - u1*
     return quad + lin + mis
 
 
@@ -236,14 +243,16 @@ def dissipation_rate(s: DynamicsState) -> float:
 # single steps
 # ---------------------------------------------------------------------------
 
-def etd_update(v_hat, T_hat, dt, c0, q):
-    """Kernel: exact integrating factor with T frozen over the step.
+def etd_update(v_hat, g_hat, dt, c0, q):
+    """Kernel: exact integrating factor with the remainder ``T = v - g``
+    frozen over the step (ETD1).
 
-    ``v+ = e^{-a dt} v + (1 - e^{-a dt})/a T``, ``a = c0 |xi| + 1 >= 1``.
+    ``v+ = e^{-a dt} v + phi (v - g)``, ``phi = (1 - e^{-a dt})/a``,
+    ``a = c0 |xi| + 1 >= 1``.
     """
     a = c0 * q + 1.0
     decay = np.exp(-a * dt)
-    return decay * v_hat + (1.0 - decay) / a * T_hat
+    return decay * v_hat + (1.0 - decay) / a * (v_hat - g_hat)
 
 
 def _check_positive(what: str, value: float) -> None:
@@ -252,26 +261,19 @@ def _check_positive(what: str, value: float) -> None:
         raise ValueError(f"{what} must be positive and finite, got {value}")
 
 
-def _advance(s: DynamicsState, dt: float, kernel, force: np.ndarray,
-             v_hat_star: np.ndarray | None = None, handoff=None) -> DynamicsState:
-    """One step of the linear update ``kernel``: ``v_hat+ = S_v (v_hat - v_hat*)
-    + S_f rfft(force) + v_hat*`` with the kernel's symbols at dt, summed on
-    the modes (without ``v_hat*`` unless given); one rfft and one irfft.
-    The successor keeps ``handoff`` for its residual
+def _advance(s: DynamicsState, dt: float, kernel, handoff=None) -> DynamicsState:
+    """One step of the linear update ``kernel`` under the force
+    ``g = c0 (-d_xx)^{1/2} u_bg + W'(u1)``: ``v_hat+ = S_v v_hat + S_g rfft(g)``
+    with the kernel's symbols at dt, summed on the modes; one rfft and one
+    irfft.  The successor keeps ``handoff`` for its residual
     (:meth:`DynamicsState.residual`).  Without one the irfft inverts the
     stack of ``v_hat+`` and ``|xi| v_hat+``, and the handoff is the second
     row, the successor's ``(-d_xx)^{1/2} v``."""
-    s_v, s_f = s._run.symbols(kernel, dt)
-    if v_hat_star is None:
-        v_hat = s._v_hat * s_v
-    else:
-        v_hat = s._v_hat - v_hat_star
-        v_hat *= s_v
-    f_hat = rfft(force)
-    f_hat *= s_f
-    v_hat += f_hat
-    if v_hat_star is not None:
-        v_hat += v_hat_star
+    s_v, s_g = s._run.symbols(kernel, dt)
+    v_hat = s._v_hat * s_v
+    g_hat = rfft(s._run.c0_lam_bg + s._wp_u1)
+    g_hat *= s_g
+    v_hat += g_hat
     grid = s.p.grid
     if handoff is None:  # one batched call, not two: numpy plans every call anew
         v, handoff = irfft(grid, np.stack([v_hat, grid.xi_r * v_hat]))
@@ -287,23 +289,18 @@ def step_semi_implicit(s: DynamicsState, dt: float) -> DynamicsState:
     first order, unconditionally stable in the linear part, static profile
     exactly stationary."""
     _check_positive("time step", dt)
-    return _advance(s, dt, semi_implicit_update, s._run.c0_lam_bg + s._wp_u1,
-                    handoff=(s.p.v, s._wp_u1, dt))
+    return _advance(s, dt, semi_implicit_update, handoff=(s.p.v, s._wp_u1, dt))
 
 
 def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
-    """One ETD1 step on the deviation from the reference static profile.
+    """One ETD1 step (:func:`etd_update`) of the flow under its force g.
 
-    Exact when the nonlinear remainder T is constant over the step.
-    T reads W'(u1) at ``u1 = u_bg + v_state``, which equals ``u1* + v``
-    up to rounding (exactly when the reference correction is zero).
-    The successor's v and ``(-d_xx)^{1/2} v`` are the rows of one irfft.
+    Exact when the remainder ``T = v - g`` is constant over the step; a
+    static profile is exactly stationary.  The successor's v and
+    ``(-d_xx)^{1/2} v`` are the rows of one irfft.
     """
     _check_positive("time step", dt)
-    T = s.p.v - s.reference.profile.v  # u1 - u1*
-    T -= s._wp_u1
-    T += s.reference.wp
-    return _advance(s, dt, etd_update, T, s._run.v_hat_star)
+    return _advance(s, dt, etd_update)
 
 
 _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}
