@@ -22,7 +22,7 @@ from .grid import Grid1D
 from .params import PhysParams
 from .potential import PotentialSpec, frenkel, from_csv, validate_potential
 from .profile import Profile, analytic_profile, tanh_profile
-from .static import StaticState
+from .static import solve_static
 
 
 def _fmt(value) -> str:
@@ -299,12 +299,12 @@ def energy_perturbations(cfg: RunConfig, grid: Grid1D,
 
 def dynamics_start(cfg: RunConfig, grid: Grid1D, params: PhysParams,
                    spec: PotentialSpec) -> DynamicsState:
-    """The analytic core plus a Gaussian bump at t = 0, with the core
-    under ``spec`` as the reference of F.  The core is static only under
-    Frenkel; under a table F is still the energy difference from it, and
-    the flow does not read it."""
-    ref = analytic_profile(grid, params)
-    v0 = cfg.dynamics_bump_amp * params.b * np.exp(
+    """The static core under ``spec`` plus a Gaussian bump at t = 0, with
+    that core as the reference of F.  The core is solved from the analytic
+    one, which under Frenkel is already static and is its own solve."""
+    ref = solve_static(analytic_profile(grid, params), spec)
+    bump = cfg.dynamics_bump_amp * params.b * np.exp(
         -(grid.x**2) / (cfg.dynamics_bump_width_over_zeta * params.zeta) ** 2
     )
-    return DynamicsState(t=0.0, p=ref.with_correction(v0), reference=StaticState(ref, spec))
+    return DynamicsState(t=0.0, p=ref.profile.with_correction(ref.profile.v + bump),
+                         reference=ref)

@@ -144,8 +144,9 @@ def _build_periodic_spline(table: np.ndarray, period: float) -> "PeriodicSpline"
 
 def eval_potential(spec: PotentialSpec, u, order: int | tuple = 0):
     """Evaluate W (order 0), W' (1) or W'' (2) at displacement(s) ``u``; a
-    tuple of orders, such as ``(0, 1)``, gives the tuple of their values
-    from one reduction of u, each with the bits of its single-order call."""
+    tuple of orders, such as ``(0, 1)``, gives the tuple of their values,
+    each with the bits of its single-order call: the Frenkel potential
+    reduces u once for all of them, a table once per order."""
     orders = order if isinstance(order, tuple) else (order,)
     for k in orders:
         if k not in (0, 1, 2):

@@ -6,9 +6,11 @@ Solves the nonlocal force balance
 
 with far field ``u1(-inf) = b/4``, ``u1(+inf) = -b/4``, by a
 semi-implicit pseudo-time gradient flow followed by a matrix-free
-Newton polish.  A solve has no settings: its limits are the module
-constants :data:`DT0`, :data:`MAX_SWEEP_ITERS`, :data:`NEWTON_SWITCH`
-and :data:`RES_TOL`.  The background part of the half-Laplacian uses the
+Newton polish.  A solve has no settings: the flow steps at its stability
+cap ``1.8 / max|W''|``, and its limits are the module constants
+:data:`MAX_SWEEP_ITERS`, :data:`NEWTON_SWITCH` and :data:`RES_TOL`.
+Monotonicity of u1 is a property of the result, tested once and flagged
+on the solved state.  The background part of the half-Laplacian uses the
 closed form, so the arctan core with ``zeta_bg = d/(2(1-nu))`` is an
 exact fixed point of the discretization under the Frenkel potential.
 
@@ -63,10 +65,6 @@ from .profile import Profile, background, background_derivative
 NEWTON_TOL = 1e-8
 #: residual level, in units of ``G b / d``, at which Newton takes over from the sweep
 NEWTON_SWITCH = 1e-3
-#: halvings of a sweep step that break monotonicity before it is taken anyway
-MAX_HALVINGS = 8
-#: upper bound on the first pseudo-time step of the sweep
-DT0 = 0.5
 #: residual level, in units of ``G b / d``, at which a solve has converged
 RES_TOL = 1e-10
 #: sweep steps a solve may take before it raises
@@ -220,8 +218,9 @@ def _residual_after_step(spec, u_bg, v, v_new, dt, wp, wp_new=None):
     ``c eps (max|v| (1/dt + c0 max|xi|) + max|wp|)``, ``c`` at most 2 at
     N = 4096 and 16384: the rounding of ``(v - v_new)/dt``, of the step
     (which ``1 + dt c0 |xi|`` carries into its equation) and of the W'
-    difference.  After :data:`MAX_HALVINGS` halvings that is about
-    1e-14 G b / d, far below :data:`NEWTON_SWITCH`.  Its two callers are
+    difference.  At the cap, and at a step the sweep's divergence guard
+    has halved up to 8 times, that is about 1e-14 G b / d, far below
+    :data:`NEWTON_SWITCH`.  Its two callers are
     the sweep here and :meth:`pnedge.dynamics.DynamicsState.residual`, for
     a state that :func:`pnedge.dynamics.step_semi_implicit` made.
     """
@@ -236,71 +235,39 @@ def _residual_after_step(spec, u_bg, v, v_new, dt, wp, wp_new=None):
 
 def _semi_implicit_sweep(p, spec, r, wp):
     """Gradient-flow steps to :data:`NEWTON_SWITCH` from ``p``, whose
-    residual samples ``r`` and ``W'(u1)`` the caller holds."""
+    residual samples ``r`` and ``W'(u1)`` the caller holds; returns the
+    profile and the steps taken."""
     grid, params = p.grid, p.params
     c0 = params.c0
     u_bg = p.background_on_grid()
     c0_lam_bg = c0 * p.half_laplacian_background()
     v = p.v.copy()
-    monotone_ok = True
 
     # explicit treatment of W' is stable for dt < 2 / max|W''|, and
     # max|W''| > 0 for a potential with positive curvature at its wells
     probe = np.linspace(-params.b / 4.0, params.b / 4.0, 512)
-    dt_cap = 1.8 / float(np.max(np.abs(eval_potential(spec, probe, 2))))
-    dt = min(DT0, dt_cap)
+    dt = dt_cap = 1.8 / float(np.max(np.abs(eval_potential(spec, probe, 2))))
     it = 0
-    viol = monotonicity_violation(u_bg + v)
     target = NEWTON_SWITCH * params.G * params.b / params.d
-
-    def slack(res_linf):
-        # transient slope wiggles scale like h * residual / c0; roundoff floor
-        return 1e-10 * params.b + grid.h * res_linf / c0
-
-    while np.max(np.abs(r)) > target:
+    res_linf = float(np.max(np.abs(r)))
+    while res_linf > target:
         if it >= MAX_SWEEP_ITERS:
             raise ConvergenceError("pseudo-time iteration exhausted MAX_SWEEP_ITERS",
                                    ResidualField(grid=grid, samples=r), it)
-        g = wp + c0_lam_bg
-        res_linf = float(np.max(np.abs(r)))
-
-        # a step may not degrade monotonicity beyond the current iterate plus
-        # the transient scale; violations trigger halving.  When halving does
-        # not cure the violation it is structural (coarse-grid wiggles): take
-        # the full step, flag, and keep dt.
-        mono_accept = False
-        trial_dt = dt
-        for _ in range(MAX_HALVINGS + 1):
-            v_new = semi_implicit_step(grid, v, g, trial_dt, c0)
-            viol_new = monotonicity_violation(u_bg + v_new)
-            if viol_new <= max(viol, slack(res_linf)):
-                mono_accept = True
-                dt = trial_dt
-                break
-            trial_dt *= 0.5
-        if not mono_accept:
-            if monotone_ok:
-                warnings.warn(
-                    "pseudo-time step lost monotonicity after max halvings; continuing",
-                    MonotonicityWarning,
-                    stacklevel=2,
-                )
-            monotone_ok = False
-            v_new = semi_implicit_step(grid, v, g, dt, c0)
-            viol_new = monotonicity_violation(u_bg + v_new)
+        v_new = semi_implicit_step(grid, v, wp + c0_lam_bg, dt, c0)
         r_new, wp_new = _residual_after_step(spec, u_bg, v, v_new, dt, wp)
-        if float(np.max(np.abs(r_new))) > 2.0 * res_linf:
+        res_new = float(np.max(np.abs(r_new)))
+        if res_new > 2.0 * res_linf:
             # gross divergence guard (explicit potential force too stiff)
             dt *= 0.5
             if dt < 1e-12 * dt_cap:
                 raise ConvergenceError("pseudo-time step underflow",
                                        ResidualField(grid=grid, samples=r), it)
             continue
-        v, r, wp = v_new, r_new, wp_new
-        viol = viol_new
+        v, r, wp, res_linf = v_new, r_new, wp_new, res_new
         dt = min(dt * 1.1, dt_cap)
         it += 1
-    return p.with_correction(v), it, monotone_ok
+    return p.with_correction(v), it
 
 
 def _newton_polish(p, spec, tol):
@@ -354,12 +321,13 @@ def solve_static(init: Profile, spec: PotentialSpec) -> StaticState:
     """Drive a profile to the static core structure, and return its state.
 
     A semi-implicit gradient flow (unconditionally stable for the
-    nonlocal part) of at most :data:`MAX_SWEEP_ITERS` steps, the first
-    at most :data:`DT0`, reduces the residual to the Newton switch level,
-    then a matrix-free Newton iteration with a Fourier-diagonal
-    preconditioner polishes it to :data:`RES_TOL` ``G b / d``.
-    Monotonicity of u1 is enforced per accepted step by halving;
-    persistent violations are downgraded to a warning and flagged on the
+    nonlocal part) of at most :data:`MAX_SWEEP_ITERS` steps, each at the
+    explicit potential force's stability cap ``1.8 / max|W''|`` unless
+    its divergence guard has halved it, reduces the residual to the
+    Newton switch level, then a matrix-free Newton iteration with a
+    Fourier-diagonal preconditioner polishes it to :data:`RES_TOL`
+    ``G b / d``.  A result whose u1 is not monotone decreasing is warned
+    of (:class:`~pnedge.errors.MonotonicityWarning`) and flagged on the
     state, which carries its record and the polish's last residual.  A
     start that has already converged is returned as its own state.  A
     potential made for other parameters than the profile's, and a start
@@ -378,7 +346,7 @@ def solve_static(init: Profile, spec: PotentialSpec) -> StaticState:
     if r0.linf <= tol:
         return start
 
-    p, iters, monotone_ok = _semi_implicit_sweep(init, spec, r0.samples, start.wp)
+    p, iters = _semi_implicit_sweep(init, spec, r0.samples, start.wp)
     del start, r0  # the polish needs neither: free them before its Krylov vectors
     # absorb any core drift into the background center first: the
     # correction must not carry translation content (see rebase_center)
@@ -390,12 +358,10 @@ def solve_static(init: Profile, spec: PotentialSpec) -> StaticState:
     rf = ResidualField(grid=p.grid, samples=_read_only(r))
     if not rf.linf <= tol:  # a NaN residual fails this test too
         raise ConvergenceError("solver stalled above tolerance", rf, iters)
-    monotone = is_monotone_decreasing(p)
-    if not monotone:
-        warnings.warn("converged profile is not monotone", MonotonicityWarning, stacklevel=2)
     solved = StaticState(p, spec)
-    vars(solved).update(residual=rf, iterations=iters, newton_steps=newton_steps,
-                        monotone=monotone and monotone_ok)
+    vars(solved).update(residual=rf, iterations=iters, newton_steps=newton_steps)
+    if not solved.monotone:
+        warnings.warn("converged profile is not monotone", MonotonicityWarning, stacklevel=2)
     return solved
 
 
