@@ -333,8 +333,8 @@ class HalfPlaneTables:
         for y, wts in _level_chunks(*quad.nodes_weights()):
             a11, a22, a12 = amp = _strain_multipliers(q, y, prm.nu)
             el_rows = _elastic_rows(amp, prm.G, prm.nu)
-            s11, s12, s22 = _analytic_plane_stress(xs, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
-            S11, S22, S12 = rfft(np.stack([s11, s22, s12]))
+            S11, S12, S22 = rfft(_analytic_plane_stress(xs, y, prm.G, prm.b, prm.nu,
+                                                        p.zeta_bg, +1.0))
             # m : conj(S) for m = (i a11, i a22, a12), with 2 m12 for e12 and e21;
             # _elastic_rows has zeroed a11 and a22 at the Nyquist mode
             bg_rows = np.empty(S12.shape, dtype=complex)
@@ -393,6 +393,19 @@ def _stress_density(s11, s12, s22, G, nu):
     return (s11**2 + s22**2 - nu * (s11 + s22) ** 2 + 2.0 * s12**2) / (4.0 * G)
 
 
+def _density_change(b, c, nu):
+    """``4 G`` times the change ``_stress_density(b + c) - _stress_density(b)``
+    that in-plane stresses ``c`` make to ``b`` (each a sequence ``(s11, s12,
+    s22)``), expanded so that no two large densities cancel: the solved
+    correction's stress is about 1e-10 of the core's."""
+    b11, b12, b22 = b
+    c11, c12, c22 = c
+    tc = c11 + c22
+    return (2.0 * (b11 * c11 + b22 * c22 + 2.0 * b12 * c12)
+            - 2.0 * nu * (b11 + b22) * tc
+            + c11 * c11 + c22 * c22 - nu * tc * tc + 2.0 * c12 * c12)
+
+
 def _box_background(p: Profile, R: float, n_x: int, n_levels: int) -> float:
     """Upper-half quadrature of the closed-form background's density over
     ``|x| <= R, 0 <= y <= R``: trapezoid weights on the box's own nodes
@@ -405,8 +418,8 @@ def _box_background(p: Profile, R: float, n_x: int, n_levels: int) -> float:
     xw = xw - p.x0
     total = 0.0
     for y, wts in _level_chunks(ys, wy, width=n_x):
-        s11, s12, s22 = _analytic_plane_stress(xw, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
-        bg = np.sum(wx * _stress_density(s11, s12, s22, prm.G, prm.nu), axis=-1)
+        stress = _analytic_plane_stress(xw, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
+        bg = np.sum(wx * _stress_density(*stress, prm.G, prm.nu), axis=-1)
         # level by level in node order, so the sum rounds as a level loop's
         for wt, row in zip(wts, bg):
             total += wt * float(row)
@@ -432,10 +445,11 @@ def _box_correction(p: Profile, radii, n_levels: int) -> list[float]:
     the correction v adds over ``|x| <= R, 0 <= y <= R``.
 
     One walk over the shared nodes serves all radii: each level takes the
-    correction's strains (3 inverse transforms) and the grid background
-    stress once, on the largest radius's window of the periodic grid, and
-    each radius sums its own slice of that window with trapezoid weights
-    on the nodes up to its radius.
+    correction's strains (3 inverse transforms), the grid background
+    stress and their density change (:func:`_density_change`) once, on
+    the largest radius's window of the periodic grid, and each radius
+    sums its own slice of that window with trapezoid weights on the nodes
+    up to its radius.
     """
     prm, grid = p.params, p.grid
     G, nu = prm.G, prm.nu
@@ -459,10 +473,9 @@ def _box_correction(p: Profile, radii, n_levels: int) -> list[float]:
     totals = [0.0] * len(radii)
     for y, wts in _level_chunks(ys, wy):
         ev = _strains_of_spectrum(grid, v_hat, nu, y)
-        c11, c12, c22 = _plane_stresses(*(e[:, lo:hi] for e in ev), G, nu)
-        b11, b12, b22 = _analytic_plane_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
-        dens = grid.h * (_stress_density(b11 + c11, b12 + c12, b22 + c22, G, nu)
-                         - _stress_density(b11, b12, b22, G, nu))
+        corr = _plane_stresses(*(e[:, lo:hi] for e in ev), G, nu)
+        core = _analytic_plane_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
+        dens = (grid.h / (4.0 * G)) * _density_change(core, corr, nu)
         for j, sub in enumerate(cols):
             for wt, row in zip(wts[:, j], np.sum(dens[:, sub], axis=-1)):
                 totals[j] += wt * float(row)

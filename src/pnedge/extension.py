@@ -116,22 +116,47 @@ def _analytic_displacement(x, y, b, nu, zeta, sign):
 
 
 def _analytic_plane_stress(x, y, G, b, nu, zeta, sign):
-    """In-plane stress (s11, s12, s22) of the arctan core at (x, y); sign =
-    +-1 picks the branch."""
+    """In-plane stress of the arctan core at (x, y), one array whose first
+    axis is (s11, s12, s22); sign = +-1 picks the branch.
+
+    With ``k = G b / (2 pi (1 - nu))``, ``p = y + sign zeta`` and
+    ``r2 = x^2 + p^2``:
+
+        ``s11 = -k (3 y + 2 sign zeta) / r2 + 2 k y p^2 / r2^2``
+        ``s12 = k x / r2 - 2 k y p x / r2^2``
+        ``s22 = -k y / r2 + 2 k y x^2 / r2^2``
+
+    Each point takes one reciprocal ``1/r2`` and its square; the factors
+    that depend on the height alone are formed once per height (a column
+    of heights gives each height the bits it has alone).  s12 stays a
+    difference of two terms that each carry x, so it is +0.0 at x = 0.
+    """
     x = np.asarray(x, float)
+    k = G * b / (2.0 * np.pi * (1.0 - nu))
     p = y + sign * zeta
-    r2 = x * x + p * p
-    pref = G * b / (2.0 * np.pi * (1.0 - nu))
-    r4 = r2**2
-    s11 = pref * (-(3.0 * y + sign * 2.0 * zeta) / r2 + 2.0 * y * p * p / r4)
-    s12 = pref * (x / r2 - 2.0 * x * y * p / r4)
-    s22 = pref * (-y / r2 + 2.0 * x * x * y / r4)
-    return s11, s12, s22
+    ky = 2.0 * k * y
+    xx = x * x
+    inv = np.add(xx, p * p)
+    np.divide(1.0, inv, out=inv)
+    inv2 = inv * inv
+    out = np.empty((3,) + inv.shape)
+    s11, s12, s22 = out
+    t = np.empty(inv.shape)
+    np.multiply(-k * (3.0 * y + sign * 2.0 * zeta), inv, out=s11)
+    s11 += np.multiply(ky * p * p, inv2, out=t)
+    np.multiply(k, inv, out=s12)
+    s12 *= x
+    np.multiply(ky * p, inv2, out=t)
+    s12 -= np.multiply(t, x, out=t)
+    np.multiply(-k * y, inv, out=s22)
+    np.multiply(ky, xx, out=t)
+    s22 += np.multiply(t, inv2, out=t)
+    return out
 
 
 def _analytic_stress(x, y, G, b, nu, zeta, sign):
-    """Stress (s11, s12, s22, s33) of the arctan core at (x, y): the
-    in-plane stress and the plane-strain s33."""
+    """Stress (s11, s12, s22, s33) of the arctan core at (x, y): the rows of
+    the in-plane stress and the plane-strain s33."""
     p = y + sign * zeta
     s33 = G * b / (2.0 * np.pi * (1.0 - nu)) * (-2.0 * nu * p / (x * x + p * p))
     return (*_analytic_plane_stress(x, y, G, b, nu, zeta, sign), s33)

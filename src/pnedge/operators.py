@@ -99,7 +99,9 @@ def fourier_shift(grid: Grid1D, f: np.ndarray, a: float) -> np.ndarray:
 
 def fourier_interpolant(grid: Grid1D, f: np.ndarray):
     """The band-limited interpolant of ``f``: ``interpolant(x, nu)`` is its
-    derivative of order ``nu`` (0 or 1) at the point x.
+    derivative of order ``nu`` (0 or 1) at the point x; a tuple ``nu``,
+    such as ``(0, 1)``, gives the tuple of its orders' values from one
+    complex exponential.
 
     The samples are transformed once, and each value is the real part of
     ``sum_k c_k exp(i xi_k x)``, a :func:`dot` of (re, im) pairs.  The
@@ -111,8 +113,11 @@ def fourier_interpolant(grid: Grid1D, f: np.ndarray):
     coeffs[1::2] *= -1.0
     conj_pairs = [np.conj(c).view(float) for c in (coeffs, 1j * grid.xi_r * coeffs)]
 
-    def interpolant(x: float, nu: int = 0) -> float:
-        return dot(conj_pairs[nu], np.exp(1j * grid.xi_r * x).view(float))
+    def interpolant(x: float, nu: int | tuple = 0):
+        modes = np.exp(1j * grid.xi_r * x).view(float)
+        if isinstance(nu, tuple):
+            return tuple(dot(conj_pairs[k], modes) for k in nu)
+        return dot(conj_pairs[nu], modes)
 
     return interpolant
 

@@ -50,7 +50,12 @@ interpolation.  The table's spline is the package's own
 (:class:`PeriodicSpline`): the C^2 periodic cubic through the samples,
 fitted by one O(n) solve of the cyclic tridiagonal system for its knot
 slopes (no LAPACK call, so no BLAS thread count can move its bits) and
-evaluated by Horner's rule after one reduction to the period.  scipy's
+evaluated by Horner's rule after one reduction to the period.  The
+reduction and the knot search avoid numpy's scalar loops (``np.mod``
+about 12 ns and ``searchsorted`` about 9 ns an element): an offset
+within a period is reduced by adding the period where it is negative,
+and a bin table of the knots, built once per spline, gives each offset
+its interval, with the bits of ``np.mod`` and ``searchsorted``.  scipy's
 ``CubicSpline(..., bc_type="periodic")`` is the same spline; the tests
 compare against it at a stated tolerance.
 """
@@ -59,6 +64,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -145,8 +151,8 @@ def _build_periodic_spline(table: np.ndarray, period: float) -> "PeriodicSpline"
 def eval_potential(spec: PotentialSpec, u, order: int | tuple = 0):
     """Evaluate W (order 0), W' (1) or W'' (2) at displacement(s) ``u``; a
     tuple of orders, such as ``(0, 1)``, gives the tuple of their values,
-    each with the bits of its single-order call: the Frenkel potential
-    reduces u once for all of them, a table once per order."""
+    each with the bits of its single-order call: either potential reduces
+    u once for all of them."""
     orders = order if isinstance(order, tuple) else (order,)
     for k in orders:
         if k not in (0, 1, 2):
@@ -155,7 +161,7 @@ def eval_potential(spec: PotentialSpec, u, order: int | tuple = 0):
     if spec.table is None:
         values = _frenkel(spec.params, u, orders)
     else:
-        values = [spec._spline(u, k)[()] for k in orders]
+        values = spec._spline(u, orders)
     return tuple(values) if isinstance(order, tuple) else values[0]
 
 
@@ -300,21 +306,68 @@ class PeriodicSpline:
         c = np.stack((t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]))
         return cls(x=x, c=c)
 
-    def __call__(self, u, nu: int) -> np.ndarray:
-        """Derivative ``nu`` (0, 1 or 2) at any real ``u``.
+    @cached_property
+    def _bins(self) -> tuple:
+        """``(scale, first, upper)`` of the knot search.  An offset w from
+        the first knot falls in bin ``min(floor(w * scale), n_bins - 1)`` of
+        ``n_bins`` = 4 per interval equal bins of the period; rounding and
+        flooring are monotone, so ``first[j]``, the number of inner knots in
+        lower bins, never exceeds the interval index of an offset in bin j.
+        ``upper[i]`` ends interval i (inf for the last)."""
+        offsets = self.x - self.x[0]
+        n_bins = 4 * (len(offsets) - 1)
+        scale = n_bins / offsets[-1]
+        knot_bins = _bin_of(offsets[1:-1], scale, n_bins)
+        first = np.searchsorted(knot_bins, np.arange(n_bins), side="left")
+        return scale, first, np.append(offsets[1:-1], np.inf)
+
+    def _locate(self, u):
+        """Interval index and offset in it of every ``u``, flattened: the
+        last interval whose knot offset is at or below ``mod(u - x[0],
+        period)``, as ``searchsorted(..., side="right")`` finds it."""
+        x = self.x
+        period = x[-1] - x[0]
+        w = np.reshape(np.subtract(u, x[0], dtype=float), -1)
+        # on |w| < period, np.mod(w, period) is w + period for w < 0 and w
+        # (-0.0 made +0.0) otherwise; only the rest, NaN and inf included,
+        # needs the scalar loop of np.mod
+        inside = np.abs(w) < period
+        if not inside.all():
+            w[~inside] = np.mod(w[~inside], period)
+        w += period * (w < 0)
+        scale, first, upper = self._bins
+        i = first.take(_bin_of(w, scale, len(first)))
+        while True:  # step up past the inner knots at or below w
+            up = w >= upper.take(i)
+            if not up.any():
+                break
+            i += up
+        w -= (x - x[0]).take(i)
+        return i, w
+
+    def __call__(self, u, nu):
+        """Derivative ``nu`` (0, 1 or 2) at any real ``u``; a tuple ``nu``
+        gives the tuple of its orders' values, from one reduction of u.
 
         ``u`` is reduced once, to its offset ``mod(u - x[0], period)`` from
         the first knot; the interval is the last one whose knot offset is
         at or below it, and its polynomial is summed by Horner's rule.
         """
-        x = self.x
-        offsets = x - x[0]
-        w = np.mod(u - x[0], offsets[-1])
-        i = np.searchsorted(offsets[1:-1], w, side="right")
-        w -= offsets.take(i)
+        i, w = self._locate(u)
+        values = tuple(self._horner(i, w, k).reshape(np.shape(u))[()]
+                       for k in (nu if isinstance(nu, tuple) else (nu,)))
+        return values if isinstance(nu, tuple) else values[0]
+
+    def _horner(self, i, w, nu):
         coef = self.c[:4 - nu] * _DERIVATIVE_FACTORS[nu][:, None]
         out = coef[0].take(i)
         for row in coef[1:]:
             out *= w
             out += row.take(i)
         return out
+
+
+def _bin_of(w, scale, n_bins):
+    """The bin ``min(floor(w * scale), n_bins - 1)`` of offsets ``w >= 0``
+    (the last for NaN)."""
+    return np.fmin(w * scale, n_bins - 1).astype(np.intp)

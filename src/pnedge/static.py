@@ -388,14 +388,15 @@ def zero_crossing(p: Profile) -> float:
     lo, hi = float(grid.x[j]), float(grid.x[k])
     x = float(lo - u1[j] * (hi - lo) / (u1[k] - u1[j]))
     for _ in range(100):
-        value = float(p.background_at(x)) + v_cont(x)
+        v, dv = v_cont(x, (0, 1))
+        value = float(p.background_at(x)) + v
         if value == 0.0:
             return x
         if (value > 0.0) == (u1[j] > 0.0):
             lo = x
         else:
             hi = x
-        slope = float(background_derivative(x, b, p.zeta_bg, p.x0)) + v_cont(x, 1)
+        slope = float(background_derivative(x, b, p.zeta_bg, p.x0)) + dv
         step = value / slope
         # a converged step lands on the bracket end just moved to x
         if abs(step) < xtol:

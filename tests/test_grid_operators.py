@@ -245,3 +245,13 @@ def test_fourier_interpolate_matches_nodes():
     xq = g.x[10:14] + 0.37 * g.h
     df = -g.xi_r[3] * np.sin(g.xi_r[3] * xq) + 0.3 * g.xi_r[7] * np.cos(g.xi_r[7] * xq)
     np.testing.assert_allclose([interpolant(x, 1) for x in xq], df, atol=1e-12)
+
+
+def test_fourier_interpolant_orders_share_one_exponential():
+    # a tuple of orders has the bits of its single-order calls
+    g = build_grid(10.0, 128)
+    interpolant = fourier_interpolant(g, np.exp(-g.x**2) * (1.0 + 0.3 * g.x))
+    for x in (0.0, -0.37 * g.h, 1.234, float(g.x[7])):
+        value, slope = interpolant(x, (0, 1))
+        assert (value, slope) == (interpolant(x), interpolant(x, 1))
+        assert interpolant(x, (1,)) == (slope,)

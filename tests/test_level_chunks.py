@@ -91,8 +91,11 @@ def _box_reference(p, radii, n_x=1024, n_levels=192):
             c11, c12, c22, _ = strains_to_stresses(*(e[mask] for e in ev), G, nu)
             xg = p.grid.x[mask] - p.x0
             b11, b12, b22, _ = _analytic_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
-            d = p.grid.h * (_density(b11 + c11, b12 + c12, b22 + c22, G, nu)
-                            - _density(b11, b12, b22, G, nu))
+            # the density change in expanded form: no two large densities cancel
+            tc = c11 + c22
+            d = (p.grid.h / (4.0 * G)) * (
+                2.0 * (b11 * c11 + b22 * c22 + 2.0 * b12 * c12) - 2.0 * nu * (b11 + b22) * tc
+                + c11 * c11 + c22 * c22 - nu * tc * tc + 2.0 * c12 * c12)
             corr[j] += weights[j][i] * float(np.sum(d))
     return [2.0 * (_box_background_reference(p, R, n_x, n_levels) + c)
             for R, c in zip(radii, corr)]

@@ -299,3 +299,58 @@ def test_table_fit_is_independent_of_blas_threads(pnedge_env):
         assert proc.returncode == 0, proc.stderr
         fits.append(proc.stdout)
     assert fits[0] == fits[1]
+
+
+def _spline_reference(spline, u, nu):
+    """A table's evaluation by ``np.mod`` and ``searchsorted``, as the
+    spline evaluated before it kept a bin table: the reference bits."""
+    x = spline.x
+    offsets = x - x[0]
+    w = np.mod(u - x[0], offsets[-1])
+    i = np.searchsorted(offsets[1:-1], w, side="right")
+    w -= offsets.take(i)
+    coef = spline.c[:4 - nu] * np.array([[1.0, 1.0, 1.0, 1.0], [3.0, 2.0, 1.0, 0.0],
+                                         [6.0, 2.0, 0.0, 0.0]])[nu, :4 - nu, None]
+    out = coef[0].take(i)
+    for row in coef[1:]:
+        out *= w
+        out += row.take(i)
+    return out, i
+
+
+# np.mod of +-inf is NaN, with a warning on both sides
+@pytest.mark.filterwarnings("ignore:invalid value encountered in remainder")
+@pytest.mark.parametrize("table", ["eps", "nonuniform", "gap", "not_dyadic"])
+def test_table_evaluation_bit_identical_to_mod_and_searchsorted(eps_table, table):
+    """The bin-table knot search and the reduction without ``np.mod`` on
+    |u - x[0]| < period give the bits of ``np.mod`` + ``searchsorted``, for
+    each order and a tuple of orders, at every knot and 1 ulp either side
+    (also a period away), +-0.0, +-period, NaN, +-inf and random u within
+    3 periods; the interval index is searchsorted's for every finite u."""
+    if table == "eps":
+        spec = eps_table
+    elif table == "not_dyadic":  # period 0.65, first knot not 0
+        prm = PhysParams(b=1.3)
+        u = (np.arange(40) + 0.37) * (prm.b / 80.0)
+        spec = from_table(prm, np.column_stack([u, np.cos(4.0 * np.pi * u / prm.b)]))
+    else:
+        prm = PhysParams()
+        spec = from_table(prm, _spline_table(table, prm.b / 2.0))
+    spline, period = spec._spline, spec.period
+    knots = np.concatenate([spline.x + k * period for k in (-1.0, 0.0, 1.0)])
+    queries = np.concatenate([
+        knots, np.nextafter(knots, np.inf), np.nextafter(knots, -np.inf),
+        [0.0, -0.0, period, -period, np.nan, -np.nan, np.inf, -np.inf],
+        np.random.default_rng(7).uniform(-3.0 * period, 3.0 * period, 20_000),
+    ])
+    bits = lambda a: np.asarray(a).view(np.uint64)  # noqa: E731
+    for order in (0, 1, 2):
+        want, i = _spline_reference(spline, queries, order)
+        np.testing.assert_array_equal(bits(spline(queries, order)), bits(want))
+        np.testing.assert_array_equal(bits(eval_potential(spec, queries, order)), bits(want))
+    finite = np.isfinite(queries)
+    np.testing.assert_array_equal(spline._locate(queries)[0][finite], i[finite])
+    assert np.all(np.isnan(spline(queries, 0)[~finite]))
+    pair = eval_potential(spec, queries, (0, 1))
+    for got, order in zip(pair, (0, 1)):
+        np.testing.assert_array_equal(bits(got), bits(_spline_reference(spline, queries, order)[0]))
