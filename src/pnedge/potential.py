@@ -51,11 +51,9 @@ interpolation.  The table's spline is the package's own
 fitted by one O(n) solve of the cyclic tridiagonal system for its knot
 slopes (no LAPACK call, so no BLAS thread count can move its bits) and
 evaluated by Horner's rule after one reduction to the period.  The
-reduction and the knot search avoid numpy's scalar loops (``np.mod``
-about 12 ns and ``searchsorted`` about 9 ns an element): an offset
-within a period is reduced by adding the period where it is negative,
-and a bin table of the knots, built once per spline, gives each offset
-its interval, with the bits of ``np.mod`` and ``searchsorted``.  scipy's
+reduction avoids the scalar loop of ``np.mod`` (about 12 ns an element)
+where it can: an offset within a period is reduced by adding the period
+where it is negative, with the bits of ``np.mod``.  scipy's
 ``CubicSpline(..., bc_type="periodic")`` is the same spline; the tests
 compare against it at a stated tolerance.
 """
@@ -64,7 +62,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
-from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -306,28 +303,13 @@ class PeriodicSpline:
         c = np.stack((t / dx, (m - s[:-1]) / dx - t, s[:-1], y[:-1]))
         return cls(x=x, c=c)
 
-    @cached_property
-    def _bins(self) -> tuple:
-        """``(scale, first, upper)`` of the knot search.  An offset w from
-        the first knot falls in bin ``min(floor(w * scale), n_bins - 1)`` of
-        ``n_bins`` = 4 per interval equal bins of the period; rounding and
-        flooring are monotone, so ``first[j]``, the number of inner knots in
-        lower bins, never exceeds the interval index of an offset in bin j.
-        ``upper[i]`` ends interval i (inf for the last)."""
-        offsets = self.x - self.x[0]
-        n_bins = 4 * (len(offsets) - 1)
-        scale = n_bins / offsets[-1]
-        knot_bins = _bin_of(offsets[1:-1], scale, n_bins)
-        first = np.searchsorted(knot_bins, np.arange(n_bins), side="left")
-        return scale, first, np.append(offsets[1:-1], np.inf)
-
     def _locate(self, u):
         """Interval index and offset in it of every ``u``, flattened: the
         last interval whose knot offset is at or below ``mod(u - x[0],
         period)``, as ``searchsorted(..., side="right")`` finds it."""
-        x = self.x
-        period = x[-1] - x[0]
-        w = np.reshape(np.subtract(u, x[0], dtype=float), -1)
+        offsets = self.x - self.x[0]
+        period = offsets[-1]
+        w = np.reshape(np.subtract(u, self.x[0], dtype=float), -1)
         # on |w| < period, np.mod(w, period) is w + period for w < 0 and w
         # (-0.0 made +0.0) otherwise; only the rest, NaN and inf included,
         # needs the scalar loop of np.mod
@@ -335,14 +317,8 @@ class PeriodicSpline:
         if not inside.all():
             w[~inside] = np.mod(w[~inside], period)
         w += period * (w < 0)
-        scale, first, upper = self._bins
-        i = first.take(_bin_of(w, scale, len(first)))
-        while True:  # step up past the inner knots at or below w
-            up = w >= upper.take(i)
-            if not up.any():
-                break
-            i += up
-        w -= (x - x[0]).take(i)
+        i = np.searchsorted(offsets[1:-1], w, side="right")
+        w -= offsets.take(i)
         return i, w
 
     def __call__(self, u, nu):
@@ -365,9 +341,3 @@ class PeriodicSpline:
             out *= w
             out += row.take(i)
         return out
-
-
-def _bin_of(w, scale, n_bins):
-    """The bin ``min(floor(w * scale), n_bins - 1)`` of offsets ``w >= 0``
-    (the last for NaN)."""
-    return np.fmin(w * scale, n_bins - 1).astype(np.intp)

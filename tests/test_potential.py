@@ -303,7 +303,8 @@ def test_table_fit_is_independent_of_blas_threads(pnedge_env):
 
 def _spline_reference(spline, u, nu):
     """A table's evaluation by ``np.mod`` and ``searchsorted``, as the
-    spline evaluated before it kept a bin table: the reference bits."""
+    spline evaluated before it reduced u without ``np.mod``: the reference
+    bits."""
     x = spline.x
     offsets = x - x[0]
     w = np.mod(u - x[0], offsets[-1])
@@ -322,11 +323,11 @@ def _spline_reference(spline, u, nu):
 @pytest.mark.filterwarnings("ignore:invalid value encountered in remainder")
 @pytest.mark.parametrize("table", ["eps", "nonuniform", "gap", "not_dyadic"])
 def test_table_evaluation_bit_identical_to_mod_and_searchsorted(eps_table, table):
-    """The bin-table knot search and the reduction without ``np.mod`` on
-    |u - x[0]| < period give the bits of ``np.mod`` + ``searchsorted``, for
-    each order and a tuple of orders, at every knot and 1 ulp either side
-    (also a period away), +-0.0, +-period, NaN, +-inf and random u within
-    3 periods; the interval index is searchsorted's for every finite u."""
+    """The reduction without ``np.mod`` on |u - x[0]| < period gives the
+    bits of ``np.mod`` + ``searchsorted``, for each order and a tuple of
+    orders, at every knot and 1 ulp either side (also a period away),
+    +-0.0, +-period, NaN, +-inf and random u within 3 periods; the
+    interval index is searchsorted's for every finite u."""
     if table == "eps":
         spec = eps_table
     elif table == "not_dyadic":  # period 0.65, first knot not 0
