@@ -20,8 +20,10 @@ the relaxing dynamics, which read its W, W' and half-Laplacian, made once.
 
 Each residual is evaluated once: the sweep starts from the start
 state's, a sweep step makes two transforms because the step's own
-equation gives the residual of its result, and the solved state carries
-the polish's last one.  The linearization ``c0 (-d_xx)^{1/2} + W''(u1)``
+equation gives the residual of its result, and the polish steps
+:class:`StaticState` s: the solved state is its last accepted trial,
+with the W', half-Laplacian and residual that trial made.  The
+linearization ``c0 (-d_xx)^{1/2} + W''(u1)``
 is symmetric but may be slightly indefinite on the periodic box, so the
 polish solves it with MINRES, preconditioned by the inverse of its
 far-field part ``c0 |xi| + w0``.  The linearization is that inverse plus
@@ -111,9 +113,10 @@ def _read_only(a: np.ndarray) -> np.ndarray:
 @dataclass(frozen=True, eq=False)
 class StaticState:
     """A static profile under its misfit potential, compared by identity.
-    ``w = W(u1)``, ``wp = W'(u1)``, ``lam = (-d_xx)^{1/2} u1`` and the
-    force-balance ``residual`` are each made on first use and kept,
-    read-only.  The potential must be made for the profile's parameters.
+    ``w = W(u1)``, ``wp = W'(u1)``, ``wpp = W''(u1)``, ``lam =
+    (-d_xx)^{1/2} u1`` and the force-balance ``residual`` are each made
+    on first use and kept, read-only.  The potential must be made for the
+    profile's parameters.
     :func:`solve_static` sets the solve record of the state it solves;
     a state made here has that of a converged start, ``(iterations,
     newton_steps, monotone) = (0, 0, is_monotone_decreasing(profile))``."""
@@ -132,6 +135,10 @@ class StaticState:
     @cached_property
     def wp(self) -> np.ndarray:
         return _read_only(eval_potential(self.spec, self.profile.u1, 1))
+
+    @cached_property
+    def wpp(self) -> np.ndarray:
+        return _read_only(eval_potential(self.spec, self.profile.u1, 2))
 
     @cached_property
     def lam(self) -> np.ndarray:
@@ -194,18 +201,6 @@ def semi_implicit_step(grid: Grid1D, v: np.ndarray, g: np.ndarray, dt: float,
     return apply_symbol(grid, v - dt * g, semi_implicit_update(1.0, 0.0, dt, c0, grid.xi_r))
 
 
-def _force_balance(grid, spec, c0, u_bg, lam_bg, v):
-    """Samples of the residual at correction ``v``, and ``W'(u1)``.
-
-    The background ``u_bg`` and its half-Laplacian ``lam_bg`` are held by
-    the caller; the operations are :func:`residual`'s, in its order.
-    """
-    wp = eval_potential(spec, u_bg + v, 1)
-    r = c0 * (lam_bg + apply_half_laplacian(grid, v))
-    r += wp
-    return r, wp
-
-
 def _residual_after_step(spec, u_bg, v, v_new, dt, wp, wp_new=None):
     """Samples of the residual at ``v_new``, and ``W'(u1)`` there
     (``wp_new`` if the caller holds it), for a :func:`semi_implicit_step`
@@ -214,7 +209,7 @@ def _residual_after_step(spec, u_bg, v, v_new, dt, wp, wp_new=None):
     The step solved ``v_new + dt c0 (-d_xx)^{1/2} v_new = v - dt g`` on
     every mode, the zero and Nyquist modes included, so
     ``R(v_new) = (v - v_new)/dt + W'(u_bg + v_new) - wp`` with no
-    transform.  It agrees with :func:`_force_balance` on ``v_new`` to
+    transform.  It agrees with :func:`residual` at ``v_new`` to
     ``c eps (max|v| (1/dt + c0 max|xi|) + max|wp|)``, ``c`` at most 2 at
     N = 4096 and 16384: the rounding of ``(v - v_new)/dt``, of the step
     (which ``1 + dt c0 |xi|`` carries into its equation) and of the W'
@@ -233,15 +228,17 @@ def _residual_after_step(spec, u_bg, v, v_new, dt, wp, wp_new=None):
     return r, wp_new
 
 
-def _semi_implicit_sweep(p, spec, r, wp):
-    """Gradient-flow steps to :data:`NEWTON_SWITCH` from ``p``, whose
-    residual samples ``r`` and ``W'(u1)`` the caller holds; returns the
-    profile and the steps taken."""
+def _semi_implicit_sweep(start):
+    """Gradient-flow steps to :data:`NEWTON_SWITCH` from the state
+    ``start``, from its residual and ``W'(u1)``; returns the profile and
+    the steps taken."""
+    p, spec = start.profile, start.spec
     grid, params = p.grid, p.params
     c0 = params.c0
     u_bg = p.background_on_grid()
     c0_lam_bg = c0 * p.half_laplacian_background()
     v = p.v.copy()
+    r, wp = start.residual.samples, start.wp
 
     # explicit treatment of W' is stable for dt < 2 / max|W''|, and
     # max|W''| > 0 for a potential with positive curvature at its wells
@@ -270,51 +267,40 @@ def _semi_implicit_sweep(p, spec, r, wp):
     return p.with_correction(v), it
 
 
-def _newton_polish(p, spec, tol):
-    """Newton steps from ``p`` to ``tol``; returns the profile, the steps
-    taken and the residual samples of the last accepted iterate."""
-    grid, params = p.grid, p.params
-    c0 = params.c0
+def _newton_polish(state, tol):
+    """Newton steps from the state ``state`` to ``tol``; returns the last
+    accepted state and the steps taken."""
+    grid, params = state.profile.grid, state.profile.params
     # the preconditioner inverts the far-field Jacobian c0 |xi| + w0, so the
     # Jacobian is its inverse plus diag(W''(u1) - w0)
-    w0 = max(eval_potential(spec, params.b / 4.0, 2), 0.1 * params.G / params.d)
-    precon_symbol = 1.0 / (c0 * grid.xi_r + w0)
+    w0 = max(eval_potential(state.spec, params.b / 4.0, 2), 0.1 * params.G / params.d)
+    precon_symbol = 1.0 / (params.c0 * grid.xi_r + w0)
 
     def precon(z):
         return apply_symbol(grid, z, precon_symbol)
 
-    u_bg = p.background_on_grid()
-    lam_bg = p.half_laplacian_background()
-    v = p.v.copy()
     steps = 0
-    r = residual(p, spec).samples
     for _ in range(30):
-        if np.max(np.abs(r)) <= tol:
+        if state.residual.linf <= tol:
             break
-        shift = eval_potential(spec, u_bg + v, 2) - w0
-        dv, info = minres(None, -r, precon, rtol=NEWTON_TOL, shift=shift)
+        dv, info = minres(None, -state.residual.samples, precon, rtol=NEWTON_TOL,
+                          shift=state.wpp - w0)
         if info != 0:
             warnings.warn(f"inner minres returned info={info}", stacklevel=2)
         # damped update: backtrack while the residual grows; stop cleanly
         # if no step length improves (stagnation near a tilted valley)
-        step = 1.0
-        base = np.max(np.abs(r))
-        improved = False
-        for _ in range(8):
-            r_try, _ = _force_balance(grid, spec, c0, u_bg, lam_bg, v + step * dv)
-            if np.max(np.abs(r_try)) < base:
-                improved = True
+        v = state.profile.v
+        for k in range(8):
+            trial = StaticState(state.profile.with_correction(v + 0.5**k * dv), state.spec)
+            if trial.residual.linf < state.residual.linf:
                 break
-            step *= 0.5
-        if not improved:
+        else:
             break
-        v = v + step * dv
-        r = r_try
+        state = trial
         steps += 1
     else:
-        raise ConvergenceError("Newton polish did not converge",
-                               ResidualField(grid=grid, samples=r), steps)
-    return p.with_correction(v), steps, r
+        raise ConvergenceError("Newton polish did not converge", state.residual, steps)
+    return state, steps
 
 
 def solve_static(init: Profile, spec: PotentialSpec) -> StaticState:
@@ -328,7 +314,7 @@ def solve_static(init: Profile, spec: PotentialSpec) -> StaticState:
     Fourier-diagonal preconditioner polishes it to :data:`RES_TOL`
     ``G b / d``.  A result whose u1 is not monotone decreasing is warned
     of (:class:`~pnedge.errors.MonotonicityWarning`) and flagged on the
-    state, which carries its record and the polish's last residual.  A
+    state, the polish's last accepted trial with its record set.  A
     start that has already converged is returned as its own state.  A
     potential made for other parameters than the profile's, and a start
     whose residual is not finite, raise before any step.
@@ -346,7 +332,7 @@ def solve_static(init: Profile, spec: PotentialSpec) -> StaticState:
     if r0.linf <= tol:
         return start
 
-    p, iters = _semi_implicit_sweep(init, spec, r0.samples, start.wp)
+    p, iters = _semi_implicit_sweep(start)
     del start, r0  # the polish needs neither: free them before its Krylov vectors
     # absorb any core drift into the background center first: the
     # correction must not carry translation content (see rebase_center)
@@ -354,12 +340,10 @@ def solve_static(init: Profile, spec: PotentialSpec) -> StaticState:
         p = rebase_center(p)
     except ValueError:
         pass  # no unique crossing; polish in the current split
-    p, newton_steps, r = _newton_polish(p, spec, tol)
-    rf = ResidualField(grid=p.grid, samples=_read_only(r))
-    if not rf.linf <= tol:  # a NaN residual fails this test too
-        raise ConvergenceError("solver stalled above tolerance", rf, iters)
-    solved = StaticState(p, spec)
-    vars(solved).update(residual=rf, iterations=iters, newton_steps=newton_steps)
+    solved, newton_steps = _newton_polish(StaticState(p, spec), tol)
+    if not solved.residual.linf <= tol:  # a NaN residual fails this test too
+        raise ConvergenceError("solver stalled above tolerance", solved.residual, iters)
+    vars(solved).update(iterations=iters, newton_steps=newton_steps)
     if not solved.monotone:
         warnings.warn("converged profile is not monotone", MonotonicityWarning, stacklevel=2)
     return solved

@@ -403,6 +403,73 @@ def test_free_energy_at_a_reference_that_is_not_static(grid, params, eps_table, 
 
 
 # ---------------------------------------------------------------------------
+# the box's translation energy F = -pi c0 b^2 s^2 / (96 L^2)
+# ---------------------------------------------------------------------------
+
+def _translation_run(step, L_over=200.0, N=4096, bump=0.1, nu=0.25, shifts=None):
+    """A T = 50 run from ``config.dynamics_start``; returns its start, end
+    and trace.  With ``shifts`` given, it maps the time of each state the
+    stepper makes to the state's zero crossing minus the reference's."""
+    from pnedge.config import dynamics_start, parse_config, run_setup
+    from pnedge.static import zero_crossing
+
+    cfg = parse_config(None, {"L_over_zeta": str(L_over), "N": str(N),
+                              "dynamics_bump_amp": str(bump), "nu": str(nu)})
+    params, grid, spec = run_setup(cfg)
+    s0 = dynamics_start(cfg, grid, params, spec)
+    x_ref = zero_crossing(s0.reference.profile)
+
+    def recording(s, dt):
+        new = step(s, dt)
+        shifts[new.t] = zero_crossing(new.p) - x_ref
+        return new
+
+    if shifts is not None:
+        shifts[s0.t] = zero_crossing(s0.p) - x_ref
+    end, trace = run_dynamics(s0, 50.0, step if shifts is None else recording)
+    return s0, end, trace
+
+
+def _translation_law(s0, shift):
+    """``-pi c0 b^2 s^2 / (96 L^2)`` for a shift s of the reference, L = ``Grid1D.L``."""
+    params, grid = s0.p.params, s0.p.grid
+    return -np.pi * params.c0 * params.b**2 * np.square(shift) / (96.0 * grid.L**2)
+
+
+@pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
+@pytest.mark.parametrize("L_over, N, bump, nu", [(200, 4096, 0.1, 0.25),
+                                                 (400, 8192, 0.05, 0.25),
+                                                 (400, 8192, 0.15, 0.3)])
+def test_end_state_has_the_translation_energy(step, L_over, N, bump, nu):
+    """Under Frenkel the relaxed state is the reference translated by s,
+    and its F is the box's translation energy ``-pi c0 b^2 s^2 / (96 L^2)``.
+    The relative gap (F - law)/law read 7.70e-6 / 5.06e-6 (semi-implicit /
+    ETD) at (200 zeta, 4096), 1.85e-6 / 1.19e-6 at (400 zeta, 8192) and
+    2.07e-6 / 1.41e-6 there at nu = 0.3: 0.19 to 0.33 (zeta/L)^2, falling
+    as L^-2 as a next image term would.  The bound is 0.5 (zeta/L)^2."""
+    from pnedge.static import zero_crossing
+
+    s0, end, trace = _translation_run(step, L_over, N, bump, nu)
+    law = _translation_law(s0, zero_crossing(end.p) - zero_crossing(s0.reference.profile))
+    assert abs((trace.F_values[-1] - law) / law) <= 0.5 / L_over**2
+
+
+@pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
+def test_free_energy_stays_above_the_translation_energy(step):
+    """Along the default run F(t) is the translation energy of the state's
+    offset s(t) plus a part that decays to zero: F(t) >= law(s(t)) - tol at
+    every accepted step.  The least F - law read -4.46e-12 (semi-implicit)
+    and -2.87e-12 (ETD) G b^2 / d, both at t = 50, where the law's L^-2
+    remainder is largest; tol is 1e-11 G b^2 / d."""
+    shifts = {}
+    s0, _, trace = _translation_run(step, shifts=shifts)
+    params = s0.p.params
+    law = _translation_law(s0, np.array([shifts[t] for t in trace.times]))
+    tol = 1e-11 * params.G * params.b**2 / params.d
+    assert np.min(np.asarray(trace.F_values) - law) >= -tol
+
+
+# ---------------------------------------------------------------------------
 # spectral state and run record
 # ---------------------------------------------------------------------------
 

@@ -14,7 +14,12 @@ import pnedge.static as static
 from pnedge import operators
 from pnedge.errors import TailWarning
 from pnedge.grid import build_grid
-from pnedge.operators import fourier_interpolant, fourier_shift
+from pnedge.operators import (
+    apply_half_laplacian,
+    apply_symbol,
+    fourier_interpolant,
+    fourier_shift,
+)
 from pnedge.params import PhysParams
 from pnedge.potential import eval_potential, from_table, frenkel
 from pnedge.profile import Profile, analytic_profile, background, tanh_profile
@@ -339,8 +344,9 @@ def test_potential_of_other_parameters_rejected(grid, params, entry):
 def test_result_residual_is_the_residual_of_the_result(grid, params, spec, eps_table,
                                                        start, potential, counts):
     """The solved state's residual is the one its profile has, bit for bit,
-    though the solve evaluates it no more after the polish, and so is the
-    W'(u1) it makes."""
+    though the solve evaluates it no more after the polish, and so are the
+    W'(u1) and ``(-d_xx)^{1/2} u1`` the polish made and the W''(u1) it
+    makes."""
     init = (tanh_profile(grid, params) if start == "tanh"
             else Profile(grid=grid, params=params, zeta_bg=2.0 * params.zeta))
     pot = spec if potential == "frenkel" else eps_table
@@ -352,7 +358,10 @@ def test_result_residual_is_the_residual_of_the_result(grid, params, spec, eps_t
     assert res.residual.samples.tobytes() == ref.tobytes()
     fresh = StaticState(res.profile, pot)
     assert res.residual.samples.tobytes() == fresh.residual.samples.tobytes()
+    assert {"wp", "lam"} <= vars(res).keys()  # made by the solve, not by these reads
     assert res.wp.tobytes() == fresh.wp.tobytes()
+    assert res.lam.tobytes() == fresh.lam.tobytes()
+    assert res.wpp.tobytes() == eval_potential(pot, res.profile.u1, 2).tobytes()
     assert all(issubclass(w.category, static.MonotonicityWarning) for w in caught)
     assert (res.iterations, res.newton_steps, len(caught)) == counts
     assert res.monotone == (len(caught) == 0)
@@ -397,18 +406,19 @@ def test_newton_without_improvement_stalls(grid, params, spec, monkeypatch):
     the polish stops, and the solve raises above tolerance."""
     from pnedge.errors import ConvergenceError
 
-    balances = []
-    force_balance = static._force_balance
+    residuals = []
+    original = static.residual
 
-    def counted(*args):
-        balances.append(1)
-        return force_balance(*args)
+    def counted(*args, **kwargs):
+        residuals.append(1)
+        return original(*args, **kwargs)
 
-    monkeypatch.setattr(static, "_force_balance", counted)
+    monkeypatch.setattr(static, "residual", counted)
     _polish_with(monkeypatch, 0.0)
     with pytest.raises(ConvergenceError, match="solver stalled above tolerance") as exc:
         solve_static(tanh_profile(grid, params), spec)
-    assert len(balances) == 8
+    # the start's and the polish start's residuals, then the 8 trials'
+    assert len(residuals) == 2 + 8
     assert exc.value.linf > static.RES_TOL
     assert exc.value.iterations == 12
 
@@ -442,6 +452,105 @@ def test_polish_keeps_the_split_when_rebase_fails(grid, params, spec, monkeypatc
     assert res.residual.linf <= static.RES_TOL
     assert res.profile.x0 == 0.0 and res.profile.zeta_bg == params.zeta
     assert res.monotone
+
+
+# ---------------------------------------------------------------------------
+# the polish's states against a polish on bare arrays
+# ---------------------------------------------------------------------------
+
+def _array_polish(p, spec, tol):
+    """The Newton polish on bare arrays that ``solve_static`` ran before its
+    iterates were states: returns the profile, the residual samples, W'(u1)
+    and ``(-d_xx)^{1/2} u1`` of its last accepted iterate."""
+    grid, params = p.grid, p.params
+    c0 = params.c0
+    w0 = max(eval_potential(spec, params.b / 4.0, 2), 0.1 * params.G / params.d)
+    precon_symbol = 1.0 / (c0 * grid.xi_r + w0)
+
+    def precon(z):
+        return apply_symbol(grid, z, precon_symbol)
+
+    u_bg = p.background_on_grid()
+    lam_bg = p.half_laplacian_background()
+
+    def force_balance(v):
+        wp = eval_potential(spec, u_bg + v, 1)
+        lam = lam_bg + apply_half_laplacian(grid, v)
+        r = c0 * lam
+        r += wp
+        return r, wp, lam
+
+    v = p.v.copy()
+    r, wp, lam = force_balance(v)
+    for _ in range(30):
+        if np.max(np.abs(r)) <= tol:
+            break
+        shift = eval_potential(spec, u_bg + v, 2) - w0
+        dv, _ = static.minres(None, -r, precon, rtol=static.NEWTON_TOL, shift=shift)
+        step = 1.0
+        base = np.max(np.abs(r))
+        improved = False
+        for _ in range(8):
+            r_try, wp_try, lam_try = force_balance(v + step * dv)
+            if np.max(np.abs(r_try)) < base:
+                improved = True
+                break
+            step *= 0.5
+        if not improved:
+            break
+        v = v + step * dv
+        r, wp, lam = r_try, wp_try, lam_try
+    return p.with_correction(v), r, wp, lam
+
+
+def _polish_start(init, spec):
+    """The profile ``solve_static`` hands its polish: swept, then re-split."""
+    p, _ = static._semi_implicit_sweep(StaticState(init, spec))
+    return static.rebase_center(p)
+
+
+@pytest.mark.parametrize("L_over, N", [(200, 4096), (800, 16384)])
+@pytest.mark.parametrize("start, potential", [
+    ("tanh", "frenkel"), ("background:2", "frenkel"), ("tanh", "table")])
+def test_solved_state_is_the_array_polish_result(params, spec, eps_table, L_over, N,
+                                                 start, potential):
+    """The polish's last accepted state has the profile, residual, W'(u1)
+    and ``(-d_xx)^{1/2} u1`` of the polish on bare arrays, bit for bit."""
+    grid = build_grid(L_over * params.zeta, N)
+    init = (tanh_profile(grid, params) if start == "tanh"
+            else Profile(grid=grid, params=params, zeta_bg=2.0 * params.zeta))
+    pot = spec if potential == "frenkel" else eps_table
+    tol = static.RES_TOL * params.G * params.b / params.d
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        res = solve_static(init, pot)
+    assert all(issubclass(w.category, static.MonotonicityWarning) for w in caught)
+    p, r, wp, lam = _array_polish(_polish_start(init, pot), pot, tol)
+    assert (res.profile.zeta_bg, res.profile.x0) == (p.zeta_bg, p.x0)
+    assert res.profile.v.tobytes() == p.v.tobytes()
+    assert res.residual.samples.tobytes() == r.tobytes()
+    assert res.wp.tobytes() == wp.tobytes()
+    assert res.lam.tobytes() == lam.tobytes()
+
+
+def test_stalled_polish_is_the_array_polish_result(grid, params, spec, monkeypatch):
+    """A polish that no step length improves stops at its start, with the
+    residual of the polish on bare arrays."""
+    from pnedge.errors import ConvergenceError
+
+    _polish_with(monkeypatch, 0.0)
+    init = tanh_profile(grid, params)
+    with pytest.raises(ConvergenceError, match="solver stalled above tolerance") as exc:
+        solve_static(init, spec)
+    tol = static.RES_TOL * params.G * params.b / params.d
+    start = _polish_start(init, spec)
+    p, r, _, _ = _array_polish(start, spec, tol)
+    assert p.v.tobytes() == start.v.tobytes()
+    rf = static.ResidualField(grid, r)
+    assert (exc.value.linf, exc.value.l2) == (rf.linf, rf.l2)
+    solved, steps = static._newton_polish(StaticState(start, spec), tol)
+    assert steps == 0 and solved.profile is start
+    assert solved.residual.samples.tobytes() == r.tobytes()
 
 
 # ---------------------------------------------------------------------------
@@ -494,13 +603,14 @@ def test_transform_budget_of_the_default_solve(grid, params, spec, monkeypatch):
 
     monkeypatch.setattr(static, "minres", counting("minres", minres_counting_psolve))
     for name in ("_semi_implicit_sweep", "semi_implicit_step", "_newton_polish",
-                 "_force_balance", "rebase_center"):
+                 "residual", "rebase_center"):
         monkeypatch.setattr(static, name, counting(name, getattr(static, name)))
 
     res = solve_static(tanh_profile(grid, params), spec)
     total = count[0]
     trials, step_transforms = phases["semi_implicit_step"]
-    balances = phases["_force_balance"][0]
+    # the start's and the polish start's residuals, then the backtracking trials'
+    balances = phases["residual"][0] - 2
     krylov = sum(psolves) - len(psolves)
     assert (res.iterations, res.newton_steps, trials, krylov) == (12, 2, 12, 20)
     assert step_transforms == 2 * trials
@@ -531,8 +641,9 @@ def test_sweep_residual_from_the_update_matches_the_transform(params, spec, monk
     ratios = []
 
     def compare(r, wp_new, u_bg, v, v_new, dt, wp):
-        r_ref, wp_ref = static._force_balance(grid, spec, c0, u_bg, lam_bg, v_new)
-        assert np.array_equal(wp_new, wp_ref)
+        p_new = init.with_correction(v_new)
+        r_ref = residual(p_new, spec).samples
+        assert np.array_equal(wp_new, eval_potential(spec, p_new.u1, 1))
         bound = eps * (np.max(np.abs(v)) * (1.0 / dt + c0 * grid.xi_r[-1])
                        + np.max(np.abs(wp)))
         ratios.append(np.max(np.abs(r - r_ref)) / bound)
@@ -549,7 +660,7 @@ def test_sweep_residual_from_the_update_matches_the_transform(params, spec, monk
     assert len(ratios) >= res.iterations > 0
 
     u_bg = init.background_on_grid()
-    _, wp = static._force_balance(grid, spec, c0, u_bg, lam_bg, init.v)
+    wp = StaticState(init, spec).wp
     g = wp + c0 * lam_bg
     probe = np.linspace(-params.b / 4.0, params.b / 4.0, 512)
     dt_cap = 1.8 / np.max(np.abs(eval_potential(spec, probe, 2)))
