@@ -69,7 +69,7 @@ import numpy as np
 
 from .params import PhysParams
 
-#: number of dense samples used by the structural validation checks
+#: number of dense samples in the interior scan of :func:`validate_potential`
 _SCAN_POINTS = 10_000
 
 
@@ -197,46 +197,32 @@ class PotentialReport:
 
     interior_strict_minimum: bool
     positive_curvature_at_wells: bool
-    endpoint_values_equal: bool
 
     @property
     def passed(self) -> bool:
-        return (
-            self.interior_strict_minimum
-            and self.positive_curvature_at_wells
-            and self.endpoint_values_equal
-        )
+        return self.interior_strict_minimum and self.positive_curvature_at_wells
 
 
 def validate_potential(spec: PotentialSpec) -> PotentialReport:
     """Check the multi-well structure required of a misfit potential.
 
-    Three report-only checks: (i) ``W(v) > W(+-b/4)`` strictly on the
-    open interval between the wells (dense scan), (ii) positive
-    curvature at the wells, (iii) equal values at the two wells.
+    Two report-only checks: (i) ``W(v) > W(b/4) + 1e-10 G b^2 / d``
+    strictly on a dense scan of the open interval between the wells, and
+    (ii) ``W''(b/4) > 0``, read exactly.  W has period b/2, so the well at
+    -b/4 is the one at b/4.  The scan's points nearest the well lie
+    ``b / (2 (_SCAN_POINTS + 1))`` from it, so (i) already fails a well
+    whose curvature is below ``8e-10 (_SCAN_POINTS + 1)^2 G / d``, about
+    0.080 G/d; the Newton polish's ``max(W''(b/4), 0.1 G / d)`` acts
+    only on (0.080, 0.1) G/d.
     """
     p = spec.params
     b = p.b
-    scale = p.G * p.b**2 / p.d
-    well = eval_potential(spec, b / 4.0, 0)
-    well_m = eval_potential(spec, -b / 4.0, 0)
-    endpoint_equal = bool(abs(well - well_m) <= 1e-12 * scale)
-
+    well, curvature = eval_potential(spec, b / 4.0, (0, 2))
     v = np.linspace(-b / 4.0, b / 4.0, _SCAN_POINTS + 2)[1:-1]
-    floor = min(well, well_m) + 1e-10 * scale
-    interior = bool(np.all(eval_potential(spec, v, 0) > floor))
-
-    # centered finite difference, robust for tabulated input
-    eps = spec.period / 200.0
-    def fd2(u0):
-        w = eval_potential(spec, np.array([u0 - eps, u0, u0 + eps]), 0)
-        return (w[0] - 2.0 * w[1] + w[2]) / eps**2
-    positive_curv = bool(min(fd2(b / 4.0), fd2(-b / 4.0)) > 0.0)
-
+    floor = well + 1e-10 * p.G * b**2 / p.d
     return PotentialReport(
-        interior_strict_minimum=interior,
-        positive_curvature_at_wells=positive_curv,
-        endpoint_values_equal=endpoint_equal,
+        interior_strict_minimum=bool(np.all(eval_potential(spec, v, 0) > floor)),
+        positive_curvature_at_wells=bool(curvature > 0.0),
     )
 
 

@@ -71,7 +71,6 @@ def test_validate_frenkel(fr):
     report = validate_potential(fr)
     assert report.interior_strict_minimum
     assert report.positive_curvature_at_wells
-    assert report.endpoint_values_equal
     assert report.passed
 
 
@@ -84,6 +83,75 @@ def test_validate_inverted_well():
     report = validate_potential(spec)
     assert not report.interior_strict_minimum
     assert not report.passed
+
+
+def _random_tables(count, seed=37):
+    """Seeded tables over random parameters, sample counts (8 to 256) and
+    knot offsets: the Frenkel shape ``1 + cos(4 pi u / b)`` plus random
+    harmonics, plus noise, or its square plus a small multiple of it, a
+    well of either curvature that the scan rejects."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        prm = PhysParams(G=rng.uniform(0.5, 2.0), nu=rng.uniform(0.05, 0.45),
+                         b=rng.uniform(0.5, 2.0), d=rng.uniform(0.5, 2.0))
+        n = int(rng.integers(8, 257))
+        u = (np.arange(n) + rng.uniform(0.0, 1.0)) * (prm.b / (2.0 * n))
+        theta = 4.0 * np.pi * u / prm.b
+        w = 1.0 + np.cos(theta)
+        if i % 3 == 0:
+            w += sum(rng.uniform(-0.3, 0.3) * (1.0 - np.cos(k * (theta - np.pi)))
+                     for k in (2, 3, 4))
+        elif i % 3 == 1:
+            w += 10.0 ** rng.uniform(-6.0, -2.0) * rng.standard_normal(n)
+        else:
+            w = w**2 + rng.uniform(-1e-3, 1e-3) * w
+        yield from_table(prm, np.column_stack([u, w]))
+
+
+def test_random_valid_tables_have_one_well():
+    # W has period b/2, so the wells at -b/4 and b/4 are one point, and no
+    # table can fail a check of W(b/4) against W(-b/4)
+    valid = [s for s in _random_tables(90) if validate_potential(s).passed]
+    assert len(valid) >= 20
+    for spec in valid:
+        p = spec.params
+        w_plus, curv_plus = eval_potential(spec, p.b / 4.0, (0, 2))
+        w_minus, curv_minus = eval_potential(spec, -p.b / 4.0, (0, 2))
+        assert abs(w_plus - w_minus) <= 1e-15 * p.G * p.b**2 / p.d
+        assert abs(curv_plus - curv_minus) <= 1e-13 * abs(curv_plus)
+
+
+def test_validate_reads_the_curvature_at_the_well(monkeypatch):
+    import pnedge.potential as potential
+
+    calls = []
+    def counted(*args):
+        calls.append(args)
+        return eval_potential(*args)
+    monkeypatch.setattr(potential, "eval_potential", counted)
+    signs = set()
+    for spec in _random_tables(30):
+        calls.clear()
+        report = validate_potential(spec)
+        assert len(calls) == 2
+        curvature = eval_potential(spec, spec.params.b / 4.0, 2)
+        assert report.positive_curvature_at_wells == (curvature > 0.0)
+        signs.add(report.positive_curvature_at_wells)
+    assert signs == {True, False}
+
+
+@pytest.mark.parametrize("curvature, passes", [(0.05, False), (0.1, True)])
+def test_weak_well_fails_the_scan(curvature, passes):
+    # a Frenkel-shaped table with W''(b/4) = curvature G/d: the scan's
+    # margin rejects every well below about 0.080 G/d
+    prm = PhysParams()
+    u = np.arange(256) * (prm.b / 512.0)
+    a = curvature * prm.G * prm.b**2 / (16.0 * np.pi**2 * prm.d)
+    spec = from_table(prm, np.column_stack([u, a * (1.0 + np.cos(4.0 * np.pi * u / prm.b))]))
+    assert eval_potential(spec, prm.b / 4.0, 2) == pytest.approx(curvature, rel=1e-3)
+    report = validate_potential(spec)
+    assert report.positive_curvature_at_wells
+    assert report.interior_strict_minimum == passes == report.passed
 
 
 def test_tabulated_frenkel_passes():
