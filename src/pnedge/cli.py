@@ -199,7 +199,7 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     out = prepare_output_dir(cfg.output, cfg.overwrite)
     snaps = snapshot_times(cfg)
     snapshots = {}
-    pieces = []  # the trace of each run, stopping at each snapshot time
+    traces = []  # the trace of each run, stopping at each snapshot time
     aborted = None
     try:
         s = s0
@@ -207,13 +207,14 @@ def cmd_dynamics(cfg: RunConfig) -> int:
             s, trace = run_dynamics(s, t_stop, step)
             if snaps:
                 snapshots[t_stop] = s.p.u1
-            pieces.append(trace.as_arrays())
+            traces.append(trace)
     except TimeStepUnderflowError as exc:
         # keep what was reached: the completed pieces, the snapshots at
         # their ends, and the partial trace of the piece that underflowed
         aborted = exc
         if exc.trace is not None:
-            pieces.append(exc.trace.as_arrays())
+            traces.append(exc.trace)
+    pieces = [trace.as_arrays() for trace in traces]
     timings: dict = {}
     paths = [out / "trace.csv"] if pieces else []
     with _timed(timings, "write"):
@@ -227,6 +228,8 @@ def cmd_dynamics(cfg: RunConfig) -> int:
             write_csv(paths[-1], {"x": grid.x, "u1": u1})
     timings["total"] = time.perf_counter() - t0
     extra = _bytes_written(paths)
+    extra["steps"] = {key: sum(trace.step_counts[key] for trace in traces)
+                      for key in ("accepted", "error_rejected", "F_halved")}
     if aborted is not None:
         extra["aborted"] = str(aborted)
     write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings, extra=extra)

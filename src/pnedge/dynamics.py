@@ -25,18 +25,64 @@ difference
 
 F(u1*) = 0, whether or not u1* is static.  It decays along trajectories
 with rate ``Q = int R^2 dx`` (squared residual of the force balance).  A
-run takes its stepper (:func:`step_semi_implicit` or :func:`step_etd`) and
-steps of :data:`DT`; its guard on F is the module constants
+run takes its stepper (:func:`step_semi_implicit` or :func:`step_etd`);
+its steps are set by their local error, and its limits are the module
+constants :data:`DT`, :data:`ERR_TOL`, :data:`STEP_CAP`,
 :data:`F_INCREASE_TOL` and :data:`MAX_HALVINGS`.
+
+Step control.  Both kernels are first order and linear in the same
+``v_hat`` and force spectrum ``g_hat``, so the one rfft of g that a step
+takes gives both ``v_hat+``.  Their difference is an O(dt^2) local error
+estimate (an embedded pair: Hairer, Norsett and Wanner, Solving ODEs I,
+II.4; Whalen, Brio and Moloney, J. Comput. Phys. 280, 2015), and its
+h-weighted L2 norm is a Parseval sum over the rfft modes, so the estimate
+costs no transform and no potential evaluation
+(:meth:`DynamicsState.local_error`, read only by :func:`run_dynamics`).
+A step whose error exceeds ``tol = ERR_TOL b d^{1/2}`` is retried at
+``dt max(0.2, 0.9 (tol/err)^{1/2})``; an accepted one is followed by a
+trial of ``dt min(2, 0.9 (tol/err)^{1/2})``.  :data:`DT` is the first
+trial, and no step exceeds ``STEP_CAP / max|W''|``, ``max|W''|`` over the
+static sweep's probe of the wells
+(:attr:`pnedge.potential.PotentialSpec.max_curvature`).
+
+The cap keeps the steps order-preserving: the semi-implicit step applies
+a positive kernel to ``u - dt W'(u)``, which is monotone in u while
+``dt max W'' <= 1``, and 0.8 leaves room under that bound.  It also sets
+how closely the run's F meets the translation law below, which is
+measured on the plateau where the run steps at the cap.  Over the six
+cases of ``test_end_state_has_the_translation_energy`` ((200 zeta, 4096),
+(400 zeta, 8192) at bumps 0.05 and 0.15, nu 0.25 and 0.3, both steppers)
+``|F - law| / |law| (L/zeta)^2`` read:
+
+    ==========================  =========  =================
+    steps                       gap        bound 0.5
+    ==========================  =========  =================
+    fixed DT = 0.1              0.19-0.33  met
+    capped at 0.8 / max|W''|    0.28-0.44  met
+    capped at 1 / max|W''|      0.35-0.56  one case fails
+    capped at 1.8 / max|W''|    0.48-0.65  five cases fail
+    ==========================  =========  =================
+
+At the relax size (N = 16384, L = 800 zeta, default bump, T = 50) the
+end offset against a Richardson reference of 0.33391 +- 3e-5 b, and the
+accepted (error-rejected) steps, read:
+
+    ==========================  ================  ================
+    steps                       semi-implicit     ETD
+    ==========================  ================  ================
+    fixed DT = 0.1              500, +7.4e-3      500, +4.0e-3
+    capped at 0.8 / max|W''|    329 (3), +8.4e-4  327 (3), +4.1e-4
+    capped at 1.8 / max|W''|    195 (3), +8.1e-4  193 (3), +3.7e-4
+    ==========================  ================  ================
 
 On the periodic box a relaxed state is the reference translated by s,
 the offset of its zero crossing, and F tends to the box's translation
 energy ``-pi c0 b^2 s^2 / (96 L^2)`` (L = ``Grid1D.L``) whatever the
 core's shape: the translation mode's eigenvalue on the box is negative,
 so F falls below zero.  Under Frenkel, at T = 50 from
-:func:`pnedge.config.dynamics_start`, (F - law)/law is 7.7e-6 / 5.1e-6
-(semi-implicit / ETD) at (200 zeta, 4096) and at most 2.1e-6 at
-(400 zeta, 8192), and F(t) >= law(s(t)) - 4.5e-12 G b^2 / d along the
+:func:`pnedge.config.dynamics_start`, (F - law)/law is 1.03e-5 / 7.4e-6
+(semi-implicit / ETD) at (200 zeta, 4096) and at most 2.8e-6 at
+(400 zeta, 8192), and F(t) >= law(s(t)) - 6.7e-12 G b^2 / d along the
 default run.  The law is measured, not derived; under a table it misses
 by 0.2 to 2%.
 
@@ -51,27 +97,31 @@ holds the potential and keeps ``W(u1*)`` and ``(-d_xx)^{1/2} u1*``, which
 only F reads, and it must share the state's grid, parameters,
 ``zeta_bg`` and ``x0``.
 
-An accepted step makes 2 N-point transforms in 2 calls by the
+A step attempt makes 2 N-point transforms in 2 calls by the
 semi-implicit method, the rfft of the force g and the irfft of
 ``v_hat+``, and 3 in 2 calls by ETD: the rfft of g and the batched
 irfft of ``v_hat+`` and ``|xi| v_hat+`` (numpy builds a transform plan
 on every call, so one call of two rows is cheaper than two).  F's
 seminorm is a Parseval sum over ``v_hat - v_hat*`` and needs none; its
-``(-d_xx)^{1/2} u1*`` is the reference's, made once.  The
-step evaluates the potential once: F reads ``W(u1)`` at the state's own
+``(-d_xx)^{1/2} u1*`` is the reference's, made once.  An accepted step
+evaluates the potential once: F reads ``W(u1)`` at the state's own
 ``u1 = u_bg + v`` from the call that gives the state ``W'(u1)``, which
-the next step and the residual read.
+the next step and the residual read; a step its local error rejects
+evaluates none.  The symbols of a step size are made once and kept
+until a step of another size, so a fixed-step march makes them once and
+a controlled run once a step.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import TimeStepUnderflowError
-from .operators import dot, irfft, rfft, seminorm_weights
+from .operators import dot, irfft, mode_weights, rfft, seminorm_weights
 from .potential import eval_potential
 from .profile import Profile
 from .static import (
@@ -92,6 +142,7 @@ class DynamicsState:
     p: Profile
     reference: StaticState  # u1* of F, and the potential of the flow
     _handoff = None  # what the step that made the state left its residual
+    _estimate = None  # what the step that made the state left its local error
 
     def __post_init__(self):
         """Reject a missing reference, or one with another grid, parameters or background."""
@@ -152,14 +203,35 @@ class DynamicsState:
         return residual(self.p, self.reference.spec, wp=self._wp_u1,
                         lam=lam_v + self._run.lam_bg)
 
+    def local_error(self) -> float:
+        """The step's local error estimate: the h-weighted L2 norm of the
+        other first-order kernel's ``v+`` minus the state's, from the same
+        start and force spectrum.  Both kernels are linear in ``v_hat`` and
+        ``g_hat``, so the difference is ``E_v v_hat + E_g g_hat`` with the
+        symbols' differences, and its norm is a Parseval sum over
+        :func:`~pnedge.operators.mode_weights`, with no transform.  The
+        first read replaces the step's spectra by the result.  A state that
+        no step made has none, and raises ``ValueError``."""
+        estimate = self._estimate
+        if estimate is None:
+            raise ValueError("a state that no step made has no local error estimate")
+        if isinstance(estimate, tuple):
+            v_hat, d, e_v, e_g = estimate  # d: the step's rfft(g), the state's own
+            d *= e_g
+            d += v_hat * e_v
+            d = d.view(float)
+            estimate = vars(self)["_estimate"] = math.sqrt(
+                dot(self._run.l2_weights, np.square(d, out=d)))
+        return estimate
+
 
 @dataclass(frozen=True, eq=False)
 class _RunInvariants:
     """What stays fixed along a trajectory, every array read-only: the
     reference, the background u_bg on the grid, ``(-d_xx)^{1/2} u_bg`` and
     its multiple by c0 (the background part of the force g), ``v_hat*``,
-    the seminorm weights of F and the update symbols of the latest
-    (kernel, step size)."""
+    the seminorm weights of F, the L2 weights of the local error and the
+    update symbols of the latest (kernel, step size)."""
 
     reference: StaticState
     bg: np.ndarray
@@ -167,6 +239,7 @@ class _RunInvariants:
     c0_lam_bg: np.ndarray
     v_hat_star: np.ndarray
     hs_weights: np.ndarray  # seminorm weights of F, one per (re, im) entry of a mode
+    l2_weights: np.ndarray  # L2 weights of the local error, likewise
     _symbols: dict = field(default_factory=dict)  # latest (kernel, dt) -> stacked symbols
 
     @classmethod
@@ -174,19 +247,23 @@ class _RunInvariants:
         p = ref.profile
         lam_bg = p.half_laplacian_background()
         arrays = (p.background_on_grid(), lam_bg, p.params.c0 * lam_bg, rfft(p.v),
-                  np.repeat(seminorm_weights(p.grid, 0.5), 2))
+                  np.repeat(seminorm_weights(p.grid, 0.5), 2),
+                  np.repeat(mode_weights(p.grid), 2))
         return cls(ref, *map(_read_only, arrays))
 
     def symbols(self, kernel, dt: float) -> np.ndarray:
-        """Symbols of v and of the force g in the update ``kernel`` at step dt;
-        the kernels are linear, so they are its values at unit ``v_hat`` and
-        at unit force."""
+        """Symbols of v and of the force g in the update ``kernel`` at step dt,
+        then those of the other kernel of the pair minus them; the kernels
+        are linear, so they are their values at unit ``v_hat`` and at unit
+        force, one stacked call each."""
         symbols = self._symbols.get((kernel, dt))
         if symbols is None:
             p = self.reference.profile
             q, c0 = p.grid.xi_r, p.params.c0
-            symbols = _read_only(np.stack([kernel(1.0, 0.0, dt, c0, q),
-                                           kernel(0.0, 1.0, dt, c0, q)]))
+            own = kernel(_UNIT_V, _UNIT_G, dt, c0, q)
+            other = _PAIR[kernel](_UNIT_V, _UNIT_G, dt, c0, q)
+            other -= own
+            symbols = _read_only(np.concatenate([own, other]))
             self._symbols.clear()  # keep the latest step size only
             self._symbols[(kernel, dt)] = symbols
         return symbols
@@ -201,6 +278,14 @@ class DynamicsTrace:
     Q_values: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
+    error_rejections: int = 0  # attempts whose local error exceeded the tolerance
+    f_halvings: int = 0  # attempts that raised F and were halved
+
+    @property
+    def step_counts(self) -> dict:
+        """Accepted, error-rejected and F-halved step attempts of the run."""
+        return {"accepted": max(len(self.times) - 1, 0),
+                "error_rejected": self.error_rejections, "F_halved": self.f_halvings}
 
     def record(self, t, F, Q, res, dt):
         self.times.append(t)
@@ -214,12 +299,16 @@ class DynamicsTrace:
                 for k in ("times", "F_values", "Q_values", "residual_norms", "dt_history")}
 
 
-#: time step of :func:`run_dynamics`, and the most a halved step regrows to
+#: first trial step of :func:`run_dynamics`
 DT = 0.1
+#: local error, in units of ``b d^{1/2}``, that :func:`run_dynamics` lets a step make
+ERR_TOL = 1e-5
+#: the steps of :func:`run_dynamics` are at most ``STEP_CAP / max|W''|``
+STEP_CAP = 0.8
 #: rise of F, in units of ``G b^2 / d``, beyond which a step of
 #: :func:`run_dynamics` is halved
 F_INCREASE_TOL = 1e-10
-#: halvings of a step of :func:`run_dynamics` before it raises
+#: retries of a step of :func:`run_dynamics`, shrunk or halved, before it raises
 MAX_HALVINGS = 20
 
 
@@ -266,6 +355,12 @@ def etd_update(v_hat, g_hat, dt, c0, q):
     return decay * v_hat + (1.0 - decay) / a * (v_hat - g_hat)
 
 
+#: each kernel's partner in the local error estimate
+_PAIR = {semi_implicit_update: etd_update, etd_update: semi_implicit_update}
+#: unit ``v_hat`` and unit force, stacked: a kernel's symbols in one call
+_UNIT_V, _UNIT_G = np.array([[1.0], [0.0]]), np.array([[0.0], [1.0]])
+
+
 def _check_positive(what: str, value: float) -> None:
     """Reject a time step or end time ``value`` that is not positive and finite."""
     if not 0.0 < value < np.inf:
@@ -277,21 +372,23 @@ def _advance(s: DynamicsState, dt: float, kernel, handoff=None) -> DynamicsState
     ``g = c0 (-d_xx)^{1/2} u_bg + W'(u1)``: ``v_hat+ = S_v v_hat + S_g rfft(g)``
     with the kernel's symbols at dt, summed on the modes; one rfft and one
     irfft.  The successor keeps ``handoff`` for its residual
-    (:meth:`DynamicsState.residual`).  Without one the irfft inverts the
-    stack of ``v_hat+`` and ``|xi| v_hat+``, and the handoff is the second
-    row, the successor's ``(-d_xx)^{1/2} v``."""
-    s_v, s_g = s._run.symbols(kernel, dt)
-    v_hat = s._v_hat * s_v
+    (:meth:`DynamicsState.residual`), and ``v_hat``, ``rfft(g)`` and the
+    symbol differences for its local error (:meth:`DynamicsState.local_error`).
+    Without a handoff the irfft inverts the stack of ``v_hat+`` and
+    ``|xi| v_hat+``, and the handoff is the second row, the successor's
+    ``(-d_xx)^{1/2} v``."""
+    s_v, s_g, e_v, e_g = s._run.symbols(kernel, dt)
     g_hat = rfft(s._run.c0_lam_bg + s._wp_u1)
-    g_hat *= s_g
-    v_hat += g_hat
+    v_hat = s._v_hat * s_v
+    v_hat += g_hat * s_g
     grid = s.p.grid
     if handoff is None:  # one batched call, not two: numpy plans every call anew
         v, handoff = irfft(grid, np.stack([v_hat, grid.xi_r * v_hat]))
     else:
         v = irfft(grid, v_hat)
     new = DynamicsState(s.t + dt, s.p.with_correction(v), s.reference)
-    vars(new).update(_run=s._run, _v_hat=v_hat, _handoff=handoff)  # the step's products
+    vars(new).update(_run=s._run, _v_hat=v_hat, _handoff=handoff,  # the step's products
+                     _estimate=(s._v_hat, g_hat, e_v, e_g))
     return new
 
 
@@ -319,16 +416,26 @@ _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}
 
 def run_dynamics(s0: DynamicsState, T_end: float, step) -> tuple[DynamicsState, DynamicsTrace]:
     """March to T_end by ``step`` (a stepper such as :func:`step_etd`) in
-    steps of :data:`DT`, recording F, Q and the residual per accepted step.
+    steps its local error sets, recording F, Q and the residual per
+    accepted step.
 
-    The run guards F: a step that raises F beyond :data:`F_INCREASE_TOL`
-    ``G b^2 / d`` is halved and retried (at most :data:`MAX_HALVINGS`
-    times; underflow raises :class:`TimeStepUnderflowError` carrying the
-    partial trace), and the step regrows to at most twice the accepted one.
+    The first trial step is :data:`DT`, and no step exceeds
+    :data:`STEP_CAP` ``/ max|W''|``
+    (:attr:`pnedge.potential.PotentialSpec.max_curvature`) or the time
+    left.  An attempt whose local error (:meth:`DynamicsState.local_error`)
+    exceeds :data:`ERR_TOL` ``b d^{1/2}`` is retried at
+    ``dt max(0.2, 0.9 (tol/err)^{1/2})``; one that raises F beyond
+    :data:`F_INCREASE_TOL` ``G b^2 / d`` is retried halved.  After
+    :data:`MAX_HALVINGS` retries of one step the run raises
+    :class:`TimeStepUnderflowError` carrying the partial trace.  An
+    accepted step of dt is followed by a trial of
+    ``dt min(2, 0.9 (tol/err)^{1/2})``.
     """
     _check_positive("T_end", T_end)
     prm = s0.p.params
     f_tol = F_INCREASE_TOL * prm.G * prm.b**2 / prm.d
+    err_tol = ERR_TOL * prm.b * math.sqrt(prm.d)
+    dt_cap = STEP_CAP / s0.reference.spec.max_curvature
 
     def norms(state):
         r = state.residual()
@@ -345,25 +452,32 @@ def run_dynamics(s0: DynamicsState, T_end: float, step) -> tuple[DynamicsState, 
     Q, res_linf = norms(s)
     trace.record(s.t, F, Q, res_linf, 0.0)
 
-    dt = DT
+    dt = min(DT, dt_cap)
     while s.t < T_end - 1e-12:
         step_dt = min(dt, T_end - s.t)
         for _ in range(MAX_HALVINGS + 1):
             cand = step(s, step_dt)
+            err = cand.local_error()
+            if not err <= err_tol:  # a NaN error is rejected too
+                trace.error_rejections += 1
+                step_dt *= max(0.2, 0.9 * math.sqrt(err_tol / err))
+                continue
             F_new = free_energy(cand)
             if F_new <= F + f_tol:
                 break
+            trace.f_halvings += 1
             step_dt *= 0.5
         else:
             raise TimeStepUnderflowError(
-                f"time step underflow at t={s.t:.6g} after {MAX_HALVINGS} halvings",
+                f"time step underflow at t={s.t:.6g} after {MAX_HALVINGS} retries",
                 trace=trace,
             )
         s, F = cand, F_new  # the accepted candidate's F is the new state's
         for key in stale:
             vars(s0).pop(key, None)
         stale = []
-        dt = min(DT, 2.0 * step_dt)  # regrow gently after any halving
+        grow = min(2.0, 0.9 * math.sqrt(err_tol / err)) if err > 0.0 else 2.0
+        dt = min(dt_cap, step_dt * grow)
         Q, res_linf = norms(s)
         trace.record(s.t, F, Q, res_linf, step_dt)
     return s, trace

@@ -20,7 +20,7 @@ class ConvergenceError(RuntimeError):
 
 
 class TimeStepUnderflowError(RuntimeError):
-    """Adaptive step control halved the step below the underflow limit.
+    """Step control retried one step more times than it allows.
 
     The partial trace recorded so far is attached as ``trace``.
     """

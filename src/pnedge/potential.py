@@ -62,6 +62,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass, field
+from functools import cached_property
 from pathlib import Path
 from typing import Optional
 
@@ -91,6 +92,15 @@ class PotentialSpec:
     def period(self) -> float:
         """Period b/2 in the slip-plane displacement."""
         return self.params.b / 2.0
+
+    @cached_property
+    def max_curvature(self) -> float:
+        """``max|W''|`` on 512 points from well to well, ``[-b/4, b/4]``:
+        the probe that caps the steps of the static sweep and of
+        :func:`pnedge.dynamics.run_dynamics`; made once."""
+        b = self.params.b
+        probe = np.linspace(-b / 4.0, b / 4.0, 512)
+        return float(np.max(np.abs(eval_potential(self, probe, 2))))
 
 
 def frenkel(params: PhysParams) -> PotentialSpec:

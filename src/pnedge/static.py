@@ -242,8 +242,7 @@ def _semi_implicit_sweep(start):
 
     # explicit treatment of W' is stable for dt < 2 / max|W''|, and
     # max|W''| > 0 for a potential with positive curvature at its wells
-    probe = np.linspace(-params.b / 4.0, params.b / 4.0, 512)
-    dt = dt_cap = 1.8 / float(np.max(np.abs(eval_potential(spec, probe, 2))))
+    dt = dt_cap = 1.8 / spec.max_curvature
     it = 0
     target = NEWTON_SWITCH * params.G * params.b / params.d
     res_linf = float(np.max(np.abs(r)))

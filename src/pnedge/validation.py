@@ -452,11 +452,11 @@ def _steps(s, n: int, dt: float, step):
 
 
 def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
-    """The semi-implicit run to T_end, the chain rule at three steps and the
-    semi-implicit/ETD gap at three steps, marching each trajectory once:
-    the run's trace serves the dt = 0.1 chain rule while its steps are
-    each 0.1, and the dt = 0.05 and 0.025 chain-rule marches pass through
-    the semi-implicit gap states at t = 1."""
+    """The semi-implicit run to T_end, the chain rule at three fixed steps
+    and the semi-implicit/ETD gap at three fixed steps, marching each
+    fixed-step trajectory once: the dt = 0.05 and 0.025 chain-rule
+    marches pass through the semi-implicit gap states at t = 1.  The run's
+    steps are its controller's, so it serves neither."""
     cfg, prm, grid = ctx.cfg, ctx.params, ctx.grid
     z, b = prm.zeta, prm.b
     s0 = dynamics_start(cfg, grid, prm, ctx.spec)
@@ -480,19 +480,15 @@ def check_dynamics(ctx: SuiteContext) -> list[CheckResult]:
         nsteps = int(round(max(checkpoints) / dt)) + 1
         hits = [k for k in range(nsteps)
                 if any(abs(k * dt - tc) < 0.25 * dt for tc in checkpoints)]
-        # while the run's steps are each dt, its states are those of this
-        # march, bit for bit, and its trace holds their F and Q
-        F, Q = trace.F_values, trace.Q_values
-        if trace.dt_history[1:nsteps + 1] != [dt] * nsteps:
-            F, Q, s = {}, {}, s0
-            for k in range(nsteps):
-                if k in hits:
-                    F[k], Q[k] = free_energy(s), dissipation_rate(s)
-                s = step_semi_implicit(s, dt)
-                if k in hits:
-                    F[k + 1] = free_energy(s)
-                if k + 1 == round(1.0 / dt):
-                    at_one[dt] = s
+        F, Q, s = {}, {}, s0
+        for k in range(nsteps):
+            if k in hits:
+                F[k], Q[k] = free_energy(s), dissipation_rate(s)
+            s = step_semi_implicit(s, dt)
+            if k in hits:
+                F[k + 1] = free_energy(s)
+            if k + 1 == round(1.0 / dt):
+                at_one[dt] = s
         total = 0.0
         for k in hits:
             total += abs((F[k + 1] - F[k]) / dt + Q[k])

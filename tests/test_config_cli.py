@@ -376,6 +376,19 @@ def test_cli_refuses_a_used_output_before_the_work(tmp_path, capsys, monkeypatch
     assert sorted(p.name for p in out.iterdir()) == ["manifest.json"]
 
 
+def test_cli_dynamics_manifest_counts_its_steps(tmp_path):
+    """The manifest sums the step counts of the runs to each snapshot
+    time; the trace has a row for the start and one per accepted step."""
+    rc = main(_fast_overrides(
+        tmp_path, dynamics_T_end=1.0, dynamics_snapshot_times="0.5") + ["dynamics"])
+    assert rc == 0
+    out = tmp_path / "out"
+    steps = json.loads((out / "manifest.json").read_text())["steps"]
+    assert sorted(steps) == ["F_halved", "accepted", "error_rejected"]
+    assert steps["accepted"] == len((out / "trace.csv").read_text().splitlines()) - 2
+    assert steps["error_rejected"] > 0 and steps["F_halved"] == 0
+
+
 def test_cli_dynamics_underflow_exit_code(tmp_path, monkeypatch):
     import pnedge.cli as climod
     from pnedge.dynamics import DynamicsTrace
