@@ -27,7 +27,7 @@ from .config import (
     run_setup,
     snapshot_times,
 )
-from .dynamics import _STEPPERS, run_dynamics
+from .dynamics import _STEPPERS, DynamicsTrace, run_dynamics
 from .energy import (
     BoxQuadrature,
     HalfPlaneTables,
@@ -197,39 +197,25 @@ def cmd_dynamics(cfg: RunConfig) -> int:
     s0 = dynamics_start(cfg, grid, params, spec)
     step = _STEPPERS[cfg.dynamics_method]
     out = prepare_output_dir(cfg.output, cfg.overwrite)
-    snaps = snapshot_times(cfg)
-    snapshots = {}
-    traces = []  # the trace of each run, stopping at each snapshot time
     aborted = None
     try:
-        s = s0
-        for t_stop in snaps or [cfg.dynamics_T_end]:
-            s, trace = run_dynamics(s, t_stop, step)
-            if snaps:
-                snapshots[t_stop] = s.p.u1
-            traces.append(trace)
+        _, trace = run_dynamics(s0, cfg.dynamics_T_end, step, stops=snapshot_times(cfg))
     except TimeStepUnderflowError as exc:
-        # keep what was reached: the completed pieces, the snapshots at
-        # their ends, and the partial trace of the piece that underflowed
-        aborted = exc
-        if exc.trace is not None:
-            traces.append(exc.trace)
-    pieces = [trace.as_arrays() for trace in traces]
+        # keep what was reached: the trace up to the failure and the
+        # snapshots the run passed before it
+        aborted, trace = exc, exc.trace
     timings: dict = {}
-    paths = [out / "trace.csv"] if pieces else []
+    paths = []
     with _timed(timings, "write"):
-        if pieces:
-            # a run after the first starts from the state the one before ended in
-            arr = {k: np.concatenate([pieces[0][k], *(a[k][1:] for a in pieces[1:])])
-                   for k in pieces[0]}
-            _write_trace_csv(paths[0], arr)
-        for t, u1 in snapshots.items():
-            paths.append(out / _snapshot_file(t))
-            write_csv(paths[-1], {"x": grid.x, "u1": u1})
+        if trace is not None:
+            paths.append(out / "trace.csv")
+            _write_trace_csv(paths[0], trace.as_arrays())
+            for t, p in trace.snapshots.items():
+                paths.append(out / _snapshot_file(t))
+                write_csv(paths[-1], {"x": grid.x, "u1": p.u1})
     timings["total"] = time.perf_counter() - t0
     extra = _bytes_written(paths)
-    extra["steps"] = {key: sum(trace.step_counts[key] for trace in traces)
-                      for key in ("accepted", "error_rejected", "F_halved")}
+    extra["steps"] = (trace or DynamicsTrace()).step_counts
     if aborted is not None:
         extra["aborted"] = str(aborted)
     write_manifest(out / "manifest.json", cfg.echo(), "dynamics", timings, extra=extra)

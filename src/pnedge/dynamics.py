@@ -278,6 +278,7 @@ class DynamicsTrace:
     Q_values: list = field(default_factory=list)
     residual_norms: list = field(default_factory=list)
     dt_history: list = field(default_factory=list)
+    snapshots: dict = field(default_factory=dict)  # stop time -> profile of the state there
     error_rejections: int = 0  # attempts whose local error exceeded the tolerance
     f_halvings: int = 0  # attempts that raised F and were halved
 
@@ -414,7 +415,8 @@ def step_etd(s: DynamicsState, dt: float) -> DynamicsState:
 _STEPPERS = {"semi_implicit": step_semi_implicit, "etd": step_etd}
 
 
-def run_dynamics(s0: DynamicsState, T_end: float, step) -> tuple[DynamicsState, DynamicsTrace]:
+def run_dynamics(s0: DynamicsState, T_end: float, step,
+                 stops=()) -> tuple[DynamicsState, DynamicsTrace]:
     """March to T_end by ``step`` (a stepper such as :func:`step_etd`) in
     steps its local error sets, recording F, Q and the residual per
     accepted step.
@@ -430,8 +432,20 @@ def run_dynamics(s0: DynamicsState, T_end: float, step) -> tuple[DynamicsState, 
     :class:`TimeStepUnderflowError` carrying the partial trace.  An
     accepted step of dt is followed by a trial of
     ``dt min(2, 0.9 (tol/err)^{1/2})``.
+
+    The run passes through every time of ``stops``, each in
+    ``(s0.t, T_end]``: a trial step that would pass a stop is clipped to
+    land on it, the profile of the state there goes into
+    ``trace.snapshots`` under the stop's time, and the run resumes with
+    the trial step the clip cut short.  A stop at T_end alone changes no
+    step.
     """
     _check_positive("T_end", T_end)
+    stops = sorted({float(t) for t in stops})
+    if stops and not (s0.t < stops[0] and stops[-1] <= T_end):
+        raise ValueError(f"stop times must lie in (t0, T_end] = ({s0.t}, {T_end}], "
+                         f"got {stops}")
+    targets = sorted({*stops, T_end})  # popped as the run lands on each
     prm = s0.p.params
     f_tol = F_INCREASE_TOL * prm.G * prm.b**2 / prm.d
     err_tol = ERR_TOL * prm.b * math.sqrt(prm.d)
@@ -454,7 +468,7 @@ def run_dynamics(s0: DynamicsState, T_end: float, step) -> tuple[DynamicsState, 
 
     dt = min(DT, dt_cap)
     while s.t < T_end - 1e-12:
-        step_dt = min(dt, T_end - s.t)
+        step_dt = min(dt, targets[0] - s.t)
         for _ in range(MAX_HALVINGS + 1):
             cand = step(s, step_dt)
             err = cand.local_error()
@@ -476,8 +490,13 @@ def run_dynamics(s0: DynamicsState, T_end: float, step) -> tuple[DynamicsState, 
         for key in stale:
             vars(s0).pop(key, None)
         stale = []
-        grow = min(2.0, 0.9 * math.sqrt(err_tol / err)) if err > 0.0 else 2.0
-        dt = min(dt_cap, step_dt * grow)
+        if s.t < targets[0] - 1e-12:  # after landing on a stop, retry the trial it cut short
+            grow = min(2.0, 0.9 * math.sqrt(err_tol / err)) if err > 0.0 else 2.0
+            dt = min(dt_cap, step_dt * grow)
         Q, res_linf = norms(s)
         trace.record(s.t, F, Q, res_linf, step_dt)
+        while targets and s.t >= targets[0] - 1e-12:
+            t_stop = targets.pop(0)
+            if t_stop in stops:
+                trace.snapshots[t_stop] = s.p
     return s, trace

@@ -24,14 +24,12 @@ perturbation then costs one ``rfft`` and a dot product.  The
 y-quadrature is the discrete node/weight sum, independent of the
 closed-form y-integrals of the slip-plane route.
 
-The tables and :func:`elastic_energy_box` walk the y-levels with the
-level walk of :mod:`pnedge.extension`, where a level at a time paid
-numpy's per-call cost on every small array: four levels a chunk over
-the grid, and 16 or 32 over a box background's x-window of 1,024 or
-512 points (:func:`_box_background`).  The weighted sum
-still adds one level at a time, in node order, with each level's x-sum
-taken along its own contiguous row, so every result has the bits of the
-level-by-level loop.
+The tables and the box correction walk the y-levels with the level
+walk of :mod:`pnedge.extension`, four levels a chunk over the grid,
+where a level at a time paid numpy's per-call cost on every small array.
+The weighted sum still adds one level at a time, in node order, with
+each level's x-sum taken along its own contiguous row, so every result
+has the bits of the level-by-level loop.
 
 :meth:`HalfPlaneTables.build` makes both tables in one walk: each level
 takes the strain amplitudes once, for its elastic row and for its cross
@@ -43,19 +41,24 @@ elastic map of ``v``, the correction's cross part is its polarization
 so still a y-quadrature apart from the slip-plane route.
 
 :func:`elastic_energy_box` takes all its radii in one call.  Each box
-keeps its own nodes for the closed-form background, but the correction's
-strains, 3 inverse transforms a level, are taken in one walk shared by
-all radii: ``{0}``, the radii themselves and ``M`` geometric levels from
-zeta/50 to the largest radius, ``M`` chosen so that every radius has at
-least ``n_levels`` of them at or below it (264 for the default radii at
-192 levels).  A level's correction stress is formed once on the largest
-box's x-window, and each radius sums its own slice of it with trapezoid
-weights on the nodes up to its radius.  Four radii so take 268 levels of
-transforms, not 4 x 193.
+keeps its own y-nodes for the closed-form background, which needs no
+walk: at each height the core's density is a rational function of x,
+and its x-integral over the box is a closed form
+(:func:`_core_density_integral`), exact to rounding where a 1,024-point
+trapezoid x-window is off by 0.9-1.8e-7 relative.  A box's background is
+so one dot product of its trapezoid weights with the integrals at its
+nodes.  The correction's strains, 3 inverse transforms a level, are
+taken in one walk shared by all radii: ``{0}``, the radii themselves and
+``M`` geometric levels from zeta/50 to the largest radius, ``M`` chosen
+so that every radius has at least ``n_levels`` of them at or below it
+(264 for the default radii at 192 levels).  A level's correction stress
+is formed once on the largest box's window of the grid, and each radius
+sums its own slice of it with trapezoid weights on the nodes up to its
+radius.  Four radii so take 268 levels of transforms, not 4 x 193.
 
 At N = 4096 the tracemalloc peak is about 1.5 MiB for the four default
-box energies and 2.1 MiB for the tables of 193 levels, where all 193
-levels at once would take some 130 MiB.
+box energies (the correction's walk) and 1.7 MiB for the tables of 193
+levels, where all 193 levels at once would take some 130 MiB.
 """
 
 from __future__ import annotations
@@ -388,16 +391,12 @@ def _half_plane_route(phi: Perturbation, p: Profile, tables: HalfPlaneTables,
 # boxed elastic energy (log divergence study)
 # ---------------------------------------------------------------------------
 
-def _stress_density(s11, s12, s22, G, nu):
-    """Plane-strain energy density ``(1/2) sigma : eps`` of in-plane stresses."""
-    return (s11**2 + s22**2 - nu * (s11 + s22) ** 2 + 2.0 * s12**2) / (4.0 * G)
-
-
 def _density_change(b, c, nu):
-    """``4 G`` times the change ``_stress_density(b + c) - _stress_density(b)``
-    that in-plane stresses ``c`` make to ``b`` (each a sequence ``(s11, s12,
-    s22)``), expanded so that no two large densities cancel: the solved
-    correction's stress is about 1e-10 of the core's."""
+    """``4 G`` times the change that in-plane stresses ``c`` make to the
+    plane-strain energy density ``(1/2) sigma : eps = (s11^2 + s22^2 - nu
+    (s11 + s22)^2 + 2 s12^2) / (4 G)`` of ``b`` (each a sequence ``(s11,
+    s12, s22)``), expanded so that no two large densities cancel: the
+    solved correction's stress is about 1e-10 of the core's."""
     b11, b12, b22 = b
     c11, c12, c22 = c
     tc = c11 + c22
@@ -406,24 +405,37 @@ def _density_change(b, c, nu):
             + c11 * c11 + c22 * c22 - nu * tc * tc + 2.0 * c12 * c12)
 
 
-def _box_background(p: Profile, R: float, n_x: int, n_levels: int) -> float:
+def _core_density_integral(x_lo, x_hi, y, G, b, nu, zeta):
+    """x-integral over ``[x_lo, x_hi]`` of the plane-strain density ``(1/2)
+    sigma : eps`` of the arctan core's upper branch (its stress is
+    :func:`pnedge.extension._analytic_plane_stress`) at the heights ``y``,
+    in closed form.
+
+    With ``k = G b / (2 pi (1 - nu))``, ``p = y + zeta`` and ``u = 1/(x^2 +
+    p^2)``, the identity ``x^2 u^2 = u - p^2 u^2`` takes the density to
+    ``(k^2 / (2 G)) (u + (zeta^2 - 2 nu p^2) u^2)``: the Volterra edge
+    field's ``(1 - 2 nu sin^2 theta) / r^2`` moved up by zeta (Hirth and
+    Lothe, Theory of Dislocations, 2nd ed., 1982).  Its x-integral follows
+    from ``int u = arctan(x/p) / p`` and ``int u^2 = x u / (2 p^2) +
+    arctan(x/p) / (2 p^3)``.
+    """
+    k = G * b / (2.0 * np.pi * (1.0 - nu))
+    p = y + zeta
+    m = 0.5 * (zeta / p) ** 2 - nu  # (zeta^2 - 2 nu p^2) / (2 p^2)
+    angle = np.arctan(x_hi / p) - np.arctan(x_lo / p)
+    rational = x_hi / (x_hi * x_hi + p * p) - x_lo / (x_lo * x_lo + p * p)
+    return (k * k / (2.0 * G)) * ((1.0 + m) * angle / p + m * rational)
+
+
+def _box_background(p: Profile, R: float, n_levels: int) -> float:
     """Upper-half quadrature of the closed-form background's density over
     ``|x| <= R, 0 <= y <= R``: trapezoid weights on the box's own nodes
-    ``BoxQuadrature(zeta/50, R, n_levels)`` and on a uniform ``n_x``-point
-    x-window, decoupled from the profile grid."""
+    ``BoxQuadrature(zeta/50, R, n_levels)`` against the exact x-integral
+    at each node (:func:`_core_density_integral`)."""
     prm = p.params
     ys, wy = BoxQuadrature(_first_level(prm), R, n_levels).nodes_weights()
-    xw = np.linspace(-R, R, n_x)
-    wx = _trapezoid_weights(xw)
-    xw = xw - p.x0
-    total = 0.0
-    for y, wts in _level_chunks(ys, wy, width=n_x):
-        stress = _analytic_plane_stress(xw, y, prm.G, prm.b, prm.nu, p.zeta_bg, +1.0)
-        bg = np.sum(wx * _stress_density(*stress, prm.G, prm.nu), axis=-1)
-        # level by level in node order, so the sum rounds as a level loop's
-        for wt, row in zip(wts, bg):
-            total += wt * float(row)
-    return total
+    return dot(wy, _core_density_integral(-R - p.x0, R - p.x0, ys, prm.G, prm.b, prm.nu,
+                                          p.zeta_bg))
 
 
 def _box_correction_nodes(y0: float, radii, n_levels: int) -> np.ndarray:
@@ -482,15 +494,13 @@ def _box_correction(p: Profile, radii, n_levels: int) -> list[float]:
     return totals
 
 
-def elastic_energy_box(
-    p: Profile, radii, n_x: int = 1024, n_levels: int = 192
-) -> list[float]:
+def elastic_energy_box(p: Profile, radii, n_levels: int = 192) -> list[float]:
     """Elastic energies ``(1/2) int sigma : eps`` over the boxes
     ``|x| <= R, |y| <= R`` minus the slip plane, one per radius R of
     ``radii``, in their order.
 
-    Background stresses in closed form on each box's own nodes and
-    x-window (:func:`_box_background`); correction stresses spectrally on
+    Background density integrated over x in closed form on each box's
+    own nodes (:func:`_box_background`); correction stresses spectrally on
     the profile grid, in one level walk shared by all radii
     (:func:`_box_correction`).  Grows like ``slope * ln R`` for
     ``R >> zeta``.
@@ -498,7 +508,7 @@ def elastic_energy_box(
     radii = [float(R) for R in radii]
     if max(radii) > p.grid.L / 2.0:
         raise ValueError(f"box radius {max(radii)} exceeds L/2 = {p.grid.L / 2.0}")
-    bg = [_box_background(p, R, n_x, n_levels) for R in radii]
+    bg = [_box_background(p, R, n_levels) for R in radii]
     return [2.0 * (b + c) for b, c in zip(bg, _box_correction(p, radii, n_levels))]
 
 
@@ -514,12 +524,12 @@ def log_fit(x, y) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def log_divergence_fit(p: Profile, radii, **resolution):
+def log_divergence_fit(p: Profile, radii, n_levels: int = 192):
     """Box energies ``E(R)`` at ``radii`` and their affine fit
     ``E ~ slope ln R + intercept``; returns (energies, slope, intercept,
-    R^2 of the regression).  ``resolution`` (``n_x``, ``n_levels``)
-    passes to :func:`elastic_energy_box`."""
-    energies = elastic_energy_box(p, radii, **resolution)
+    R^2 of the regression).  ``n_levels`` passes to
+    :func:`elastic_energy_box`."""
+    energies = elastic_energy_box(p, radii, n_levels)
     return (energies, *log_fit(radii, energies))
 
 

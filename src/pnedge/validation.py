@@ -426,9 +426,9 @@ def check_log_divergence(ctx: SuiteContext) -> list[CheckResult]:
     p = ctx.solved.profile
     _, slope, _, r2 = log_divergence_fit(p, radii)
 
-    # self-convergence of the quadrature for the slope: the fit above is
-    # the fine resolution (1024, 192)
-    _, s_coarse, _, _ = log_divergence_fit(p, radii, n_x=512, n_levels=96)
+    # self-convergence of the y-quadrature for the slope: the fit above
+    # takes 192 levels a box (the x-integrals are exact)
+    _, s_coarse, _, _ = log_divergence_fit(p, radii, n_levels=96)
     conv = abs(slope - s_coarse) / abs(slope)
     listed = ",".join(f"{r / ctx.cfg.zeta:g}" for r in radii)
     return [
@@ -436,7 +436,7 @@ def check_log_divergence(ctx: SuiteContext) -> list[CheckResult]:
              f"E(R) affine in ln R over R = {{{listed}}} zeta"),
         _geq("09.log_divergence.slope_positive", slope, 0.0, "positive slope"),
         _leq("09.log_divergence.slope_converged", conv, 0.05,
-             "slope stable between two quadrature resolutions"),
+             "slope stable between 192 and 96 y-levels a box"),
     ]
 
 

@@ -300,6 +300,22 @@ def test_cli_dynamics(tmp_path):
     assert (out / "snapshot_t1.csv").exists()
 
 
+def test_cli_dynamics_snapshot_at_t_end_keeps_the_trace(tmp_path):
+    """A snapshot at T_end alone changes no step: the trace and the step
+    counts are those of a run without snapshots."""
+    rc = main(_fast_overrides(tmp_path / "plain", dynamics_T_end=1.0) + ["dynamics"])
+    assert rc == 0
+    rc = main(_fast_overrides(tmp_path / "snap", dynamics_T_end=1.0,
+                              dynamics_snapshot_times="1") + ["dynamics"])
+    assert rc == 0
+    plain, snap = tmp_path / "plain" / "out", tmp_path / "snap" / "out"
+    assert (snap / "trace.csv").read_bytes() == (plain / "trace.csv").read_bytes()
+    assert sorted(p.name for p in snap.iterdir()) == [
+        "manifest.json", "snapshot_t1.csv", "trace.csv"]
+    steps = [json.loads((d / "manifest.json").read_text())["steps"] for d in (plain, snap)]
+    assert steps[0] == steps[1]
+
+
 def test_cli_dynamics_rejects_snapshots_sharing_a_file(tmp_path, capsys):
     # 1.0000001 and 1.0000002 both name snapshot_t1.csv: one would replace the other
     rc = main(_fast_overrides(tmp_path, dynamics_T_end=2.0,
@@ -377,8 +393,8 @@ def test_cli_refuses_a_used_output_before_the_work(tmp_path, capsys, monkeypatch
 
 
 def test_cli_dynamics_manifest_counts_its_steps(tmp_path):
-    """The manifest sums the step counts of the runs to each snapshot
-    time; the trace has a row for the start and one per accepted step."""
+    """The manifest holds the step counts of the run through its snapshot
+    times; the trace has a row for the start and one per accepted step."""
     rc = main(_fast_overrides(
         tmp_path, dynamics_T_end=1.0, dynamics_snapshot_times="0.5") + ["dynamics"])
     assert rc == 0
@@ -406,8 +422,8 @@ def test_cli_dynamics_underflow_exit_code(tmp_path, monkeypatch):
 
 
 def test_cli_dynamics_underflow_keeps_the_pieces_before_it(tmp_path, monkeypatch):
-    """A run that underflows in its second piece writes the first piece's
-    trace and snapshot, then the partial trace: what an unbroken run to
+    """A run that underflows after its snapshot at t = 1 writes that
+    snapshot and its trace up to the failure: what an unbroken run to
     the point of failure writes."""
     import pnedge.cli as climod
     from pnedge.dynamics import run_dynamics
@@ -418,13 +434,13 @@ def test_cli_dynamics_underflow_keeps_the_pieces_before_it(tmp_path, monkeypatch
               + ["dynamics"])
     assert rc == 0
 
-    def second_piece_underflows(s, t_stop, step):
-        if t_stop == 1.0:
-            return run_dynamics(s, t_stop, step)
-        _, partial = run_dynamics(s, 1.25, step)  # what was recorded before the failure
+    def underflows_after_one(s, T_end, step, stops=()):
+        assert T_end == 2.0 and stops == [1.0, 2.0]
+        # what was recorded before the failure
+        _, partial = run_dynamics(s, 1.25, step, stops=[1.0])
         raise TimeStepUnderflowError("forced underflow", trace=partial)
 
-    monkeypatch.setattr(climod, "run_dynamics", second_piece_underflows)
+    monkeypatch.setattr(climod, "run_dynamics", underflows_after_one)
     rc = main(_fast_overrides(tmp_path, dynamics_T_end=2, dynamics_snapshot_times=1)
               + ["dynamics"])
     assert rc == 2

@@ -255,6 +255,57 @@ def test_march_matches_run_dynamics(bump_state, monkeypatch, method, step, dt):
     assert dissipation_rate(got) == trace.Q_values[-1]
 
 
+@pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
+def test_a_stop_at_t_end_changes_no_step(bump_state, step):
+    """A run whose only stop is T_end takes the steps of a run without
+    stops, bit for bit, and snapshots its end state."""
+    end, trace = run_dynamics(bump_state, 2.0, step)
+    end_stopped, stopped = run_dynamics(bump_state, 2.0, step, stops=[2.0])
+    assert trace.snapshots == {}
+    for key, values in trace.as_arrays().items():
+        np.testing.assert_array_equal(stopped.as_arrays()[key], values)
+    assert stopped.step_counts == trace.step_counts
+    np.testing.assert_array_equal(end_stopped.p.v, end.p.v)
+    assert list(stopped.snapshots) == [2.0]
+    assert stopped.snapshots[2.0] is end_stopped.p
+
+
+@pytest.mark.parametrize("step", [step_semi_implicit, step_etd])
+def test_run_lands_on_each_stop_and_resumes_with_the_cut_trial(bump_state, step):
+    """One run passes through its stops: the trial step that would pass a
+    stop is clipped to land on it, its profile is kept, and the next
+    trial is the one the clip cut short.  Up to the first stop the run
+    takes the steps of a run to that stop."""
+    attempts = {"unbroken": [], "stopped": []}
+
+    def recording(name):
+        def stepper(s, dt):
+            attempts[name].append((s.t, dt))
+            return step(s, dt)
+        return stepper
+
+    stops = [0.5, 1.0]
+    _, unbroken = run_dynamics(bump_state, 2.0, recording("unbroken"))
+    _, trace = run_dynamics(bump_state, 2.0, recording("stopped"), stops=stops)
+    assert list(trace.snapshots) == stops
+    for t_stop in stops:
+        assert np.min(np.abs(np.array(trace.times) - t_stop)) <= 1e-12
+        assert t_stop not in unbroken.times
+    a, b = attempts["unbroken"], attempts["stopped"]
+    i = next(i for i, (t, dt) in enumerate(a) if t + dt > stops[0])
+    assert b[:i] == a[:i]
+    assert b[i] == (a[i][0], stops[0] - a[i][0])  # clipped to land on the stop
+    assert b[i + 1][1] == a[i][1]  # the trial the clip cut short
+    to_stop, _ = run_dynamics(bump_state, stops[0], step)
+    np.testing.assert_array_equal(trace.snapshots[stops[0]].v, to_stop.p.v)
+
+
+@pytest.mark.parametrize("stops", [[0.0], [-1.0, 0.5], [0.5, 1.5]])
+def test_stops_outside_the_run_are_rejected(bump_state, stops):
+    with pytest.raises(ValueError, match="stop times"):
+        run_dynamics(bump_state, 1.0, step_semi_implicit, stops=stops)
+
+
 def test_underflow_carries_trace(bump_state, monkeypatch):
     # force halving to exhaust by demanding a strictly decreasing F with an
     # impossible negative tolerance
@@ -714,7 +765,7 @@ def test_residual_reads_repeat_bit_for_bit(bump_state, made):
     """Every route of ``DynamicsState.residual`` gives the same bits on each
     read, before and after the state starts a run: a state made by hand,
     one made by either step, and the start of a chained run, the state an
-    earlier run ended in (as ``cmd_dynamics`` makes at its snapshot times).
+    earlier run ended in.
     Once the run has dropped the start's caches, it keeps the spectrum it
     had and its residual."""
     method = made.removeprefix("chained_")
