@@ -53,8 +53,12 @@ taken in one walk shared by all radii: ``{0}``, the radii themselves and
 so that every radius has at least ``n_levels`` of them at or below it
 (264 for the default radii at 192 levels).  A level's correction stress
 is formed once on the largest box's window of the grid, and each radius
-sums its own slice of it with trapezoid weights on the nodes up to its
-radius.  Four radii so take 268 levels of transforms, not 4 x 193.
+sums its own slice of it; the walk keeps those window sums, and each
+radius adds them with trapezoid weights on the nodes up to its radius.
+Four radii so take 268 levels of transforms, not 4 x 193.  Check 09's
+self-convergence energies at about half the levels are the trapezoid
+rule on every other geometric level of the same walk (137 of its 268
+nodes), so its two fits take one walk of 268 levels, not 268 + 136.
 
 At N = 4096 the tracemalloc peak is about 1.5 MiB for the four default
 box energies (the correction's walk) and 1.7 MiB for the tables of 193
@@ -341,8 +345,9 @@ class HalfPlaneTables:
             # m : conj(S) for m = (i a11, i a22, a12), with 2 m12 for e12 and e21;
             # _elastic_rows has zeroed a11 and a22 at the Nyquist mode
             bg_rows = np.empty(S12.shape, dtype=complex)
-            bg_rows.real = a11 * S11.imag + a22 * S22.imag + 2.0 * a12 * S12.real
-            bg_rows.imag = a11 * S11.real + a22 * S22.real - 2.0 * a12 * S12.imag
+            a12_2 = 2.0 * a12
+            bg_rows.real = a11 * S11.imag + a22 * S22.imag + a12_2 * S12.real
+            bg_rows.imag = a11 * S11.real + a22 * S22.real - a12_2 * S12.imag
             for wt, el_row, bg_row in zip(wts, el_rows, bg_rows):
                 el += wt * el_row
                 bg += wt * bg_row
@@ -438,40 +443,36 @@ def _box_background(p: Profile, R: float, n_levels: int) -> float:
                                           p.zeta_bg))
 
 
-def _box_correction_nodes(y0: float, radii, n_levels: int) -> np.ndarray:
+def _box_correction_nodes(y0: float, radii, n_levels: int, every: int = 1) -> np.ndarray:
     """Nodes of the shared correction walk: ``{0}``, ``M`` geometric levels
     from ``y0`` to the largest radius, and every radius.  ``M`` keeps at
     least ``n_levels`` geometric levels at or below the smallest radius,
     so at or below every radius; for one radius it is ``n_levels`` and the
-    nodes are that box's own."""
+    nodes are that box's own.  ``every=2`` keeps every other geometric
+    level from the first, a subset of the nodes with at least
+    ``n_levels / 2`` levels at or below every radius (the top level is the
+    largest radius, so it stays)."""
     r_min, r_max = min(radii), max(radii)
     # the ratio apart, so that one radius gives exactly n_levels
     ratio = np.log(r_max / y0) / np.log(r_min / y0)
     m = 1 + int(np.ceil((n_levels - 1) * ratio))
+    levels = np.geomspace(y0, r_max, m)[::every]
     # a set, not np.unique, whose first call imports numpy.ma (1 MB resident)
-    return np.array(sorted({0.0, *np.geomspace(y0, r_max, m).tolist(), *radii}))
+    return np.array(sorted({0.0, *levels.tolist(), *radii}))
 
 
-def _box_correction(p: Profile, radii, n_levels: int) -> list[float]:
-    """Upper-half quadrature, for every radius R, of the density change
-    the correction v adds over ``|x| <= R, 0 <= y <= R``.
+def _box_correction(p: Profile, ys: np.ndarray, radii) -> np.ndarray:
+    """x-sums, one row per node of ``ys`` and one column per radius R, of
+    the density change the correction v adds over ``|x| <= R``.
 
-    One walk over the shared nodes serves all radii: each level takes the
-    correction's strains (3 inverse transforms), the grid background
-    stress and their density change (:func:`_density_change`) once, on
-    the largest radius's window of the periodic grid, and each radius
-    sums its own slice of that window with trapezoid weights on the nodes
-    up to its radius.
+    One walk serves all radii: each level takes the correction's strains
+    (3 inverse transforms), the grid background stress and their density
+    change (:func:`_density_change`) once, on the largest radius's window
+    of the periodic grid, and each radius sums its own slice of that
+    window along the level's contiguous row.
     """
     prm, grid = p.params, p.grid
     G, nu = prm.G, prm.nu
-    ys = _box_correction_nodes(_first_level(prm), radii, n_levels)
-    # weights per (level, radius), zero above the radius
-    wy = np.zeros((len(ys), len(radii)))
-    for j, R in enumerate(radii):
-        top = np.searchsorted(ys, R, side="right")
-        wy[:top, j] = _trapezoid_weights(ys[:top])
-
     # the window |x| <= R is one index range of the sorted nodes; each
     # radius's range is a slice of the largest one's
     x = grid.x
@@ -482,19 +483,32 @@ def _box_correction(p: Profile, radii, n_levels: int) -> list[float]:
             for R in radii]
 
     v_hat = rfft(p.v)
-    totals = [0.0] * len(radii)
-    for y, wts in _level_chunks(ys, wy):
+    sums = np.empty((len(ys), len(radii)))
+    for y, rows in _level_chunks(ys, sums):
         ev = _strains_of_spectrum(grid, v_hat, nu, y)
         corr = _plane_stresses(*(e[:, lo:hi] for e in ev), G, nu)
         core = _analytic_plane_stress(xg, y, G, prm.b, nu, p.zeta_bg, +1.0)
         dens = (grid.h / (4.0 * G)) * _density_change(core, corr, nu)
         for j, sub in enumerate(cols):
-            for wt, row in zip(wts[:, j], np.sum(dens[:, sub], axis=-1)):
-                totals[j] += wt * float(row)
+            rows[:, j] = np.sum(dens[:, sub], axis=-1)
+    return sums
+
+
+def _box_trapezoid(ys: np.ndarray, sums: np.ndarray, radii) -> list[float]:
+    """For every radius R, the trapezoid rule on the nodes ``ys`` up to R
+    against that radius's column of the window sums ``sums``, added one
+    node at a time in node order."""
+    totals = []
+    for j, R in enumerate(radii):
+        top = np.searchsorted(ys, R, side="right")
+        total = 0.0
+        for wt, row in zip(_trapezoid_weights(ys[:top]), sums[:top, j].tolist()):
+            total += wt * row
+        totals.append(total)
     return totals
 
 
-def elastic_energy_box(p: Profile, radii, n_levels: int = 192) -> list[float]:
+def elastic_energy_box(p: Profile, radii, n_levels: int = 192, coarse: bool = False):
     """Elastic energies ``(1/2) int sigma : eps`` over the boxes
     ``|x| <= R, |y| <= R`` minus the slip plane, one per radius R of
     ``radii``, in their order.
@@ -502,14 +516,32 @@ def elastic_energy_box(p: Profile, radii, n_levels: int = 192) -> list[float]:
     Background density integrated over x in closed form on each box's
     own nodes (:func:`_box_background`); correction stresses spectrally on
     the profile grid, in one level walk shared by all radii
-    (:func:`_box_correction`).  Grows like ``slope * ln R`` for
-    ``R >> zeta``.
+    (:func:`_box_correction`), summed with each radius's trapezoid
+    weights.  Grows like ``slope * ln R`` for ``R >> zeta``.
+
+    With ``coarse``, returns the pair ``(energies, coarse_energies)``.
+    The second list is the same boxes at about half the y-levels, from
+    the same walk: each background on its box's own ``n_levels // 2``
+    levels, and the correction on the walk's nodes with every other
+    geometric level dropped (``_box_correction_nodes(..., every=2)``).
     """
     radii = [float(R) for R in radii]
     if max(radii) > p.grid.L / 2.0:
         raise ValueError(f"box radius {max(radii)} exceeds L/2 = {p.grid.L / 2.0}")
-    bg = [_box_background(p, R, n_levels) for R in radii]
-    return [2.0 * (b + c) for b, c in zip(bg, _box_correction(p, radii, n_levels))]
+    y0 = _first_level(p.params)
+    ys = _box_correction_nodes(y0, radii, n_levels)
+    sums = _box_correction(p, ys, radii)
+
+    def energies(rows, levels):
+        corrections = _box_trapezoid(ys[rows], sums[rows], radii)
+        return [2.0 * (_box_background(p, R, levels) + c) for R, c in zip(radii, corrections)]
+
+    fine = energies(slice(None), n_levels)
+    if not coarse:
+        return fine
+    # the subset's nodes are nodes of ys, so each is found exactly
+    sub = np.searchsorted(ys, _box_correction_nodes(y0, radii, n_levels, every=2))
+    return fine, energies(sub, n_levels // 2)
 
 
 def log_fit(x, y) -> tuple[float, float, float]:
@@ -524,12 +556,11 @@ def log_fit(x, y) -> tuple[float, float, float]:
     return float(coef[0]), float(coef[1]), r2
 
 
-def log_divergence_fit(p: Profile, radii, n_levels: int = 192):
-    """Box energies ``E(R)`` at ``radii`` and their affine fit
-    ``E ~ slope ln R + intercept``; returns (energies, slope, intercept,
-    R^2 of the regression).  ``n_levels`` passes to
-    :func:`elastic_energy_box`."""
-    energies = elastic_energy_box(p, radii, n_levels)
+def log_divergence_fit(p: Profile, radii):
+    """Box energies ``E(R)`` at ``radii`` (:func:`elastic_energy_box`) and
+    their affine fit ``E ~ slope ln R + intercept``; returns (energies,
+    slope, intercept, R^2 of the regression)."""
+    energies = elastic_energy_box(p, radii)
     return (energies, *log_fit(radii, energies))
 
 
@@ -564,25 +595,26 @@ def energy_breakdown(
 # ---------------------------------------------------------------------------
 
 def competitor_energy(
-    grid: Grid1D, phi1: np.ndarray, params: PhysParams,
-    f_pair, g_pair, quad: BoxQuadrature,
+    grid: Grid1D, phi1: np.ndarray, params: PhysParams, family, quad: BoxQuadrature,
 ) -> float:
     """Elastic energy of a same-trace competitor field.
 
     The competitor is prescribed per mode as ``uhat1 = phihat1 f(q y)``
-    and ``uhat2 = i sgn(xi) phihat1 g(q y)`` with ``f(0) = 1``;
-    ``f_pair = (f, f')`` and ``g_pair = (g, g')`` supply the profiles
-    and their derivatives.  Strains are assembled analytically per mode
-    and integrated through the same density table as the elastic
-    extension.
+    and ``uhat2 = i sgn(xi) phihat1 g(q y)`` with ``f(0) = 1``.
+    ``family(t)`` returns ``(f, f', g, g')`` at ``t``, or ``(f, f')`` for a
+    competitor with no u2 part (``g = 0``), so that a family forms its
+    exponential once a chunk of levels.  Strains are assembled
+    analytically per mode and integrated through the same density table
+    as the elastic extension.
     """
-    f, fp = f_pair
-    g, gp = g_pair
 
     def amplitudes(q, y):
         # on the rfft modes xi = q >= 0, so i sgn(xi) q = i q: the
         # multipliers are (i q f(t), i q g'(t), (q f'(t) - q g(t))/2)
-        t = q * y
-        return q * f(t), q * gp(t), 0.5 * (q * fp(t) - q * g(t))
+        f, fp, *u2 = family(q * y)
+        if not u2:
+            return q * f, np.zeros_like(f), 0.5 * (q * fp)
+        g, gp = u2
+        return q * f, q * gp, 0.5 * (q * fp - q * g)
 
     return _quadratic(_energy_table(grid, params, quad, amplitudes), phi1)

@@ -200,11 +200,13 @@ def _strain_multipliers(q, y, nu) -> np.ndarray:
     (e11, e22, e12), on the rfft modes (``xi = q >= 0``), as one real array
     whose first axis is the component."""
     beta = 1.0 / (2.0 - 2.0 * nu)
-    decay = np.exp(-q * y)
+    qy = q * y
+    decay = np.exp(-qy)
     a = np.empty((3,) + decay.shape)
+    # a11 keeps beta * q * y, which rounds as (beta * q) * y, not as beta * qy
     np.multiply(q * (1.0 - beta * q * y), decay, out=a[0])
-    np.multiply(-q * beta * (2.0 * nu - q * y), decay, out=a[1])
-    np.multiply(q * beta * (q * y - 1.0), decay, out=a[2])
+    np.multiply(-q * beta * (2.0 * nu - qy), decay, out=a[1])
+    np.multiply(q * beta * (qy - 1.0), decay, out=a[2])
     return a
 
 

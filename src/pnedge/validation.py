@@ -41,7 +41,7 @@ from .energy import (
     HalfPlaneTables,
     competitor_energy,
     energy_breakdown,
-    log_divergence_fit,
+    elastic_energy_box,
     log_fit,
     misfit_energy,
     reduced_perturbed_energy,
@@ -377,6 +377,36 @@ def check_energy_relation(ctx: SuiteContext) -> list[CheckResult]:
 # criterion 8: minimizer property and extension optimality
 # ---------------------------------------------------------------------------
 
+def _competitor_families(nu: float) -> list:
+    """Decay profiles in y of the same-trace competitors to the elastic
+    extension, as :func:`pnedge.energy.competitor_energy` takes them: each
+    returns ``(f, f')``, or ``(f, f', g, g')`` with a u2 part, from one
+    exponential of ``t``."""
+    beta = 1.0 / (2.0 - 2.0 * nu)
+
+    def harmonic(t):
+        e = np.exp(-t)
+        return e, -e
+
+    def fast(t):
+        e = np.exp(-2.0 * t)
+        return e, -2.0 * e
+
+    def extension_u1(t):
+        e = np.exp(-t)
+        return (1.0 - beta * t) * e, (-1.0 - beta + beta * t) * e
+
+    def harmonic_u1_extension_u2(t):
+        e = np.exp(-t)
+        return e, -e, -beta * ((1.0 - 2.0 * nu) + t) * e, -beta * (2.0 * nu - t) * e
+
+    def slow(t):
+        e = np.exp(-0.5 * t)
+        return e, -0.5 * e
+
+    return [harmonic, fast, extension_u1, harmonic_u1_extension_u2, slow]
+
+
 def check_minimizer(ctx: SuiteContext) -> list[CheckResult]:
     cfg, prm = ctx.cfg, ctx.params
     perts = seeded_perturbations(ctx.grid, prm, 20, seed=cfg.energy_pert_seed + 1,
@@ -385,27 +415,11 @@ def check_minimizer(ctx: SuiteContext) -> list[CheckResult]:
     floor = -1e-8 * ctx.energy_scale
 
     # extension optimality: same trace, competitor decay profiles in y
-    beta = 1.0 / (2.0 - 2.0 * prm.nu)
-    nu = prm.nu
-    competitors = [
-        ((lambda t: np.exp(-t), lambda t: -np.exp(-t)),
-         (lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))),
-        ((lambda t: np.exp(-2.0 * t), lambda t: -2.0 * np.exp(-2.0 * t)),
-         (lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))),
-        ((lambda t: (1.0 - beta * t) * np.exp(-t),
-          lambda t: (-1.0 - beta + beta * t) * np.exp(-t)),
-         (lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))),
-        ((lambda t: np.exp(-t), lambda t: -np.exp(-t)),
-         (lambda t: -beta * ((1.0 - 2.0 * nu) + t) * np.exp(-t),
-          lambda t: -beta * (2.0 * nu - t) * np.exp(-t))),
-        ((lambda t: np.exp(-0.5 * t), lambda t: -0.5 * np.exp(-0.5 * t)),
-         (lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))),
-    ]
     phi1 = perts[0].phi1
     e_opt = ctx.tables.elastic_energy(phi1)
     margins = [
-        competitor_energy(ctx.grid, phi1, prm, f_pair, g_pair, ctx.quad) - e_opt
-        for f_pair, g_pair in competitors
+        competitor_energy(ctx.grid, phi1, prm, family, ctx.quad) - e_opt
+        for family in _competitor_families(prm.nu)
     ]
     return [
         _geq("08.minimizer.energy_nonnegative", np.min(values), floor,
@@ -424,11 +438,13 @@ def check_minimizer(ctx: SuiteContext) -> list[CheckResult]:
 def check_log_divergence(ctx: SuiteContext) -> list[CheckResult]:
     radii = box_radii(ctx.cfg)
     p = ctx.solved.profile
-    _, slope, _, r2 = log_divergence_fit(p, radii)
-
-    # self-convergence of the y-quadrature for the slope: the fit above
-    # takes 192 levels a box (the x-integrals are exact)
-    _, s_coarse, _, _ = log_divergence_fit(p, radii, n_levels=96)
+    # self-convergence of the y-quadrature for the slope: one walk gives
+    # the energies at 192 levels a box and at about half of them (each
+    # background on 96 levels of its box, the correction on every other
+    # geometric level of the walk); the x-integrals are exact
+    energies, coarse = elastic_energy_box(p, radii, coarse=True)
+    slope, _, r2 = log_fit(radii, energies)
+    s_coarse = log_fit(radii, coarse)[0]
     conv = abs(slope - s_coarse) / abs(slope)
     listed = ",".join(f"{r / ctx.cfg.zeta:g}" for r in radii)
     return [

@@ -302,6 +302,10 @@ def test_tables_match_level_quadrature(which, grid, solved, params, quadq):
     competitor = ((lambda t: (1 - beta * t) * np.exp(-t),
                    lambda t: (-1 - beta + beta * t) * np.exp(-t)),
                   (lambda t: -0.5 * t * np.exp(-t), lambda t: (0.5 * t - 0.5) * np.exp(-t)))
+
+    def family(t):
+        e = np.exp(-t)
+        return (1 - beta * t) * e, (-1 - beta + beta * t) * e, -0.5 * t * e, (0.5 * t - 0.5) * e
     for ph in seeded_perturbations(grid, params, 3, seed=5):
         def ext_strains(y):
             return extend_trace_strains(grid, ph.phi1, params.nu, y)
@@ -315,7 +319,7 @@ def test_tables_match_level_quadrature(which, grid, solved, params, quadq):
         assert elastic_energy_of_trace(grid, ph.phi1, params, quadq) == pytest.approx(
             e_ref, rel=1e-12, abs=0)
         assert cross_term_elastic(p, ph, quadq) == pytest.approx(c_ref, rel=1e-12, abs=0)
-        assert competitor_energy(grid, ph.phi1, params, *competitor, quadq) == pytest.approx(
+        assert competitor_energy(grid, ph.phi1, params, family, quadq) == pytest.approx(
             k_ref, rel=1e-12, abs=0)
 
 
@@ -336,21 +340,18 @@ def test_extension_minimizes_elastic_energy(grid, params, quadq):
     phi = gaussian_pert(grid, params, amp=0.06, center=-0.4, width=1.5)
     e_opt = elastic_energy_of_trace(grid, phi.phi1, params, quadq)
     # the extension itself through the competitor machinery: sanity identity
-    f_ext = (lambda t: (1 - beta * t) * np.exp(-t),
-             lambda t: (-1 - beta + beta * t) * np.exp(-t))
-    g_ext = (lambda t: -beta * ((1 - 2 * nu) + t) * np.exp(-t),
-             lambda t: -beta * (2 * nu - t) * np.exp(-t))
-    same = competitor_energy(grid, phi.phi1, params, f_ext, g_ext, quadq)
+    def extension(t):
+        e = np.exp(-t)
+        return ((1 - beta * t) * e, (-1 - beta + beta * t) * e,
+                -beta * ((1 - 2 * nu) + t) * e, -beta * (2 * nu - t) * e)
+
+    same = competitor_energy(grid, phi.phi1, params, extension, quadq)
     assert same == pytest.approx(e_opt, rel=1e-12)
     # competitors with the same trace cost more
-    harmonic = competitor_energy(
-        grid, phi.phi1, params,
-        (lambda t: np.exp(-t), lambda t: -np.exp(-t)),
-        (lambda t: np.zeros_like(t), lambda t: np.zeros_like(t)), quadq)
-    fast = competitor_energy(
-        grid, phi.phi1, params,
-        (lambda t: np.exp(-2 * t), lambda t: -2 * np.exp(-2 * t)),
-        (lambda t: np.zeros_like(t), lambda t: np.zeros_like(t)), quadq)
+    harmonic = competitor_energy(grid, phi.phi1, params,
+                                 lambda t: (np.exp(-t), -np.exp(-t)), quadq)
+    fast = competitor_energy(grid, phi.phi1, params,
+                             lambda t: (np.exp(-2 * t), -2 * np.exp(-2 * t)), quadq)
     assert harmonic > e_opt
     assert fast > e_opt
 
@@ -399,6 +400,21 @@ def test_box_correction_nodes_below_every_radius(params, n_levels):
     for R in radii:
         assert R in ys
         assert np.count_nonzero((ys >= y0) & (ys < R)) >= n_levels
+
+
+def test_box_correction_nodes_every_other(params):
+    # check 09's coarse nodes: a subset of the walk's, with every other of
+    # its 264 geometric levels (132, the top one a radius), each radius a
+    # node, and at least 96 positive nodes below each radius
+    y0 = params.zeta / 50.0
+    radii = [r * params.zeta for r in (5.0, 10.0, 20.0, 40.0)]
+    ys = energy._box_correction_nodes(y0, radii, 192)
+    sub = energy._box_correction_nodes(y0, radii, 192, every=2)
+    assert len(sub) == 1 + 132 + 4
+    assert set(sub.tolist()) <= set(ys.tolist())
+    for R in radii:
+        assert R in sub
+        assert np.count_nonzero((sub >= y0) & (sub < R)) >= 96
 
 
 @pytest.mark.parametrize("y_over_zeta", [0.0, 0.02, 0.5, 5.0, 40.0])

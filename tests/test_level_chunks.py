@@ -10,19 +10,25 @@ same bits (``==``, no tolerance), including for level counts that are
 not a multiple of the chunk and for fewer levels than one chunk.  The
 box background takes no walk: its reference is the closed-form
 x-integral node by node, and it is also held to the sampled x-window it
-replaced, within that trapezoid rule's error.  The cross table as a sum
-of two stresses at every level is kept as a reference at roundoff.
+replaced, within that trapezoid rule's error.  Check 09's coarse box
+energies, taken from the same walk's sums, must equal the box reference
+walked over the explicit coarse nodes, and check 08's competitors, one
+exponential a chunk each, their function-pair form level by level.  The
+cross table as a sum of two stresses at every level is kept as a
+reference at roundoff.
 """
 
 import tracemalloc
 import warnings
 from dataclasses import replace
 from functools import partial
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
 
 from pnedge import energy
+from pnedge.config import RunConfig, box_radii
 from pnedge.energy import (
     BoxQuadrature,
     HalfPlaneTables,
@@ -50,6 +56,7 @@ from pnedge.operators import dot, irfft, mode_weights, rfft
 from pnedge.params import PhysParams
 from pnedge.profile import Profile, background, tanh_profile
 from pnedge.static import solve_static
+from pnedge.validation import _competitor_families, check_log_divergence
 
 # ---------------------------------------------------------------------------
 # level-by-level references
@@ -82,17 +89,35 @@ def _sampled_rtol(n_x):
     return 4e-7 * (1024 / n_x) ** 2
 
 
-def _box_reference(p, radii, n_levels=192):
+def _shared_geometric_levels(y0, radii, n_levels):
+    """The geometric levels of the walk shared by ``radii``: from ``y0`` to
+    the largest radius, at least ``n_levels`` at or below the smallest."""
+    r_min, r_max = min(radii), max(radii)
+    m = 1 + int(np.ceil((n_levels - 1) * (np.log(r_max / y0) / np.log(r_min / y0))))
+    return np.geomspace(y0, r_max, m)
+
+
+def _every_other_nodes(p, radii, n_levels=192):
+    """The coarse nodes of check 09: 0, every other geometric level of the
+    shared walk from the first, the top level (the largest radius) and
+    every radius."""
+    levels = _shared_geometric_levels(p.params.zeta / 50.0, radii, n_levels)
+    return np.unique(np.concatenate([[0.0], levels[::2], levels[-1:], radii]))
+
+
+def _box_reference(p, radii, n_levels=192, nodes=None):
     """The multi-radius box energy one level at a time: each radius's
-    background node by node on its own nodes, the closed-form x-integral
-    at each, and the correction on the shared nodes with each radius's
-    trapezoid weights and x-window."""
+    background node by node on its own ``n_levels`` nodes, the closed-form
+    x-integral at each, and the correction on the shared nodes (or on the
+    given ``nodes``) with each radius's trapezoid weights and x-window."""
     prm = p.params
     G, nu = prm.G, prm.nu
     y0 = prm.zeta / 50.0
-    r_min, r_max = min(radii), max(radii)
-    m = 1 + int(np.ceil((n_levels - 1) * (np.log(r_max / y0) / np.log(r_min / y0))))
-    ys = np.unique(np.concatenate([[0.0], np.geomspace(y0, r_max, m), radii]))
+    if nodes is None:
+        levels = _shared_geometric_levels(y0, radii, n_levels)
+        ys = np.unique(np.concatenate([[0.0], levels, radii]))
+    else:
+        ys = np.asarray(nodes, dtype=float)
     weights = [np.zeros_like(ys) for _ in radii]
     for w, R in zip(weights, radii):
         w[ys <= R] = _trapezoid_weights(ys[ys <= R])
@@ -270,14 +295,20 @@ def wide_core(request, grid):
 
 
 def _competitors(nu):
+    """Check 08's competitors, in the order of
+    ``validation._competitor_families``, as ``(f, f')`` and ``(g, g')``
+    pairs of functions that each take their own exponential."""
     beta = 1.0 / (2.0 - 2.0 * nu)
     zero = (lambda t: np.zeros_like(t), lambda t: np.zeros_like(t))
     return [
         ((lambda t: np.exp(-t), lambda t: -np.exp(-t)), zero),
-        ((lambda t: np.exp(-0.5 * t), lambda t: -0.5 * np.exp(-0.5 * t)), zero),
+        ((lambda t: np.exp(-2.0 * t), lambda t: -2.0 * np.exp(-2.0 * t)), zero),
+        ((lambda t: (1.0 - beta * t) * np.exp(-t),
+          lambda t: (-1.0 - beta + beta * t) * np.exp(-t)), zero),
         ((lambda t: np.exp(-t), lambda t: -np.exp(-t)),
          (lambda t: -beta * ((1.0 - 2.0 * nu) + t) * np.exp(-t),
           lambda t: -beta * (2.0 * nu - t) * np.exp(-t))),
+        ((lambda t: np.exp(-0.5 * t), lambda t: -0.5 * np.exp(-0.5 * t)), zero),
     ]
 
 
@@ -374,6 +405,40 @@ def test_shared_walk_matches_per_radius_walks(solved, solved_table, params, pote
     np.testing.assert_allclose(got, want, rtol=rtol, atol=0.0)
 
 
+@pytest.mark.parametrize("case", ["frenkel", "table", "wide"])
+def test_coarse_box_energy_from_the_shared_walk(solved, solved_table, params, grid, case):
+    """Check 09's two sets of box energies from one walk: the fine ones are
+    the box energies, and the coarse ones are, bit for bit, a walk over the
+    explicit coarse nodes (every other geometric level of the shared walk)
+    with each background on 96 levels of its own box."""
+    p = {"frenkel": solved, "table": solved_table, "wide": _wide_core(params, grid.N)}[case]
+    radii = [r * params.zeta for r in (5.0, 10.0, 20.0, 40.0)]
+    fine, coarse = elastic_energy_box(p, radii, coarse=True)
+    assert fine == elastic_energy_box(p, radii)
+    assert coarse == _box_reference(p, radii, n_levels=96,
+                                    nodes=_every_other_nodes(p, radii))
+
+
+def test_log_divergence_check_walks_the_levels_once(solved, params, monkeypatch):
+    """Check 09 takes its fit and its self-convergence fit from one walk:
+    the correction's strains once a chunk of the 268 shared nodes."""
+    cfg = RunConfig()
+    radii = box_radii(cfg)
+    nodes = energy._box_correction_nodes(params.zeta / 50.0, radii, 192)
+    assert len(nodes) == 268
+    calls = []
+
+    def counted(grid, v_hat, nu, y):
+        calls.append(len(y))
+        return _strains_of_spectrum(grid, v_hat, nu, y)
+
+    monkeypatch.setattr(energy, "_strains_of_spectrum", counted)
+    ctx = SimpleNamespace(cfg=cfg, solved=SimpleNamespace(profile=solved))
+    rows = check_log_divergence(ctx)
+    assert all(r.passed for r in rows)
+    assert sum(calls) == len(nodes) and len(calls) == -(-len(nodes) // _LEVEL_CHUNK)
+
+
 @pytest.mark.parametrize("y", [0.0, 0.3, np.array([[0.0], [0.01], [2.5], [40.0]])],
                          ids=["zero", "level", "chunk"])
 def test_strains_bit_identical_to_stacked_multipliers(solved, params, y):
@@ -429,11 +494,35 @@ def test_tables_take_the_amplitudes_once_a_chunk(solved, params, monkeypatch):
 
 @pytest.mark.parametrize("n_levels", LEVELS)
 def test_competitor_energy_bit_identical(grid, params, n_levels):
+    """Check 08's competitors, each from one exponential a chunk, against
+    their function pairs one level at a time."""
     quad = BoxQuadrature(params.zeta / 50.0, 400.0 * params.zeta, n_levels)
     phi1 = seeded_perturbations(grid, params, 1, seed=3)[0].phi1
-    for f_pair, g_pair in _competitors(params.nu):
-        got = competitor_energy(grid, phi1, params, f_pair, g_pair, quad)
+    families = _competitor_families(params.nu)
+    assert len(families) == len(_competitors(params.nu)) == 5
+    for family, (f_pair, g_pair) in zip(families, _competitors(params.nu)):
+        got = competitor_energy(grid, phi1, params, family, quad)
         assert got == _competitor_reference(grid, phi1, params, f_pair, g_pair, quad)
+
+
+def test_competitors_take_one_exponential_a_chunk(grid, params, monkeypatch):
+    """Each of check 08's competitors evaluates one exponential a chunk of
+    levels: 49 chunks for the 193 nodes of the quadrature."""
+    quad = BoxQuadrature.for_params(params)
+    phi1 = seeded_perturbations(grid, params, 1, seed=3)[0].phi1
+    exp = np.exp
+    calls = []
+
+    def counted(x, *args, **kwargs):
+        calls.append(np.shape(x))
+        return exp(x, *args, **kwargs)
+
+    monkeypatch.setattr(np, "exp", counted)
+    for family in _competitor_families(params.nu):
+        calls.clear()
+        competitor_energy(grid, phi1, params, family, quad)
+        assert len(calls) == 49
+        assert sum(shape[0] for shape in calls) == 193
 
 
 # ---------------------------------------------------------------------------
@@ -455,13 +544,12 @@ def _peak_bytes(fn):
 def test_quadrature_peak_memory(solved, grid, params):
     quad = BoxQuadrature.for_params(params)
     phi1 = seeded_perturbations(grid, params, 1, seed=3)[0].phi1
-    (f_pair, g_pair), *_ = _competitors(params.nu)
+    family, *_ = _competitor_families(params.nu)
     runs = {
         "elastic_energy_box": lambda: elastic_energy_box(
             solved, [r * params.zeta for r in (5.0, 10.0, 20.0, 40.0)]),
         "HalfPlaneTables.build": lambda: HalfPlaneTables.build(solved, quad),
-        "competitor_energy": lambda: competitor_energy(grid, phi1, params, f_pair,
-                                                       g_pair, quad),
+        "competitor_energy": lambda: competitor_energy(grid, phi1, params, family, quad),
     }
     for name, fn in runs.items():
         peak = _peak_bytes(fn)
