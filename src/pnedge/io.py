@@ -18,10 +18,15 @@ zeros and the rare cells outside that range are formatted by Python, one
 
 Each cell fills a fixed-width slot of a byte matrix, NUL in the bytes it
 does not spell; a row of slots and separators with its NULs deleted is a
-CSV row.  :func:`write_csv` builds the slots of up to ``_BLOCK_ROWS`` rows
-and writes them with one call.  :func:`write_field_csv` formats the x and
-y columns once, left-aligned in slots as wide as their widest cell, and
-writes one y-level at a time from one row matrix reused for every level.
+CSV row.  :func:`write_csv` streams a table in blocks of ``_BLOCK_ROWS``
+rows through one row matrix, reused for every block and written with one
+call per block; each slot is as wide as its whole column needs, so the
+bytes do not depend on the block size, and the writer's memory does not
+grow with the length of a table of floating columns (an int or str
+column's width is read from the text of all its cells).
+:func:`write_field_csv` formats the x and y columns once, left-aligned in
+slots as wide as their widest cell, and writes one y-level at a time from
+one row matrix reused for every level.
 A mirrored field is passed as its upper half only: each level is
 formatted once, and the cells are kept until the level's second row is
 written.  A mirror row of an even field repeats them.  In a mirror row of
@@ -41,14 +46,15 @@ from pathlib import Path
 
 import numpy as np
 
-#: rows per write in :func:`write_csv`.  Every table written at
-#: N <= 65536 is one block, so a write allocates and frees one byte matrix
-#: a few times the file's size.  glibc raises its mmap and trim thresholds
-#: to the largest mapping freed so far; with 4096-row blocks they stayed
-#: low enough that N = 16384 solves and dynamics run later in the same
-#: process page-faulted their temporaries back in on every step (1.3 M
-#: minor faults per two dynamics runs).
-_BLOCK_ROWS = 65536
+#: rows per block of :func:`write_csv`, each filled into one reused row
+#: matrix: a 16384-row five-column table peaks at 1.71 MiB of tracemalloc,
+#: not the 6.80 MiB of one whole-table block.  The CLI fixes glibc's malloc
+#: thresholds (``cli._fix_malloc_thresholds``), so small blocks no longer
+#: leave later N = 16384 work to fault its pages in: a relax pass (nine
+#: solves, then two dynamics runs) took 5.6k minor page faults in the
+#: solves and 0.7k-1.7k in the dynamics, against 14.1k-14.6k and 2.4k-2.5k
+#: with 65536-row blocks.
+_BLOCK_ROWS = 4096
 #: floating cells formatted per numpy pass (about 1.3 MiB of temporaries)
 _CHUNK = 8192
 
@@ -276,15 +282,14 @@ def write_csv(path, columns: dict) -> None:
     n = len(arrays[0])
     if any(a.ndim != 1 or len(a) != n for a in arrays):
         raise ValueError("CSV columns must be one-dimensional with equal length")
-    widths = [_width(a) for a in arrays]
+    chars, slots = _row_slots(min(n, _BLOCK_ROWS), [_width(a) for a in arrays])
     with open(path, "wb") as f:
         f.write((",".join(names) + "\n").encode())
         for start in range(0, n, _BLOCK_ROWS):
-            block = [a[start:start + _BLOCK_ROWS] for a in arrays]
-            chars, slots = _row_slots(len(block[0]), widths)
-            for a, slot in zip(block, slots):
-                _fill(a, slot)
-            f.write(_text_of(chars))
+            k = min(n - start, _BLOCK_ROWS)
+            for a, slot in zip(arrays, slots):
+                _fill(a[start:start + k], slot[:k])
+            f.write(_text_of(chars[:k]))
 
 
 def _negate_cells(v: np.ndarray, chars: np.ndarray) -> None:

@@ -216,22 +216,25 @@ class PotentialReport:
 def validate_potential(spec: PotentialSpec) -> PotentialReport:
     """Check the multi-well structure required of a misfit potential.
 
-    Two report-only checks: (i) ``W(v) > W(b/4) + 1e-10 G b^2 / d``
-    strictly on a dense scan of the open interval between the wells, and
-    (ii) ``W''(b/4) > 0``, read exactly.  W has period b/2, so the well at
-    -b/4 is the one at b/4.  The scan's points nearest the well lie
-    ``b / (2 (_SCAN_POINTS + 1))`` from it, so (i) already fails a well
-    whose curvature is below ``8e-10 (_SCAN_POINTS + 1)^2 G / d``, about
-    0.080 G/d; the Newton polish's ``max(W''(b/4), 0.1 G / d)`` acts
-    only on (0.080, 0.1) G/d.
+    Two report-only checks: (i) ``W(v) - W(b/4) > 1e-10 dW`` strictly on a
+    dense scan of the open interval between the wells, where ``dW`` is
+    the scan's barrier ``max W(v) - W(b/4)``, and (ii) ``W''(b/4) > 0``,
+    read exactly.  W has period b/2, so the well at -b/4 is the one at
+    b/4.  The margin scales with the table, so a well's depth alone does
+    not decide (i): the scan's points nearest the well lie
+    ``b / (2 (_SCAN_POINTS + 1))`` from it, so (i) fails a well only
+    where ``W''(b/4) b^2 / dW`` is below ``8e-10 (_SCAN_POINTS + 1)^2``,
+    about 0.080, a thousandth of the Frenkel sinusoid's ``8 pi^2``.  A
+    barrier of zero or below, and a stretch of the interval as low as
+    the well to within the margin, fail (i).
     """
     p = spec.params
     b = p.b
     well, curvature = eval_potential(spec, b / 4.0, (0, 2))
     v = np.linspace(-b / 4.0, b / 4.0, _SCAN_POINTS + 2)[1:-1]
-    floor = well + 1e-10 * p.G * b**2 / p.d
+    rise = eval_potential(spec, v, 0) - well
     return PotentialReport(
-        interior_strict_minimum=bool(np.all(eval_potential(spec, v, 0) > floor)),
+        interior_strict_minimum=bool(np.all(rise > 1e-10 * rise.max())),
         positive_curvature_at_wells=bool(curvature > 0.0),
     )
 

@@ -597,10 +597,11 @@ def _translation_law(s0, shift):
 def test_end_state_has_the_translation_energy(step, L_over, N, bump, nu):
     """Under Frenkel the relaxed state is the reference translated by s,
     and its F is the box's translation energy ``-pi c0 b^2 s^2 / (96 L^2)``.
-    The relative gap (F - law)/law read 7.70e-6 / 5.06e-6 (semi-implicit /
-    ETD) at (200 zeta, 4096), 1.85e-6 / 1.19e-6 at (400 zeta, 8192) and
-    2.07e-6 / 1.41e-6 there at nu = 0.3: 0.19 to 0.33 (zeta/L)^2, falling
-    as L^-2 as a next image term would.  The bound is 0.5 (zeta/L)^2."""
+    Under the step controller the relative gap (F - law)/law reads
+    1.03e-5 / 7.43e-6 (semi-implicit / ETD) at (200 zeta, 4096),
+    2.76e-6 / 1.76e-6 at (400 zeta, 8192) and 2.76e-6 / 2.12e-6 there at
+    nu = 0.3: 0.28 to 0.44 (zeta/L)^2, falling as L^-2 as a next image
+    term would.  The bound is 0.5 (zeta/L)^2."""
     from pnedge.static import zero_crossing
 
     s0, end, trace = _translation_run(step, L_over, N, bump, nu)
@@ -1074,3 +1075,52 @@ def test_check_dynamics_under_a_table(tmp_path, eps_table_rows):
     for name in ("F_nonincreasing", "relaxation", "chain_rule_order", "chain_rule_bound",
                  "integrator_gap_order"):
         assert rows["10.dynamics." + name].passed, rows["10.dynamics." + name]
+
+
+# ---------------------------------------------------------------------------
+# the gliding Frenkel dislocation: an exact travelling arctan
+# ---------------------------------------------------------------------------
+
+def _gliding_arctan(params, tau):
+    """Width ``zeta_tau``, tail shift ``delta`` and speed ``c`` of the wave
+    ``U(x - ct) = -(b/2pi) arctan((x - ct)/zeta_tau) + delta`` under stress
+    ``tau``: ``sin phi = tau / tau_max`` with ``tau_max = G b / (pi d)``,
+    ``zeta_tau = zeta / cos phi``, ``delta = b phi / (4 pi)`` and
+    ``c = 4 pi zeta_tau tau / b``."""
+    phi = np.arcsin(tau * np.pi * params.d / (params.G * params.b))
+    zeta_tau = params.zeta / np.cos(phi)
+    return zeta_tau, params.b * phi / (4.0 * np.pi), 4.0 * np.pi * zeta_tau * tau / params.b
+
+
+@pytest.mark.parametrize("G, nu, b, d", [(1.0, 0.25, 1.0, 1.0), (0.8, 0.3, 1.3, 0.9)])
+@pytest.mark.parametrize("tau", [1e-3, 1e-2, 0.1])
+def test_gliding_arctan_solves_the_driven_flow(G, nu, b, d, tau):
+    """Under Frenkel the travelling arctan solves u_t = -c0 Lambda u -
+    W'(u) + tau: with u_t = -c U' its residual -c U' + c0 Lambda U +
+    W'(U) - tau, from the library's closed forms on 200,001 points over
+    |x - ct| <= 50 zeta at t = 2, read 2.5e-16 to 3.1e-16 G b/d over both
+    parameter sets and the three stresses (tau in G b/d); the bound is
+    2e-15 G b/d.  A speed 1e-9 off leaves 2e-12 to 2e-10 G b/d.  Item 15's
+    mobility law c int U'^2 = tau b / 2 read within 6.7e-16 relative, by
+    adaptive quadrature of U'^2 over the line; the bound is 1e-12."""
+    from scipy.integrate import quad
+
+    from pnedge.potential import eval_potential, frenkel
+    from pnedge.profile import background, background_derivative, background_half_laplacian
+
+    params = PhysParams(G=G, nu=nu, b=b, d=d)
+    force = params.G * params.b / params.d
+    tau *= force
+    zeta_tau, delta, c = _gliding_arctan(params, tau)
+    t = 2.0
+    x = c * t + np.linspace(-50.0, 50.0, 200_001) * params.zeta
+    u = background(x, b, zeta_tau, c * t) + delta
+    u_x = background_derivative(x, b, zeta_tau, c * t)
+    rest = (params.c0 * background_half_laplacian(x, b, zeta_tau, c * t)
+            + eval_potential(frenkel(params), u, 1) - tau)
+
+    assert np.max(np.abs(-c * u_x + rest)) <= 2e-15 * force
+    assert np.max(np.abs(-c * (1.0 + 1e-9) * u_x + rest)) > 2e-15 * force
+    u_x2, _ = quad(lambda s: background_derivative(s, b, zeta_tau) ** 2, -np.inf, np.inf,
+                   epsabs=0.0, epsrel=1e-13)
+    assert c * u_x2 == pytest.approx(tau * b / 2.0, rel=1e-12)

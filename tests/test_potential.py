@@ -140,18 +140,41 @@ def test_validate_reads_the_curvature_at_the_well(monkeypatch):
     assert signs == {True, False}
 
 
-@pytest.mark.parametrize("curvature, passes", [(0.05, False), (0.1, True)])
-def test_weak_well_fails_the_scan(curvature, passes):
-    # a Frenkel-shaped table with W''(b/4) = curvature G/d: the scan's
-    # margin rejects every well below about 0.080 G/d
+def _frenkel_shaped_table(curvature):
+    """A 256-sample table of the Frenkel shape with W''(b/4) = curvature G/d."""
     prm = PhysParams()
     u = np.arange(256) * (prm.b / 512.0)
     a = curvature * prm.G * prm.b**2 / (16.0 * np.pi**2 * prm.d)
-    spec = from_table(prm, np.column_stack([u, a * (1.0 + np.cos(4.0 * np.pi * u / prm.b))]))
+    return from_table(prm, np.column_stack([u, a * (1.0 + np.cos(4.0 * np.pi * u / prm.b))]))
+
+
+@pytest.mark.parametrize("curvature", [0.001, 0.05, 0.1])
+def test_weak_well_passes_the_scan(curvature):
+    # the scan's margin is relative to the barrier, so a Frenkel-shaped
+    # well passes at any depth; an absolute margin of 1e-10 G b^2 / d
+    # rejected every one below about 0.080 G/d
+    spec = _frenkel_shaped_table(curvature)
+    prm = spec.params
     assert eval_potential(spec, prm.b / 4.0, 2) == pytest.approx(curvature, rel=1e-3)
+    assert validate_potential(spec).passed
+
+
+def test_flat_stretch_at_the_well_height_fails_the_scan():
+    # W = (1 + cos t) ((|t| - pi/4)_+ / (3 pi / 4))^8, t = 4 pi u / b in
+    # (-pi, pi]: a strict well at b/4, but W stays at the well's height on
+    # |u| <= b/16, a non-strict interior minimum; the spline's lowest scan
+    # value read 3.8e-15 of the barrier below the well, rounding
+    prm = PhysParams()
+    u = np.arange(256) * (prm.b / 512.0)
+    t = np.angle(np.exp(4j * np.pi * u / prm.b))
+    w = (1.0 + np.cos(t)) * (np.maximum(np.abs(t) - np.pi / 4.0, 0.0) / (0.75 * np.pi)) ** 8
+    spec = from_table(prm, np.column_stack([u, w]))
+    v = np.linspace(-prm.b / 4.0, prm.b / 4.0, 10_002)[1:-1]
+    rise = eval_potential(spec, v, 0) - eval_potential(spec, prm.b / 4.0, 0)
+    assert abs(rise.min()) <= 1e-13 * rise.max()
     report = validate_potential(spec)
     assert report.positive_curvature_at_wells
-    assert report.interior_strict_minimum == passes == report.passed
+    assert not report.interior_strict_minimum
 
 
 def test_tabulated_frenkel_passes():

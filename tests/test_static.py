@@ -443,6 +443,36 @@ def test_minres_info_is_warned(grid, params, spec, monkeypatch):
     assert (res.iterations, res.newton_steps) == (12, 2)
 
 
+def test_polish_floor_on_a_weak_well(params, monkeypatch):
+    """A Frenkel-shaped table with W''(b/4) = 0.05 G/d passes
+    validate_potential, so the polish's ``w0 = max(W''(b/4), 0.1 G/d)``
+    acts on it: the far-field MINRES shift W''(u1) - w0 read -0.0501 G/d
+    (0 without the floor).  From a background 0.7 zeta_W wide (zeta_W =
+    c0 / W''(b/4), the well's arctan width) on L = 20 zeta_W, N = 1024, the
+    solve met RES_TOL in 4 Newton steps, monotone, with its core within
+    9.1e-5 b of that arctan; the bound is check 02's 1e-3 b."""
+    curvature = 0.05 * params.G / params.d
+    u = np.arange(256) * (params.b / 512.0)
+    a = curvature * params.b**2 / (16.0 * np.pi**2)
+    spec = from_table(params, np.column_stack([u, a * (1.0 + np.cos(4.0 * np.pi * u / params.b))]))
+    zeta_w = params.c0 / curvature
+    shifts, minres = [], static.minres
+
+    def recording(*args, shift=None, **kwargs):
+        shifts.append(shift[0])
+        return minres(*args, shift=shift, **kwargs)
+
+    monkeypatch.setattr(static, "minres", recording)
+    grid = build_grid(20.0 * zeta_w, 1024)
+    res = solve_static(Profile(grid=grid, params=params, zeta_bg=0.7 * zeta_w), spec)
+    assert res.residual.linf <= static.RES_TOL
+    assert res.monotone and res.newton_steps > 0
+    assert shifts[0] == pytest.approx(curvature - 0.1 * params.G / params.d, abs=2e-3)
+    core = np.abs(grid.x) <= 5.0 * zeta_w
+    assert np.max(np.abs(res.profile.u1 - background(grid.x, params.b, zeta_w))[core]) \
+        <= 1e-3 * params.b
+
+
 def test_polish_keeps_the_split_when_rebase_fails(grid, params, spec, monkeypatch):
     def no_crossing(p):
         raise ValueError("profile must cross zero exactly once")
